@@ -1,0 +1,39 @@
+"""Machine output pinned byte for byte on the shipped scenario.
+
+Each fixture under ``fixtures/wire`` is the ``--format machine`` stdout
+of one CLI command on ``scenarios/two_seed_s3.json``; ``verify`` reads
+the stored ``jump`` output.  Any change to the wire format, or to a
+certified value behind it, shows up here as a byte difference.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WIRE = ROOT / "tests" / "fixtures" / "wire"
+SCENARIO = str(ROOT / "scenarios" / "two_seed_s3.json")
+
+COMMANDS = {
+    "iterate": ["iterate", "--seed", SCENARIO],
+    "mean_index": ["mean-index", "--seed", SCENARIO],
+    "jump": ["jump", "--seeds", SCENARIO],
+    "jump_complement_of_12776": ["jump", "--seeds", SCENARIO, "--complement-of", "12776"],
+    "analyze": ["analyze", "--system", SCENARIO],
+    "verify": ["verify", "--seeds", SCENARIO, "--tuple", str(WIRE / "jump.out")],
+    "realize": ["realize", "--seed", SCENARIO],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_machine_output_replays_byte_for_byte(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-m", "symjump.cli", "--format", "machine",
+                        *COMMANDS[name]], capture_output=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (WIRE / f"{name}.out").read_bytes()
