@@ -233,8 +233,7 @@ def betti_constant(n: int) -> Fraction:
 
 def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                  n_max: int = 10**6, tuple_limit: int = 5,
-                 budget: Optional[int] = None, workers: int = 1,
-                 progress=None) -> AnalysisReport:
+                 budget: Optional[int] = None, progress=None) -> AnalysisReport:
     """Full pipeline: pinching bounds, jump tuples, peak, complement, second peak.
 
     Scans up to ``tuple_limit`` jump tuples for one whose peak seed pairs
@@ -254,7 +253,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
     betti = betti_constant(system.n)
     seeds = system.seeds
     tuples = find_jump_tuples(seeds, delta, n_max, tuple_limit,
-                              budget=budget, workers=workers, progress=progress)
+                              budget=budget, progress=progress)
 
     flag = "no_peak_iterate"
     best: dict = {}
@@ -274,8 +273,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                             "d0": d0, "constraints": constraints}
                 continue
             try:
-                t2 = find_complementary_tuples(seeds, t, n_max=n_max,
-                                               budget=budget, workers=workers)[0]
+                t2 = find_complementary_tuples(seeds, t, n_max=n_max, budget=budget)[0]
             except NoTupleFound:
                 continue
             sg = second_geodesic(system, k0, t2, budget)

@@ -6,14 +6,15 @@ A silently wrong floor corrupts every quantity computed downstream, so
 each query either returns a certified answer or raises
 ``UndecidableComparison`` -- never a guess.
 
-Rational ratios are exact integer arithmetic.  Irrational ratios carry a
-rational enclosure ``[approximant - error, approximant + error]`` that
-can be tightened through a refiner: a pure function mapping a level
-``0, 1, 2, ...`` to enclosures whose widths at least halve per level.
-The built-in constructor for quadratic irrationals (a + b*sqrt(d))/c
-refines by integer-square-root bisection and is exact at every level.
-Enclosures only ever tighten, and refinement is lock-protected, so
-values are safe to share across threads.
+Rational ratios are exact integer arithmetic, and so are quadratic
+irrationals (a + b*sqrt(d))/c: floor(m*x) takes one integer square root.
+Other irrational ratios carry a rational enclosure
+``[approximant - error, approximant + error]`` and optionally a refiner:
+a pure function mapping a level ``0, 1, 2, ...`` to enclosures whose
+widths at least halve per level.  A query at budget B reads levels
+0 .. B of that pure sequence and nothing else, so every answer is a
+function of the angle, the operands and the budget alone.  Angles are
+immutable and hold no cache.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from threading import Lock
 from typing import Callable, Optional
 
 from .errors import UndecidableComparison
 
-# Refinement steps allowed per query before giving up.  The theory puts
-# no a-priori bound on how close m*x may come to an integer, so some
-# bound must be chosen; 64 halvings on top of the level-0 enclosure is
-# far beyond any scan this package performs, and callers can override.
+# Refinement levels a query may read beyond level 0 before giving up.
+# The theory puts no a-priori bound on how close m*x may come to an
+# integer, so some bound must be chosen; 64 levels (at least 64 halvings)
+# is far beyond any scan this package performs, and callers can override.
 DEFAULT_BUDGET = 64
 
 Refiner = Callable[[int], tuple[Fraction, Fraction]]
@@ -55,7 +55,18 @@ class Enclosure:
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
-    return DEFAULT_BUDGET if budget is None else budget
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {budget}")
+    return budget
+
+
+def _levels(budget: Optional[int], angles) -> range:
+    """Refinement levels a query at this budget reads: 0 .. budget, or
+    level 0 alone when no angle has a refiner (its levels all coincide)."""
+    top = _resolve_budget(budget)
+    return range(top + 1 if any(a._refiner for a in angles) else 1)
 
 
 class ExactAngle:
@@ -175,7 +186,7 @@ class IrrationalAngle(ExactAngle):
     e.g. ``("quadratic", (a, b, c, d))`` or ``("decimal", (s, e))``.
     """
 
-    __slots__ = ("_lo", "_hi", "_level", "_refiner", "_lock", "source")
+    __slots__ = ("_lo", "_hi", "_refiner", "source")
 
     def __init__(self, approximant: Fraction, error_bound: Fraction,
                  refiner: Optional[Refiner] = None,
@@ -190,9 +201,7 @@ class IrrationalAngle(ExactAngle):
             raise ValueError("enclosure lies outside (0,1)")
         object.__setattr__(self, "_lo", max(lo, Fraction(0)))
         object.__setattr__(self, "_hi", min(hi, Fraction(1)))
-        object.__setattr__(self, "_level", -1)
         object.__setattr__(self, "_refiner", refiner)
-        object.__setattr__(self, "_lock", Lock())
         object.__setattr__(self, "source", source)
 
     def __setattr__(self, name, value):
@@ -203,43 +212,32 @@ class IrrationalAngle(ExactAngle):
         return False
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
-        """Current cached enclosure (monotonically tightening)."""
+        """The stated enclosure, approximant +/- error clipped to [0, 1]."""
         return self._lo, self._hi
 
     def enclosure_at(self, level: int) -> tuple[Fraction, Fraction]:
-        """Pure enclosure at a refinement level, independent of the cache."""
+        """Enclosure at a refinement level: the refiner's, clipped to the
+        stated one.  A pure function of the level."""
         if self._refiner is None:
             return self._lo, self._hi
         lo, hi = self._refiner(level)
-        return max(lo, Fraction(0)), min(hi, Fraction(1))
-
-    def refine_once(self) -> bool:
-        """Tighten the cached enclosure one level.  False if refinerless."""
-        if self._refiner is None:
-            return False
-        with self._lock:
-            level = self._level + 1
-            lo, hi = self._refiner(level)
-            # Intersect so concurrent readers only ever see tightening.
-            lo = max(lo, self._lo)
-            hi = min(hi, self._hi)
-            object.__setattr__(self, "_lo", lo)
-            object.__setattr__(self, "_hi", hi)
-            object.__setattr__(self, "_level", level)
-        return True
+        return max(lo, self._lo), min(hi, self._hi)
 
     # -- certified queries ------------------------------------------------
 
+    def _decided(self, m: int, budget: Optional[int]):
+        """(floor(m*x), lo, hi) for each level 0 .. budget whose enclosure
+        [lo, hi] fixes floor(m*x)."""
+        for level in _levels(budget, (self,)):
+            lo, hi = self.enclosure_at(level)
+            f = (m * lo.numerator) // lo.denominator
+            if f == (m * hi.numerator) // hi.denominator:
+                yield f, lo, hi
+
     def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
         _check_multiplier(m)
-        for _ in range(_resolve_budget(budget) + 1):
-            lo, hi = self._lo, self._hi
-            f_lo = (m * lo.numerator) // lo.denominator
-            f_hi = (m * hi.numerator) // hi.denominator
-            if f_lo == f_hi:
-                return f_lo
-            if not self.refine_once():
-                break
+        for f, _, _ in self._decided(m, budget):
+            return f
         raise UndecidableComparison(
             f"floor({m} * {self!r}) undecided: enclosure too coarse for this multiplier")
 
@@ -259,21 +257,10 @@ class IrrationalAngle(ExactAngle):
         tol = Fraction(tol)
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        # Deterministic: derived from the pure leveled enclosure, not the cache.
-        for level in range(_resolve_budget(budget) + 1):
-            lo, hi = self.enclosure_at(level)
-            f_lo = (m * lo.numerator) // lo.denominator
-            f_hi = (m * hi.numerator) // hi.denominator
-            if f_lo != f_hi:
-                if self._refiner is None:
-                    break
-                continue
-            frac_lo = m * lo - f_lo
-            frac_hi = m * hi - f_lo
+        for f, lo, hi in self._decided(m, budget):
+            frac_lo, frac_hi = m * lo - f, m * hi - f
             if frac_hi - frac_lo <= tol / 2:
                 return Enclosure(*_snap_outward(frac_lo, frac_hi, tol / 4))
-            if self._refiner is None:
-                break
         raise UndecidableComparison(
             f"frac({m} * {self!r}) not enclosable at width {tol}")
 
@@ -281,23 +268,14 @@ class IrrationalAngle(ExactAngle):
                   budget: Optional[int] = None) -> str:
         _check_multiplier(m)
         _check_delta(delta)
-        d_num, d_den = delta.numerator, delta.denominator
-        for _ in range(_resolve_budget(budget) + 1):
-            lo, hi = self._lo, self._hi
-            f = (m * lo.numerator) // lo.denominator
-            if f == (m * hi.numerator) // hi.denominator:
-                # fractional interval, scaled to integers
-                fr_lo_num = m * lo.numerator - f * lo.denominator  # / lo.denominator
-                fr_hi_num = m * hi.numerator - f * hi.denominator
-                if fr_hi_num * d_den < d_num * hi.denominator:
-                    return "low"
-                if fr_lo_num * d_den > (d_den - d_num) * lo.denominator:
-                    return "high"
-                if (fr_lo_num * d_den > d_num * lo.denominator
-                        and fr_hi_num * d_den < (d_den - d_num) * hi.denominator):
-                    return "mid"
-            if not self.refine_once():
-                break
+        for f, lo, hi in self._decided(m, budget):
+            frac_lo, frac_hi = m * lo - f, m * hi - f
+            if frac_hi < delta:
+                return "low"
+            if frac_lo > 1 - delta:
+                return "high"
+            if delta < frac_lo and frac_hi < 1 - delta:
+                return "mid"
         raise UndecidableComparison(
             f"side of frac({m} * {self!r}) vs delta={delta} undecided")
 
@@ -321,6 +299,37 @@ class IrrationalAngle(ExactAngle):
         return f"IrrationalAngle(~{float(self):.10f})"
 
 
+class QuadraticAngle(IrrationalAngle):
+    """(a + b*sqrt(d))/c in canonical form, built by :func:`quadratic_angle`.
+
+    m*b*sqrt(d) is never an integer, so floor(m*b*sqrt(d)) is
+    isqrt(m^2 b^2 d) when b > 0 and -isqrt(m^2 b^2 d) - 1 when b < 0, and
+    with c > 0 the floor of m*x needs only that floor of the numerator.
+    ``floor_mul``, ``ceil_mul`` and ``frac_side`` are therefore exact at
+    every multiplier and ignore the budget; ``frac_mul`` and the callers
+    that need enclosures (mean indices, matrix realizations) still read
+    the refiner's levels.
+    """
+
+    __slots__ = ()
+
+    def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
+        _check_multiplier(m)
+        a, b, c, d = self.source[1]
+        f = isqrt(m * m * b * b * d)
+        return (m * a + (f if b > 0 else -f - 1)) // c
+
+    def frac_side(self, m: int, delta: Fraction,
+                  budget: Optional[int] = None) -> str:
+        _check_multiplier(m)
+        _check_delta(delta)
+        p, q = delta.numerator, delta.denominator
+        # r = floor(q*{m*x}); q*{m*x} is irrational, so it is below p exactly
+        # when r < p and above q - p exactly when r >= q - p
+        r = self.floor_mul(q * m) - q * self.floor_mul(m)
+        return "low" if r < p else "high" if r >= q - p else "mid"
+
+
 # -- constructors ----------------------------------------------------------
 
 
@@ -328,10 +337,11 @@ def rational_angle(p, q=None) -> RationalAngle:
     return RationalAngle(p, q)
 
 
-def quadratic_angle(a: int, b: int, c: int, d: int) -> IrrationalAngle:
+def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
     """The quadratic irrational (a + b*sqrt(d)) / c, required to lie in (0,1).
 
-    Refines by exact integer-square-root bisection: level k encloses
+    Queries are closed form (see :class:`QuadraticAngle`).  Enclosures
+    refine by exact integer-square-root bisection: level k encloses
     sqrt(d) between consecutive multiples of 2**-(24*(k+1)).
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -359,8 +369,7 @@ def quadratic_angle(a: int, b: int, c: int, d: int) -> IrrationalAngle:
     if hi <= 0 or lo >= 1:
         raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} = {float((lo + hi) / 2):.6f} lies outside (0,1)")
     mid = (lo + hi) / 2
-    angle = IrrationalAngle(mid, hi - mid, refiner, source=("quadratic", (a, b, c, d)))
-    return angle
+    return QuadraticAngle(mid, hi - mid, refiner, source=("quadratic", (a, b, c, d)))
 
 
 def decimal_angle(approximant, error) -> IrrationalAngle:
@@ -396,37 +405,35 @@ def complement_angle(x: ExactAngle) -> ExactAngle:
 def same_angle(x: ExactAngle, y: ExactAngle, budget: Optional[int] = None) -> bool:
     """Certified equality of two angle ratios.
 
-    Equal representations compare equal immediately; otherwise the
-    enclosures are refined until disjoint.  Raises UndecidableComparison
-    when neither happens within the budget (distinct representations of
-    the same irrational value cannot be certified equal).
+    Equal representations compare equal immediately.  Rationals and
+    quadratic irrationals are decided by their canonical forms: distinct
+    ones differ, since 1 and sqrt(d) are linearly independent over Q.
+    Otherwise levels 0 .. budget of the enclosures are read until they
+    are disjoint.  Raises UndecidableComparison when none is (distinct
+    representations of the same irrational value cannot be certified
+    equal).
     """
     if x == y:
         return True
-    if isinstance(x, RationalAngle) and isinstance(y, RationalAngle):
+    exact = (RationalAngle, QuadraticAngle)
+    if isinstance(x, exact) and isinstance(y, exact):
         return False
-    budget = _resolve_budget(budget)
-    for _ in range(budget + 1):
-        x_lo, x_hi = _bounds(x)
-        y_lo, y_hi = _bounds(y)
+    irrational = [z for z in (x, y) if isinstance(z, IrrationalAngle)]
+    for level in _levels(budget, irrational):
+        x_lo, x_hi = _bounds(x, level)
+        y_lo, y_hi = _bounds(y, level)
         if x_hi < y_lo or y_hi < x_lo:
             return False
-        refined = False
-        for z in (x, y):
-            if isinstance(z, IrrationalAngle):
-                refined = z.refine_once() or refined
-        if not refined:
-            break
     raise UndecidableComparison(f"cannot separate {x!r} from {y!r}")
 
 
 # -- helpers ----------------------------------------------------------------
 
 
-def _bounds(x: ExactAngle) -> tuple[Fraction, Fraction]:
+def _bounds(x: ExactAngle, level: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, RationalAngle):
         return x.value, x.value
-    return x.enclosure()
+    return x.enclosure_at(level)
 
 
 def _check_multiplier(m: int) -> None:
@@ -454,12 +461,9 @@ def _normalize_quadratic(a: int, b: int, c: int, d: int) -> tuple[int, int, int,
 
 
 def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:
-    """Widen [lo, hi] outward to the decimal grid with step <= grid."""
-    step = Fraction(1)
-    while step > grid:
-        step /= 10
-    lo_s = Fraction((lo.numerator * step.denominator) // (lo.denominator * step.numerator)
-                    * step.numerator, step.denominator)
-    hi_s = Fraction(-((-hi.numerator * step.denominator) // (hi.denominator * step.numerator))
-                    * step.numerator, step.denominator)
-    return max(lo_s, Fraction(0)), hi_s
+    """Widen [lo, hi] outward to the coarsest decimal grid 10**-k <= grid."""
+    scale = 1
+    while Fraction(1, scale) > grid:
+        scale *= 10
+    return (Fraction(lo.numerator * scale // lo.denominator, scale),
+            Fraction(-(-hi.numerator * scale // hi.denominator), scale))

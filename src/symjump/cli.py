@@ -3,7 +3,9 @@
 Subcommands: iterate, mean-index, jump, analyze, verify, realize.
 Exit codes: 0 success, 1 usage or input error, 2 analysis raised a
 finiteness-contradiction flag, 3 undecidable exact arithmetic.
-Environment: SYMJUMP_BUDGET and SYMJUMP_WORKERS override defaults.
+Global flags --budget and --format go before or after the subcommand.
+Environment: SYMJUMP_BUDGET overrides the scenario's budget; --budget
+overrides both.
 """
 
 from __future__ import annotations
@@ -44,49 +46,59 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _budget_arg(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"budget must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="symjump",
+    # Global flags, accepted before and after the subcommand.  SUPPRESS keeps
+    # a subcommand that omits one from overwriting a value given before it;
+    # main() supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=_budget_arg, default=argparse.SUPPRESS,
+                        help="refinement levels per certified comparison on decimal, "
+                             "refiner and mean-index values (default: scenario "
+                             "option or 64)")
+    common.add_argument("--format", choices=("text", "machine"),
+                        default=argparse.SUPPRESS, help="output rendering")
+    parser = _Parser(prog="symjump", parents=[common],
                      description="Exact index iteration and jump-tuple analysis "
                                  "for symplectic paths")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="refinement steps per certified comparison "
-                             "(default: scenario option or 64)")
-    parser.add_argument("--format", choices=("text", "machine"), default="text",
-                        help="output rendering")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("iterate", help="index/nullity table of iterates")
+    p = sub.add_parser("iterate", parents=[common], help="index/nullity table of iterates")
     p.add_argument("--seed", required=True, help="scenario file")
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--m-max", type=int, default=None)
 
-    p = sub.add_parser("mean-index", help="exact or enclosed mean index")
+    p = sub.add_parser("mean-index", parents=[common], help="exact or enclosed mean index")
     p.add_argument("--seed", required=True)
     p.add_argument("--seed-index", type=int, default=0)
 
-    p = sub.add_parser("jump", help="search for common index jump tuples")
+    p = sub.add_parser("jump", parents=[common], help="search for common index jump tuples")
     p.add_argument("--seeds", required=True)
     p.add_argument("--delta", type=_fraction_arg, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--complement-of", type=int, default=None, metavar="N",
                    help="emit tuples complementary to the tuple at this N")
-    p.add_argument("--workers", type=int, default=None)
 
-    p = sub.add_parser("analyze", help="full two-elliptic-geodesics pipeline")
+    p = sub.add_parser("analyze", parents=[common], help="full two-elliptic-geodesics pipeline")
     p.add_argument("--system", required=True)
     p.add_argument("--delta", type=_fraction_arg, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--limit", type=int, default=None,
                    help="jump tuples to try for the first peak")
-    p.add_argument("--workers", type=int, default=None)
 
-    p = sub.add_parser("verify", help="re-verify stored jump tuples")
+    p = sub.add_parser("verify", parents=[common], help="re-verify stored jump tuples")
     p.add_argument("--seeds", required=True)
     p.add_argument("--tuple", required=True, dest="tuple_file",
                    help="machine-format jump tuple output")
 
-    p = sub.add_parser("realize", help="floating-point endpoint matrix")
+    p = sub.add_parser("realize", parents=[common], help="floating-point endpoint matrix")
     p.add_argument("--seed", required=True)
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--precision", type=_fraction_arg, default=Fraction(1, 10**9))
@@ -123,7 +135,7 @@ def _progress_printer(enabled: bool):
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(budget=None, format="text"))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -144,12 +156,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    env_budget = os.environ.get("SYMJUMP_BUDGET")
-    env_workers = os.environ.get("SYMJUMP_WORKERS")
-
     if args.command == "iterate":
         system, options = _load(args.seed)
-        budget = _resolve(args.budget, env_budget, options.budget)
+        budget = _resolve_budget(args, options)
         seed = _pick_seed(system, args.seed_index)
         m_max = args.m_max if args.m_max is not None else options.m_max
         rows = list(iteration_rows(seed, m_max, budget))
@@ -164,8 +173,7 @@ def _dispatch(args) -> int:
 
     if args.command == "jump":
         system, options = _load(args.seeds)
-        budget = _resolve(args.budget, env_budget, options.budget)
-        workers = _resolve(args.workers, env_workers, 1)
+        budget = _resolve_budget(args, options)
         delta = args.delta if args.delta is not None else options.delta
         n_max = args.n_max if args.n_max is not None else options.n_max
         limit = args.limit if args.limit is not None else options.limit
@@ -173,33 +181,30 @@ def _dispatch(args) -> int:
         if args.complement_of is not None:
             base = find_jump_tuples(system.seeds, delta, n_max=args.complement_of,
                                     n_min=args.complement_of, limit=1,
-                                    budget=budget, workers=workers, progress=progress)
+                                    budget=budget, progress=progress)
             tuples = find_complementary_tuples(system.seeds, base[0], n_max=n_max,
                                                limit=limit, budget=budget,
-                                               workers=workers, progress=progress)
+                                               progress=progress)
         else:
             tuples = find_jump_tuples(system.seeds, delta, n_max, limit,
-                                      budget=budget, workers=workers,
-                                      progress=progress)
+                                      budget=budget, progress=progress)
         _emit(tuples, args.format)
         return EXIT_OK
 
     if args.command == "analyze":
         system, options = _load(args.system)
-        budget = _resolve(args.budget, env_budget, options.budget)
-        workers = _resolve(args.workers, env_workers, 1)
+        budget = _resolve_budget(args, options)
         delta = args.delta if args.delta is not None else options.delta
         n_max = args.n_max if args.n_max is not None else options.n_max
         limit = args.limit if args.limit is not None else max(options.limit, 5)
         report = run_analysis(system, delta=delta, n_max=n_max, tuple_limit=limit,
-                              budget=budget, workers=workers,
-                              progress=_progress_printer(sys.stderr.isatty()))
+                              budget=budget, progress=_progress_printer(sys.stderr.isatty()))
         _emit(report, args.format)
         return EXIT_OK if report.status == "two_elliptic_irrational" else EXIT_CONTRADICTION
 
     if args.command == "verify":
         system, options = _load(args.seeds)
-        budget = _resolve(args.budget, env_budget, options.budget)
+        budget = _resolve_budget(args, options)
         try:
             raw = Path(args.tuple_file).read_bytes()
         except OSError as exc:
@@ -227,12 +232,17 @@ def _dispatch(args) -> int:
     raise ScenarioError(f"unknown command {args.command!r}")
 
 
-def _resolve(cli_value, env_value, fallback):
-    if cli_value is not None:
-        return cli_value
-    if env_value is not None:
-        return int(env_value)
-    return fallback
+def _resolve_budget(args, options) -> int:
+    """--budget, else SYMJUMP_BUDGET, else the scenario's option."""
+    if args.budget is not None:
+        return args.budget
+    env = os.environ.get("SYMJUMP_BUDGET")
+    if env is None:
+        return options.budget
+    try:
+        return _budget_arg(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"SYMJUMP_BUDGET: {exc}") from None
 
 
 if __name__ == "__main__":

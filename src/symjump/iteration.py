@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .angles import IrrationalAngle, _resolve_budget
+from .angles import IrrationalAngle, _levels
 from .errors import UndecidableComparison
 from .normal_forms import Decomposition
 
@@ -105,13 +105,19 @@ def bott_gap(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
 
 class MeanIndex:
     """The linear growth rate lim i(m)/m: an exact rational plus twice each
-    irrational rotation angle."""
+    irrational rotation angle.
 
-    __slots__ = ("base", "angles")
+    Irrational values are decided on the sum of the angles' enclosures at
+    levels 0 .. budget.  The sum at each level is memoized: a pure
+    function of the level, so no answer depends on earlier queries.
+    """
+
+    __slots__ = ("base", "angles", "_sums")
 
     def __init__(self, base: Fraction, angles: tuple[IrrationalAngle, ...]):
         self.base = base
         self.angles = angles
+        self._sums = {}
 
     @property
     def is_exact(self) -> bool:
@@ -122,6 +128,23 @@ class MeanIndex:
             raise ValueError("mean index has irrational contributions; use enclosure()")
         return self.base
 
+    def _bounds(self, level: int) -> tuple[Fraction, Fraction]:
+        bounds = self._sums.get(level)
+        if bounds is None:
+            lo = hi = self.base
+            for a in self.angles:
+                a_lo, a_hi = a.enclosure_at(level)
+                lo += 2 * a_lo
+                hi += 2 * a_hi
+            bounds = self._sums[level] = (lo, hi)
+        return bounds
+
+    def _bounds_upto(self, budget: Optional[int], first: int = 0):
+        """Bounds at levels first .. budget, first clipped to the budget."""
+        levels = _levels(budget, self.angles)
+        for level in levels[min(first, len(levels) - 1):]:
+            yield self._bounds(level)
+
     def enclosure(self, tol: Optional[Fraction] = None,
                   budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
         """Certified rational interval around the mean index."""
@@ -129,20 +152,9 @@ class MeanIndex:
             return self.base, self.base
         if tol is None:
             tol = Fraction(1, 10**12)
-        budget = _resolve_budget(budget)
-        for _ in range(budget + 1):
-            lo = hi = self.base
-            for a in self.angles:
-                a_lo, a_hi = a.enclosure()
-                lo += 2 * a_lo
-                hi += 2 * a_hi
+        for lo, hi in self._bounds_upto(budget):
             if hi - lo <= tol:
                 return lo, hi
-            refined = False
-            for a in self.angles:
-                refined = a.refine_once() or refined
-            if not refined:
-                break
         raise UndecidableComparison(f"mean index enclosure not shrinkable to {tol}")
 
     def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
@@ -151,18 +163,11 @@ class MeanIndex:
         if self.is_exact:
             v = self.base
             return -1 if v < other else (0 if v == other else 1)
-        budget = _resolve_budget(budget)
-        for _ in range(budget + 1):
-            lo, hi = self._raw_bounds()
+        for lo, hi in self._bounds_upto(budget):
             if lo > other:
                 return 1
             if hi < other:
                 return -1
-            refined = False
-            for a in self.angles:
-                refined = a.refine_once() or refined
-            if not refined:
-                break
         raise UndecidableComparison(f"mean index vs {other} undecided")
 
     def floor_quotient(self, num: int, den: int, budget: Optional[int] = None) -> int:
@@ -172,36 +177,20 @@ class MeanIndex:
         if self.is_exact:
             if self.base <= 0:
                 raise ValueError("mean index must be positive")
-            q = Fraction(num) / (den * self.base)
-            return q.numerator // q.denominator
-        budget = _resolve_budget(budget)
-        for _ in range(budget + 1):
-            lo, hi = self._raw_bounds()
-            if lo > 0:
-                q_hi = Fraction(num) / (den * lo)
-                q_lo = Fraction(num) / (den * hi)
-                f_lo = q_lo.numerator // q_lo.denominator
-                f_hi = q_hi.numerator // q_hi.denominator
-                if f_lo == f_hi:
-                    return f_lo
-            refined = False
-            for a in self.angles:
-                refined = a.refine_once() or refined
-            if not refined:
-                break
+            return (num * self.base.denominator) // (den * self.base.numerator)
+        # A level of 24 more bits decides quotients about 2**24 times larger,
+        # so start near the level the operands' size needs.
+        first = max(0, (num.bit_length() - den.bit_length()) // 24 - 1)
+        for lo, hi in self._bounds_upto(budget, first):
+            if lo.numerator > 0:
+                f = (num * hi.denominator) // (den * hi.numerator)
+                if f == (num * lo.denominator) // (den * lo.numerator):
+                    return f
         raise UndecidableComparison(
             f"floor({num} / ({den} * mean index)) undecided")
 
-    def _raw_bounds(self) -> tuple[Fraction, Fraction]:
-        lo = hi = self.base
-        for a in self.angles:
-            a_lo, a_hi = a.enclosure()
-            lo += 2 * a_lo
-            hi += 2 * a_hi
-        return lo, hi
-
     def __float__(self):
-        lo, hi = self._raw_bounds() if self.angles else (self.base, self.base)
+        lo, hi = self._bounds(0)
         return float((lo + hi) / 2)
 
     def __eq__(self, other):

@@ -19,7 +19,6 @@ candidates whose delta is too coarse for that algebra to hold.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -237,7 +236,6 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
                      required_sides: Optional[Sequence[Optional[tuple[str, ...]]]] = None,
                      exclude: Iterable[int] = (),
                      n_min: int = 1,
-                     workers: int = 1,
                      progress: Optional[Callable[[int, int], None]] = None) -> list[JumpTuple]:
     """Scan for up to ``limit`` verified jump tuples with n_min <= N <= n_max.
 
@@ -264,16 +262,14 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     seed1, mi1 = seeds[0], mis[0]
     d1 = seed1.decomp
     # i(2m+1) >= (2m+1)*mean - slack, so the candidate N = (i(2m+1) - i1)/2
-    # can only keep growing once the bound below passes the target.
+    # can only keep growing once the bound after each chunk passes the target.
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
     mi1_lo = mi1.exact() if mi1.is_exact else mi1.enclosure(Fraction(1, 10**6), budget)[0]
 
-    def n_lower_bound(m1: int) -> Fraction:
-        return ((2 * m1 + 1) * mi1_lo - slack - seed1.i1) / 2
-
-    def scan_chunk(start_step: int) -> list[JumpTuple]:
-        hits = []
-        for step in range(start_step, start_step + _CHUNK):
+    hits: list[JumpTuple] = []
+    stop_after: Optional[int] = None
+    for chunk in itertools.count(1, _CHUNK):
+        for step in range(chunk, chunk + _CHUNK):
             m1 = step * M
             c = index_iterate(seed1, 2 * m1 + 1, budget) - seed1.i1
             if c <= 0 or c % 2:
@@ -317,40 +313,14 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
                                         required_sides=required_sides, early_exit=True)
                 if records is not None:
                     hits.append(JumpTuple(N, m, chi, M, delta, records))
-        return hits
-
-    hits: list[JumpTuple] = []
-    stop_after: Optional[Fraction] = None
-
-    def consume(chunk_hits: list[JumpTuple], last_step: int) -> bool:
-        nonlocal stop_after
-        hits.extend(chunk_hits)
+        m_done = (chunk + _CHUNK - 1) * M
         if progress is not None:
-            progress(last_step * M, n_max)
-        if len(hits) >= limit and stop_after is None:
-            cutoff = sorted(t.N for t in hits)[limit - 1]
-            stop_after = Fraction(cutoff)
-        bound = n_lower_bound(last_step * M)
-        if stop_after is not None and bound > stop_after:
-            return True
-        return bound > n_max
-
-    step = 1
-    if workers <= 1:
-        while True:
-            if consume(scan_chunk(step), step + _CHUNK - 1):
-                break
-            step += _CHUNK
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {}
-            done = False
-            while not done:
-                while len(pending) < workers:
-                    pending[step] = pool.submit(scan_chunk, step)
-                    step += _CHUNK
-                first = min(pending)
-                done = consume(pending.pop(first).result(), first + _CHUNK - 1)
+            progress(m_done, n_max)
+        if stop_after is None and len(hits) >= limit:
+            stop_after = sorted(t.N for t in hits)[limit - 1]
+        bound = ((2 * m_done + 1) * mi1_lo - slack - seed1.i1) / 2
+        if bound > n_max or (stop_after is not None and bound > stop_after):
+            break
 
     hits.sort(key=JumpTuple.sort_key)
     if not hits:

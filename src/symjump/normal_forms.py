@@ -28,7 +28,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .angles import ExactAngle, RationalAngle, complement_angle, same_angle
+from .angles import (ExactAngle, RationalAngle, _levels, complement_angle,
+                     same_angle)
 from .errors import UndecidableComparison
 
 
@@ -194,17 +195,11 @@ def _angle_float(angle: ExactAngle, precision: Fraction, budget=None) -> float:
     if isinstance(angle, RationalAngle):
         return float(angle.value)
     target = precision / 16
-    lo, hi = angle.enclosure()
-    steps = 0
-    while hi - lo > target:
-        if not angle.refine_once():
-            raise UndecidableComparison(
-                f"{angle!r} cannot be evaluated to precision {precision}")
-        lo, hi = angle.enclosure()
-        steps += 1
-        if steps > 4096:
-            raise UndecidableComparison(f"{angle!r}: refinement stalled")
-    return float((lo + hi) / 2)
+    for level in _levels(budget, (angle,)):
+        lo, hi = angle.enclosure_at(level)
+        if hi - lo <= target:
+            return float((lo + hi) / 2)
+    raise UndecidableComparison(f"{angle!r} cannot be evaluated to precision {precision}")
 
 
 def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.ndarray:

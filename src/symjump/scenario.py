@@ -35,7 +35,8 @@ import numpy as np
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
 from .angles import (DEFAULT_BUDGET, Enclosure, ExactAngle, IrrationalAngle,
-                     RationalAngle, decimal_angle, quadratic_angle, rational_angle)
+                     RationalAngle, _snap_outward, decimal_angle, quadratic_angle,
+                     rational_angle)
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -76,10 +77,37 @@ def _parse_int(value: Any, where: str) -> int:
 
 def _parse_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, list) and len(value) == 2:
-        return Fraction(_parse_int(value[0], where), _parse_int(value[1], where))
+        den = _parse_int(value[1], where)
+        if den == 0:
+            raise ScenarioError(f"{where}: zero denominator")
+        return Fraction(_parse_int(value[0], where), den)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ScenarioError(f"{where}: expected [numerator, denominator], got {value!r}")
+
+
+def _fields(obj: Any, where: str, spec: tuple) -> list:
+    """obj's values at spec's (key, type) pairs.  A missing or mistyped key
+    is a one-line ScenarioError that names it."""
+    if type(obj) is not dict:
+        raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
+    values = []
+    for key, kind in spec:
+        if key not in obj:
+            raise ScenarioError(f"{where}: missing required key '{key}'")
+        value = obj[key]
+        if type(value) is not kind:
+            raise ScenarioError(
+                f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+        values.append(value)
+    return values
+
+
+def _ints(values: list, where: str) -> tuple[int, ...]:
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise ScenarioError(f"{where}[{i}]: expected int, got {type(v).__name__}")
+    return tuple(values)
 
 
 def parse_angle(obj: Any, where: str) -> ExactAngle:
@@ -179,6 +207,9 @@ def _parse_options(obj: Any) -> ScenarioOptions:
     for key in ("n_max", "limit", "m_max", "budget"):
         if key in obj:
             kwargs[key] = _parse_int(obj[key], f"options.{key}")
+    if kwargs.get("budget", 0) < 0:
+        raise ScenarioError(
+            f"options.budget: budget must be a non-negative integer, got {kwargs['budget']}")
     return ScenarioOptions(**kwargs)
 
 
@@ -187,10 +218,6 @@ def _parse_options(obj: Any) -> ScenarioOptions:
 
 def frac_json(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
-
-
-def _frac_from(value, where="fraction") -> Fraction:
-    return _parse_fraction(value, where)
 
 
 def _decimal_str(f: Fraction) -> str:
@@ -220,6 +247,12 @@ def enclosure_json(e: Enclosure) -> dict:
     mid = (e.lo + e.hi) / 2
     err = (e.hi - e.lo) / 2
     return {"approx": _decimal_str(mid), "error": _decimal_str(err)}
+
+
+def _mean_index_enclosure(mi: MeanIndex) -> dict:
+    """The mean index within 1e-12, snapped outward to exact 14-place decimals."""
+    lo, hi = mi.enclosure(Fraction(1, 10**12))
+    return enclosure_json(Enclosure(*_snap_outward(lo, hi, Fraction(1, 10**14))))
 
 
 def enclosure_from_json(obj) -> Enclosure:
@@ -275,8 +308,8 @@ def _cond_json(c: ConditionCheck) -> dict:
             "passed": c.passed}
 
 
-def _cond_from(obj) -> ConditionCheck:
-    return ConditionCheck(obj["name"], obj["lhs"], obj["rhs"], obj["relation"])
+def _cond_from(obj, where="condition") -> ConditionCheck:
+    return ConditionCheck(*_fields(obj, where, _COND))
 
 
 def _path_json(pv: PathVerification) -> dict:
@@ -288,12 +321,12 @@ def _path_json(pv: PathVerification) -> dict:
             "passed": pv.passed}
 
 
-def _path_from(obj) -> PathVerification:
+def _path_from(obj, where="path") -> PathVerification:
+    k, conds, sides = _fields(obj, where, _PATH)
     return PathVerification(
-        obj["seed_index"],
-        tuple(_cond_from(c) for c in obj["conditions"]),
-        tuple(AngleSide(s["kind"], s["index"], s["rational"], s["side"])
-              for s in obj["angle_sides"]))
+        k, tuple(_cond_from(c, f"{where}.conditions[{i}]") for i, c in enumerate(conds)),
+        tuple(AngleSide(*_fields(a, f"{where}.angle_sides[{i}]", _SIDE))
+              for i, a in enumerate(sides)))
 
 
 def tuple_json(t: JumpTuple) -> dict:
@@ -302,10 +335,19 @@ def tuple_json(t: JumpTuple) -> dict:
             "per_path": [_path_json(pv) for pv in t.per_path]}
 
 
-def tuple_from_json(obj) -> JumpTuple:
-    return JumpTuple(obj["N"], tuple(obj["m"]), tuple(obj["chi"]), obj["M"],
-                     _frac_from(obj["delta"], "tuple.delta"),
-                     tuple(_path_from(p) for p in obj["per_path"]))
+def tuple_from_json(obj, where="tuple") -> JumpTuple:
+    N, m, chi, M, delta, paths = _fields(obj, where, _TUPLE)
+    return JumpTuple(N, _ints(m, f"{where}.m"), _ints(chi, f"{where}.chi"), M,
+                     _parse_fraction(delta, f"{where}.delta"),
+                     tuple(_path_from(p, f"{where}.per_path[{i}]")
+                           for i, p in enumerate(paths)))
+
+
+_COND = (("name", str), ("lhs", int), ("rhs", int), ("relation", str))
+_SIDE = (("kind", str), ("index", int), ("rational", bool), ("side", str))
+_PATH = (("seed_index", int), ("conditions", list), ("angle_sides", list))
+_TUPLE = (("N", int), ("m", list), ("chi", list), ("M", int), ("delta", list),
+          ("per_path", list))
 
 
 def _delta_json(d: DeltaReport) -> dict:
@@ -352,9 +394,7 @@ def report_json(report) -> dict:
     if isinstance(report, MeanIndex):
         if report.is_exact:
             return {"type": "mean_index", "exact": frac_json(report.exact())}
-        lo, hi = report.enclosure(Fraction(1, 10**12))
-        enc = _snap_enclosure(lo, hi)
-        return {"type": "mean_index", "enclosure": enclosure_json(enc)}
+        return {"type": "mean_index", "enclosure": _mean_index_enclosure(report)}
     if isinstance(report, list) and all(isinstance(t, JumpTuple) for t in report):
         return {"type": "jump_tuples", "tuples": [tuple_json(t) for t in report]}
     if isinstance(report, TupleVerification):
@@ -393,16 +433,17 @@ def parse_report(data):
         return [IterationRow(*row) for row in doc["rows"]]
     if kind == "mean_index":
         if "exact" in doc:
-            return _frac_from(doc["exact"], "mean_index.exact")
+            return _parse_fraction(doc["exact"], "mean_index.exact")
         return enclosure_from_json(doc["enclosure"])
     if kind == "jump_tuples":
-        return [tuple_from_json(t) for t in doc["tuples"]]
+        tuples, = _fields(doc, "jump_tuples", (("tuples", list),))
+        return [tuple_from_json(t, f"tuples[{i}]") for i, t in enumerate(tuples)]
     if kind == "tuple_verification":
         return TupleVerification(tuple(_path_from(p) for p in doc["per_path"]))
     if kind == "analysis_report":
         return AnalysisReport(
             n=doc["n"], status=doc["status"], flag=doc["flag"],
-            betti=_frac_from(doc["betti"], "betti"),
+            betti=_parse_fraction(doc["betti"], "betti"),
             pinching=tuple(PinchRecord(p["seed_index"], p["initial_index_ok"],
                                        p["mean_index_ok"]) for p in doc["pinching"]),
             tuple_used=tuple_from_json(doc["tuple_used"]) if doc["tuple_used"] else None,
@@ -416,14 +457,6 @@ def parse_report(data):
     if kind == "realized_matrix":
         return np.array([[float(v) for v in row] for row in doc["rows"]])
     raise ScenarioError(f"unknown report type {kind!r}")
-
-
-def _snap_enclosure(lo: Fraction, hi: Fraction) -> Enclosure:
-    """Outward decimal snap so enclosure endpoints have exact decimals."""
-    grid = 10**14
-    lo_s = Fraction((lo.numerator * grid) // lo.denominator, grid)
-    hi_s = Fraction(-((-hi.numerator * grid) // hi.denominator), grid)
-    return Enclosure(lo_s, hi_s)
 
 
 # -- emission ----------------------------------------------------------------
@@ -449,9 +482,7 @@ def _render_text(report) -> str:
         if report.is_exact:
             v = report.exact()
             return f"mean index = {v} (exact, ~{float(v):.9f})\n"
-        lo, hi = report.enclosure(Fraction(1, 10**12))
-        enc = _snap_enclosure(lo, hi)
-        j = enclosure_json(enc)
+        j = _mean_index_enclosure(report)
         return f"mean index in [{j['approx']} +/- {j['error']}]\n"
     if isinstance(report, list) and all(isinstance(t, JumpTuple) for t in report):
         return "".join(_render_tuple(t) for t in report)

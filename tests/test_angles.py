@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (Enclosure, UndecidableComparison, complement_angle,
-                     decimal_angle, quadratic_angle, rational_angle, same_angle)
+from symjump import (Decomposition, Enclosure, IrrationalAngle, PathSeed,
+                     RotationBlock, UndecidableComparison, complement_angle,
+                     decimal_angle, mean_index, quadratic_angle, rational_angle,
+                     same_angle)
 
 
 def quad_floor_oracle(a: int, b: int, c: int, d: int, m: int) -> int:
@@ -175,11 +178,68 @@ class TestIdentity:
             same_angle(a, rational_angle(1, 3))
 
     def test_budget_zero_raises_fast(self):
-        g = quadratic_angle(*GOLDEN)
+        x = sqrt2_minus_1_by_refiner()
         with pytest.raises(UndecidableComparison):
-            # budget 0 forbids refinement beyond the cached enclosure
-            quadratic_angle(-2, 1, 1, 7).floor_mul(10**60, budget=0)
-        assert g.floor_mul(3, budget=0) == 1  # already decidable
+            # budget 0 reads level 0 only, 2**-8 wide
+            x.floor_mul(10**60, budget=0)
+        assert x.floor_mul(3, budget=0) == 1  # already decidable at level 0
+        assert x.floor_mul(10**60) == quad_floor_oracle(-1, 1, 1, 2, 10**60)
+
+
+def sqrt2_minus_1_by_refiner() -> IrrationalAngle:
+    """sqrt(2) - 1 as a user angle: level k is 2**-(8*(k+1)) wide."""
+    def refiner(level):
+        k = 8 * (level + 1)
+        s = isqrt(2 << (2 * k))
+        return Fraction(s - (1 << k), 1 << k), Fraction(s + 1 - (1 << k), 1 << k)
+    lo, hi = refiner(0)
+    return IrrationalAngle((lo + hi) / 2, (hi - lo) / 2, refiner)
+
+
+class TestHistoryIndependence:
+    """A certified query is a function of (angle, multiplier, budget) alone."""
+
+    def test_quadratic_budget_zero_fresh_and_after_deep_query(self):
+        assert quadratic_angle(*GOLDEN).floor_mul(10**12, budget=0) == 618033988749
+        g = quadratic_angle(*GOLDEN)
+        g.floor_mul(10**30)
+        assert g.floor_mul(10**12, budget=0) == 618033988749
+
+    @pytest.mark.parametrize("budget", [0, 2, 5])
+    def test_refiner_angle_same_answer_fresh_and_after_deep_query(self, budget):
+        def answers(x):
+            out = []
+            for m in (3, 10**5, 10**9, 10**20):
+                try:
+                    out.append((x.floor_mul(m, budget),
+                                x.frac_side(m, Fraction(1, 7), budget)))
+                except UndecidableComparison:
+                    out.append("undecidable")
+            return out
+
+        fresh = answers(sqrt2_minus_1_by_refiner())
+        warm = sqrt2_minus_1_by_refiner()
+        warm.floor_mul(10**40)
+        warm.frac_mul(10**30, tol=Fraction(1, 10**6))
+        assert answers(warm) == fresh
+        assert "undecidable" in fresh  # the budget really bounds this angle
+
+    def test_mean_index_same_answer_fresh_and_after_deep_query(self):
+        def seed():
+            return PathSeed(2, 1, 0, Decomposition([RotationBlock(quadratic_angle(*GOLDEN))]))
+
+        fresh = mean_index(seed())
+        warm = mean_index(seed())
+        warm.floor_quotient(10**300, 1)
+        warm.enclosure(Fraction(1, 10**200))
+        for budget in (0, 1, 3):
+            for num in (16238, 10**9, 10**40):
+                def answer(mi):
+                    try:
+                        return mi.floor_quotient(num, 1, budget)
+                    except UndecidableComparison:
+                        return "undecidable"
+                assert answer(warm) == answer(fresh)
 
 
 def test_concurrent_refinement_stays_consistent():
@@ -196,3 +256,56 @@ def test_concurrent_refinement_stays_consistent():
         t.join()
     for m, value in results:
         assert value == quad_floor_oracle(-2, 1, 1, 7, m)
+
+
+@st.composite
+def quadratics(draw):
+    """Random (a, b, c, d) with (a + b*sqrt(d))/c in (0, 1), d not a square."""
+    d = draw(st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d))
+    b = draw(st.integers(-60, 60).filter(bool))
+    c = draw(st.integers(1, 200))
+    floor_minus_b_root = -isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)
+    a = floor_minus_b_root + draw(st.integers(1, c))  # 0 < a + b*sqrt(d) < c
+    return a, b, c, d
+
+
+def decimal_value(coeffs, m: int = 1) -> Decimal:
+    """m * (a + b*sqrt(d)) / c to 400 significant digits."""
+    a, b, c, d = coeffs
+    with localcontext() as ctx:
+        ctx.prec = 400
+        return (m * a + m * b * Decimal(d).sqrt()) / c
+
+
+deltas = st.tuples(st.integers(1, 10**6), st.integers(3, 10**6)).filter(
+    lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t))
+
+
+class TestQuadraticKernel:
+    """The closed-form kernel against the scaled-isqrt oracle and an
+    independent 400-digit decimal evaluation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=quadratics(), m=st.integers(1, 10**120), delta=deltas)
+    def test_floor_and_side(self, coeffs, m, delta):
+        x = quadratic_angle(*coeffs)
+        value = decimal_value(coeffs, m)
+        f = int(value.to_integral_value(rounding=ROUND_FLOOR))
+        assert x.floor_mul(m) == quad_floor_oracle(*coeffs, m) == f
+        with localcontext() as ctx:
+            ctx.prec = 400
+            frac = value - f
+            d = Decimal(delta.numerator) / delta.denominator
+            want = "low" if frac < d else "high" if frac > 1 - d else "mid"
+        assert x.frac_side(m, delta) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=quadratics(), y=quadratics(), k=st.integers(1, 9), f=st.integers(1, 5),
+           disguise=st.booleans())
+    def test_same_angle(self, x, y, k, f, disguise):
+        if disguise:  # the same value, written with scaled coefficients
+            a, b, c, d = x
+            y = (k * f * a, k * b, k * f * c, d * f * f)
+        equal = abs(decimal_value(x) - decimal_value(y)) < Decimal(10) ** -300
+        assert same_angle(quadratic_angle(*x), quadratic_angle(*y)) == equal
+        assert not same_angle(quadratic_angle(*x), rational_angle(1, 3))

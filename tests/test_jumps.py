@@ -262,12 +262,6 @@ class TestScanControls:
                                   n_min=base[2].N)
         assert pinned[0].N == base[2].N
 
-    def test_worker_partitioning_is_invisible(self):
-        seeds = [SEED_IRR_A, SEED_IRR_B]
-        lone = find_jump_tuples(seeds, Fraction(1, 100), 10**6, 3, workers=1)
-        pooled = find_jump_tuples(seeds, Fraction(1, 100), 10**6, 3, workers=4)
-        assert [(t.N, t.m, t.chi) for t in lone] == [(t.N, t.m, t.chi) for t in pooled]
-
     def test_results_sorted_by_n_then_chi(self):
         ts = find_jump_tuples([SEED_R3, SEED_R4], Fraction(1, 100), 10**4, 5)
         keys = [(t.N, t.chi) for t in ts]

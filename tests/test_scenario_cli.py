@@ -254,9 +254,10 @@ class TestCli:
         path = write_scenario(tmp_path, doc)
         r = run_cli("jump", "--seeds", path, "--limit", "1",
                     env_extra={"SYMJUMP_BUDGET": "0"})
-        # budget 0 still succeeds here: enclosures are pre-refined at
-        # construction; the flag must at least parse and run
-        assert r.returncode in (0, 3)
+        flag = run_cli("--budget", "0", "jump", "--seeds", path, "--limit", "1")
+        # level 0 of the mean index cannot decide floor(16238 / mean index)
+        assert r.returncode == flag.returncode == 3
+        assert r.stderr == flag.stderr
 
     def test_machine_output_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
@@ -274,12 +275,60 @@ class TestCli:
         theta = 2 * np.pi * 0.6180339887498949
         assert abs(M[0, 0] - np.cos(theta)) < 1e-9
 
-    def test_workers_flag_same_output(self, tmp_path):
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
-        a = run_cli("--format", "machine", "jump", "--seeds", path, "--limit", "2")
-        b = run_cli("--format", "machine", "jump", "--seeds", path, "--limit", "2",
-                    "--workers", "3")
-        assert a.stdout == b.stdout
+        r = run_cli("jump", "--seeds", path, "--limit", "1", "--workers", "2")
+        assert r.returncode == 1
+        assert b"--workers" in r.stderr
+
+    def test_global_flags_after_the_subcommand(self, tmp_path):
+        path = write_scenario(tmp_path, TWO_SEED_S3)
+        before = run_cli("--format", "machine", "--budget", "8", "jump", "--seeds", path,
+                         "--limit", "1")
+        after = run_cli("jump", "--seeds", path, "--limit", "1", "--format", "machine",
+                        "--budget", "8")
+        assert before.returncode == after.returncode == 0, after.stderr
+        assert before.stdout == after.stdout
+        assert parse_report(after.stdout)[0].N == 12776
+        # a flag after the subcommand overrides the same flag before it
+        r = run_cli("--format", "text", "iterate", "--seed", path, "--format", "machine")
+        assert r.stdout == run_cli("--format", "machine", "iterate", "--seed", path).stdout
+
+    @pytest.mark.parametrize("where", ["flag", "env", "options"])
+    def test_negative_budget_is_an_input_error(self, tmp_path, where):
+        doc = json.loads(json.dumps(TWO_SEED_S3))
+        args, env = ["jump", "--seeds", None, "--limit", "1"], None
+        if where == "flag":
+            args += ["--budget", "-1"]
+        elif where == "env":
+            env = {"SYMJUMP_BUDGET": "-1"}
+        else:
+            doc["options"]["budget"] = -1
+        args[2] = write_scenario(tmp_path, doc)
+        r = run_cli(*args, env_extra=env)
+        assert r.returncode == 1
+        message = r.stderr.decode().splitlines()[-1]
+        assert message.startswith("error:") and "-1" in message and "budget" in message
+
+    @pytest.mark.parametrize("tuple_doc,key", [
+        ({"N": 1}, "'m'"),
+        ({"N": 1, "m": "12", "chi": [0], "M": 1, "delta": [1, 100], "per_path": []},
+         "tuple.m"),
+        ({"N": 1, "m": [1], "chi": [0], "M": 1, "delta": [1, 0], "per_path": []},
+         "tuple.delta"),
+        ({"type": "jump_tuples"}, "'tuples'"),
+        ({"type": "jump_tuples", "tuples": [{"N": 1, "m": [1], "chi": [0], "M": 1,
+                                            "delta": [1, 100], "per_path": [{}]}]},
+         "tuples[0].per_path[0]: missing required key 'seed_index'"),
+    ])
+    def test_verify_names_a_bad_tuple_key(self, tmp_path, tuple_doc, key):
+        path = write_scenario(tmp_path, TWO_SEED_S3)
+        tuple_file = tmp_path / "bad_tuple.json"
+        tuple_file.write_text(json.dumps(tuple_doc))
+        r = run_cli("verify", "--seeds", path, "--tuple", str(tuple_file))
+        assert r.returncode == 1
+        lines = r.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
 
 
 class TestTextRendering:
