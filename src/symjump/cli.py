@@ -11,7 +11,6 @@ overrides both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
     except (ScenarioError, NoTupleFound, ConstraintViolation, SymjumpError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 
@@ -179,9 +178,13 @@ def _dispatch(args) -> int:
         limit = args.limit if args.limit is not None else options.limit
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
-            base = find_jump_tuples(system.seeds, delta, n_max=args.complement_of,
-                                    n_min=args.complement_of, limit=1,
-                                    budget=budget, progress=progress)
+            try:
+                base = find_jump_tuples(system.seeds, delta, n_max=args.complement_of,
+                                        n_min=args.complement_of, limit=1,
+                                        budget=budget, progress=progress)
+            except NoTupleFound:
+                raise NoTupleFound(f"N = {args.complement_of} is not a jump tuple "
+                                   f"at delta = {delta}") from None
             tuples = find_complementary_tuples(system.seeds, base[0], n_max=n_max,
                                                limit=limit, budget=budget,
                                                progress=progress)
@@ -209,13 +212,7 @@ def _dispatch(args) -> int:
             raw = Path(args.tuple_file).read_bytes()
         except OSError as exc:
             raise ScenarioError(f"cannot read {args.tuple_file}: {exc}") from exc
-        doc = json.loads(raw)
-        if isinstance(doc, dict) and doc.get("type") == "jump_tuples":
-            tuples = sc.parse_report(raw)
-        elif isinstance(doc, dict) and "N" in doc:
-            tuples = [sc.tuple_from_json(doc)]
-        else:
-            raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
+        tuples = sc.parse_tuples(raw)
         ok = True
         for t in tuples:
             result = verify_tuple(t, system.seeds, budget)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .angles import IrrationalAngle, _levels
-from .errors import UndecidableComparison
+from .errors import ConstraintViolation, UndecidableComparison
 from .normal_forms import Decomposition
 
 
@@ -84,7 +84,9 @@ def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"nullity of iterate m={m}: {exc}") from exc
     nullity = seed.nu1 + even * (d.q_minus + 2 * d.q_zero + d.q_plus) + 2 * sigma
-    assert 0 <= nullity <= 2 * (seed.n - 1)
+    if not 0 <= nullity <= 2 * (seed.n - 1):
+        raise ConstraintViolation(
+            f"nullity of iterate m={m} is {nullity}, outside [0, {2 * (seed.n - 1)}]")
     return nullity
 
 

@@ -22,15 +22,17 @@ all exposed by :class:`Decomposition`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .angles import (ExactAngle, RationalAngle, _levels, complement_angle,
                      same_angle)
 from .errors import UndecidableComparison
+
+if TYPE_CHECKING:  # numpy is imported on first use: only the realizations need it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,21 @@ class Decomposition:
 
     def __init__(self, blocks: Iterable[BasicForm], n: Optional[int] = None):
         blocks = tuple(blocks)
+        census = Counter()  # (lam, b) per N1 block, "h", (kind, is_rational) per angle
+        angles = {"theta": [], "alpha": [], "beta": []}
         for blk in blocks:
-            if not isinstance(blk, (N1Block, HyperbolicBlock, RotationBlock, N2Block)):
+            if isinstance(blk, N1Block):
+                census[blk.lam, blk.b] += 1
+            elif isinstance(blk, HyperbolicBlock):
+                census["h"] += 1
+            elif isinstance(blk, (RotationBlock, N2Block)):
+                kind = ("theta" if isinstance(blk, RotationBlock)
+                        else "beta" if blk.trivial else "alpha")
+                angles[kind].append(blk.angle)
+                census[kind, blk.angle.is_rational] += 1
+            else:
                 raise ValueError(f"not a basic normal form: {blk!r}")
-        units = sum(blk.dim // 2 for blk in blocks)
+        units = len(blocks) + len(angles["alpha"]) + len(angles["beta"])  # N2 fills two
         if n is None:
             n = units + 1
         elif units != n - 1:
@@ -105,27 +118,19 @@ class Decomposition:
         self.blocks = blocks
         self.n = n
 
-        self.p_minus = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == 1 and b.b == 1)
-        self.p_zero = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == 1 and b.b == 0)
-        self.p_plus = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == 1 and b.b == -1)
-        self.q_minus = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == -1 and b.b == 1)
-        self.q_zero = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == -1 and b.b == 0)
-        self.q_plus = sum(1 for b in blocks if isinstance(b, N1Block) and b.lam == -1 and b.b == -1)
-        self.h = sum(1 for b in blocks if isinstance(b, HyperbolicBlock))
-
+        self.p_minus, self.p_zero, self.p_plus = census[1, 1], census[1, 0], census[1, -1]
+        self.q_minus, self.q_zero, self.q_plus = census[-1, 1], census[-1, 0], census[-1, -1]
+        self.h = census["h"]
         # rational-first ordering within each angle list
-        rot = [b.angle for b in blocks if isinstance(b, RotationBlock)]
-        self.theta_angles = tuple(sorted(rot, key=lambda a: 0 if a.is_rational else 1))
-        self.alpha_angles = tuple(b.angle for b in blocks
-                                  if isinstance(b, N2Block) and not b.trivial)
-        self.beta_angles = tuple(b.angle for b in blocks
-                                 if isinstance(b, N2Block) and b.trivial)
+        self.theta_angles = tuple(sorted(angles["theta"], key=lambda a: 0 if a.is_rational else 1))
+        self.alpha_angles = tuple(angles["alpha"])
+        self.beta_angles = tuple(angles["beta"])
         self.r = len(self.theta_angles)
         self.r_star = len(self.alpha_angles)
         self.r_zero = len(self.beta_angles)
-        self.r_prime = sum(1 for a in self.theta_angles if a.is_rational)
-        self.r_star_prime = sum(1 for a in self.alpha_angles if a.is_rational)
-        self.r_zero_prime = sum(1 for a in self.beta_angles if a.is_rational)
+        self.r_prime = census["theta", True]
+        self.r_star_prime = census["alpha", True]
+        self.r_zero_prime = census["beta", True]
 
     @property
     def dim(self) -> int:
@@ -158,6 +163,7 @@ class Decomposition:
 def diamond_sum(blocks: list[np.ndarray]) -> np.ndarray:
     """Interleaved direct sum: the A/B halves of each summand are placed
     block-diagonally in the A/B quadrants of the result, likewise C/D."""
+    import numpy as np
     mats = [np.asarray(m, dtype=float) for m in blocks]
     for m in mats:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -182,6 +188,7 @@ def diamond_sum(blocks: list[np.ndarray]) -> np.ndarray:
 
 def symplectic_form(dim: int) -> np.ndarray:
     """The standard form J on R^dim in the diamond-sum block convention."""
+    import numpy as np
     if dim % 2:
         raise ValueError("symplectic form needs even dimension")
     half = dim // 2
@@ -210,7 +217,10 @@ def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.nd
     exactly (the shear must commute appropriately with the rotation) and
     keeps the defining sign (b2 - b3) * sin(theta).
     """
+    import numpy as np
     precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError(f"precision must be positive, got {precision}")
     mats = [_block_matrix(blk, precision) for blk in d.blocks]
     if not mats:
         return np.zeros((0, 0))
@@ -218,6 +228,7 @@ def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.nd
 
 
 def _block_matrix(blk: BasicForm, precision: Fraction) -> np.ndarray:
+    import numpy as np
     if isinstance(blk, N1Block):
         return np.array([[blk.lam, blk.b], [0.0, blk.lam]])
     if isinstance(blk, HyperbolicBlock):

@@ -17,26 +17,36 @@ Angles are ``{"rational": [p, q]}``, ``{"quadratic": [a, b, c, d]}``
 (meaning (a + b*sqrt(d))/c) or ``{"decimal": "0.618...", "error": "1e-10"}``.
 Blocks are ``{"n1": [lam, b]}``, ``{"r": <angle>}``,
 ``{"n2": {"angle": <angle>, "trivial": bool}}`` or ``{"hyp": {}}``.
-Unknown keys are rejected everywhere.  Exact rationals serialize as
-[numerator, denominator]; enclosures as string-encoded decimals, so
-machine output round-trips losslessly and is byte-identical for
-identical inputs.
+Unknown keys are rejected everywhere in a scenario.
+
+Reports are compact sorted-key JSON objects tagged with a ``"type"``,
+byte-identical for identical inputs.  One codec, compiled once per
+record dataclass from its fields and type hints, carries every record:
+int, str and bool as themselves, Fraction as [numerator, denominator],
+Optional as null, tuples as arrays, records as objects keyed by field
+name.  ``_RENAME`` maps a field to another wire key (``M_period`` is
+``"M"``); ``_DERIVED`` lists the properties emitted beside the fields
+(``passed``), which decoding ignores like any key it does not read.
+Iteration rows, mean-index enclosures (exact decimal strings) and
+realized matrices have small hooks of their own.  ``parse_report``
+type-checks every value and names the path to the first bad one in a
+one-line ScenarioError, e.g.
+``tuples[0].per_path[1].conditions[2]: missing required key 'lhs'``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
-
-import numpy as np
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import (DEFAULT_BUDGET, Enclosure, ExactAngle, IrrationalAngle,
-                     RationalAngle, _snap_outward, decimal_angle, quadratic_angle,
-                     rational_angle)
+from .angles import (DEFAULT_BUDGET, Enclosure, ExactAngle, _snap_outward,
+                     decimal_angle, quadratic_angle, rational_angle)
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -70,44 +80,11 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
 
 
 def _parse_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    return value
+    return _decoded(_DECODE[int], value, where)
 
 
 def _parse_fraction(value: Any, where: str) -> Fraction:
-    if isinstance(value, list) and len(value) == 2:
-        den = _parse_int(value[1], where)
-        if den == 0:
-            raise ScenarioError(f"{where}: zero denominator")
-        return Fraction(_parse_int(value[0], where), den)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ScenarioError(f"{where}: expected [numerator, denominator], got {value!r}")
-
-
-def _fields(obj: Any, where: str, spec: tuple) -> list:
-    """obj's values at spec's (key, type) pairs.  A missing or mistyped key
-    is a one-line ScenarioError that names it."""
-    if type(obj) is not dict:
-        raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
-    values = []
-    for key, kind in spec:
-        if key not in obj:
-            raise ScenarioError(f"{where}: missing required key '{key}'")
-        value = obj[key]
-        if type(value) is not kind:
-            raise ScenarioError(
-                f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-        values.append(value)
-    return values
-
-
-def _ints(values: list, where: str) -> tuple[int, ...]:
-    for i, v in enumerate(values):
-        if type(v) is not int:
-            raise ScenarioError(f"{where}[{i}]: expected int, got {type(v).__name__}")
-    return tuple(values)
+    return Fraction(value) if type(value) is int else _decoded(_frac_from, value, where)
 
 
 def parse_angle(obj: Any, where: str) -> ExactAngle:
@@ -172,12 +149,7 @@ def parse_seed(obj: Any, n: int, where: str) -> PathSeed:
 
 def parse_scenario(data) -> tuple[GeodesicSystem, ScenarioOptions]:
     """Parse and fully validate a scenario document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    doc = _document(data)
     _require_keys(doc, ("version", "system", "seeds"), ("options",), "scenario")
     if doc["version"] != 1:
         raise ScenarioError(f"scenario: unsupported version {doc['version']!r}")
@@ -213,11 +185,139 @@ def _parse_options(obj: Any) -> ScenarioOptions:
     return ScenarioOptions(**kwargs)
 
 
-# -- value encoders ----------------------------------------------------------
+def _document(data) -> Any:
+    """The JSON document in data (str or UTF-8 bytes); a syntax error
+    names its line and column."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
 
-def frac_json(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
+# -- report codec ------------------------------------------------------------
+
+_RENAME = {"M_period": "M"}
+_DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
+            TupleVerification: ("passed",)}
+
+
+class _Bad(Exception):
+    """A decode failure; each enclosing array or object prepends its step
+    to ``path`` as the error unwinds."""
+    path = ""
+
+
+def _expected(what: str, value) -> _Bad:
+    return _Bad(f"expected {what}, got {type(value).__name__}")
+
+
+def _decoded(decode, doc, where: str = ""):
+    """decode(doc), with a failure raised as a ScenarioError naming its path."""
+    try:
+        return decode(doc)
+    except _Bad as exc:
+        raise ScenarioError(f"{(where + exc.path).lstrip('.') or 'report'}: {exc}") from None
+
+
+def _frac_from(v) -> Fraction:
+    if type(v) is not list or len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
+        raise _expected("[numerator, denominator]", v)
+    if v[1] == 0:
+        raise _Bad("zero denominator")
+    return Fraction(v[0], v[1])
+
+
+def _scalar(kind: type):
+    def decode(v):
+        if type(v) is not kind:
+            raise _expected(kind.__name__, v)
+        return v
+    return decode
+
+
+def _array(inner):
+    def decode(v):
+        if type(v) is not list:
+            raise _expected("list", v)
+        out = []
+        try:
+            for x in v:
+                out.append(inner(x))
+        except _Bad as exc:
+            exc.path = f"[{len(out)}]{exc.path}"
+            raise
+        return tuple(out)
+    return decode
+
+
+def _object(spec, build=lambda v: v):
+    """Decoder of a JSON object: build(*values read at spec's (key, decoder)
+    pairs).  Keys outside spec are ignored."""
+    def decode(obj):
+        if type(obj) is not dict:
+            raise _expected("an object", obj)
+        args = []
+        for key, dec in spec:
+            try:
+                args.append(dec(obj[key]))
+            except KeyError:
+                raise _Bad(f"missing required key '{key}'") from None
+            except _Bad as exc:
+                exc.path = f".{key}{exc.path}"
+                raise
+        return build(*args)
+    return decode
+
+
+# By type hint: an encoder to the JSON value (None: the value is its own
+# JSON) and a type-checking decoder.  Records join in dependency order.
+_ENCODE: dict = {int: None, str: None, bool: None,
+                 Fraction: lambda f: [f.numerator, f.denominator]}
+_DECODE: dict = {int: _scalar(int), str: _scalar(str), bool: _scalar(bool),
+                 Fraction: _frac_from}
+
+
+def _encoder(hint):
+    if hint in _ENCODE:
+        return _ENCODE[hint]
+    inner = _encoder(get_args(hint)[0])
+    if get_origin(hint) is Union:        # Optional[X]
+        return None if inner is None else (lambda v: None if v is None else inner(v))
+    return list if inner is None else (lambda v: [inner(x) for x in v])
+
+
+def _decoder(hint):
+    if hint in _DECODE:
+        return _DECODE[hint]
+    inner = _decoder(get_args(hint)[0])
+    if get_origin(hint) is Union:        # Optional[X]
+        return lambda v: None if v is None else inner(v)
+    return _array(inner)                 # tuple[X, ...]
+
+
+def _record_codec(cls):
+    hints = get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    keys = [_RENAME.get(name, name) for name in names]
+    fields = [(name, key, _encoder(hints[name])) for name, key in zip(names, keys)]
+    fields += [(name, name, None) for name in _DERIVED.get(cls, ())]
+
+    def encode(obj):
+        out = {}
+        for name, key, enc in fields:
+            v = getattr(obj, name)
+            out[key] = v if enc is None else enc(v)
+        return out
+    return encode, _object([(key, _decoder(hints[name])) for name, key in zip(names, keys)],
+                           cls)
+
+
+for _cls in (ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification,
+             DeltaReport, ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord,
+             AnalysisReport):
+    _ENCODE[_cls], _DECODE[_cls] = _record_codec(_cls)
 
 
 def _decimal_str(f: Fraction) -> str:
@@ -255,208 +355,95 @@ def _mean_index_enclosure(mi: MeanIndex) -> dict:
     return enclosure_json(Enclosure(*_snap_outward(lo, hi, Fraction(1, 10**14))))
 
 
-def enclosure_from_json(obj) -> Enclosure:
-    mid = Fraction(obj["approx"])
-    err = Fraction(obj["error"])
+def _enclosure_from(approx: str, error: str) -> Enclosure:
+    try:
+        mid, err = Fraction(approx), Fraction(error)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _Bad(str(exc)) from None
+    if err < 0:
+        raise _Bad(f"negative error {error!r}")
     return Enclosure(mid - err, mid + err)
 
 
-def angle_json(a: ExactAngle) -> dict:
-    if isinstance(a, RationalAngle):
-        return {"rational": [a.value.numerator, a.value.denominator]}
-    assert isinstance(a, IrrationalAngle)
-    if a.source and a.source[0] == "quadratic":
-        return {"quadratic": list(a.source[1])}
-    if a.source and a.source[0] == "decimal":
-        return {"decimal": a.source[1][0], "error": a.source[1][1]}
-    lo, hi = a.enclosure()
-    return {"decimal": str(float((lo + hi) / 2)), "error": str(float((hi - lo) / 2))}
+def _row_from(v) -> IterationRow:
+    if type(v) is not list or len(v) != 3 or any(type(x) is not int for x in v):
+        raise _expected("[m, index, nullity]", v)
+    return IterationRow(*v)
 
 
-def block_json(blk) -> dict:
-    if isinstance(blk, N1Block):
-        return {"n1": [blk.lam, blk.b]}
-    if isinstance(blk, HyperbolicBlock):
-        return {"hyp": {}}
-    if isinstance(blk, RotationBlock):
-        return {"r": angle_json(blk.angle)}
-    return {"n2": {"angle": angle_json(blk.angle), "trivial": blk.trivial}}
+def _is_matrix(report) -> bool:
+    # an ndarray exists only once numpy is imported, so never import it here
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(report, np.ndarray)
 
 
-def seed_json(s: PathSeed) -> dict:
-    return {"i1": s.i1, "nu1": s.nu1, "blocks": [block_json(b) for b in s.decomp.blocks]}
-
-
-def scenario_json(system: GeodesicSystem, options: ScenarioOptions) -> dict:
-    return {
-        "version": 1,
-        "system": {"n": system.n,
-                   "lambda": frac_json(Fraction(system.reversibility_lambda)),
-                   "pinching_asserted": system.pinching_asserted},
-        "seeds": [seed_json(s) for s in system.seeds],
-        "options": {"delta": frac_json(options.delta), "n_max": options.n_max,
-                    "limit": options.limit, "m_max": options.m_max,
-                    "budget": options.budget},
-    }
-
-
-# -- report encoders ---------------------------------------------------------
-
-
-def _cond_json(c: ConditionCheck) -> dict:
-    return {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "relation": c.relation,
-            "passed": c.passed}
-
-
-def _cond_from(obj, where="condition") -> ConditionCheck:
-    return ConditionCheck(*_fields(obj, where, _COND))
-
-
-def _path_json(pv: PathVerification) -> dict:
-    return {"seed_index": pv.seed_index,
-            "conditions": [_cond_json(c) for c in pv.conditions],
-            "angle_sides": [{"kind": s.kind, "index": s.index,
-                             "rational": s.rational, "side": s.side}
-                            for s in pv.angle_sides],
-            "passed": pv.passed}
-
-
-def _path_from(obj, where="path") -> PathVerification:
-    k, conds, sides = _fields(obj, where, _PATH)
-    return PathVerification(
-        k, tuple(_cond_from(c, f"{where}.conditions[{i}]") for i, c in enumerate(conds)),
-        tuple(AngleSide(*_fields(a, f"{where}.angle_sides[{i}]", _SIDE))
-              for i, a in enumerate(sides)))
-
-
-def tuple_json(t: JumpTuple) -> dict:
-    return {"N": t.N, "m": list(t.m), "chi": list(t.chi), "M": t.M_period,
-            "delta": frac_json(t.delta),
-            "per_path": [_path_json(pv) for pv in t.per_path]}
-
-
-def tuple_from_json(obj, where="tuple") -> JumpTuple:
-    N, m, chi, M, delta, paths = _fields(obj, where, _TUPLE)
-    return JumpTuple(N, _ints(m, f"{where}.m"), _ints(chi, f"{where}.chi"), M,
-                     _parse_fraction(delta, f"{where}.delta"),
-                     tuple(_path_from(p, f"{where}.per_path[{i}]")
-                           for i, p in enumerate(paths)))
-
-
-_COND = (("name", str), ("lhs", int), ("rhs", int), ("relation", str))
-_SIDE = (("kind", str), ("index", int), ("rational", bool), ("side", str))
-_PATH = (("seed_index", int), ("conditions", list), ("angle_sides", list))
-_TUPLE = (("N", int), ("m", list), ("chi", list), ("M", int), ("delta", list),
-          ("per_path", list))
-
-
-def _delta_json(d: DeltaReport) -> dict:
-    return {"delta_k": d.delta_k, "delta_k_prime": d.delta_k_prime,
-            "c_k": d.c_k, "s_plus": d.s_plus}
-
-
-def _constraints_json(c: PeakConstraintRecord) -> dict:
-    return {"balance": _cond_json(c.balance), "census": _cond_json(c.census),
-            "residual": c.residual,
-            "zero_set": [{"name": z.name, "value": z.value} for z in c.zero_set],
-            "elliptic": c.elliptic, "elliptic_height": c.elliptic_height,
-            "irrational_rotation_count": c.irrational_rotation_count,
-            "rational_geodesic_flag": c.rational_geodesic_flag}
-
-
-def _constraints_from(obj) -> PeakConstraintRecord:
-    return PeakConstraintRecord(
-        _cond_from(obj["balance"]), _cond_from(obj["census"]), obj["residual"],
-        tuple(ZeroEntry(z["name"], z["value"]) for z in obj["zero_set"]),
-        obj["elliptic"], obj["elliptic_height"],
-        obj["irrational_rotation_count"], obj["rational_geodesic_flag"])
-
-
-def _candidate_json(c: CandidateRecord) -> dict:
-    return {"seed_index": c.seed_index, "tuple_N": c.tuple_N,
-            "delta_report": _delta_json(c.delta_report),
-            "constraints": _constraints_json(c.constraints)}
-
-
-def _candidate_from(obj) -> CandidateRecord:
-    d = obj["delta_report"]
-    return CandidateRecord(
-        obj["seed_index"], obj["tuple_N"],
-        DeltaReport(d["delta_k"], d["delta_k_prime"], d["c_k"], d["s_plus"]),
-        _constraints_from(obj["constraints"]))
+def _matrix_from(v):
+    import numpy as np
+    try:
+        return np.array([[float(x) for x in row] for row in _STRING_ROWS(v)])
+    except ValueError as exc:
+        raise _Bad(str(exc)) from None
 
 
 def report_json(report) -> dict:
     """Machine encoding of any report object."""
     if isinstance(report, list) and all(isinstance(r, IterationRow) for r in report):
-        return {"type": "iteration_table",
-                "rows": [[r.m, r.index, r.nullity] for r in report]}
+        return {"type": "iteration_table", "rows": [[r.m, r.index, r.nullity] for r in report]}
     if isinstance(report, MeanIndex):
         if report.is_exact:
-            return {"type": "mean_index", "exact": frac_json(report.exact())}
+            return {"type": "mean_index", "exact": _ENCODE[Fraction](report.exact())}
         return {"type": "mean_index", "enclosure": _mean_index_enclosure(report)}
     if isinstance(report, list) and all(isinstance(t, JumpTuple) for t in report):
-        return {"type": "jump_tuples", "tuples": [tuple_json(t) for t in report]}
+        return {"type": "jump_tuples", "tuples": [_ENCODE[JumpTuple](t) for t in report]}
     if isinstance(report, TupleVerification):
-        return {"type": "tuple_verification", "passed": report.passed,
-                "per_path": [_path_json(p) for p in report.per_path]}
+        return {"type": "tuple_verification", **_ENCODE[TupleVerification](report)}
     if isinstance(report, AnalysisReport):
-        return {
-            "type": "analysis_report", "n": report.n, "status": report.status,
-            "flag": report.flag, "betti": frac_json(report.betti),
-            "pinching": [{"seed_index": p.seed_index,
-                          "initial_index_ok": p.initial_index_ok,
-                          "mean_index_ok": p.mean_index_ok}
-                         for p in report.pinching],
-            "tuple_used": tuple_json(report.tuple_used) if report.tuple_used else None,
-            "candidates": list(report.candidates),
-            "first": _candidate_json(report.first) if report.first else None,
-            "second_tuple": (tuple_json(report.second_tuple)
-                             if report.second_tuple else None),
-            "second": _candidate_json(report.second) if report.second else None,
-            "first_bound_at_second": (_cond_json(report.first_bound_at_second)
-                                      if report.first_bound_at_second else None),
-        }
-    if isinstance(report, np.ndarray):
+        return {"type": "analysis_report", **_ENCODE[AnalysisReport](report)}
+    if _is_matrix(report):
         return {"type": "realized_matrix", "dim": report.shape[0],
                 "rows": [[format(v, ".17g") for v in row] for row in report]}
     raise TypeError(f"no machine encoding for {type(report).__name__}")
 
 
-def parse_report(data):
-    """Inverse of emit_report for the machine format."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
+_STR = _DECODE[str]
+_STRING_ROWS = _array(_array(_STR))
+_EXACT = _object((("exact", _frac_from),))
+_ENCLOSED = _object((("enclosure", _object((("approx", _STR), ("error", _STR)),
+                                           _enclosure_from)),))
+_REPORTS = {
+    "iteration_table": _object((("rows", _array(_row_from)),), list),
+    "mean_index": lambda doc: (_EXACT if "exact" in doc else _ENCLOSED)(doc),
+    "jump_tuples": _object((("tuples", _decoder(tuple[JumpTuple, ...])),), list),
+    "tuple_verification": _DECODE[TupleVerification],
+    "analysis_report": _DECODE[AnalysisReport],
+    "realized_matrix": _object((("rows", _matrix_from),)),
+}
+
+
+def _report(doc):
+    if type(doc) is not dict:
+        raise _expected("an object", doc)
     kind = doc.get("type")
-    if kind == "iteration_table":
-        return [IterationRow(*row) for row in doc["rows"]]
-    if kind == "mean_index":
-        if "exact" in doc:
-            return _parse_fraction(doc["exact"], "mean_index.exact")
-        return enclosure_from_json(doc["enclosure"])
-    if kind == "jump_tuples":
-        tuples, = _fields(doc, "jump_tuples", (("tuples", list),))
-        return [tuple_from_json(t, f"tuples[{i}]") for i, t in enumerate(tuples)]
-    if kind == "tuple_verification":
-        return TupleVerification(tuple(_path_from(p) for p in doc["per_path"]))
-    if kind == "analysis_report":
-        return AnalysisReport(
-            n=doc["n"], status=doc["status"], flag=doc["flag"],
-            betti=_parse_fraction(doc["betti"], "betti"),
-            pinching=tuple(PinchRecord(p["seed_index"], p["initial_index_ok"],
-                                       p["mean_index_ok"]) for p in doc["pinching"]),
-            tuple_used=tuple_from_json(doc["tuple_used"]) if doc["tuple_used"] else None,
-            candidates=tuple(doc["candidates"]),
-            first=_candidate_from(doc["first"]) if doc["first"] else None,
-            second_tuple=(tuple_from_json(doc["second_tuple"])
-                          if doc["second_tuple"] else None),
-            second=_candidate_from(doc["second"]) if doc["second"] else None,
-            first_bound_at_second=(_cond_from(doc["first_bound_at_second"])
-                                   if doc["first_bound_at_second"] else None))
-    if kind == "realized_matrix":
-        return np.array([[float(v) for v in row] for row in doc["rows"]])
-    raise ScenarioError(f"unknown report type {kind!r}")
+    if type(kind) is not str or kind not in _REPORTS:
+        raise _Bad(f"unknown report type {kind!r}")
+    return _REPORTS[kind](doc)
+
+
+def parse_report(data):
+    """Inverse of emit_report for the machine format.  Malformed input
+    raises ScenarioError naming the path to the first bad value."""
+    return _decoded(_report, _document(data))
+
+
+def parse_tuples(data) -> list[JumpTuple]:
+    """The jump tuples of a ``jump_tuples`` report, or of one bare tuple
+    object, as ``verify --tuple`` reads them."""
+    doc = _document(data)
+    if type(doc) is dict and doc.get("type") == "jump_tuples":
+        return _decoded(_report, doc)
+    if type(doc) is dict and "N" in doc:
+        return [_decoded(_DECODE[JumpTuple], doc, "tuple")]
+    raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
 
 
 # -- emission ----------------------------------------------------------------
@@ -493,7 +480,7 @@ def _render_text(report) -> str:
         return "\n".join(out) + "\n"
     if isinstance(report, AnalysisReport):
         return _render_analysis(report)
-    if isinstance(report, np.ndarray):
+    if _is_matrix(report):
         lines = ["  ".join(f"{v: .12f}" for v in row) for row in report]
         return "\n".join(lines) + "\n"
     raise TypeError(f"no text rendering for {type(report).__name__}")

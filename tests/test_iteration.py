@@ -9,7 +9,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from symjump import (Decomposition, HyperbolicBlock, IterationRow, N1Block,
+from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
+                     IterationRow, N1Block,
                      N2Block, PathSeed, RotationBlock, UndecidableComparison,
                      bott_gap, decimal_angle, elliptic_height, index_iterate,
                      iteration_rows, mean_index, nullity_iterate,
@@ -102,6 +103,13 @@ class TestSeedValidation:
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             PathSeed(1, 0, 0, Decomposition([], n=1))
+
+    def test_nullity_range_check_is_a_raise(self):
+        # an explicit raise, not an assert, so `python -O` keeps the check
+        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        object.__setattr__(s, "nu1", 7)  # a seed that bypassed validation
+        with pytest.raises(ConstraintViolation, match=r"nullity of iterate m=1 is 7"):
+            nullity_iterate(s, 1)
 
 
 @pytest.mark.parametrize("rng_seed", range(20))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -10,15 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symjump import (Decomposition, N1Block, PathSeed,
+from symjump import (Decomposition, GeodesicSystem, N1Block, PathSeed,
                      RotationBlock, ScenarioError, find_jump_tuples,
                      iteration_rows, mean_index, parse_report, parse_scenario,
                      quadratic_angle, rational_angle, run_analysis,
                      verify_tuple)
-from symjump.scenario import emit_report, scenario_json
+from symjump.scenario import emit_report
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+SHIPPED = str(ROOT / "scenarios" / "two_seed_s3.json")
+WIRE = ROOT / "tests" / "fixtures" / "wire"
 
 MINIMAL = {
     "version": 1,
@@ -102,12 +108,6 @@ class TestParsing:
         doc["version"] = 2
         with pytest.raises(ScenarioError, match="version"):
             parse_scenario(json.dumps(doc))
-
-    def test_scenario_round_trip(self):
-        system, options = parse_scenario(json.dumps(TWO_SEED_S3))
-        again, options2 = parse_scenario(json.dumps(scenario_json(system, options)))
-        assert again.seeds == system.seeds
-        assert options2 == options
 
 
 class TestMachineRoundTrips:
@@ -320,6 +320,8 @@ class TestCli:
         ({"type": "jump_tuples", "tuples": [{"N": 1, "m": [1], "chi": [0], "M": 1,
                                             "delta": [1, 100], "per_path": [{}]}]},
          "tuples[0].per_path[0]: missing required key 'seed_index'"),
+        ([], "tuple file must be"),
+        ({"type": "jump_tuples", "tuples": {}}, "tuples: expected list, got dict"),
     ])
     def test_verify_names_a_bad_tuple_key(self, tmp_path, tuple_doc, key):
         path = write_scenario(tmp_path, TWO_SEED_S3)
@@ -329,6 +331,100 @@ class TestCli:
         assert r.returncode == 1
         lines = r.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
+    @pytest.mark.parametrize("precision", ["0", "-1/2"])
+    def test_realize_nonpositive_precision_is_an_input_error(self, precision):
+        r = run_cli("realize", "--seed", SHIPPED, f"--precision={precision}")
+        assert r.returncode == 1
+        assert r.stderr.decode().splitlines() == [
+            f"error: precision must be positive, got {precision}"]
+
+    def test_complement_of_a_non_tuple_names_it(self):
+        r = run_cli("jump", "--seeds", SHIPPED, "--complement-of", "5")
+        assert r.returncode == 1
+        assert r.stderr.decode().splitlines() == [
+            "error: N = 5 is not a jump tuple at delta = 1/100"]
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        r = subprocess.run([sys.executable, "-c", "import symjump.cli, sys; "
+                            "assert 'numpy' not in sys.modules"],
+                           capture_output=True, env=dict(PYTHONPATH=SRC))
+        assert r.returncode == 0, r.stderr
+
+
+def _emitted_reports() -> list:
+    """One document of every report type: the shipped scenario's wire
+    fixtures plus the exact mean index, jump tuples and analysis report
+    of a small rational system."""
+    docs = [json.loads(line) for f in sorted(WIRE.iterdir())
+            for line in f.read_bytes().splitlines()]
+    s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+    rotation = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+    tuples = find_jump_tuples([s], Fraction(1, 100), 100, 2)
+    report = run_analysis(GeodesicSystem(2, Fraction(1), (s,)), delta=Fraction(1, 100),
+                          n_max=1000)
+    for x in (mean_index(rotation), tuples, verify_tuple(tuples[0], [s]), report):
+        docs.append(json.loads(emit_report(x, "machine")))
+    return docs
+
+
+REPORTS = _emitted_reports()
+ODD_VALUES = [None, True, 0, -1, 2.5, "x", [], {}, [1, 0], [[1]], {"type": "jump_tuples"}]
+
+
+def _slots(node, out: list) -> list:
+    """(container, key) of every value nested in node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        out.append((node, key))
+        _slots(value, out)
+    return out
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("data,message", [
+        (b'{"type":"tuple_verification"}', "report: missing required key 'per_path'"),
+        (b'[]', "report: expected an object, got list"),
+        (b'{"type":"analysis_report","n":3}', "report: missing required key 'status'"),
+    ], ids=["tuple_verification", "not_an_object", "analysis_report"])
+    def test_reproducers(self, data, message):
+        with pytest.raises(ScenarioError) as err:
+            parse_report(data)
+        assert str(err.value) == message
+
+    def test_error_names_the_path(self):
+        doc = json.loads((WIRE / "jump.out").read_bytes())
+        del doc["tuples"][0]["per_path"][1]["conditions"][2]["lhs"]
+        with pytest.raises(ScenarioError) as err:
+            parse_report(json.dumps(doc))
+        assert str(err.value) == ("tuples[0].per_path[1].conditions[2]: "
+                                  "missing required key 'lhs'")
+
+    def test_every_report_type_is_covered(self):
+        assert {d["type"] for d in REPORTS} == {
+            "iteration_table", "mean_index", "jump_tuples", "tuple_verification",
+            "analysis_report", "realized_matrix"}
+        assert any("exact" in d for d in REPORTS) and any("enclosure" in d for d in REPORTS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_report_parses_or_raises_scenario_error(self, data):
+        holder = {"doc": copy.deepcopy(data.draw(st.sampled_from(REPORTS)))}
+        container, key = data.draw(st.sampled_from(_slots(holder, [])))
+        op = data.draw(st.sampled_from(["delete", "retype", "wrap_list", "wrap_object"]))
+        if op == "delete":
+            del container[key]
+        elif op == "retype":
+            container[key] = data.draw(st.sampled_from(ODD_VALUES))
+        elif op == "wrap_list":
+            container[key] = [container[key]]
+        else:
+            container[key] = {"value": container[key]}
+        try:
+            parse_report(json.dumps(holder.get("doc")))
+        except ScenarioError as exc:
+            assert "\n" not in str(exc)
 
 
 class TestTextRendering:

@@ -3,7 +3,8 @@
 Each fixture under ``fixtures/wire`` is the ``--format machine`` stdout
 of one CLI command on ``scenarios/two_seed_s3.json``; ``verify`` reads
 the stored ``jump`` output.  Any change to the wire format, or to a
-certified value behind it, shows up here as a byte difference.
+certified value behind it, shows up here as a byte difference, under
+``python`` and under ``python -O`` alike.
 """
 
 from __future__ import annotations
@@ -30,10 +31,20 @@ COMMANDS = {
 }
 
 
+def replay(name: str, *python_flags: str) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, *python_flags, "-m", "symjump.cli",
+                        "--format", "machine", *COMMANDS[name]], capture_output=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_machine_output_replays_byte_for_byte(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, "-m", "symjump.cli", "--format", "machine",
-                        *COMMANDS[name]], capture_output=True, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == (WIRE / f"{name}.out").read_bytes()
+    assert replay(name) == (WIRE / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_machine_output_does_not_depend_on_optimize(name):
+    # -O strips assert statements; no answer may rest on one
+    assert replay(name, "-O") == (WIRE / f"{name}.out").read_bytes()
