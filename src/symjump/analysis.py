@@ -43,7 +43,8 @@ class GeodesicSystem:
             raise ValueError("a system needs at least one seed")
         for k, s in enumerate(self.seeds):
             if s.n != self.n:
-                raise ValueError(f"seed {k} lives on S^{s.n}, system is S^{self.n}")
+                raise ValueError(f"census violation: seed {k} fills {s.n - 1} units "
+                                 f"but n - 1 = {self.n - 1}")
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,8 @@ class IrrationalAngle(ExactAngle):
 
 
 class QuadraticAngle(IrrationalAngle):
-    """(a + b*sqrt(d))/c in canonical form, built by :func:`quadratic_angle`.
+    """(a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1, built by
+    :func:`quadratic_angle`.
 
     m*b*sqrt(d) is never an integer, so floor(m*b*sqrt(d)) is
     isqrt(m^2 b^2 d) when b > 0 and -isqrt(m^2 b^2 d) - 1 when b < 0, and
@@ -312,6 +313,18 @@ class QuadraticAngle(IrrationalAngle):
     """
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        # x = a/c + sign(b)*sqrt(b^2 d/c^2), and 1 and an irrational sqrt(D) are
+        # independent over Q: a canonical key of the value with d unfactored
+        a, b, c, d = self.source[1]
+        return Fraction(a, c), b > 0, Fraction(b * b * d, c * c)
+
+    def __eq__(self, other):
+        return isinstance(other, QuadraticAngle) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(("quadratic", self._key()))
 
     def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
         _check_multiplier(m)
@@ -353,7 +366,10 @@ def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
         raise ValueError("quadratic angle with b = 0 is rational; use rational_angle")
     if d < 2 or isqrt(d) ** 2 == d:
         raise ValueError(f"sqrt({d}) is not irrational")
-    a, b, c, d = _normalize_quadratic(a, b, c, d)
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
 
     def refiner(level: int) -> tuple[Fraction, Fraction]:
         k = 24 * (level + 1)
@@ -367,7 +383,7 @@ def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
 
     lo, hi = refiner(0)
     if hi <= 0 or lo >= 1:
-        raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} = {float((lo + hi) / 2):.6f} lies outside (0,1)")
+        raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} lies outside (0,1)")
     mid = (lo + hi) / 2
     return QuadraticAngle(mid, hi - mid, refiner, source=("quadratic", (a, b, c, d)))
 
@@ -406,7 +422,7 @@ def same_angle(x: ExactAngle, y: ExactAngle, budget: Optional[int] = None) -> bo
     """Certified equality of two angle ratios.
 
     Equal representations compare equal immediately.  Rationals and
-    quadratic irrationals are decided by their canonical forms: distinct
+    quadratic irrationals are decided by their canonical keys: distinct
     ones differ, since 1 and sqrt(d) are linearly independent over Q.
     Otherwise levels 0 .. budget of the enclosures are read until they
     are disjoint.  Raises UndecidableComparison when none is (distinct
@@ -444,20 +460,6 @@ def _check_multiplier(m: int) -> None:
 def _check_delta(delta: Fraction) -> None:
     if not 0 < delta < Fraction(1, 2):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-
-
-def _normalize_quadratic(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """Canonical form: c > 0, d squarefree-reduced, gcd(a, b, c) = 1."""
-    if c < 0:
-        a, b, c = -a, -b, -c
-    f = 2
-    while f * f <= d:
-        while d % (f * f) == 0:
-            d //= f * f
-            b *= f
-        f += 1
-    g = gcd(gcd(abs(a), abs(b)), c)
-    return a // g, b // g, c // g, d
 
 
 def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:

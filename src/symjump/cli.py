@@ -4,13 +4,14 @@ Subcommands: iterate, mean-index, jump, analyze, verify, realize.
 Exit codes: 0 success, 1 usage or input error, 2 analysis raised a
 finiteness-contradiction flag, 3 undecidable exact arithmetic.
 Global flags --budget and --format go before or after the subcommand.
-Environment: SYMJUMP_BUDGET overrides the scenario's budget; --budget
-overrides both.
+Settings: the scenario's options, overridden by SYMJUMP_BUDGET (budget
+only), overridden by the flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -104,12 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
+def _load(path: str, args):
+    """The scenario at path, its options overridden by SYMJUMP_BUDGET, then by flags."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    return sc.parse_scenario(data)
+    system, options = sc.parse_scenario(data)
+    if args.command == "analyze":  # try at least 5 tuples for the first peak
+        options = dataclasses.replace(options, limit=max(options.limit, 5))
+    env = os.environ.get("SYMJUMP_BUDGET")
+    if env is not None:
+        try:
+            options = dataclasses.replace(options, budget=_budget_arg(env))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"SYMJUMP_BUDGET: {exc}") from None
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(options)
+             if getattr(args, f.name, None) is not None}
+    return system, dataclasses.replace(options, **flags)
 
 
 def _pick_seed(system, index: int):
@@ -156,58 +169,47 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "iterate":
-        system, options = _load(args.seed)
-        budget = _resolve_budget(args, options)
+        system, options = _load(args.seed, args)
         seed = _pick_seed(system, args.seed_index)
-        m_max = args.m_max if args.m_max is not None else options.m_max
-        rows = list(iteration_rows(seed, m_max, budget))
-        _emit(rows, args.format)
+        _emit(list(iteration_rows(seed, options.m_max, options.budget)), args.format)
         return EXIT_OK
 
     if args.command == "mean-index":
-        system, options = _load(args.seed)
+        system, options = _load(args.seed, args)
         seed = _pick_seed(system, args.seed_index)
         _emit(mean_index(seed), args.format)
         return EXIT_OK
 
     if args.command == "jump":
-        system, options = _load(args.seeds)
-        budget = _resolve_budget(args, options)
-        delta = args.delta if args.delta is not None else options.delta
-        n_max = args.n_max if args.n_max is not None else options.n_max
-        limit = args.limit if args.limit is not None else options.limit
+        system, options = _load(args.seeds, args)
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
             try:
-                base = find_jump_tuples(system.seeds, delta, n_max=args.complement_of,
+                base = find_jump_tuples(system.seeds, options.delta, n_max=args.complement_of,
                                         n_min=args.complement_of, limit=1,
-                                        budget=budget, progress=progress)
+                                        budget=options.budget, progress=progress)
             except NoTupleFound:
                 raise NoTupleFound(f"N = {args.complement_of} is not a jump tuple "
-                                   f"at delta = {delta}") from None
-            tuples = find_complementary_tuples(system.seeds, base[0], n_max=n_max,
-                                               limit=limit, budget=budget,
+                                   f"at delta = {options.delta}") from None
+            tuples = find_complementary_tuples(system.seeds, base[0], n_max=options.n_max,
+                                               limit=options.limit, budget=options.budget,
                                                progress=progress)
         else:
-            tuples = find_jump_tuples(system.seeds, delta, n_max, limit,
-                                      budget=budget, progress=progress)
+            tuples = find_jump_tuples(system.seeds, options.delta, options.n_max,
+                                      options.limit, budget=options.budget, progress=progress)
         _emit(tuples, args.format)
         return EXIT_OK
 
     if args.command == "analyze":
-        system, options = _load(args.system)
-        budget = _resolve_budget(args, options)
-        delta = args.delta if args.delta is not None else options.delta
-        n_max = args.n_max if args.n_max is not None else options.n_max
-        limit = args.limit if args.limit is not None else max(options.limit, 5)
-        report = run_analysis(system, delta=delta, n_max=n_max, tuple_limit=limit,
-                              budget=budget, progress=_progress_printer(sys.stderr.isatty()))
+        system, options = _load(args.system, args)
+        report = run_analysis(system, delta=options.delta, n_max=options.n_max,
+                              tuple_limit=options.limit, budget=options.budget,
+                              progress=_progress_printer(sys.stderr.isatty()))
         _emit(report, args.format)
         return EXIT_OK if report.status == "two_elliptic_irrational" else EXIT_CONTRADICTION
 
     if args.command == "verify":
-        system, options = _load(args.seeds)
-        budget = _resolve_budget(args, options)
+        system, options = _load(args.seeds, args)
         try:
             raw = Path(args.tuple_file).read_bytes()
         except OSError as exc:
@@ -215,31 +217,18 @@ def _dispatch(args) -> int:
         tuples = sc.parse_tuples(raw)
         ok = True
         for t in tuples:
-            result = verify_tuple(t, system.seeds, budget)
+            result = verify_tuple(t, system.seeds, options.budget)
             ok = ok and result.passed
             _emit(result, args.format)
         return EXIT_OK if ok else EXIT_ERROR
 
     if args.command == "realize":
-        system, options = _load(args.seed)
+        system, options = _load(args.seed, args)
         seed = _pick_seed(system, args.seed_index)
         _emit(realize(seed.decomp, args.precision), args.format)
         return EXIT_OK
 
     raise ScenarioError(f"unknown command {args.command!r}")
-
-
-def _resolve_budget(args, options) -> int:
-    """--budget, else SYMJUMP_BUDGET, else the scenario's option."""
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SYMJUMP_BUDGET")
-    if env is None:
-        return options.budget
-    try:
-        return _budget_arg(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"SYMJUMP_BUDGET: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -93,9 +93,10 @@ def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int
 def iteration_rows(seed: PathSeed, m_max: int,
                    budget: Optional[int] = None) -> Iterator[IterationRow]:
     """Lazy table of (m, index, nullity) for m = 1 .. m_max."""
-    for m in range(1, m_max + 1):
-        yield IterationRow(m, index_iterate(seed, m, budget),
-                           nullity_iterate(seed, m, budget))
+    if m_max < 1:
+        raise ValueError(f"m_max must be a positive integer, got {m_max}")
+    return (IterationRow(m, index_iterate(seed, m, budget), nullity_iterate(seed, m, budget))
+            for m in range(1, m_max + 1))
 
 
 def bott_gap(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:

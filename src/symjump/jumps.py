@@ -19,6 +19,7 @@ candidates whose delta is too coarse for that algebra to hold.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -31,6 +32,9 @@ from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 _CHUNK = 2048  # lattice steps per scan chunk
 
 
+_RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """One evaluated (in)equality with both sides recorded."""
@@ -38,17 +42,15 @@ class ConditionCheck:
     name: str
     lhs: int
     rhs: int
-    relation: str  # "==", "<=", ">="
+    relation: str  # "==", "<=" or ">="
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
 
     @property
     def passed(self) -> bool:
-        if self.relation == "==":
-            return self.lhs == self.rhs
-        if self.relation == "<=":
-            return self.lhs <= self.rhs
-        if self.relation == ">=":
-            return self.lhs >= self.rhs
-        raise ValueError(f"unknown relation {self.relation}")
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)

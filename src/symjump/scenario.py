@@ -17,20 +17,20 @@ Angles are ``{"rational": [p, q]}``, ``{"quadratic": [a, b, c, d]}``
 (meaning (a + b*sqrt(d))/c) or ``{"decimal": "0.618...", "error": "1e-10"}``.
 Blocks are ``{"n1": [lam, b]}``, ``{"r": <angle>}``,
 ``{"n2": {"angle": <angle>, "trivial": bool}}`` or ``{"hyp": {}}``.
-Unknown keys are rejected everywhere in a scenario.
-
 Reports are compact sorted-key JSON objects tagged with a ``"type"``,
-byte-identical for identical inputs.  One codec, compiled once per
-record dataclass from its fields and type hints, carries every record:
-int, str and bool as themselves, Fraction as [numerator, denominator],
-Optional as null, tuples as arrays, records as objects keyed by field
-name.  ``_RENAME`` maps a field to another wire key (``M_period`` is
-``"M"``); ``_DERIVED`` lists the properties emitted beside the fields
-(``passed``), which decoding ignores like any key it does not read.
-Iteration rows, mean-index enclosures (exact decimal strings) and
-realized matrices have small hooks of their own.  ``parse_report``
+byte-identical for identical inputs.
+
+Scenarios and reports share one codec of small decoder combinators.
+Report records are compiled once per dataclass from its fields and type
+hints: int, str and bool as themselves, Fraction as [numerator,
+denominator], Optional as null, tuples as arrays, records as objects
+keyed by field name (``_RENAME`` maps ``M_period`` to ``"M"``;
+``_DERIVED`` adds ``passed``, which decoding ignores like any key it
+does not read).  Scenario objects are closed, rejecting unknown keys,
+and angles and blocks are variants tagged by their key.  Decoding
 type-checks every value and names the path to the first bad one in a
 one-line ScenarioError, e.g.
+``seeds[1].blocks[1].n1: expected [lam, b], got list`` or
 ``tuples[0].per_path[1].conditions[2]: missing required key 'lhs'``.
 """
 
@@ -39,14 +39,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import (DEFAULT_BUDGET, Enclosure, ExactAngle, _snap_outward,
-                     decimal_angle, quadratic_angle, rational_angle)
+from .angles import (DEFAULT_BUDGET, Enclosure, _snap_outward, decimal_angle,
+                     quadratic_angle, rational_angle)
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -63,129 +63,12 @@ class ScenarioOptions:
     m_max: int = 20
     budget: int = DEFAULT_BUDGET
 
-
-# -- input parsing -----------------------------------------------------------
-
-
-def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
-                  where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
-    for key in required:
-        if key not in obj:
-            raise ScenarioError(f"{where}: missing required key '{key}'")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ScenarioError(f"{where}: unknown key '{key}'")
+    def __post_init__(self):
+        if self.budget < 0:
+            raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
 
 
-def _parse_int(value: Any, where: str) -> int:
-    return _decoded(_DECODE[int], value, where)
-
-
-def _parse_fraction(value: Any, where: str) -> Fraction:
-    return Fraction(value) if type(value) is int else _decoded(_frac_from, value, where)
-
-
-def parse_angle(obj: Any, where: str) -> ExactAngle:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where}: angle must be an object, got {obj!r}")
-    try:
-        if set(obj) == {"rational"}:
-            pq = obj["rational"]
-            if not (isinstance(pq, list) and len(pq) == 2):
-                raise ScenarioError(f"{where}: 'rational' takes [p, q]")
-            return rational_angle(_parse_int(pq[0], where), _parse_int(pq[1], where))
-        if set(obj) == {"quadratic"}:
-            co = obj["quadratic"]
-            if not (isinstance(co, list) and len(co) == 4):
-                raise ScenarioError(f"{where}: 'quadratic' takes [a, b, c, d]")
-            return quadratic_angle(*(_parse_int(v, where) for v in co))
-        if set(obj) == {"decimal", "error"}:
-            return decimal_angle(str(obj["decimal"]), str(obj["error"]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(
-        f"{where}: angle must be one of {{'rational'}}, {{'quadratic'}}, "
-        f"{{'decimal', 'error'}}, got keys {sorted(obj)}")
-
-
-def parse_block(obj: Any, where: str):
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ScenarioError(f"{where}: block must be an object with one key")
-    (key, value), = obj.items()
-    try:
-        if key == "n1":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ScenarioError(f"{where}: 'n1' takes [lam, b]")
-            return N1Block(_parse_int(value[0], where), _parse_int(value[1], where))
-        if key == "r":
-            return RotationBlock(parse_angle(value, where))
-        if key == "n2":
-            _require_keys(value, ("angle", "trivial"), (), where)
-            if not isinstance(value["trivial"], bool):
-                raise ScenarioError(f"{where}: 'trivial' must be a boolean")
-            return N2Block(parse_angle(value["angle"], where), value["trivial"])
-        if key == "hyp":
-            if value != {}:
-                raise ScenarioError(f"{where}: 'hyp' takes an empty object")
-            return HyperbolicBlock()
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}: unknown block kind '{key}'")
-
-
-def parse_seed(obj: Any, n: int, where: str) -> PathSeed:
-    _require_keys(obj, ("i1", "nu1", "blocks"), (), where)
-    if not isinstance(obj["blocks"], list):
-        raise ScenarioError(f"{where}: 'blocks' must be an array")
-    blocks = [parse_block(b, f"{where}.blocks[{j}]") for j, b in enumerate(obj["blocks"])]
-    try:
-        decomp = Decomposition(blocks, n)
-        return PathSeed(n, _parse_int(obj["i1"], where), _parse_int(obj["nu1"], where), decomp)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def parse_scenario(data) -> tuple[GeodesicSystem, ScenarioOptions]:
-    """Parse and fully validate a scenario document."""
-    doc = _document(data)
-    _require_keys(doc, ("version", "system", "seeds"), ("options",), "scenario")
-    if doc["version"] != 1:
-        raise ScenarioError(f"scenario: unsupported version {doc['version']!r}")
-    sysobj = doc["system"]
-    _require_keys(sysobj, ("n",), ("lambda", "pinching_asserted"), "system")
-    n = _parse_int(sysobj["n"], "system.n")
-    lam = _parse_fraction(sysobj.get("lambda", 1), "system.lambda")
-    pinching = sysobj.get("pinching_asserted", True)
-    if not isinstance(pinching, bool):
-        raise ScenarioError("system.pinching_asserted must be a boolean")
-    if not isinstance(doc["seeds"], list) or not doc["seeds"]:
-        raise ScenarioError("scenario: 'seeds' must be a non-empty array")
-    seeds = tuple(parse_seed(s, n, f"seeds[{k}]") for k, s in enumerate(doc["seeds"]))
-    options = _parse_options(doc.get("options", {}))
-    try:
-        system = GeodesicSystem(n, lam, seeds, pinching)
-    except ValueError as exc:
-        raise ScenarioError(f"system: {exc}") from exc
-    return system, options
-
-
-def _parse_options(obj: Any) -> ScenarioOptions:
-    _require_keys(obj, (), ("delta", "n_max", "limit", "m_max", "budget"), "options")
-    kwargs = {}
-    if "delta" in obj:
-        kwargs["delta"] = _parse_fraction(obj["delta"], "options.delta")
-    for key in ("n_max", "limit", "m_max", "budget"):
-        if key in obj:
-            kwargs[key] = _parse_int(obj[key], f"options.{key}")
-    if kwargs.get("budget", 0) < 0:
-        raise ScenarioError(
-            f"options.budget: budget must be a non-negative integer, got {kwargs['budget']}")
-    return ScenarioOptions(**kwargs)
-
-
-def _document(data) -> Any:
+def _document(data) -> object:
     """The JSON document in data (str or UTF-8 bytes); a syntax error
     names its line and column."""
     try:
@@ -196,11 +79,7 @@ def _document(data) -> Any:
         raise ScenarioError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
 
-# -- report codec ------------------------------------------------------------
-
-_RENAME = {"M_period": "M"}
-_DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
-            TupleVerification: ("passed",)}
+# -- codec -------------------------------------------------------------------
 
 
 class _Bad(Exception):
@@ -213,20 +92,13 @@ def _expected(what: str, value) -> _Bad:
     return _Bad(f"expected {what}, got {type(value).__name__}")
 
 
-def _decoded(decode, doc, where: str = ""):
-    """decode(doc), with a failure raised as a ScenarioError naming its path."""
+def _decoded(decode, doc, where: str = "", root: str = "report"):
+    """decode(doc), with a failure raised as a ScenarioError naming its
+    path below where, or root for a failure of doc itself."""
     try:
         return decode(doc)
     except _Bad as exc:
-        raise ScenarioError(f"{(where + exc.path).lstrip('.') or 'report'}: {exc}") from None
-
-
-def _frac_from(v) -> Fraction:
-    if type(v) is not list or len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
-        raise _expected("[numerator, denominator]", v)
-    if v[1] == 0:
-        raise _Bad("zero denominator")
-    return Fraction(v[0], v[1])
+        raise ScenarioError(f"{(where + exc.path).lstrip('.') or root}: {exc}") from None
 
 
 def _scalar(kind: type):
@@ -235,6 +107,27 @@ def _scalar(kind: type):
             raise _expected(kind.__name__, v)
         return v
     return decode
+
+
+def _ints(*names: str):
+    """Decoder of an array of len(names) ints, e.g. [lam, b]."""
+    what, ints = f"[{', '.join(names)}]", [int] * len(names)
+
+    def decode(v):
+        if type(v) is not list or list(map(type, v)) != ints:
+            raise _expected(what, v)
+        return v
+    return decode
+
+
+_PQ = _ints("numerator", "denominator")
+
+
+def _frac_from(v) -> Fraction:
+    p, q = _PQ(v)
+    if q == 0:
+        raise _Bad("zero denominator")
+    return Fraction(p, q)
 
 
 def _array(inner):
@@ -252,24 +145,62 @@ def _array(inner):
     return decode
 
 
-def _object(spec, build=lambda v: v):
-    """Decoder of a JSON object: build(*values read at spec's (key, decoder)
-    pairs).  Keys outside spec are ignored."""
+def _object(spec, build=lambda v: v, closed: bool = False):
+    """Decoder of a JSON object: build(*values read at spec's entries).
+    An entry (key, decoder) is required; (key, decoder, default) may be
+    absent.  Keys outside spec are ignored, or rejected when closed.  A
+    ValueError from build is a failure of the object itself."""
+    entries = [(key, dec, default[0] if default else MISSING)
+               for key, dec, *default in spec]
+    known = frozenset(key for key, _, _ in entries)
+
     def decode(obj):
         if type(obj) is not dict:
             raise _expected("an object", obj)
+        if closed and not known.issuperset(obj):
+            raise _Bad(f"unknown key '{next(key for key in obj if key not in known)}'")
         args = []
-        for key, dec in spec:
+        for key, dec, default in entries:
             try:
-                args.append(dec(obj[key]))
+                v = obj[key]
             except KeyError:
-                raise _Bad(f"missing required key '{key}'") from None
+                if default is MISSING:
+                    raise _Bad(f"missing required key '{key}'") from None
+                args.append(default)
+                continue
+            try:
+                args.append(dec(v))
             except _Bad as exc:
                 exc.path = f".{key}{exc.path}"
                 raise
-        return build(*args)
+        try:
+            return build(*args)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _Bad(str(exc)) from None
     return decode
 
+
+def _variant(what: str, cases: dict):
+    """Decoder of an object tagged by the one key of cases it holds;
+    cases[tag] decodes the whole object."""
+    def decode(obj):
+        if type(obj) is not dict:
+            raise _expected("an object", obj)
+        tags = [key for key in obj if key in cases]
+        if len(tags) != 1:
+            raise _Bad(f"{what} takes one of the keys {', '.join(cases)}, got {sorted(obj)}")
+        return cases[tags[0]](obj)
+    return decode
+
+
+def _tagged(tag: str, decoder, build=lambda v: v):
+    """Decoder of the one-key object {tag: value}: build(decoder(value))."""
+    return _object(((tag, decoder),), build, closed=True)
+
+
+_RENAME = {"M_period": "M"}
+_DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
+            TupleVerification: ("passed",)}
 
 # By type hint: an encoder to the JSON value (None: the value is its own
 # JSON) and a type-checking decoder.  Records join in dependency order.
@@ -319,34 +250,79 @@ for _cls in (ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerifi
              AnalysisReport):
     _ENCODE[_cls], _DECODE[_cls] = _record_codec(_cls)
 
+_INT, _STR, _BOOL = _DECODE[int], _DECODE[str], _DECODE[bool]
+
+
+# -- scenarios ---------------------------------------------------------------
+
+
+def _ratio(v) -> Fraction:
+    """A scenario rational: an int or [numerator, denominator]."""
+    return Fraction(v) if type(v) is int else _frac_from(v)
+
+
+_ANGLE = _variant("angle", {
+    "rational": _tagged("rational", _frac_from, rational_angle),
+    "quadratic": _tagged("quadratic", _ints("a", "b", "c", "d"),
+                         lambda v: quadratic_angle(*v)),
+    "decimal": _object((("decimal", _STR), ("error", _STR)), decimal_angle, closed=True),
+})
+
+_BLOCK = _variant("block", {
+    "n1": _tagged("n1", _ints("lam", "b"), lambda v: N1Block(*v)),
+    "r": _tagged("r", _ANGLE, RotationBlock),
+    "n2": _tagged("n2", _object((("angle", _ANGLE), ("trivial", _BOOL)), N2Block,
+                                closed=True)),
+    "hyp": _tagged("hyp", _object((), HyperbolicBlock, closed=True)),
+})
+
+
+def _seed(i1: int, nu1: int, blocks: tuple) -> PathSeed:
+    decomp = Decomposition(blocks)  # n from the census; GeodesicSystem checks it
+    return PathSeed(decomp.n, i1, nu1, decomp)
+
+
+def _scenario(version: int, system: tuple, seeds: tuple, options: ScenarioOptions):
+    if version != 1:
+        raise ValueError(f"unsupported version {version!r}")
+    n, lam, pinching = system
+    return GeodesicSystem(n, lam, seeds, pinching), options
+
+
+_SCENARIO = _object((
+    ("version", _INT),
+    ("system", _object((("n", _INT), ("lambda", _ratio, Fraction(1)),
+                        ("pinching_asserted", _BOOL, True)), lambda *v: v, closed=True)),
+    ("seeds", _array(_object((("i1", _INT), ("nu1", _INT), ("blocks", _array(_BLOCK))),
+                             _seed, closed=True))),
+    ("options", _object([(f.name, _ratio if isinstance(f.default, Fraction) else _INT,
+                          f.default) for f in dataclasses.fields(ScenarioOptions)],
+                        ScenarioOptions, closed=True), ScenarioOptions()),
+), _scenario, closed=True)
+
+
+def parse_scenario(data) -> tuple[GeodesicSystem, ScenarioOptions]:
+    """Parse and fully validate a scenario document."""
+    return _decoded(_SCENARIO, _document(data), root="scenario")
+
+
+# -- reports -----------------------------------------------------------------
+
 
 def _decimal_str(f: Fraction) -> str:
-    """Exact decimal expansion; the fraction must have a 10-power-friendly
-    denominator (all emitted enclosures do by construction)."""
-    den = f.denominator
-    k = 0
-    while den % 2 == 0:
-        den //= 2
-        k += 1
-    j = 0
-    while den % 5 == 0:
-        den //= 5
-        j += 1
-    if den != 1:
-        raise ValueError(f"{f} has no finite decimal expansion")
-    digits = max(k, j)
+    """Exact decimal expansion in the fewest digits; the denominator must
+    divide a power of 10 (all emitted enclosures do by construction)."""
+    digits = f.denominator.bit_length()  # 2**a * 5**b divides 10**digits
     scaled = f * 10**digits
-    sign = "-" if scaled < 0 else ""
+    if scaled.denominator != 1:
+        raise ValueError(f"{f} has no finite decimal expansion")
     whole, frac_part = divmod(abs(scaled.numerator), 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac_part).zfill(digits)}"
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{whole}.{str(frac_part).zfill(digits)}".rstrip("0").rstrip(".")
 
 
 def enclosure_json(e: Enclosure) -> dict:
-    mid = (e.lo + e.hi) / 2
-    err = (e.hi - e.lo) / 2
-    return {"approx": _decimal_str(mid), "error": _decimal_str(err)}
+    return {"approx": _decimal_str((e.lo + e.hi) / 2), "error": _decimal_str((e.hi - e.lo) / 2)}
 
 
 def _mean_index_enclosure(mi: MeanIndex) -> dict:
@@ -356,134 +332,62 @@ def _mean_index_enclosure(mi: MeanIndex) -> dict:
 
 
 def _enclosure_from(approx: str, error: str) -> Enclosure:
-    try:
-        mid, err = Fraction(approx), Fraction(error)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _Bad(str(exc)) from None
+    mid, err = Fraction(approx), Fraction(error)
     if err < 0:
-        raise _Bad(f"negative error {error!r}")
+        raise ValueError(f"negative error {error!r}")
     return Enclosure(mid - err, mid + err)
 
 
-def _row_from(v) -> IterationRow:
-    if type(v) is not list or len(v) != 3 or any(type(x) is not int for x in v):
-        raise _expected("[m, index, nullity]", v)
-    return IterationRow(*v)
-
-
-def _is_matrix(report) -> bool:
-    # an ndarray exists only once numpy is imported, so never import it here
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(report, np.ndarray)
+_EXACT = _object((("exact", _frac_from),))
+_ENCLOSED = _object((("enclosure", _object((("approx", _STR), ("error", _STR)),
+                                           _enclosure_from)),))
 
 
 def _matrix_from(v):
     import numpy as np
     try:
-        return np.array([[float(x) for x in row] for row in _STRING_ROWS(v)])
+        return np.array([[float(x) for x in row] for row in _array(_array(_STR))(v)])
     except ValueError as exc:
         raise _Bad(str(exc)) from None
 
 
-def report_json(report) -> dict:
-    """Machine encoding of any report object."""
-    if isinstance(report, list) and all(isinstance(r, IterationRow) for r in report):
-        return {"type": "iteration_table", "rows": [[r.m, r.index, r.nullity] for r in report]}
-    if isinstance(report, MeanIndex):
-        if report.is_exact:
-            return {"type": "mean_index", "exact": _ENCODE[Fraction](report.exact())}
-        return {"type": "mean_index", "enclosure": _mean_index_enclosure(report)}
-    if isinstance(report, list) and all(isinstance(t, JumpTuple) for t in report):
-        return {"type": "jump_tuples", "tuples": [_ENCODE[JumpTuple](t) for t in report]}
-    if isinstance(report, TupleVerification):
-        return {"type": "tuple_verification", **_ENCODE[TupleVerification](report)}
-    if isinstance(report, AnalysisReport):
-        return {"type": "analysis_report", **_ENCODE[AnalysisReport](report)}
-    if _is_matrix(report):
-        return {"type": "realized_matrix", "dim": report.shape[0],
-                "rows": [[format(v, ".17g") for v in row] for row in report]}
-    raise TypeError(f"no machine encoding for {type(report).__name__}")
+def _wire_type(report) -> str:
+    """The ``"type"`` tag of a report object."""
+    if isinstance(report, list):
+        for cls, kind in ((IterationRow, "iteration_table"), (JumpTuple, "jump_tuples")):
+            if all(isinstance(x, cls) for x in report):
+                return kind
+    for cls, kind in ((MeanIndex, "mean_index"), (TupleVerification, "tuple_verification"),
+                      (AnalysisReport, "analysis_report")):
+        if isinstance(report, cls):
+            return kind
+    np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
+    if np is not None and isinstance(report, np.ndarray):
+        return "realized_matrix"
+    raise TypeError(f"not a report: {type(report).__name__}")
 
 
-_STR = _DECODE[str]
-_STRING_ROWS = _array(_array(_STR))
-_EXACT = _object((("exact", _frac_from),))
-_ENCLOSED = _object((("enclosure", _object((("approx", _STR), ("error", _STR)),
-                                           _enclosure_from)),))
-_REPORTS = {
-    "iteration_table": _object((("rows", _array(_row_from)),), list),
-    "mean_index": lambda doc: (_EXACT if "exact" in doc else _ENCLOSED)(doc),
-    "jump_tuples": _object((("tuples", _decoder(tuple[JumpTuple, ...])),), list),
-    "tuple_verification": _DECODE[TupleVerification],
-    "analysis_report": _DECODE[AnalysisReport],
-    "realized_matrix": _object((("rows", _matrix_from),)),
-}
+# -- text rendering ----------------------------------------------------------
 
 
-def _report(doc):
-    if type(doc) is not dict:
-        raise _expected("an object", doc)
-    kind = doc.get("type")
-    if type(kind) is not str or kind not in _REPORTS:
-        raise _Bad(f"unknown report type {kind!r}")
-    return _REPORTS[kind](doc)
+def _render_check(c: ConditionCheck, pad: int = 0) -> str:
+    """``name: lhs relation rhs  [ok]``, or with the name padded to pad columns."""
+    name = f"{c.name:<{pad}}" if pad else f"{c.name}:"
+    return f"{name} {c.lhs} {c.relation} {c.rhs}  [{'ok' if c.passed else 'FAIL'}]"
 
 
-def parse_report(data):
-    """Inverse of emit_report for the machine format.  Malformed input
-    raises ScenarioError naming the path to the first bad value."""
-    return _decoded(_report, _document(data))
+def _render_rows(rows: list) -> str:
+    lines = [f"{'m':>8} {'index':>10} {'nullity':>8}"]
+    lines += [f"{r.m:>8} {r.index:>10} {r.nullity:>8}" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
-def parse_tuples(data) -> list[JumpTuple]:
-    """The jump tuples of a ``jump_tuples`` report, or of one bare tuple
-    object, as ``verify --tuple`` reads them."""
-    doc = _document(data)
-    if type(doc) is dict and doc.get("type") == "jump_tuples":
-        return _decoded(_report, doc)
-    if type(doc) is dict and "N" in doc:
-        return [_decoded(_DECODE[JumpTuple], doc, "tuple")]
-    raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
-
-
-# -- emission ----------------------------------------------------------------
-
-
-def emit_report(report, fmt: str = "text") -> bytes:
-    """Render a report. ``machine`` is lossless JSON; ``text`` shows every
-    evaluated relation with both sides."""
-    if fmt == "machine":
-        doc = report_json(report)
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
-    return _render_text(report).encode()
-
-
-def _render_text(report) -> str:
-    if isinstance(report, list) and all(isinstance(r, IterationRow) for r in report):
-        lines = [f"{'m':>8} {'index':>10} {'nullity':>8}"]
-        lines += [f"{r.m:>8} {r.index:>10} {r.nullity:>8}" for r in report]
-        return "\n".join(lines) + "\n"
-    if isinstance(report, MeanIndex):
-        if report.is_exact:
-            v = report.exact()
-            return f"mean index = {v} (exact, ~{float(v):.9f})\n"
-        j = _mean_index_enclosure(report)
-        return f"mean index in [{j['approx']} +/- {j['error']}]\n"
-    if isinstance(report, list) and all(isinstance(t, JumpTuple) for t in report):
-        return "".join(_render_tuple(t) for t in report)
-    if isinstance(report, TupleVerification):
-        out = [f"verification: {'PASS' if report.passed else 'FAIL'}"]
-        for pv in report.per_path:
-            out.append(_render_path(pv))
-        return "\n".join(out) + "\n"
-    if isinstance(report, AnalysisReport):
-        return _render_analysis(report)
-    if _is_matrix(report):
-        lines = ["  ".join(f"{v: .12f}" for v in row) for row in report]
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"no text rendering for {type(report).__name__}")
+def _render_mean_index(mi: MeanIndex) -> str:
+    if mi.is_exact:
+        v = mi.exact()
+        return f"mean index = {v} (exact, ~{float(v):.9f})\n"
+    j = _mean_index_enclosure(mi)
+    return f"mean index in [{j['approx']} +/- {j['error']}]\n"
 
 
 def _render_tuple(t: JumpTuple) -> str:
@@ -494,12 +398,16 @@ def _render_tuple(t: JumpTuple) -> str:
 
 def _render_path(pv: PathVerification) -> str:
     lines = [f"  path {pv.seed_index}: {'PASS' if pv.passed else 'FAIL'}"]
-    for c in pv.conditions:
-        mark = "ok" if c.passed else "FAIL"
-        lines.append(f"    {c.name:<34} {c.lhs} {c.relation} {c.rhs}  [{mark}]")
+    lines += ["    " + _render_check(c, 34) for c in pv.conditions]
     sides = ", ".join(f"{s.kind}[{s.index}]={s.side}" for s in pv.angle_sides) or "none"
     lines.append(f"    angle sides: {sides}  [{'ok' if pv.closeness_ok else 'FAIL'}]")
     return "\n".join(lines)
+
+
+def _render_verification(v: TupleVerification) -> str:
+    out = [f"verification: {'PASS' if v.passed else 'FAIL'}"]
+    out += [_render_path(pv) for pv in v.per_path]
+    return "\n".join(out) + "\n"
 
 
 def _render_candidate(c: CandidateRecord, label: str) -> str:
@@ -509,10 +417,8 @@ def _render_candidate(c: CandidateRecord, label: str) -> str:
         f"  near-integer count = {c.delta_report.delta_k}, complement = "
         f"{c.delta_report.delta_k_prime}, C = {c.delta_report.c_k}, "
         f"S+ = {c.delta_report.s_plus}",
-        f"  {k.balance.name}: {k.balance.lhs} == {k.balance.rhs}  "
-        f"[{'ok' if k.balance.passed else 'FAIL'}]",
-        f"  {k.census.name}: {k.census.lhs} == {k.census.rhs}  "
-        f"[{'ok' if k.census.passed else 'FAIL'}]",
+        "  " + _render_check(k.balance),
+        "  " + _render_check(k.census),
         f"  residual = {k.residual}",
         "  zero set: " + ", ".join(f"{z.name}={z.value}" for z in k.zero_set),
         f"  elliptic: {k.elliptic} (height {k.elliptic_height}), "
@@ -540,9 +446,76 @@ def _render_analysis(r: AnalysisReport) -> str:
     if r.second_tuple:
         text += "complementary " + _render_tuple(r.second_tuple)
     if r.first_bound_at_second:
-        c = r.first_bound_at_second
-        text += (f"{c.name}: {c.lhs} {c.relation} {c.rhs}  "
-                 f"[{'ok' if c.passed else 'FAIL'}]\n")
+        text += _render_check(r.first_bound_at_second) + "\n"
     if r.second:
         text += _render_candidate(r.second, "second geodesic")
     return text
+
+
+# wire type: (encoder of the fields beside "type", decoder, text renderer)
+_REPORTS = {
+    "iteration_table": (
+        lambda rows: {"rows": [[r.m, r.index, r.nullity] for r in rows]},
+        _object((("rows", _array(_ints("m", "index", "nullity"))),),
+                lambda rows: [IterationRow(*r) for r in rows]),
+        _render_rows),
+    "mean_index": (
+        lambda mi: ({"exact": _ENCODE[Fraction](mi.exact())} if mi.is_exact
+                    else {"enclosure": _mean_index_enclosure(mi)}),
+        lambda doc: (_EXACT if "exact" in doc else _ENCLOSED)(doc),
+        _render_mean_index),
+    "jump_tuples": (
+        lambda ts: {"tuples": [_ENCODE[JumpTuple](t) for t in ts]},
+        _object((("tuples", _decoder(tuple[JumpTuple, ...])),), list),
+        lambda ts: "".join(_render_tuple(t) for t in ts)),
+    "tuple_verification": (_ENCODE[TupleVerification], _DECODE[TupleVerification],
+                           _render_verification),
+    "analysis_report": (_ENCODE[AnalysisReport], _DECODE[AnalysisReport], _render_analysis),
+    "realized_matrix": (
+        lambda M: {"dim": M.shape[0], "rows": [[format(v, ".17g") for v in row] for row in M]},
+        _object((("rows", _matrix_from),)),
+        lambda M: "\n".join("  ".join(f"{v: .12f}" for v in row) for row in M) + "\n"),
+}
+
+
+def report_json(report) -> dict:
+    """Machine encoding of any report object."""
+    kind = _wire_type(report)
+    return {"type": kind, **_REPORTS[kind][0](report)}
+
+
+def _report(doc):
+    if type(doc) is not dict:
+        raise _expected("an object", doc)
+    kind = doc.get("type")
+    if type(kind) is not str or kind not in _REPORTS:
+        raise _Bad(f"unknown report type {kind!r}")
+    return _REPORTS[kind][1](doc)
+
+
+def parse_report(data):
+    """Inverse of emit_report for the machine format.  Malformed input
+    raises ScenarioError naming the path to the first bad value."""
+    return _decoded(_report, _document(data))
+
+
+def parse_tuples(data) -> list[JumpTuple]:
+    """The jump tuples of a ``jump_tuples`` report, or of one bare tuple
+    object, as ``verify --tuple`` reads them."""
+    doc = _document(data)
+    if type(doc) is dict and doc.get("type") == "jump_tuples":
+        return _decoded(_report, doc)
+    if type(doc) is dict and "N" in doc:
+        return [_decoded(_DECODE[JumpTuple], doc, "tuple")]
+    raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
+
+
+def emit_report(report, fmt: str = "text") -> bytes:
+    """Render a report. ``machine`` is lossless JSON; ``text`` shows every
+    evaluated relation with both sides."""
+    if fmt == "machine":
+        return (json.dumps(report_json(report), sort_keys=True, separators=(",", ":"))
+                + "\n").encode()
+    if fmt != "text":
+        raise ValueError(f"unknown format {fmt!r}")
+    return _REPORTS[_wire_type(report)][2](report).encode()

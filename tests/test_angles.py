@@ -127,6 +127,13 @@ class TestQuadratic:
     def test_normalization_reduces_square_factors(self):
         assert same_angle(quadratic_angle(0, 1, 4, 8), quadratic_angle(0, 1, 2, 2))
 
+    def test_large_radicand_is_never_factored(self):
+        # about 0.1414; trial division of d up to sqrt(d) would never finish
+        x = quadratic_angle(-1, 1, 10**20, 2 * 10**38 + 1)
+        assert x.floor_mul(10**30) == quad_floor_oracle(-1, 1, 10**20, 2 * 10**38 + 1, 10**30)
+        y = quadratic_angle(-3, 3, 3 * 10**20, 2 * 10**38 + 1)
+        assert x == y and hash(x) == hash(y)
+
     def test_rejects_rational_disguises(self):
         with pytest.raises(ValueError):
             quadratic_angle(1, 1, 4, 4)   # sqrt(4) = 2
@@ -134,6 +141,8 @@ class TestQuadratic:
             quadratic_angle(1, 0, 2, 5)   # b = 0
         with pytest.raises(ValueError):
             quadratic_angle(5, 1, 2, 2)   # value > 1
+        with pytest.raises(ValueError):
+            quadratic_angle(10**400, 1, 1, 2)  # value > 1, too large for a float
 
     def test_sides(self):
         g = quadratic_angle(*GOLDEN)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symjump import (Decomposition, GeodesicSystem, N1Block, PathSeed,
-                     RotationBlock, ScenarioError, find_jump_tuples,
+                     RotationBlock, ScenarioError, ScenarioOptions, find_jump_tuples,
                      iteration_rows, mean_index, parse_report, parse_scenario,
                      quadratic_angle, rational_angle, run_analysis,
                      verify_tuple)
@@ -42,6 +42,17 @@ TWO_SEED_S3 = {
                                        {"n1": [1, 0]}]},
     ],
     "options": {"delta": [1, 100], "n_max": 1000000, "limit": 3, "m_max": 6},
+}
+
+# Every block kind, every angle kind and all five options.
+EVERY_KIND = {
+    "version": 1,
+    "system": {"n": 9, "lambda": [9, 8], "pinching_asserted": False},
+    "seeds": [{"i1": 1, "nu1": 2, "blocks": [
+        {"n1": [1, 0]}, {"r": {"rational": [1, 3]}}, {"r": {"quadratic": [-1, 1, 2, 5]}},
+        {"n2": {"angle": {"decimal": "0.6180339887", "error": "1e-10"}, "trivial": True}},
+        {"n2": {"angle": {"rational": [2, 5]}, "trivial": False}}, {"hyp": {}}]}],
+    "options": {"delta": [1, 100], "n_max": 1000, "limit": 2, "m_max": 6, "budget": 8},
 }
 
 
@@ -108,6 +119,36 @@ class TestParsing:
         doc["version"] = 2
         with pytest.raises(ScenarioError, match="version"):
             parse_scenario(json.dumps(doc))
+
+    def test_every_kind(self):
+        system, options = parse_scenario(json.dumps(EVERY_KIND))
+        assert options == ScenarioOptions(Fraction(1, 100), 1000, 2, 6, 8)
+        decomp = system.seeds[0].decomp
+        assert (decomp.r, decomp.r_star, decomp.r_zero, decomp.h, decomp.p_zero) == (2, 1, 1, 1, 1)
+        assert not system.pinching_asserted
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["seeds"][1]["blocks"][1].update(n1=[1, 0, 3]),
+         "seeds[1].blocks[1].n1: expected [lam, b], got list"),
+        (lambda d: d.update(extra=1), "scenario: unknown key 'extra'"),
+        (lambda d: d["system"].pop("n"), "system: missing required key 'n'"),
+        (lambda d: d["seeds"][0]["blocks"][0]["r"].update(quadratic=[1, 1, 1, 4]),
+         "seeds[0].blocks[0].r: sqrt(4) is not irrational"),
+        (lambda d: d["seeds"][0]["blocks"][0].update(r={"decimal": "0.5"}),
+         "seeds[0].blocks[0].r: missing required key 'error'"),
+        (lambda d: d["seeds"][0]["blocks"][0].update(r={"degrees": 30}),
+         "seeds[0].blocks[0].r: angle takes one of the keys rational, quadratic, decimal, "
+         "got ['degrees']"),
+        (lambda d: d["options"].update(delta="1/100"),
+         "options.delta: expected [numerator, denominator], got str"),
+    ], ids=["n1_arity", "root_key", "system_n", "square_radicand", "decimal_error",
+            "angle_kind", "delta_type"])
+    def test_error_names_the_path(self, mutate, message):
+        doc = copy.deepcopy(TWO_SEED_S3)
+        mutate(doc)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == message
 
 
 class TestMachineRoundTrips:
@@ -310,6 +351,26 @@ class TestCli:
         message = r.stderr.decode().splitlines()[-1]
         assert message.startswith("error:") and "-1" in message and "budget" in message
 
+    @pytest.mark.parametrize("args,options", [
+        (["--m-max", "-5"], {}), (["--m-max", "0"], {}), ([], {"m_max": -5})],
+        ids=["flag_negative", "flag_zero", "options_negative"])
+    def test_nonpositive_m_max_is_an_input_error(self, tmp_path, args, options):
+        doc = copy.deepcopy(TWO_SEED_S3)
+        doc["options"].update(options)
+        r = run_cli("iterate", "--seed", write_scenario(tmp_path, doc), *args)
+        assert r.returncode == 1 and r.stdout == b""
+        lines = r.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: m_max must be a positive")
+
+    def test_huge_quadratic_coefficient_is_an_input_error(self, tmp_path):
+        doc = copy.deepcopy(TWO_SEED_S3)
+        doc["seeds"][0]["blocks"][0]["r"]["quadratic"] = [10**400, 1, 1, 2]
+        r = run_cli("mean-index", "--seed", write_scenario(tmp_path, doc))
+        assert r.returncode == 1
+        lines = r.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seeds[0].blocks[0].r: (1000")
+        assert lines[0].endswith("+1*sqrt(2))/1 lies outside (0,1)")
+
     @pytest.mark.parametrize("tuple_doc,key", [
         ({"N": 1}, "'m'"),
         ({"N": 1, "m": "12", "chi": [0], "M": 1, "delta": [1, 100], "per_path": []},
@@ -382,12 +443,36 @@ def _slots(node, out: list) -> list:
     return out
 
 
+def _mutated(data, docs: list, odd_values: list) -> str:
+    """One of docs as JSON text, with one nested value deleted, replaced by
+    one of odd_values, or wrapped in a list or an object."""
+    holder = {"doc": copy.deepcopy(data.draw(st.sampled_from(docs)))}
+    container, key = data.draw(st.sampled_from(_slots(holder, [])))
+    op = data.draw(st.sampled_from(["delete", "retype", "wrap_list", "wrap_object"]))
+    if op == "delete":
+        del container[key]
+    elif op == "retype":
+        container[key] = data.draw(st.sampled_from(odd_values))
+    elif op == "wrap_list":
+        container[key] = [container[key]]
+    else:
+        container[key] = {"value": container[key]}
+    return json.dumps(holder.get("doc"))
+
+
+def _analyze_with_relation(relation: str) -> bytes:
+    doc = json.loads((WIRE / "analyze.out").read_bytes())
+    doc["first_bound_at_second"]["relation"] = relation
+    return json.dumps(doc).encode()
+
+
 class TestMalformedReports:
     @pytest.mark.parametrize("data,message", [
         (b'{"type":"tuple_verification"}', "report: missing required key 'per_path'"),
         (b'[]', "report: expected an object, got list"),
         (b'{"type":"analysis_report","n":3}', "report: missing required key 'status'"),
-    ], ids=["tuple_verification", "not_an_object", "analysis_report"])
+        (_analyze_with_relation("<>"), "first_bound_at_second: unknown relation '<>'"),
+    ], ids=["tuple_verification", "not_an_object", "analysis_report", "relation"])
     def test_reproducers(self, data, message):
         with pytest.raises(ScenarioError) as err:
             parse_report(data)
@@ -410,21 +495,27 @@ class TestMalformedReports:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_mutated_report_parses_or_raises_scenario_error(self, data):
-        holder = {"doc": copy.deepcopy(data.draw(st.sampled_from(REPORTS)))}
-        container, key = data.draw(st.sampled_from(_slots(holder, [])))
-        op = data.draw(st.sampled_from(["delete", "retype", "wrap_list", "wrap_object"]))
-        if op == "delete":
-            del container[key]
-        elif op == "retype":
-            container[key] = data.draw(st.sampled_from(ODD_VALUES))
-        elif op == "wrap_list":
-            container[key] = [container[key]]
-        else:
-            container[key] = {"value": container[key]}
         try:
-            parse_report(json.dumps(holder.get("doc")))
+            parse_report(_mutated(data, REPORTS, ODD_VALUES))
         except ScenarioError as exc:
             assert "\n" not in str(exc)
+
+
+SCENARIOS = [json.loads(Path(SHIPPED).read_bytes()), EVERY_KIND]
+
+
+class TestMalformedScenarios:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_scenario_parses_or_raises_scenario_error(self, data):
+        # 10**400 overflows a float; 2*10**38 + 1 defeats trial division
+        text = _mutated(data, SCENARIOS, ODD_VALUES + [10**400, 2 * 10**38 + 1])
+        try:
+            system, options = parse_scenario(text)
+        except ScenarioError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert isinstance(system, GeodesicSystem) and isinstance(options, ScenarioOptions)
 
 
 class TestTextRendering:
