@@ -34,6 +34,12 @@ DEFAULT_BUDGET = 64
 
 Refiner = Callable[[int], tuple[Fraction, Fraction]]
 
+_HALF = Fraction(1, 2)  # the open upper end of every delta threshold
+
+# Most characters, and largest exponent magnitude, a decimal angle string
+# may carry: Fraction("1e-999999999") would build a gigabyte power of ten.
+DECIMAL_LIMIT = 1000
+
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -238,8 +244,7 @@ class IrrationalAngle(ExactAngle):
         _check_multiplier(m)
         for f, _, _ in self._decided(m, budget):
             return f
-        raise UndecidableComparison(
-            f"floor({m} * {self!r}) undecided: enclosure too coarse for this multiplier")
+        raise _undecided(f"floor({m} * {self!r})", budget, (self,))
 
     def ceil_mul(self, m: int, budget: Optional[int] = None) -> int:
         # m*x is never an integer for irrational x.
@@ -261,8 +266,7 @@ class IrrationalAngle(ExactAngle):
             frac_lo, frac_hi = m * lo - f, m * hi - f
             if frac_hi - frac_lo <= tol / 2:
                 return Enclosure(*_snap_outward(frac_lo, frac_hi, tol / 4))
-        raise UndecidableComparison(
-            f"frac({m} * {self!r}) not enclosable at width {tol}")
+        raise _undecided(f"frac({m} * {self!r}) at width {tol}", budget, (self,))
 
     def frac_side(self, m: int, delta: Fraction,
                   budget: Optional[int] = None) -> str:
@@ -276,8 +280,7 @@ class IrrationalAngle(ExactAngle):
                 return "high"
             if delta < frac_lo and frac_hi < 1 - delta:
                 return "mid"
-        raise UndecidableComparison(
-            f"side of frac({m} * {self!r}) vs delta={delta} undecided")
+        raise _undecided(f"side of frac({m} * {self!r}) vs delta={delta}", budget, (self,))
 
     def __eq__(self, other):
         if self is other:
@@ -392,11 +395,12 @@ def decimal_angle(approximant, error) -> IrrationalAngle:
     """An irrational declared by a decimal approximant and error bound.
 
     No refiner is available, so queries needing more precision than the
-    stated error raise UndecidableComparison.
+    stated error raise UndecidableComparison.  Either string is refused
+    with ValueError beyond DECIMAL_LIMIT characters or exponent magnitude.
     """
     approx_str = str(approximant)
     err_str = str(error)
-    return IrrationalAngle(Fraction(approx_str), Fraction(err_str),
+    return IrrationalAngle(_bounded_decimal(approx_str), _bounded_decimal(err_str),
                            source=("decimal", (approx_str, err_str)))
 
 
@@ -440,10 +444,32 @@ def same_angle(x: ExactAngle, y: ExactAngle, budget: Optional[int] = None) -> bo
         y_lo, y_hi = _bounds(y, level)
         if x_hi < y_lo or y_hi < x_lo:
             return False
-    raise UndecidableComparison(f"cannot separate {x!r} from {y!r}")
+    raise _undecided(f"equality of {x!r} and {y!r}", budget, irrational)
 
 
 # -- helpers ----------------------------------------------------------------
+
+
+def _undecided(what: str, budget: Optional[int], angles) -> UndecidableComparison:
+    """The refusal of a query that read levels 0 .. L of ``angles`` (L the
+    last level :func:`_levels` allows) without deciding ``what``."""
+    level = _levels(budget, angles)[-1]
+    return UndecidableComparison(
+        f"{what} undecided at level {level} of budget {_resolve_budget(budget)}")
+
+
+def _bounded_decimal(s: str) -> Fraction:
+    """Fraction(s) for a decimal string within DECIMAL_LIMIT."""
+    if len(s) > DECIMAL_LIMIT:
+        raise ValueError(f"decimal string of {len(s)} characters exceeds {DECIMAL_LIMIT}")
+    _, _, exponent = s.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        scale = 0  # no integer exponent: Fraction refuses the string itself
+    if scale > DECIMAL_LIMIT:
+        raise ValueError(f"decimal exponent {exponent.strip()} exceeds +/-{DECIMAL_LIMIT}")
+    return Fraction(s)
 
 
 def _bounds(x: ExactAngle, level: int) -> tuple[Fraction, Fraction]:
@@ -458,7 +484,7 @@ def _check_multiplier(m: int) -> None:
 
 
 def _check_delta(delta: Fraction) -> None:
-    if not 0 < delta < Fraction(1, 2):
+    if not 0 < delta < _HALF:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
 
 

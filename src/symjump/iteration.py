@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .angles import IrrationalAngle, _levels
+from .angles import IrrationalAngle, _levels, _undecided
 from .errors import ConstraintViolation, UndecidableComparison
 from .normal_forms import Decomposition
 
@@ -158,7 +158,7 @@ class MeanIndex:
         for lo, hi in self._bounds_upto(budget):
             if hi - lo <= tol:
                 return lo, hi
-        raise UndecidableComparison(f"mean index enclosure not shrinkable to {tol}")
+        raise _undecided(f"mean index enclosure of width {tol}", budget, self.angles)
 
     def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
         """Certified comparison against a rational: -1, 0 or +1."""
@@ -171,7 +171,7 @@ class MeanIndex:
                 return 1
             if hi < other:
                 return -1
-        raise UndecidableComparison(f"mean index vs {other} undecided")
+        raise _undecided(f"mean index vs {other}", budget, self.angles)
 
     def floor_quotient(self, num: int, den: int, budget: Optional[int] = None) -> int:
         """Certified floor(num / (den * value)); value must be positive."""
@@ -189,8 +189,7 @@ class MeanIndex:
                 f = (num * hi.denominator) // (den * hi.numerator)
                 if f == (num * lo.denominator) // (den * lo.numerator):
                     return f
-        raise UndecidableComparison(
-            f"floor({num} / ({den} * mean index)) undecided")
+        raise _undecided(f"floor({num} / ({den} * mean index))", budget, self.angles)
 
     def __float__(self):
         lo, hi = self._bounds(0)

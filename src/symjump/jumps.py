@@ -14,6 +14,13 @@ direct evaluation through :mod:`symjump.iteration`.  Acceptance also
 requires the closed form for the even-iterate index in terms of
 splitting numbers to agree with the direct evaluation; this rejects
 candidates whose delta is too coarse for that algebra to hold.
+
+When seed 1 carries a quadratic spectrum angle x and delta < 1/4, the
+scan visits only the lattice steps s where {2*M*s*x} lies within delta
+of an integer -- about 2*delta of them -- listed directly by
+:func:`near_returns`; every other step would fail seed 1's angle-side
+filter.  The steps visited change, nothing else: the chunks, the filters,
+the progress calls and the stop rule are those of the full walk.
 """
 
 from __future__ import annotations
@@ -23,13 +30,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .angles import QuadraticAngle, _check_delta
 from .errors import ConstraintViolation, NoTupleFound
 from .iteration import MeanIndex, PathSeed, index_iterate, mean_index, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps per scan chunk
+# From delta = 1/4 on near_returns tests every step: the plain walk is cheaper.
+_SIEVE_DELTA = Fraction(1, 4)
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -232,6 +242,53 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
 # -- search ------------------------------------------------------------------
 
 
+def near_returns(x: QuadraticAngle, mult: int, delta: Fraction) -> Iterator[int]:
+    """The steps s = 1, 2, ... with ``x.frac_side(mult * s, delta) != "mid"``,
+    in ascending order and without end.
+
+    Write ||t|| for the distance from t to the nearest integer.  For two
+    consecutive such steps s < s', ||(s' - s)*mult*x|| < 2*delta, so the
+    gap s' - s is one of the candidates g with ||g*mult*x|| < 2*delta
+    (0 counts as a step for the first gap).  From each step the candidates
+    are tried in ascending order, and the first that lands on a step is
+    the gap to the next one.  The candidates are found once, as needed;
+    by the three-gap theorem only a few are tried per step.  From delta =
+    1/4 on every g is a candidate and this is the plain walk.  Every test
+    is a closed-form quadratic query, which ignores the budget and never
+    refuses.
+    """
+    _check_delta(delta)
+    wide = delta >= _SIEVE_DELTA
+    fresh = (g for g in itertools.count(1)
+             if wide or x.frac_side(mult * g, 2 * delta) != "mid")
+    gaps: list[int] = []
+    s = 0
+    while True:
+        for i in itertools.count():
+            if i == len(gaps):
+                gaps.append(next(fresh))
+            if x.frac_side(mult * (s + gaps[i]), delta) != "mid":
+                break
+        s += gaps[i]
+        yield s
+
+
+def _chunks(steps: Optional[Iterator[int]]) -> Iterator[tuple[int, Sequence[int]]]:
+    """(first step, steps to visit) for each chunk of _CHUNK lattice steps
+    starting at 1: every step, or those of the ascending ``steps``."""
+    pending = next(steps) if steps is not None else None
+    for start in itertools.count(1, _CHUNK):
+        end = start + _CHUNK
+        if steps is None:
+            yield start, range(start, end)
+            continue
+        visit = []
+        while pending < end:
+            visit.append(pending)
+            pending = next(steps)
+        yield start, visit
+
+
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
                      n_max: int = 10**6, limit: int = 3, *,
                      budget: Optional[int] = None,
@@ -250,8 +307,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     if not seeds:
         raise ValueError("at least one seed is required")
     delta = Fraction(delta)
-    if not 0 < delta < Fraction(1, 2):
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    _check_delta(delta)
     if n_max < 1 or limit < 1 or n_min < 1:
         raise ValueError("n_max, n_min and limit must be positive")
     mis = [mean_index(s) for s in seeds]
@@ -268,10 +324,16 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
     mi1_lo = mi1.exact() if mi1.is_exact else mi1.enclosure(Fraction(1, 10**6), budget)[0]
 
+    # Steps off seed 1's near returns fail its angle-side filter: skip them.
+    pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
+                 None)
+    sieve = (near_returns(pilot, 2 * M, delta)
+             if pilot is not None and delta < _SIEVE_DELTA else None)
+
     hits: list[JumpTuple] = []
     stop_after: Optional[int] = None
-    for chunk in itertools.count(1, _CHUNK):
-        for step in range(chunk, chunk + _CHUNK):
+    for chunk, steps in _chunks(sieve):
+        for step in steps:
             m1 = step * M
             c = index_iterate(seed1, 2 * m1 + 1, budget) - seed1.i1
             if c <= 0 or c % 2:

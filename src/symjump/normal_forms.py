@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .angles import (ExactAngle, RationalAngle, _levels, complement_angle,
+from .angles import (ExactAngle, RationalAngle, _levels, _undecided, complement_angle,
                      same_angle)
-from .errors import UndecidableComparison
 
 if TYPE_CHECKING:  # numpy is imported on first use: only the realizations need it
     import numpy as np
@@ -206,7 +205,7 @@ def _angle_float(angle: ExactAngle, precision: Fraction, budget=None) -> float:
         lo, hi = angle.enclosure_at(level)
         if hi - lo <= target:
             return float((lo + hi) / 2)
-    raise UndecidableComparison(f"{angle!r} cannot be evaluated to precision {precision}")
+    raise _undecided(f"{angle!r} to precision {precision}", budget, (angle,))
 
 
 def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.ndarray:

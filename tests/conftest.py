@@ -5,12 +5,13 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from symjump import (Decomposition, GeodesicSystem, HyperbolicBlock, N1Block,
                      N2Block, PathSeed, RotationBlock, mean_index,
@@ -32,6 +33,17 @@ QUADRATIC_POOL = [
     (-2, 1, 1, 6),   # sqrt(6) - 2      ~ 0.4495
     (3, -1, 2, 3),   # (3 - sqrt(3))/2  ~ 0.6340
 ]
+
+
+@st.composite
+def quadratics(draw):
+    """Random (a, b, c, d) with (a + b*sqrt(d))/c in (0, 1), d not a square."""
+    d = draw(st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d))
+    b = draw(st.integers(-60, 60).filter(bool))
+    c = draw(st.integers(1, 200))
+    floor_minus_b_root = -isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)
+    a = floor_minus_b_root + draw(st.integers(1, c))  # 0 < a + b*sqrt(d) < c
+    return a, b, c, d
 
 
 def random_rational_angle(rng: random.Random, denom_max: int = 12):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -11,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (Decomposition, Enclosure, IrrationalAngle, PathSeed,
-                     RotationBlock, UndecidableComparison, complement_angle,
-                     decimal_angle, mean_index, quadratic_angle, rational_angle,
-                     same_angle)
+from symjump import (DEFAULT_BUDGET, Decomposition, Enclosure, IrrationalAngle,
+                     PathSeed, RotationBlock, UndecidableComparison,
+                     complement_angle, decimal_angle, mean_index,
+                     quadratic_angle, rational_angle, same_angle)
+from symjump.angles import DECIMAL_LIMIT
+
+from conftest import quadratics
 
 
 def quad_floor_oracle(a: int, b: int, c: int, d: int, m: int) -> int:
@@ -172,6 +176,18 @@ class TestDecimal:
         with pytest.raises(ValueError):
             decimal_angle("0.5", "0")
 
+    @pytest.mark.parametrize("approx,error", [
+        ("0.6", "1e-999999999"), ("1e999999999", "1e-6"), ("0.6", "1E-1_000_001"),
+        ("0." + "6" * DECIMAL_LIMIT, "1e-6")],
+        ids=["tiny_error", "huge_approximant", "underscored_exponent", "long_string"])
+    def test_rejects_unbounded_strings(self, approx, error):
+        with pytest.raises(ValueError, match=str(DECIMAL_LIMIT)):
+            decimal_angle(approx, error)
+
+    def test_accepts_strings_at_the_limit(self):
+        d = decimal_angle("0.6180339887", f"1e-{DECIMAL_LIMIT}")
+        assert d.floor_mul(10) == 6
+
 
 class TestIdentity:
     def test_complement(self):
@@ -193,6 +209,39 @@ class TestIdentity:
             x.floor_mul(10**60, budget=0)
         assert x.floor_mul(3, budget=0) == 1  # already decidable at level 0
         assert x.floor_mul(10**60) == quad_floor_oracle(-1, 1, 1, 2, 10**60)
+
+
+class TestRefusalNamesLevelAndBudget:
+    """An undecided query names the last level it read and the budget."""
+
+    def test_refiner_angle(self):
+        x = sqrt2_minus_1_by_refiner()
+        with pytest.raises(UndecidableComparison, match="at level 0 of budget 0$"):
+            x.floor_mul(10**60, budget=0)
+        with pytest.raises(UndecidableComparison, match="at level 3 of budget 3$"):
+            x.frac_side(10**60, Fraction(1, 7), budget=3)
+        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
+            x.frac_mul(10**30, budget=2)
+        with pytest.raises(UndecidableComparison, match="at level 1 of budget 1$"):
+            same_angle(x, sqrt2_minus_1_by_refiner(), budget=1)
+
+    def test_refinerless_angle_reads_level_zero_only(self):
+        d = decimal_angle("0.6180339887", "1e-6")
+        with pytest.raises(UndecidableComparison,
+                           match=f"at level 0 of budget {DEFAULT_BUDGET}$"):
+            d.floor_mul(10**8)
+
+    def test_mean_index(self):
+        golden = quadratic_angle(*GOLDEN)
+        mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(golden)])))
+        with pytest.raises(UndecidableComparison, match=re.escape(
+                "floor(1000000000000 / (1 * mean index)) undecided at level 0 of budget 0")):
+            mi.floor_quotient(10**12, 1, budget=0)
+        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
+            mi.enclosure(Fraction(1, 10**100), budget=2)
+        lo, hi = mi.enclosure(Fraction(1, 10**40))
+        with pytest.raises(UndecidableComparison, match="at level 1 of budget 1$"):
+            mi.cmp((lo + hi) / 2, budget=1)
 
 
 def sqrt2_minus_1_by_refiner() -> IrrationalAngle:
@@ -265,17 +314,6 @@ def test_concurrent_refinement_stays_consistent():
         t.join()
     for m, value in results:
         assert value == quad_floor_oracle(-2, 1, 1, 7, m)
-
-
-@st.composite
-def quadratics(draw):
-    """Random (a, b, c, d) with (a + b*sqrt(d))/c in (0, 1), d not a square."""
-    d = draw(st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d))
-    b = draw(st.integers(-60, 60).filter(bool))
-    c = draw(st.integers(1, 200))
-    floor_minus_b_root = -isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)
-    a = floor_minus_b_root + draw(st.integers(1, c))  # 0 < a + b*sqrt(d) < c
-    return a, b, c, d
 
 
 def decimal_value(coeffs, m: int = 1) -> Decimal:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      NoTupleFound, JumpTuple, PathSeed, RotationBlock,
@@ -13,9 +16,10 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      find_jump_tuples, index_at_even_jump, index_iterate,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
+from symjump.jumps import near_returns
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
-from conftest import pinched_seed
+from conftest import pinched_seed, quadratics
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
@@ -25,6 +29,9 @@ SEED_R4 = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 4))])
 SEED_I2 = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
 SEED_IRR_A = PathSeed(3, 2, 2, Decomposition([RotationBlock(SQRT2M1), N1Block(1, 0)]))
 SEED_IRR_B = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+# a quadratic N2 angle beside a rational rotation: the lattice period M is 3
+SEED_N2_R3 = PathSeed(4, 2, 0, Decomposition([N2Block(GOLDEN, False),
+                                              RotationBlock(rational_angle(1, 3))]))
 
 
 def brute_force_tuples(seeds, n_max, delta):
@@ -41,6 +48,24 @@ def brute_force_tuples(seeds, n_max, delta):
                 continue
             if all(_conditions_hold(s, N, mk, delta) for s, mk in zip(seeds, m)):
                 out.append((N, tuple(m), tuple(chi)))
+    return out
+
+
+def floor_construction_tuples(seeds, n_max, delta):
+    """Independent oracle for any seeds: every N <= n_max and chi in
+    {0, 1}^q, m_k = (floor(N / (M * mean index)) + chi_k) * M, kept when
+    verify_tuple passes.  No lattice walk, so no sieve."""
+    M = angle_period(seeds)
+    mis = [mean_index(s) for s in seeds]
+    out = []
+    for N in range(1, n_max + 1):
+        t = [mi.floor_quotient(N, M) for mi in mis]
+        for chi in _all_chis(len(seeds)):
+            m = tuple((tk + ck) * M for tk, ck in zip(t, chi))
+            if any(mk < 1 for mk in m):
+                continue
+            if verify_tuple(JumpTuple(N, m, chi, M, delta, ()), seeds).passed:
+                out.append((N, m, tuple(chi)))
     return out
 
 
@@ -99,6 +124,18 @@ class TestFinderAgainstBruteForce:
         delta = Fraction(1, 100)
         expected = brute_force_tuples(seeds, 40, delta)
         got = find_jump_tuples(seeds, delta, 40, limit=len(expected) + 5)
+        assert [(t.N, t.m, t.chi) for t in got] == expected
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)],
+                             ids=["tenth", "fifth", "three_tenths"])
+    @pytest.mark.parametrize("seeds,n_max", [([SEED_IRR_A], 200),
+                                             ([SEED_IRR_A, SEED_IRR_B], 1000),
+                                             ([SEED_N2_R3], 200)],
+                             ids=["irrational", "irrational_pair", "n2_beside_third"])
+    def test_irrational_pilot_matches_floor_construction(self, seeds, n_max, delta):
+        expected = floor_construction_tuples(seeds, n_max, delta)
+        assert len(expected) >= 2
+        got = find_jump_tuples(seeds, delta, n_max, limit=len(expected) + 5)
         assert [(t.N, t.m, t.chi) for t in got] == expected
 
     def test_smallest_tuple_for_third_rotation(self):
@@ -272,6 +309,23 @@ class TestScanControls:
         find_jump_tuples([SEED_I2], Fraction(1, 100), 100, 1,
                          progress=lambda m, n: calls.append((m, n)))
         assert calls
+
+
+class TestNearReturns:
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=quadratics(), M=st.integers(1, 12),
+           delta=st.tuples(st.integers(1, 60), st.integers(3, 400)).filter(
+               lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)))
+    def test_matches_brute_force(self, coeffs, M, delta):
+        x = quadratic_angle(*coeffs)
+        L = 1500
+        want = [s for s in range(1, L) if x.frac_side(2 * M * s, delta) != "mid"]
+        got = list(itertools.takewhile(lambda s: s < L, near_returns(x, 2 * M, delta)))
+        assert got == want
+
+    def test_rejects_delta_outside_domain(self):
+        with pytest.raises(ValueError, match="delta"):
+            next(near_returns(GOLDEN, 2, Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("rng_seed", range(4))

@@ -62,13 +62,13 @@ def write_scenario(tmp_path, doc, name="scenario.json") -> str:
     return str(path)
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     import os
     env = dict(os.environ, PYTHONPATH=SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "symjump.cli", *args],
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, timeout=timeout)
 
 
 class TestParsing:
@@ -299,6 +299,28 @@ class TestCli:
         # level 0 of the mean index cannot decide floor(16238 / mean index)
         assert r.returncode == flag.returncode == 3
         assert r.stderr == flag.stderr
+
+    def test_budget_zero_refusal_names_the_budget(self):
+        r = run_cli("--budget", "0", "jump", "--seeds", SHIPPED)
+        assert r.returncode == 3
+        message = r.stderr.decode()
+        assert message.startswith("undecidable:") and message.count("\n") == 1
+        assert "at level 0 of budget 0" in message
+
+    @pytest.mark.parametrize("approx,error", [("0.6", "1e-999999999"),
+                                              ("1e999999999", "1e-6")],
+                             ids=["error_exponent", "approximant_exponent"])
+    def test_unbounded_decimal_exponent_is_an_input_error(self, tmp_path, approx, error):
+        # about 100 bytes that would ask Fraction for a gigabyte power of ten
+        doc = ('{"version":1,"system":{"n":2},"seeds":[{"i1":1,"nu1":0,"blocks":'
+               '[{"r":{"decimal":"%s","error":"%s"}}]}]}' % (approx, error))
+        path = tmp_path / "scenario.json"
+        path.write_text(doc)
+        r = run_cli("iterate", "--seed", str(path), timeout=60)
+        assert r.returncode == 1
+        message = r.stderr.decode()
+        assert message.count("\n") == 1
+        assert message.startswith("error: seeds[0].blocks[0].r:") and "exponent" in message
 
     def test_machine_output_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
