@@ -15,12 +15,15 @@ requires the closed form for the even-iterate index in terms of
 splitting numbers to agree with the direct evaluation; this rejects
 candidates whose delta is too coarse for that algebra to hold.
 
-When seed 1 carries a quadratic spectrum angle x and delta < 1/4, the
-scan visits only the lattice steps s where {2*M*s*x} lies within delta
-of an integer -- about 2*delta of them -- listed directly by
-:func:`near_returns`; every other step would fail seed 1's angle-side
-filter.  The steps visited change, nothing else: the chunks, the filters,
-the progress calls and the stop rule are those of the full walk.
+When seed 1 carries a quadratic spectrum angle x, the scan visits only
+the lattice steps s where {2*M*s*x} lies within delta of an integer --
+about 2*delta of them -- listed directly by :func:`near_returns`; every
+other step would fail seed 1's angle-side filter.  The chunks, the
+filters, the progress calls and the stop rule are those of the full
+walk.  A skipped step is never evaluated, so a query there that would
+refuse at the current budget (or for a refinerless angle) no longer
+does: such a scan can now succeed where a walk over every step raised
+UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .iteration import MeanIndex, PathSeed, index_iterate, mean_index, nullity_i
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps per scan chunk
-# From delta = 1/4 on near_returns tests every step: the plain walk is cheaper.
-_SIEVE_DELTA = Fraction(1, 4)
+# From delta = 1/4 on 2*delta >= 1/2, so every gap is a candidate.
+_WIDE_DELTA = Fraction(1, 4)
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -258,7 +261,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction) -> Iterator[int]
     refuses.
     """
     _check_delta(delta)
-    wide = delta >= _SIEVE_DELTA
+    wide = delta >= _WIDE_DELTA
     fresh = (g for g in itertools.count(1)
              if wide or x.frac_side(mult * g, 2 * delta) != "mid")
     gaps: list[int] = []
@@ -327,8 +330,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     # Steps off seed 1's near returns fail its angle-side filter: skip them.
     pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
                  None)
-    sieve = (near_returns(pilot, 2 * M, delta)
-             if pilot is not None and delta < _SIEVE_DELTA else None)
+    sieve = near_returns(pilot, 2 * M, delta) if pilot is not None else None
 
     hits: list[JumpTuple] = []
     stop_after: Optional[int] = None

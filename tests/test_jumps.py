@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      NoTupleFound, JumpTuple, PathSeed, RotationBlock,
+                     UndecidableComparison,
                      angle_period, compute_delta, find_complementary_tuples,
                      find_jump_tuples, index_at_even_jump, index_iterate,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
+from symjump.angles import decimal_angle
 from symjump.jumps import near_returns
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
@@ -32,6 +34,12 @@ SEED_IRR_B = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 
 # a quadratic N2 angle beside a rational rotation: the lattice period M is 3
 SEED_N2_R3 = PathSeed(4, 2, 0, Decomposition([N2Block(GOLDEN, False),
                                               RotationBlock(rational_angle(1, 3))]))
+# a quadratic pilot beside a refinerless decimal angle that some lattice steps
+# cannot decide
+COARSE = decimal_angle("0.6180339887", "1e-7")
+SEED_PILOT_COARSE = PathSeed(4, 2, 2, Decomposition([RotationBlock(SQRT2M1),
+                                                     RotationBlock(COARSE),
+                                                     N1Block(1, 0)]))
 
 
 def brute_force_tuples(seeds, n_max, delta):
@@ -137,6 +145,23 @@ class TestFinderAgainstBruteForce:
         assert len(expected) >= 2
         got = find_jump_tuples(seeds, delta, n_max, limit=len(expected) + 5)
         assert [(t.N, t.m, t.chi) for t in got] == expected
+
+    def test_refusals_off_the_near_returns_are_never_met(self):
+        # Lattice steps 707 and 1535 refuse (a side of COARSE, then the floor
+        # construction at N = 4704), but neither is a near return of the
+        # pilot, so the scan never asks; a walk over every step refuses.
+        delta = Fraction(1, 10)
+        with pytest.raises(UndecidableComparison):
+            COARSE.frac_side(2 * 707, delta)
+        c = index_iterate(SEED_PILOT_COARSE, 2 * 1535 + 1) - SEED_PILOT_COARSE.i1
+        assert c == 2 * 4704
+        with pytest.raises(UndecidableComparison):
+            mean_index(SEED_PILOT_COARSE).floor_quotient(4704, 1)
+        returns = itertools.takewhile(lambda s: s <= 1535, near_returns(SQRT2M1, 2, delta))
+        assert not {707, 1535} & set(returns)
+        got = find_jump_tuples([SEED_PILOT_COARSE], delta, 5000, 3)
+        assert ([(t.N, t.m, t.chi) for t in got]
+                == floor_construction_tuples([SEED_PILOT_COARSE], 233, delta))
 
     def test_smallest_tuple_for_third_rotation(self):
         t = find_jump_tuples([SEED_R3], Fraction(1, 100), 1000, 1)[0]
