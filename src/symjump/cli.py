@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import scenario as sc
 from .analysis import run_analysis
+from .angles import _bounded_decimal
 from .errors import (ConstraintViolation, NoTupleFound, ScenarioError,
                      SymjumpError, UndecidableComparison)
 from .iteration import iteration_rows, mean_index
@@ -40,10 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """A rational flag, within the length and exponent bounds of scenario decimals."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return _bounded_decimal(text)
+    except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _budget_arg(text: str) -> int:

@@ -12,11 +12,12 @@ raises ``UndecidableComparison``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .angles import IrrationalAngle, _levels, _undecided
+from .angles import IrrationalAngle, QuadraticAngle, _levels, _undecided
 from .errors import ConstraintViolation, UndecidableComparison
 from .normal_forms import Decomposition
 
@@ -206,13 +207,25 @@ class MeanIndex:
 
 
 def mean_index(seed: PathSeed) -> MeanIndex:
-    """Closed form of lim i(m)/m: i1 + p- + p0 - r + sum of theta_j/pi."""
+    """Closed form of lim i(m)/m: i1 + p- + p0 - r + sum of theta_j/pi.
+
+    A quadratic angle is a/c + sign(b)*sqrt(b^2 d/c^2).  When the signs of
+    the quadratic angles sharing one irrational part sqrt(b^2 d/c^2) sum
+    to zero (x and 1 - x, say), their sum is the rational sum of the a/c.
+    """
     d = seed.decomp
     base = Fraction(seed.i1 + d.p_minus + d.p_zero - d.r)
+    signs = Counter()
+    for a in d.theta_angles:
+        if isinstance(a, QuadraticAngle):
+            _, positive, part = a._key()
+            signs[part] += 1 if positive else -1
     irr = []
     for a in d.theta_angles:
         if a.is_rational:
             base += 2 * a.value
+        elif isinstance(a, QuadraticAngle) and signs[a._key()[2]] == 0:
+            base += 2 * a._key()[0]
         else:
             irr.append(a)
     return MeanIndex(base, tuple(irr))

@@ -7,23 +7,24 @@ within half the elliptic height of 2N, and every rotation angle of every
 path lands within delta of an integer multiple at m_k.
 
 The scan walks the lattice m_1 in M*Z (M is the common angle period, so
-every rational angle multiple is exact there), reads the unique
-candidate N off the odd-iterate index identity, reconstructs the other
-m_k through the floor construction, and certifies every condition by
-direct evaluation through :mod:`symjump.iteration`.  Acceptance also
-requires the closed form for the even-iterate index in terms of
-splitting numbers to agree with the direct evaluation; this rejects
-candidates whose delta is too coarse for that algebra to hold.
+every rational angle multiple is exact there) and reads the unique
+candidate N off seed 1's odd-iterate index.  For every seed the floor
+construction gives candidate iterates m_k; each first passes the cheap
+checks (the index after the jump, then every angle multiple within delta
+of an integer and the required sides), and only when every seed keeps
+one is each survivor's record built, once, by the builder
+:func:`verify_tuple` uses.  Acceptance also requires the closed form for the even-iterate
+index in terms of splitting numbers to agree with direct evaluation;
+this rejects candidates whose delta is too coarse for that algebra.
 
 When seed 1 carries a quadratic spectrum angle x, the scan visits only
 the lattice steps s where {2*M*s*x} lies within delta of an integer --
 about 2*delta of them -- listed directly by :func:`near_returns`; every
-other step would fail seed 1's angle-side filter.  The chunks, the
-filters, the progress calls and the stop rule are those of the full
-walk.  A skipped step is never evaluated, so a query there that would
-refuse at the current budget (or for a refinerless angle) no longer
-does: such a scan can now succeed where a walk over every step raised
-UndecidableComparison.
+other step would fail seed 1's angle-side check.  No walk passes the
+last step whose N can be at most n_max.  The chunks, the progress calls
+and the stop rule are those of the full walk.  A query that a skipped
+step or an earlier cheap check spares never refuses, so such a scan can
+succeed where a walk over every step raised UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ class PathVerification:
         return self.closeness_ok and all(c.passed for c in self.conditions)
 
     def irrational_rotation_sides(self) -> tuple[str, ...]:
-        return tuple(s.side for s in self.angle_sides
-                     if s.kind == "theta" and not s.rational)
+        return _rotation_sides(self.angle_sides)
+
+
+def _rotation_sides(sides: Iterable[AngleSide]) -> tuple[str, ...]:
+    return tuple(s.side for s in sides if s.kind == "theta" and not s.rational)
 
 
 @dataclass(frozen=True)
@@ -172,25 +176,21 @@ def delta_from_sides(seed: PathSeed, sides: Iterable[AngleSide]) -> int:
     return total
 
 
-def _verify_one_path(seed: PathSeed, k: int, N: int, m_k: int, chi_k: int,
-                     M: int, delta: Fraction, mi: MeanIndex,
-                     budget: Optional[int]) -> PathVerification:
+def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
+                 sides: tuple[AngleSide, ...], i_next: int,
+                 budget: Optional[int]) -> PathVerification:
+    """Path k's eight conditions at (N, m_k), given the floor construction's
+    iterate ``lattice_m``, the angle sides at m_k and i_next = i(2*m_k + 1)."""
     d = seed.decomp
     i1, nu1 = seed.i1, seed.nu1
     e_half = elliptic_height(d) // 2
     s_plus = splitting_plus_at_one(d)
-    c_tot = c_total(d)
 
     i_prev = index_iterate(seed, 2 * m_k - 1, budget)
     nu_prev = nullity_iterate(seed, 2 * m_k - 1, budget)
     i_even = index_iterate(seed, 2 * m_k, budget)
     nu_even = nullity_iterate(seed, 2 * m_k, budget)
-    i_next = index_iterate(seed, 2 * m_k + 1, budget)
     nu_next = nullity_iterate(seed, 2 * m_k + 1, budget)
-
-    sides = _sides_for(seed, m_k, delta, budget)
-    delta_k = delta_from_sides(seed, sides)
-    lattice_m = (mi.floor_quotient(N, M, budget) + chi_k) * M
 
     conditions = (
         ConditionCheck("nullity_before_jump", nu_prev, nu1, "=="),
@@ -202,28 +202,10 @@ def _verify_one_path(seed: PathSeed, k: int, N: int, m_k: int, chi_k: int,
         ConditionCheck("even_index_nullity_upper", i_even + nu_even,
                        2 * N + e_half, "<="),
         ConditionCheck("even_index_splitting_identity", i_even,
-                       2 * N - s_plus - c_tot + 2 * delta_k, "=="),
+                       2 * N - s_plus - c_total(d) + 2 * delta_from_sides(seed, sides), "=="),
         ConditionCheck("floor_construction_shape", m_k, lattice_m, "=="),
     )
     return PathVerification(k, conditions, sides)
-
-
-def _verify_paths(seeds: Sequence[PathSeed], mis: Sequence[MeanIndex], M: int,
-                  N: int, m: Sequence[int], chi: Sequence[int], delta: Fraction,
-                  budget: Optional[int],
-                  required_sides: Optional[Sequence[tuple[str, ...]]] = None,
-                  early_exit: bool = False) -> Optional[tuple[PathVerification, ...]]:
-    records = []
-    for k, seed in enumerate(seeds):
-        rec = _verify_one_path(seed, k, N, m[k], chi[k], M, delta, mis[k], budget)
-        if required_sides is not None and required_sides[k] is not None:
-            if rec.irrational_rotation_sides() != tuple(required_sides[k]):
-                if early_exit:
-                    return None
-        if early_exit and not rec.passed:
-            return None
-        records.append(rec)
-    return tuple(records)
 
 
 def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
@@ -236,60 +218,102 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
         raise ValueError(
             f"tuple holds {len(t.m)} paths but {len(seeds)} seeds were given")
     M = angle_period(seeds)
-    mis = [mean_index(s) for s in seeds]
-    records = _verify_paths(seeds, mis, M, t.N, t.m, t.chi, t.delta, budget,
-                            early_exit=False)
-    return TupleVerification(records)
+    records = []
+    for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
+        i_next = index_iterate(seed, 2 * m_k + 1, budget)
+        sides = _sides_for(seed, m_k, t.delta, budget)
+        lattice_m = (mean_index(seed).floor_quotient(t.N, M, budget) + chi_k) * M
+        records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next, budget))
+    return TupleVerification(tuple(records))
 
 
 # -- search ------------------------------------------------------------------
 
 
-def near_returns(x: QuadraticAngle, mult: int, delta: Fraction) -> Iterator[int]:
-    """The steps s = 1, 2, ... with ``x.frac_side(mult * s, delta) != "mid"``,
-    in ascending order and without end.
+def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
+                 last: int) -> Iterator[int]:
+    """The steps s = 1 .. last with ``x.frac_side(mult * s, delta) != "mid"``,
+    in ascending order.
 
     Write ||t|| for the distance from t to the nearest integer.  For two
     consecutive such steps s < s', ||(s' - s)*mult*x|| < 2*delta, so the
     gap s' - s is one of the candidates g with ||g*mult*x|| < 2*delta
     (0 counts as a step for the first gap).  From each step the candidates
     are tried in ascending order, and the first that lands on a step is
-    the gap to the next one.  The candidates are found once, as needed;
-    by the three-gap theorem only a few are tried per step.  From delta =
-    1/4 on every g is a candidate and this is the plain walk.  Every test
-    is a closed-form quadratic query, which ignores the budget and never
-    refuses.
+    the gap to the next one.  The candidates are found once, as needed and
+    never beyond ``last``; by the three-gap theorem only a few are tried
+    per step.  From delta = 1/4 on every g is a candidate and this is the
+    plain walk.  Every test is a closed-form quadratic query, which
+    ignores the budget and never refuses.
     """
     _check_delta(delta)
     wide = delta >= _WIDE_DELTA
-    fresh = (g for g in itertools.count(1)
+    fresh = (g for g in range(1, last + 1)
              if wide or x.frac_side(mult * g, 2 * delta) != "mid")
     gaps: list[int] = []
     s = 0
     while True:
         for i in itertools.count():
             if i == len(gaps):
-                gaps.append(next(fresh))
+                gaps.extend(itertools.islice(fresh, 1))
+            if i == len(gaps) or s + gaps[i] > last:
+                return
             if x.frac_side(mult * (s + gaps[i]), delta) != "mid":
                 break
         s += gaps[i]
         yield s
 
 
-def _chunks(steps: Optional[Iterator[int]]) -> Iterator[tuple[int, Sequence[int]]]:
+def _chunks(steps: Iterator[int]) -> Iterator[tuple[int, list[int]]]:
     """(first step, steps to visit) for each chunk of _CHUNK lattice steps
-    starting at 1: every step, or those of the ascending ``steps``."""
-    pending = next(steps) if steps is not None else None
+    from 1, the steps taken from the ascending ``steps`` while they last."""
+    pending = next(steps, None)
     for start in itertools.count(1, _CHUNK):
-        end = start + _CHUNK
-        if steps is None:
-            yield start, range(start, end)
-            continue
         visit = []
-        while pending < end:
+        while pending is not None and pending < start + _CHUNK:
             visit.append(pending)
-            pending = next(steps)
+            pending = next(steps, None)
         yield start, visit
+
+
+def _tuples_at(seeds: tuple[PathSeed, ...], mis: Sequence[MeanIndex], N: int, M: int,
+               delta: Fraction, budget: Optional[int],
+               required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
+               first: tuple[int, int]) -> list[JumpTuple]:
+    """The tuples at N with m_1 = first[0], whose i(2*m_1 + 1) is first[1].
+
+    Each seed's iterates m_k = (t_k + chi_k)*M, chi_k in {0, 1}, first pass
+    the cheap checks: i(2*m_k + 1) = 2N + i1, no angle side "mid" and the
+    required sides.  Only when every seed keeps one is each survivor's
+    record built, once, seed by seed."""
+    survivors = []
+    for k, seed in enumerate(seeds):
+        t_k = mis[k].floor_quotient(N, M, budget)
+        required = None if required_sides is None else required_sides[k]
+        found = []
+        for chi in (0, 1):
+            m_k = (t_k + chi) * M
+            if m_k < 1 or (k == 0 and m_k != first[0]):
+                continue
+            i_next = first[1] if k == 0 else index_iterate(seed, 2 * m_k + 1, budget)
+            if i_next != 2 * N + seed.i1:
+                continue
+            sides = _sides_for(seed, m_k, delta, budget)
+            if all(s.side != "mid" for s in sides) and (
+                    required is None or _rotation_sides(sides) == tuple(required)):
+                found.append((m_k, chi, sides, i_next))
+        if not found:
+            return []
+        survivors.append(found)
+    passing = []
+    for k, found in enumerate(survivors):
+        records = [(m_k, chi, _path_record(seeds[k], k, N, m_k, m_k, sides, i_next, budget))
+                   for m_k, chi, sides, i_next in found]
+        passing.append([r for r in records if r[2].passed])
+        if not passing[-1]:
+            return []
+    return [JumpTuple(N, m, chi, M, delta, per_path)
+            for m, chi, per_path in (zip(*combo) for combo in itertools.product(*passing))]
 
 
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
@@ -323,62 +347,34 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     seed1, mi1 = seeds[0], mis[0]
     d1 = seed1.decomp
     # i(2m+1) >= (2m+1)*mean - slack, so the candidate N = (i(2m+1) - i1)/2
-    # can only keep growing once the bound after each chunk passes the target.
+    # exceeds n_max beyond the step `last`, and can only keep growing once
+    # the bound after each chunk passes the target.  The bound needs a
+    # positive mean index lower bound, narrower than 1e-6 for a tiny mean.
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
-    mi1_lo = mi1.exact() if mi1.is_exact else mi1.enclosure(Fraction(1, 10**6), budget)[0]
+    tol = Fraction(1, 10**6)
+    while (mi1_lo := mi1.enclosure(tol, budget)[0]) <= 0:
+        tol /= 2**24
+    last = ((2 * n_max + slack + seed1.i1) / mi1_lo - 1) // (2 * M)
 
-    # Steps off seed 1's near returns fail its angle-side filter: skip them.
+    # Steps off seed 1's near returns fail its angle-side check: skip them.
     pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
                  None)
-    sieve = near_returns(pilot, 2 * M, delta) if pilot is not None else None
+    walk = (near_returns(pilot, 2 * M, delta, last) if pilot is not None
+            else iter(range(1, last + 1)))
 
     hits: list[JumpTuple] = []
     stop_after: Optional[int] = None
-    for chunk, steps in _chunks(sieve):
+    for chunk, steps in _chunks(walk):
         for step in steps:
             m1 = step * M
-            c = index_iterate(seed1, 2 * m1 + 1, budget) - seed1.i1
+            i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
+            c = i_odd1 - seed1.i1
             if c <= 0 or c % 2:
                 continue
             N = c // 2
             if N > n_max or N < n_min or N in exclude_set:
                 continue
-            chi1 = m1 // M - mi1.floor_quotient(N, M, budget)
-            if chi1 not in (0, 1):
-                continue
-            sides1 = _sides_for(seed1, m1, delta, budget)
-            if any(s.side == "mid" for s in sides1):
-                continue
-            if required_sides is not None and required_sides[0] is not None:
-                got = tuple(s.side for s in sides1
-                            if s.kind == "theta" and not s.rational)
-                if got != tuple(required_sides[0]):
-                    continue
-            options = [[(m1, chi1)]]
-            feasible = True
-            for k in range(1, len(seeds)):
-                t_k = mis[k].floor_quotient(N, M, budget)
-                opts = []
-                for chi_k in (0, 1):
-                    m_k = (t_k + chi_k) * M
-                    if m_k < 1:
-                        continue
-                    if index_iterate(seeds[k], 2 * m_k + 1, budget) != 2 * N + seeds[k].i1:
-                        continue
-                    opts.append((m_k, chi_k))
-                if not opts:
-                    feasible = False
-                    break
-                options.append(opts)
-            if not feasible:
-                continue
-            for combo in itertools.product(*options):
-                m = tuple(mc[0] for mc in combo)
-                chi = tuple(mc[1] for mc in combo)
-                records = _verify_paths(seeds, mis, M, N, m, chi, delta, budget,
-                                        required_sides=required_sides, early_exit=True)
-                if records is not None:
-                    hits.append(JumpTuple(N, m, chi, M, delta, records))
+            hits += _tuples_at(seeds, mis, N, M, delta, budget, required_sides, (m1, i_odd1))
         m_done = (chunk + _CHUNK - 1) * M
         if progress is not None:
             progress(m_done, n_max)

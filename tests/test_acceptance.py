@@ -223,6 +223,13 @@ def test_criterion_5_jump_tuples(jump_corpus):
     _report(5, elapsed, f"{total} tuples over 20 systems, all independently re-verified")
 
 
+def test_scan_and_verify_tuple_build_identical_records(jump_corpus):
+    results, _ = jump_corpus
+    for name, seeds, _, tuples in results:
+        for t in tuples:
+            assert verify_tuple(t, seeds).per_path == t.per_path, (name, t.N)
+
+
 def test_criterion_6_dual_path_identities(jump_corpus):
     results, _ = jump_corpus
     t0 = time.monotonic()

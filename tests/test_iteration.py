@@ -69,6 +69,25 @@ class TestExamples:
         s = PathSeed(2, 5, 0, Decomposition([HyperbolicBlock()]))
         assert mean_index(s).exact() == 5
 
+    @pytest.mark.parametrize("other,exact", [
+        ((2, -1, 1, 2), True),     # 1 - x: the irrational parts cancel
+        ((4, -1, 2, 8), True),     # 1 - x, written (4 - sqrt(8))/2
+        ((0, 1, 4, 2), False),     # sqrt(2)/4: another irrational part
+        ((-1, 1, 2, 5), False)],   # another field
+        ids=["conjugate", "conjugate_disguised", "other_part", "other_field"])
+    def test_mean_index_of_conjugate_quadratic_rotations(self, other, exact):
+        x = quadratic_angle(-1, 1, 1, 2)
+        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(x),
+                                             RotationBlock(quadratic_angle(*other))]))
+        mi = mean_index(s)
+        assert mi.is_exact == exact
+        if exact:
+            assert mi.exact() == 2
+            d = s.decomp
+            bound = 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
+            for m in (10**3, 10**6, 10**30):
+                assert abs(index_iterate(s, m) - 2 * m) <= bound
+
     def test_bott_gap_examples(self):
         s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
         assert bott_gap(s, 1) == 0

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,12 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
 from symjump.angles import decimal_angle
-from symjump.jumps import near_returns
+from symjump.jumps import _chunks, near_returns
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 from conftest import pinched_seed, quadratics
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
@@ -157,8 +162,7 @@ class TestFinderAgainstBruteForce:
         assert c == 2 * 4704
         with pytest.raises(UndecidableComparison):
             mean_index(SEED_PILOT_COARSE).floor_quotient(4704, 1)
-        returns = itertools.takewhile(lambda s: s <= 1535, near_returns(SQRT2M1, 2, delta))
-        assert not {707, 1535} & set(returns)
+        assert not {707, 1535} & set(near_returns(SQRT2M1, 2, delta, 1535))
         got = find_jump_tuples([SEED_PILOT_COARSE], delta, 5000, 3)
         assert ([(t.N, t.m, t.chi) for t in got]
                 == floor_construction_tuples([SEED_PILOT_COARSE], 233, delta))
@@ -213,7 +217,8 @@ class TestIrrationalSystems:
 
     def test_every_condition_reverifies(self, tuples):
         for t in tuples:
-            assert verify_tuple(t, [SEED_IRR_A, SEED_IRR_B]).passed
+            verdict = verify_tuple(t, [SEED_IRR_A, SEED_IRR_B])
+            assert verdict.passed and verdict.per_path == t.per_path
 
     def test_even_jump_identity_both_paths(self, tuples):
         for t in tuples:
@@ -335,22 +340,61 @@ class TestScanControls:
                          progress=lambda m, n: calls.append((m, n)))
         assert calls
 
+    def test_mean_index_below_the_enclosure_width_scans(self):
+        # mean index ~1e-16: its enclosure of width 1e-6 reaches below 0, and
+        # the step bound needs a positive lower bound
+        x = quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2)
+        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(x)]))
+
+        class Stop(Exception):
+            pass
+
+        def stop(m_done, n_max):
+            raise Stop
+
+        with pytest.raises(Stop):
+            find_jump_tuples([seed], Fraction(1, 10), 1000, 1, progress=stop)
+
+    def test_tiny_delta_scan_ends(self):
+        # Without the step bound the sieve would search for a first return
+        # near step 10**900; the scan must end, in a subprocess so a hang
+        # fails on the timeout instead of stalling the suite.
+        code = ("from fractions import Fraction\n"
+                "from symjump import (Decomposition, N1Block, NoTupleFound, PathSeed,\n"
+                "                     RotationBlock, find_jump_tuples, quadratic_angle)\n"
+                "x = quadratic_angle(-1, 1, 1, 2)\n"
+                "seed = PathSeed(3, 2, 2, Decomposition([RotationBlock(x), N1Block(1, 0)]))\n"
+                "try:\n"
+                "    find_jump_tuples([seed], Fraction(1, 10**900), 2000, 1)\n"
+                "except NoTupleFound:\n"
+                "    print('no tuple')\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"no tuple\n"
+
 
 class TestNearReturns:
     @settings(max_examples=150, deadline=None)
     @given(coeffs=quadratics(), M=st.integers(1, 12),
            delta=st.tuples(st.integers(1, 60), st.integers(3, 400)).filter(
-               lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)))
-    def test_matches_brute_force(self, coeffs, M, delta):
+               lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)),
+           last=st.integers(-2, 1500))
+    def test_matches_brute_force(self, coeffs, M, delta, last):
         x = quadratic_angle(*coeffs)
-        L = 1500
-        want = [s for s in range(1, L) if x.frac_side(2 * M * s, delta) != "mid"]
-        got = list(itertools.takewhile(lambda s: s < L, near_returns(x, 2 * M, delta)))
-        assert got == want
+        want = [s for s in range(1, last + 1) if x.frac_side(2 * M * s, delta) != "mid"]
+        assert list(near_returns(x, 2 * M, delta, last)) == want
 
     def test_rejects_delta_outside_domain(self):
         with pytest.raises(ValueError, match="delta"):
-            next(near_returns(GOLDEN, 2, Fraction(1, 2)))
+            next(near_returns(GOLDEN, 2, Fraction(1, 2), 10))
+
+
+class TestChunks:
+    def test_chunks_go_on_empty_after_the_steps_run_out(self):
+        chunks = _chunks(iter([3, 2048, 2049]))
+        assert [next(chunks) for _ in range(3)] == [(1, [3, 2048]), (2049, [2049]),
+                                                    (4097, [])]
 
 
 @pytest.mark.parametrize("rng_seed", range(4))
@@ -361,7 +405,8 @@ def test_randomized_pinched_systems_reverify(rng_seed):
              for _ in range(rng.randint(1, 2))]
     tuples = find_jump_tuples(seeds, Fraction(1, 100), 10**5, 2)
     for t in tuples:
-        assert verify_tuple(t, seeds).passed
+        verdict = verify_tuple(t, seeds)
+        assert verdict.passed and verdict.per_path == t.per_path
         for k, s in enumerate(seeds):
             d = compute_delta(s, t.m[k], t.delta)
             assert index_at_even_jump(s, t.N, d.delta_k) == index_iterate(s, 2 * t.m[k])

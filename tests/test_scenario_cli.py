@@ -322,6 +322,45 @@ class TestCli:
         assert message.count("\n") == 1
         assert message.startswith("error: seeds[0].blocks[0].r:") and "exponent" in message
 
+    @pytest.mark.parametrize("args,exponent", [
+        (["realize", "--seed", SHIPPED, "--precision", "1e-999999999"], "-999999999"),
+        (["jump", "--seeds", SHIPPED, "--delta", "1e-999999999"], "-999999999"),
+        (["jump", "--seeds", SHIPPED, "--delta", "3e-5000"], "-5000")],
+        ids=["precision", "delta", "delta_5000"])
+    def test_unbounded_rational_flag_is_a_usage_error(self, args, exponent):
+        r = run_cli(*args, timeout=60)
+        assert r.returncode == 1 and r.stdout == b""
+        flag = args[-2]
+        assert r.stderr.decode().splitlines()[-1] == (
+            f"error: argument {flag}: decimal exponent {exponent} exceeds +/-1000")
+
+    def test_conjugate_rotations_scan_with_an_exact_mean_index(self, tmp_path):
+        # x = sqrt(2) - 1 beside 1 - x: the mean index is exactly 2, so the
+        # floor construction's quotients are exact and the scan never refuses
+        doc = {"version": 1, "system": {"n": 3},
+               "seeds": [{"i1": 2, "nu1": 0, "blocks": [
+                   {"r": {"quadratic": [-1, 1, 1, 2]}}, {"r": {"quadratic": [2, -1, 1, 2]}}]}],
+               "options": {"delta": [1, 100], "limit": 3}}
+        path = write_scenario(tmp_path, doc)
+        r = run_cli("--format", "machine", "mean-index", "--seed", path)
+        assert r.returncode == 0
+        assert parse_report(r.stdout) == 2
+        r = run_cli("--format", "machine", "jump", "--seeds", path, timeout=60)
+        assert r.returncode == 0, r.stderr
+        tuples = parse_report(r.stdout)
+        system, _ = parse_scenario(Path(path).read_bytes())
+        assert len(tuples) == 3
+        assert all(verify_tuple(t, system.seeds, budget=0).passed for t in tuples)
+
+    def test_tiny_delta_jump_ends(self):
+        # the sieve's first return at delta = 1e-7 lies beyond the last step
+        # that can give N <= n_max
+        r = run_cli("jump", "--seeds", SHIPPED, "--delta", "1/10000000", timeout=60)
+        assert r.returncode == 1
+        assert r.stderr.decode().splitlines() == [
+            "error: no jump tuple with N <= 1000000 at delta = 1/10000000; "
+            "raise n_max or loosen delta"]
+
     def test_machine_output_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
         a = run_cli("--format", "machine", "analyze", "--system", path)
