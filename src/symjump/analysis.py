@@ -15,7 +15,7 @@ library's scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -256,34 +256,32 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
     tuples = find_jump_tuples(seeds, delta, n_max, tuple_limit,
                               budget=budget, progress=progress)
 
-    flag = "no_peak_iterate"
-    best: dict = {}
+    fallback = AnalysisReport(
+        n=system.n, status="fcg_contradiction", flag="no_peak_iterate", betti=betti,
+        pinching=tuple(pinching), tuple_used=None, candidates=(), first=None,
+        second_tuple=None, second=None, first_bound_at_second=None)
     for t in tuples:
         peaks = find_peak_geodesic(system, t, budget)
-        if not peaks:
-            continue
         for k0 in peaks:
             d0 = compute_delta(seeds[k0], t.m[k0], t.delta, budget)
             constraints = derive_peak_constraints(seeds[k0], t, d0, budget)
+            found = replace(fallback, tuple_used=t, candidates=tuple(peaks),
+                            first=CandidateRecord(k0, t.N, d0, constraints))
             if constraints.rational_geodesic_flag:
                 # every rotation angle rational at a peak: the rational-geodesic
                 # iteration identity forces infinitely many geodesics
-                if flag == "no_peak_iterate":
-                    flag = "rational_peak_geodesic"
-                    best = {"tuple": t, "candidates": tuple(peaks), "k0": k0,
-                            "d0": d0, "constraints": constraints}
+                if fallback.flag == "no_peak_iterate":
+                    fallback = replace(found, flag="rational_peak_geodesic")
                 continue
             try:
                 t2 = find_complementary_tuples(seeds, t, n_max=n_max, budget=budget)[0]
             except NoTupleFound:
                 continue
             sg = second_geodesic(system, k0, t2, budget)
+            found = replace(found, second_tuple=t2, first_bound_at_second=sg.first_bound)
             if sg.second is None:
-                if flag != "no_second_geodesic":
-                    flag = "no_second_geodesic"
-                    best = {"tuple": t, "candidates": tuple(peaks), "k0": k0,
-                            "d0": d0, "constraints": constraints,
-                            "t2": t2, "bound": sg.first_bound}
+                if fallback.flag != "no_second_geodesic":
+                    fallback = replace(found, flag="no_second_geodesic")
                 continue
             k2 = sg.second
             d0_full = compute_delta(seeds[k0], t.m[k0], t.delta, budget,
@@ -291,20 +289,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
             d2 = compute_delta(seeds[k2], t2.m[k2], t2.delta, budget,
                                complement_m=t.m[k2])
             constraints2 = derive_peak_constraints(seeds[k2], t2, d2, budget)
-            return AnalysisReport(
-                n=system.n, status="two_elliptic_irrational", flag=None,
-                betti=betti, pinching=tuple(pinching), tuple_used=t,
-                candidates=tuple(peaks),
-                first=CandidateRecord(k0, t.N, d0_full, constraints),
-                second_tuple=t2,
-                second=CandidateRecord(k2, t2.N, d2, constraints2),
-                first_bound_at_second=sg.first_bound)
-
-    return AnalysisReport(
-        n=system.n, status="fcg_contradiction", flag=flag, betti=betti,
-        pinching=tuple(pinching), tuple_used=best.get("tuple"),
-        candidates=best.get("candidates", ()),
-        first=(CandidateRecord(best["k0"], best["tuple"].N, best["d0"],
-                               best["constraints"]) if best else None),
-        second_tuple=best.get("t2"), second=None,
-        first_bound_at_second=best.get("bound"))
+            return replace(found, status="two_elliptic_irrational", flag=None,
+                           first=CandidateRecord(k0, t.N, d0_full, constraints),
+                           second=CandidateRecord(k2, t2.N, d2, constraints2))
+    return fallback

@@ -408,17 +408,18 @@ def complement_angle(x: ExactAngle) -> ExactAngle:
     """The angle ratio 1 - x (the conjugate rotation e^{-i*theta})."""
     if isinstance(x, RationalAngle):
         return RationalAngle(1 - x.value)
+    if isinstance(x, QuadraticAngle):
+        a, b, c, d = x.source[1]
+        return quadratic_angle(c - a, -b, c, d)
     if isinstance(x, IrrationalAngle):
-        if x.source and x.source[0] == "quadratic":
-            a, b, c, d = x.source[1]
-            return quadratic_angle(c - a, -b, c, d)
-        if x.source and x.source[0] == "decimal":
-            approx, err = x.source[1]
-            return IrrationalAngle(1 - Fraction(approx), Fraction(err),
-                                   source=("decimal-complement", (approx, err)))
+        def refiner(level: int) -> tuple[Fraction, Fraction]:
+            lo, hi = x.enclosure_at(level)
+            return 1 - hi, 1 - lo
+
         lo, hi = x.enclosure()
-        mid = 1 - (lo + hi) / 2
-        return IrrationalAngle(mid, (hi - lo) / 2)
+        return IrrationalAngle(1 - (lo + hi) / 2, (hi - lo) / 2,
+                               refiner if x._refiner else None,
+                               ("complement", x.source) if x.source else None)
     raise TypeError(f"not an ExactAngle: {x!r}")
 
 

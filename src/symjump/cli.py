@@ -20,8 +20,7 @@ from pathlib import Path
 from . import scenario as sc
 from .analysis import run_analysis
 from .angles import _bounded_decimal
-from .errors import (ConstraintViolation, NoTupleFound, ScenarioError,
-                     SymjumpError, UndecidableComparison)
+from .errors import NoTupleFound, ScenarioError, SymjumpError, UndecidableComparison
 from .iteration import iteration_rows, mean_index
 from .jumps import find_complementary_tuples, find_jump_tuples, verify_tuple
 from .normal_forms import realize
@@ -33,9 +32,8 @@ EXIT_UNDECIDABLE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
+    # usage problems are one stderr line and exit 1, not argparse's usage block and 2
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_ERROR)
 
@@ -163,10 +161,7 @@ def main(argv=None) -> int:
     except UndecidableComparison as exc:
         sys.stderr.write(f"undecidable: {exc}\n")
         return EXIT_UNDECIDABLE
-    except (ScenarioError, NoTupleFound, ConstraintViolation, SymjumpError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (SymjumpError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -20,9 +20,12 @@ this rejects candidates whose delta is too coarse for that algebra.
 When seed 1 carries a quadratic spectrum angle x, the scan visits only
 the lattice steps s where {2*M*s*x} lies within delta of an integer --
 about 2*delta of them -- listed directly by :func:`near_returns`; every
-other step would fail seed 1's angle-side check.  No walk passes the
-last step whose N can be at most n_max.  The chunks, the progress calls
-and the stop rule are those of the full walk.  A query that a skipped
+other step would fail seed 1's angle-side check.  One bound ends the
+scan: past lattice step last_step(n), seed 1's candidate N exceeds n.
+No walk passes last_step(n_max); progress is reported at the end of
+every chunk of 2048 steps, and the scan stops after the first chunk
+that ends past the bound, which shrinks to last_step of the limit-th
+smallest N once ``limit`` tuples are found.  A query that a skipped
 step or an earlier cheap check spares never refuses, so such a scan can
 succeed where a walk over every step raised UndecidableComparison.
 """
@@ -264,18 +267,6 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
         yield s
 
 
-def _chunks(steps: Iterator[int]) -> Iterator[tuple[int, list[int]]]:
-    """(first step, steps to visit) for each chunk of _CHUNK lattice steps
-    from 1, the steps taken from the ascending ``steps`` while they last."""
-    pending = next(steps, None)
-    for start in itertools.count(1, _CHUNK):
-        visit = []
-        while pending is not None and pending < start + _CHUNK:
-            visit.append(pending)
-            pending = next(steps, None)
-        yield start, visit
-
-
 def _tuples_at(seeds: tuple[PathSeed, ...], mis: Sequence[MeanIndex], N: int, M: int,
                delta: Fraction, budget: Optional[int],
                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
@@ -346,16 +337,18 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
 
     seed1, mi1 = seeds[0], mis[0]
     d1 = seed1.decomp
-    # i(2m+1) >= (2m+1)*mean - slack, so the candidate N = (i(2m+1) - i1)/2
-    # exceeds n_max beyond the step `last`, and can only keep growing once
-    # the bound after each chunk passes the target.  The bound needs a
-    # positive mean index lower bound, narrower than 1e-6 for a tiny mean.
+    # i(2m+1) >= (2m+1)*mean - slack, so past lattice step last_step(n) the
+    # candidate N = (i(2m+1) - i1)/2 exceeds n.  The bound needs a positive
+    # mean index lower bound, narrower than 1e-6 for a tiny mean.
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
     tol = Fraction(1, 10**6)
     while (mi1_lo := mi1.enclosure(tol, budget)[0]) <= 0:
         tol /= 2**24
-    last = ((2 * n_max + slack + seed1.i1) / mi1_lo - 1) // (2 * M)
 
+    def last_step(n: int) -> int:
+        return ((2 * n + slack + seed1.i1) / mi1_lo - 1) // (2 * M)
+
+    last = last_step(n_max)
     # Steps off seed 1's near returns fail its angle-side check: skip them.
     pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
                  None)
@@ -363,25 +356,22 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
             else iter(range(1, last + 1)))
 
     hits: list[JumpTuple] = []
-    stop_after: Optional[int] = None
-    for chunk, steps in _chunks(walk):
-        for step in steps:
+    step = next(walk, None)
+    for end in itertools.count(_CHUNK, _CHUNK):
+        while step is not None and step <= end:
             m1 = step * M
             i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
-            c = i_odd1 - seed1.i1
-            if c <= 0 or c % 2:
-                continue
-            N = c // 2
-            if N > n_max or N < n_min or N in exclude_set:
-                continue
-            hits += _tuples_at(seeds, mis, N, M, delta, budget, required_sides, (m1, i_odd1))
-        m_done = (chunk + _CHUNK - 1) * M
+            N, odd = divmod(i_odd1 - seed1.i1, 2)
+            if not odd and n_min <= N <= n_max and N not in exclude_set:
+                hits += _tuples_at(seeds, mis, N, M, delta, budget, required_sides,
+                                   (m1, i_odd1))
+            step = next(walk, None)
         if progress is not None:
-            progress(m_done, n_max)
-        if stop_after is None and len(hits) >= limit:
-            stop_after = sorted(t.N for t in hits)[limit - 1]
-        bound = ((2 * m_done + 1) * mi1_lo - slack - seed1.i1) / 2
-        if bound > n_max or (stop_after is not None and bound > stop_after):
+            progress(end * M, n_max)
+        # No tuple with N at most the limit-th smallest found lies past its last step.
+        if len(hits) >= limit:
+            last = last_step(sorted(t.N for t in hits)[limit - 1])
+        if end > last:
             break
 
     hits.sort(key=JumpTuple.sort_key)

@@ -204,6 +204,10 @@ class TestRunAnalysis:
         assert report.status == "fcg_contradiction"
         assert report.flag == "no_second_geodesic"
         assert report.betti == betti_constant(3)
+        # the fallback keeps the first candidate and its complementary tuple
+        assert report.first.tuple_N == report.tuple_used.N
+        assert report.second_tuple is not None and report.second is None
+        assert report.first_bound_at_second is not None
 
     def test_hyperbolic_system_flags_no_peak(self):
         s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
@@ -211,6 +215,7 @@ class TestRunAnalysis:
                               delta=DELTA, n_max=10**5, tuple_limit=3)
         assert report.status == "fcg_contradiction"
         assert report.flag == "no_peak_iterate"
+        assert report.tuple_used is None and report.candidates == () and report.first is None
 
     def test_rational_system_flags_rational_branch(self):
         s = PathSeed(2, 2, 2, Decomposition([N1Block(1, 0)]))
@@ -218,6 +223,8 @@ class TestRunAnalysis:
                               delta=DELTA, n_max=10**4, tuple_limit=2)
         assert report.status == "fcg_contradiction"
         assert report.flag == "rational_peak_geodesic"
+        assert report.first.tuple_N == report.tuple_used.N and report.candidates
+        assert report.second_tuple is None and report.first_bound_at_second is None
 
 
 def test_first_geodesic_bound_identity_at_complement():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from symjump import (DEFAULT_BUDGET, Decomposition, Enclosure, IrrationalAngle,
                      PathSeed, RotationBlock, UndecidableComparison,
                      complement_angle, decimal_angle, mean_index,
-                     quadratic_angle, rational_angle, same_angle)
+                     quadratic_angle, rational_angle, same_angle,
+                     splitting_numbers)
 from symjump.angles import DECIMAL_LIMIT
 
 from conftest import quadratics
@@ -196,6 +197,30 @@ class TestIdentity:
         c = complement_angle(g)
         assert same_angle(c, quadratic_angle(3, -1, 2, 5))
         assert not same_angle(c, g)
+
+    def test_complement_keeps_the_refiner(self):
+        def sqrt2_minus_1(level):  # 24*(level+1) bits
+            k = 24 * (level + 1)
+            s = isqrt(2 << (2 * k))
+            return Fraction(s - (1 << k), 1 << k), Fraction(s + 1 - (1 << k), 1 << k)
+
+        def near_complement(level):  # 1 - (sqrt(2) - 1) + 1e-9
+            lo, hi = sqrt2_minus_1(level)
+            return 1 - hi + Fraction(1, 10**9), 1 - lo + Fraction(1, 10**9)
+
+        x = IrrationalAngle(Fraction("0.414"), Fraction("0.01"), sqrt2_minus_1)
+        y = IrrationalAngle(Fraction("0.586"), Fraction("0.01"), near_complement)
+        # level 1 already separates y from 1 - x
+        assert splitting_numbers(RotationBlock(x), y, budget=8) == (0, 0)
+        assert not same_angle(complement_angle(x), y, budget=1)
+
+    def test_decimal_complement_keeps_its_enclosure_and_equality(self):
+        c = complement_angle(decimal_angle("0.6180339887", "1e-7"))
+        assert c.enclosure() == (Fraction("0.3819660113") - Fraction("1e-7"),
+                                 Fraction("0.3819660113") + Fraction("1e-7"))
+        assert c == complement_angle(decimal_angle("0.6180339887", "1e-7"))
+        assert c != complement_angle(decimal_angle("0.6180339887", "2e-7"))
+        assert c != decimal_angle("0.3819660113", "1e-7")
 
     def test_same_angle_undecidable_for_refinerless_overlap(self):
         a = decimal_angle("0.33333333", "1e-4")

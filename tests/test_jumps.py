@@ -21,12 +21,14 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
 from symjump.angles import decimal_angle
-from symjump.jumps import _chunks, near_returns
+from symjump.jumps import near_returns
+from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 from conftest import pinched_seed, quadratics
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
@@ -390,11 +392,57 @@ class TestNearReturns:
             next(near_returns(GOLDEN, 2, Fraction(1, 2), 10))
 
 
-class TestChunks:
-    def test_chunks_go_on_empty_after_the_steps_run_out(self):
-        chunks = _chunks(iter([3, 2048, 2049]))
-        assert [next(chunks) for _ in range(3)] == [(1, [3, 2048]), (2049, [2049]),
-                                                    (4097, [])]
+@pytest.fixture(scope="module")
+def shipped_seeds():
+    system, _ = parse_scenario((ROOT / "scenarios" / "two_seed_s3.json").read_bytes())
+    return system.seeds
+
+
+def _scan(*args, **kwargs):
+    """find_jump_tuples or its complement, with the progress calls it made."""
+    calls = []
+    scan = kwargs.pop("scan", find_jump_tuples)
+    try:
+        return scan(*args, progress=lambda m, n: calls.append(m), **kwargs), calls
+    except NoTupleFound:
+        return None, calls
+
+
+class TestScanStops:
+    """Progress is reported at every chunk end (2048 lattice steps); the scan
+    stops after the first chunk ending past the last step whose N can be at
+    most n_max, or at most the limit-th smallest N found."""
+
+    def test_stops_after_the_limit_th_tuple(self, shipped_seeds):
+        ts, calls = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)
+        assert [t.N for t in ts] == [12776, 70145, 82921, 95697, 108473]
+        assert calls == [2048 * k for k in range(1, 20)]
+        comp, calls = _scan(shipped_seeds, ts[0], n_max=10**6,
+                            scan=find_complementary_tuples)
+        assert [t.N for t in comp] == [70145]
+        assert len(calls) == 13 and calls[-1] == 26624
+
+    def test_chunks_go_on_after_the_walk_runs_out(self, shipped_seeds):
+        # no near return of seed 1 below the last step, yet every chunk up to
+        # the bound is reported before the scan gives up
+        ts, calls = _scan(shipped_seeds, Fraction(1, 10**7), 10**5, 1)
+        assert ts is None
+        assert calls == [2048 * k for k in range(1, 19)]
+
+    # the quadratic systems spread their first five tuples over two to seven chunks
+    @pytest.mark.parametrize("irrational, rng_seed",
+                             [(False, 0), (False, 1), (False, 3), (True, 1), (True, 2),
+                              (True, 24), (True, 46), (True, 55)])
+    def test_limit_keeps_the_first_tuples_of_a_longer_scan(self, irrational, rng_seed):
+        rng = random.Random(f"stop/{rng_seed}")
+        n = rng.randint(2, 4)
+        seeds = [pinched_seed(rng, n, allow_irrational=irrational, denom_max=8)
+                 for _ in range(rng.randint(1, 3))]
+        delta = Fraction(1, rng.choice((10, 100, 1000)))
+        full, calls = _scan(seeds, delta, 10**5, 50)
+        assert full and (len(calls) > 1) == irrational
+        for limit in range(1, 5):
+            assert _scan(seeds, delta, 10**5, limit)[0] == full[:limit]
 
 
 @pytest.mark.parametrize("rng_seed", range(4))

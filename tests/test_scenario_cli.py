@@ -278,6 +278,16 @@ class TestCli:
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("iterate").returncode == 1  # missing --seed
 
+    @pytest.mark.parametrize("args,message", [
+        (["iterate"], "error: the following arguments are required: --seed"),
+        (["--budget", "x", "iterate", "--seed", SHIPPED],
+         "error: argument --budget: budget must be a non-negative integer, got 'x'")],
+        ids=["missing_seed", "budget"])
+    def test_usage_error_is_one_line(self, args, message):
+        r = run_cli(*args)
+        assert r.returncode == 1 and r.stdout == b""
+        assert r.stderr.decode() == message + "\n"
+
     def test_undecidable_exit_three(self, tmp_path):
         doc = {
             "version": 1,
@@ -331,8 +341,8 @@ class TestCli:
         r = run_cli(*args, timeout=60)
         assert r.returncode == 1 and r.stdout == b""
         flag = args[-2]
-        assert r.stderr.decode().splitlines()[-1] == (
-            f"error: argument {flag}: decimal exponent {exponent} exceeds +/-1000")
+        assert r.stderr.decode() == (
+            f"error: argument {flag}: decimal exponent {exponent} exceeds +/-1000\n")
 
     def test_conjugate_rotations_scan_with_an_exact_mean_index(self, tmp_path):
         # x = sqrt(2) - 1 beside 1 - x: the mean index is exactly 2, so the
