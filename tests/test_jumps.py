@@ -398,10 +398,9 @@ def shipped_seeds():
     return system.seeds
 
 
-def _scan(*args, **kwargs):
-    """find_jump_tuples or its complement, with the progress calls it made."""
+def _scan(*args, scan=find_jump_tuples, **kwargs):
+    """The tuples of a scan (None when it finds none) and its progress calls."""
     calls = []
-    scan = kwargs.pop("scan", find_jump_tuples)
     try:
         return scan(*args, progress=lambda m, n: calls.append(m), **kwargs), calls
     except NoTupleFound:
