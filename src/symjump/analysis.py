@@ -129,17 +129,17 @@ def nullity_at_even_jump(seed: PathSeed) -> int:
             + 2 * d.r_prime + 2 * d.r_star_prime + 2 * d.r_zero_prime)
 
 
+def _even_values(system: GeodesicSystem, t: JumpTuple, budget: Optional[int]) -> list[int]:
+    """i + nu at every seed's even jump iterate 2*m_k."""
+    return [index_iterate(seed, 2 * m, budget) + nullity_iterate(seed, 2 * m, budget)
+            for seed, m in zip(system.seeds, t.m)]
+
+
 def find_peak_geodesic(system: GeodesicSystem, t: JumpTuple,
                        budget: Optional[int] = None) -> list[int]:
     """Seeds whose even jump iterate reaches i + nu = 2N + (n-1)."""
     peak = 2 * t.N + (system.n - 1)
-    out = []
-    for k, seed in enumerate(system.seeds):
-        value = (index_iterate(seed, 2 * t.m[k], budget)
-                 + nullity_iterate(seed, 2 * t.m[k], budget))
-        if value == peak:
-            out.append(k)
-    return out
+    return [k for k, v in enumerate(_even_values(system, t, budget)) if v == peak]
 
 
 def derive_peak_constraints(seed: PathSeed, t: JumpTuple, d: DeltaReport,
@@ -197,28 +197,21 @@ def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple,
     seed must reach 2N' + (n-1) or the system contradicts finiteness.
     """
     n1 = system.n - 1
-    values = []
-    for k, seed in enumerate(system.seeds):
-        direct = (index_iterate(seed, 2 * t2.m[k], budget)
-                  + nullity_iterate(seed, 2 * t2.m[k], budget))
+    values = _even_values(system, t2, budget)
+    for k, (seed, direct) in enumerate(zip(system.seeds, values)):
         dk = compute_delta(seed, t2.m[k], t2.delta, budget).delta_k
         closed = index_at_even_jump(seed, t2.N, dk) + nullity_at_even_jump(seed)
         if direct != closed:
             raise ConstraintViolation(
                 f"seed {k}: direct evaluation {direct} disagrees with the splitting "
                 f"closed form {closed} at the complementary tuple")
-        values.append(direct)
     first_bound = ConditionCheck("first_seed_below_peak_at_complement",
                                  values[first], 2 * t2.N + (n1 - 1), "<=")
     if not first_bound.passed:
         raise ConstraintViolation(
             f"first seed still reaches {values[first]} > 2N' + n - 2 at the "
             f"complementary tuple; the pair is not complementary")
-    second = None
-    for k, v in enumerate(values):
-        if k != first and v == 2 * t2.N + n1:
-            second = k
-            break
+    second = next((k for k, v in enumerate(values) if k != first and v == 2 * t2.N + n1), None)
     return SecondGeodesicResult(second, first_bound, tuple(values))
 
 
@@ -243,7 +236,8 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
     ``"fcg_contradiction"`` with flag ``"no_peak_iterate"``,
     ``"rational_peak_geodesic"`` or ``"no_second_geodesic"`` naming which
     finiteness contradiction branch fired (their Morse-theoretic content
-    is out of scope and reported as a flag only).
+    is out of scope and reported as a flag only).  Raises NoTupleFound
+    when no branch fired but some peak's complement lies past ``n_max``.
     """
     pinching = validate_pinching_bounds(system, budget)
     for rec in pinching:
@@ -260,8 +254,10 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
         n=system.n, status="fcg_contradiction", flag="no_peak_iterate", betti=betti,
         pinching=tuple(pinching), tuple_used=None, candidates=(), first=None,
         second_tuple=None, second=None, first_bound_at_second=None)
+    unpaired = []  # N of each peak whose complement lies past n_max
     for t in tuples:
         peaks = find_peak_geodesic(system, t, budget)
+        looked_up = False  # the complement of t, or its miss, serves every peak seed
         for k0 in peaks:
             d0 = compute_delta(seeds[k0], t.m[k0], t.delta, budget)
             constraints = derive_peak_constraints(seeds[k0], t, d0, budget)
@@ -273,9 +269,14 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                 if fallback.flag == "no_peak_iterate":
                     fallback = replace(found, flag="rational_peak_geodesic")
                 continue
-            try:
-                t2 = find_complementary_tuples(seeds, t, n_max=n_max, budget=budget)[0]
-            except NoTupleFound:
+            if not looked_up:
+                looked_up = True
+                try:
+                    t2 = find_complementary_tuples(seeds, t, n_max=n_max, budget=budget)[0]
+                except NoTupleFound:
+                    t2 = None
+                    unpaired.append(t.N)
+            if t2 is None:
                 continue
             sg = second_geodesic(system, k0, t2, budget)
             found = replace(found, second_tuple=t2, first_bound_at_second=sg.first_bound)
@@ -292,4 +293,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
             return replace(found, status="two_elliptic_irrational", flag=None,
                            first=CandidateRecord(k0, t.N, d0_full, constraints),
                            second=CandidateRecord(k2, t2.N, d2, constraints2))
+    if fallback.flag == "no_peak_iterate" and unpaired:
+        raise NoTupleFound(f"no complementary tuple with N <= {n_max} for the peak "
+                           f"at N = {unpaired[0]}; raise n_max")
     return fallback

@@ -80,10 +80,7 @@ class ExactAngle:
     :class:`IrrationalAngle`."""
 
     __slots__ = ()
-
-    @property
-    def is_rational(self) -> bool:
-        raise NotImplementedError
+    is_rational: bool  # a class constant of each kind
 
     def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
         """Certified floor(m * x)."""
@@ -113,50 +110,39 @@ class ExactAngle:
         raise NotImplementedError
 
 
+@dataclass(frozen=True, slots=True)
 class RationalAngle(ExactAngle):
-    """x = p/q in lowest terms with 0 < p/q < 1.
+    """x = value with 0 < value < 1, built by :func:`rational_angle`.
 
     The endpoints 0 and 1 are rejected: a full turn is not a rotation
     block, and the flat angles belong to the dedicated +/-1-eigenvalue
     normal forms.
     """
 
-    __slots__ = ("_value",)
+    value: Fraction
+    is_rational = True
 
-    def __init__(self, p, q=None):
-        value = Fraction(p, q) if q is not None else Fraction(p)
-        if not 0 < value < 1:
-            raise ValueError(f"rational angle ratio must lie strictly in (0,1), got {value}")
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("RationalAngle is immutable")
-
-    @property
-    def value(self) -> Fraction:
-        return self._value
-
-    @property
-    def is_rational(self) -> bool:
-        return True
+    def __post_init__(self):
+        if not 0 < self.value < 1:
+            raise ValueError(f"rational angle ratio must lie strictly in (0,1), got {self.value}")
 
     def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
         _check_multiplier(m)
-        return (m * self._value.numerator) // self._value.denominator
+        return (m * self.value.numerator) // self.value.denominator
 
     def ceil_mul(self, m: int, budget: Optional[int] = None) -> int:
         _check_multiplier(m)
-        return -((-m * self._value.numerator) // self._value.denominator)
+        return -((-m * self.value.numerator) // self.value.denominator)
 
     def varphi_mul(self, m: int, budget: Optional[int] = None) -> int:
         _check_multiplier(m)
-        return 0 if (m * self._value.numerator) % self._value.denominator == 0 else 1
+        return 0 if (m * self.value.numerator) % self.value.denominator == 0 else 1
 
     def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9),
                  budget: Optional[int] = None) -> Fraction:
         _check_multiplier(m)
-        return Fraction((m * self._value.numerator) % self._value.denominator,
-                        self._value.denominator)
+        return Fraction((m * self.value.numerator) % self.value.denominator,
+                        self.value.denominator)
 
     def frac_side(self, m: int, delta: Fraction,
                   budget: Optional[int] = None) -> str:
@@ -170,17 +156,11 @@ class RationalAngle(ExactAngle):
             return "high"
         return "mid"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalAngle) and self._value == other._value
-
-    def __hash__(self):
-        return hash(("rational", self._value))
-
     def __repr__(self):
-        return f"RationalAngle({self._value})"
+        return f"RationalAngle({self.value})"
 
     def __float__(self):
-        return float(self._value)
+        return float(self.value)
 
 
 class IrrationalAngle(ExactAngle):
@@ -193,6 +173,7 @@ class IrrationalAngle(ExactAngle):
     """
 
     __slots__ = ("_lo", "_hi", "_refiner", "source")
+    is_rational = False
 
     def __init__(self, approximant: Fraction, error_bound: Fraction,
                  refiner: Optional[Refiner] = None,
@@ -212,10 +193,6 @@ class IrrationalAngle(ExactAngle):
 
     def __setattr__(self, name, value):
         raise AttributeError("IrrationalAngle exposes no mutable attributes")
-
-    @property
-    def is_rational(self) -> bool:
-        return False
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
         """The stated enclosure, approximant +/- error clipped to [0, 1]."""
@@ -350,7 +327,7 @@ class QuadraticAngle(IrrationalAngle):
 
 
 def rational_angle(p, q=None) -> RationalAngle:
-    return RationalAngle(p, q)
+    return RationalAngle(Fraction(p, q))
 
 
 def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:

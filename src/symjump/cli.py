@@ -72,16 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iterate", parents=[common], help="index/nullity table of iterates")
-    p.add_argument("--seed", required=True, help="scenario file")
+    p.add_argument("--seed", required=True, dest="scenario", help="scenario file")
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--m-max", type=int, default=None)
 
     p = sub.add_parser("mean-index", parents=[common], help="exact or enclosed mean index")
-    p.add_argument("--seed", required=True)
+    p.add_argument("--seed", required=True, dest="scenario")
     p.add_argument("--seed-index", type=int, default=0)
 
     p = sub.add_parser("jump", parents=[common], help="search for common index jump tuples")
-    p.add_argument("--seeds", required=True)
+    p.add_argument("--seeds", required=True, dest="scenario")
     p.add_argument("--delta", type=_fraction_arg, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)
@@ -89,19 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit tuples complementary to the tuple at this N")
 
     p = sub.add_parser("analyze", parents=[common], help="full two-elliptic-geodesics pipeline")
-    p.add_argument("--system", required=True)
+    p.add_argument("--system", required=True, dest="scenario")
     p.add_argument("--delta", type=_fraction_arg, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--limit", type=int, default=None,
                    help="jump tuples to try for the first peak")
 
     p = sub.add_parser("verify", parents=[common], help="re-verify stored jump tuples")
-    p.add_argument("--seeds", required=True)
+    p.add_argument("--seeds", required=True, dest="scenario")
     p.add_argument("--tuple", required=True, dest="tuple_file",
                    help="machine-format jump tuple output")
 
     p = sub.add_parser("realize", parents=[common], help="floating-point endpoint matrix")
-    p.add_argument("--seed", required=True)
+    p.add_argument("--seed", required=True, dest="scenario")
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--precision", type=_fraction_arg, default=Fraction(1, 10**9))
     return parser
@@ -167,20 +167,18 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    system, options = _load(args.scenario, args)
     if args.command == "iterate":
-        system, options = _load(args.seed, args)
         seed = _pick_seed(system, args.seed_index)
         _emit(list(iteration_rows(seed, options.m_max, options.budget)), args.format)
         return EXIT_OK
 
     if args.command == "mean-index":
-        system, options = _load(args.seed, args)
         seed = _pick_seed(system, args.seed_index)
         _emit(mean_index(seed), args.format)
         return EXIT_OK
 
     if args.command == "jump":
-        system, options = _load(args.seeds, args)
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
             try:
@@ -200,7 +198,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "analyze":
-        system, options = _load(args.system, args)
         report = run_analysis(system, delta=options.delta, n_max=options.n_max,
                               tuple_limit=options.limit, budget=options.budget,
                               progress=_progress_printer(sys.stderr.isatty()))
@@ -208,7 +205,6 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.status == "two_elliptic_irrational" else EXIT_CONTRADICTION
 
     if args.command == "verify":
-        system, options = _load(args.seeds, args)
         try:
             raw = Path(args.tuple_file).read_bytes()
         except OSError as exc:
@@ -221,13 +217,9 @@ def _dispatch(args) -> int:
             _emit(result, args.format)
         return EXIT_OK if ok else EXIT_ERROR
 
-    if args.command == "realize":
-        system, options = _load(args.seed, args)
-        seed = _pick_seed(system, args.seed_index)
-        _emit(realize(seed.decomp, args.precision), args.format)
-        return EXIT_OK
-
-    raise ScenarioError(f"unknown command {args.command!r}")
+    seed = _pick_seed(system, args.seed_index)  # realize
+    _emit(realize(seed.decomp, args.precision), args.format)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

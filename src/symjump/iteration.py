@@ -13,7 +13,7 @@ raises ``UndecidableComparison``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -107,6 +107,7 @@ def bott_gap(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
             - nullity_iterate(seed, m, budget))
 
 
+@dataclass(slots=True)
 class MeanIndex:
     """The linear growth rate lim i(m)/m: an exact rational plus twice each
     irrational rotation angle.
@@ -116,12 +117,9 @@ class MeanIndex:
     function of the level, so no answer depends on earlier queries.
     """
 
-    __slots__ = ("base", "angles", "_sums")
-
-    def __init__(self, base: Fraction, angles: tuple[IrrationalAngle, ...]):
-        self.base = base
-        self.angles = angles
-        self._sums = {}
+    base: Fraction
+    angles: tuple[IrrationalAngle, ...]
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_exact(self) -> bool:
@@ -190,15 +188,13 @@ class MeanIndex:
                 f = (num * hi.denominator) // (den * hi.numerator)
                 if f == (num * lo.denominator) // (den * lo.numerator):
                     return f
+            elif hi.numerator <= 0:
+                raise ValueError("mean index must be positive")
         raise _undecided(f"floor({num} / ({den} * mean index))", budget, self.angles)
 
     def __float__(self):
         lo, hi = self._bounds(0)
         return float((lo + hi) / 2)
-
-    def __eq__(self, other):
-        return (isinstance(other, MeanIndex) and self.base == other.base
-                and self.angles == other.angles)
 
     def __repr__(self):
         if self.is_exact:

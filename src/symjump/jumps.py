@@ -205,7 +205,7 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
         ConditionCheck("even_index_nullity_upper", i_even + nu_even,
                        2 * N + e_half, "<="),
         ConditionCheck("even_index_splitting_identity", i_even,
-                       2 * N - s_plus - c_total(d) + 2 * delta_from_sides(seed, sides), "=="),
+                       index_at_even_jump(seed, N, delta_from_sides(seed, sides)), "=="),
         ConditionCheck("floor_construction_shape", m_k, lattice_m, "=="),
     )
     return PathVerification(k, conditions, sides)
@@ -390,15 +390,12 @@ def flipped_sides(t: JumpTuple) -> tuple[tuple[str, ...], ...]:
 
 
 def find_complementary_tuples(seeds: Sequence[PathSeed], first: JumpTuple,
-                              delta: Optional[Fraction] = None,
                               n_max: int = 10**6, limit: int = 1,
                               **kwargs) -> list[JumpTuple]:
-    """Tuples whose irrational rotation angles all land on the opposite
-    side from ``first``, so the two near-integer counts add up to the
-    full irrational rotation census."""
-    if delta is None:
-        delta = first.delta
-    return find_jump_tuples(seeds, delta, n_max, limit,
+    """Tuples at ``first``'s delta whose irrational rotation angles all land
+    on the opposite side from ``first``, so the two near-integer counts add
+    up to the full irrational rotation census."""
+    return find_jump_tuples(seeds, first.delta, n_max, limit,
                             required_sides=flipped_sides(first),
                             exclude={first.N}, **kwargs)
 

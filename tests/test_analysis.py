@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from symjump import (ConstraintViolation, Decomposition, GeodesicSystem,
-                     HyperbolicBlock, N1Block, N2Block, PathSeed,
+                     HyperbolicBlock, N1Block, N2Block, NoTupleFound, PathSeed,
                      RotationBlock, betti_constant, compute_delta,
                      derive_peak_constraints, find_complementary_tuples,
                      find_jump_tuples, find_peak_geodesic, index_iterate,
                      nullity_at_even_jump, nullity_iterate,
                      quadratic_angle, rational_angle, run_analysis,
                      second_geodesic, validate_pinching_bounds)
+from symjump import analysis
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
@@ -225,6 +227,37 @@ class TestRunAnalysis:
         assert report.flag == "rational_peak_geodesic"
         assert report.first.tuple_N == report.tuple_used.N and report.candidates
         assert report.second_tuple is None and report.first_bound_at_second is None
+
+    def test_complement_past_n_max_is_no_tuple_found(self):
+        # seed 0 peaks at N = 12776; its complement lies at N = 70145
+        with pytest.raises(NoTupleFound, match=re.escape(
+                "no complementary tuple with N <= 20000 for the peak at N = 12776; "
+                "raise n_max")):
+            run_analysis(two_seed_system(), delta=DELTA, n_max=20000)
+
+    def test_a_fired_flag_wins_over_a_missing_complement(self):
+        # at N = 6050 both seeds peak: seed 0's complement (N = 6347) lies past
+        # n_max, and the rational seed 1 raises the rational-geodesic flag
+        rational = PathSeed(3, 3, 2, Decomposition([RotationBlock(rational_angle(1, 3)),
+                                                    N1Block(1, 0)]))
+        report = run_analysis(GeodesicSystem(3, Fraction(1), (SEED_A, rational)),
+                              delta=DELTA, n_max=6300)
+        assert report.flag == "rational_peak_geodesic"
+        assert report.tuple_used.N == 6050 and report.candidates == (0, 1)
+
+    def test_each_tuple_is_complemented_once(self, monkeypatch):
+        firsts = []
+
+        def counting(seeds, first, **kwargs):
+            firsts.append(first.N)
+            return find_complementary_tuples(seeds, first, **kwargs)
+
+        monkeypatch.setattr(analysis, "find_complementary_tuples", counting)
+        # both copies of the seed peak at every tuple
+        report = run_analysis(GeodesicSystem(3, Fraction(1), (SEED_A, SEED_A)),
+                              delta=DELTA, n_max=10**6)
+        assert report.flag == "no_second_geodesic"
+        assert firsts == [379, 478]
 
 
 def test_first_geodesic_bound_identity_at_complement():

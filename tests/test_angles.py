@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symjump import (DEFAULT_BUDGET, Decomposition, Enclosure, IrrationalAngle,
-                     PathSeed, RotationBlock, UndecidableComparison,
+                     PathSeed, RationalAngle, RotationBlock, UndecidableComparison,
                      complement_angle, decimal_angle, mean_index,
                      quadratic_angle, rational_angle, same_angle,
                      splitting_numbers)
@@ -234,6 +234,31 @@ class TestIdentity:
             x.floor_mul(10**60, budget=0)
         assert x.floor_mul(3, budget=0) == 1  # already decidable at level 0
         assert x.floor_mul(10**60) == quad_floor_oracle(-1, 1, 1, 2, 10**60)
+
+
+class TestValueSemantics:
+    def test_equal_rationals_are_one_value(self):
+        a, b = rational_angle(2, 6), rational_angle(1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_rational_never_equals_quadratic(self):
+        r, q = rational_angle(1, 3), quadratic_angle(-1, 1, 1, 2)
+        assert r != q and q != r
+        assert len({r, q}) == 2
+
+    def test_rational_angle_is_immutable(self):
+        x = rational_angle(1, 3)
+        with pytest.raises(AttributeError):
+            x.value = Fraction(1, 2)
+        assert x.value == Fraction(1, 3)
+
+    def test_is_rational_is_a_class_constant(self):
+        assert RationalAngle.is_rational is True
+        assert IrrationalAngle.is_rational is False
+        assert rational_angle(1, 3).is_rational is True
+        assert quadratic_angle(*GOLDEN).is_rational is False
+        assert decimal_angle("0.6180339887", "1e-10").is_rational is False
 
 
 class TestRefusalNamesLevelAndBudget:

@@ -88,6 +88,21 @@ class TestExamples:
             for m in (10**3, 10**6, 10**30):
                 assert abs(index_iterate(s, m) - 2 * m) <= bound
 
+    def test_mean_index_equality_ignores_the_memo(self):
+        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        used = mean_index(s)
+        used.floor_quotient(10**300, 1)
+        assert used == mean_index(s)
+        assert used != mean_index(PathSeed(2, 2, 0, Decomposition([RotationBlock(GOLDEN)])))
+
+    def test_negative_irrational_mean_index_is_refused_at_once(self):
+        # 0 - 1 + 2(sqrt(2) - 1) < 0
+        s = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2))]))
+        mi = mean_index(s)
+        with pytest.raises(ValueError, match="mean index must be positive"):
+            mi.floor_quotient(5, 1)
+        assert list(mi._sums) == [0]  # level 0 already certifies the sign
+
     def test_bott_gap_examples(self):
         s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
         assert bott_gap(s, 1) == 0

@@ -267,6 +267,24 @@ class TestCli:
         assert r.returncode == 2
         assert b"fcg_contradiction" in r.stdout
 
+    def test_analyze_complement_past_n_max_exit_one(self):
+        r = run_cli("analyze", "--system", SHIPPED, "--n-max", "20000")
+        assert r.returncode == 1 and r.stdout == b""
+        assert r.stderr.decode() == ("error: no complementary tuple with N <= 20000 for the "
+                                     "peak at N = 12776; raise n_max\n")
+
+    def test_verify_negative_mean_index_exit_one(self, tmp_path):
+        doc = {"version": 1, "system": {"n": 2},
+               "seeds": [{"i1": 0, "nu1": 0,
+                          "blocks": [{"r": {"quadratic": [-1, 1, 1, 2]}}]}]}
+        tuple_file = tmp_path / "tuple.json"
+        tuple_file.write_text(json.dumps({"N": 5, "m": [3], "chi": [0], "M": 1,
+                                          "delta": [1, 10], "per_path": []}))
+        r = run_cli("verify", "--seeds", write_scenario(tmp_path, doc),
+                    "--tuple", str(tuple_file))
+        assert r.returncode == 1 and r.stdout == b""
+        assert r.stderr.decode() == "error: mean index must be positive\n"
+
     def test_parse_error_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -280,9 +298,14 @@ class TestCli:
 
     @pytest.mark.parametrize("args,message", [
         (["iterate"], "error: the following arguments are required: --seed"),
+        (["analyze"], "error: the following arguments are required: --system"),
+        (["jump"], "error: the following arguments are required: --seeds"),
+        (["verify", "--tuple", "t.json"],
+         "error: the following arguments are required: --seeds"),
         (["--budget", "x", "iterate", "--seed", SHIPPED],
          "error: argument --budget: budget must be a non-negative integer, got 'x'")],
-        ids=["missing_seed", "budget"])
+        ids=["missing_seed", "missing_system", "missing_seeds", "verify_missing_seeds",
+             "budget"])
     def test_usage_error_is_one_line(self, args, message):
         r = run_cli(*args)
         assert r.returncode == 1 and r.stdout == b""
