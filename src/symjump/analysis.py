@@ -196,7 +196,13 @@ def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple,
     side, so its even iterate falls strictly below the peak; some other
     seed must reach 2N' + (n-1) or the system contradicts finiteness.
     """
-    n1 = system.n - 1
+    return _second_from(system, first, t2, _complement_values(system, t2, budget))
+
+
+def _complement_values(system: GeodesicSystem, t2: JumpTuple,
+                       budget: Optional[int]) -> tuple[int, ...]:
+    """i + nu at every seed's even iterate of t2, each checked against the
+    splitting closed form; the same for every first seed."""
     values = _even_values(system, t2, budget)
     for k, (seed, direct) in enumerate(zip(system.seeds, values)):
         dk = compute_delta(seed, t2.m[k], t2.delta, budget).delta_k
@@ -205,6 +211,13 @@ def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple,
             raise ConstraintViolation(
                 f"seed {k}: direct evaluation {direct} disagrees with the splitting "
                 f"closed form {closed} at the complementary tuple")
+    return tuple(values)
+
+
+def _second_from(system: GeodesicSystem, first: int, t2: JumpTuple,
+                 values: tuple[int, ...]) -> SecondGeodesicResult:
+    """:func:`second_geodesic` given the checked values at t2."""
+    n1 = system.n - 1
     first_bound = ConditionCheck("first_seed_below_peak_at_complement",
                                  values[first], 2 * t2.N + (n1 - 1), "<=")
     if not first_bound.passed:
@@ -212,7 +225,7 @@ def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple,
             f"first seed still reaches {values[first]} > 2N' + n - 2 at the "
             f"complementary tuple; the pair is not complementary")
     second = next((k for k, v in enumerate(values) if k != first and v == 2 * t2.N + n1), None)
-    return SecondGeodesicResult(second, first_bound, tuple(values))
+    return SecondGeodesicResult(second, first_bound, values)
 
 
 def betti_constant(n: int) -> Fraction:
@@ -255,6 +268,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
         pinching=tuple(pinching), tuple_used=None, candidates=(), first=None,
         second_tuple=None, second=None, first_bound_at_second=None)
     unpaired = []  # N of each peak whose complement lies past n_max
+    checked = {}  # the values at each complementary tuple, for every peak seed
     for t in tuples:
         peaks = find_peak_geodesic(system, t, budget)
         looked_up = False  # the complement of t, or its miss, serves every peak seed
@@ -278,7 +292,9 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                     unpaired.append(t.N)
             if t2 is None:
                 continue
-            sg = second_geodesic(system, k0, t2, budget)
+            if t2 not in checked:
+                checked[t2] = _complement_values(system, t2, budget)
+            sg = _second_from(system, k0, t2, checked[t2])
             found = replace(found, second_tuple=t2, first_bound_at_second=sg.first_bound)
             if sg.second is None:
                 if fallback.flag != "no_second_geodesic":

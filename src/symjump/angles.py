@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import UndecidableComparison
 
@@ -321,6 +321,28 @@ class QuadraticAngle(IrrationalAngle):
         # when r < p and above q - p exactly when r >= q - p
         r = self.floor_mul(q * m) - q * self.floor_mul(m)
         return "low" if r < p else "high" if r >= q - p else "mid"
+
+    def convergent_denominators(self, m: int) -> Iterator[int]:
+        """The denominators 1 = q_0 <= q_1 < q_2 < ... of the continued
+        fraction convergents of m*x, without end.
+
+        m*x = (P + sqrt(D))/Q with Q dividing D - P^2, and each partial
+        quotient is floor((P + sqrt(D))/Q) for the next exact (P, Q) of the
+        recurrence P' = t*Q - P, Q' = (D - P'^2)/Q.
+        """
+        _check_multiplier(m)
+        a, b, c, d = self.source[1]
+        P, D, Q = m * a * c, m * m * b * b * d * c * c, c * c
+        if b < 0:
+            P, Q = -P, -Q
+        s = isqrt(D)  # sqrt(D) is irrational: floor((P + sqrt(D))/Q) reads only s
+        q_prev, q = 1, 0
+        while True:
+            t = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+            q_prev, q = q, t * q + q_prev
+            yield q
+            P = t * Q - P
+            Q = (D - P * P) // Q
 
 
 # -- constructors ----------------------------------------------------------

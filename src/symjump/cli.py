@@ -174,8 +174,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "mean-index":
-        seed = _pick_seed(system, args.seed_index)
-        _emit(mean_index(seed), args.format)
+        mi = mean_index(_pick_seed(system, args.seed_index))
+        # the codec emits the enclosure of the default width: refuse here if
+        # the budget cannot reach it
+        mi.enclosure(budget=options.budget)
+        _emit(mi, args.format)
         return EXIT_OK
 
     if args.command == "jump":
@@ -218,7 +221,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_ERROR
 
     seed = _pick_seed(system, args.seed_index)  # realize
-    _emit(realize(seed.decomp, args.precision), args.format)
+    _emit(realize(seed.decomp, args.precision, options.budget), args.format)
     return EXIT_OK
 
 

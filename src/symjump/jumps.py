@@ -22,12 +22,14 @@ the lattice steps s where {2*M*s*x} lies within delta of an integer --
 about 2*delta of them -- listed directly by :func:`near_returns`; every
 other step would fail seed 1's angle-side check.  One bound ends the
 scan: past lattice step last_step(n), seed 1's candidate N exceeds n.
-No walk passes last_step(n_max); progress is reported at the end of
-every chunk of 2048 steps, and the scan stops after the first chunk
-that ends past the bound, which shrinks to last_step of the limit-th
-smallest N once ``limit`` tuples are found.  A query that a skipped
-step or an earlier cheap check spares never refuses, so such a scan can
-succeed where a walk over every step raised UndecidableComparison.
+The scan visits no step past the bound, which starts at
+last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
+more, shrinks to last_step of the limit-th smallest N.  Progress is
+still reported at the end of every chunk of 2048 steps, up to the first
+chunk end past the bound, so the progress calls do not depend on where
+within its chunk the scan stopped.  A query that a skipped step or an
+earlier cheap check spares never refuses, so such a scan can succeed
+where a walk over every step raised UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import ConstraintViolation, NoTupleFound
 from .iteration import MeanIndex, PathSeed, index_iterate, mean_index, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
-_CHUNK = 2048  # lattice steps per scan chunk
+_CHUNK = 2048  # lattice steps between progress calls
 # From delta = 1/4 on 2*delta >= 1/2, so every gap is a candidate.
 _WIDE_DELTA = Fraction(1, 4)
 
@@ -245,13 +247,19 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     are tried in ascending order, and the first that lands on a step is
     the gap to the next one.  The candidates are found once, as needed and
     never beyond ``last``; by the three-gap theorem only a few are tried
-    per step.  From delta = 1/4 on every g is a candidate and this is the
+    per step.  The search for them starts at the first convergent
+    denominator q of mult*x with ||q*mult*x|| < 2*delta: by the best
+    approximation property of convergents every g < q has
+    ||g*mult*x|| >= 2*delta, so a tiny delta costs a few dozen tests, not
+    ``last``.  From delta = 1/4 on every g is a candidate and this is the
     plain walk.  Every test is a closed-form quadratic query, which
     ignores the budget and never refuses.
     """
     _check_delta(delta)
     wide = delta >= _WIDE_DELTA
-    fresh = (g for g in range(1, last + 1)
+    start = 1 if wide else next(q for q in x.convergent_denominators(mult)
+                                if q > last or x.frac_side(mult * q, 2 * delta) != "mid")
+    fresh = (g for g in range(start, last + 1)
              if wide or x.frac_side(mult * g, 2 * delta) != "mid")
     gaps: list[int] = []
     s = 0
@@ -358,19 +366,21 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     hits: list[JumpTuple] = []
     step = next(walk, None)
     for end in itertools.count(_CHUNK, _CHUNK):
-        while step is not None and step <= end:
+        while step is not None and step <= min(end, last):
             m1 = step * M
             i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
             N, odd = divmod(i_odd1 - seed1.i1, 2)
             if not odd and n_min <= N <= n_max and N not in exclude_set:
-                hits += _tuples_at(seeds, mis, N, M, delta, budget, required_sides,
+                found = _tuples_at(seeds, mis, N, M, delta, budget, required_sides,
                                    (m1, i_odd1))
+                hits += found
+                # No tuple with N at most the limit-th smallest found lies past its
+                # last step; ties at that N are at or before it.
+                if found and len(hits) >= limit:
+                    last = last_step(sorted(t.N for t in hits)[limit - 1])
             step = next(walk, None)
         if progress is not None:
             progress(end * M, n_max)
-        # No tuple with N at most the limit-th smallest found lies past its last step.
-        if len(hits) >= limit:
-            last = last_step(sorted(t.N for t in hits)[limit - 1])
         if end > last:
             break
 

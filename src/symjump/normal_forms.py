@@ -208,8 +208,10 @@ def _angle_float(angle: ExactAngle, precision: Fraction, budget=None) -> float:
     raise _undecided(f"{angle!r} to precision {precision}", budget, (angle,))
 
 
-def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.ndarray:
-    """A floating-point symplectic matrix with the decomposition's blocks.
+def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9),
+            budget: Optional[int] = None) -> np.ndarray:
+    """A floating-point symplectic matrix with the decomposition's blocks,
+    each irrational angle evaluated within the refinement budget.
 
     The N2 off-diagonal is realized as +/-[[cos, -sin], [0, 0]], the sign
     chosen by the triviality flag; this satisfies the symplectic relation
@@ -220,19 +222,20 @@ def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.nd
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    mats = [_block_matrix(blk, precision) for blk in d.blocks]
+    mats = [_block_matrix(blk, precision, budget) for blk in d.blocks]
     if not mats:
         return np.zeros((0, 0))
     return diamond_sum(mats)
 
 
-def _block_matrix(blk: BasicForm, precision: Fraction) -> np.ndarray:
+def _block_matrix(blk: BasicForm, precision: Fraction,
+                  budget: Optional[int]) -> np.ndarray:
     import numpy as np
     if isinstance(blk, N1Block):
         return np.array([[blk.lam, blk.b], [0.0, blk.lam]])
     if isinstance(blk, HyperbolicBlock):
         return np.array([[2.0, 0.0], [0.0, 0.5]])
-    theta = 2 * np.pi * _angle_float(blk.angle, precision)
+    theta = 2 * np.pi * _angle_float(blk.angle, precision, budget)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     if isinstance(blk, RotationBlock):

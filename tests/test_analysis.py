@@ -11,8 +11,8 @@ from symjump import (ConstraintViolation, Decomposition, GeodesicSystem,
                      HyperbolicBlock, N1Block, N2Block, NoTupleFound, PathSeed,
                      RotationBlock, betti_constant, compute_delta,
                      derive_peak_constraints, find_complementary_tuples,
-                     find_jump_tuples, find_peak_geodesic, index_iterate,
-                     nullity_at_even_jump, nullity_iterate,
+                     find_jump_tuples, find_peak_geodesic, index_at_even_jump,
+                     index_iterate, nullity_at_even_jump, nullity_iterate,
                      quadratic_angle, rational_angle, run_analysis,
                      second_geodesic, validate_pinching_bounds)
 from symjump import analysis
@@ -258,6 +258,22 @@ class TestRunAnalysis:
                               delta=DELTA, n_max=10**6)
         assert report.flag == "no_second_geodesic"
         assert firsts == [379, 478]
+
+    def test_each_complementary_tuple_is_checked_once(self, monkeypatch):
+        closed_forms = []
+
+        def counting(seed, N, delta_k):
+            closed_forms.append(N)
+            return index_at_even_jump(seed, N, delta_k)
+
+        monkeypatch.setattr(analysis, "index_at_even_jump", counting)
+        # both tuples, N = 379 and 478, complement at N' = 99, where each of
+        # the two peak seeds asks for the values of every seed
+        report = run_analysis(GeodesicSystem(3, Fraction(1), (SEED_A, SEED_A)),
+                              delta=DELTA, n_max=10**6)
+        assert report.flag == "no_second_geodesic"
+        assert report.second_tuple.N == 99
+        assert closed_forms == [99, 99]
 
 
 def test_first_geodesic_bound_identity_at_complement():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -148,6 +149,22 @@ class TestQuadratic:
             quadratic_angle(5, 1, 2, 2)   # value > 1
         with pytest.raises(ValueError):
             quadratic_angle(10**400, 1, 1, 2)  # value > 1, too large for a float
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=quadratics(), m=st.integers(1, 24))
+    def test_convergent_denominators_match_the_decimal_expansion(self, coeffs, m):
+        a, b, c, d = coeffs
+        want, q_prev, q = [], 1, 0
+        with localcontext() as ctx:
+            ctx.prec = 200
+            y = m * (a + b * Decimal(d).sqrt()) / c
+            for _ in range(12):
+                t = int(y.to_integral_value(ROUND_FLOOR))
+                q_prev, q = q, t * q + q_prev
+                want.append(q)
+                y = 1 / (y - t)
+        got = quadratic_angle(*coeffs).convergent_denominators(m)
+        assert list(itertools.islice(got, 12)) == want
 
     def test_sides(self):
         g = quadratic_angle(*GOLDEN)

@@ -20,7 +20,8 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      find_jump_tuples, index_at_even_jump, index_iterate,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
-from symjump.angles import decimal_angle
+from symjump import jumps
+from symjump.angles import QuadraticAngle, decimal_angle
 from symjump.jumps import near_returns
 from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
@@ -391,6 +392,21 @@ class TestNearReturns:
         with pytest.raises(ValueError, match="delta"):
             next(near_returns(GOLDEN, 2, Fraction(1, 2), 10))
 
+    def test_tiny_delta_searches_from_the_convergents(self, monkeypatch):
+        # no gap below 10**6 comes within 2*delta of an integer; only the
+        # convergent denominators of 2x below it are tested to show that
+        calls = []
+        frac_side = QuadraticAngle.frac_side
+
+        def counted(self, m, delta, budget=None):
+            calls.append(m)
+            if len(calls) >= 200:
+                raise AssertionError("near_returns tests gap after gap")
+            return frac_side(self, m, delta, budget)
+
+        monkeypatch.setattr(QuadraticAngle, "frac_side", counted)
+        assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6)) == []
+
 
 @pytest.fixture(scope="module")
 def shipped_seeds():
@@ -408,9 +424,28 @@ def _scan(*args, scan=find_jump_tuples, **kwargs):
 
 
 class TestScanStops:
-    """Progress is reported at every chunk end (2048 lattice steps); the scan
-    stops after the first chunk ending past the last step whose N can be at
-    most n_max, or at most the limit-th smallest N found."""
+    """The scan visits no lattice step past the last one whose N can be at
+    most n_max, or at most the limit-th smallest N found, and stops there;
+    progress is still reported at every chunk end (2048 lattice steps) up to
+    the first one past that step."""
+
+    def test_stops_at_the_step_of_the_limit_th_tuple(self, monkeypatch):
+        # every lattice step s of SEED_R3 is a tuple, N = 2s at m = 3s
+        M = angle_period([SEED_R3])
+        odd_steps = []
+
+        def counted(seed, m, budget=None):
+            if seed is SEED_R3 and m % (2 * M) == 1:
+                odd_steps.append(m // (2 * M))
+            return index_iterate(seed, m, budget)
+
+        monkeypatch.setattr(jumps, "index_iterate", counted)
+        ts, calls = _scan([SEED_R3], Fraction(1, 100), 10**5, 3)
+        assert [t.N for t in ts] == [2, 4, 6]
+        # the largest s with ((2sM + 1)*mean - slack - i1)/2 <= 6, slack = 3
+        last = ((2 * 6 + 3 + SEED_R3.i1) / mean_index(SEED_R3).exact() - 1) // (2 * M)
+        assert odd_steps == list(range(1, last + 1)) == [1, 2, 3]
+        assert calls == [2048 * M]
 
     def test_stops_after_the_limit_th_tuple(self, shipped_seeds):
         ts, calls = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)
@@ -441,7 +476,10 @@ class TestScanStops:
         full, calls = _scan(seeds, delta, 10**5, 50)
         assert full and (len(calls) > 1) == irrational
         for limit in range(1, 5):
-            assert _scan(seeds, delta, 10**5, limit)[0] == full[:limit]
+            ts, some_calls = _scan(seeds, delta, 10**5, limit)
+            assert ts == full[:limit]
+            # all of them when the longer scan reports one chunk
+            assert some_calls == calls[:len(some_calls)]
 
 
 @pytest.mark.parametrize("rng_seed", range(4))

@@ -326,12 +326,24 @@ class TestCli:
     def test_budget_env_override(self, tmp_path):
         doc = json.loads(json.dumps(TWO_SEED_S3))
         path = write_scenario(tmp_path, doc)
-        r = run_cli("jump", "--seeds", path, "--limit", "1",
-                    env_extra={"SYMJUMP_BUDGET": "0"})
-        flag = run_cli("--budget", "0", "jump", "--seeds", path, "--limit", "1")
-        # level 0 of the mean index cannot decide floor(16238 / mean index)
+        r = run_cli("jump", "--seeds", path, env_extra={"SYMJUMP_BUDGET": "0"})
+        flag = run_cli("--budget", "0", "jump", "--seeds", path)
+        # level 0 of the mean index cannot decide floor(16238 / mean index),
+        # which the scan asks on its way to the second tuple
         assert r.returncode == flag.returncode == 3
         assert r.stderr == flag.stderr
+
+    def test_budget_zero_first_tuple_stops_before_the_refusal(self, tmp_path):
+        # the scan stops at the step of N = 12776 and never asks the query
+        # that level 0 cannot decide further on
+        r = run_cli("--format", "machine", "--budget", "0", "jump", "--seeds", SHIPPED,
+                    "--limit", "1")
+        assert r.returncode == 0, r.stderr
+        assert [t.N for t in parse_report(r.stdout)] == [12776]
+        tuple_file = tmp_path / "tuple.json"
+        tuple_file.write_bytes(r.stdout)
+        v = run_cli("--budget", "0", "verify", "--seeds", SHIPPED, "--tuple", str(tuple_file))
+        assert v.returncode == 0, v.stderr
 
     def test_budget_zero_refusal_names_the_budget(self):
         r = run_cli("--budget", "0", "jump", "--seeds", SHIPPED)
@@ -339,6 +351,20 @@ class TestCli:
         message = r.stderr.decode()
         assert message.startswith("undecidable:") and message.count("\n") == 1
         assert "at level 0 of budget 0" in message
+
+    @pytest.mark.parametrize("command", ["mean-index", "realize"])
+    def test_every_command_keeps_the_budget(self, command):
+        # both refuse at level 0 and succeed at level 1
+        r = run_cli("--budget", "0", command, "--seed", SHIPPED)
+        assert r.returncode == 3 and r.stdout == b""
+        message = r.stderr.decode()
+        assert message.count("\n") == 1
+        assert message.startswith("undecidable:")
+        assert message.endswith("undecided at level 0 of budget 0\n")
+        r = run_cli("--format", "machine", command, "--seed", SHIPPED,
+                    env_extra={"SYMJUMP_BUDGET": "1"})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (WIRE / f"{command.replace('-', '_')}.out").read_bytes()
 
     @pytest.mark.parametrize("approx,error", [("0.6", "1e-999999999"),
                                               ("1e999999999", "1e-6")],
