@@ -61,9 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     # main() supplies the defaults.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=_budget_arg, default=argparse.SUPPRESS,
-                        help="refinement levels per certified comparison on decimal, "
-                             "refiner and mean-index values (default: scenario "
-                             "option or 64)")
+                        help="refinement levels per certified comparison on decimal "
+                             "and refiner angles, on mean indices holding one, and for "
+                             "mean-index enclosures and realize floats (default: "
+                             "scenario option or 64)")
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS, help="output rendering")
     parser = _Parser(prog="symjump", parents=[common],

@@ -12,9 +12,9 @@ raises ``UndecidableComparison``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterator, Optional
 
 from .angles import IrrationalAngle, QuadraticAngle, _levels, _undecided
@@ -112,14 +112,40 @@ class MeanIndex:
     """The linear growth rate lim i(m)/m: an exact rational plus twice each
     irrational rotation angle.
 
-    Irrational values are decided on the sum of the angles' enclosures at
-    levels 0 .. budget.  The sum at each level is memoized: a pure
-    function of the level, so no answer depends on earlier queries.
+    When every irrational angle is quadratic, ``surd`` is the exact form
+    (L, A0, ((B_1, D_1), ...)) of the value (A0 + sum B_i*sqrt(D_i))/L, with
+    L > 0, every B_i nonzero and the D_i in distinct square classes (see
+    :func:`mean_index`).  ``cmp``, ``floor_quotient`` and ``lower_bound``
+    then decide in integers, one integer square root per surd, and ignore
+    the budget; the sign of the value is certified once, at construction.
+
+    Otherwise they, and ``enclosure`` and ``float`` always, decide on the
+    sum of the angles' enclosures at levels 0 .. budget.  The sum at each
+    level is memoized: a pure function of the level, so no answer depends
+    on earlier queries.
     """
 
     base: Fraction
     angles: tuple[IrrationalAngle, ...]
+    surd: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # bits beyond the operands' size at which floor_quotient encloses a
+    # positive surd value; None when the value is negative
+    _pad: Optional[int] = field(default=None, init=False, compare=False, repr=False)
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.surd is None:
+            return
+        scale, a0, terms = self.surd
+        k = len(terms)
+        p = _norm_bits(a0, terms)
+        t = _floor_scaled(a0, terms, p)
+        if _certified_sign(t, k) > 0:
+            # v*2**p >= max(t, k) for v = A0 + sum B_i*sqrt(D_i), so v >= 2**-e;
+            # at p' >= bits(num) - bits(den) + pad bits the enclosure of v is
+            # positive and puts num*L/(den*v) in an interval narrower than 2**-31
+            e = max(0, p + 1 - max(t, k).bit_length())
+            self._pad = scale.bit_length() + k.bit_length() + 2 * e + 33
 
     @property
     def is_exact(self) -> bool:
@@ -147,6 +173,11 @@ class MeanIndex:
         for level in levels[min(first, len(levels) - 1):]:
             yield self._bounds(level)
 
+    def _positive_surd(self) -> tuple[int, int, tuple]:
+        if self._pad is None:
+            raise ValueError("mean index must be positive")
+        return self.surd
+
     def enclosure(self, tol: Optional[Fraction] = None,
                   budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
         """Certified rational interval around the mean index."""
@@ -159,12 +190,29 @@ class MeanIndex:
                 return lo, hi
         raise _undecided(f"mean index enclosure of width {tol}", budget, self.angles)
 
+    def lower_bound(self, budget: Optional[int] = None) -> Fraction:
+        """A certified positive lower bound on a positive mean index, within
+        1e-6 of it: the jump scan's step bound."""
+        if self.surd is not None:
+            scale, a0, terms = self._positive_surd()
+            return Fraction(_floor_scaled(a0, terms, self._pad), scale << self._pad)
+        if self.is_exact and self.base <= 0:
+            raise ValueError("mean index must be positive")
+        tol = Fraction(1, 10**6)
+        while (lo := self.enclosure(tol, budget)[0]) <= 0:
+            tol /= 2**24
+        return lo
+
     def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
         """Certified comparison against a rational: -1, 0 or +1."""
         other = Fraction(other)
         if self.is_exact:
             v = self.base
             return -1 if v < other else (0 if v == other else 1)
+        if self.surd is not None:
+            scale, a0, terms = self.surd
+            p, q = other.numerator, other.denominator
+            return _surd_sign(a0 * q - p * scale, [(b * q, d) for b, d in terms])
         for lo, hi in self._bounds_upto(budget):
             if lo > other:
                 return 1
@@ -180,6 +228,20 @@ class MeanIndex:
             if self.base <= 0:
                 raise ValueError("mean index must be positive")
             return (num * self.base.denominator) // (den * self.base.numerator)
+        if self.surd is not None:
+            scale, a0, terms = self._positive_surd()
+            k = len(terms)
+            # t <= v*2**p < t + k for v = value*L, and t > 0
+            p = max(num.bit_length() - den.bit_length(), 0) + self._pad
+            t = _floor_scaled(a0, terms, p)
+            n = num * scale << p
+            f = n // (den * (t + k))
+            if f == n // (den * t):
+                return f
+            # the enclosure is narrower than 1: the floor is f or f + 1,
+            # as num*L - den*(f + 1)*v is negative or positive
+            g = den * (f + 1)
+            return f + (_surd_sign(num * scale - g * a0, [(-g * b, d) for b, d in terms]) > 0)
         # A level of 24 more bits decides quotients about 2**24 times larger,
         # so start near the level the operands' size needs.
         first = max(0, (num.bit_length() - den.bit_length()) // 24 - 1)
@@ -202,26 +264,89 @@ class MeanIndex:
         return f"MeanIndex({self.base} + irrational, ~{float(self):.6f})"
 
 
+# -- surds: A0 + sum B_i*sqrt(D_i), the D_i non-squares in distinct square classes
+
+
+def _floor_scaled(a0: int, terms, p: int) -> int:
+    """floor(A0*2**p) plus floor(B_i*sqrt(D_i)*2**p) for each surd: one
+    integer square root each.  Each B_i*sqrt(D_i)*2**p is irrational, so
+    the sum t satisfies t <= v*2**p < t + k for the value v of k surds."""
+    t = a0 << p
+    for b, d in terms:
+        f = isqrt(b * b * d << 2 * p)
+        t += f if b > 0 else -f - 1
+    return t
+
+
+def _norm_bits(a0: int, terms) -> int:
+    """Bits p with |v|*2**p > k for the value v of k >= 1 surds.
+
+    v is nonzero: square roots of distinct square classes are linearly
+    independent over Q (Besicovitch 1940).  For the same reason each of its
+    2**k conjugates A0 +/- B_1*sqrt(D_1) +/- ... is nonzero, and their
+    product is an integer (each sign flip leaves it unchanged), hence at
+    least 1 in size.  Each conjugate is below
+    H = |A0| + sum |B_i|*(isqrt(D_i) + 1), so |v| >= H**-(2**k - 1).
+    """
+    k = len(terms)
+    h = abs(a0) + sum(abs(b) * (isqrt(d) + 1) for b, d in terms)
+    return ((1 << k) - 1) * h.bit_length() + (k + 1).bit_length() + 1
+
+
+def _certified_sign(t: int, k: int) -> int:
+    """The sign of a nonzero v from t <= v*2**p < t + k, p from _norm_bits."""
+    if t >= 0:
+        return 1
+    if t + k <= 0:
+        return -1
+    # |v|*2**p > k rules out -k < t < 0
+    raise ArithmeticError(f"surd sign undecided at t = {t} for {k} surds")
+
+
+def _surd_sign(a0: int, terms) -> int:
+    """The sign of the value of k >= 1 surds.  For one surd the floor at
+    p = 0 is already exact: t + 1 <= 0 whenever t < 0."""
+    p = 0 if len(terms) == 1 else _norm_bits(a0, terms)
+    return _certified_sign(_floor_scaled(a0, terms, p), len(terms))
+
+
 def mean_index(seed: PathSeed) -> MeanIndex:
     """Closed form of lim i(m)/m: i1 + p- + p0 - r + sum of theta_j/pi.
 
-    A quadratic angle is a/c + sign(b)*sqrt(b^2 d/c^2).  When the signs of
-    the quadratic angles sharing one irrational part sqrt(b^2 d/c^2) sum
-    to zero (x and 1 - x, say), their sum is the rational sum of the a/c.
+    A quadratic angle (a + b*sqrt(d))/c adds 2a/c to the rational part and
+    (2b/c)*sqrt(d) to the irrational one.  When d*d' is a perfect square,
+    sqrt(d') = (isqrt(d*d')/d)*sqrt(d), so one term per square class is
+    kept, found by that test alone (d is never factored).  Square roots of
+    distinct square classes are linearly independent over Q, so the angles
+    of a class whose coefficient is zero (x beside 1 - x, say) add their
+    rational parts only; when no irrational angle is left the mean index
+    is exact.  When every one left is quadratic, the terms scaled to
+    integers give the exact form ``surd`` of :class:`MeanIndex`.
     """
     d = seed.decomp
     base = Fraction(seed.i1 + d.p_minus + d.p_zero - d.r)
-    signs = Counter()
-    for a in d.theta_angles:
-        if isinstance(a, QuadraticAngle):
-            _, positive, part = a._key()
-            signs[part] += 1 if positive else -1
-    irr = []
-    for a in d.theta_angles:
-        if a.is_rational:
-            base += 2 * a.value
-        elif isinstance(a, QuadraticAngle) and signs[a._key()[2]] == 0:
-            base += 2 * a._key()[0]
+    coefficients = {}  # one radicand per square class -> coefficient of its sqrt
+    irrational = []    # (angle, its class's radicand and 2a/c, or None and 0)
+    for x in d.theta_angles:
+        if x.is_rational:
+            base += 2 * x.value
+        elif isinstance(x, QuadraticAngle):
+            a, b, c, r = x.source[1]
+            rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
+            coefficients[rep] = (coefficients.get(rep, 0)
+                                 + Fraction(2 * b * isqrt(rep * r), c * rep))
+            irrational.append((x, rep, Fraction(2 * a, c)))
         else:
-            irr.append(a)
-    return MeanIndex(base, tuple(irr))
+            irrational.append((x, None, 0))
+    if not irrational:
+        return MeanIndex(base, ())
+    terms = {r: b for r, b in coefficients.items() if b}
+    angles = tuple(x for x, rep, _ in irrational if rep is None or rep in terms)
+    base += sum(half for _, rep, half in irrational if rep is not None and rep not in terms)
+    surd = None
+    if angles and all(rep is not None for _, rep, _ in irrational):
+        rational = base + sum(half for _, rep, half in irrational if rep in terms)
+        scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
+        surd = (scale, int(rational * scale),
+                tuple((int(b * scale), r) for r, b in terms.items()))
+    return MeanIndex(base, angles, surd)

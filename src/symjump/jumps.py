@@ -346,12 +346,9 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     seed1, mi1 = seeds[0], mis[0]
     d1 = seed1.decomp
     # i(2m+1) >= (2m+1)*mean - slack, so past lattice step last_step(n) the
-    # candidate N = (i(2m+1) - i1)/2 exceeds n.  The bound needs a positive
-    # mean index lower bound, narrower than 1e-6 for a tiny mean.
+    # candidate N = (i(2m+1) - i1)/2 exceeds n.
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
-    tol = Fraction(1, 10**6)
-    while (mi1_lo := mi1.enclosure(tol, budget)[0]) <= 0:
-        tol /= 2**24
+    mi1_lo = mi1.lower_bound(budget)
 
     def last_step(n: int) -> int:
         return ((2 * n + slack + seed1.i1) / mi1_lo - 1) // (2 * M)

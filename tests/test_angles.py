@@ -301,11 +301,14 @@ class TestRefusalNamesLevelAndBudget:
     def test_mean_index(self):
         golden = quadratic_angle(*GOLDEN)
         mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(golden)])))
+        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
+            mi.enclosure(Fraction(1, 10**100), budget=2)
+        # a quadratic mean index decides these exactly; a refiner's reads levels
+        x = sqrt2_minus_1_by_refiner()
+        mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(x)])))
         with pytest.raises(UndecidableComparison, match=re.escape(
                 "floor(1000000000000 / (1 * mean index)) undecided at level 0 of budget 0")):
             mi.floor_quotient(10**12, 1, budget=0)
-        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
-            mi.enclosure(Fraction(1, 10**100), budget=2)
         lo, hi = mi.enclosure(Fraction(1, 10**40))
         with pytest.raises(UndecidableComparison, match="at level 1 of budget 1$"):
             mi.cmp((lo + hi) / 2, budget=1)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
                      IterationRow, N1Block,
@@ -69,24 +72,27 @@ class TestExamples:
         s = PathSeed(2, 5, 0, Decomposition([HyperbolicBlock()]))
         assert mean_index(s).exact() == 5
 
-    @pytest.mark.parametrize("other,exact", [
-        ((2, -1, 1, 2), True),     # 1 - x: the irrational parts cancel
-        ((4, -1, 2, 8), True),     # 1 - x, written (4 - sqrt(8))/2
-        ((0, 1, 4, 2), False),     # sqrt(2)/4: another irrational part
-        ((-1, 1, 2, 5), False)],   # another field
-        ids=["conjugate", "conjugate_disguised", "other_part", "other_field"])
-    def test_mean_index_of_conjugate_quadratic_rotations(self, other, exact):
+    @pytest.mark.parametrize("i1,others,mean", [
+        (2, [(2, -1, 1, 2)], 2),      # 1 - x: the irrational parts cancel
+        (2, [(4, -1, 2, 8)], 2),      # 1 - x, written (4 - sqrt(8))/2
+        (2, [(0, 1, 4, 2)], None),    # sqrt(2)/4: another irrational part
+        (2, [(-1, 1, 2, 5)], None),   # another field
+        # (2 - sqrt(2))/2 twice: the parts 2*sqrt(2) and -sqrt(2) - sqrt(2)
+        (4, [(2, -1, 2, 2), (2, -1, 2, 2)], 3)],
+        ids=["conjugate", "conjugate_disguised", "other_part", "other_field",
+             "two_halves"])
+    def test_mean_index_of_conjugate_quadratic_rotations(self, i1, others, mean):
         x = quadratic_angle(-1, 1, 1, 2)
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(x),
-                                             RotationBlock(quadratic_angle(*other))]))
+        blocks = [RotationBlock(x)] + [RotationBlock(quadratic_angle(*o)) for o in others]
+        s = PathSeed(len(blocks) + 1, i1, 0, Decomposition(blocks))
         mi = mean_index(s)
-        assert mi.is_exact == exact
-        if exact:
-            assert mi.exact() == 2
+        assert mi.is_exact == (mean is not None)
+        if mean is not None:
+            assert mi.exact() == mean
             d = s.decomp
             bound = 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
             for m in (10**3, 10**6, 10**30):
-                assert abs(index_iterate(s, m) - 2 * m) <= bound
+                assert abs(index_iterate(s, m) - mean * m) <= bound
 
     def test_mean_index_equality_ignores_the_memo(self):
         s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
@@ -101,7 +107,7 @@ class TestExamples:
         mi = mean_index(s)
         with pytest.raises(ValueError, match="mean index must be positive"):
             mi.floor_quotient(5, 1)
-        assert list(mi._sums) == [0]  # level 0 already certifies the sign
+        assert not mi._sums  # the exact form certifies the sign: no level is read
 
     def test_bott_gap_examples(self):
         s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
@@ -227,6 +233,126 @@ def test_bott_gap_bound_randomized(rng_seed):
     floor_bound = s.i1 - elliptic_height(s.decomp) // 2
     for m in range(1, 101):
         assert bott_gap(s, m) >= floor_bound
+
+
+# Square classes of radicands: sqrt(8) = 2*sqrt(2) beside sqrt(2) must merge.
+SQUARE_CLASSES = ((2, 8, 18), (3, 12), (5, 20), (7, 63))
+
+# A0 + B1*sqrt(2) + B2*sqrt(3) within 5e-6 of 0, among the closest with
+# |B_i| < 1500 (their signs checked to 60 digits).  At half the norm bound's
+# precision 8 of them fall where the integer floors cannot tell the sign.
+NEAR_ZERO = [
+    (-28, 495, -388), (-56, 990, -776), (-84, 1485, -1164), (-1097, -803, 1289),
+    (-1125, -308, 901), (-1153, 187, 513), (-1181, 682, 125), (-1209, 1177, -263),
+    (-2278, -121, 1414), (-2306, 374, 1026), (-2334, 869, 638), (-2362, 1364, 250),
+    (-3487, 1056, 1151), (-4180, 1426, 1249), (-3027, 1239, 736), (-2999, 744, 1124),
+    (-1874, 1052, 223), (-1846, 557, 611), (-1818, 62, 999), (-1790, -433, 1387),
+    (-749, 1360, -678), (-721, 865, -290), (-693, 370, 98), (-665, -125, 486),
+    (-637, -620, 874), (-609, -1115, 1262), (-404, -1173, 1191), (-432, -678, 803),
+    (-460, -183, 415), (-488, 312, 27), (-516, 807, -361), (-544, 1302, -749),
+    (-1585, -491, 1316), (-1613, 4, 928), (-1641, 499, 540), (-1669, 994, 152),
+    (-1697, 1489, -236), (-2766, 191, 1441), (-2794, 686, 1053), (-2822, 1181, 665)]
+
+
+def _quadratic_in(draw, d: int) -> tuple:
+    """(a, b, c, d) with (a + b*sqrt(d))/c in (0, 1)."""
+    b = draw(st.integers(-60, 60).filter(bool))
+    c = draw(st.integers(1, 200))
+    floor_minus_b_root = -isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)
+    return floor_minus_b_root + draw(st.integers(1, c)), b, c, d
+
+
+@st.composite
+def quadratic_seeds(draw, fields: int):
+    """A seed of quadratic rotations over ``fields`` square classes, with a
+    positive mean index, and that mean index to 400 digits.  Sometimes the
+    first angle's complement 1 - x is added, written over sqrt(4d)."""
+    angles = []
+    for radicands in draw(st.permutations(SQUARE_CLASSES))[:fields]:
+        for _ in range(draw(st.integers(1, 2))):
+            angles.append(_quadratic_in(draw, draw(st.sampled_from(radicands))))
+    if draw(st.booleans()):
+        a, b, c, d = angles[0]
+        angles.append((2 * (c - a), -b, 2 * c, 4 * d))
+    i1 = len(angles) + draw(st.integers(0, 3))
+    seed = PathSeed(len(angles) + 1, i1, 0, Decomposition(
+        [RotationBlock(quadratic_angle(*x)) for x in angles]))
+    with localcontext() as ctx:
+        ctx.prec = 400
+        value = i1 - len(angles) + sum(2 * (a + b * Decimal(d).sqrt()) / c
+                                       for a, b, c, d in angles)
+    return seed, value
+
+
+def _convergents(value: Decimal, q_max: int):
+    """Continued-fraction convergents p/q of value with q <= q_max."""
+    num, den = Fraction(value).as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den:
+        t = num // den
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        if q1 > q_max:
+            return
+        yield p1, q1
+        num, den = den, num - t * den
+
+
+def _decimal_floor(x: Decimal):
+    """floor(x), or None when x lies too near an integer for 400 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        f = int(x.to_integral_value(rounding=ROUND_FLOOR))
+        margin = Decimal(10) ** (x.adjusted() - 380)
+        return f if margin < x - f < 1 - margin else None
+
+
+class TestSurdKernel:
+    """floor_quotient and cmp of quadratic mean indices, decided in integers
+    from the exact form, against an independent 400-digit decimal value,
+    at random operands and at the continued-fraction convergents p/q of the
+    mean index, where p/q, p/mean and p/(q*mean) lie nearest an integer."""
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), num=st.integers(0, 10**300), den=st.integers(1, 10**9))
+    def test_against_decimal(self, fields, data, num, den):
+        seed, value = data.draw(quadratic_seeds(fields))
+        mi = mean_index(seed)
+        if mi.is_exact:  # the complement cancelled every irrational part
+            assert abs(Fraction(value) - mi.exact()) < Fraction(1, 10**390)
+            return
+        with localcontext() as ctx:
+            ctx.prec = 400
+            want = _decimal_floor(Decimal(num) / (den * value))
+            assume(want is not None)
+            assert mi.floor_quotient(num, den) == want
+            for p, q in _convergents(value, 10**100):
+                gap = value - Decimal(p) / q
+                assert abs(gap) > Decimal(10) ** -390
+                assert mi.cmp(Fraction(p, q)) == (1 if gap > 0 else -1)
+                for n, d in ((p, 1), (p, q), (p * den, den)):
+                    want = _decimal_floor(Decimal(n) / (d * value))
+                    if want is not None:
+                        assert mi.floor_quotient(n, d) == want
+        assert not mi._sums  # no refinement level was read
+
+    @pytest.mark.parametrize("vector", NEAR_ZERO)
+    def test_sign_of_near_zero_surds(self, vector):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a0, b1, b2 = vector
+            value = a0 + b1 * Decimal(2).sqrt() + b2 * Decimal(3).sqrt()
+        for sign in (1, -1):
+            a0, b1, b2 = (sign * v for v in vector)
+            # 2x = a + b*sqrt(d) for x = (a + b*sqrt(d))/2 in (0, 1), so the mean
+            # index of the seed minus a1 + a2 - a0 is a0 + b1*sqrt(2) + b2*sqrt(3)
+            (a1, *x1), (a2, *x2) = (
+                (1 + (-isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)), b, 2, d)
+                for b, d in ((b1, 2), (b2, 3)))
+            seed = PathSeed(3, 2, 0, Decomposition([
+                RotationBlock(quadratic_angle(a1, *x1)),
+                RotationBlock(quadratic_angle(a2, *x2))]))
+            assert mean_index(seed).cmp(a1 + a2 - a0) == (1 if sign * value > 0 else -1)
 
 
 def test_undecidable_names_offending_iterate():

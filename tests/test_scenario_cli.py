@@ -44,6 +44,11 @@ TWO_SEED_S3 = {
     "options": {"delta": [1, 100], "n_max": 1000000, "limit": 3, "m_max": 6},
 }
 
+# The shipped scenario with seed 2 rotating by a decimal angle: the budget
+# bounds only decimal and refiner angles, and this one refuses at level 0.
+DECIMAL_S3 = copy.deepcopy(TWO_SEED_S3)
+DECIMAL_S3["seeds"][1]["blocks"][0] = {"r": {"decimal": "0.6180339887", "error": "1e-7"}}
+
 # Every block kind, every angle kind and all five options.
 EVERY_KIND = {
     "version": 1,
@@ -324,18 +329,38 @@ class TestCli:
         assert b"undecidable" in r.stderr
 
     def test_budget_env_override(self, tmp_path):
-        doc = json.loads(json.dumps(TWO_SEED_S3))
-        path = write_scenario(tmp_path, doc)
+        path = write_scenario(tmp_path, DECIMAL_S3)
         r = run_cli("jump", "--seeds", path, env_extra={"SYMJUMP_BUDGET": "0"})
         flag = run_cli("--budget", "0", "jump", "--seeds", path)
-        # level 0 of the mean index cannot decide floor(16238 / mean index),
-        # which the scan asks on its way to the second tuple
+        # the decimal angle cannot decide an angle side the scan asks; the
+        # refusal names budget 0, not the default 64, from either source
         assert r.returncode == flag.returncode == 3
         assert r.stderr == flag.stderr
+        assert r.stderr.decode().endswith("at level 0 of budget 0\n")
 
-    def test_budget_zero_first_tuple_stops_before_the_refusal(self, tmp_path):
-        # the scan stops at the step of N = 12776 and never asks the query
-        # that level 0 cannot decide further on
+    @pytest.mark.parametrize("command,flag", [("jump", "--seeds"), ("analyze", "--system")])
+    def test_budget_zero_replays_the_wire_fixture(self, command, flag):
+        # every angle is quadratic: no query reads a refinement level
+        r = run_cli("--format", "machine", "--budget", "0", command, flag, SHIPPED)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (WIRE / f"{command}.out").read_bytes()
+
+    def test_budget_zero_scan_bound_from_the_exact_form(self, tmp_path):
+        # mean index 200*sqrt(2) - 282 ~ 0.843: level 0 encloses it only to
+        # 1.2e-5, wider than the 1e-6 the scan's step bound asked of it
+        doc = {"version": 1, "system": {"n": 2},
+               "seeds": [{"i1": 1, "nu1": 0,
+                          "blocks": [{"r": {"quadratic": [-141, 100, 1, 2]}}]}],
+               "options": {"delta": [1, 10], "n_max": 2000}}
+        path = write_scenario(tmp_path, doc)
+        zero = run_cli("--format", "machine", "--budget", "0", "jump", "--seeds", path)
+        one = run_cli("--format", "machine", "--budget", "1", "jump", "--seeds", path)
+        assert zero.returncode == one.returncode == 0, zero.stderr
+        assert zero.stdout == one.stdout
+
+    def test_budget_zero_first_tuple_verifies(self, tmp_path):
+        # the scan stops at the step of N = 12776, and its tuple verifies at
+        # budget 0
         r = run_cli("--format", "machine", "--budget", "0", "jump", "--seeds", SHIPPED,
                     "--limit", "1")
         assert r.returncode == 0, r.stderr
@@ -345,8 +370,8 @@ class TestCli:
         v = run_cli("--budget", "0", "verify", "--seeds", SHIPPED, "--tuple", str(tuple_file))
         assert v.returncode == 0, v.stderr
 
-    def test_budget_zero_refusal_names_the_budget(self):
-        r = run_cli("--budget", "0", "jump", "--seeds", SHIPPED)
+    def test_budget_zero_refusal_names_the_budget(self, tmp_path):
+        r = run_cli("--budget", "0", "jump", "--seeds", write_scenario(tmp_path, DECIMAL_S3))
         assert r.returncode == 3
         message = r.stderr.decode()
         assert message.startswith("undecidable:") and message.count("\n") == 1
@@ -410,6 +435,24 @@ class TestCli:
         system, _ = parse_scenario(Path(path).read_bytes())
         assert len(tuples) == 3
         assert all(verify_tuple(t, system.seeds, budget=0).passed for t in tuples)
+
+    def test_cancelling_rotations_written_differently_scan_exactly(self, tmp_path):
+        # sqrt(2) - 1 beside (2 - sqrt(2))/2 twice: the sqrt(2) parts cancel
+        # across the two forms, so the mean index is exactly 3
+        doc = {"version": 1, "system": {"n": 4},
+               "seeds": [{"i1": 4, "nu1": 0, "blocks": [
+                   {"r": {"quadratic": [-1, 1, 1, 2]}}, {"r": {"quadratic": [2, -1, 2, 2]}},
+                   {"r": {"quadratic": [2, -1, 2, 2]}}]}],
+               "options": {"delta": [1, 10], "n_max": 2000}}
+        path = write_scenario(tmp_path, doc)
+        r = run_cli("mean-index", "--seed", path)
+        assert r.returncode == 0
+        assert r.stdout == b"mean index = 3 (exact, ~3.000000000)\n"
+        r = run_cli("--format", "machine", "jump", "--seeds", path, timeout=60)
+        assert r.returncode == 0, r.stderr
+        tuples = parse_report(r.stdout)
+        system, _ = parse_scenario(Path(path).read_bytes())
+        assert tuples and all(verify_tuple(t, system.seeds).passed for t in tuples)
 
     def test_tiny_delta_jump_ends(self):
         # the sieve's first return at delta = 1e-7 lies beyond the last step
