@@ -116,8 +116,9 @@ class MeanIndex:
     (L, A0, ((B_1, D_1), ...)) of the value (A0 + sum B_i*sqrt(D_i))/L, with
     L > 0, every B_i nonzero and the D_i in distinct square classes (see
     :func:`mean_index`).  ``cmp``, ``floor_quotient`` and ``lower_bound``
-    then decide in integers, one integer square root per surd, and ignore
-    the budget; the sign of the value is certified once, at construction.
+    then decide in integers, one integer square root per surd at each
+    precision tried (see :func:`_decided_floor`), and ignore the budget;
+    the sign of the value is certified once, at construction.
 
     Otherwise they, and ``enclosure`` and ``float`` always, decide on the
     sum of the angles' enclosures at levels 0 .. budget.  The sum at each
@@ -138,13 +139,12 @@ class MeanIndex:
             return
         scale, a0, terms = self.surd
         k = len(terms)
-        p = _norm_bits(a0, terms)
-        t = _floor_scaled(a0, terms, p)
-        if _certified_sign(t, k) > 0:
-            # v*2**p >= max(t, k) for v = A0 + sum B_i*sqrt(D_i), so v >= 2**-e;
+        p, t = _decided_floor(a0, terms)
+        if t > 0:
+            # v*2**p > t >= 1 for v = A0 + sum B_i*sqrt(D_i), so v >= 2**-e;
             # at p' >= bits(num) - bits(den) + pad bits the enclosure of v is
             # positive and puts num*L/(den*v) in an interval narrower than 2**-31
-            e = max(0, p + 1 - max(t, k).bit_length())
+            e = max(0, p + 1 - t.bit_length())
             self._pad = scale.bit_length() + k.bit_length() + 2 * e + 33
 
     @property
@@ -278,36 +278,48 @@ def _floor_scaled(a0: int, terms, p: int) -> int:
     return t
 
 
-def _norm_bits(a0: int, terms) -> int:
-    """Bits p with |v|*2**p > k for the value v of k >= 1 surds.
+def _norm_bits(h: int, k: int) -> int:
+    """Bits p with |v|*2**p > k for the value v of k >= 1 surds of height h.
 
     v is nonzero: square roots of distinct square classes are linearly
     independent over Q (Besicovitch 1940).  For the same reason each of its
     2**k conjugates A0 +/- B_1*sqrt(D_1) +/- ... is nonzero, and their
     product is an integer (each sign flip leaves it unchanged), hence at
-    least 1 in size.  Each conjugate is below
+    least 1 in size.  Each conjugate is below the height
     H = |A0| + sum |B_i|*(isqrt(D_i) + 1), so |v| >= H**-(2**k - 1).
     """
-    k = len(terms)
-    h = abs(a0) + sum(abs(b) * (isqrt(d) + 1) for b, d in terms)
     return ((1 << k) - 1) * h.bit_length() + (k + 1).bit_length() + 1
 
 
-def _certified_sign(t: int, k: int) -> int:
-    """The sign of a nonzero v from t <= v*2**p < t + k, p from _norm_bits."""
-    if t >= 0:
-        return 1
-    if t + k <= 0:
-        return -1
-    # |v|*2**p > k rules out -k < t < 0
-    raise ArithmeticError(f"surd sign undecided at t = {t} for {k} surds")
+def _decided_floor(a0: int, terms) -> tuple[int, int]:
+    """The first (p, t) with t = _floor_scaled(a0, terms, p) and t >= 1
+    (so v > t/2**p > 0) or t + k <= 0 (so v < 0), for the value v of
+    k >= 1 surds.
+
+    p starts at bits(H) + 64 and doubles.  Most values show their sign
+    there; the norm bound of :func:`_norm_bits`, which grows as 2**k, is
+    only the cap that makes the search end: at it |v|*2**p > k, which rules
+    out -k < t < 1.
+    """
+    k = len(terms)
+    h = abs(a0) + sum(abs(b) * (isqrt(d) + 1) for b, d in terms)
+    cap = _norm_bits(h, k)
+    p = min(h.bit_length() + 64, cap)
+    while True:
+        t = _floor_scaled(a0, terms, p)
+        if t >= 1 or t + k <= 0:
+            return p, t
+        if p == cap:
+            raise ArithmeticError(f"surd sign undecided at t = {t} for {k} surds")
+        p = min(2 * p, cap)
 
 
 def _surd_sign(a0: int, terms) -> int:
     """The sign of the value of k >= 1 surds.  For one surd the floor at
     p = 0 is already exact: t + 1 <= 0 whenever t < 0."""
-    p = 0 if len(terms) == 1 else _norm_bits(a0, terms)
-    return _certified_sign(_floor_scaled(a0, terms, p), len(terms))
+    if len(terms) == 1:
+        return 1 if _floor_scaled(a0, terms, 0) >= 0 else -1
+    return 1 if _decided_floor(a0, terms)[1] > 0 else -1
 
 
 def mean_index(seed: PathSeed) -> MeanIndex:
@@ -325,8 +337,10 @@ def mean_index(seed: PathSeed) -> MeanIndex:
     """
     d = seed.decomp
     base = Fraction(seed.i1 + d.p_minus + d.p_zero - d.r)
-    coefficients = {}  # one radicand per square class -> coefficient of its sqrt
-    irrational = []    # (angle, its class's radicand and 2a/c, or None and 0)
+    coefficients = {}    # one radicand per square class -> coefficient of its sqrt
+    rational_parts = {}  # the same radicand -> sum of 2a/c over its class's angles
+    quadratic = []       # (quadratic angle, its class's radicand)
+    others = []          # irrational angles that are not quadratic
     for x in d.theta_angles:
         if x.is_rational:
             base += 2 * x.value
@@ -335,17 +349,18 @@ def mean_index(seed: PathSeed) -> MeanIndex:
             rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
             coefficients[rep] = (coefficients.get(rep, 0)
                                  + Fraction(2 * b * isqrt(rep * r), c * rep))
-            irrational.append((x, rep, Fraction(2 * a, c)))
+            rational_parts[rep] = rational_parts.get(rep, 0) + Fraction(2 * a, c)
+            quadratic.append((x, rep))
         else:
-            irrational.append((x, None, 0))
-    if not irrational:
+            others.append(x)
+    if not quadratic and not others:
         return MeanIndex(base, ())
     terms = {r: b for r, b in coefficients.items() if b}
-    angles = tuple(x for x, rep, _ in irrational if rep is None or rep in terms)
-    base += sum(half for _, rep, half in irrational if rep is not None and rep not in terms)
+    base += sum(v for r, v in rational_parts.items() if r not in terms)
+    angles = tuple(x for x, rep in quadratic if rep in terms) + tuple(others)
     surd = None
-    if angles and all(rep is not None for _, rep, _ in irrational):
-        rational = base + sum(half for _, rep, half in irrational if rep in terms)
+    if terms and not others:
+        rational = base + sum(rational_parts[r] for r in terms)
         scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
         surd = (scale, int(rational * scale),
                 tuple((int(b * scale), r) for r, b in terms.items()))

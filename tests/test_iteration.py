@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
-                     IterationRow, N1Block,
-                     N2Block, PathSeed, RotationBlock, UndecidableComparison,
-                     bott_gap, decimal_angle, elliptic_height, index_iterate,
+                     IterationRow, N1Block, N2Block, NoTupleFound, PathSeed,
+                     RotationBlock, UndecidableComparison, bott_gap,
+                     decimal_angle, elliptic_height, find_jump_tuples, index_iterate,
                      iteration_rows, mean_index, nullity_iterate,
                      quadratic_angle, rational_angle, realize)
 
@@ -240,7 +240,7 @@ SQUARE_CLASSES = ((2, 8, 18), (3, 12), (5, 20), (7, 63))
 
 # A0 + B1*sqrt(2) + B2*sqrt(3) within 5e-6 of 0, among the closest with
 # |B_i| < 1500 (their signs checked to 60 digits).  At half the norm bound's
-# precision 8 of them fall where the integer floors cannot tell the sign.
+# precision 15 of them fall where the integer floors cannot show the sign.
 NEAR_ZERO = [
     (-28, 495, -388), (-56, 990, -776), (-84, 1485, -1164), (-1097, -803, 1289),
     (-1125, -308, 901), (-1153, 187, 513), (-1181, 682, 125), (-1209, 1177, -263),
@@ -353,6 +353,35 @@ class TestSurdKernel:
                 RotationBlock(quadratic_angle(a1, *x1)),
                 RotationBlock(quadratic_angle(a2, *x2))]))
             assert mean_index(seed).cmp(a1 + a2 - a0) == (1 if sign * value > 0 else -1)
+
+    def test_many_square_classes_decide_at_low_precision(self, monkeypatch):
+        """The norm bound of 20 square classes needs about 2**20 * bits(H)
+        bits; a value of size 1 shows its sign near bits(H) + 64 bits, and
+        no square root of the kernel may be taken much wider than that."""
+        from symjump import iteration
+
+        def bounded_isqrt(n: int) -> int:
+            assert n.bit_length() < 4096, f"isqrt of {n.bit_length()} bits"
+            return isqrt(n)
+
+        monkeypatch.setattr(iteration, "isqrt", bounded_isqrt)
+        radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31, 33)
+        seed = PathSeed(21, 20, 0, Decomposition(
+            [RotationBlock(quadratic_angle(-isqrt(d), 1, 1, d)) for d in radicands]))
+        mi = mean_index(seed)
+        assert len(mi.surd[2]) == 20
+        assert mi.cmp(0) == 1
+        with localcontext() as ctx:
+            ctx.prec = 400
+            value = sum(2 * (Decimal(d).sqrt() - isqrt(d)) for d in radicands)
+            lo = mi.lower_bound()
+            assert 0 < value - Decimal(lo.numerator) / lo.denominator < Decimal("1e-6")
+            for p, q in _convergents(value, 10**30):
+                assert mi.cmp(Fraction(p, q)) == (1 if value > Decimal(p) / q else -1)
+            assert mi.floor_quotient(10**40, 7) == _decimal_floor(Decimal(10**40) / (7 * value))
+        with pytest.raises(NoTupleFound):
+            find_jump_tuples([seed], Fraction(1, 3), 200)
+        assert not mi._sums
 
 
 def test_undecidable_names_offending_iterate():
