@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConstraintViolation, NoTupleFound
-from .iteration import PathSeed, index_iterate, mean_index, nullity_iterate
+from .iteration import PathSeed, index_iterate, nullity_iterate
 from .jumps import (ConditionCheck, DeltaReport, JumpTuple, compute_delta,
                     find_complementary_tuples, find_jump_tuples,
                     index_at_even_jump)
@@ -115,7 +115,7 @@ def validate_pinching_bounds(system: GeodesicSystem,
     bound = Fraction(system.n - 1)
     for k, seed in enumerate(system.seeds):
         initial_ok = seed.i1 >= system.n - 1
-        mean_ok = mean_index(seed).cmp(bound, budget) > 0
+        mean_ok = seed.mean.cmp(bound, budget) > 0
         records.append(PinchRecord(k, initial_ok, mean_ok))
     return records
 

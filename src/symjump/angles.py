@@ -484,7 +484,13 @@ def _check_multiplier(m: int) -> None:
 
 
 def _check_delta(delta: Fraction) -> None:
-    if not 0 < delta < _HALF:
+    if isinstance(delta, Fraction):
+        # in integers (the denominator is positive): Fraction's comparisons
+        # dispatch through the numbers ABCs, at several times the cost
+        ok = 0 < delta.numerator and 2 * delta.numerator < delta.denominator
+    else:
+        ok = 0 < delta < _HALF
+    if not ok:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: iterate, mean-index, jump, analyze, verify, realize.
 Exit codes: 0 success, 1 usage or input error, 2 analysis raised a
-finiteness-contradiction flag, 3 undecidable exact arithmetic.
+finiteness-contradiction flag, 3 undecidable exact arithmetic; every
+nonzero exit writes one stderr line.
 Global flags --budget and --format go before or after the subcommand.
 Settings: the scenario's options, overridden by SYMJUMP_BUDGET (budget
 only), overridden by the flags.
@@ -21,7 +22,7 @@ from . import scenario as sc
 from .analysis import run_analysis
 from .angles import _bounded_decimal
 from .errors import NoTupleFound, ScenarioError, SymjumpError, UndecidableComparison
-from .iteration import iteration_rows, mean_index
+from .iteration import iteration_rows
 from .jumps import find_complementary_tuples, find_jump_tuples, verify_tuple
 from .normal_forms import realize
 
@@ -175,7 +176,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "mean-index":
-        mi = mean_index(_pick_seed(system, args.seed_index))
+        mi = _pick_seed(system, args.seed_index).mean
         # the codec emits the enclosure of the default width: refuse here if
         # the budget cannot reach it
         mi.enclosure(budget=options.budget)
@@ -206,7 +207,10 @@ def _dispatch(args) -> int:
                               tuple_limit=options.limit, budget=options.budget,
                               progress=_progress_printer(sys.stderr.isatty()))
         _emit(report, args.format)
-        return EXIT_OK if report.status == "two_elliptic_irrational" else EXIT_CONTRADICTION
+        if report.status == "two_elliptic_irrational":
+            return EXIT_OK
+        sys.stderr.write(f"contradiction: {report.flag}\n")
+        return EXIT_CONTRADICTION
 
     if args.command == "verify":
         try:
@@ -214,12 +218,15 @@ def _dispatch(args) -> int:
         except OSError as exc:
             raise ScenarioError(f"cannot read {args.tuple_file}: {exc}") from exc
         tuples = sc.parse_tuples(raw)
-        ok = True
+        failed = 0
         for t in tuples:
             result = verify_tuple(t, system.seeds, options.budget)
-            ok = ok and result.passed
+            failed += not result.passed
             _emit(result, args.format)
-        return EXIT_OK if ok else EXIT_ERROR
+        if failed:
+            sys.stderr.write(f"error: {failed} of {len(tuples)} tuples fail verification\n")
+            return EXIT_ERROR
+        return EXIT_OK
 
     seed = _pick_seed(system, args.seed_index)  # realize
     _emit(realize(seed.decomp, args.precision, options.budget), args.format)

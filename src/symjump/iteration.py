@@ -24,12 +24,23 @@ from .normal_forms import Decomposition
 
 @dataclass(frozen=True)
 class PathSeed:
-    """Initial data of a symplectic path: dimension, index, nullity, endpoint."""
+    """Initial data of a symplectic path: dimension, index, nullity, endpoint.
+
+    Once validated, the seed derives its mean index ``mean`` and the census
+    constants of :func:`index_iterate` and :func:`nullity_iterate`: pure
+    functions of the frozen fields, outside equality, hashing and repr, and
+    derived afresh by ``dataclasses.replace``.
+    """
 
     n: int
     i1: int
     nu1: int
     decomp: Decomposition
+    mean: MeanIndex = field(init=False, compare=False, repr=False)
+    # (m coefficient less i1, constant, [m even] coefficient) of the index
+    # and (constant less nu1, [m even] coefficient, angles) of the nullity
+    _index_form: tuple = field(init=False, compare=False, repr=False)
+    _nullity_form: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -42,6 +53,14 @@ class PathSeed:
             raise ValueError(
                 f"initial nullity must equal the 1-eigenvalue kernel of the endpoint: "
                 f"expected {expected}, got {self.nu1}")
+        d = self.decomp
+        object.__setattr__(self, "mean", _mean_of(self.i1, d))
+        object.__setattr__(self, "_index_form", (d.p_minus + d.p_zero - d.r,
+                                                 d.r + d.p_minus + d.p_zero + 2 * d.r_star,
+                                                 d.q_zero + d.q_plus))
+        object.__setattr__(self, "_nullity_form", (
+            2 * (d.r + d.r_star + d.r_zero), d.q_minus + 2 * d.q_zero + d.q_plus,
+            d.theta_angles + d.alpha_angles + d.beta_angles))
 
 
 @dataclass(frozen=True)
@@ -52,39 +71,36 @@ class IterationRow:
 
 
 def index_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
-    """Index of the m-th iterate."""
+    """Index of the m-th iterate, m*(i1 + p- + p0 - r) - (r + p- + p0 + 2r*)
+    - (q0 + q+)*[m even] + 2*sum ceil(m*theta_j) + 2*sum varphi(m*alpha_j):
+    the seed's constants, and each angle's own certified query."""
     if m < 1:
         raise ValueError("iterate must be positive")
+    lin, const, even = seed._index_form
     d = seed.decomp
-    even = 1 if m % 2 == 0 else 0
     try:
-        total = m * (seed.i1 + d.p_minus + d.p_zero - d.r)
-        total += 2 * sum(x.ceil_mul(m, budget) for x in d.theta_angles)
-        total -= d.r + d.p_minus + d.p_zero + even * (d.q_zero + d.q_plus)
-        total += 2 * sum(x.varphi_mul(m, budget) for x in d.alpha_angles)
-        total -= 2 * d.r_star
+        total = m * (seed.i1 + lin) - const - (0 if m % 2 else even)
+        for x in d.theta_angles:
+            total += 2 * x.ceil_mul(m, budget)
+        for x in d.alpha_angles:
+            total += 2 * x.varphi_mul(m, budget)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"index of iterate m={m}: {exc}") from exc
     return total
 
 
 def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
-    """Nullity of the m-th iterate."""
+    """Nullity of the m-th iterate, nu1 + (q- + 2q0 + q+)*[m even]
+    + 2*sum (1 - varphi(m*x)) over every rotation-type angle x."""
     if m < 1:
         raise ValueError("iterate must be positive")
-    d = seed.decomp
-    even = 1 if m % 2 == 0 else 0
-    sigma = d.r + d.r_star + d.r_zero
+    const, even, angles = seed._nullity_form
+    nullity = seed.nu1 + const + (0 if m % 2 else even)
     try:
-        for x in d.theta_angles:
-            sigma -= x.varphi_mul(m, budget)
-        for x in d.alpha_angles:
-            sigma -= x.varphi_mul(m, budget)
-        for x in d.beta_angles:
-            sigma -= x.varphi_mul(m, budget)
+        for x in angles:
+            nullity -= 2 * x.varphi_mul(m, budget)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"nullity of iterate m={m}: {exc}") from exc
-    nullity = seed.nu1 + even * (d.q_minus + 2 * d.q_zero + d.q_plus) + 2 * sigma
     if not 0 <= nullity <= 2 * (seed.n - 1):
         raise ConstraintViolation(
             f"nullity of iterate m={m} is {nullity}, outside [0, {2 * (seed.n - 1)}]")
@@ -115,7 +131,7 @@ class MeanIndex:
     When every irrational angle is quadratic, ``surd`` is the exact form
     (L, A0, ((B_1, D_1), ...)) of the value (A0 + sum B_i*sqrt(D_i))/L, with
     L > 0, every B_i nonzero and the D_i in distinct square classes (see
-    :func:`mean_index`).  ``cmp``, ``floor_quotient`` and ``lower_bound``
+    :func:`_mean_of`).  ``cmp``, ``floor_quotient`` and ``lower_bound``
     then decide in integers, one integer square root per surd at each
     precision tried (see :func:`_decided_floor`), and ignore the budget;
     the sign of the value is certified once, at construction.
@@ -170,7 +186,8 @@ class MeanIndex:
     def _bounds_upto(self, budget: Optional[int], first: int = 0):
         """Bounds at levels first .. budget, first clipped to the budget."""
         levels = _levels(budget, self.angles)
-        for level in levels[min(first, len(levels) - 1):]:
+        # levels[-1], not len(levels): a budget past 2**63 has no len
+        for level in levels[min(first, levels[-1]):]:
             yield self._bounds(level)
 
     def _positive_surd(self) -> tuple[int, int, tuple]:
@@ -323,6 +340,12 @@ def _surd_sign(a0: int, terms) -> int:
 
 
 def mean_index(seed: PathSeed) -> MeanIndex:
+    """The seed's mean index ``seed.mean``, built once with the seed by
+    :func:`_mean_of` and shared: its answers depend on no call history."""
+    return seed.mean
+
+
+def _mean_of(i1: int, d: Decomposition) -> MeanIndex:
     """Closed form of lim i(m)/m: i1 + p- + p0 - r + sum of theta_j/pi.
 
     A quadratic angle (a + b*sqrt(d))/c adds 2a/c to the rational part and
@@ -335,8 +358,7 @@ def mean_index(seed: PathSeed) -> MeanIndex:
     is exact.  When every one left is quadratic, the terms scaled to
     integers give the exact form ``surd`` of :class:`MeanIndex`.
     """
-    d = seed.decomp
-    base = Fraction(seed.i1 + d.p_minus + d.p_zero - d.r)
+    base = Fraction(i1 + d.p_minus + d.p_zero - d.r)
     coefficients = {}    # one radicand per square class -> coefficient of its sqrt
     rational_parts = {}  # the same radicand -> sum of 2a/c over its class's angles
     quadratic = []       # (quadratic angle, its class's radicand)

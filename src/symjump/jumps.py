@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .angles import QuadraticAngle, _check_delta
 from .errors import ConstraintViolation, NoTupleFound
-from .iteration import MeanIndex, PathSeed, index_iterate, mean_index, nullity_iterate
+from .iteration import PathSeed, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
@@ -227,7 +227,7 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
         i_next = index_iterate(seed, 2 * m_k + 1, budget)
         sides = _sides_for(seed, m_k, t.delta, budget)
-        lattice_m = (mean_index(seed).floor_quotient(t.N, M, budget) + chi_k) * M
+        lattice_m = (seed.mean.floor_quotient(t.N, M, budget) + chi_k) * M
         records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next, budget))
     return TupleVerification(tuple(records))
 
@@ -275,7 +275,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
         yield s
 
 
-def _tuples_at(seeds: tuple[PathSeed, ...], mis: Sequence[MeanIndex], N: int, M: int,
+def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
                delta: Fraction, budget: Optional[int],
                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
                first: tuple[int, int]) -> list[JumpTuple]:
@@ -287,7 +287,7 @@ def _tuples_at(seeds: tuple[PathSeed, ...], mis: Sequence[MeanIndex], N: int, M:
     record built, once, seed by seed."""
     survivors = []
     for k, seed in enumerate(seeds):
-        t_k = mis[k].floor_quotient(N, M, budget)
+        t_k = seed.mean.floor_quotient(N, M, budget)
         required = None if required_sides is None else required_sides[k]
         found = []
         for chi in (0, 1):
@@ -336,19 +336,18 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     _check_delta(delta)
     if n_max < 1 or limit < 1 or n_min < 1:
         raise ValueError("n_max, n_min and limit must be positive")
-    mis = [mean_index(s) for s in seeds]
-    for k, mi in enumerate(mis):
-        if mi.cmp(0, budget) <= 0:
+    for k, seed in enumerate(seeds):
+        if seed.mean.cmp(0, budget) <= 0:
             raise ValueError(f"seed {k}: mean index must be positive")
     M = angle_period(seeds)
     exclude_set = frozenset(exclude)
 
-    seed1, mi1 = seeds[0], mis[0]
+    seed1 = seeds[0]
     d1 = seed1.decomp
     # i(2m+1) >= (2m+1)*mean - slack, so past lattice step last_step(n) the
     # candidate N = (i(2m+1) - i1)/2 exceeds n.
     slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
-    mi1_lo = mi1.lower_bound(budget)
+    mi1_lo = seed1.mean.lower_bound(budget)
 
     def last_step(n: int) -> int:
         return ((2 * n + slack + seed1.i1) / mi1_lo - 1) // (2 * M)
@@ -368,7 +367,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
             i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
             N, odd = divmod(i_odd1 - seed1.i1, 2)
             if not odd and n_min <= N <= n_max and N not in exclude_set:
-                found = _tuples_at(seeds, mis, N, M, delta, budget, required_sides,
+                found = _tuples_at(seeds, N, M, delta, budget, required_sides,
                                    (m1, i_odd1))
                 hits += found
                 # No tuple with N at most the limit-th smallest found lies past its

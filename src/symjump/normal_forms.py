@@ -130,6 +130,10 @@ class Decomposition:
         self.r_prime = census["theta", True]
         self.r_star_prime = census["alpha", True]
         self.r_zero_prime = census["beta", True]
+        self._spectrum = tuple(
+            [("theta", j, a) for j, a in enumerate(self.theta_angles)]
+            + [("alpha", j, a) for j, a in enumerate(self.alpha_angles)]
+            + [("beta", j, a) for j, a in enumerate(self.beta_angles)])
 
     @property
     def dim(self) -> int:
@@ -140,11 +144,9 @@ class Decomposition:
 
         The +/-1 eigenvalues of N1 blocks are omitted: their angle ratio
         multiples are always integers, so they never constrain anything.
+        Built once, with the census.
         """
-        out = [("theta", j, a) for j, a in enumerate(self.theta_angles)]
-        out += [("alpha", j, a) for j, a in enumerate(self.alpha_angles)]
-        out += [("beta", j, a) for j, a in enumerate(self.beta_angles)]
-        return tuple(out)
+        return self._spectrum
 
     def __eq__(self, other):
         return isinstance(other, Decomposition) and self.blocks == other.blocks and self.n == other.n

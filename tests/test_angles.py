@@ -18,7 +18,7 @@ from symjump import (DEFAULT_BUDGET, Decomposition, Enclosure, IrrationalAngle,
                      complement_angle, decimal_angle, mean_index,
                      quadratic_angle, rational_angle, same_angle,
                      splitting_numbers)
-from symjump.angles import DECIMAL_LIMIT
+from symjump.angles import DECIMAL_LIMIT, _check_delta
 
 from conftest import quadratics
 
@@ -352,22 +352,39 @@ class TestHistoryIndependence:
         assert answers(warm) == fresh
         assert "undecidable" in fresh  # the budget really bounds this angle
 
-    def test_mean_index_same_answer_fresh_and_after_deep_query(self):
+    @pytest.mark.parametrize("angle", [lambda: quadratic_angle(*GOLDEN),
+                                       sqrt2_minus_1_by_refiner],
+                             ids=["quadratic", "refiner"])
+    def test_mean_index_same_answer_fresh_and_after_deep_query(self, angle):
+        # a seed's mean index is built once and shared by every caller, so
+        # deep queries through one caller must not change another's answers
         def seed():
-            return PathSeed(2, 1, 0, Decomposition([RotationBlock(quadratic_angle(*GOLDEN))]))
+            return PathSeed(2, 1, 0, Decomposition([RotationBlock(angle())]))
 
-        fresh = mean_index(seed())
-        warm = mean_index(seed())
-        warm.floor_quotient(10**300, 1)
-        warm.enclosure(Fraction(1, 10**200))
+        def answers(queries):
+            out = []
+            for query in queries:
+                try:
+                    out.append(query())
+                except UndecidableComparison as exc:
+                    out.append(str(exc))
+            return out
+
+        def shallow(mi, budget):
+            return answers([lambda: mi.floor_quotient(16238, 1, budget),
+                            lambda: mi.floor_quotient(10**9, 1, budget),
+                            lambda: mi.floor_quotient(10**40, 1, budget),
+                            lambda: mi.cmp(Fraction(1, 3), budget),
+                            lambda: mi.lower_bound(budget),
+                            lambda: mi.enclosure(Fraction(1, 10**12), budget)])
+
+        shared = seed()
+        answers([lambda: shared.mean.floor_quotient(10**300, 1),
+                 lambda: shared.mean.enclosure(Fraction(1, 10**100)),
+                 lambda: mean_index(shared).floor_quotient(10**200, 3)])
+        assert mean_index(shared) is shared.mean
         for budget in (0, 1, 3):
-            for num in (16238, 10**9, 10**40):
-                def answer(mi):
-                    try:
-                        return mi.floor_quotient(num, 1, budget)
-                    except UndecidableComparison:
-                        return "undecidable"
-                assert answer(warm) == answer(fresh)
+            assert shallow(shared.mean, budget) == shallow(seed().mean, budget)
 
 
 def test_concurrent_refinement_stays_consistent():
@@ -426,3 +443,32 @@ class TestQuadraticKernel:
         equal = abs(decimal_value(x) - decimal_value(y)) < Decimal(10) ** -300
         assert same_angle(quadratic_angle(*x), quadratic_angle(*y)) == equal
         assert not same_angle(quadratic_angle(*x), rational_angle(1, 3))
+
+
+class TestDeltaCheck:
+    """The integer test of a Fraction delta accepts exactly 0 < delta < 1/2."""
+
+    @staticmethod
+    def accepted(delta) -> bool:
+        try:
+            _check_delta(delta)
+        except ValueError as exc:
+            assert str(exc) == f"delta must lie in (0, 1/2), got {delta}"
+            return False
+        return True
+
+    @pytest.mark.parametrize("delta", [
+        Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 2), Fraction(1),
+        Fraction(1, 3), Fraction(49, 100), Fraction(50, 101), Fraction(51, 101),
+        Fraction(10**999, 2 * 10**999 + 1), Fraction(10**999 + 1, 2 * 10**999 + 1),
+        Fraction(1, 10**1000), Fraction(-1, 10**1000), 0, 1, -1, 0.25, 0.5, 0.0])
+    def test_boundaries(self, delta):
+        assert self.accepted(delta) == (0 < delta < Fraction(1, 2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(num=st.one_of(st.integers(-10, 10), st.integers(-10**1000, 10**1000)),
+           den=st.one_of(st.integers(1, 30), st.integers(1, 10**1000)),
+           near_half=st.booleans())
+    def test_random_fractions(self, num, den, near_half):
+        delta = Fraction(den + num % 3 - 1, 2 * den) if near_half else Fraction(num, den)
+        assert self.accepted(delta) == (0 < delta < Fraction(1, 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
                      IterationRow, N1Block, N2Block, NoTupleFound, PathSeed,
                      RotationBlock, UndecidableComparison, bott_gap,
-                     decimal_angle, elliptic_height, find_jump_tuples, index_iterate,
-                     iteration_rows, mean_index, nullity_iterate,
-                     quadratic_angle, rational_angle, realize)
+                     complement_angle, decimal_angle, elliptic_height,
+                     find_jump_tuples, index_iterate, iteration_rows,
+                     mean_index, nullity_iterate, quadratic_angle,
+                     rational_angle, realize, splitting_numbers)
 
-from conftest import angle_lcm, nu_of, random_seed
+from conftest import angle_lcm, nu_of, quadratics, random_seed
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 
@@ -400,3 +402,178 @@ def test_parallel_rows_independent_of_partition():
             lambda m: (m, index_iterate(s, m), nullity_iterate(s, m)),
             range(1, 401)))
     assert rows == sequential
+
+
+# -- the seed's derived constants against a per-block restatement -------------
+
+N1_KINDS = [N1Block(lam, b) for lam in (1, -1) for b in (1, 0, -1)]
+
+
+@st.composite
+def any_angle(draw, decimal: bool = True):
+    """A rational, quadratic or (when allowed) decimal angle ratio."""
+    kind = draw(st.sampled_from(["rational", "quadratic", "decimal"] if decimal
+                                else ["rational", "quadratic"]))
+    if kind == "rational":
+        q = draw(st.integers(3, 40))
+        p = draw(st.integers(1, q - 1).filter(lambda p: 2 * p != q))
+        return rational_angle(p, q)
+    if kind == "quadratic":
+        return quadratic_angle(*draw(quadratics()))
+    digits = draw(st.integers(10**5, 10**10 - 1))
+    return decimal_angle(f"0.{digits:010d}", draw(st.sampled_from(["1e-12", "1e-6"])))
+
+
+@st.composite
+def every_kind_seeds(draw, decimal: bool = True):
+    """Seeds of 1 to 6 blocks drawn from all six N1 blocks, the hyperbolic
+    block, rotations and trivial and nontrivial N2 blocks."""
+    angle = any_angle(decimal)
+    block = st.one_of(st.sampled_from(N1_KINDS), st.just(HyperbolicBlock()),
+                      st.builds(RotationBlock, angle),
+                      st.builds(N2Block, angle, st.booleans()))
+    d = Decomposition(draw(st.lists(block, min_size=1, max_size=6)))
+    return PathSeed(d.n, draw(st.integers(-5, 10)), nu_of(d), d)
+
+
+def restated_index(seed: PathSeed, m: int, budget=None) -> int:
+    """i(m) summed block by block over seed.decomp.blocks."""
+    even = m % 2 == 0
+    total = m * seed.i1
+    try:
+        for blk in seed.decomp.blocks:
+            if isinstance(blk, N1Block):
+                if blk.lam == 1:
+                    total += (m - 1) if blk.b != -1 else 0
+                else:
+                    total -= 1 if even and blk.b != 1 else 0
+            elif isinstance(blk, RotationBlock):
+                total += 2 * blk.angle.ceil_mul(m, budget) - m - 1
+            elif isinstance(blk, N2Block) and not blk.trivial:
+                total += 2 * blk.angle.varphi_mul(m, budget) - 2
+    except UndecidableComparison as exc:
+        raise UndecidableComparison(f"index of iterate m={m}: {exc}") from exc
+    return total
+
+
+def restated_nullity(seed: PathSeed, m: int, budget=None) -> int:
+    """nu(m) summed block by block: the kernel of each block's m-th power."""
+    total = 0
+    for blk in seed.decomp.blocks:
+        if isinstance(blk, N1Block):
+            if blk.lam == 1 or m % 2 == 0:
+                total += 2 if blk.b == 0 else 1
+        elif isinstance(blk, (RotationBlock, N2Block)):
+            total += 2 - 2 * blk.angle.varphi_mul(m, budget)
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UndecidableComparison as exc:
+        return "undecidable", str(exc)
+
+
+class TestDerivedConstants:
+    """PathSeed derives its mean index and the constants of the index and
+    nullity formulas once; every answer equals the restatement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=every_kind_seeds(),
+           m=st.one_of(st.integers(1, 200), st.integers(1, 10**300)),
+           budget=st.sampled_from([None, 0, 3]))
+    def test_index_nullity_and_gap_match_the_restatement(self, seed, m, budget):
+        assert (_outcome(index_iterate, seed, m, budget)
+                == _outcome(restated_index, seed, m, budget))
+        assert nullity_iterate(seed, m, budget) == restated_nullity(seed, m, budget)
+
+        def gap(s, m, b):
+            return restated_index(s, m + 1, b) - restated_index(s, m, b) - restated_nullity(s, m, b)
+
+        assert _outcome(bott_gap, seed, m, budget) == _outcome(gap, seed, m, budget)
+
+    def test_decimal_angle_refusal_text_is_unchanged(self):
+        x = decimal_angle("0.6180339887", "1e-7")
+        s = PathSeed(3, 2, 2, Decomposition([RotationBlock(x), N1Block(1, 0)]))
+        refusal = ("index of iterate m={}: floor({} * IrrationalAngle(~0.6180339887)) "
+                   "undecided at level 0 of budget 0")
+        with pytest.raises(UndecidableComparison) as exc:
+            index_iterate(s, 10**8, budget=0)
+        assert str(exc.value) == refusal.format(10**8, 10**8)
+        with pytest.raises(UndecidableComparison) as exc:
+            bott_gap(s, 10**8, budget=0)
+        assert str(exc.value) == refusal.format(10**8 + 1, 10**8 + 1)
+        assert nullity_iterate(s, 10**8, budget=0) == 2
+
+    def test_equality_hash_and_repr_ignore_the_derived_fields(self):
+        def build():
+            return PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+
+        a, b = build(), build()
+        assert a.mean is not b.mean
+        a.mean.floor_quotient(10**300, 1)
+        assert a == b and hash(a) == hash(b) == hash((a.n, a.i1, a.nu1, a.decomp))
+        assert repr(a) == f"PathSeed(n=3, i1=2, nu1=2, decomp={a.decomp!r})"
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == ["n", "i1", "nu1", "decomp"]
+        assert mean_index(a) is a.mean
+
+    def test_replace_derives_the_fields_afresh(self):
+        s = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+        t = dataclasses.replace(s, i1=4)
+        fresh = PathSeed(3, 4, 2, s.decomp)
+        assert t == fresh and t.mean == fresh.mean != s.mean
+        for m in (1, 2, 7, 10**40):
+            assert index_iterate(t, m) == index_iterate(fresh, m) == index_iterate(s, m) + 2 * m
+            assert nullity_iterate(t, m) == nullity_iterate(s, m)
+
+
+# -- an independent oracle: the Bott-type iteration formula -------------------
+
+
+def _below(z, k: int, m: int) -> bool:
+    """z < k/m for a rational or quadratic angle z, -1 standing for 1/2;
+    decided in integers: m*z < k exactly when floor(m*z) < k, m*z being
+    irrational or an exact rational."""
+    if z == -1:
+        return 2 * k > m
+    if z.is_rational:
+        return z.value < Fraction(k, m)
+    return z.floor_mul(m) < k
+
+
+def bott_oracle_index(seed: PathSeed, m: int) -> int:
+    """i(m) = sum over omega**m = 1 of the omega-index of the seed, with
+
+        i_omega = i_1 + S+(1) + sum over 0 < z < omega of (S+(z) - S-(z)) - S-(omega),
+
+    the splitting numbers summed over the blocks (Long, Index Theory for
+    Symplectic Paths with Applications, 2002).  The points z are the block
+    eigenvalues on the circle: -1 and each rotation angle and its conjugate.
+    """
+    blocks = seed.decomp.blocks
+
+    def S(omega):
+        pairs = [splitting_numbers(blk, omega) for blk in blocks]
+        return sum(p for p, _ in pairs), sum(q for _, q in pairs)
+
+    points = [-1]
+    for blk in blocks:
+        if isinstance(blk, (RotationBlock, N2Block)):
+            for z in (blk.angle, complement_angle(blk.angle)):
+                if z not in points:
+                    points.append(z)
+    jumps = [(z, S(z)) for z in points]
+    at_one = seed.i1 + S(1)[0]
+    total = seed.i1
+    for k in range(1, m):
+        index = at_one - S(rational_angle(k, m))[1]
+        index += sum(sp - sm for z, (sp, sm) in jumps if _below(z, k, m))
+        total += index
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=every_kind_seeds(decimal=False), m=st.integers(1, 30))
+def test_index_matches_the_bott_formula(seed, m):
+    assert index_iterate(seed, m) == bott_oracle_index(seed, m)

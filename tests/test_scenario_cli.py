@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +21,7 @@ from symjump import (Decomposition, GeodesicSystem, N1Block, PathSeed,
                      iteration_rows, mean_index, parse_report, parse_scenario,
                      quadratic_angle, rational_angle, run_analysis,
                      verify_tuple)
+from symjump import cli
 from symjump.scenario import emit_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -696,3 +699,110 @@ class TestTextRendering:
         assert "two_elliptic_irrational" in text
         assert "first geodesic" in text and "second geodesic" in text
         assert "zero set" in text
+
+
+# -- the CLI in process, under random flags, environments and tuple files ------
+
+JUMP_DOC = json.loads((WIRE / "jump.out").read_bytes())
+TAMPERED = copy.deepcopy(JUMP_DOC)
+TAMPERED["tuples"][1]["m"][0] += 1  # parses, and fails verification
+BUDGETS = ["0", "1", "3", "64", " 2 ", "-1", "x", "", "1e3", "99999999999999999999"]
+RATIONALS = ["1/100", "0.01", "1/3", "0.49", "0.5", "0", "-1/7", "1e-9", "1e-999",
+             "1e-1001", "abc", "1/0", "nan", "inf", "7"]
+INTEGERS = ["1", "0", "-3", "12776", "70145", "99999", "100000", "1e5", "x", "5.0"]
+
+
+def _in_process(argv: list, env_budget) -> tuple[int, bytes, str]:
+    """cli.main(argv) with SYMJUMP_BUDGET set (or unset) and stdout/stderr captured."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    saved = sys.stdout, sys.stderr, os.environ.get("SYMJUMP_BUDGET")
+    sys.stdout, sys.stderr = out, err
+    if env_budget is None:
+        os.environ.pop("SYMJUMP_BUDGET", None)
+    else:
+        os.environ["SYMJUMP_BUDGET"] = env_budget
+    try:
+        code = cli.main(argv)
+        out.flush()
+    finally:
+        sys.stdout, sys.stderr = saved[:2]
+        if saved[2] is None:
+            os.environ.pop("SYMJUMP_BUDGET", None)
+        else:
+            os.environ["SYMJUMP_BUDGET"] = saved[2]
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, SYMJUMP_BUDGET, tuple file bytes) for one command on the
+    shipped scenario; every scan is bounded by an n_max of at most 10**5.
+    A ``verify`` reads the tuple file at the path TUPLE_FILE stands for, or
+    none when its bytes are None."""
+    def maybe(flag, values):
+        return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["iterate", "mean-index", "jump", "analyze", "verify",
+                                    "realize"]))
+    seed_flag = {"jump": "--seeds", "analyze": "--system", "verify": "--seeds"}
+    args = [command, seed_flag.get(command, "--seed"),
+            draw(st.sampled_from([SHIPPED, SHIPPED + ".missing"]))]
+    tuples = None
+    if command in ("iterate", "mean-index", "realize"):
+        args += maybe("--seed-index", ["0", "1", "2", "-1", "x"])
+    if command == "iterate":
+        args += maybe("--m-max", ["1", "12", "40", "0", "-2", "x"])
+    if command == "realize":
+        args += maybe("--precision", RATIONALS)
+    if command in ("jump", "analyze"):
+        args += maybe("--delta", RATIONALS) + maybe("--limit", ["1", "3", "5", "0", "-1", "x"])
+        args += ["--n-max", draw(st.sampled_from(INTEGERS))]
+    if command == "jump":
+        args += maybe("--complement-of", INTEGERS)
+    if command == "verify":
+        tuples = draw(st.one_of(
+            st.sampled_from([(WIRE / "jump.out").read_bytes(), json.dumps(TAMPERED).encode()]),
+            st.none(), st.binary(max_size=40),
+            st.builds(lambda d: _mutated(d, [JUMP_DOC], ODD_VALUES + [2, -5, 10**30, [0, 1]])
+                      .encode(), st.data())))
+        args += ["--tuple", "TUPLE_FILE"]
+    globals_ = maybe("--budget", BUDGETS) + maybe("--format", ["text", "machine", "json"])
+    argv = globals_ + args if draw(st.booleans()) else args + globals_
+    return argv, draw(st.sampled_from([None] + BUDGETS)), tuples
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(run=cli_runs())
+    def test_every_run_exits_0_to_3_with_at_most_one_error_line(self, run, tmp_path_factory):
+        argv, env_budget, tuples = run
+        path = tmp_path_factory.getbasetemp() / "cli_fuzz_tuples.json"
+        path.unlink(missing_ok=True)
+        if tuples is not None:
+            path.write_bytes(tuples)
+        argv = [str(path) if a == "TUPLE_FILE" else a for a in argv]
+        code, _, err = _in_process(argv, env_budget)
+        assert code in (0, 1, 2, 3), (argv, env_budget, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, env_budget, err)
+
+    def test_budget_past_2_63_is_accepted(self):
+        # the level range of such a budget has no len(); it used to overflow
+        code, out, err = _in_process(["--format", "machine", "--budget", str(10**20),
+                                      "mean-index", "--seed", SHIPPED], None)
+        assert (code, err) == (0, "")
+        assert out == (WIRE / "mean_index.out").read_bytes()
+
+    def test_failed_verification_and_contradiction_print_one_line(self, tmp_path):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(TAMPERED))
+        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)], None)
+        assert code == 1 and b"FAIL" in out
+        assert err == "error: 1 of 3 tuples fail verification\n"
+        doc = copy.deepcopy(TWO_SEED_S3)
+        doc["seeds"] = doc["seeds"][:1]
+        code, out, err = _in_process(["analyze", "--system", write_scenario(tmp_path, doc)],
+                                     None)
+        assert code == 2 and b"fcg_contradiction" in out
+        assert err == "contradiction: no_second_geodesic\n"
