@@ -12,17 +12,18 @@ Other irrational ratios carry a rational enclosure
 ``[approximant - error, approximant + error]`` and optionally a refiner:
 a pure function mapping a level ``0, 1, 2, ...`` to enclosures whose
 widths at least halve per level.  A query at budget B reads levels
-0 .. B of that pure sequence and nothing else, so every answer is a
-function of the angle, the operands and the budget alone.  Angles are
-immutable and hold no cache.
+0 .. B of that pure sequence (a quadratic query, all it needs) and
+nothing else, so every answer is a function of the angle, the operands
+and the budget alone.  Angles are immutable and hold no cache.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import UndecidableComparison
 
@@ -68,10 +69,13 @@ def _resolve_budget(budget: Optional[int]) -> int:
     return budget
 
 
-def _levels(budget: Optional[int], angles) -> range:
+def _levels(budget: Optional[int], angles) -> Iterable[int]:
     """Refinement levels a query at this budget reads: 0 .. budget, or
-    level 0 alone when no angle has a refiner (its levels all coincide)."""
+    level 0 alone when no angle has a refiner (its levels all coincide),
+    or every level when all are quadratic (closed form: such a query ends)."""
     top = _resolve_budget(budget)
+    if angles and all(isinstance(a, QuadraticAngle) for a in angles):
+        return itertools.count()
     return range(top + 1 if any(a._refiner for a in angles) else 1)
 
 
@@ -287,9 +291,9 @@ class QuadraticAngle(IrrationalAngle):
     isqrt(m^2 b^2 d) when b > 0 and -isqrt(m^2 b^2 d) - 1 when b < 0, and
     with c > 0 the floor of m*x needs only that floor of the numerator.
     ``floor_mul``, ``ceil_mul`` and ``frac_side`` are therefore exact at
-    every multiplier and ignore the budget; ``frac_mul`` and the callers
-    that need enclosures (mean indices, matrix realizations) still read
-    the refiner's levels.
+    every multiplier and ignore the budget, and so do ``frac_mul`` and
+    matrix realizations, which read as many of the refiner's closed-form
+    levels as they need; a mean index holds the angle in its exact part.
     """
 
     __slots__ = ()

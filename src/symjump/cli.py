@@ -62,10 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     # main() supplies the defaults.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=_budget_arg, default=argparse.SUPPRESS,
-                        help="refinement levels per certified comparison on decimal "
-                             "and refiner angles, on mean indices holding one, and for "
-                             "mean-index enclosures and realize floats (default: "
-                             "scenario option or 64)")
+                        help="refinement levels a query on a refiner angle, or on a "
+                             "mean index holding one, may read; other angles only name "
+                             "it when they refuse (default: scenario option or 64)")
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS, help="output rendering")
     parser = _Parser(prog="symjump", parents=[common],

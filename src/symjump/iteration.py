@@ -125,70 +125,77 @@ def bott_gap(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
 
 @dataclass(slots=True)
 class MeanIndex:
-    """The linear growth rate lim i(m)/m: an exact rational plus twice each
-    irrational rotation angle.
+    """The linear growth rate lim i(m)/m: one exact part plus twice each
+    theta angle that is neither rational nor quadratic.
 
-    When every irrational angle is quadratic, ``surd`` is the exact form
-    (L, A0, ((B_1, D_1), ...)) of the value (A0 + sum B_i*sqrt(D_i))/L, with
-    L > 0, every B_i nonzero and the D_i in distinct square classes (see
-    :func:`_mean_of`).  ``cmp``, ``floor_quotient`` and ``lower_bound``
-    then decide in integers, one integer square root per surd at each
-    precision tried (see :func:`_decided_floor`), and ignore the budget;
-    the sign of the value is certified once, at construction.
+    ``surd`` is the exact part (L, A0, ((B_1, D_1), ...)), the value
+    (A0 + sum B_i*sqrt(D_i))/L of the rational terms and every quadratic
+    angle, with L > 0, every B_i nonzero and the D_i in distinct square
+    classes (see :func:`_mean_of`); a rational exact part has no terms.
+    ``angles`` holds the ``decimal`` and refiner angles.
 
-    Otherwise they, and ``enclosure`` and ``float`` always, decide on the
-    sum of the angles' enclosures at levels 0 .. budget.  The sum at each
-    level is memoized: a pure function of the level, so no answer depends
-    on earlier queries.
+    With no such angle, ``cmp``, ``floor_quotient``, ``lower_bound`` and
+    ``enclosure`` decide from the exact part in integers, one integer
+    square root per surd at each precision tried (see
+    :func:`_decided_floor`), and never read the budget; the sign of the
+    value is certified once, at construction.  Otherwise they decide on
+    :meth:`_bounds`, which reads the angles at levels 0 .. budget.  Nothing
+    is memoized, so no answer depends on earlier queries.
     """
 
-    base: Fraction
-    angles: tuple[IrrationalAngle, ...]
-    surd: Optional[tuple] = field(default=None, compare=False, repr=False)
+    surd: tuple[int, int, tuple]
+    angles: tuple[IrrationalAngle, ...] = ()
     # bits beyond the operands' size at which floor_quotient encloses a
-    # positive surd value; None when the value is negative
+    # positive exact value; None when the value is not positive or has angles
     _pad: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.surd is None:
+        if self.angles:
             return
         scale, a0, terms = self.surd
-        k = len(terms)
         p, t = _decided_floor(a0, terms)
         if t > 0:
             # v*2**p > t >= 1 for v = A0 + sum B_i*sqrt(D_i), so v >= 2**-e;
             # at p' >= bits(num) - bits(den) + pad bits the enclosure of v is
             # positive and puts num*L/(den*v) in an interval narrower than 2**-31
             e = max(0, p + 1 - t.bit_length())
-            self._pad = scale.bit_length() + k.bit_length() + 2 * e + 33
+            self._pad = scale.bit_length() + len(terms).bit_length() + 2 * e + 33
 
     @property
     def is_exact(self) -> bool:
-        return not self.angles
+        return not self.angles and not self.surd[2]
 
     def exact(self) -> Fraction:
         if not self.is_exact:
             raise ValueError("mean index has irrational contributions; use enclosure()")
-        return self.base
+        return Fraction(self.surd[1], self.surd[0])
 
-    def _bounds(self, level: int) -> tuple[Fraction, Fraction]:
-        bounds = self._sums.get(level)
-        if bounds is None:
-            lo = hi = self.base
-            for a in self.angles:
-                a_lo, a_hi = a.enclosure_at(level)
-                lo += 2 * a_lo
-                hi += 2 * a_hi
-            bounds = self._sums[level] = (lo, hi)
-        return bounds
+    def _exact_part(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """The exact part enclosed in closed form, no wider than ``width``
+        (> 0), read at the first multiple of 24 bits (a quadratic angle's
+        level step) that is narrow enough."""
+        scale, a0, terms = self.surd
+        k = len(terms)
+        # width >= 2**-e, and 2**p >= k*2**e/L makes k/(L*2**p) <= width
+        e = width.denominator.bit_length() - width.numerator.bit_length() + 1
+        p = -(-max(0, k.bit_length() + e - scale.bit_length() + 1) // 24) * 24
+        t = _floor_scaled(a0, terms, p)
+        return Fraction(t, scale << p), Fraction(t + k, scale << p)
 
-    def _bounds_upto(self, budget: Optional[int], first: int = 0):
-        """Bounds at levels first .. budget, first clipped to the budget."""
+    def _bounds(self, budget: Optional[int], first: int = 0):
+        """Bounds at levels first .. budget of the angles, first clipped to
+        the budget: twice the sum of their enclosures plus the exact part
+        read at least 2**32 times narrower than that sum, and than a
+        quadratic angle's enclosure at the level."""
         levels = _levels(budget, self.angles)
         # levels[-1], not len(levels): a budget past 2**63 has no len
         for level in levels[min(first, levels[-1]):]:
-            yield self._bounds(level)
+            ends = [a.enclosure_at(level) for a in self.angles]
+            lo = 2 * sum(a_lo for a_lo, _ in ends)
+            hi = 2 * sum(a_hi for _, a_hi in ends)
+            s_lo, s_hi = self._exact_part(min(hi - lo, Fraction(1, 1 << 24 * (level + 1)))
+                                          / 2**32)
+            yield lo + s_lo, hi + s_hi
 
     def _positive_surd(self) -> tuple[int, int, tuple]:
         if self._pad is None:
@@ -197,12 +204,14 @@ class MeanIndex:
 
     def enclosure(self, tol: Optional[Fraction] = None,
                   budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
-        """Certified rational interval around the mean index."""
-        if self.is_exact:
-            return self.base, self.base
-        if tol is None:
-            tol = Fraction(1, 10**12)
-        for lo, hi in self._bounds_upto(budget):
+        """Certified rational interval around the mean index, no wider than
+        tol (default 1e-12)."""
+        tol = Fraction(1, 10**12) if tol is None else Fraction(tol)
+        if tol <= 0:
+            raise ValueError("tolerance must be positive")
+        if not self.angles:
+            return self._exact_part(tol)
+        for lo, hi in self._bounds(budget):
             if hi - lo <= tol:
                 return lo, hi
         raise _undecided(f"mean index enclosure of width {tol}", budget, self.angles)
@@ -210,11 +219,9 @@ class MeanIndex:
     def lower_bound(self, budget: Optional[int] = None) -> Fraction:
         """A certified positive lower bound on a positive mean index, within
         1e-6 of it: the jump scan's step bound."""
-        if self.surd is not None:
+        if not self.angles:
             scale, a0, terms = self._positive_surd()
             return Fraction(_floor_scaled(a0, terms, self._pad), scale << self._pad)
-        if self.is_exact and self.base <= 0:
-            raise ValueError("mean index must be positive")
         tol = Fraction(1, 10**6)
         while (lo := self.enclosure(tol, budget)[0]) <= 0:
             tol /= 2**24
@@ -223,14 +230,11 @@ class MeanIndex:
     def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
         """Certified comparison against a rational: -1, 0 or +1."""
         other = Fraction(other)
-        if self.is_exact:
-            v = self.base
-            return -1 if v < other else (0 if v == other else 1)
-        if self.surd is not None:
+        if not self.angles:
             scale, a0, terms = self.surd
             p, q = other.numerator, other.denominator
             return _surd_sign(a0 * q - p * scale, [(b * q, d) for b, d in terms])
-        for lo, hi in self._bounds_upto(budget):
+        for lo, hi in self._bounds(budget):
             if lo > other:
                 return 1
             if hi < other:
@@ -241,12 +245,10 @@ class MeanIndex:
         """Certified floor(num / (den * value)); value must be positive."""
         if num < 0 or den < 1:
             raise ValueError("floor_quotient expects num >= 0, den >= 1")
-        if self.is_exact:
-            if self.base <= 0:
-                raise ValueError("mean index must be positive")
-            return (num * self.base.denominator) // (den * self.base.numerator)
-        if self.surd is not None:
+        if not self.angles:
             scale, a0, terms = self._positive_surd()
+            if not terms:
+                return num * scale // (den * a0)
             k = len(terms)
             # t <= v*2**p < t + k for v = value*L, and t > 0
             p = max(num.bit_length() - den.bit_length(), 0) + self._pad
@@ -262,7 +264,7 @@ class MeanIndex:
         # A level of 24 more bits decides quotients about 2**24 times larger,
         # so start near the level the operands' size needs.
         first = max(0, (num.bit_length() - den.bit_length()) // 24 - 1)
-        for lo, hi in self._bounds_upto(budget, first):
+        for lo, hi in self._bounds(budget, first):
             if lo.numerator > 0:
                 f = (num * hi.denominator) // (den * hi.numerator)
                 if f == (num * lo.denominator) // (den * lo.numerator):
@@ -272,13 +274,13 @@ class MeanIndex:
         raise _undecided(f"floor({num} / ({den} * mean index))", budget, self.angles)
 
     def __float__(self):
-        lo, hi = self._bounds(0)
+        lo, hi = next(self._bounds(0)) if self.angles else self._exact_part(Fraction(1, 2**64))
         return float((lo + hi) / 2)
 
     def __repr__(self):
         if self.is_exact:
-            return f"MeanIndex({self.base})"
-        return f"MeanIndex({self.base} + irrational, ~{float(self):.6f})"
+            return f"MeanIndex({self.exact()})"
+        return f"MeanIndex(~{float(self):.6f})"
 
 
 # -- surds: A0 + sum B_i*sqrt(D_i), the D_i non-squares in distinct square classes
@@ -310,8 +312,8 @@ def _norm_bits(h: int, k: int) -> int:
 
 def _decided_floor(a0: int, terms) -> tuple[int, int]:
     """The first (p, t) with t = _floor_scaled(a0, terms, p) and t >= 1
-    (so v > t/2**p > 0) or t + k <= 0 (so v < 0), for the value v of
-    k >= 1 surds.
+    (so v > t/2**p > 0) or t + k <= 0 (so v <= 0), for the value v of
+    k surds (A0 when k = 0).
 
     p starts at bits(H) + 64 and doubles.  Most values show their sign
     there; the norm bound of :func:`_norm_bits`, which grows as 2**k, is
@@ -332,8 +334,10 @@ def _decided_floor(a0: int, terms) -> tuple[int, int]:
 
 
 def _surd_sign(a0: int, terms) -> int:
-    """The sign of the value of k >= 1 surds.  For one surd the floor at
-    p = 0 is already exact: t + 1 <= 0 whenever t < 0."""
+    """The sign of the value of k surds: that of A0 when k = 0.  For one
+    surd the floor at p = 0 is already exact: t + 1 <= 0 whenever t < 0."""
+    if not terms:
+        return (a0 > 0) - (a0 < 0)
     if len(terms) == 1:
         return 1 if _floor_scaled(a0, terms, 0) >= 0 else -1
     return 1 if _decided_floor(a0, terms)[1] > 0 else -1
@@ -348,42 +352,31 @@ def mean_index(seed: PathSeed) -> MeanIndex:
 def _mean_of(i1: int, d: Decomposition) -> MeanIndex:
     """Closed form of lim i(m)/m: i1 + p- + p0 - r + sum of theta_j/pi.
 
-    A quadratic angle (a + b*sqrt(d))/c adds 2a/c to the rational part and
-    (2b/c)*sqrt(d) to the irrational one.  When d*d' is a perfect square,
-    sqrt(d') = (isqrt(d*d')/d)*sqrt(d), so one term per square class is
-    kept, found by that test alone (d is never factored).  Square roots of
-    distinct square classes are linearly independent over Q, so the angles
-    of a class whose coefficient is zero (x beside 1 - x, say) add their
-    rational parts only; when no irrational angle is left the mean index
-    is exact.  When every one left is quadratic, the terms scaled to
-    integers give the exact form ``surd`` of :class:`MeanIndex`.
+    The rational terms and every quadratic angle make the exact part
+    ``surd`` of :class:`MeanIndex`.  A quadratic angle (a + b*sqrt(d))/c
+    adds 2a/c to the rational term and (2b/c)*sqrt(d) to a surd.  When
+    d*d' is a perfect square, sqrt(d') = (isqrt(d*d')/d)*sqrt(d), so one
+    surd per square class is kept, found by that test alone (d is never
+    factored).  Square roots of distinct square classes are linearly
+    independent over Q, so a class whose coefficient cancels (x beside
+    1 - x, say) keeps no term.  The other irrational angles are kept as
+    they are.
     """
-    base = Fraction(i1 + d.p_minus + d.p_zero - d.r)
-    coefficients = {}    # one radicand per square class -> coefficient of its sqrt
-    rational_parts = {}  # the same radicand -> sum of 2a/c over its class's angles
-    quadratic = []       # (quadratic angle, its class's radicand)
-    others = []          # irrational angles that are not quadratic
+    rational = Fraction(i1 + d.p_minus + d.p_zero - d.r)
+    coefficients = {}  # one radicand per square class -> coefficient of its sqrt
+    angles = []        # irrational angles that are not quadratic
     for x in d.theta_angles:
         if x.is_rational:
-            base += 2 * x.value
+            rational += 2 * x.value
         elif isinstance(x, QuadraticAngle):
             a, b, c, r = x.source[1]
             rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
             coefficients[rep] = (coefficients.get(rep, 0)
                                  + Fraction(2 * b * isqrt(rep * r), c * rep))
-            rational_parts[rep] = rational_parts.get(rep, 0) + Fraction(2 * a, c)
-            quadratic.append((x, rep))
+            rational += Fraction(2 * a, c)
         else:
-            others.append(x)
-    if not quadratic and not others:
-        return MeanIndex(base, ())
+            angles.append(x)
     terms = {r: b for r, b in coefficients.items() if b}
-    base += sum(v for r, v in rational_parts.items() if r not in terms)
-    angles = tuple(x for x, rep in quadratic if rep in terms) + tuple(others)
-    surd = None
-    if terms and not others:
-        rational = base + sum(rational_parts[r] for r in terms)
-        scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
-        surd = (scale, int(rational * scale),
-                tuple((int(b * scale), r) for r, b in terms.items()))
-    return MeanIndex(base, angles, surd)
+    scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
+    return MeanIndex((scale, int(rational * scale),
+                      tuple((int(b * scale), r) for r, b in terms.items())), tuple(angles))

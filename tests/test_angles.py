@@ -299,13 +299,20 @@ class TestRefusalNamesLevelAndBudget:
             d.floor_mul(10**8)
 
     def test_mean_index(self):
+        # a quadratic mean index is exact: its enclosures ignore the budget
         golden = quadratic_angle(*GOLDEN)
         mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(golden)])))
-        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
-            mi.enclosure(Fraction(1, 10**100), budget=2)
-        # a quadratic mean index decides these exactly; a refiner's reads levels
+        lo, hi = mi.enclosure(Fraction(1, 10**100), budget=0)
+        assert hi - lo <= Fraction(1, 10**100)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            value = Fraction(Decimal(5).sqrt() - 1)  # 1 - 1 + 2*(sqrt(5) - 1)/2
+        assert lo < value < hi
+        # a refiner's mean index reads its levels
         x = sqrt2_minus_1_by_refiner()
         mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(x)])))
+        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
+            mi.enclosure(Fraction(1, 10**100), budget=2)
         with pytest.raises(UndecidableComparison, match=re.escape(
                 "floor(1000000000000 / (1 * mean index)) undecided at level 0 of budget 0")):
             mi.floor_quotient(10**12, 1, budget=0)

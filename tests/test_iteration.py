@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from contextlib import contextmanager
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
-                     IterationRow, N1Block, N2Block, NoTupleFound, PathSeed,
+                     IrrationalAngle, IterationRow, N1Block, N2Block, NoTupleFound, PathSeed,
                      RotationBlock, UndecidableComparison, bott_gap,
                      complement_angle, decimal_angle, elliptic_height,
                      find_jump_tuples, index_iterate, iteration_rows,
@@ -24,6 +25,18 @@ from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
 from conftest import angle_lcm, nu_of, quadratics, random_seed
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
+
+
+@contextmanager
+def no_level_read():
+    """Fail on any read of an angle's refinement level: a mean index whose
+    angles are all quadratic decides from its exact part alone."""
+    def spy(self, level):
+        raise AssertionError(f"level {level} of {self!r} was read")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IrrationalAngle, "enclosure_at", spy)
+        yield
 
 
 def analytic_kernel_dim(decomp: Decomposition, m: int) -> int:
@@ -107,9 +120,9 @@ class TestExamples:
         # 0 - 1 + 2(sqrt(2) - 1) < 0
         s = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2))]))
         mi = mean_index(s)
-        with pytest.raises(ValueError, match="mean index must be positive"):
+        # the exact form certifies the sign: no level is read
+        with no_level_read(), pytest.raises(ValueError, match="mean index must be positive"):
             mi.floor_quotient(5, 1)
-        assert not mi._sums  # the exact form certifies the sign: no level is read
 
     def test_bott_gap_examples(self):
         s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
@@ -323,7 +336,7 @@ class TestSurdKernel:
         if mi.is_exact:  # the complement cancelled every irrational part
             assert abs(Fraction(value) - mi.exact()) < Fraction(1, 10**390)
             return
-        with localcontext() as ctx:
+        with localcontext() as ctx, no_level_read():
             ctx.prec = 400
             want = _decimal_floor(Decimal(num) / (den * value))
             assume(want is not None)
@@ -336,7 +349,6 @@ class TestSurdKernel:
                     want = _decimal_floor(Decimal(n) / (d * value))
                     if want is not None:
                         assert mi.floor_quotient(n, d) == want
-        assert not mi._sums  # no refinement level was read
 
     @pytest.mark.parametrize("vector", NEAR_ZERO)
     def test_sign_of_near_zero_surds(self, vector):
@@ -372,8 +384,8 @@ class TestSurdKernel:
             [RotationBlock(quadratic_angle(-isqrt(d), 1, 1, d)) for d in radicands]))
         mi = mean_index(seed)
         assert len(mi.surd[2]) == 20
-        assert mi.cmp(0) == 1
-        with localcontext() as ctx:
+        with localcontext() as ctx, no_level_read():
+            assert mi.cmp(0) == 1
             ctx.prec = 400
             value = sum(2 * (Decimal(d).sqrt() - isqrt(d)) for d in radicands)
             lo = mi.lower_bound()
@@ -381,9 +393,106 @@ class TestSurdKernel:
             for p, q in _convergents(value, 10**30):
                 assert mi.cmp(Fraction(p, q)) == (1 if value > Decimal(p) / q else -1)
             assert mi.floor_quotient(10**40, 7) == _decimal_floor(Decimal(10**40) / (7 * value))
-        with pytest.raises(NoTupleFound):
-            find_jump_tuples([seed], Fraction(1, 3), 200)
-        assert not mi._sums
+            with pytest.raises(NoTupleFound):
+                find_jump_tuples([seed], Fraction(1, 3), 200)
+
+
+@st.composite
+def mixed_seeds(draw):
+    """A seed of one to four rotations whose angles are rational, quadratic,
+    ``decimal`` (errors 1e-7 to 1e-19) or refiner angles with nested dyadic
+    levels, and its mean index to 400 digits, each decimal angle taken at
+    its approximant."""
+    angles, values = [], []
+    for kind in draw(st.lists(st.sampled_from(["rational", "quadratic", "decimal", "refiner"]),
+                              min_size=1, max_size=4)):
+        if kind == "rational":
+            q = draw(st.integers(3, 12))
+            x = rational_angle(draw(st.sampled_from([p for p in range(1, q) if 2 * p != q])), q)
+            angles.append(x)
+            values.append(x.value)
+            continue
+        a, b, c, d = draw(quadratics())
+        with localcontext() as ctx:
+            ctx.prec = 400
+            value = (a + b * Decimal(d).sqrt()) / c
+        if kind == "quadratic":
+            angles.append(quadratic_angle(a, b, c, d))
+        elif kind == "decimal":
+            e = draw(st.integers(7, 19))
+            value = round(value, e + draw(st.integers(0, 3)))
+            angles.append(decimal_angle(str(value), f"1e-{e}"))
+        else:
+            angles.append(_dyadic_refiner(quadratic_angle(a, b, c, d),
+                                          draw(st.sampled_from([4, 8, 16, 24])),
+                                          draw(st.sampled_from([-1, 0, 1]))))
+        values.append(Fraction(value))
+    i1 = draw(st.integers(-1, 6))
+    seed = PathSeed(len(angles) + 1, i1, 0,
+                    Decomposition([RotationBlock(x) for x in angles]))
+    return seed, i1 - len(angles) + 2 * sum(values)
+
+
+def _dyadic_refiner(x, bits: int, hug: int) -> IrrationalAngle:
+    """x as a user angle whose level k is 2**-(bits*(k+1)) wide, with dyadic
+    ends read off x's exact floor: nested intervals.  hug = -1 or 1 puts the
+    lower or upper end within 2**-64 of the width from x, so an answer that
+    misplaces anything else by more than that shows."""
+    def refiner(level):
+        k = bits * (level + 1)
+        j = k + 64 * abs(hug)
+        end, width = Fraction(x.floor_mul(1 << j) + (hug > 0), 1 << j), Fraction(1, 1 << k)
+        return (end - width, end) if hug > 0 else (end, end + width)
+    lo, hi = refiner(0)
+    return IrrationalAngle((lo + hi) / 2, (hi - lo) / 2, refiner)
+
+
+class TestOneExactPart:
+    """Mean indices that mix every kind of angle: each answer holds for the
+    400-digit value, and a larger budget keeps every answer a smaller one
+    gave."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=mixed_seeds(), num=st.integers(0, 10**60), den=st.integers(1, 10**6),
+           other=st.fractions(-3, 20, max_denominator=50))
+    def test_answers_hold_and_keep(self, case, num, den, other):
+        seed, value = case
+        mi = mean_index(seed)
+        near = [Fraction(round(value * 10**j), 10**j) for j in (3, 9, 18, 30)]
+        queries = [(("cmp", o), lambda b, o=o: mi.cmp(o, b)) for o in [other, *near]]
+        queries.append((("floor_quotient",), lambda b: mi.floor_quotient(num, den, b)))
+        queries += [(("enclosure", tol), lambda b, tol=tol: mi.enclosure(tol, b))
+                    for tol in (Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**30))]
+        queries.append((("lower_bound",), mi.lower_bound))
+        given_at = {}
+        for budget in (0, 1, 3, None):
+            for key, ask in queries:
+                try:
+                    answer = ask(budget)
+                except UndecidableComparison:
+                    assert key not in given_at, f"{key} answered at a lower budget"
+                    continue
+                except ValueError:
+                    answer = "not positive"
+                assert given_at.setdefault(key, answer) == answer
+                self._holds(key, answer, value, num, den)
+
+    @staticmethod
+    def _holds(key, answer, value, num, den):
+        if answer == "not positive":
+            assert key[0] in ("floor_quotient", "lower_bound")
+            assert value < Fraction(1, 10**380)
+        elif key[0] == "cmp":
+            assert answer == (value > key[1]) - (value < key[1])
+        elif key[0] == "floor_quotient":
+            q = Fraction(num, den) / value
+            assume(abs(q - round(q)) > Fraction(1, 10**300))
+            assert answer == q.__floor__()
+        elif key[0] == "enclosure":
+            lo, hi = answer
+            assert lo <= value <= hi and hi - lo <= key[1]
+        else:
+            assert 0 < answer <= value and value - answer < Fraction(1, 10**6)
 
 
 def test_undecidable_names_offending_iterate():

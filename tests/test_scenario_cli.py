@@ -381,18 +381,25 @@ class TestCli:
         assert "at level 0 of budget 0" in message
 
     @pytest.mark.parametrize("command", ["mean-index", "realize"])
-    def test_every_command_keeps_the_budget(self, command):
-        # both refuse at level 0 and succeed at level 1
-        r = run_cli("--budget", "0", command, "--seed", SHIPPED)
-        assert r.returncode == 3 and r.stdout == b""
-        message = r.stderr.decode()
-        assert message.count("\n") == 1
-        assert message.startswith("undecidable:")
-        assert message.endswith("undecided at level 0 of budget 0\n")
-        r = run_cli("--format", "machine", command, "--seed", SHIPPED,
-                    env_extra={"SYMJUMP_BUDGET": "1"})
-        assert r.returncode == 0, r.stderr
-        assert r.stdout == (WIRE / f"{command.replace('-', '_')}.out").read_bytes()
+    def test_every_command_keeps_the_budget(self, command, tmp_path):
+        # every shipped angle is quadratic: no budget changes the output
+        wire = (WIRE / f"{command.replace('-', '_')}.out").read_bytes()
+        for r in (run_cli("--format", "machine", "--budget", "0", command, "--seed", SHIPPED),
+                  run_cli("--format", "machine", command, "--seed", SHIPPED,
+                          env_extra={"SYMJUMP_BUDGET": "1"})):
+            assert r.returncode == 0, r.stderr
+            assert r.stdout == wire
+        # the decimal angle of seed 1 refuses at level 0, and names the budget
+        # from the flag or from the environment
+        path = write_scenario(tmp_path, DECIMAL_S3)
+        pick = (command, "--seed", path, "--seed-index", "1")
+        for budget, r in (("0", run_cli("--budget", "0", *pick)),
+                          ("1", run_cli(*pick, env_extra={"SYMJUMP_BUDGET": "1"}))):
+            assert r.returncode == 3 and r.stdout == b""
+            message = r.stderr.decode()
+            assert message.count("\n") == 1
+            assert message.startswith("undecidable:")
+            assert message.endswith(f"undecided at level 0 of budget {budget}\n")
 
     @pytest.mark.parametrize("approx,error", [("0.6", "1e-999999999"),
                                               ("1e999999999", "1e-6")],
