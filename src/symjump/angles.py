@@ -35,8 +35,6 @@ DEFAULT_BUDGET = 64
 
 Refiner = Callable[[int], tuple[Fraction, Fraction]]
 
-_HALF = Fraction(1, 2)  # the open upper end of every delta threshold
-
 # Most characters, and largest exponent magnitude, a decimal angle string
 # may carry: Fraction("1e-999999999") would build a gigabyte power of ten.
 DECIMAL_LIMIT = 1000
@@ -150,7 +148,7 @@ class RationalAngle(ExactAngle):
 
     def frac_side(self, m: int, delta: Fraction,
                   budget: Optional[int] = None) -> str:
-        _check_delta(delta)
+        delta = _check_delta(delta)
         f = self.frac_mul(m)
         if f == 0:
             return "zero"
@@ -252,7 +250,7 @@ class IrrationalAngle(ExactAngle):
     def frac_side(self, m: int, delta: Fraction,
                   budget: Optional[int] = None) -> str:
         _check_multiplier(m)
-        _check_delta(delta)
+        delta = _check_delta(delta)
         for f, lo, hi in self._decided(m, budget):
             frac_lo, frac_hi = m * lo - f, m * hi - f
             if frac_hi < delta:
@@ -319,7 +317,7 @@ class QuadraticAngle(IrrationalAngle):
     def frac_side(self, m: int, delta: Fraction,
                   budget: Optional[int] = None) -> str:
         _check_multiplier(m)
-        _check_delta(delta)
+        delta = _check_delta(delta)
         p, q = delta.numerator, delta.denominator
         # r = floor(q*{m*x}); q*{m*x} is irrational, so it is below p exactly
         # when r < p and above q - p exactly when r >= q - p
@@ -487,15 +485,17 @@ def _check_multiplier(m: int) -> None:
         raise ValueError(f"multiplier must be a positive integer, got {m!r}")
 
 
-def _check_delta(delta: Fraction) -> None:
-    if isinstance(delta, Fraction):
-        # in integers (the denominator is positive): Fraction's comparisons
-        # dispatch through the numbers ABCs, at several times the cost
-        ok = 0 < delta.numerator and 2 * delta.numerator < delta.denominator
-    else:
-        ok = 0 < delta < _HALF
-    if not ok:
+def _check_delta(delta) -> Fraction:
+    """delta as a Fraction, required to lie in (0, 1/2)."""
+    try:
+        f = delta if isinstance(delta, Fraction) else Fraction(delta)
+    except (ValueError, OverflowError):  # nan, +/-inf
+        f = Fraction(0)
+    # in integers (the denominator is positive): Fraction's comparisons
+    # dispatch through the numbers ABCs, at several times the cost
+    if not (0 < f.numerator and 2 * f.numerator < f.denominator):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    return f
 
 
 def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:

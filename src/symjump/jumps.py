@@ -255,7 +255,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     plain walk.  Every test is a closed-form quadratic query, which
     ignores the budget and never refuses.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     wide = delta >= _WIDE_DELTA
     start = 1 if wide else next(q for q in x.convergent_denominators(mult)
                                 if q > last or x.frac_side(mult * q, 2 * delta) != "mid")
@@ -332,8 +332,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    delta = Fraction(delta)
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if n_max < 1 or limit < 1 or n_min < 1:
         raise ValueError("n_max, n_min and limit must be positive")
     for k, seed in enumerate(seeds):

@@ -481,3 +481,21 @@ class TestDeltaCheck:
     def test_random_fractions(self, num, den, near_half):
         delta = Fraction(den + num % 3 - 1, 2 * den) if near_half else Fraction(num, den)
         assert self.accepted(delta) == (0 < delta < Fraction(1, 2))
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_and_infinities(self, delta):
+        assert not self.accepted(delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.floats(2.0**-60, 0.5, exclude_max=True), x=quadratics(),
+           m=st.integers(1, 10**12), p=st.integers(1, 11))
+    def test_float_delta_gives_the_side_of_the_equal_fraction(self, delta, x, m, p):
+        for angle in (rational_angle(p, 12), quadratic_angle(*x),
+                      decimal_angle("0.6180339887498948482", "1e-19")):
+            sides = []
+            for d in (delta, Fraction(delta)):
+                try:
+                    sides.append(angle.frac_side(m, d))
+                except UndecidableComparison as exc:
+                    sides.append(str(exc))
+            assert sides[0] == sides[1]
