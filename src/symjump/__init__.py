@@ -21,7 +21,7 @@ from .iteration import (IterationRow, MeanIndex, PathSeed, bott_gap,
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
                     PathVerification, TupleVerification, angle_period,
                     compute_delta, find_complementary_tuples, find_jump_tuples,
-                    index_at_even_jump, verify_tuple)
+                    index_at_even_jump, jump_tuples_at, verify_tuple)
 from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, N1Block,
                            N2Block, RotationBlock, c_total, classify,
                            diamond_sum, elliptic_height, realize,
@@ -45,8 +45,9 @@ __all__ = [
     "complement_angle", "compute_delta", "decimal_angle",
     "derive_peak_constraints", "diamond_sum", "elliptic_height", "emit_report",
     "find_complementary_tuples", "find_jump_tuples", "find_peak_geodesic",
-    "index_at_even_jump", "index_iterate", "iteration_rows", "mean_index",
-    "nullity_at_even_jump", "nullity_iterate", "parse_report", "parse_scenario",
+    "index_at_even_jump", "index_iterate", "iteration_rows", "jump_tuples_at",
+    "mean_index", "nullity_at_even_jump", "nullity_iterate", "parse_report",
+    "parse_scenario",
     "quadratic_angle", "rational_angle", "realize", "run_analysis",
     "same_angle", "second_geodesic", "splitting_numbers",
     "splitting_plus_at_one", "symplectic_form", "validate_pinching_bounds",

@@ -23,7 +23,8 @@ from .analysis import run_analysis
 from .angles import _bounded_decimal
 from .errors import NoTupleFound, ScenarioError, SymjumpError, UndecidableComparison
 from .iteration import iteration_rows
-from .jumps import find_complementary_tuples, find_jump_tuples, verify_tuple
+from .jumps import (find_complementary_tuples, find_jump_tuples, jump_tuples_at,
+                    verify_tuple)
 from .normal_forms import realize
 
 EXIT_OK = 0
@@ -185,13 +186,11 @@ def _dispatch(args) -> int:
     if args.command == "jump":
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
-            try:
-                base = find_jump_tuples(system.seeds, options.delta, n_max=args.complement_of,
-                                        n_min=args.complement_of, limit=1,
-                                        budget=options.budget, progress=progress)
-            except NoTupleFound:
+            base = jump_tuples_at(system.seeds, args.complement_of, options.delta,
+                                  options.budget)
+            if not base:
                 raise NoTupleFound(f"N = {args.complement_of} is not a jump tuple "
-                                   f"at delta = {options.delta}") from None
+                                   f"at delta = {options.delta}")
             tuples = find_complementary_tuples(system.seeds, base[0], n_max=options.n_max,
                                                limit=options.limit, budget=options.budget,
                                                progress=progress)

@@ -315,14 +315,31 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
             for m, chi, per_path in (zip(*combo) for combo in itertools.product(*passing))]
 
 
+def jump_tuples_at(seeds: Sequence[PathSeed], N: int, delta: Fraction = Fraction(1, 1000),
+                   budget: Optional[int] = None) -> list[JumpTuple]:
+    """The verified jump tuples at N, as a scan over every N would return
+    them, without the scan: seed 1's iterate must be m_1 = (t + chi)*M,
+    t = floor(N/(M*mean)) and chi in {0, 1}, with i(2*m_1 + 1) = 2N + i1."""
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
+    seeds, delta = tuple(seeds), _check_delta(delta)
+    M = angle_period(seeds)
+    t = seeds[0].mean.floor_quotient(N, M, budget)
+    i_odd = 2 * N + seeds[0].i1
+    found = []
+    for m1 in (t * M, (t + 1) * M):
+        if index_iterate(seeds[0], 2 * m1 + 1, budget) == i_odd:
+            found += _tuples_at(seeds, N, M, delta, budget, None, (m1, i_odd))
+    return found
+
+
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
                      n_max: int = 10**6, limit: int = 3, *,
                      budget: Optional[int] = None,
                      required_sides: Optional[Sequence[Optional[tuple[str, ...]]]] = None,
                      exclude: Iterable[int] = (),
-                     n_min: int = 1,
                      progress: Optional[Callable[[int, int], None]] = None) -> list[JumpTuple]:
-    """Scan for up to ``limit`` verified jump tuples with n_min <= N <= n_max.
+    """Scan for up to ``limit`` verified jump tuples with N <= n_max.
 
     ``required_sides``, when given, restricts which side of an integer
     each irrational rotation angle multiple must fall on, per seed (used
@@ -333,8 +350,8 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     if not seeds:
         raise ValueError("at least one seed is required")
     delta = _check_delta(delta)
-    if n_max < 1 or limit < 1 or n_min < 1:
-        raise ValueError("n_max, n_min and limit must be positive")
+    if n_max < 1 or limit < 1:
+        raise ValueError("n_max and limit must be positive")
     for k, seed in enumerate(seeds):
         if seed.mean.cmp(0, budget) <= 0:
             raise ValueError(f"seed {k}: mean index must be positive")
@@ -365,7 +382,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
             m1 = step * M
             i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
             N, odd = divmod(i_odd1 - seed1.i1, 2)
-            if not odd and n_min <= N <= n_max and N not in exclude_set:
+            if not odd and 1 <= N <= n_max and N not in exclude_set:
                 found = _tuples_at(seeds, N, M, delta, budget, required_sides,
                                    (m1, i_odd1))
                 hits += found

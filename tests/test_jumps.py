@@ -18,7 +18,7 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      UndecidableComparison,
                      angle_period, compute_delta, find_complementary_tuples,
                      find_jump_tuples, index_at_even_jump, index_iterate,
-                     mean_index, nullity_iterate, quadratic_angle,
+                     jump_tuples_at, mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
 from symjump import jumps
 from symjump.angles import QuadraticAngle, decimal_angle
@@ -323,14 +323,37 @@ class TestScanControls:
         with pytest.raises(ValueError, match="delta"):
             find_jump_tuples([SEED_I2], Fraction(1, 2), 100, 1)
 
-    def test_exclude_and_n_min(self):
+    def test_exclude(self):
         base = find_jump_tuples([SEED_I2], Fraction(1, 100), 100, 3)
         skipped = find_jump_tuples([SEED_I2], Fraction(1, 100), 100, 2,
                                    exclude={base[0].N})
         assert skipped[0].N == base[1].N
-        pinned = find_jump_tuples([SEED_I2], Fraction(1, 100), 100, 1,
-                                  n_min=base[2].N)
-        assert pinned[0].N == base[2].N
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 100)],
+                             ids=["tenth", "hundredth"])
+    def test_tuples_at_one_n_match_a_full_scan(self, delta):
+        n_max, systems = 3000, 0
+        for rng_seed in range(20):
+            rng = random.Random(f"at/{rng_seed}")
+            n = rng.randint(2, 4)
+            seeds = [pinched_seed(rng, n, denom_max=8) for _ in range(rng.randint(1, 3))]
+            try:
+                full = find_jump_tuples(seeds, delta, n_max, limit=10**6)
+            except NoTupleFound:
+                full = []
+            found = {t.N for t in full}
+            systems += bool(found)
+            for N in found:
+                assert jump_tuples_at(seeds, N, delta) == [t for t in full if t.N == N]
+                for other in {N - 1, N + 1} - found:
+                    if 1 <= other <= n_max:
+                        assert jump_tuples_at(seeds, other, delta) == []
+        assert systems >= 10
+
+    def test_tuples_at_a_nonpositive_n_are_refused(self):
+        for N in (0, -5):
+            with pytest.raises(ValueError, match=f"N must be a positive integer, got {N}$"):
+                jump_tuples_at([SEED_I2], N, Fraction(1, 100))
 
     def test_results_sorted_by_n_then_chi(self):
         ts = find_jump_tuples([SEED_R3, SEED_R4], Fraction(1, 100), 10**4, 5)

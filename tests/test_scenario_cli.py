@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -578,6 +579,24 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.decode().splitlines() == [
             "error: N = 5 is not a jump tuple at delta = 1/100"]
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_complement_of_a_nonpositive_n_names_it(self, n):
+        r = run_cli("jump", "--seeds", SHIPPED, "--complement-of", n)
+        assert r.returncode == 1 and r.stdout == b""
+        assert r.stderr.decode().splitlines() == [
+            f"error: N must be a positive integer, got {n}"]
+
+    def test_complement_of_a_far_n_reads_no_scan(self):
+        # the base tuple is looked up at N alone; a scan from step 1 to
+        # N = 10**12 would not end for hours
+        n = str(10**12)
+        start = time.perf_counter()
+        r = run_cli("jump", "--seeds", SHIPPED, "--complement-of", n, "--n-max", n, timeout=60)
+        assert time.perf_counter() - start < 3
+        assert r.returncode == 1
+        assert r.stderr.decode().splitlines() == [
+            f"error: N = {n} is not a jump tuple at delta = 1/100"]
 
     def test_cli_import_leaves_numpy_unloaded(self):
         r = subprocess.run([sys.executable, "-c", "import symjump.cli, sys; "
