@@ -4,9 +4,9 @@ Subcommands: iterate, mean-index, jump, analyze, verify, realize.
 Exit codes: 0 success, 1 usage or input error, 2 analysis raised a
 finiteness-contradiction flag, 3 undecidable exact arithmetic; every
 nonzero exit writes one stderr line.
-Global flags --budget and --format go before or after the subcommand.
-Settings: the scenario's options, overridden by SYMJUMP_BUDGET (budget
-only), overridden by the flags.
+The global flag --format goes before or after the subcommand.
+Settings: the scenario's options, overridden by the flags; the budget
+comes from the scenario's options alone.
 """
 
 from __future__ import annotations
@@ -50,22 +50,11 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _budget_arg(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"budget must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags, accepted before and after the subcommand.  SUPPRESS keeps
-    # a subcommand that omits one from overwriting a value given before it;
-    # main() supplies the defaults.
+    # The global flag, accepted before and after the subcommand.  SUPPRESS
+    # keeps a subcommand that omits it from overwriting a value given before
+    # it; main() supplies the default.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_budget_arg, default=argparse.SUPPRESS,
-                        help="refinement levels a query on a refiner angle, or on a "
-                             "mean index holding one, may read; other angles only name "
-                             "it when they refuse (default: scenario option or 64)")
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS, help="output rendering")
     parser = _Parser(prog="symjump", parents=[common],
@@ -110,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, args):
-    """The scenario at path, its options overridden by SYMJUMP_BUDGET, then by flags."""
+    """The scenario at path, its options overridden by the flags."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -118,12 +107,6 @@ def _load(path: str, args):
     system, options = sc.parse_scenario(data)
     if args.command == "analyze":  # try at least 5 tuples for the first peak
         options = dataclasses.replace(options, limit=max(options.limit, 5))
-    env = os.environ.get("SYMJUMP_BUDGET")
-    if env is not None:
-        try:
-            options = dataclasses.replace(options, budget=_budget_arg(env))
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"SYMJUMP_BUDGET: {exc}") from None
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(options)
              if getattr(args, f.name, None) is not None}
     return system, dataclasses.replace(options, **flags)
@@ -151,7 +134,7 @@ def _progress_printer(enabled: bool):
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(budget=None, format="text"))
+        args = parser.parse_args(argv, argparse.Namespace(format="text"))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

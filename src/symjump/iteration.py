@@ -218,10 +218,13 @@ class MeanIndex:
 
     def lower_bound(self, budget: Optional[int] = None) -> Fraction:
         """A certified positive lower bound on a positive mean index, within
-        1e-6 of it: the jump scan's step bound."""
+        1e-6 of it: the jump scan's step bound.  A mean index certified
+        negative raises ValueError."""
         if not self.angles:
             scale, a0, terms = self._positive_surd()
             return Fraction(_floor_scaled(a0, terms, self._pad), scale << self._pad)
+        if self.cmp(0, budget) < 0:
+            raise ValueError("mean index must be positive")
         tol = Fraction(1, 10**6)
         while (lo := self.enclosure(tol, budget)[0]) <= 0:
             tol /= 2**24

@@ -278,8 +278,9 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
 def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
                delta: Fraction, budget: Optional[int],
                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
-               first: tuple[int, int]) -> list[JumpTuple]:
-    """The tuples at N with m_1 = first[0], whose i(2*m_1 + 1) is first[1].
+               first: Optional[tuple[int, int]] = None) -> list[JumpTuple]:
+    """The tuples at N; when ``first`` is given, only those with
+    m_1 = first[0], whose i(2*m_1 + 1) is first[1].
 
     Each seed's iterates m_k = (t_k + chi_k)*M, chi_k in {0, 1}, first pass
     the cheap checks: i(2*m_k + 1) = 2N + i1, no angle side "mid" and the
@@ -289,12 +290,13 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
     for k, seed in enumerate(seeds):
         t_k = seed.mean.floor_quotient(N, M, budget)
         required = None if required_sides is None else required_sides[k]
+        pinned = k == 0 and first is not None
         found = []
         for chi in (0, 1):
             m_k = (t_k + chi) * M
-            if m_k < 1 or (k == 0 and m_k != first[0]):
+            if m_k < 1 or (pinned and m_k != first[0]):
                 continue
-            i_next = first[1] if k == 0 else index_iterate(seed, 2 * m_k + 1, budget)
+            i_next = first[1] if pinned else index_iterate(seed, 2 * m_k + 1, budget)
             if i_next != 2 * N + seed.i1:
                 continue
             sides = _sides_for(seed, m_k, delta, budget)
@@ -318,19 +320,13 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
 def jump_tuples_at(seeds: Sequence[PathSeed], N: int, delta: Fraction = Fraction(1, 1000),
                    budget: Optional[int] = None) -> list[JumpTuple]:
     """The verified jump tuples at N, as a scan over every N would return
-    them, without the scan: seed 1's iterate must be m_1 = (t + chi)*M,
-    t = floor(N/(M*mean)) and chi in {0, 1}, with i(2*m_1 + 1) = 2N + i1."""
+    them, without the scan: seed 1's iterate m_1 = (t + chi)*M,
+    t = floor(N/(M*mean)) and chi in {0, 1}, is found like every other
+    seed's."""
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    seeds, delta = tuple(seeds), _check_delta(delta)
-    M = angle_period(seeds)
-    t = seeds[0].mean.floor_quotient(N, M, budget)
-    i_odd = 2 * N + seeds[0].i1
-    found = []
-    for m1 in (t * M, (t + 1) * M):
-        if index_iterate(seeds[0], 2 * m1 + 1, budget) == i_odd:
-            found += _tuples_at(seeds, N, M, delta, budget, None, (m1, i_odd))
-    return found
+    seeds = tuple(seeds)
+    return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), budget, None)
 
 
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),

@@ -45,8 +45,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import (DEFAULT_BUDGET, Enclosure, _snap_outward, decimal_angle,
-                     quadratic_angle, rational_angle)
+from .angles import (DEFAULT_BUDGET, Enclosure, _resolve_budget, _snap_outward,
+                     decimal_angle, quadratic_angle, rational_angle)
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -64,8 +64,7 @@ class ScenarioOptions:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
+        _resolve_budget(self.budget)
 
 
 def _document(data) -> object:

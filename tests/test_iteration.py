@@ -477,6 +477,43 @@ class TestOneExactPart:
                 assert given_at.setdefault(key, answer) == answer
                 self._holds(key, answer, value, num, den)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_seeds(), shift=st.integers(1, 3))
+    def test_lower_bound_of_a_negative_mean_is_not_positive(self, case, shift):
+        # i1 moved so the mean lies in [-1 - shift, -shift): four angles
+        # enclosed at level 0 (refiner width 1/16) certify its sign
+        seed, value = case
+        mi = mean_index(dataclasses.replace(seed, i1=seed.i1 - value.__floor__() - 1 - shift))
+        for budget in (0, 1, 3, None):
+            with pytest.raises(ValueError, match="^mean index must be positive$"):
+                mi.lower_bound(budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_seeds())
+    def test_lower_bound_of_a_positive_mean_is_unchanged(self, case):
+        seed, value = case
+        assume(value > 0)
+        mi = mean_index(seed)
+
+        def first_positive_end(budget):
+            # the bound before the sign was decided first: tighten the
+            # enclosure until its lower end is positive
+            if not mi.angles:
+                return mi.lower_bound(budget)
+            tol = Fraction(1, 10**6)
+            while (lo := mi.enclosure(tol, budget)[0]) <= 0:
+                tol /= 2**24
+            return lo
+
+        def outcome(f, budget):
+            try:
+                return f(budget)
+            except UndecidableComparison:
+                return "undecidable"  # the refusal names another query now
+
+        for budget in (0, 1, 3, None):
+            assert outcome(mi.lower_bound, budget) == outcome(first_positive_end, budget)
+
     @staticmethod
     def _holds(key, answer, value, num, den):
         if answer == "not positive":

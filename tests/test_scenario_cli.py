@@ -5,7 +5,9 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,6 +26,8 @@ from symjump import (Decomposition, GeodesicSystem, N1Block, PathSeed,
                      verify_tuple)
 from symjump import cli
 from symjump.scenario import emit_report
+
+from conftest import QUADRATIC_POOL
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -53,6 +57,8 @@ TWO_SEED_S3 = {
 DECIMAL_S3 = copy.deepcopy(TWO_SEED_S3)
 DECIMAL_S3["seeds"][1]["blocks"][0] = {"r": {"decimal": "0.6180339887", "error": "1e-7"}}
 
+SHIPPED_DOC = json.loads(Path(SHIPPED).read_bytes())
+
 # Every block kind, every angle kind and all five options.
 EVERY_KIND = {
     "version": 1,
@@ -69,6 +75,13 @@ def write_scenario(tmp_path, doc, name="scenario.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def with_budget(doc, budget) -> dict:
+    """A copy of the scenario doc whose ``options.budget`` is budget."""
+    doc = copy.deepcopy(doc)
+    doc["options"]["budget"] = budget
+    return doc
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -311,8 +324,8 @@ class TestCli:
         (["jump"], "error: the following arguments are required: --seeds"),
         (["verify", "--tuple", "t.json"],
          "error: the following arguments are required: --seeds"),
-        (["--budget", "x", "iterate", "--seed", SHIPPED],
-         "error: argument --budget: budget must be a non-negative integer, got 'x'")],
+        (["iterate", "--seed", SHIPPED, "--budget", "0"],
+         "error: unrecognized arguments: --budget 0")],
         ids=["missing_seed", "missing_system", "missing_seeds", "verify_missing_seeds",
              "budget"])
     def test_usage_error_is_one_line(self, args, message):
@@ -333,19 +346,22 @@ class TestCli:
         assert b"undecidable" in r.stderr
 
     def test_budget_env_override(self, tmp_path):
-        path = write_scenario(tmp_path, DECIMAL_S3)
-        r = run_cli("jump", "--seeds", path, env_extra={"SYMJUMP_BUDGET": "0"})
-        flag = run_cli("--budget", "0", "jump", "--seeds", path)
+        # the budget comes from the scenario alone: SYMJUMP_BUDGET overrides
+        # nothing
+        path = write_scenario(tmp_path, with_budget(DECIMAL_S3, 0))
+        r = run_cli("jump", "--seeds", path, env_extra={"SYMJUMP_BUDGET": "64"})
+        plain = run_cli("jump", "--seeds", path)
         # the decimal angle cannot decide an angle side the scan asks; the
-        # refusal names budget 0, not the default 64, from either source
-        assert r.returncode == flag.returncode == 3
-        assert r.stderr == flag.stderr
+        # refusal names budget 0, not the default 64
+        assert r.returncode == plain.returncode == 3
+        assert (r.stdout, r.stderr) == (plain.stdout, plain.stderr)
         assert r.stderr.decode().endswith("at level 0 of budget 0\n")
 
     @pytest.mark.parametrize("command,flag", [("jump", "--seeds"), ("analyze", "--system")])
-    def test_budget_zero_replays_the_wire_fixture(self, command, flag):
+    def test_budget_zero_replays_the_wire_fixture(self, command, flag, tmp_path):
         # every angle is quadratic: no query reads a refinement level
-        r = run_cli("--format", "machine", "--budget", "0", command, flag, SHIPPED)
+        path = write_scenario(tmp_path, with_budget(SHIPPED_DOC, 0))
+        r = run_cli("--format", "machine", command, flag, path)
         assert r.returncode == 0, r.stderr
         assert r.stdout == (WIRE / f"{command}.out").read_bytes()
 
@@ -356,26 +372,26 @@ class TestCli:
                "seeds": [{"i1": 1, "nu1": 0,
                           "blocks": [{"r": {"quadratic": [-141, 100, 1, 2]}}]}],
                "options": {"delta": [1, 10], "n_max": 2000}}
-        path = write_scenario(tmp_path, doc)
-        zero = run_cli("--format", "machine", "--budget", "0", "jump", "--seeds", path)
-        one = run_cli("--format", "machine", "--budget", "1", "jump", "--seeds", path)
+        zero, one = (run_cli("--format", "machine", "jump", "--seeds",
+                             write_scenario(tmp_path, with_budget(doc, b), f"{b}.json"))
+                     for b in (0, 1))
         assert zero.returncode == one.returncode == 0, zero.stderr
         assert zero.stdout == one.stdout
 
     def test_budget_zero_first_tuple_verifies(self, tmp_path):
         # the scan stops at the step of N = 12776, and its tuple verifies at
         # budget 0
-        r = run_cli("--format", "machine", "--budget", "0", "jump", "--seeds", SHIPPED,
-                    "--limit", "1")
+        path = write_scenario(tmp_path, with_budget(SHIPPED_DOC, 0))
+        r = run_cli("--format", "machine", "jump", "--seeds", path, "--limit", "1")
         assert r.returncode == 0, r.stderr
         assert [t.N for t in parse_report(r.stdout)] == [12776]
         tuple_file = tmp_path / "tuple.json"
         tuple_file.write_bytes(r.stdout)
-        v = run_cli("--budget", "0", "verify", "--seeds", SHIPPED, "--tuple", str(tuple_file))
+        v = run_cli("verify", "--seeds", path, "--tuple", str(tuple_file))
         assert v.returncode == 0, v.stderr
 
     def test_budget_zero_refusal_names_the_budget(self, tmp_path):
-        r = run_cli("--budget", "0", "jump", "--seeds", write_scenario(tmp_path, DECIMAL_S3))
+        r = run_cli("jump", "--seeds", write_scenario(tmp_path, with_budget(DECIMAL_S3, 0)))
         assert r.returncode == 3
         message = r.stderr.decode()
         assert message.startswith("undecidable:") and message.count("\n") == 1
@@ -385,17 +401,16 @@ class TestCli:
     def test_every_command_keeps_the_budget(self, command, tmp_path):
         # every shipped angle is quadratic: no budget changes the output
         wire = (WIRE / f"{command.replace('-', '_')}.out").read_bytes()
-        for r in (run_cli("--format", "machine", "--budget", "0", command, "--seed", SHIPPED),
-                  run_cli("--format", "machine", command, "--seed", SHIPPED,
-                          env_extra={"SYMJUMP_BUDGET": "1"})):
+        for budget in (0, 1):
+            path = write_scenario(tmp_path, with_budget(SHIPPED_DOC, budget))
+            r = run_cli("--format", "machine", command, "--seed", path)
             assert r.returncode == 0, r.stderr
             assert r.stdout == wire
-        # the decimal angle of seed 1 refuses at level 0, and names the budget
-        # from the flag or from the environment
-        path = write_scenario(tmp_path, DECIMAL_S3)
-        pick = (command, "--seed", path, "--seed-index", "1")
-        for budget, r in (("0", run_cli("--budget", "0", *pick)),
-                          ("1", run_cli(*pick, env_extra={"SYMJUMP_BUDGET": "1"}))):
+        # the decimal angle of seed 1 refuses at level 0, and names the
+        # scenario's budget
+        for budget in (0, 1):
+            path = write_scenario(tmp_path, with_budget(DECIMAL_S3, budget))
+            r = run_cli(command, "--seed", path, "--seed-index", "1")
             assert r.returncode == 3 and r.stdout == b""
             message = r.stderr.decode()
             assert message.count("\n") == 1
@@ -498,10 +513,8 @@ class TestCli:
 
     def test_global_flags_after_the_subcommand(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
-        before = run_cli("--format", "machine", "--budget", "8", "jump", "--seeds", path,
-                         "--limit", "1")
-        after = run_cli("jump", "--seeds", path, "--limit", "1", "--format", "machine",
-                        "--budget", "8")
+        before = run_cli("--format", "machine", "jump", "--seeds", path, "--limit", "1")
+        after = run_cli("jump", "--seeds", path, "--limit", "1", "--format", "machine")
         assert before.returncode == after.returncode == 0, after.stderr
         assert before.stdout == after.stdout
         assert parse_report(after.stdout)[0].N == 12776
@@ -511,14 +524,16 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["flag", "env", "options"])
     def test_negative_budget_is_an_input_error(self, tmp_path, where):
+        # a flag is no way to give a budget, and SYMJUMP_BUDGET cannot
+        # override the scenario's
         doc = json.loads(json.dumps(TWO_SEED_S3))
         args, env = ["jump", "--seeds", None, "--limit", "1"], None
         if where == "flag":
             args += ["--budget", "-1"]
-        elif where == "env":
-            env = {"SYMJUMP_BUDGET": "-1"}
         else:
             doc["options"]["budget"] = -1
+        if where == "env":
+            env = {"SYMJUMP_BUDGET": "0"}
         args[2] = write_scenario(tmp_path, doc)
         r = run_cli(*args, env_extra=env)
         assert r.returncode == 1
@@ -727,18 +742,21 @@ class TestTextRendering:
         assert "zero set" in text
 
 
-# -- the CLI in process, under random flags, environments and tuple files ------
+# -- the CLI in process, under random flags, environments, tuple files and
+# scenarios ---------------------------------------------------------------------
 
 JUMP_DOC = json.loads((WIRE / "jump.out").read_bytes())
 TAMPERED = copy.deepcopy(JUMP_DOC)
 TAMPERED["tuples"][1]["m"][0] += 1  # parses, and fails verification
+# values for a --budget flag, which the CLI does not have, and for SYMJUMP_BUDGET,
+# which it does not read
 BUDGETS = ["0", "1", "3", "64", " 2 ", "-1", "x", "", "1e3", "99999999999999999999"]
 RATIONALS = ["1/100", "0.01", "1/3", "0.49", "0.5", "0", "-1/7", "1e-9", "1e-999",
              "1e-1001", "abc", "1/0", "nan", "inf", "7"]
 INTEGERS = ["1", "0", "-3", "12776", "70145", "99999", "100000", "1e5", "x", "5.0"]
 
 
-def _in_process(argv: list, env_budget) -> tuple[int, bytes, str]:
+def _in_process(argv: list, env_budget=None) -> tuple[int, bytes, str]:
     """cli.main(argv) with SYMJUMP_BUDGET set (or unset) and stdout/stderr captured."""
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     saved = sys.stdout, sys.stderr, os.environ.get("SYMJUMP_BUDGET")
@@ -807,28 +825,83 @@ class TestCliFuzz:
         if tuples is not None:
             path.write_bytes(tuples)
         argv = [str(path) if a == "TUPLE_FILE" else a for a in argv]
-        code, _, err = _in_process(argv, env_budget)
+        code, out, err = _in_process(argv, env_budget)
         assert code in (0, 1, 2, 3), (argv, env_budget, err)
         assert "Traceback" not in err
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, env_budget, err)
+        if "--budget" in argv:  # no such flag: a usage error
+            assert code == 1 and err.startswith("error:"), (argv, err)
+        if env_budget is not None:
+            assert _in_process(argv) == (code, out, err), (argv, env_budget)
 
-    def test_budget_past_2_63_is_accepted(self):
+    def test_budget_past_2_63_is_accepted(self, tmp_path):
         # the level range of such a budget has no len(); it used to overflow
-        code, out, err = _in_process(["--format", "machine", "--budget", str(10**20),
-                                      "mean-index", "--seed", SHIPPED], None)
+        path = write_scenario(tmp_path, with_budget(SHIPPED_DOC, 10**20))
+        code, out, err = _in_process(["--format", "machine", "mean-index", "--seed", path])
         assert (code, err) == (0, "")
         assert out == (WIRE / "mean_index.out").read_bytes()
 
     def test_failed_verification_and_contradiction_print_one_line(self, tmp_path):
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(TAMPERED))
-        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)], None)
+        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
         assert code == 1 and b"FAIL" in out
         assert err == "error: 1 of 3 tuples fail verification\n"
         doc = copy.deepcopy(TWO_SEED_S3)
         doc["seeds"] = doc["seeds"][:1]
-        code, out, err = _in_process(["analyze", "--system", write_scenario(tmp_path, doc)],
-                                     None)
+        code, out, err = _in_process(["analyze", "--system", write_scenario(tmp_path, doc)])
         assert code == 2 and b"fcg_contradiction" in out
         assert err == "contradiction: no_second_geodesic\n"
+
+
+@st.composite
+def scenario_docs(draw):
+    """A scenario of one or two seeds of one or two rotations each, by
+    rational, quadratic (``QUADRATIC_POOL``) and ``decimal`` angles, with a
+    mean index above 1 and n_max <= 10**4."""
+    def angle():
+        kind = draw(st.sampled_from(["rational", "quadratic", "decimal"]))
+        if kind == "rational":
+            q = draw(st.integers(3, 12))
+            return {"rational": [draw(st.sampled_from([p for p in range(1, q) if 2 * p != q])), q]}
+        a, b, c, d = draw(st.sampled_from(QUADRATIC_POOL))
+        if kind == "quadratic":
+            return {"quadratic": [a, b, c, d]}
+        digits = draw(st.integers(6, 12))
+        return {"decimal": f"{(a + b * math.sqrt(d)) / c:.{digits}f}",
+                "error": f"1e-{digits - draw(st.integers(0, 2))}"}
+
+    k = draw(st.integers(1, 2))
+    seeds = [{"i1": k + draw(st.integers(1, 3)), "nu1": 0,
+              "blocks": [{"r": angle()} for _ in range(k)]}
+             for _ in range(draw(st.integers(1, 2)))]
+    return {"version": 1, "system": {"n": k + 1}, "seeds": seeds,
+            "options": {"delta": [1, draw(st.sampled_from([10, 100]))],
+                        "n_max": draw(st.sampled_from([100, 1000, 10**4])),
+                        "limit": draw(st.integers(1, 3)), "m_max": draw(st.integers(1, 30))}}
+
+
+class TestScenarioBudget:
+    """No scenario angle reads a refinement level, so ``options.budget``
+    changes the wording of a refusal and nothing else."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(doc=scenario_docs())
+    def test_budget_changes_only_the_refusal_wording(self, doc, tmp_path_factory):
+        base = tmp_path_factory.mktemp("budget")
+        tuple_file = base / "tuples.json"
+        outcomes = {}
+        for budget in (64, 0, 1):
+            path = write_scenario(base, with_budget(doc, budget), f"{budget}.json")
+            for command, flag, *rest in (
+                    ("iterate", "--seed"), ("mean-index", "--seed"), ("realize", "--seed"),
+                    ("jump", "--seeds"), ("analyze", "--system"),
+                    ("verify", "--seeds", "--tuple", str(tuple_file))):
+                code, out, err = _in_process(["--format", "machine", command, flag, path, *rest])
+                if command == "jump" and budget == 64:
+                    tuple_file.write_bytes(out if code == 0 else (WIRE / "jump.out").read_bytes())
+                outcomes.setdefault(command, []).append(
+                    (code, out, re.sub(r"budget \d+", "budget N", err)))
+        for command, (first, *others) in outcomes.items():
+            assert all(o == first for o in others), (command, doc)

@@ -5,11 +5,13 @@ of one CLI command on ``scenarios/two_seed_s3.json``; ``verify`` reads
 the stored ``jump`` output.  Any change to the wire format, or to a
 certified value behind it, shows up here as a byte difference, under
 ``python`` and under ``python -O`` alike.  Every angle of the scenario is
-quadratic, so each command also prints its fixture at ``--budget 0``.
+quadratic, so each command also prints its fixture when the scenario's
+``options.budget`` is 0.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -32,10 +34,11 @@ COMMANDS = {
 }
 
 
-def replay(name: str, *python_flags: str, budget: tuple[str, ...] = ()) -> bytes:
+def replay(name: str, *python_flags: str, scenario: str = SCENARIO) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, *python_flags, "-m", "symjump.cli", *budget,
-                        "--format", "machine", *COMMANDS[name]], capture_output=True, env=env)
+    argv = [scenario if a == SCENARIO else a for a in COMMANDS[name]]
+    r = subprocess.run([sys.executable, *python_flags, "-m", "symjump.cli",
+                        "--format", "machine", *argv], capture_output=True, env=env)
     assert r.returncode == 0, r.stderr
     return r.stdout
 
@@ -53,6 +56,10 @@ def test_machine_output_does_not_depend_on_optimize(name):
 
 @pytest.mark.parametrize("python_flags", [(), ("-O",)], ids=["python", "python-O"])
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_machine_output_does_not_depend_on_the_budget(name, python_flags):
-    budget = ("--budget", "0")
-    assert replay(name, *python_flags, budget=budget) == (WIRE / f"{name}.out").read_bytes()
+def test_machine_output_does_not_depend_on_the_budget(name, python_flags, tmp_path):
+    doc = json.loads(Path(SCENARIO).read_bytes())
+    doc["options"]["budget"] = 0
+    scenario = tmp_path / "budget_0.json"
+    scenario.write_text(json.dumps(doc))
+    expected = (WIRE / f"{name}.out").read_bytes()
+    assert replay(name, *python_flags, scenario=str(scenario)) == expected
