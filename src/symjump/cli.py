@@ -50,13 +50,18 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _global_flags() -> argparse.ArgumentParser:
     # The global flag, accepted before and after the subcommand.  SUPPRESS
     # keeps a subcommand that omits it from overwriting a value given before
     # it; main() supplies the default.
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS, help="output rendering")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _global_flags()
     parser = _Parser(prog="symjump", parents=[common],
                      description="Exact index iteration and jump-tuple analysis "
                                  "for symplectic paths")
@@ -133,7 +138,15 @@ def _progress_printer(enabled: bool):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes the value of an unknown option placed before the
+    # subcommand for the subcommand's name: name the option instead
+    head = _global_flags()
+    head.add_argument("-h", "--help", action="store_true")
+    head.add_argument("command", nargs=argparse.REMAINDER)
     try:
+        _, unknown = head.parse_known_args(argv)
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv, argparse.Namespace(format="text"))
     except SystemExit as exc:
         return int(exc.code or 0)

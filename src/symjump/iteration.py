@@ -134,32 +134,18 @@ class MeanIndex:
     classes (see :func:`_mean_of`); a rational exact part has no terms.
     ``angles`` holds the ``decimal`` and refiner angles.
 
-    With no such angle, ``cmp``, ``floor_quotient``, ``lower_bound`` and
-    ``enclosure`` decide from the exact part in integers, one integer
-    square root per surd at each precision tried (see
-    :func:`_decided_floor`), and never read the budget; the sign of the
-    value is certified once, at construction.  Otherwise they decide on
-    :meth:`_bounds`, which reads the angles at levels 0 .. budget.  Nothing
-    is memoized, so no answer depends on earlier queries.
+    Every query loops over :meth:`_read`, integer bounds on the value at
+    one level, until they decide it.  With such angles the levels run
+    0 .. budget.  With none the budget is never read and the levels double
+    without end: a value with surds is irrational (square roots of
+    distinct square classes are linearly independent over Q, Besicovitch
+    1940), so it is no rational and no quotient of it is an integer, and
+    the loop ends.  Nothing is memoized, so no answer depends on earlier
+    queries.
     """
 
     surd: tuple[int, int, tuple]
     angles: tuple[IrrationalAngle, ...] = ()
-    # bits beyond the operands' size at which floor_quotient encloses a
-    # positive exact value; None when the value is not positive or has angles
-    _pad: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.angles:
-            return
-        scale, a0, terms = self.surd
-        p, t = _decided_floor(a0, terms)
-        if t > 0:
-            # v*2**p > t >= 1 for v = A0 + sum B_i*sqrt(D_i), so v >= 2**-e;
-            # at p' >= bits(num) - bits(den) + pad bits the enclosure of v is
-            # positive and puts num*L/(den*v) in an interval narrower than 2**-31
-            e = max(0, p + 1 - t.bit_length())
-            self._pad = scale.bit_length() + len(terms).bit_length() + 2 * e + 33
 
     @property
     def is_exact(self) -> bool:
@@ -170,37 +156,48 @@ class MeanIndex:
             raise ValueError("mean index has irrational contributions; use enclosure()")
         return Fraction(self.surd[1], self.surd[0])
 
-    def _exact_part(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """The exact part enclosed in closed form, no wider than ``width``
-        (> 0), read at the first multiple of 24 bits (a quadratic angle's
-        level step) that is narrow enough."""
-        scale, a0, terms = self.surd
-        k = len(terms)
+    def _level_for(self, width: Fraction) -> int:
+        """The first level whose exact part, read at 24 bits a level (a
+        quadratic angle's level step), is no wider than ``width`` (> 0)."""
+        scale, _, terms = self.surd
         # width >= 2**-e, and 2**p >= k*2**e/L makes k/(L*2**p) <= width
         e = width.denominator.bit_length() - width.numerator.bit_length() + 1
-        p = -(-max(0, k.bit_length() + e - scale.bit_length() + 1) // 24) * 24
-        t = _floor_scaled(a0, terms, p)
-        return Fraction(t, scale << p), Fraction(t + k, scale << p)
+        return -(-max(0, len(terms).bit_length() + e - scale.bit_length() + 1) // 24)
 
-    def _bounds(self, budget: Optional[int], first: int = 0):
-        """Bounds at levels first .. budget of the angles, first clipped to
-        the budget: twice the sum of their enclosures plus the exact part
-        read at least 2**32 times narrower than that sum, and than a
+    def _read(self, level: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den) with lo/den <= value <= hi/den.
+
+        With no angle, the exact part read at 24*level bits.  Otherwise
+        twice the sum of the angles' enclosures at the level plus the exact
+        part read at least 2**32 times narrower than that sum, and than a
         quadratic angle's enclosure at the level."""
-        levels = _levels(budget, self.angles)
-        # levels[-1], not len(levels): a budget past 2**63 has no len
-        for level in levels[min(first, levels[-1]):]:
-            ends = [a.enclosure_at(level) for a in self.angles]
-            lo = 2 * sum(a_lo for a_lo, _ in ends)
-            hi = 2 * sum(a_hi for _, a_hi in ends)
-            s_lo, s_hi = self._exact_part(min(hi - lo, Fraction(1, 1 << 24 * (level + 1)))
-                                          / 2**32)
-            yield lo + s_lo, hi + s_hi
+        scale, a0, terms = self.surd
+        if not self.angles:
+            t = _floor_scaled(a0, terms, 24 * level)
+            return t, t + len(terms), scale << 24 * level
+        ends = [a.enclosure_at(level) for a in self.angles]
+        lo = 2 * sum(a_lo for a_lo, _ in ends)
+        hi = 2 * sum(a_hi for _, a_hi in ends)
+        p = 24 * self._level_for(min(hi - lo, Fraction(1, 1 << 24 * (level + 1))) / 2**32)
+        t = _floor_scaled(a0, terms, p)
+        lo += Fraction(t, scale << p)
+        hi += Fraction(t + len(terms), scale << p)
+        den = lcm(lo.denominator, hi.denominator)
+        return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
-    def _positive_surd(self) -> tuple[int, int, tuple]:
-        if self._pad is None:
-            raise ValueError("mean index must be positive")
-        return self.surd
+    def _reads(self, budget: Optional[int], first: int) -> Iterator[tuple[int, int, int]]:
+        """Reads from level ``first``: with angles, levels first .. budget,
+        first clipped to the budget; otherwise levels first, then each
+        with twice the bits of the last, without end."""
+        if self.angles:
+            levels = _levels(budget, self.angles)
+            # levels[-1], not len(levels): a budget past 2**63 has no len
+            for level in levels[min(first, levels[-1]):]:
+                yield self._read(level)
+            return
+        while True:
+            yield self._read(first)
+            first = 2 * first or 1
 
     def enclosure(self, tol: Optional[Fraction] = None,
                   budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
@@ -209,21 +206,16 @@ class MeanIndex:
         tol = Fraction(1, 10**12) if tol is None else Fraction(tol)
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        if not self.angles:
-            return self._exact_part(tol)
-        for lo, hi in self._bounds(budget):
-            if hi - lo <= tol:
-                return lo, hi
+        for lo, hi, den in self._reads(budget, 0 if self.angles else self._level_for(tol)):
+            if (hi - lo) * tol.denominator <= tol.numerator * den:
+                return Fraction(lo, den), Fraction(hi, den)
         raise _undecided(f"mean index enclosure of width {tol}", budget, self.angles)
 
     def lower_bound(self, budget: Optional[int] = None) -> Fraction:
         """A certified positive lower bound on a positive mean index, within
         1e-6 of it: the jump scan's step bound.  A mean index certified
-        negative raises ValueError."""
-        if not self.angles:
-            scale, a0, terms = self._positive_surd()
-            return Fraction(_floor_scaled(a0, terms, self._pad), scale << self._pad)
-        if self.cmp(0, budget) < 0:
+        not positive raises ValueError."""
+        if self.cmp(0, budget) <= 0:
             raise ValueError("mean index must be positive")
         tol = Fraction(1, 10**6)
         while (lo := self.enclosure(tol, budget)[0]) <= 0:
@@ -233,52 +225,38 @@ class MeanIndex:
     def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
         """Certified comparison against a rational: -1, 0 or +1."""
         other = Fraction(other)
-        if not self.angles:
-            scale, a0, terms = self.surd
-            p, q = other.numerator, other.denominator
-            return _surd_sign(a0 * q - p * scale, [(b * q, d) for b, d in terms])
-        for lo, hi in self._bounds(budget):
-            if lo > other:
+        p, q = other.numerator, other.denominator
+        for lo, hi, den in self._reads(budget, 0):
+            if lo * q > p * den:
                 return 1
-            if hi < other:
+            if hi * q < p * den:
                 return -1
+            if lo == hi:
+                return 0
         raise _undecided(f"mean index vs {other}", budget, self.angles)
 
     def floor_quotient(self, num: int, den: int, budget: Optional[int] = None) -> int:
         """Certified floor(num / (den * value)); value must be positive."""
         if num < 0 or den < 1:
             raise ValueError("floor_quotient expects num >= 0, den >= 1")
-        if not self.angles:
-            scale, a0, terms = self._positive_surd()
-            if not terms:
-                return num * scale // (den * a0)
-            k = len(terms)
-            # t <= v*2**p < t + k for v = value*L, and t > 0
-            p = max(num.bit_length() - den.bit_length(), 0) + self._pad
-            t = _floor_scaled(a0, terms, p)
-            n = num * scale << p
-            f = n // (den * (t + k))
-            if f == n // (den * t):
-                return f
-            # the enclosure is narrower than 1: the floor is f or f + 1,
-            # as num*L - den*(f + 1)*v is negative or positive
-            g = den * (f + 1)
-            return f + (_surd_sign(num * scale - g * a0, [(-g * b, d) for b, d in terms]) > 0)
-        # A level of 24 more bits decides quotients about 2**24 times larger,
-        # so start near the level the operands' size needs.
-        first = max(0, (num.bit_length() - den.bit_length()) // 24 - 1)
-        for lo, hi in self._bounds(budget, first):
-            if lo.numerator > 0:
-                f = (num * hi.denominator) // (den * hi.numerator)
-                if f == (num * lo.denominator) // (den * lo.numerator):
+        scale, a0, terms = self.surd
+        if not (terms or self.angles) and a0 > 0:
+            return num * scale // (den * a0)
+        # A level of 24 more bits decides quotients about 2**24 times
+        # larger: start 8 to 31 bits past the operands' size.
+        first = max(0, (num.bit_length() - den.bit_length() + 31) // 24)
+        for lo, hi, d in self._reads(budget, first):
+            if lo > 0:
+                f = num * d // (den * hi)
+                if f == num * d // (den * lo):
                     return f
-            elif hi.numerator <= 0:
+            elif hi <= 0:
                 raise ValueError("mean index must be positive")
         raise _undecided(f"floor({num} / ({den} * mean index))", budget, self.angles)
 
     def __float__(self):
-        lo, hi = next(self._bounds(0)) if self.angles else self._exact_part(Fraction(1, 2**64))
-        return float((lo + hi) / 2)
+        lo, hi, den = self._read(0 if self.angles else self._level_for(Fraction(1, 2**64)))
+        return (lo + hi) / (2 * den)
 
     def __repr__(self):
         if self.is_exact:
@@ -298,52 +276,6 @@ def _floor_scaled(a0: int, terms, p: int) -> int:
         f = isqrt(b * b * d << 2 * p)
         t += f if b > 0 else -f - 1
     return t
-
-
-def _norm_bits(h: int, k: int) -> int:
-    """Bits p with |v|*2**p > k for the value v of k >= 1 surds of height h.
-
-    v is nonzero: square roots of distinct square classes are linearly
-    independent over Q (Besicovitch 1940).  For the same reason each of its
-    2**k conjugates A0 +/- B_1*sqrt(D_1) +/- ... is nonzero, and their
-    product is an integer (each sign flip leaves it unchanged), hence at
-    least 1 in size.  Each conjugate is below the height
-    H = |A0| + sum |B_i|*(isqrt(D_i) + 1), so |v| >= H**-(2**k - 1).
-    """
-    return ((1 << k) - 1) * h.bit_length() + (k + 1).bit_length() + 1
-
-
-def _decided_floor(a0: int, terms) -> tuple[int, int]:
-    """The first (p, t) with t = _floor_scaled(a0, terms, p) and t >= 1
-    (so v > t/2**p > 0) or t + k <= 0 (so v <= 0), for the value v of
-    k surds (A0 when k = 0).
-
-    p starts at bits(H) + 64 and doubles.  Most values show their sign
-    there; the norm bound of :func:`_norm_bits`, which grows as 2**k, is
-    only the cap that makes the search end: at it |v|*2**p > k, which rules
-    out -k < t < 1.
-    """
-    k = len(terms)
-    h = abs(a0) + sum(abs(b) * (isqrt(d) + 1) for b, d in terms)
-    cap = _norm_bits(h, k)
-    p = min(h.bit_length() + 64, cap)
-    while True:
-        t = _floor_scaled(a0, terms, p)
-        if t >= 1 or t + k <= 0:
-            return p, t
-        if p == cap:
-            raise ArithmeticError(f"surd sign undecided at t = {t} for {k} surds")
-        p = min(2 * p, cap)
-
-
-def _surd_sign(a0: int, terms) -> int:
-    """The sign of the value of k surds: that of A0 when k = 0.  For one
-    surd the floor at p = 0 is already exact: t + 1 <= 0 whenever t < 0."""
-    if not terms:
-        return (a0 > 0) - (a0 < 0)
-    if len(terms) == 1:
-        return 1 if _floor_scaled(a0, terms, 0) >= 0 else -1
-    return 1 if _decided_floor(a0, terms)[1] > 0 else -1
 
 
 def mean_index(seed: PathSeed) -> MeanIndex:

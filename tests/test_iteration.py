@@ -397,6 +397,74 @@ class TestSurdKernel:
                 find_jump_tuples([seed], Fraction(1, 3), 200)
 
 
+def _pell(digits: int) -> tuple[int, int]:
+    """(p, b) with p*p - 2*b*b = -1 and b >= 10**digits: p + b*sqrt(2) is
+    an odd power of 1 + sqrt(2), so b*sqrt(2) - p = 1/(p + b*sqrt(2))."""
+    p, b = 1, 1
+    while b < 10**digits:
+        p, b = 3 * p + 4 * b, 2 * p + 3 * b
+    return p, b
+
+
+def _side(x: Fraction, p: int, b: int) -> int:
+    """The sign of b*sqrt(2) - p - x, in integers."""
+    s = x.numerator + p * x.denominator  # against b*sqrt(2)*x.denominator
+    t = 2 * (b * x.denominator) ** 2
+    return 1 if s < 0 else (t > s * s) - (t < s * s)
+
+
+class TestMeanNearARational:
+    """One rotation (-p + b*sqrt(2))/2 with i1 = 1: the mean index
+    v = b*sqrt(2) - p lies about 10**-100 or 10**-1000 above 0 and within
+    about v**2 of 1/(2p + 1).  Every answer is checked in integers, and
+    the work is bounded by the kernel's integer square roots, counted by a
+    spy: bits(1/v) <= w = bits(2p), so a walk of 24-bit levels would take
+    w/24 roots where a doubling one takes about log2(w)."""
+
+    @pytest.mark.parametrize("digits", [100, 1000])
+    def test_answers_and_work(self, digits, monkeypatch):
+        from symjump import iteration
+
+        roots = []
+
+        def counted_isqrt(n: int) -> int:
+            roots.append(n.bit_length())
+            return isqrt(n)
+
+        def work(query):
+            roots.clear()
+            answer = query()
+            assert len(roots) <= w.bit_length() + 4, f"{len(roots)} roots"
+            assert max(roots) <= 12 * w, f"a root of {max(roots)} bits"
+            return answer
+
+        p, b = _pell(digits)
+        w = (2 * p).bit_length()
+        mi = mean_index(PathSeed(2, 1, 0, Decomposition(
+            [RotationBlock(quadratic_angle(-p, b, 2, 2))])))
+        assert mi.surd == (1, -p, ((b, 2),))
+        below, above = Fraction(1, 2 * p + 1), Fraction(1, 2 * p)
+        assert (_side(below, p, b), _side(above, p, b)) == (1, -1)
+        monkeypatch.setattr(iteration, "isqrt", counted_isqrt)
+        with no_level_read():
+            assert work(lambda: mi.cmp(0)) == 1
+            assert work(lambda: mi.cmp(below)) == 1
+            assert work(lambda: mi.cmp(above)) == -1
+            f = work(lambda: mi.floor_quotient(10**5, 1))
+            # f*v <= 10**5 < (f + 1)*v, each side squared
+            assert 2 * (f * b) ** 2 <= (10**5 + f * p) ** 2
+            assert (10**5 + (f + 1) * p) ** 2 < 2 * ((f + 1) * b) ** 2
+            tol = Fraction(1, 10**(digits + 30))
+            lo, hi = work(lambda: mi.enclosure(tol))
+            assert 0 < lo and hi - lo <= tol
+            assert (_side(lo, p, b), _side(hi, p, b)) == (1, -1)
+            roots.clear()
+            lb = mi.lower_bound()
+            assert 0 < lb and _side(lb, p, b) == 1
+            # the sign, then one enclosure per 24 bits of tolerance
+            assert len(roots) <= w // 24 + w.bit_length() + 8, f"{len(roots)} roots"
+
+
 @st.composite
 def mixed_seeds(draw):
     """A seed of one to four rotations whose angles are rational, quadratic,
@@ -498,8 +566,6 @@ class TestOneExactPart:
         def first_positive_end(budget):
             # the bound before the sign was decided first: tighten the
             # enclosure until its lower end is positive
-            if not mi.angles:
-                return mi.lower_bound(budget)
             tol = Fraction(1, 10**6)
             while (lo := mi.enclosure(tol, budget)[0]) <= 0:
                 tol /= 2**24

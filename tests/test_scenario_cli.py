@@ -325,9 +325,13 @@ class TestCli:
         (["verify", "--tuple", "t.json"],
          "error: the following arguments are required: --seeds"),
         (["iterate", "--seed", SHIPPED, "--budget", "0"],
-         "error: unrecognized arguments: --budget 0")],
+         "error: unrecognized arguments: --budget 0"),
+        # before the subcommand argparse would take the 0 for the subcommand
+        (["--budget", "0", "iterate", "--seed", SHIPPED],
+         "error: unrecognized arguments: --budget"),
+        (["--bogus", "iterate", "--seed", SHIPPED], "error: unrecognized arguments: --bogus")],
         ids=["missing_seed", "missing_system", "missing_seeds", "verify_missing_seeds",
-             "budget"])
+             "budget", "budget_before_command", "bogus_before_command"])
     def test_usage_error_is_one_line(self, args, message):
         r = run_cli(*args)
         assert r.returncode == 1 and r.stdout == b""
