@@ -5,7 +5,7 @@ common index jump tuples, and the two-elliptic-geodesics analysis
 pipeline for systems of closed geodesics on pinched spheres.
 """
 
-from .angles import (DEFAULT_BUDGET, Enclosure, ExactAngle, IrrationalAngle,
+from .angles import (Enclosure, ExactAngle, IrrationalAngle,
                      RationalAngle, complement_angle, decimal_angle,
                      quadratic_angle, rational_angle, same_angle)
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSide", "AnalysisReport", "BasicForm", "CandidateRecord",
-    "ConditionCheck", "ConstraintViolation", "DEFAULT_BUDGET", "Decomposition",
+    "ConditionCheck", "ConstraintViolation", "Decomposition",
     "DeltaReport", "Enclosure", "ExactAngle", "GeodesicSystem",
     "HyperbolicBlock", "IrrationalAngle", "IterationRow", "JumpTuple",
     "MeanIndex", "N1Block", "N2Block", "NoTupleFound", "PathSeed",

@@ -108,14 +108,13 @@ class AnalysisReport:
     first_bound_at_second: Optional[ConditionCheck]
 
 
-def validate_pinching_bounds(system: GeodesicSystem,
-                             budget: Optional[int] = None) -> list[PinchRecord]:
+def validate_pinching_bounds(system: GeodesicSystem) -> list[PinchRecord]:
     """Check i1 >= n-1 and mean index > n-1 for every seed (certified)."""
     records = []
     bound = Fraction(system.n - 1)
     for k, seed in enumerate(system.seeds):
         initial_ok = seed.i1 >= system.n - 1
-        mean_ok = seed.mean.cmp(bound, budget) > 0
+        mean_ok = seed.mean.cmp(bound) > 0
         records.append(PinchRecord(k, initial_ok, mean_ok))
     return records
 
@@ -129,21 +128,19 @@ def nullity_at_even_jump(seed: PathSeed) -> int:
             + 2 * d.r_prime + 2 * d.r_star_prime + 2 * d.r_zero_prime)
 
 
-def _even_values(system: GeodesicSystem, t: JumpTuple, budget: Optional[int]) -> list[int]:
+def _even_values(system: GeodesicSystem, t: JumpTuple) -> list[int]:
     """i + nu at every seed's even jump iterate 2*m_k."""
-    return [index_iterate(seed, 2 * m, budget) + nullity_iterate(seed, 2 * m, budget)
+    return [index_iterate(seed, 2 * m) + nullity_iterate(seed, 2 * m)
             for seed, m in zip(system.seeds, t.m)]
 
 
-def find_peak_geodesic(system: GeodesicSystem, t: JumpTuple,
-                       budget: Optional[int] = None) -> list[int]:
+def find_peak_geodesic(system: GeodesicSystem, t: JumpTuple) -> list[int]:
     """Seeds whose even jump iterate reaches i + nu = 2N + (n-1)."""
     peak = 2 * t.N + (system.n - 1)
-    return [k for k, v in enumerate(_even_values(system, t, budget)) if v == peak]
+    return [k for k, v in enumerate(_even_values(system, t)) if v == peak]
 
 
-def derive_peak_constraints(seed: PathSeed, t: JumpTuple, d: DeltaReport,
-                            budget: Optional[int] = None) -> PeakConstraintRecord:
+def derive_peak_constraints(seed: PathSeed, d: DeltaReport) -> PeakConstraintRecord:
     """Derive the vanishing constraints forced at a peak iterate.
 
     Comparing the peak identity with the census of the decomposition
@@ -188,24 +185,22 @@ def derive_peak_constraints(seed: PathSeed, t: JumpTuple, d: DeltaReport,
         irrational_rotation_count=irr, rational_geodesic_flag=(irr == 0))
 
 
-def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple,
-                    budget: Optional[int] = None) -> SecondGeodesicResult:
+def second_geodesic(system: GeodesicSystem, first: int, t2: JumpTuple) -> SecondGeodesicResult:
     """Rerun the peak search at a complementary tuple.
 
     The first seed's irrational rotation angles all flip to the far
     side, so its even iterate falls strictly below the peak; some other
     seed must reach 2N' + (n-1) or the system contradicts finiteness.
     """
-    return _second_from(system, first, t2, _complement_values(system, t2, budget))
+    return _second_from(system, first, t2, _complement_values(system, t2))
 
 
-def _complement_values(system: GeodesicSystem, t2: JumpTuple,
-                       budget: Optional[int]) -> tuple[int, ...]:
+def _complement_values(system: GeodesicSystem, t2: JumpTuple) -> tuple[int, ...]:
     """i + nu at every seed's even iterate of t2, each checked against the
     splitting closed form; the same for every first seed."""
-    values = _even_values(system, t2, budget)
+    values = _even_values(system, t2)
     for k, (seed, direct) in enumerate(zip(system.seeds, values)):
-        dk = compute_delta(seed, t2.m[k], t2.delta, budget).delta_k
+        dk = compute_delta(seed, t2.m[k], t2.delta).delta_k
         closed = index_at_even_jump(seed, t2.N, dk) + nullity_at_even_jump(seed)
         if direct != closed:
             raise ConstraintViolation(
@@ -251,8 +246,9 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
     finiteness contradiction branch fired (their Morse-theoretic content
     is out of scope and reported as a flag only).  Raises NoTupleFound
     when no branch fired but some peak's complement lies past ``n_max``.
+    ``budget`` is accepted and ignored.
     """
-    pinching = validate_pinching_bounds(system, budget)
+    pinching = validate_pinching_bounds(system)
     for rec in pinching:
         if not rec.passed:
             which = "initial index" if not rec.initial_index_ok else "mean index"
@@ -260,8 +256,7 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                 f"seed {rec.seed_index} fails the pinching bound on {which}")
     betti = betti_constant(system.n)
     seeds = system.seeds
-    tuples = find_jump_tuples(seeds, delta, n_max, tuple_limit,
-                              budget=budget, progress=progress)
+    tuples = find_jump_tuples(seeds, delta, n_max, tuple_limit, progress=progress)
 
     fallback = AnalysisReport(
         n=system.n, status="fcg_contradiction", flag="no_peak_iterate", betti=betti,
@@ -270,11 +265,11 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
     unpaired = []  # N of each peak whose complement lies past n_max
     checked = {}  # the values at each complementary tuple, for every peak seed
     for t in tuples:
-        peaks = find_peak_geodesic(system, t, budget)
+        peaks = find_peak_geodesic(system, t)
         looked_up = False  # the complement of t, or its miss, serves every peak seed
         for k0 in peaks:
-            d0 = compute_delta(seeds[k0], t.m[k0], t.delta, budget)
-            constraints = derive_peak_constraints(seeds[k0], t, d0, budget)
+            d0 = compute_delta(seeds[k0], t.m[k0], t.delta)
+            constraints = derive_peak_constraints(seeds[k0], d0)
             found = replace(fallback, tuple_used=t, candidates=tuple(peaks),
                             first=CandidateRecord(k0, t.N, d0, constraints))
             if constraints.rational_geodesic_flag:
@@ -286,14 +281,14 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
             if not looked_up:
                 looked_up = True
                 try:
-                    t2 = find_complementary_tuples(seeds, t, n_max=n_max, budget=budget)[0]
+                    t2 = find_complementary_tuples(seeds, t, n_max=n_max)[0]
                 except NoTupleFound:
                     t2 = None
                     unpaired.append(t.N)
             if t2 is None:
                 continue
             if t2 not in checked:
-                checked[t2] = _complement_values(system, t2, budget)
+                checked[t2] = _complement_values(system, t2)
             sg = _second_from(system, k0, t2, checked[t2])
             found = replace(found, second_tuple=t2, first_bound_at_second=sg.first_bound)
             if sg.second is None:
@@ -301,11 +296,9 @@ def run_analysis(system: GeodesicSystem, *, delta: Fraction = Fraction(1, 1000),
                     fallback = replace(found, flag="no_second_geodesic")
                 continue
             k2 = sg.second
-            d0_full = compute_delta(seeds[k0], t.m[k0], t.delta, budget,
-                                    complement_m=t2.m[k0])
-            d2 = compute_delta(seeds[k2], t2.m[k2], t2.delta, budget,
-                               complement_m=t.m[k2])
-            constraints2 = derive_peak_constraints(seeds[k2], t2, d2, budget)
+            d0_full = compute_delta(seeds[k0], t.m[k0], t.delta, complement_m=t2.m[k0])
+            d2 = compute_delta(seeds[k2], t2.m[k2], t2.delta, complement_m=t.m[k2])
+            constraints2 = derive_peak_constraints(seeds[k2], d2)
             return replace(found, status="two_elliptic_irrational", flag=None,
                            first=CandidateRecord(k0, t.N, d0_full, constraints),
                            second=CandidateRecord(k2, t2.N, d2, constraints2))

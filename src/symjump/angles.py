@@ -8,32 +8,21 @@ each query either returns a certified answer or raises
 
 Rational ratios are exact integer arithmetic, and so are quadratic
 irrationals (a + b*sqrt(d))/c: floor(m*x) takes one integer square root.
-Other irrational ratios carry a rational enclosure
-``[approximant - error, approximant + error]`` and optionally a refiner:
-a pure function mapping a level ``0, 1, 2, ...`` to enclosures whose
-widths at least halve per level.  A query at budget B reads levels
-0 .. B of that pure sequence (a quadratic query, all it needs) and
-nothing else, so every answer is a function of the angle, the operands
-and the budget alone.  Angles are immutable and hold no cache.
+Any other irrational ratio carries one stated rational enclosure
+``[approximant - error, approximant + error]``, and a query on it decides
+from that enclosure or refuses.  Every query reads its angle once, so
+every answer is a function of the angle and the operands alone.  Angles
+are immutable and hold no cache.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import UndecidableComparison
-
-# Refinement levels a query may read beyond level 0 before giving up.
-# The theory puts no a-priori bound on how close m*x may come to an
-# integer, so some bound must be chosen; 64 levels (at least 64 halvings)
-# is far beyond any scan this package performs, and callers can override.
-DEFAULT_BUDGET = 64
-
-Refiner = Callable[[int], tuple[Fraction, Fraction]]
 
 # Most characters, and largest exponent magnitude, a decimal angle string
 # may carry: Fraction("1e-999999999") would build a gigabyte power of ten.
@@ -59,24 +48,6 @@ class Enclosure:
         return self.lo <= value <= self.hi
 
 
-def _resolve_budget(budget: Optional[int]) -> int:
-    if budget is None:
-        return DEFAULT_BUDGET
-    if budget < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {budget}")
-    return budget
-
-
-def _levels(budget: Optional[int], angles) -> Iterable[int]:
-    """Refinement levels a query at this budget reads: 0 .. budget, or
-    level 0 alone when no angle has a refiner (its levels all coincide),
-    or every level when all are quadratic (closed form: such a query ends)."""
-    top = _resolve_budget(budget)
-    if angles and all(isinstance(a, QuadraticAngle) for a in angles):
-        return itertools.count()
-    return range(top + 1 if any(a._refiner for a in angles) else 1)
-
-
 class ExactAngle:
     """Base class for angle ratios; see :class:`RationalAngle` and
     :class:`IrrationalAngle`."""
@@ -84,26 +55,24 @@ class ExactAngle:
     __slots__ = ()
     is_rational: bool  # a class constant of each kind
 
-    def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def floor_mul(self, m: int) -> int:
         """Certified floor(m * x)."""
         raise NotImplementedError
 
-    def ceil_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def ceil_mul(self, m: int) -> int:
         """Certified min{k in Z : k >= m*x}."""
         raise NotImplementedError
 
-    def varphi_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def varphi_mul(self, m: int) -> int:
         """0 if m*x is an integer, 1 otherwise."""
         raise NotImplementedError
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9),
-                 budget: Optional[int] = None):
+    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)):
         """Fractional part of m*x: an exact Fraction when rational, else a
         certified :class:`Enclosure` of width <= tol."""
         raise NotImplementedError
 
-    def frac_side(self, m: int, delta: Fraction,
-                  budget: Optional[int] = None) -> str:
+    def frac_side(self, m: int, delta: Fraction) -> str:
         """Locate {m*x} relative to a rational threshold delta in (0, 1/2).
 
         Returns ``"zero"`` ({m*x} = 0, rational only), ``"low"``
@@ -128,26 +97,24 @@ class RationalAngle(ExactAngle):
         if not 0 < self.value < 1:
             raise ValueError(f"rational angle ratio must lie strictly in (0,1), got {self.value}")
 
-    def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
         return (m * self.value.numerator) // self.value.denominator
 
-    def ceil_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def ceil_mul(self, m: int) -> int:
         _check_multiplier(m)
         return -((-m * self.value.numerator) // self.value.denominator)
 
-    def varphi_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def varphi_mul(self, m: int) -> int:
         _check_multiplier(m)
         return 0 if (m * self.value.numerator) % self.value.denominator == 0 else 1
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9),
-                 budget: Optional[int] = None) -> Fraction:
+    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
         _check_multiplier(m)
         return Fraction((m * self.value.numerator) % self.value.denominator,
                         self.value.denominator)
 
-    def frac_side(self, m: int, delta: Fraction,
-                  budget: Optional[int] = None) -> str:
+    def frac_side(self, m: int, delta: Fraction) -> str:
         delta = _check_delta(delta)
         f = self.frac_mul(m)
         if f == 0:
@@ -166,7 +133,7 @@ class RationalAngle(ExactAngle):
 
 
 class IrrationalAngle(ExactAngle):
-    """An irrational x in (0, 1) given by an enclosure and optional refiner.
+    """An irrational x in (0, 1) given by one stated enclosure.
 
     The irrational flavor is trusted, not inferred: callers declaring a
     value irrational get irrational semantics (m*x is never an integer).
@@ -174,11 +141,10 @@ class IrrationalAngle(ExactAngle):
     e.g. ``("quadratic", (a, b, c, d))`` or ``("decimal", (s, e))``.
     """
 
-    __slots__ = ("_lo", "_hi", "_refiner", "source")
+    __slots__ = ("_lo", "_hi", "source")
     is_rational = False
 
     def __init__(self, approximant: Fraction, error_bound: Fraction,
-                 refiner: Optional[Refiner] = None,
                  source: Optional[tuple] = None):
         approximant = Fraction(approximant)
         error_bound = Fraction(error_bound)
@@ -190,76 +156,62 @@ class IrrationalAngle(ExactAngle):
             raise ValueError("enclosure lies outside (0,1)")
         object.__setattr__(self, "_lo", max(lo, Fraction(0)))
         object.__setattr__(self, "_hi", min(hi, Fraction(1)))
-        object.__setattr__(self, "_refiner", refiner)
         object.__setattr__(self, "source", source)
 
     def __setattr__(self, name, value):
         raise AttributeError("IrrationalAngle exposes no mutable attributes")
 
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        """The stated enclosure, approximant +/- error clipped to [0, 1]."""
+    def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
+        """The stated enclosure, approximant +/- error clipped to [0, 1],
+        whatever the ``width`` asked for."""
         return self._lo, self._hi
-
-    def enclosure_at(self, level: int) -> tuple[Fraction, Fraction]:
-        """Enclosure at a refinement level: the refiner's, clipped to the
-        stated one.  A pure function of the level."""
-        if self._refiner is None:
-            return self._lo, self._hi
-        lo, hi = self._refiner(level)
-        return max(lo, self._lo), min(hi, self._hi)
 
     # -- certified queries ------------------------------------------------
 
-    def _decided(self, m: int, budget: Optional[int]):
-        """(floor(m*x), lo, hi) for each level 0 .. budget whose enclosure
-        [lo, hi] fixes floor(m*x)."""
-        for level in _levels(budget, (self,)):
-            lo, hi = self.enclosure_at(level)
-            f = (m * lo.numerator) // lo.denominator
-            if f == (m * hi.numerator) // hi.denominator:
-                yield f, lo, hi
+    def _fixed_floor(self, m: int) -> Optional[int]:
+        """floor(m*x) when the stated enclosure fixes it, else None."""
+        lo, hi = self._lo, self._hi
+        f = (m * lo.numerator) // lo.denominator
+        return f if f == (m * hi.numerator) // hi.denominator else None
 
-    def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
-        for f, _, _ in self._decided(m, budget):
-            return f
-        raise _undecided(f"floor({m} * {self!r})", budget, (self,))
+        f = self._fixed_floor(m)
+        if f is None:
+            raise _undecided(f"floor({m} * {self!r})")
+        return f
 
-    def ceil_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def ceil_mul(self, m: int) -> int:
         # m*x is never an integer for irrational x.
-        return self.floor_mul(m, budget) + 1
+        return self.floor_mul(m) + 1
 
-    def varphi_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def varphi_mul(self, m: int) -> int:
         _check_multiplier(m)
         return 1
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9),
-                 budget: Optional[int] = None) -> Enclosure:
+    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
         """Certified enclosure of {m*x}, width <= tol, snapped to a decimal
         grid so the result is reproducible and serializes losslessly."""
         _check_multiplier(m)
-        tol = Fraction(tol)
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        for f, lo, hi in self._decided(m, budget):
-            frac_lo, frac_hi = m * lo - f, m * hi - f
-            if frac_hi - frac_lo <= tol / 2:
-                return Enclosure(*_snap_outward(frac_lo, frac_hi, tol / 4))
-        raise _undecided(f"frac({m} * {self!r}) at width {tol}", budget, (self,))
+        tol = _check_tolerance(tol)
+        f = self._fixed_floor(m)
+        if f is None or m * (self._hi - self._lo) > tol / 2:
+            raise _undecided(f"frac({m} * {self!r}) at width {tol}")
+        return Enclosure(*_snap_outward(m * self._lo - f, m * self._hi - f, tol / 4))
 
-    def frac_side(self, m: int, delta: Fraction,
-                  budget: Optional[int] = None) -> str:
+    def frac_side(self, m: int, delta: Fraction) -> str:
         _check_multiplier(m)
         delta = _check_delta(delta)
-        for f, lo, hi in self._decided(m, budget):
-            frac_lo, frac_hi = m * lo - f, m * hi - f
+        f = self._fixed_floor(m)
+        if f is not None:
+            frac_lo, frac_hi = m * self._lo - f, m * self._hi - f
             if frac_hi < delta:
                 return "low"
             if frac_lo > 1 - delta:
                 return "high"
             if delta < frac_lo and frac_hi < 1 - delta:
                 return "mid"
-        raise _undecided(f"side of frac({m} * {self!r}) vs delta={delta}", budget, (self,))
+        raise _undecided(f"side of frac({m} * {self!r}) vs delta={delta}")
 
     def __eq__(self, other):
         if self is other:
@@ -288,10 +240,9 @@ class QuadraticAngle(IrrationalAngle):
     m*b*sqrt(d) is never an integer, so floor(m*b*sqrt(d)) is
     isqrt(m^2 b^2 d) when b > 0 and -isqrt(m^2 b^2 d) - 1 when b < 0, and
     with c > 0 the floor of m*x needs only that floor of the numerator.
-    ``floor_mul``, ``ceil_mul`` and ``frac_side`` are therefore exact at
-    every multiplier and ignore the budget, and so do ``frac_mul`` and
-    matrix realizations, which read as many of the refiner's closed-form
-    levels as they need; a mean index holds the angle in its exact part.
+    ``floor_mul``, ``ceil_mul``, ``frac_side`` and ``frac_mul`` are
+    therefore exact at every multiplier, ``enclosure`` is closed form at
+    every width, and a mean index holds the angle in its exact part.
     """
 
     __slots__ = ()
@@ -308,14 +259,13 @@ class QuadraticAngle(IrrationalAngle):
     def __hash__(self):
         return hash(("quadratic", self._key()))
 
-    def floor_mul(self, m: int, budget: Optional[int] = None) -> int:
+    def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
         a, b, c, d = self.source[1]
         f = isqrt(m * m * b * b * d)
         return (m * a + (f if b > 0 else -f - 1)) // c
 
-    def frac_side(self, m: int, delta: Fraction,
-                  budget: Optional[int] = None) -> str:
+    def frac_side(self, m: int, delta: Fraction) -> str:
         _check_multiplier(m)
         delta = _check_delta(delta)
         p, q = delta.numerator, delta.denominator
@@ -323,6 +273,27 @@ class QuadraticAngle(IrrationalAngle):
         # when r < p and above q - p exactly when r >= q - p
         r = self.floor_mul(q * m) - q * self.floor_mul(m)
         return "low" if r < p else "high" if r >= q - p else "mid"
+
+    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
+        _check_multiplier(m)
+        tol = _check_tolerance(tol)
+        # r = floor(2**k * {m*x}) for the first k with 2**-k <= tol/2
+        k = (-(-2 * tol.denominator // tol.numerator) - 1).bit_length()
+        r = self.floor_mul(m << k) - (self.floor_mul(m) << k)
+        return Enclosure(*_snap_outward(Fraction(r, 1 << k), Fraction(r + 1, 1 << k), tol / 4))
+
+    def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
+        """The closed-form enclosure at the first step of sqrt(d) to a
+        multiple of 2**-24, 2**-48, ... that, clipped to the stated
+        enclosure (the first step), is no wider than ``width``."""
+        width = None if width is None else _check_tolerance(width)
+        k = 24
+        while True:
+            lo, hi = _quadratic_ends(*self.source[1], k)
+            lo, hi = max(lo, self._lo), min(hi, self._hi)
+            if width is None or hi - lo <= width:
+                return lo, hi
+            k += 24
 
     def convergent_denominators(self, m: int) -> Iterator[int]:
         """The denominators 1 = q_0 <= q_1 < q_2 < ... of the continued
@@ -357,9 +328,8 @@ def rational_angle(p, q=None) -> RationalAngle:
 def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
     """The quadratic irrational (a + b*sqrt(d)) / c, required to lie in (0,1).
 
-    Queries are closed form (see :class:`QuadraticAngle`).  Enclosures
-    refine by exact integer-square-root bisection: level k encloses
-    sqrt(d) between consecutive multiples of 2**-(24*(k+1)).
+    Queries are closed form (see :class:`QuadraticAngle`).  The stated
+    enclosure puts sqrt(d) between consecutive multiples of 2**-24.
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not isinstance(v, int):
@@ -374,30 +344,19 @@ def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
         a, b, c = -a, -b, -c
     g = gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
-
-    def refiner(level: int) -> tuple[Fraction, Fraction]:
-        k = 24 * (level + 1)
-        s = isqrt(d << (2 * k))  # floor(2**k * sqrt(d))
-        den = c << k
-        if b > 0:
-            return (Fraction((a << k) + b * s, den),
-                    Fraction((a << k) + b * (s + 1), den))
-        return (Fraction((a << k) + b * (s + 1), den),
-                Fraction((a << k) + b * s, den))
-
-    lo, hi = refiner(0)
+    lo, hi = _quadratic_ends(a, b, c, d, 24)
     if hi <= 0 or lo >= 1:
         raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} lies outside (0,1)")
     mid = (lo + hi) / 2
-    return QuadraticAngle(mid, hi - mid, refiner, source=("quadratic", (a, b, c, d)))
+    return QuadraticAngle(mid, hi - mid, source=("quadratic", (a, b, c, d)))
 
 
 def decimal_angle(approximant, error) -> IrrationalAngle:
     """An irrational declared by a decimal approximant and error bound.
 
-    No refiner is available, so queries needing more precision than the
-    stated error raise UndecidableComparison.  Either string is refused
-    with ValueError beyond DECIMAL_LIMIT characters or exponent magnitude.
+    Queries needing more precision than the stated error raise
+    UndecidableComparison.  Either string is refused with ValueError
+    beyond DECIMAL_LIMIT characters or exponent magnitude.
     """
     approx_str = str(approximant)
     err_str = str(error)
@@ -413,51 +372,52 @@ def complement_angle(x: ExactAngle) -> ExactAngle:
         a, b, c, d = x.source[1]
         return quadratic_angle(c - a, -b, c, d)
     if isinstance(x, IrrationalAngle):
-        def refiner(level: int) -> tuple[Fraction, Fraction]:
-            lo, hi = x.enclosure_at(level)
-            return 1 - hi, 1 - lo
-
         lo, hi = x.enclosure()
         return IrrationalAngle(1 - (lo + hi) / 2, (hi - lo) / 2,
-                               refiner if x._refiner else None,
                                ("complement", x.source) if x.source else None)
     raise TypeError(f"not an ExactAngle: {x!r}")
 
 
-def same_angle(x: ExactAngle, y: ExactAngle, budget: Optional[int] = None) -> bool:
+def same_angle(x: ExactAngle, y: ExactAngle) -> bool:
     """Certified equality of two angle ratios.
 
     Equal representations compare equal immediately.  Rationals and
     quadratic irrationals are decided by their canonical keys: distinct
     ones differ, since 1 and sqrt(d) are linearly independent over Q.
-    Otherwise levels 0 .. budget of the enclosures are read until they
-    are disjoint.  Raises UndecidableComparison when none is (distinct
-    representations of the same irrational value cannot be certified
-    equal).
+    Otherwise one side is a stated enclosure [lo, hi], and the angles
+    differ when the other lies outside it: a rational or another stated
+    enclosure when the two are disjoint, a quadratic irrational exactly,
+    in integers.  Raises UndecidableComparison when it lies inside
+    (distinct representations of the same irrational value cannot be
+    certified equal).
     """
     if x == y:
         return True
     exact = (RationalAngle, QuadraticAngle)
     if isinstance(x, exact) and isinstance(y, exact):
         return False
-    irrational = [z for z in (x, y) if isinstance(z, IrrationalAngle)]
-    for level in _levels(budget, irrational):
-        x_lo, x_hi = _bounds(x, level)
-        y_lo, y_hi = _bounds(y, level)
-        if x_hi < y_lo or y_hi < x_lo:
-            return False
-    raise _undecided(f"equality of {x!r} and {y!r}", budget, irrational)
+    stated, other = (y, x) if isinstance(x, exact) else (x, y)
+    lo, hi = stated.enclosure()
+    if isinstance(other, QuadraticAngle):
+        # q*z is irrational, so z < p/q exactly when floor(q*z) < p, and
+        # z > p/q exactly when floor(q*z) >= p
+        outside = (other.floor_mul(lo.denominator) < lo.numerator
+                   or other.floor_mul(hi.denominator) >= hi.numerator)
+    else:
+        z_lo, z_hi = ((other.value, other.value) if isinstance(other, RationalAngle)
+                      else other.enclosure())
+        outside = hi < z_lo or z_hi < lo
+    if outside:
+        return False
+    raise _undecided(f"equality of {x!r} and {y!r}")
 
 
 # -- helpers ----------------------------------------------------------------
 
 
-def _undecided(what: str, budget: Optional[int], angles) -> UndecidableComparison:
-    """The refusal of a query that read levels 0 .. L of ``angles`` (L the
-    last level :func:`_levels` allows) without deciding ``what``."""
-    level = _levels(budget, angles)[-1]
-    return UndecidableComparison(
-        f"{what} undecided at level {level} of budget {_resolve_budget(budget)}")
+def _undecided(what: str) -> UndecidableComparison:
+    """The refusal of a query whose one read did not decide ``what``."""
+    return UndecidableComparison(f"{what} undecided")
 
 
 def _bounded_decimal(s: str) -> Fraction:
@@ -474,15 +434,23 @@ def _bounded_decimal(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _bounds(x: ExactAngle, level: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, RationalAngle):
-        return x.value, x.value
-    return x.enclosure_at(level)
+def _quadratic_ends(a: int, b: int, c: int, d: int, k: int) -> tuple[Fraction, Fraction]:
+    """(a + b*sqrt(d))/c with sqrt(d) between consecutive multiples of 2**-k."""
+    s = isqrt(d << (2 * k))  # floor(2**k * sqrt(d))
+    ends = (Fraction((a << k) + b * s, c << k), Fraction((a << k) + b * (s + 1), c << k))
+    return ends if b > 0 else ends[::-1]
 
 
 def _check_multiplier(m: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"multiplier must be a positive integer, got {m!r}")
+
+
+def _check_tolerance(tol) -> Fraction:
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol
 
 
 def _check_delta(delta) -> Fraction:

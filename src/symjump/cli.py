@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage or input error, 2 analysis raised a
 finiteness-contradiction flag, 3 undecidable exact arithmetic; every
 nonzero exit writes one stderr line.
 The global flag --format goes before or after the subcommand.
-Settings: the scenario's options, overridden by the flags; the budget
-comes from the scenario's options alone.
+Settings: the scenario's options, overridden by the flags (see
+``scenario.ScenarioOptions``).
 """
 
 from __future__ import annotations
@@ -168,37 +168,35 @@ def _dispatch(args) -> int:
     system, options = _load(args.scenario, args)
     if args.command == "iterate":
         seed = _pick_seed(system, args.seed_index)
-        _emit(list(iteration_rows(seed, options.m_max, options.budget)), args.format)
+        _emit(list(iteration_rows(seed, options.m_max)), args.format)
         return EXIT_OK
 
     if args.command == "mean-index":
         mi = _pick_seed(system, args.seed_index).mean
-        # the codec emits the enclosure of the default width: refuse here if
-        # the budget cannot reach it
-        mi.enclosure(budget=options.budget)
+        # the codec emits the enclosure of the default width: refuse here,
+        # before any output, if the angles' stated enclosures cannot give it
+        mi.enclosure()
         _emit(mi, args.format)
         return EXIT_OK
 
     if args.command == "jump":
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
-            base = jump_tuples_at(system.seeds, args.complement_of, options.delta,
-                                  options.budget)
+            base = jump_tuples_at(system.seeds, args.complement_of, options.delta)
             if not base:
                 raise NoTupleFound(f"N = {args.complement_of} is not a jump tuple "
                                    f"at delta = {options.delta}")
             tuples = find_complementary_tuples(system.seeds, base[0], n_max=options.n_max,
-                                               limit=options.limit, budget=options.budget,
-                                               progress=progress)
+                                               limit=options.limit, progress=progress)
         else:
             tuples = find_jump_tuples(system.seeds, options.delta, options.n_max,
-                                      options.limit, budget=options.budget, progress=progress)
+                                      options.limit, progress=progress)
         _emit(tuples, args.format)
         return EXIT_OK
 
     if args.command == "analyze":
         report = run_analysis(system, delta=options.delta, n_max=options.n_max,
-                              tuple_limit=options.limit, budget=options.budget,
+                              tuple_limit=options.limit,
                               progress=_progress_printer(sys.stderr.isatty()))
         _emit(report, args.format)
         if report.status == "two_elliptic_irrational":
@@ -214,7 +212,7 @@ def _dispatch(args) -> int:
         tuples = sc.parse_tuples(raw)
         failed = 0
         for t in tuples:
-            result = verify_tuple(t, system.seeds, options.budget)
+            result = verify_tuple(t, system.seeds)
             failed += not result.passed
             _emit(result, args.format)
         if failed:
@@ -223,7 +221,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     seed = _pick_seed(system, args.seed_index)  # realize
-    _emit(realize(seed.decomp, args.precision, options.budget), args.format)
+    _emit(realize(seed.decomp, args.precision), args.format)
     return EXIT_OK
 
 

@@ -8,12 +8,12 @@ class SymjumpError(Exception):
 
 
 class UndecidableComparison(SymjumpError):
-    """A certified comparison could not be decided within the refinement budget.
+    """A certified comparison could not be decided on the one read it makes.
 
-    Raised instead of guessing: the enclosure of an irrational quantity
-    still straddles the decision boundary after every allowed refinement
-    step (or the enclosure has no refiner).  The message names the value
-    and the decision that failed.
+    Raised instead of guessing: the stated enclosure of a ``decimal``
+    angle, or a sum of them in a mean index, straddles the decision
+    boundary.  Rational and quadratic quantities are exact and never
+    refuse.  The message names the value and the decision that failed.
     """
 
 

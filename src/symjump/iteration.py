@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterator, Optional
 
-from .angles import IrrationalAngle, QuadraticAngle, _levels, _undecided
+from .angles import IrrationalAngle, QuadraticAngle, _check_tolerance, _undecided
 from .errors import ConstraintViolation, UndecidableComparison
 from .normal_forms import Decomposition
 
@@ -70,7 +70,7 @@ class IterationRow:
     nullity: int
 
 
-def index_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
+def index_iterate(seed: PathSeed, m: int) -> int:
     """Index of the m-th iterate, m*(i1 + p- + p0 - r) - (r + p- + p0 + 2r*)
     - (q0 + q+)*[m even] + 2*sum ceil(m*theta_j) + 2*sum varphi(m*alpha_j):
     the seed's constants, and each angle's own certified query."""
@@ -81,15 +81,15 @@ def index_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
     try:
         total = m * (seed.i1 + lin) - const - (0 if m % 2 else even)
         for x in d.theta_angles:
-            total += 2 * x.ceil_mul(m, budget)
+            total += 2 * x.ceil_mul(m)
         for x in d.alpha_angles:
-            total += 2 * x.varphi_mul(m, budget)
+            total += 2 * x.varphi_mul(m)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"index of iterate m={m}: {exc}") from exc
     return total
 
 
-def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
+def nullity_iterate(seed: PathSeed, m: int) -> int:
     """Nullity of the m-th iterate, nu1 + (q- + 2q0 + q+)*[m even]
     + 2*sum (1 - varphi(m*x)) over every rotation-type angle x."""
     if m < 1:
@@ -98,7 +98,7 @@ def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int
     nullity = seed.nu1 + const + (0 if m % 2 else even)
     try:
         for x in angles:
-            nullity -= 2 * x.varphi_mul(m, budget)
+            nullity -= 2 * x.varphi_mul(m)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"nullity of iterate m={m}: {exc}") from exc
     if not 0 <= nullity <= 2 * (seed.n - 1):
@@ -107,20 +107,17 @@ def nullity_iterate(seed: PathSeed, m: int, budget: Optional[int] = None) -> int
     return nullity
 
 
-def iteration_rows(seed: PathSeed, m_max: int,
-                   budget: Optional[int] = None) -> Iterator[IterationRow]:
+def iteration_rows(seed: PathSeed, m_max: int) -> Iterator[IterationRow]:
     """Lazy table of (m, index, nullity) for m = 1 .. m_max."""
     if m_max < 1:
         raise ValueError(f"m_max must be a positive integer, got {m_max}")
-    return (IterationRow(m, index_iterate(seed, m, budget), nullity_iterate(seed, m, budget))
+    return (IterationRow(m, index_iterate(seed, m), nullity_iterate(seed, m))
             for m in range(1, m_max + 1))
 
 
-def bott_gap(seed: PathSeed, m: int, budget: Optional[int] = None) -> int:
+def bott_gap(seed: PathSeed, m: int) -> int:
     """i(m+1) - i(m) - nu(m); bounded below by i1 - e/2 for every m."""
-    return (index_iterate(seed, m + 1, budget)
-            - index_iterate(seed, m, budget)
-            - nullity_iterate(seed, m, budget))
+    return index_iterate(seed, m + 1) - index_iterate(seed, m) - nullity_iterate(seed, m)
 
 
 @dataclass(slots=True)
@@ -132,16 +129,15 @@ class MeanIndex:
     (A0 + sum B_i*sqrt(D_i))/L of the rational terms and every quadratic
     angle, with L > 0, every B_i nonzero and the D_i in distinct square
     classes (see :func:`_mean_of`); a rational exact part has no terms.
-    ``angles`` holds the ``decimal`` and refiner angles.
+    ``angles`` holds the ``decimal`` angles, each with one stated enclosure.
 
-    Every query loops over :meth:`_read`, integer bounds on the value at
-    one level, until they decide it.  With such angles the levels run
-    0 .. budget.  With none the budget is never read and the levels double
-    without end: a value with surds is irrational (square roots of
-    distinct square classes are linearly independent over Q, Besicovitch
-    1940), so it is no rational and no quotient of it is an integer, and
-    the loop ends.  Nothing is memoized, so no answer depends on earlier
-    queries.
+    Every query loops over :meth:`_reads`, integer bounds on the value,
+    until they decide it.  With such angles there is one read.  With none
+    the levels double without end: a value with surds is irrational
+    (square roots of distinct square classes are linearly independent
+    over Q, Besicovitch 1940), so it is no rational and no quotient of it
+    is an integer, and the loop ends.  Nothing is memoized, so no answer
+    depends on earlier queries.
     """
 
     surd: tuple[int, int, tuple]
@@ -157,8 +153,8 @@ class MeanIndex:
         return Fraction(self.surd[1], self.surd[0])
 
     def _level_for(self, width: Fraction) -> int:
-        """The first level whose exact part, read at 24 bits a level (a
-        quadratic angle's level step), is no wider than ``width`` (> 0)."""
+        """The first level whose exact part, read at 24 bits a level, is no
+        wider than ``width`` (> 0)."""
         scale, _, terms = self.surd
         # width >= 2**-e, and 2**p >= k*2**e/L makes k/(L*2**p) <= width
         e = width.denominator.bit_length() - width.numerator.bit_length() + 1
@@ -167,75 +163,57 @@ class MeanIndex:
     def _read(self, level: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den) with lo/den <= value <= hi/den.
 
-        With no angle, the exact part read at 24*level bits.  Otherwise
-        twice the sum of the angles' enclosures at the level plus the exact
-        part read at least 2**32 times narrower than that sum, and than a
-        quadratic angle's enclosure at the level."""
+        With no angle, the exact part read at 24*level bits.  Otherwise,
+        at any level, twice the sum of the angles' stated enclosures plus
+        the exact part read at least 2**32 times narrower than that sum
+        and than 2**-24."""
         scale, a0, terms = self.surd
         if not self.angles:
             t = _floor_scaled(a0, terms, 24 * level)
             return t, t + len(terms), scale << 24 * level
-        ends = [a.enclosure_at(level) for a in self.angles]
+        ends = [a.enclosure() for a in self.angles]
         lo = 2 * sum(a_lo for a_lo, _ in ends)
         hi = 2 * sum(a_hi for _, a_hi in ends)
-        p = 24 * self._level_for(min(hi - lo, Fraction(1, 1 << 24 * (level + 1))) / 2**32)
+        p = 24 * self._level_for(min(hi - lo, Fraction(1, 1 << 24)) / 2**32)
         t = _floor_scaled(a0, terms, p)
         lo += Fraction(t, scale << p)
         hi += Fraction(t + len(terms), scale << p)
         den = lcm(lo.denominator, hi.denominator)
         return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
-    def _reads(self, budget: Optional[int], first: int) -> Iterator[tuple[int, int, int]]:
-        """Reads from level ``first``: with angles, levels first .. budget,
-        first clipped to the budget; otherwise levels first, then each
-        with twice the bits of the last, without end."""
-        if self.angles:
-            levels = _levels(budget, self.angles)
-            # levels[-1], not len(levels): a budget past 2**63 has no len
-            for level in levels[min(first, levels[-1]):]:
-                yield self._read(level)
-            return
+    def _reads(self, first: int) -> Iterator[tuple[int, int, int]]:
+        """The reads of one query: with angles, the one read; otherwise
+        levels ``first``, then each with twice the bits of the last,
+        without end."""
         while True:
             yield self._read(first)
+            if self.angles:
+                return
             first = 2 * first or 1
 
-    def enclosure(self, tol: Optional[Fraction] = None,
-                  budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    def enclosure(self, tol: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         """Certified rational interval around the mean index, no wider than
         tol (default 1e-12)."""
-        tol = Fraction(1, 10**12) if tol is None else Fraction(tol)
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        for lo, hi, den in self._reads(budget, 0 if self.angles else self._level_for(tol)):
+        tol = Fraction(1, 10**12) if tol is None else _check_tolerance(tol)
+        for lo, hi, den in self._reads(self._level_for(tol)):
             if (hi - lo) * tol.denominator <= tol.numerator * den:
                 return Fraction(lo, den), Fraction(hi, den)
-        raise _undecided(f"mean index enclosure of width {tol}", budget, self.angles)
+        raise _undecided(f"mean index enclosure of width {tol}")
 
-    def lower_bound(self, budget: Optional[int] = None) -> Fraction:
-        """A certified positive lower bound on a positive mean index, within
-        1e-6 of it: the jump scan's step bound.  A mean index certified
-        not positive raises ValueError."""
-        if self.cmp(0, budget) <= 0:
-            raise ValueError("mean index must be positive")
-        tol = Fraction(1, 10**6)
-        while (lo := self.enclosure(tol, budget)[0]) <= 0:
-            tol /= 2**24
-        return lo
-
-    def cmp(self, other: Fraction, budget: Optional[int] = None) -> int:
+    def cmp(self, other: Fraction) -> int:
         """Certified comparison against a rational: -1, 0 or +1."""
         other = Fraction(other)
         p, q = other.numerator, other.denominator
-        for lo, hi, den in self._reads(budget, 0):
+        for lo, hi, den in self._reads(0):
             if lo * q > p * den:
                 return 1
             if hi * q < p * den:
                 return -1
             if lo == hi:
                 return 0
-        raise _undecided(f"mean index vs {other}", budget, self.angles)
+        raise _undecided(f"mean index vs {other}")
 
-    def floor_quotient(self, num: int, den: int, budget: Optional[int] = None) -> int:
+    def floor_quotient(self, num: int, den: int) -> int:
         """Certified floor(num / (den * value)); value must be positive."""
         if num < 0 or den < 1:
             raise ValueError("floor_quotient expects num >= 0, den >= 1")
@@ -245,17 +223,17 @@ class MeanIndex:
         # A level of 24 more bits decides quotients about 2**24 times
         # larger: start 8 to 31 bits past the operands' size.
         first = max(0, (num.bit_length() - den.bit_length() + 31) // 24)
-        for lo, hi, d in self._reads(budget, first):
+        for lo, hi, d in self._reads(first):
             if lo > 0:
                 f = num * d // (den * hi)
                 if f == num * d // (den * lo):
                     return f
             elif hi <= 0:
                 raise ValueError("mean index must be positive")
-        raise _undecided(f"floor({num} / ({den} * mean index))", budget, self.angles)
+        raise _undecided(f"floor({num} / ({den} * mean index))")
 
     def __float__(self):
-        lo, hi, den = self._read(0 if self.angles else self._level_for(Fraction(1, 2**64)))
+        lo, hi, den = self._read(self._level_for(Fraction(1, 2**64)))
         return (lo + hi) / (2 * den)
 
     def __repr__(self):

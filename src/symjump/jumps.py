@@ -156,16 +156,15 @@ def angle_period(seeds: Sequence[PathSeed]) -> int:
 # -- verification ------------------------------------------------------------
 
 
-def _sides_for(seed: PathSeed, m_k: int, delta: Fraction,
-               budget: Optional[int]) -> tuple[AngleSide, ...]:
+def _sides_for(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[AngleSide, ...]:
     out = []
     for kind, idx, a in seed.decomp.spectrum_angles():
-        side = a.frac_side(2 * m_k, delta, budget)
+        side = a.frac_side(2 * m_k, delta)
         out.append(AngleSide(kind, idx, a.is_rational, side))
     return tuple(out)
 
 
-def delta_from_sides(seed: PathSeed, sides: Iterable[AngleSide]) -> int:
+def delta_from_sides(sides: Iterable[AngleSide]) -> int:
     """Sum of S^- over spectrum angles whose fractional part fell in (0, delta).
 
     A rotation block carries S^- = 1 at its own angle only; a nontrivial
@@ -182,8 +181,7 @@ def delta_from_sides(seed: PathSeed, sides: Iterable[AngleSide]) -> int:
 
 
 def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
-                 sides: tuple[AngleSide, ...], i_next: int,
-                 budget: Optional[int]) -> PathVerification:
+                 sides: tuple[AngleSide, ...], i_next: int) -> PathVerification:
     """Path k's eight conditions at (N, m_k), given the floor construction's
     iterate ``lattice_m``, the angle sides at m_k and i_next = i(2*m_k + 1)."""
     d = seed.decomp
@@ -191,11 +189,11 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
     e_half = elliptic_height(d) // 2
     s_plus = splitting_plus_at_one(d)
 
-    i_prev = index_iterate(seed, 2 * m_k - 1, budget)
-    nu_prev = nullity_iterate(seed, 2 * m_k - 1, budget)
-    i_even = index_iterate(seed, 2 * m_k, budget)
-    nu_even = nullity_iterate(seed, 2 * m_k, budget)
-    nu_next = nullity_iterate(seed, 2 * m_k + 1, budget)
+    i_prev = index_iterate(seed, 2 * m_k - 1)
+    nu_prev = nullity_iterate(seed, 2 * m_k - 1)
+    i_even = index_iterate(seed, 2 * m_k)
+    nu_even = nullity_iterate(seed, 2 * m_k)
+    nu_next = nullity_iterate(seed, 2 * m_k + 1)
 
     conditions = (
         ConditionCheck("nullity_before_jump", nu_prev, nu1, "=="),
@@ -207,7 +205,7 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
         ConditionCheck("even_index_nullity_upper", i_even + nu_even,
                        2 * N + e_half, "<="),
         ConditionCheck("even_index_splitting_identity", i_even,
-                       index_at_even_jump(seed, N, delta_from_sides(seed, sides)), "=="),
+                       index_at_even_jump(seed, N, delta_from_sides(sides)), "=="),
         ConditionCheck("floor_construction_shape", m_k, lattice_m, "=="),
     )
     return PathVerification(k, conditions, sides)
@@ -215,7 +213,8 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
 
 def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
                  budget: Optional[int] = None) -> TupleVerification:
-    """Re-evaluate every condition of a tuple from scratch."""
+    """Re-evaluate every condition of a tuple from scratch.  ``budget`` is
+    accepted and ignored: every angle query decides on one read."""
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("empty seed list")
@@ -225,10 +224,10 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     M = angle_period(seeds)
     records = []
     for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
-        i_next = index_iterate(seed, 2 * m_k + 1, budget)
-        sides = _sides_for(seed, m_k, t.delta, budget)
-        lattice_m = (seed.mean.floor_quotient(t.N, M, budget) + chi_k) * M
-        records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next, budget))
+        i_next = index_iterate(seed, 2 * m_k + 1)
+        sides = _sides_for(seed, m_k, t.delta)
+        lattice_m = (seed.mean.floor_quotient(t.N, M) + chi_k) * M
+        records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next))
     return TupleVerification(tuple(records))
 
 
@@ -252,8 +251,8 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     approximation property of convergents every g < q has
     ||g*mult*x|| >= 2*delta, so a tiny delta costs a few dozen tests, not
     ``last``.  From delta = 1/4 on every g is a candidate and this is the
-    plain walk.  Every test is a closed-form quadratic query, which
-    ignores the budget and never refuses.
+    plain walk.  Every test is a closed-form quadratic query, which never
+    refuses.
     """
     delta = _check_delta(delta)
     wide = delta >= _WIDE_DELTA
@@ -275,8 +274,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
         yield s
 
 
-def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
-               delta: Fraction, budget: Optional[int],
+def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
                first: Optional[tuple[int, int]] = None) -> list[JumpTuple]:
     """The tuples at N; when ``first`` is given, only those with
@@ -288,7 +286,7 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
     record built, once, seed by seed."""
     survivors = []
     for k, seed in enumerate(seeds):
-        t_k = seed.mean.floor_quotient(N, M, budget)
+        t_k = seed.mean.floor_quotient(N, M)
         required = None if required_sides is None else required_sides[k]
         pinned = k == 0 and first is not None
         found = []
@@ -296,10 +294,10 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
             m_k = (t_k + chi) * M
             if m_k < 1 or (pinned and m_k != first[0]):
                 continue
-            i_next = first[1] if pinned else index_iterate(seed, 2 * m_k + 1, budget)
+            i_next = first[1] if pinned else index_iterate(seed, 2 * m_k + 1)
             if i_next != 2 * N + seed.i1:
                 continue
-            sides = _sides_for(seed, m_k, delta, budget)
+            sides = _sides_for(seed, m_k, delta)
             if all(s.side != "mid" for s in sides) and (
                     required is None or _rotation_sides(sides) == tuple(required)):
                 found.append((m_k, chi, sides, i_next))
@@ -308,7 +306,7 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
         survivors.append(found)
     passing = []
     for k, found in enumerate(survivors):
-        records = [(m_k, chi, _path_record(seeds[k], k, N, m_k, m_k, sides, i_next, budget))
+        records = [(m_k, chi, _path_record(seeds[k], k, N, m_k, m_k, sides, i_next))
                    for m_k, chi, sides, i_next in found]
         passing.append([r for r in records if r[2].passed])
         if not passing[-1]:
@@ -317,8 +315,8 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int,
             for m, chi, per_path in (zip(*combo) for combo in itertools.product(*passing))]
 
 
-def jump_tuples_at(seeds: Sequence[PathSeed], N: int, delta: Fraction = Fraction(1, 1000),
-                   budget: Optional[int] = None) -> list[JumpTuple]:
+def jump_tuples_at(seeds: Sequence[PathSeed], N: int,
+                   delta: Fraction = Fraction(1, 1000)) -> list[JumpTuple]:
     """The verified jump tuples at N, as a scan over every N would return
     them, without the scan: seed 1's iterate m_1 = (t + chi)*M,
     t = floor(N/(M*mean)) and chi in {0, 1}, is found like every other
@@ -326,7 +324,20 @@ def jump_tuples_at(seeds: Sequence[PathSeed], N: int, delta: Fraction = Fraction
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     seeds = tuple(seeds)
-    return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), budget, None)
+    return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), None)
+
+
+def _last_step(seed: PathSeed, M: int, n: int) -> int:
+    """The last lattice step s whose candidate N can be at most n.
+
+    i(2m+1) >= (2m+1)*mean - slack, so N = (i(2m+1) - i1)/2 <= n needs
+    2*M*s <= y - 1 for y = (2n + slack + i1)/mean, and for the integer
+    2*M > 0, floor((y - 1)/(2*M)) = floor((floor(y) - 1)/(2*M)).  A
+    positive mean makes 2n + slack + i1 positive.
+    """
+    d = seed.decomp
+    slack = 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
+    return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
@@ -340,7 +351,8 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     ``required_sides``, when given, restricts which side of an integer
     each irrational rotation angle multiple must fall on, per seed (used
     to build complementary tuples).  ``exclude`` skips listed N values.
-    Raises NoTupleFound if the scan exhausts its bound with no hit.
+    ``budget`` is accepted and ignored.  Raises NoTupleFound if the scan
+    exhausts its bound with no hit.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -349,22 +361,14 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     if n_max < 1 or limit < 1:
         raise ValueError("n_max and limit must be positive")
     for k, seed in enumerate(seeds):
-        if seed.mean.cmp(0, budget) <= 0:
+        if seed.mean.cmp(0) <= 0:
             raise ValueError(f"seed {k}: mean index must be positive")
     M = angle_period(seeds)
     exclude_set = frozenset(exclude)
 
     seed1 = seeds[0]
     d1 = seed1.decomp
-    # i(2m+1) >= (2m+1)*mean - slack, so past lattice step last_step(n) the
-    # candidate N = (i(2m+1) - i1)/2 exceeds n.
-    slack = 3 * d1.r + 2 * d1.r_star + d1.p_minus + d1.p_zero + d1.q_zero + d1.q_plus
-    mi1_lo = seed1.mean.lower_bound(budget)
-
-    def last_step(n: int) -> int:
-        return ((2 * n + slack + seed1.i1) / mi1_lo - 1) // (2 * M)
-
-    last = last_step(n_max)
+    last = _last_step(seed1, M, n_max)
     # Steps off seed 1's near returns fail its angle-side check: skip them.
     pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
                  None)
@@ -376,16 +380,15 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     for end in itertools.count(_CHUNK, _CHUNK):
         while step is not None and step <= min(end, last):
             m1 = step * M
-            i_odd1 = index_iterate(seed1, 2 * m1 + 1, budget)
+            i_odd1 = index_iterate(seed1, 2 * m1 + 1)
             N, odd = divmod(i_odd1 - seed1.i1, 2)
             if not odd and 1 <= N <= n_max and N not in exclude_set:
-                found = _tuples_at(seeds, N, M, delta, budget, required_sides,
-                                   (m1, i_odd1))
+                found = _tuples_at(seeds, N, M, delta, required_sides, (m1, i_odd1))
                 hits += found
                 # No tuple with N at most the limit-th smallest found lies past its
                 # last step; ties at that N are at or before it.
                 if found and len(hits) >= limit:
-                    last = last_step(sorted(t.N for t in hits)[limit - 1])
+                    last = _last_step(seed1, M, sorted(t.N for t in hits)[limit - 1])
             step = next(walk, None)
         if progress is not None:
             progress(end * M, n_max)
@@ -422,7 +425,6 @@ def find_complementary_tuples(seeds: Sequence[PathSeed], first: JumpTuple,
 
 
 def compute_delta(seed: PathSeed, m_k: int, delta: Fraction,
-                  budget: Optional[int] = None,
                   complement_m: Optional[int] = None) -> DeltaReport:
     """The near-integer splitting count at m_k, with its complement.
 
@@ -432,14 +434,14 @@ def compute_delta(seed: PathSeed, m_k: int, delta: Fraction,
     """
     delta = Fraction(delta)
     d = seed.decomp
-    dk = delta_from_sides(seed, _sides_for(seed, m_k, delta, budget))
+    dk = delta_from_sides(_sides_for(seed, m_k, delta))
     irr_census = (d.r - d.r_prime) + 2 * (d.r_star - d.r_star_prime)
     if dk > (d.r - d.r_prime) + (d.r_star - d.r_star_prime):
         raise ConstraintViolation(
             f"near-integer count {dk} exceeds the irrational rotation census; "
             f"m_k = {m_k} does not come from a verified tuple")
     if complement_m is not None:
-        dkp = delta_from_sides(seed, _sides_for(seed, complement_m, delta, budget))
+        dkp = delta_from_sides(_sides_for(seed, complement_m, delta))
         if dk + dkp != irr_census:
             raise ConstraintViolation(
                 f"counts {dk} + {dkp} != {irr_census}: iterates {m_k}, {complement_m} "

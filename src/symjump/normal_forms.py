@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .angles import (ExactAngle, RationalAngle, _levels, _undecided, complement_angle,
-                     same_angle)
+from .angles import ExactAngle, RationalAngle, _undecided, complement_angle, same_angle
 
 if TYPE_CHECKING:  # numpy is imported on first use: only the realizations need it
     import numpy as np
@@ -199,21 +198,20 @@ def symplectic_form(dim: int) -> np.ndarray:
     return J
 
 
-def _angle_float(angle: ExactAngle, precision: Fraction, budget=None) -> float:
+def _angle_float(angle: ExactAngle, precision: Fraction) -> float:
     if isinstance(angle, RationalAngle):
         return float(angle.value)
     target = precision / 16
-    for level in _levels(budget, (angle,)):
-        lo, hi = angle.enclosure_at(level)
-        if hi - lo <= target:
-            return float((lo + hi) / 2)
-    raise _undecided(f"{angle!r} to precision {precision}", budget, (angle,))
+    lo, hi = angle.enclosure(target)
+    if hi - lo > target:
+        raise _undecided(f"{angle!r} to precision {precision}")
+    return float((lo + hi) / 2)
 
 
-def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9),
-            budget: Optional[int] = None) -> np.ndarray:
+def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.ndarray:
     """A floating-point symplectic matrix with the decomposition's blocks,
-    each irrational angle evaluated within the refinement budget.
+    each irrational angle's midpoint taken from an enclosure no wider than
+    precision/16.
 
     The N2 off-diagonal is realized as +/-[[cos, -sin], [0, 0]], the sign
     chosen by the triviality flag; this satisfies the symplectic relation
@@ -224,20 +222,19 @@ def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9),
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    mats = [_block_matrix(blk, precision, budget) for blk in d.blocks]
+    mats = [_block_matrix(blk, precision) for blk in d.blocks]
     if not mats:
         return np.zeros((0, 0))
     return diamond_sum(mats)
 
 
-def _block_matrix(blk: BasicForm, precision: Fraction,
-                  budget: Optional[int]) -> np.ndarray:
+def _block_matrix(blk: BasicForm, precision: Fraction) -> np.ndarray:
     import numpy as np
     if isinstance(blk, N1Block):
         return np.array([[blk.lam, blk.b], [0.0, blk.lam]])
     if isinstance(blk, HyperbolicBlock):
         return np.array([[2.0, 0.0], [0.0, 0.5]])
-    theta = 2 * np.pi * _angle_float(blk.angle, precision, budget)
+    theta = 2 * np.pi * _angle_float(blk.angle, precision)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     if isinstance(blk, RotationBlock):
@@ -284,7 +281,7 @@ def c_total(d: Decomposition) -> int:
     return d.q_zero + d.q_plus + d.r + 2 * d.r_star
 
 
-def splitting_numbers(block: BasicForm, omega, budget=None) -> tuple[int, int]:
+def splitting_numbers(block: BasicForm, omega) -> tuple[int, int]:
     """(S^+, S^-) of a single block at a unit-circle point omega.
 
     omega is 1, -1, or an ExactAngle y standing for e^{2*pi*i*y}.  Points
@@ -312,8 +309,8 @@ def splitting_numbers(block: BasicForm, omega, budget=None) -> tuple[int, int]:
     # rotation-type blocks
     if isinstance(omega, int):
         return (0, 0)
-    at_angle = same_angle(omega, block.angle, budget)
-    at_conj = (not at_angle) and same_angle(omega, complement_angle(block.angle), budget)
+    at_angle = same_angle(omega, block.angle)
+    at_conj = (not at_angle) and same_angle(omega, complement_angle(block.angle))
     if not at_angle and not at_conj:
         return (0, 0)
     if isinstance(block, RotationBlock):

@@ -45,8 +45,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import (DEFAULT_BUDGET, Enclosure, _resolve_budget, _snap_outward,
-                     decimal_angle, quadratic_angle, rational_angle)
+from .angles import (Enclosure, _snap_outward, decimal_angle, quadratic_angle,
+                     rational_angle)
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -61,10 +61,12 @@ class ScenarioOptions:
     n_max: int = 10**6
     limit: int = 3
     m_max: int = 20
-    budget: int = DEFAULT_BUDGET
+    # accepted and ignored, so that every scenario file that states it parses
+    budget: int = 64
 
     def __post_init__(self):
-        _resolve_budget(self.budget)
+        if self.budget < 0:
+            raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
 
 
 def _document(data) -> object:

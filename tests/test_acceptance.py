@@ -296,7 +296,7 @@ def test_criterion_7_peak_constraint_algebra():
         system = GeodesicSystem(seed.n, Fraction(1), (seed,), False)
         assert find_peak_geodesic(system, t) == [0]
         d = compute_delta(seed, t.m[0], t.delta)
-        rec = derive_peak_constraints(seed, t, d)
+        rec = derive_peak_constraints(seed, d)
         assert [z.value for z in rec.zero_set] == [0] * 6
         assert rec.elliptic and rec.elliptic_height == 2 * (seed.n - 1)
         assert rec.irrational_rotation_count == irr == d.delta_k
@@ -309,7 +309,7 @@ def test_criterion_7_peak_constraint_algebra():
                    _seed(3, 2, [RotationBlock(GOLDEN), N1Block(-1, -1)])):
         d = compute_delta(mutant, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation):
-            derive_peak_constraints(mutant, t, d)
+            derive_peak_constraints(mutant, d)
     elapsed = time.monotonic() - t0
     _report(7, elapsed, "20 peak fixtures all-zero; mutants raise ConstraintViolation")
 

@@ -101,7 +101,7 @@ class TestPeakConstraints:
     def test_irrational_rotation_peak(self):
         s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
         t, d = self._peak_fixture(s)
-        rec = derive_peak_constraints(s, t, d)
+        rec = derive_peak_constraints(s, d)
         assert all(z.value == 0 for z in rec.zero_set)
         assert rec.elliptic and rec.elliptic_height == 2
         assert rec.irrational_rotation_count == 1 == d.delta_k
@@ -112,14 +112,14 @@ class TestPeakConstraints:
                                              RotationBlock(SQRT2M1)]))
         t, d = self._peak_fixture(s)
         assert d.delta_k == 2
-        rec = derive_peak_constraints(s, t, d)
+        rec = derive_peak_constraints(s, d)
         assert rec.irrational_rotation_count == 2
         assert rec.elliptic
 
     def test_rational_peak_raises_flag_not_error(self):
         s = PathSeed(2, 2, 2, Decomposition([N1Block(1, 0)]))
         t = find_jump_tuples([s], DELTA, 100, 1)[0]
-        rec = derive_peak_constraints(s, t, compute_delta(s, t.m[0], t.delta))
+        rec = derive_peak_constraints(s, compute_delta(s, t.m[0], t.delta))
         assert rec.rational_geodesic_flag and rec.irrational_rotation_count == 0
 
     def test_hyperbolic_injection_violates(self):
@@ -127,21 +127,21 @@ class TestPeakConstraints:
         t = find_jump_tuples([s], DELTA, 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="hyperbolic"):
-            derive_peak_constraints(s, t, d)
+            derive_peak_constraints(s, d)
 
     def test_negative_shear_injection_violates(self):
         s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), N1Block(-1, -1)]))
         t = find_jump_tuples([s], DELTA, 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="q_plus"):
-            derive_peak_constraints(s, t, d)
+            derive_peak_constraints(s, d)
 
     def test_nontrivial_double_rotation_violates(self):
         s = PathSeed(3, 2, 0, Decomposition([N2Block(GOLDEN, False)]))
         t = find_jump_tuples([s], Fraction(1, 50), 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="nontrivial"):
-            derive_peak_constraints(s, t, d)
+            derive_peak_constraints(s, d)
 
 
 class TestSecondGeodesic:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (DEFAULT_BUDGET, Decomposition, Enclosure, IrrationalAngle,
+from symjump import (Decomposition, Enclosure, IrrationalAngle,
                      PathSeed, RationalAngle, RotationBlock, UndecidableComparison,
                      complement_angle, decimal_angle, mean_index,
                      quadratic_angle, rational_angle, same_angle,
@@ -215,21 +214,26 @@ class TestIdentity:
         assert same_angle(c, quadratic_angle(3, -1, 2, 5))
         assert not same_angle(c, g)
 
-    def test_complement_keeps_the_refiner(self):
-        def sqrt2_minus_1(level):  # 24*(level+1) bits
-            k = 24 * (level + 1)
-            s = isqrt(2 << (2 * k))
-            return Fraction(s - (1 << k), 1 << k), Fraction(s + 1 - (1 << k), 1 << k)
-
-        def near_complement(level):  # 1 - (sqrt(2) - 1) + 1e-9
-            lo, hi = sqrt2_minus_1(level)
-            return 1 - hi + Fraction(1, 10**9), 1 - lo + Fraction(1, 10**9)
-
-        x = IrrationalAngle(Fraction("0.414"), Fraction("0.01"), sqrt2_minus_1)
-        y = IrrationalAngle(Fraction("0.586"), Fraction("0.01"), near_complement)
-        # level 1 already separates y from 1 - x
-        assert splitting_numbers(RotationBlock(x), y, budget=8) == (0, 0)
-        assert not same_angle(complement_angle(x), y, budget=1)
+    def test_decimal_enclosure_just_off_a_quadratic(self):
+        # sqrt(2) - 1 lies in ((r - 1)/S - 1, r/S - 1], r = isqrt(2*S*S) + 1,
+        # S = 10**990; an enclosure of error 1/S around (r - 3)/S - 1 ends 1
+        # to 2 S below it, which only an exact test can see
+        S = 10**990
+        r = isqrt(2 * S * S) + 1
+        y = quadratic_angle(-1, 1, 1, 2)
+        x = decimal_angle(f"0.{r - 3 - S:0990d}", "1e-990")
+        hi = x.enclosure()[1]
+        assert (hi + 1) ** 2 < 2 < (hi + 1 + Fraction(2, S)) ** 2
+        for a, b in ((x, y), (complement_angle(x), complement_angle(y))):
+            assert not same_angle(a, b) and not same_angle(b, a)
+        assert splitting_numbers(RotationBlock(y), x) == (0, 0)
+        # moved by 2/S the enclosure holds sqrt(2) - 1: no answer
+        inside = decimal_angle(f"0.{r - 1 - S:0990d}", "1e-990")
+        for a, b in ((inside, y), (complement_angle(inside), complement_angle(y))):
+            with pytest.raises(UndecidableComparison):
+                same_angle(a, b)
+            with pytest.raises(UndecidableComparison):
+                same_angle(b, a)
 
     def test_decimal_complement_keeps_its_enclosure_and_equality(self):
         c = complement_angle(decimal_angle("0.6180339887", "1e-7"))
@@ -243,14 +247,6 @@ class TestIdentity:
         a = decimal_angle("0.33333333", "1e-4")
         with pytest.raises(UndecidableComparison):
             same_angle(a, rational_angle(1, 3))
-
-    def test_budget_zero_raises_fast(self):
-        x = sqrt2_minus_1_by_refiner()
-        with pytest.raises(UndecidableComparison):
-            # budget 0 reads level 0 only, 2**-8 wide
-            x.floor_mul(10**60, budget=0)
-        assert x.floor_mul(3, budget=0) == 1  # already decidable at level 0
-        assert x.floor_mul(10**60) == quad_floor_oracle(-1, 1, 1, 2, 10**60)
 
 
 class TestValueSemantics:
@@ -278,91 +274,89 @@ class TestValueSemantics:
         assert decimal_angle("0.6180339887", "1e-10").is_rational is False
 
 
-class TestRefusalNamesLevelAndBudget:
-    """An undecided query names the last level it read and the budget."""
+class TestRefusalNamesTheQuery:
+    """An undecided query names the query and the angle, and nothing else:
+    it reads one enclosure, so there is no level or budget to name."""
 
-    def test_refiner_angle(self):
-        x = sqrt2_minus_1_by_refiner()
-        with pytest.raises(UndecidableComparison, match="at level 0 of budget 0$"):
-            x.floor_mul(10**60, budget=0)
-        with pytest.raises(UndecidableComparison, match="at level 3 of budget 3$"):
-            x.frac_side(10**60, Fraction(1, 7), budget=3)
-        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
-            x.frac_mul(10**30, budget=2)
-        with pytest.raises(UndecidableComparison, match="at level 1 of budget 1$"):
-            same_angle(x, sqrt2_minus_1_by_refiner(), budget=1)
-
-    def test_refinerless_angle_reads_level_zero_only(self):
+    def test_decimal_angle(self):
         d = decimal_angle("0.6180339887", "1e-6")
-        with pytest.raises(UndecidableComparison,
-                           match=f"at level 0 of budget {DEFAULT_BUDGET}$"):
-            d.floor_mul(10**8)
+        name = "IrrationalAngle(~0.6180339887)"
+        for query, message in (
+                (lambda: d.floor_mul(10**8), f"floor(100000000 * {name}) undecided"),
+                (lambda: d.ceil_mul(10**8), f"floor(100000000 * {name}) undecided"),
+                (lambda: d.frac_side(10**6, Fraction(1, 7)),
+                 f"side of frac(1000000 * {name}) vs delta=1/7 undecided"),
+                (lambda: d.frac_mul(10**4, Fraction(1, 10**6)),
+                 f"frac(10000 * {name}) at width 1/1000000 undecided"),
+                (lambda: same_angle(d, decimal_angle("0.6180339", "1e-6")),
+                 f"equality of {name} and IrrationalAngle(~0.6180339000) undecided")):
+            with pytest.raises(UndecidableComparison) as exc:
+                query()
+            assert str(exc.value) == message
 
     def test_mean_index(self):
-        # a quadratic mean index is exact: its enclosures ignore the budget
+        # a quadratic mean index is exact: closed form at any width
         golden = quadratic_angle(*GOLDEN)
         mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(golden)])))
-        lo, hi = mi.enclosure(Fraction(1, 10**100), budget=0)
+        lo, hi = mi.enclosure(Fraction(1, 10**100))
         assert hi - lo <= Fraction(1, 10**100)
         with localcontext() as ctx:
             ctx.prec = 400
             value = Fraction(Decimal(5).sqrt() - 1)  # 1 - 1 + 2*(sqrt(5) - 1)/2
         assert lo < value < hi
-        # a refiner's mean index reads its levels
-        x = sqrt2_minus_1_by_refiner()
+        # a decimal angle's mean index reads its one stated enclosure
+        x = decimal_angle("0.41421356237", "1e-11")
         mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(x)])))
-        with pytest.raises(UndecidableComparison, match="at level 2 of budget 2$"):
-            mi.enclosure(Fraction(1, 10**100), budget=2)
-        with pytest.raises(UndecidableComparison, match=re.escape(
-                "floor(1000000000000 / (1 * mean index)) undecided at level 0 of budget 0")):
-            mi.floor_quotient(10**12, 1, budget=0)
-        lo, hi = mi.enclosure(Fraction(1, 10**40))
-        with pytest.raises(UndecidableComparison, match="at level 1 of budget 1$"):
-            mi.cmp((lo + hi) / 2, budget=1)
-
-
-def sqrt2_minus_1_by_refiner() -> IrrationalAngle:
-    """sqrt(2) - 1 as a user angle: level k is 2**-(8*(k+1)) wide."""
-    def refiner(level):
-        k = 8 * (level + 1)
-        s = isqrt(2 << (2 * k))
-        return Fraction(s - (1 << k), 1 << k), Fraction(s + 1 - (1 << k), 1 << k)
-    lo, hi = refiner(0)
-    return IrrationalAngle((lo + hi) / 2, (hi - lo) / 2, refiner)
+        with pytest.raises(UndecidableComparison) as exc:
+            mi.enclosure(Fraction(1, 10**100))
+        assert str(exc.value) == f"mean index enclosure of width 1/{10**100} undecided"
+        with pytest.raises(UndecidableComparison) as exc:
+            mi.floor_quotient(10**12, 1)
+        assert str(exc.value) == "floor(1000000000000 / (1 * mean index)) undecided"
+        lo, hi = mi.enclosure(Fraction(1, 10**9))
+        with pytest.raises(UndecidableComparison) as exc:
+            mi.cmp((lo + hi) / 2)
+        assert str(exc.value) == f"mean index vs {(lo + hi) / 2} undecided"
 
 
 class TestHistoryIndependence:
-    """A certified query is a function of (angle, multiplier, budget) alone."""
+    """A certified query is a function of (angle, operands) alone."""
 
-    def test_quadratic_budget_zero_fresh_and_after_deep_query(self):
-        assert quadratic_angle(*GOLDEN).floor_mul(10**12, budget=0) == 618033988749
+    def test_quadratic_fresh_and_after_deep_query(self):
+        assert quadratic_angle(*GOLDEN).floor_mul(10**12) == 618033988749
         g = quadratic_angle(*GOLDEN)
         g.floor_mul(10**30)
-        assert g.floor_mul(10**12, budget=0) == 618033988749
+        g.frac_mul(10**30, tol=Fraction(1, 10**40))
+        g.enclosure(Fraction(1, 10**100))
+        assert g.floor_mul(10**12) == 618033988749
 
-    @pytest.mark.parametrize("budget", [0, 2, 5])
-    def test_refiner_angle_same_answer_fresh_and_after_deep_query(self, budget):
+    def test_decimal_angle_same_answer_fresh_and_after_deep_query(self):
         def answers(x):
             out = []
             for m in (3, 10**5, 10**9, 10**20):
                 try:
-                    out.append((x.floor_mul(m, budget),
-                                x.frac_side(m, Fraction(1, 7), budget)))
+                    out.append((x.floor_mul(m), x.frac_side(m, Fraction(1, 7))))
                 except UndecidableComparison:
                     out.append("undecidable")
             return out
 
-        fresh = answers(sqrt2_minus_1_by_refiner())
-        warm = sqrt2_minus_1_by_refiner()
-        warm.floor_mul(10**40)
-        warm.frac_mul(10**30, tol=Fraction(1, 10**6))
+        def angle():
+            return decimal_angle("0.41421356237309504880", "1e-15")
+
+        fresh = answers(angle())
+        warm = angle()
+        for deep in (lambda: warm.floor_mul(10**40),
+                     lambda: warm.frac_mul(10**30, tol=Fraction(1, 10**6))):
+            with pytest.raises(UndecidableComparison):
+                deep()
         assert answers(warm) == fresh
-        assert "undecidable" in fresh  # the budget really bounds this angle
+        assert "undecidable" in fresh  # the stated enclosure really bounds this angle
 
     def test_mean_index_same_answer_fresh_and_after_deep_query(self):
         # a seed's mean index is built once and shared by every caller, so
         # deep queries through one caller must not change another's answers
-        for angle in (lambda: quadratic_angle(*GOLDEN), sqrt2_minus_1_by_refiner):
+        for angle in (lambda: quadratic_angle(*GOLDEN),
+                      lambda: decimal_angle("0.41421356237309504880", "1e-15")):
             self.check_mean_index_shared(angle)
 
     @staticmethod
@@ -379,21 +373,19 @@ class TestHistoryIndependence:
                     out.append(str(exc))
             return out
 
-        def shallow(mi, budget):
-            return answers([lambda: mi.floor_quotient(16238, 1, budget),
-                            lambda: mi.floor_quotient(10**9, 1, budget),
-                            lambda: mi.floor_quotient(10**40, 1, budget),
-                            lambda: mi.cmp(Fraction(1, 3), budget),
-                            lambda: mi.lower_bound(budget),
-                            lambda: mi.enclosure(Fraction(1, 10**12), budget)])
+        def shallow(mi):
+            return answers([lambda: mi.floor_quotient(16238, 1),
+                            lambda: mi.floor_quotient(10**9, 1),
+                            lambda: mi.floor_quotient(10**40, 1),
+                            lambda: mi.cmp(Fraction(1, 3)),
+                            lambda: mi.enclosure(Fraction(1, 10**12))])
 
         shared = seed()
         answers([lambda: shared.mean.floor_quotient(10**300, 1),
                  lambda: shared.mean.enclosure(Fraction(1, 10**100)),
                  lambda: mean_index(shared).floor_quotient(10**200, 3)])
         assert mean_index(shared) is shared.mean
-        for budget in (0, 1, 3):
-            assert shallow(shared.mean, budget) == shallow(seed().mean, budget)
+        assert shallow(shared.mean) == shallow(seed().mean)
 
 
 def test_concurrent_refinement_stays_consistent():

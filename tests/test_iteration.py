@@ -21,6 +21,8 @@ from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
                      find_jump_tuples, index_iterate, iteration_rows,
                      mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, realize, splitting_numbers)
+from symjump.angles import QuadraticAngle
+from symjump.jumps import _last_step
 
 from conftest import angle_lcm, nu_of, quadratics, random_seed
 
@@ -28,14 +30,15 @@ GOLDEN = quadratic_angle(-1, 1, 2, 5)
 
 
 @contextmanager
-def no_level_read():
-    """Fail on any read of an angle's refinement level: a mean index whose
-    angles are all quadratic decides from its exact part alone."""
-    def spy(self, level):
-        raise AssertionError(f"level {level} of {self!r} was read")
+def no_angle_read():
+    """Fail on any read of an angle's enclosure: a mean index whose angles
+    are all quadratic decides from its exact part alone."""
+    def spy(self, width=None):
+        raise AssertionError(f"the enclosure of {self!r} was read")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(IrrationalAngle, "enclosure_at", spy)
+        mp.setattr(IrrationalAngle, "enclosure", spy)
+        mp.setattr(QuadraticAngle, "enclosure", spy)
         yield
 
 
@@ -120,8 +123,8 @@ class TestExamples:
         # 0 - 1 + 2(sqrt(2) - 1) < 0
         s = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2))]))
         mi = mean_index(s)
-        # the exact form certifies the sign: no level is read
-        with no_level_read(), pytest.raises(ValueError, match="mean index must be positive"):
+        # the exact form certifies the sign: no angle is read
+        with no_angle_read(), pytest.raises(ValueError, match="mean index must be positive"):
             mi.floor_quotient(5, 1)
 
     def test_bott_gap_examples(self):
@@ -336,7 +339,7 @@ class TestSurdKernel:
         if mi.is_exact:  # the complement cancelled every irrational part
             assert abs(Fraction(value) - mi.exact()) < Fraction(1, 10**390)
             return
-        with localcontext() as ctx, no_level_read():
+        with localcontext() as ctx, no_angle_read():
             ctx.prec = 400
             want = _decimal_floor(Decimal(num) / (den * value))
             assume(want is not None)
@@ -384,12 +387,13 @@ class TestSurdKernel:
             [RotationBlock(quadratic_angle(-isqrt(d), 1, 1, d)) for d in radicands]))
         mi = mean_index(seed)
         assert len(mi.surd[2]) == 20
-        with localcontext() as ctx, no_level_read():
+        with localcontext() as ctx, no_angle_read():
             assert mi.cmp(0) == 1
             ctx.prec = 400
             value = sum(2 * (Decimal(d).sqrt() - isqrt(d)) for d in radicands)
-            lo = mi.lower_bound()
-            assert 0 < value - Decimal(lo.numerator) / lo.denominator < Decimal("1e-6")
+            lo, hi = mi.enclosure(Fraction(1, 10**6))
+            assert Decimal(lo.numerator) / lo.denominator < value
+            assert value < Decimal(hi.numerator) / hi.denominator
             for p, q in _convergents(value, 10**30):
                 assert mi.cmp(Fraction(p, q)) == (1 if value > Decimal(p) / q else -1)
             assert mi.floor_quotient(10**40, 7) == _decimal_floor(Decimal(10**40) / (7 * value))
@@ -446,7 +450,7 @@ class TestMeanNearARational:
         below, above = Fraction(1, 2 * p + 1), Fraction(1, 2 * p)
         assert (_side(below, p, b), _side(above, p, b)) == (1, -1)
         monkeypatch.setattr(iteration, "isqrt", counted_isqrt)
-        with no_level_read():
+        with no_angle_read():
             assert work(lambda: mi.cmp(0)) == 1
             assert work(lambda: mi.cmp(below)) == 1
             assert work(lambda: mi.cmp(above)) == -1
@@ -458,21 +462,15 @@ class TestMeanNearARational:
             lo, hi = work(lambda: mi.enclosure(tol))
             assert 0 < lo and hi - lo <= tol
             assert (_side(lo, p, b), _side(hi, p, b)) == (1, -1)
-            roots.clear()
-            lb = mi.lower_bound()
-            assert 0 < lb and _side(lb, p, b) == 1
-            # the sign, then one enclosure per 24 bits of tolerance
-            assert len(roots) <= w // 24 + w.bit_length() + 8, f"{len(roots)} roots"
 
 
 @st.composite
 def mixed_seeds(draw):
-    """A seed of one to four rotations whose angles are rational, quadratic,
-    ``decimal`` (errors 1e-7 to 1e-19) or refiner angles with nested dyadic
-    levels, and its mean index to 400 digits, each decimal angle taken at
-    its approximant."""
+    """A seed of one to four rotations whose angles are rational, quadratic
+    or ``decimal`` (errors 1e-7 to 1e-19), and its mean index to 400
+    digits, each decimal angle taken at its approximant."""
     angles, values = [], []
-    for kind in draw(st.lists(st.sampled_from(["rational", "quadratic", "decimal", "refiner"]),
+    for kind in draw(st.lists(st.sampled_from(["rational", "quadratic", "decimal"]),
                               min_size=1, max_size=4)):
         if kind == "rational":
             q = draw(st.integers(3, 12))
@@ -486,14 +484,10 @@ def mixed_seeds(draw):
             value = (a + b * Decimal(d).sqrt()) / c
         if kind == "quadratic":
             angles.append(quadratic_angle(a, b, c, d))
-        elif kind == "decimal":
+        else:
             e = draw(st.integers(7, 19))
             value = round(value, e + draw(st.integers(0, 3)))
             angles.append(decimal_angle(str(value), f"1e-{e}"))
-        else:
-            angles.append(_dyadic_refiner(quadratic_angle(a, b, c, d),
-                                          draw(st.sampled_from([4, 8, 16, 24])),
-                                          draw(st.sampled_from([-1, 0, 1]))))
         values.append(Fraction(value))
     i1 = draw(st.integers(-1, 6))
     seed = PathSeed(len(angles) + 1, i1, 0,
@@ -501,24 +495,10 @@ def mixed_seeds(draw):
     return seed, i1 - len(angles) + 2 * sum(values)
 
 
-def _dyadic_refiner(x, bits: int, hug: int) -> IrrationalAngle:
-    """x as a user angle whose level k is 2**-(bits*(k+1)) wide, with dyadic
-    ends read off x's exact floor: nested intervals.  hug = -1 or 1 puts the
-    lower or upper end within 2**-64 of the width from x, so an answer that
-    misplaces anything else by more than that shows."""
-    def refiner(level):
-        k = bits * (level + 1)
-        j = k + 64 * abs(hug)
-        end, width = Fraction(x.floor_mul(1 << j) + (hug > 0), 1 << j), Fraction(1, 1 << k)
-        return (end - width, end) if hug > 0 else (end, end + width)
-    lo, hi = refiner(0)
-    return IrrationalAngle((lo + hi) / 2, (hi - lo) / 2, refiner)
-
-
 class TestOneExactPart:
     """Mean indices that mix every kind of angle: each answer holds for the
-    400-digit value, and a larger budget keeps every answer a smaller one
-    gave."""
+    400-digit value and is kept when asked again after deep queries, and
+    only a mean that holds a ``decimal`` angle refuses."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=mixed_seeds(), num=st.integers(0, 10**60), den=st.integers(1, 10**6),
@@ -527,63 +507,59 @@ class TestOneExactPart:
         seed, value = case
         mi = mean_index(seed)
         near = [Fraction(round(value * 10**j), 10**j) for j in (3, 9, 18, 30)]
-        queries = [(("cmp", o), lambda b, o=o: mi.cmp(o, b)) for o in [other, *near]]
-        queries.append((("floor_quotient",), lambda b: mi.floor_quotient(num, den, b)))
-        queries += [(("enclosure", tol), lambda b, tol=tol: mi.enclosure(tol, b))
+        queries = [(("cmp", o), lambda o=o: mi.cmp(o)) for o in [other, *near]]
+        queries.append((("floor_quotient",), lambda: mi.floor_quotient(num, den)))
+        queries += [(("enclosure", tol), lambda tol=tol: mi.enclosure(tol))
                     for tol in (Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**30))]
-        queries.append((("lower_bound",), mi.lower_bound))
-        given_at = {}
-        for budget in (0, 1, 3, None):
-            for key, ask in queries:
+
+        def answers():
+            out = []
+            for _, ask in queries:
                 try:
-                    answer = ask(budget)
+                    out.append(ask())
                 except UndecidableComparison:
-                    assert key not in given_at, f"{key} answered at a lower budget"
-                    continue
+                    out.append("undecidable")
                 except ValueError:
-                    answer = "not positive"
-                assert given_at.setdefault(key, answer) == answer
+                    out.append("not positive")
+            return out
+
+        first = answers()
+        for deep in (lambda: mi.floor_quotient(10**300, 1),
+                     lambda: mi.enclosure(Fraction(1, 10**100))):
+            try:
+                deep()
+            except (UndecidableComparison, ValueError):
+                pass
+        assert answers() == first
+        for (key, _), answer in zip(queries, first):
+            if answer == "undecidable":
+                assert mi.angles, f"{key} refused on an exact mean"
+            else:
                 self._holds(key, answer, value, num, den)
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=mixed_seeds(), shift=st.integers(1, 3))
-    def test_lower_bound_of_a_negative_mean_is_not_positive(self, case, shift):
-        # i1 moved so the mean lies in [-1 - shift, -shift): four angles
-        # enclosed at level 0 (refiner width 1/16) certify its sign
+    @settings(max_examples=80, deadline=None)
+    @given(case=mixed_seeds(), n=st.integers(1, 10**12), M=st.integers(1, 12))
+    def test_last_step_is_exact(self, case, n, M):
+        # the jump scan's step bound: the largest s with
+        # (2*M*s + 1)*mean - slack <= 2n + i1, slack restated from the
+        # index's distance to its linear part
         seed, value = case
-        mi = mean_index(dataclasses.replace(seed, i1=seed.i1 - value.__floor__() - 1 - shift))
-        for budget in (0, 1, 3, None):
-            with pytest.raises(ValueError, match="^mean index must be positive$"):
-                mi.lower_bound(budget)
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=mixed_seeds())
-    def test_lower_bound_of_a_positive_mean_is_unchanged(self, case):
-        seed, value = case
-        assume(value > 0)
-        mi = mean_index(seed)
-
-        def first_positive_end(budget):
-            # the bound before the sign was decided first: tighten the
-            # enclosure until its lower end is positive
-            tol = Fraction(1, 10**6)
-            while (lo := mi.enclosure(tol, budget)[0]) <= 0:
-                tol /= 2**24
-            return lo
-
-        def outcome(f, budget):
-            try:
-                return f(budget)
-            except UndecidableComparison:
-                return "undecidable"  # the refusal names another query now
-
-        for budget in (0, 1, 3, None):
-            assert outcome(mi.lower_bound, budget) == outcome(first_positive_end, budget)
+        assume(value > Fraction(1, 10**380))
+        d = seed.decomp
+        slack = 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
+        y = (2 * n + slack + seed.i1) / value
+        assume(abs(y - round(y)) > Fraction(1, 10**300))
+        try:
+            got = _last_step(seed, M, n)
+        except UndecidableComparison:
+            assert seed.mean.angles
+            return
+        assert got == ((y - 1) / (2 * M)).__floor__()
 
     @staticmethod
     def _holds(key, answer, value, num, den):
         if answer == "not positive":
-            assert key[0] in ("floor_quotient", "lower_bound")
+            assert key[0] == "floor_quotient"
             assert value < Fraction(1, 10**380)
         elif key[0] == "cmp":
             assert answer == (value > key[1]) - (value < key[1])
@@ -591,11 +567,9 @@ class TestOneExactPart:
             q = Fraction(num, den) / value
             assume(abs(q - round(q)) > Fraction(1, 10**300))
             assert answer == q.__floor__()
-        elif key[0] == "enclosure":
+        else:
             lo, hi = answer
             assert lo <= value <= hi and hi - lo <= key[1]
-        else:
-            assert 0 < answer <= value and value - answer < Fraction(1, 10**6)
 
 
 def test_undecidable_names_offending_iterate():
@@ -648,7 +622,7 @@ def every_kind_seeds(draw, decimal: bool = True):
     return PathSeed(d.n, draw(st.integers(-5, 10)), nu_of(d), d)
 
 
-def restated_index(seed: PathSeed, m: int, budget=None) -> int:
+def restated_index(seed: PathSeed, m: int) -> int:
     """i(m) summed block by block over seed.decomp.blocks."""
     even = m % 2 == 0
     total = m * seed.i1
@@ -660,15 +634,15 @@ def restated_index(seed: PathSeed, m: int, budget=None) -> int:
                 else:
                     total -= 1 if even and blk.b != 1 else 0
             elif isinstance(blk, RotationBlock):
-                total += 2 * blk.angle.ceil_mul(m, budget) - m - 1
+                total += 2 * blk.angle.ceil_mul(m) - m - 1
             elif isinstance(blk, N2Block) and not blk.trivial:
-                total += 2 * blk.angle.varphi_mul(m, budget) - 2
+                total += 2 * blk.angle.varphi_mul(m) - 2
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"index of iterate m={m}: {exc}") from exc
     return total
 
 
-def restated_nullity(seed: PathSeed, m: int, budget=None) -> int:
+def restated_nullity(seed: PathSeed, m: int) -> int:
     """nu(m) summed block by block: the kernel of each block's m-th power."""
     total = 0
     for blk in seed.decomp.blocks:
@@ -676,7 +650,7 @@ def restated_nullity(seed: PathSeed, m: int, budget=None) -> int:
             if blk.lam == 1 or m % 2 == 0:
                 total += 2 if blk.b == 0 else 1
         elif isinstance(blk, (RotationBlock, N2Block)):
-            total += 2 - 2 * blk.angle.varphi_mul(m, budget)
+            total += 2 - 2 * blk.angle.varphi_mul(m)
     return total
 
 
@@ -693,30 +667,28 @@ class TestDerivedConstants:
 
     @settings(max_examples=300, deadline=None)
     @given(seed=every_kind_seeds(),
-           m=st.one_of(st.integers(1, 200), st.integers(1, 10**300)),
-           budget=st.sampled_from([None, 0, 3]))
-    def test_index_nullity_and_gap_match_the_restatement(self, seed, m, budget):
-        assert (_outcome(index_iterate, seed, m, budget)
-                == _outcome(restated_index, seed, m, budget))
-        assert nullity_iterate(seed, m, budget) == restated_nullity(seed, m, budget)
+           m=st.one_of(st.integers(1, 200), st.integers(1, 10**300)))
+    def test_index_nullity_and_gap_match_the_restatement(self, seed, m):
+        assert _outcome(index_iterate, seed, m) == _outcome(restated_index, seed, m)
+        assert nullity_iterate(seed, m) == restated_nullity(seed, m)
 
-        def gap(s, m, b):
-            return restated_index(s, m + 1, b) - restated_index(s, m, b) - restated_nullity(s, m, b)
+        def gap(s, m):
+            return restated_index(s, m + 1) - restated_index(s, m) - restated_nullity(s, m)
 
-        assert _outcome(bott_gap, seed, m, budget) == _outcome(gap, seed, m, budget)
+        assert _outcome(bott_gap, seed, m) == _outcome(gap, seed, m)
 
     def test_decimal_angle_refusal_text_is_unchanged(self):
         x = decimal_angle("0.6180339887", "1e-7")
         s = PathSeed(3, 2, 2, Decomposition([RotationBlock(x), N1Block(1, 0)]))
         refusal = ("index of iterate m={}: floor({} * IrrationalAngle(~0.6180339887)) "
-                   "undecided at level 0 of budget 0")
+                   "undecided")
         with pytest.raises(UndecidableComparison) as exc:
-            index_iterate(s, 10**8, budget=0)
+            index_iterate(s, 10**8)
         assert str(exc.value) == refusal.format(10**8, 10**8)
         with pytest.raises(UndecidableComparison) as exc:
-            bott_gap(s, 10**8, budget=0)
+            bott_gap(s, 10**8)
         assert str(exc.value) == refusal.format(10**8 + 1, 10**8 + 1)
-        assert nullity_iterate(s, 10**8, budget=0) == 2
+        assert nullity_iterate(s, 10**8) == 2
 
     def test_equality_hash_and_repr_ignore_the_derived_fields(self):
         def build():

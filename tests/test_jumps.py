@@ -42,7 +42,7 @@ SEED_IRR_B = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 
 # a quadratic N2 angle beside a rational rotation: the lattice period M is 3
 SEED_N2_R3 = PathSeed(4, 2, 0, Decomposition([N2Block(GOLDEN, False),
                                               RotationBlock(rational_angle(1, 3))]))
-# a quadratic pilot beside a refinerless decimal angle that some lattice steps
+# a quadratic pilot beside a decimal angle that some lattice steps
 # cannot decide
 COARSE = decimal_angle("0.6180339887", "1e-7")
 SEED_PILOT_COARSE = PathSeed(4, 2, 2, Decomposition([RotationBlock(SQRT2M1),
@@ -421,11 +421,11 @@ class TestNearReturns:
         calls = []
         frac_side = QuadraticAngle.frac_side
 
-        def counted(self, m, delta, budget=None):
+        def counted(self, m, delta):
             calls.append(m)
             if len(calls) >= 200:
                 raise AssertionError("near_returns tests gap after gap")
-            return frac_side(self, m, delta, budget)
+            return frac_side(self, m, delta)
 
         monkeypatch.setattr(QuadraticAngle, "frac_side", counted)
         assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6)) == []
@@ -457,10 +457,10 @@ class TestScanStops:
         M = angle_period([SEED_R3])
         odd_steps = []
 
-        def counted(seed, m, budget=None):
+        def counted(seed, m):
             if seed is SEED_R3 and m % (2 * M) == 1:
                 odd_steps.append(m // (2 * M))
-            return index_iterate(seed, m, budget)
+            return index_iterate(seed, m)
 
         monkeypatch.setattr(jumps, "index_iterate", counted)
         ts, calls = _scan([SEED_R3], Fraction(1, 100), 10**5, 3)
@@ -469,6 +469,14 @@ class TestScanStops:
         last = ((2 * 6 + 3 + SEED_R3.i1) / mean_index(SEED_R3).exact() - 1) // (2 * M)
         assert odd_steps == list(range(1, last + 1)) == [1, 2, 3]
         assert calls == [2048 * M]
+
+    def test_finds_the_tuple_at_the_last_step(self):
+        # N = 6 sits at lattice step 3, the last step whose N can be at most
+        # n_max = 6: a bound one step short would miss it
+        M = angle_period([SEED_R3])
+        assert jumps._last_step(SEED_R3, M, 6) == 3
+        ts, _ = _scan([SEED_R3], Fraction(1, 100), 6, 5)
+        assert [(t.N, t.m[0]) for t in ts] == [(2, M), (4, 2 * M), (6, 3 * M)]
 
     def test_stops_after_the_limit_th_tuple(self, shipped_seeds):
         ts, calls = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)

@@ -4,9 +4,9 @@ Each fixture under ``fixtures/wire`` is the ``--format machine`` stdout
 of one CLI command on ``scenarios/two_seed_s3.json``; ``verify`` reads
 the stored ``jump`` output.  Any change to the wire format, or to a
 certified value behind it, shows up here as a byte difference, under
-``python`` and under ``python -O`` alike.  Every angle of the scenario is
-quadratic, so each command also prints its fixture when the scenario's
-``options.budget`` is 0.
+``python`` and under ``python -O`` alike.  The scenario's
+``options.budget`` is accepted and ignored, so each command also prints
+its fixture when it is 0.
 """
 
 from __future__ import annotations
