@@ -282,7 +282,6 @@ class TestRefusalNamesTheQuery:
         d = decimal_angle("0.6180339887", "1e-6")
         name = "IrrationalAngle(~0.6180339887)"
         for query, message in (
-                (lambda: d.floor_mul(10**8), f"floor(100000000 * {name}) undecided"),
                 (lambda: d.ceil_mul(10**8), f"floor(100000000 * {name}) undecided"),
                 (lambda: d.frac_side(10**6, Fraction(1, 7)),
                  f"side of frac(1000000 * {name}) vs delta=1/7 undecided"),
@@ -293,6 +292,13 @@ class TestRefusalNamesTheQuery:
             with pytest.raises(UndecidableComparison) as exc:
                 query()
             assert str(exc.value) == message
+
+    def test_decimal_angle_decides_within_its_enclosure_only(self):
+        d = decimal_angle("0.6180339887", "1e-6")
+        assert d.floor_mul(10**5) == 61803
+        with pytest.raises(UndecidableComparison) as exc:
+            d.floor_mul(10**8)
+        assert str(exc.value) == "floor(100000000 * IrrationalAngle(~0.6180339887)) undecided"
 
     def test_mean_index(self):
         # a quadratic mean index is exact: closed form at any width
