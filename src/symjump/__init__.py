@@ -22,8 +22,8 @@ from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
                     PathVerification, TupleVerification, angle_period,
                     compute_delta, find_complementary_tuples, find_jump_tuples,
                     index_at_even_jump, jump_tuples_at, verify_tuple)
-from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, N1Block,
-                           N2Block, RotationBlock, c_total, classify,
+from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, Matrix,
+                           N1Block, N2Block, RotationBlock, c_total, classify,
                            diamond_sum, elliptic_height, realize,
                            splitting_numbers, splitting_plus_at_one,
                            symplectic_form)
@@ -37,7 +37,7 @@ __all__ = [
     "ConditionCheck", "ConstraintViolation", "Decomposition",
     "DeltaReport", "Enclosure", "ExactAngle", "GeodesicSystem",
     "HyperbolicBlock", "IrrationalAngle", "IterationRow", "JumpTuple",
-    "MeanIndex", "N1Block", "N2Block", "NoTupleFound", "PathSeed",
+    "Matrix", "MeanIndex", "N1Block", "N2Block", "NoTupleFound", "PathSeed",
     "PathVerification", "PeakConstraintRecord", "PinchRecord", "RationalAngle",
     "RotationBlock", "ScenarioError", "ScenarioOptions", "SecondGeodesicResult",
     "SymjumpError", "TupleVerification", "UndecidableComparison", "ZeroEntry",

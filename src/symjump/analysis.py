@@ -29,7 +29,14 @@ from .normal_forms import elliptic_height
 
 @dataclass(frozen=True)
 class GeodesicSystem:
-    """A finite collection of prime closed-geodesic seeds on S^n."""
+    """A finite collection of prime closed-geodesic seeds on S^n.
+
+    ``reversibility_lambda`` (at least 1) and ``pinching_asserted`` state
+    the paper's hypothesis (lambda/(1+lambda))^2 < K <= 1 on the flag
+    curvature; nothing computes with them.  The hypothesis enters only
+    through its index consequences i1 >= n-1 and mean index > n-1, which
+    validate_pinching_bounds checks on every seed.
+    """
 
     n: int
     reversibility_lambda: Fraction

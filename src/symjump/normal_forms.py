@@ -22,15 +22,13 @@ all exposed by :class:`Decomposition`.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .angles import ExactAngle, RationalAngle, _undecided, complement_angle, same_angle
-
-if TYPE_CHECKING:  # numpy is imported on first use: only the realizations need it
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -160,42 +158,44 @@ class Decomposition:
 # -- matrix realizations -----------------------------------------------------
 
 
-def diamond_sum(blocks: list[np.ndarray]) -> np.ndarray:
+class Matrix(tuple):
+    """A real matrix: a tuple of rows, each a tuple of floats."""
+    __slots__ = ()
+
+
+def diamond_sum(blocks: Iterable[Sequence[Sequence[float]]]) -> Matrix:
     """Interleaved direct sum: the A/B halves of each summand are placed
     block-diagonally in the A/B quadrants of the result, likewise C/D."""
-    import numpy as np
-    mats = [np.asarray(m, dtype=float) for m in blocks]
+    mats = [[[float(x) for x in row] for row in m] for m in blocks]
     for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"diamond summand must be square, got shape {m.shape}")
-        if m.shape[0] % 2:
-            raise ValueError(f"diamond summand must be even-dimensional, got {m.shape[0]}")
-    total = sum(m.shape[0] for m in mats)
+        for row in m:
+            if len(row) != len(m):
+                raise ValueError(
+                    f"diamond summand must be square, got shape {(len(m), len(row))}")
+        if len(m) % 2:
+            raise ValueError(f"diamond summand must be even-dimensional, got {len(m)}")
+    total = sum(map(len, mats))
     half = total // 2
-    out = np.zeros((total, total))
+    out = [[0.0] * total for _ in range(total)]
     offset = 0
     for m in mats:
-        k = m.shape[0] // 2
-        rows = slice(offset, offset + k)
-        out[rows, offset:offset + k] = m[:k, :k]                    # A
-        out[rows, half + offset:half + offset + k] = m[:k, k:]      # B
-        rows = slice(half + offset, half + offset + k)
-        out[rows, offset:offset + k] = m[k:, :k]                    # C
-        out[rows, half + offset:half + offset + k] = m[k:, k:]      # D
+        k = len(m) // 2
+        place = [*range(offset, offset + k), *range(half + offset, half + offset + k)]
+        for i, row in zip(place, m):
+            for j, v in zip(place, row):
+                out[i][j] = v
         offset += k
-    return out
+    return Matrix(map(tuple, out))
 
 
-def symplectic_form(dim: int) -> np.ndarray:
+def symplectic_form(dim: int) -> Matrix:
     """The standard form J on R^dim in the diamond-sum block convention."""
-    import numpy as np
     if dim % 2:
         raise ValueError("symplectic form needs even dimension")
     half = dim // 2
-    J = np.zeros((dim, dim))
-    J[:half, half:] = -np.eye(half)
-    J[half:, :half] = np.eye(half)
-    return J
+    eye = [tuple(float(i == j) for j in range(half)) for i in range(half)]
+    zero = (0.0,) * half
+    return Matrix([zero + tuple(-v for v in row) for row in eye] + [row + zero for row in eye])
 
 
 def _angle_float(angle: ExactAngle, precision: Fraction) -> float:
@@ -208,7 +208,7 @@ def _angle_float(angle: ExactAngle, precision: Fraction) -> float:
     return float((lo + hi) / 2)
 
 
-def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.ndarray:
+def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> Matrix:
     """A floating-point symplectic matrix with the decomposition's blocks,
     each irrational angle's midpoint taken from an enclosure no wider than
     precision/16.
@@ -218,34 +218,24 @@ def realize(d: Decomposition, precision: Fraction = Fraction(1, 10**9)) -> np.nd
     exactly (the shear must commute appropriately with the rotation) and
     keeps the defining sign (b2 - b3) * sin(theta).
     """
-    import numpy as np
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    mats = [_block_matrix(blk, precision) for blk in d.blocks]
-    if not mats:
-        return np.zeros((0, 0))
-    return diamond_sum(mats)
+    return diamond_sum([_block_matrix(blk, precision) for blk in d.blocks])
 
 
-def _block_matrix(blk: BasicForm, precision: Fraction) -> np.ndarray:
-    import numpy as np
+def _block_matrix(blk: BasicForm, precision: Fraction) -> tuple:
     if isinstance(blk, N1Block):
-        return np.array([[blk.lam, blk.b], [0.0, blk.lam]])
+        return ((blk.lam, blk.b), (0.0, blk.lam))
     if isinstance(blk, HyperbolicBlock):
-        return np.array([[2.0, 0.0], [0.0, 0.5]])
-    theta = 2 * np.pi * _angle_float(blk.angle, precision)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
+        return ((2.0, 0.0), (0.0, 0.5))
+    theta = 2 * math.pi * _angle_float(blk.angle, precision)
+    c, s = math.cos(theta), math.sin(theta)
     if isinstance(blk, RotationBlock):
-        return rot
-    sign = -1.0 if blk.trivial else 1.0
-    shear = sign * np.array([[c, -s], [0.0, 0.0]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = rot
-    out[:2, 2:] = shear
-    out[2:, 2:] = rot
-    return out
+        return ((c, -s), (s, c))
+    sign = -1.0 if blk.trivial else 1.0  # [[R, sign * [[c, -s], [0, 0]]], [0, R]]
+    return ((c, -s, sign * c, sign * -s), (s, c, sign * 0.0, sign * 0.0),
+            (0.0, 0.0, c, -s), (0.0, 0.0, s, c))
 
 
 # -- census-level quantities -------------------------------------------------

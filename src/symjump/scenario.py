@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from typing import Union, get_args, get_origin, get_type_hints
@@ -51,7 +50,7 @@ from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
                     PathVerification, TupleVerification)
-from .normal_forms import (Decomposition, HyperbolicBlock, N1Block, N2Block,
+from .normal_forms import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block,
                            RotationBlock)
 
 
@@ -344,12 +343,17 @@ _ENCLOSED = _object((("enclosure", _object((("approx", _STR), ("error", _STR)),
                                            _enclosure_from)),))
 
 
-def _matrix_from(v):
-    import numpy as np
+def _matrix_from(v) -> Matrix:
     try:
-        return np.array([[float(x) for x in row] for row in _array(_array(_STR))(v)])
+        m = Matrix(tuple(map(float, row)) for row in _array(_array(_STR))(v))
     except ValueError as exc:
         raise _Bad(str(exc)) from None
+    for i, row in enumerate(m):
+        if len(row) != len(m[0]):
+            exc = _Bad(f"expected {len(m[0])} entries, got {len(row)}")
+            exc.path = f"[{i}]"
+            raise exc
+    return m
 
 
 def _wire_type(report) -> str:
@@ -359,12 +363,9 @@ def _wire_type(report) -> str:
             if all(isinstance(x, cls) for x in report):
                 return kind
     for cls, kind in ((MeanIndex, "mean_index"), (TupleVerification, "tuple_verification"),
-                      (AnalysisReport, "analysis_report")):
+                      (AnalysisReport, "analysis_report"), (Matrix, "realized_matrix")):
         if isinstance(report, cls):
             return kind
-    np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
-    if np is not None and isinstance(report, np.ndarray):
-        return "realized_matrix"
     raise TypeError(f"not a report: {type(report).__name__}")
 
 
@@ -473,7 +474,7 @@ _REPORTS = {
                            _render_verification),
     "analysis_report": (_ENCODE[AnalysisReport], _DECODE[AnalysisReport], _render_analysis),
     "realized_matrix": (
-        lambda M: {"dim": M.shape[0], "rows": [[format(v, ".17g") for v in row] for row in M]},
+        lambda M: {"dim": len(M), "rows": [[format(v, ".17g") for v in row] for row in M]},
         _object((("rows", _matrix_from),)),
         lambda M: "\n".join("  ".join(f"{v: .12f}" for v in row) for row in M) + "\n"),
 }

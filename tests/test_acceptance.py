@@ -82,7 +82,7 @@ def test_criterion_2_nullity_matrix_oracle():
     for s in seeds:
         if s.decomp.h or angle_lcm(s.decomp) > 24 or checked >= 50:
             continue
-        M = realize(s.decomp)
+        M = np.asarray(realize(s.decomp))
         power = np.eye(M.shape[0])
         for m in range(1, 4 * angle_lcm(s.decomp) + 1):
             power = power @ M

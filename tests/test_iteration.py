@@ -196,7 +196,7 @@ def test_nullity_matches_numerical_kernel(rng_seed):
         s = random_seed(rng, allow_irrational=False, allow_hyperbolic=False)
         if angle_lcm(s.decomp) <= 24:
             break
-    M = realize(s.decomp)
+    M = np.asarray(realize(s.decomp))
     power = np.eye(M.shape[0])
     for m in range(1, 4 * angle_lcm(s.decomp) + 1):
         power = power @ M

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from symjump import (Decomposition, HyperbolicBlock, N1Block, N2Block,
-                     RotationBlock, c_total, classify, complement_angle,
-                     diamond_sum, elliptic_height, quadratic_angle,
-                     rational_angle, realize, splitting_numbers,
-                     splitting_plus_at_one, symplectic_form)
+from symjump import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block,
+                     RotationBlock, UndecidableComparison, c_total, classify,
+                     complement_angle, decimal_angle, diamond_sum, elliptic_height,
+                     emit_report, quadratic_angle, rational_angle, realize,
+                     splitting_numbers, splitting_plus_at_one, symplectic_form)
+from symjump.normal_forms import _angle_float
 
-from conftest import random_decomposition
+from conftest import random_decomposition, random_quadratic_angle, random_rational_angle
 
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 
@@ -57,14 +60,14 @@ class TestRealize:
         assert np.allclose(realize(Decomposition([HyperbolicBlock()])), np.diag([2, 0.5]))
 
     def test_empty(self):
-        assert realize(Decomposition([], n=1)).shape == (0, 0)
+        assert realize(Decomposition([], n=1)) == ()
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_realization_is_symplectic(self, rng_seed):
         rng = random.Random(rng_seed)
         d = random_decomposition(rng, rng.randint(2, 6))
-        M = realize(d, Fraction(1, 10**10))
-        J = symplectic_form(M.shape[0])
+        M = np.asarray(realize(d, Fraction(1, 10**10)))
+        J = np.asarray(symplectic_form(M.shape[0]))
         assert np.allclose(M.T @ J @ M, J, atol=1e-9)
 
     @pytest.mark.parametrize("rng_seed", range(6))
@@ -87,10 +90,117 @@ class TestRealize:
     def test_n2_triviality_sign(self):
         # nontrivial realization must satisfy (b2 - b3) * sin(theta) < 0
         for trivial in (False, True):
-            M = realize(Decomposition([N2Block(rational_angle(1, 3), trivial)]))
+            M = np.asarray(realize(Decomposition([N2Block(rational_angle(1, 3), trivial)])))
             b2, b3 = M[0, 3], M[1, 2]
             s = np.sin(2 * np.pi / 3)
             assert ((b2 - b3) * s > 0) == trivial
+
+
+def _oracle_block(blk, precision: Fraction) -> np.ndarray:
+    """One block's matrix, built with numpy as the realizations once were."""
+    if isinstance(blk, N1Block):
+        return np.array([[blk.lam, blk.b], [0.0, blk.lam]])
+    if isinstance(blk, HyperbolicBlock):
+        return np.array([[2.0, 0.0], [0.0, 0.5]])
+    theta = 2 * np.pi * _angle_float(blk.angle, precision)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    if isinstance(blk, RotationBlock):
+        return rot
+    sign = -1.0 if blk.trivial else 1.0
+    out = np.zeros((4, 4))
+    out[:2, :2] = rot
+    out[:2, 2:] = sign * np.array([[c, -s], [0.0, 0.0]])
+    out[2:, 2:] = rot
+    return out
+
+
+def _oracle_realize(d: Decomposition, precision: Fraction) -> np.ndarray:
+    """The diamond sum of the numpy block matrices, quadrant by quadrant."""
+    mats = [_oracle_block(blk, precision) for blk in d.blocks]
+    total = sum(m.shape[0] for m in mats)
+    half = total // 2
+    out = np.zeros((total, total))
+    offset = 0
+    for m in mats:
+        k = m.shape[0] // 2
+        top, bottom = slice(offset, offset + k), slice(half + offset, half + offset + k)
+        out[top, top], out[top, bottom] = m[:k, :k], m[:k, k:]
+        out[bottom, top], out[bottom, bottom] = m[k:, :k], m[k:, k:]
+        offset += k
+    return out
+
+
+def _any_angle(rng: random.Random):
+    """A rational, quadratic or decimal angle; a decimal one states 4 to 16
+    digits of a quadratic, so a tight precision refuses it."""
+    kind = rng.choice(["rational", "quadratic", "decimal"])
+    if kind == "rational":
+        return random_rational_angle(rng)
+    if kind == "quadratic":
+        return random_quadratic_angle(rng)
+    digits = rng.choice([4, 8, 12, 16])
+    return decimal_angle(f"{float(random_quadratic_angle(rng)):.{digits}f}", f"1e-{digits}")
+
+
+def _any_block(rng: random.Random):
+    kind = rng.choice(["n1", "hyp", "r", "n2"])
+    if kind == "n1":
+        return N1Block(rng.choice((1, -1)), rng.choice((1, 0, -1)))
+    if kind == "hyp":
+        return HyperbolicBlock()
+    if kind == "r":
+        return RotationBlock(_any_angle(rng))
+    return N2Block(_any_angle(rng), rng.random() < 0.5)
+
+
+ORACLE_ANGLES = [rational_angle(1, 3), GOLDEN, decimal_angle("0.6180339887498949", "1e-16")]
+EVERY_KIND = Decomposition(
+    [N1Block(lam, b) for lam in (1, -1) for b in (1, 0, -1)] + [HyperbolicBlock()]
+    + [RotationBlock(a) for a in ORACLE_ANGLES]
+    + [N2Block(a, trivial) for a in ORACLE_ANGLES for trivial in (False, True)])
+
+
+class TestNumpyOracle:
+    """realize against the numpy construction it replaced: every entry
+    and its sign (so -0.0 stays -0.0), the machine bytes that construction
+    encoded to, and every refusal."""
+
+    @staticmethod
+    def check(d: Decomposition, precision: Fraction) -> bytes:
+        try:
+            want = _oracle_realize(d, precision)
+        except UndecidableComparison as exc:
+            with pytest.raises(UndecidableComparison) as err:
+                realize(d, precision)
+            assert str(err.value) == str(exc)
+            return b""
+        got = realize(d, precision)
+        assert type(got) is Matrix and len(got) == want.shape[0]
+        for row, want_row in zip(got, want.tolist()):
+            assert all(type(v) is float for v in row)
+            assert ([(v, math.copysign(1, v)) for v in row]
+                    == [(w, math.copysign(1, w)) for w in want_row])
+        doc = {"type": "realized_matrix", "dim": want.shape[0],
+               "rows": [[format(v, ".17g") for v in row] for row in want]}
+        emitted = emit_report(got, "machine")
+        assert emitted == (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                           + "\n").encode()
+        return emitted
+
+    def test_every_block_and_angle_kind(self):
+        emitted = self.check(EVERY_KIND, Fraction(1, 10**9))
+        assert b'"-0"' in emitted  # the trivial N2 shear row, sign * 0.0
+
+    @pytest.mark.parametrize("rng_seed", range(40))
+    def test_random_decompositions(self, rng_seed):
+        rng = random.Random(500 + rng_seed)
+        d = Decomposition([_any_block(rng) for _ in range(rng.randint(0, 5))])
+        self.check(d, Fraction(1, 10 ** rng.choice([6, 9, 12, 15])))
+
+    def test_a_decimal_angle_refuses_alike(self):
+        coarse = decimal_angle("0.6180339887", "1e-10")
+        assert self.check(Decomposition([RotationBlock(coarse)]), Fraction(1, 10**12)) == b""
 
 
 class TestCensus:
@@ -201,7 +311,7 @@ class TestSplittingNumbers:
             (N2Block(GOLDEN, True), GOLDEN, np.exp(2j * np.pi * float(GOLDEN))),
         ]
         for block, omega, omega_c in cases:
-            M = realize(Decomposition([block], n=1 + block.dim // 2))
+            M = np.asarray(realize(Decomposition([block], n=1 + block.dim // 2)))
             sv = np.linalg.svd(M.astype(complex) - omega_c * np.eye(M.shape[0]),
                                compute_uv=False)
             nu_omega = int(np.sum(sv < 1e-6))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (Decomposition, GeodesicSystem, N1Block, PathSeed,
+from symjump import (Decomposition, GeodesicSystem, Matrix, N1Block, PathSeed,
                      RotationBlock, ScenarioError, ScenarioOptions, find_jump_tuples,
                      iteration_rows, mean_index, parse_report, parse_scenario,
                      quadratic_angle, rational_angle, run_analysis,
@@ -215,7 +215,12 @@ class TestMachineRoundTrips:
         M = realize(Decomposition([RotationBlock(quadratic_angle(-1, 1, 2, 5)),
                                    N1Block(1, 1)]))
         out = parse_report(emit_report(M, "machine"))
-        assert np.array_equal(out, M)
+        assert type(out) is Matrix and out == M
+
+    def test_realized_matrix_rows_need_not_be_square(self):
+        out = parse_report('{"type":"realized_matrix","rows":[["1","nan","-0"]]}')
+        assert len(out) == 1 and out[0][0] == 1.0 and math.isnan(out[0][1])
+        assert math.copysign(1, out[0][2]) == -1
 
 
 def emit_report_roundtrip_stable(emitted: bytes) -> bool:
@@ -506,7 +511,7 @@ class TestCli:
         path = write_scenario(tmp_path, TWO_SEED_S3)
         r = run_cli("--format", "machine", "realize", "--seed", path,
                     "--seed-index", "1", "--precision", "1/1000000000000")
-        M = parse_report(r.stdout)
+        M = np.asarray(parse_report(r.stdout))
         assert M.shape == (4, 4)
         theta = 2 * np.pi * 0.6180339887498949
         assert abs(M[0, 0] - np.cos(theta)) < 1e-9
@@ -619,11 +624,18 @@ class TestCli:
         assert r.stderr.decode().splitlines() == [
             f"error: N = {n} is not a jump tuple at delta = 1/100"]
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        r = subprocess.run([sys.executable, "-c", "import symjump.cli, sys; "
-                            "assert 'numpy' not in sys.modules"],
-                           capture_output=True, env=dict(PYTHONPATH=SRC))
-        assert r.returncode == 0, r.stderr
+    def test_realize_runs_without_numpy(self):
+        # a None entry in sys.modules makes "import numpy" raise ImportError
+        code = ("import sys; sys.modules['numpy'] = None; from symjump.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        fixture = (WIRE / "realize.out").read_bytes()
+        for fmt, want in (("machine", fixture),
+                          ("text", emit_report(parse_report(fixture), "text"))):
+            r = subprocess.run([sys.executable, "-c", code, "--format", fmt, "realize",
+                                "--seed", SHIPPED], capture_output=True,
+                               env=dict(PYTHONPATH=SRC))
+            assert r.returncode == 0, r.stderr
+            assert r.stdout == want
 
 
 def _emitted_reports() -> list:
@@ -685,7 +697,10 @@ class TestMalformedReports:
         (b'[]', "report: expected an object, got list"),
         (b'{"type":"analysis_report","n":3}', "report: missing required key 'status'"),
         (_analyze_with_relation("<>"), "first_bound_at_second: unknown relation '<>'"),
-    ], ids=["tuple_verification", "not_an_object", "analysis_report", "relation"])
+        (b'{"type":"realized_matrix","rows":[["1","2"],["3"]]}',
+         "rows[1]: expected 2 entries, got 1"),
+    ], ids=["tuple_verification", "not_an_object", "analysis_report", "relation",
+            "ragged_matrix"])
     def test_reproducers(self, data, message):
         with pytest.raises(ScenarioError) as err:
             parse_report(data)

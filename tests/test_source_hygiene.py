@@ -113,3 +113,14 @@ def test_every_parameter_is_read():
             unread += [f"{name}: {node.name}({p})" for p in params
                        if p not in read and (name, node.name, p) not in IGNORED_PARAMETERS]
     assert unread == []
+
+
+def test_no_module_imports_numpy():
+    # the library is pure Python; numpy serves the tests as an oracle only
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "numpy"]
+    assert found == []
