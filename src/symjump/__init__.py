@@ -5,7 +5,7 @@ common index jump tuples, and the two-elliptic-geodesics analysis
 pipeline for systems of closed geodesics on pinched spheres.
 """
 
-from .angles import (Enclosure, ExactAngle, IrrationalAngle,
+from .angles import (Enclosure, ExactAngle, IrrationalAngle, QuadraticAngle,
                      RationalAngle, complement_angle, decimal_angle,
                      quadratic_angle, rational_angle, same_angle)
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
@@ -38,9 +38,10 @@ __all__ = [
     "DeltaReport", "Enclosure", "ExactAngle", "GeodesicSystem",
     "HyperbolicBlock", "IrrationalAngle", "IterationRow", "JumpTuple",
     "Matrix", "MeanIndex", "N1Block", "N2Block", "NoTupleFound", "PathSeed",
-    "PathVerification", "PeakConstraintRecord", "PinchRecord", "RationalAngle",
-    "RotationBlock", "ScenarioError", "ScenarioOptions", "SecondGeodesicResult",
-    "SymjumpError", "TupleVerification", "UndecidableComparison", "ZeroEntry",
+    "PathVerification", "PeakConstraintRecord", "PinchRecord", "QuadraticAngle",
+    "RationalAngle", "RotationBlock", "ScenarioError", "ScenarioOptions",
+    "SecondGeodesicResult", "SymjumpError", "TupleVerification",
+    "UndecidableComparison", "ZeroEntry",
     "angle_period", "betti_constant", "bott_gap", "c_total", "classify",
     "complement_angle", "compute_delta", "decimal_angle",
     "derive_peak_constraints", "diamond_sum", "elliptic_height", "emit_report",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import UndecidableComparison
 
@@ -36,21 +36,10 @@ class Enclosure:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __contains__(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
 
 class ExactAngle:
-    """Base class for angle ratios; see :class:`RationalAngle` and
-    :class:`IrrationalAngle`."""
+    """Base class for angle ratios; see :class:`RationalAngle`,
+    :class:`QuadraticAngle` and :class:`IrrationalAngle`."""
 
     __slots__ = ()
     is_rational: bool  # a class constant of each kind
@@ -67,9 +56,10 @@ class ExactAngle:
         """0 if m*x is an integer, 1 otherwise."""
         raise NotImplementedError
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)):
-        """Fractional part of m*x: an exact Fraction when rational, else a
-        certified :class:`Enclosure` of width <= tol."""
+    def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
+        """Certified rational bounds lo <= x <= hi: the value itself when
+        rational, closed form no wider than ``width`` when quadratic, and
+        otherwise the stated enclosure, whatever the ``width``."""
         raise NotImplementedError
 
     def frac_side(self, m: int, delta: Fraction) -> str:
@@ -109,14 +99,13 @@ class RationalAngle(ExactAngle):
         _check_multiplier(m)
         return 0 if (m * self.value.numerator) % self.value.denominator == 0 else 1
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
-        _check_multiplier(m)
-        return Fraction((m * self.value.numerator) % self.value.denominator,
-                        self.value.denominator)
+    def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
+        return self.value, self.value
 
     def frac_side(self, m: int, delta: Fraction) -> str:
         delta = _check_delta(delta)
-        f = self.frac_mul(m)
+        _check_multiplier(m)
+        f = Fraction((m * self.value.numerator) % self.value.denominator, self.value.denominator)
         if f == 0:
             return "zero"
         if f < delta:
@@ -137,8 +126,8 @@ class IrrationalAngle(ExactAngle):
 
     The irrational flavor is trusted, not inferred: callers declaring a
     value irrational get irrational semantics (m*x is never an integer).
-    ``source`` tags the construction for equality and serialization,
-    e.g. ``("quadratic", (a, b, c, d))`` or ``("decimal", (s, e))``.
+    ``source`` tags the construction for equality, e.g.
+    ``("decimal", (s, e))`` or ``("complement", source)``.
     """
 
     __slots__ = ("_lo", "_hi", "source")
@@ -189,16 +178,6 @@ class IrrationalAngle(ExactAngle):
         _check_multiplier(m)
         return 1
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
-        """Certified enclosure of {m*x}, width <= tol, snapped to a decimal
-        grid so the result is reproducible and serializes losslessly."""
-        _check_multiplier(m)
-        tol = _check_tolerance(tol)
-        f = self._fixed_floor(m)
-        if f is None or m * (self._hi - self._lo) > tol / 2:
-            raise _undecided(f"frac({m} * {self!r}) at width {tol}")
-        return Enclosure(*_snap_outward(m * self._lo - f, m * self._hi - f, tol / 4))
-
     def frac_side(self, m: int, delta: Fraction) -> str:
         _check_multiplier(m)
         delta = _check_delta(delta)
@@ -227,31 +206,44 @@ class IrrationalAngle(ExactAngle):
         return float((self._lo + self._hi) / 2)
 
     def __repr__(self):
-        if self.source and self.source[0] == "quadratic":
-            a, b, c, d = self.source[1]
-            return f"IrrationalAngle(({a}{b:+}*sqrt({d}))/{c})"
         return f"IrrationalAngle(~{float(self):.10f})"
 
 
-class QuadraticAngle(IrrationalAngle):
-    """(a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1, built by
-    :func:`quadratic_angle`.
+@dataclass(frozen=True, slots=True, eq=False)
+class QuadraticAngle(ExactAngle):
+    """x = (a + b*sqrt(d))/c in (0, 1) with c > 0, gcd(a, b, c) = 1 and
+    sqrt(d) irrational; :func:`quadratic_angle` reduces any other form.
 
     m*b*sqrt(d) is never an integer, so floor(m*b*sqrt(d)) is
     isqrt(m^2 b^2 d) when b > 0 and -isqrt(m^2 b^2 d) - 1 when b < 0, and
     with c > 0 the floor of m*x needs only that floor of the numerator.
-    ``floor_mul``, ``ceil_mul``, ``frac_side`` and ``frac_mul`` are
-    therefore exact at every multiplier, ``enclosure`` is closed form at
-    every width, and a mean index holds the angle in its exact part.
+    Every query is therefore exact at every multiplier, ``enclosure`` is
+    closed form at every width, and a mean index holds the angle in its
+    exact part.
     """
 
-    __slots__ = ()
+    a: int
+    b: int
+    c: int
+    d: int
+    is_rational = False
+
+    def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if b == 0:
+            raise ValueError("quadratic angle with b = 0 is rational; use rational_angle")
+        if d < 2 or isqrt(d) ** 2 == d:
+            raise ValueError(f"sqrt({d}) is not irrational")
+        if c < 1 or gcd(a, b, c) != 1:
+            raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} needs c > 0 and gcd(a, b, c) = 1")
+        if self.floor_mul(1) != 0:  # x is irrational: 0 < x < 1 exactly when floor(x) = 0
+            raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} lies outside (0,1)")
 
     def _key(self) -> tuple:
         # x = a/c + sign(b)*sqrt(b^2 d/c^2), and 1 and an irrational sqrt(D) are
         # independent over Q: a canonical key of the value with d unfactored
-        a, b, c, d = self.source[1]
-        return Fraction(a, c), b > 0, Fraction(b * b * d, c * c)
+        return (Fraction(self.a, self.c), self.b > 0,
+                Fraction(self.b * self.b * self.d, self.c * self.c))
 
     def __eq__(self, other):
         return isinstance(other, QuadraticAngle) and self._key() == other._key()
@@ -261,9 +253,15 @@ class QuadraticAngle(IrrationalAngle):
 
     def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
-        a, b, c, d = self.source[1]
-        f = isqrt(m * m * b * b * d)
-        return (m * a + (f if b > 0 else -f - 1)) // c
+        f = isqrt(m * m * self.b * self.b * self.d)
+        return (m * self.a + (f if self.b > 0 else -f - 1)) // self.c
+
+    def ceil_mul(self, m: int) -> int:
+        return self.floor_mul(m) + 1
+
+    def varphi_mul(self, m: int) -> int:
+        _check_multiplier(m)
+        return 1
 
     def frac_side(self, m: int, delta: Fraction) -> str:
         _check_multiplier(m)
@@ -274,48 +272,24 @@ class QuadraticAngle(IrrationalAngle):
         r = self.floor_mul(q * m) - q * self.floor_mul(m)
         return "low" if r < p else "high" if r >= q - p else "mid"
 
-    def frac_mul(self, m: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
-        _check_multiplier(m)
-        tol = _check_tolerance(tol)
-        # r = floor(2**k * {m*x}) for the first k with 2**-k <= tol/2
-        k = (-(-2 * tol.denominator // tol.numerator) - 1).bit_length()
-        r = self.floor_mul(m << k) - (self.floor_mul(m) << k)
-        return Enclosure(*_snap_outward(Fraction(r, 1 << k), Fraction(r + 1, 1 << k), tol / 4))
-
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
-        """The closed-form enclosure at the first step of sqrt(d) to a
-        multiple of 2**-24, 2**-48, ... that, clipped to the stated
-        enclosure (the first step), is no wider than ``width``."""
+        """The closed-form enclosure, clipped to [0, 1], at the first step
+        of sqrt(d) to a multiple of 2**-24, 2**-48, ... no wider than
+        ``width`` (the first step when ``width`` is None)."""
         width = None if width is None else _check_tolerance(width)
         k = 24
         while True:
-            lo, hi = _quadratic_ends(*self.source[1], k)
-            lo, hi = max(lo, self._lo), min(hi, self._hi)
+            lo, hi = _quadratic_ends(self.a, self.b, self.c, self.d, k)
+            lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
             if width is None or hi - lo <= width:
                 return lo, hi
             k += 24
 
-    def convergent_denominators(self, m: int) -> Iterator[int]:
-        """The denominators 1 = q_0 <= q_1 < q_2 < ... of the continued
-        fraction convergents of m*x, without end.
+    def __float__(self):
+        return float(sum(self.enclosure()) / 2)
 
-        m*x = (P + sqrt(D))/Q with Q dividing D - P^2, and each partial
-        quotient is floor((P + sqrt(D))/Q) for the next exact (P, Q) of the
-        recurrence P' = t*Q - P, Q' = (D - P'^2)/Q.
-        """
-        _check_multiplier(m)
-        a, b, c, d = self.source[1]
-        P, D, Q = m * a * c, m * m * b * b * d * c * c, c * c
-        if b < 0:
-            P, Q = -P, -Q
-        s = isqrt(D)  # sqrt(D) is irrational: floor((P + sqrt(D))/Q) reads only s
-        q_prev, q = 1, 0
-        while True:
-            t = (P + s) // Q if Q > 0 else (P + s + 1) // Q
-            q_prev, q = q, t * q + q_prev
-            yield q
-            P = t * Q - P
-            Q = (D - P * P) // Q
+    def __repr__(self):
+        return f"QuadraticAngle(({self.a}{self.b:+}*sqrt({self.d}))/{self.c})"
 
 
 # -- constructors ----------------------------------------------------------
@@ -328,27 +302,17 @@ def rational_angle(p, q=None) -> RationalAngle:
 def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
     """The quadratic irrational (a + b*sqrt(d)) / c, required to lie in (0,1).
 
-    Queries are closed form (see :class:`QuadraticAngle`).  The stated
-    enclosure puts sqrt(d) between consecutive multiples of 2**-24.
+    Queries are closed form (see :class:`QuadraticAngle`).
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not isinstance(v, int):
             raise ValueError(f"quadratic coefficient {name} must be an integer")
     if c == 0:
         raise ValueError("quadratic denominator c must be nonzero")
-    if b == 0:
-        raise ValueError("quadratic angle with b = 0 is rational; use rational_angle")
-    if d < 2 or isqrt(d) ** 2 == d:
-        raise ValueError(f"sqrt({d}) is not irrational")
     if c < 0:
         a, b, c = -a, -b, -c
     g = gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    lo, hi = _quadratic_ends(a, b, c, d, 24)
-    if hi <= 0 or lo >= 1:
-        raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} lies outside (0,1)")
-    mid = (lo + hi) / 2
-    return QuadraticAngle(mid, hi - mid, source=("quadratic", (a, b, c, d)))
+    return QuadraticAngle(a // g, b // g, c // g, d)
 
 
 def decimal_angle(approximant, error) -> IrrationalAngle:
@@ -369,8 +333,7 @@ def complement_angle(x: ExactAngle) -> ExactAngle:
     if isinstance(x, RationalAngle):
         return RationalAngle(1 - x.value)
     if isinstance(x, QuadraticAngle):
-        a, b, c, d = x.source[1]
-        return quadratic_angle(c - a, -b, c, d)
+        return quadratic_angle(x.c - x.a, -x.b, x.c, x.d)
     if isinstance(x, IrrationalAngle):
         lo, hi = x.enclosure()
         return IrrationalAngle(1 - (lo + hi) / 2, (hi - lo) / 2,
@@ -404,8 +367,7 @@ def same_angle(x: ExactAngle, y: ExactAngle) -> bool:
         outside = (other.floor_mul(lo.denominator) < lo.numerator
                    or other.floor_mul(hi.denominator) >= hi.numerator)
     else:
-        z_lo, z_hi = ((other.value, other.value) if isinstance(other, RationalAngle)
-                      else other.enclosure())
+        z_lo, z_hi = other.enclosure()
         outside = hi < z_lo or z_hi < lo
     if outside:
         return False

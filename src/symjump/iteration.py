@@ -282,7 +282,7 @@ def _mean_of(i1: int, d: Decomposition) -> MeanIndex:
         if x.is_rational:
             rational += 2 * x.value
         elif isinstance(x, QuadraticAngle):
-            a, b, c, r = x.source[1]
+            a, b, c, r = x.a, x.b, x.c, x.d
             rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
             coefficients[rep] = (coefficients.get(rep, 0)
                                  + Fraction(2 * b * isqrt(rep * r), c * rep))

@@ -19,8 +19,9 @@ this rejects candidates whose delta is too coarse for that algebra.
 
 When seed 1 carries a quadratic spectrum angle x, the scan visits only
 the lattice steps s where {2*M*s*x} lies within delta of an integer --
-about 2*delta of them -- listed directly by :func:`near_returns`; every
-other step would fail seed 1's angle-side check.  One bound ends the
+about 2*delta of them -- listed directly by :func:`near_returns`, which
+takes the gaps between them from its own search at 2*delta; every other
+step would fail seed 1's angle-side check.  One bound ends the
 scan: past lattice step last_step(n), seed 1's candidate N exceeds n.
 The scan visits no step past the bound, which starts at
 last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
@@ -38,7 +39,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .angles import QuadraticAngle, _check_delta
@@ -47,8 +48,7 @@ from .iteration import PathSeed, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
-# From delta = 1/4 on 2*delta >= 1/2, so every gap is a candidate.
-_WIDE_DELTA = Fraction(1, 4)
+_DELTA_BITS = 800  # most bits of 1/delta: near_returns nests one frame per bit
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -239,34 +239,41 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     """The steps s = 1 .. last with ``x.frac_side(mult * s, delta) != "mid"``,
     in ascending order.
 
-    Write ||t|| for the distance from t to the nearest integer.  For two
-    consecutive such steps s < s', ||(s' - s)*mult*x|| < 2*delta, so the
-    gap s' - s is one of the candidates g with ||g*mult*x|| < 2*delta
-    (0 counts as a step for the first gap).  From each step the candidates
-    are tried in ascending order, and the first that lands on a step is
-    the gap to the next one.  The candidates are found once, as needed and
-    never beyond ``last``; by the three-gap theorem only a few are tried
-    per step.  The search for them starts at the first convergent
-    denominator q of mult*x with ||q*mult*x|| < 2*delta: by the best
-    approximation property of convergents every g < q has
-    ||g*mult*x|| >= 2*delta, so a tiny delta costs a few dozen tests, not
-    ``last``.  From delta = 1/4 on every g is a candidate and this is the
-    plain walk.  Every test is a closed-form quadratic query, which never
-    refuses.
+    Write ||t|| for the distance from t to the nearest integer.  Two
+    consecutive steps s < s' (0 counts as a step) have
+    ||(s' - s)*mult*x|| < 2*delta, so the gap s' - s is a step of this same
+    search at 2*delta, or any g from delta = 1/4 on.  From each step these
+    candidates are tried in ascending order, and the first that lands on a
+    step is the gap to the next one; by the three-gap theorem only a few
+    are tried per step.  Each search pulls its candidates once, as needed,
+    so a tiny delta nests about log2(1/delta) searches of a few tests each.
+
+    For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
+    u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
+    integer, so for g <= last
+    ||g*mult*x|| = |u + v|/c >= 1/(c*|u - v|) > 1/(c*(c + 2*last*mult*|b|*(isqrt(d)+1))).
+    When that is at least delta there is no step and the search ends at
+    once; otherwise a delta of at most 2**-800 raises ValueError, as the
+    nesting would pass the interpreter's recursion limit.  Every test is a
+    closed-form quadratic query, which never refuses.
     """
     delta = _check_delta(delta)
-    wide = delta >= _WIDE_DELTA
-    start = 1 if wide else next(q for q in x.convergent_denominators(mult)
-                                if q > last or x.frac_side(mult * q, 2 * delta) != "mid")
-    fresh = (g for g in range(start, last + 1)
-             if wide or x.frac_side(mult * g, 2 * delta) != "mid")
-    gaps: list[int] = []
-    s = 0
+    p, q = delta.numerator, delta.denominator
+    if p * x.c * (x.c + 2 * last * mult * abs(x.b) * (isqrt(x.d) + 1)) <= q:
+        return
+    if (q // p).bit_length() > _DELTA_BITS:
+        raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
+                         f"{(q // p).bit_length()} levels deep; loosen delta or lower n_max")
+    fresh = iter(range(1, last + 1)) if 4 * p >= q else near_returns(x, mult, 2 * delta, last)
+    gaps, s = [], 0
     while True:
         for i in itertools.count():
             if i == len(gaps):
-                gaps.extend(itertools.islice(fresh, 1))
-            if i == len(gaps) or s + gaps[i] > last:
+                g = next(fresh, None)
+                if g is None:
+                    return
+                gaps.append(g)
+            if s + gaps[i] > last:
                 return
             if x.frac_side(mult * (s + gaps[i]), delta) != "mid":
                 break

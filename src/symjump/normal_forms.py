@@ -199,8 +199,6 @@ def symplectic_form(dim: int) -> Matrix:
 
 
 def _angle_float(angle: ExactAngle, precision: Fraction) -> float:
-    if isinstance(angle, RationalAngle):
-        return float(angle.value)
     target = precision / 16
     lo, hi = angle.enclosure(target)
     if hi - lo > target:

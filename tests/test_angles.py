@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import threading
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -12,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (Decomposition, Enclosure, IrrationalAngle,
-                     PathSeed, RationalAngle, RotationBlock, UndecidableComparison,
+from symjump import (Decomposition, ExactAngle, IrrationalAngle,
+                     PathSeed, QuadraticAngle, RationalAngle, RotationBlock, UndecidableComparison,
                      complement_angle, decimal_angle, mean_index,
                      quadratic_angle, rational_angle, same_angle,
                      splitting_numbers)
@@ -50,10 +49,6 @@ class TestRational:
         assert rational_angle(1, 3).varphi_mul(3) == 0
         assert rational_angle(1, 3).varphi_mul(2) == 1
 
-    def test_frac_examples(self):
-        assert rational_angle(2, 3).frac_mul(5) == Fraction(1, 3)
-        assert rational_angle(1, 4).frac_mul(4) == 0
-
     def test_rejects_endpoints(self):
         for p, q in ((0, 1), (1, 1), (3, 3), (-1, 4), (5, 4)):
             with pytest.raises(ValueError):
@@ -70,10 +65,6 @@ class TestRational:
         q = x.value.denominator
         assert (x.varphi_mul(m) == 0) == (m % q == 0)
 
-    @given(pq=rationals, m=st.integers(1, 10**6))
-    def test_frac_plus_floor_reconstructs(self, pq, m):
-        x = rational_angle(pq[1], pq[0])
-        assert x.frac_mul(m) + x.floor_mul(m) == m * x.value
 
 
 GOLDEN = (-1, 1, 2, 5)
@@ -103,32 +94,6 @@ class TestQuadratic:
         x = quadratic_angle(*coeffs)
         assert x.ceil_mul(m) - x.floor_mul(m) == x.varphi_mul(m) == 1
 
-    def test_frac_enclosure_certifies(self):
-        g = quadratic_angle(*GOLDEN)
-        tol = Fraction(1, 10**9)
-        enc = g.frac_mul(3, tol=tol)
-        assert isinstance(enc, Enclosure)
-        assert enc.width <= tol
-        # {3 * (sqrt5-1)/2} = (3*sqrt5 - 5)/2: certify lo <= value <= hi by
-        # squaring: p/q <= (3*sqrt5-5)/2  <=>  (2p + 5q)^2 <= 45 q^2.
-        lo, hi = enc.lo, enc.hi
-        assert (2 * lo.numerator + 5 * lo.denominator) ** 2 <= 45 * lo.denominator**2
-        assert (2 * hi.numerator + 5 * hi.denominator) ** 2 >= 45 * hi.denominator**2
-
-    def test_frac_enclosure_deterministic_under_cache_warming(self):
-        g = quadratic_angle(*GOLDEN)
-        first = g.frac_mul(7, tol=Fraction(1, 10**6))
-        g.floor_mul(10**15)  # force deep refinement elsewhere
-        assert g.frac_mul(7, tol=Fraction(1, 10**6)) == first
-
-    def test_frac_plus_floor_encloses_product(self):
-        g = quadratic_angle(*GOLDEN)
-        m = 97
-        enc = g.frac_mul(m, tol=Fraction(1, 10**12))
-        f = g.floor_mul(m)
-        lo, hi = g.enclosure()
-        assert enc.lo + f <= m * hi and m * lo <= enc.hi + f
-
     def test_normalization_reduces_square_factors(self):
         assert same_angle(quadratic_angle(0, 1, 4, 8), quadratic_angle(0, 1, 2, 2))
 
@@ -149,21 +114,12 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             quadratic_angle(10**400, 1, 1, 2)  # value > 1, too large for a float
 
-    @settings(max_examples=60, deadline=None)
-    @given(coeffs=quadratics(), m=st.integers(1, 24))
-    def test_convergent_denominators_match_the_decimal_expansion(self, coeffs, m):
-        a, b, c, d = coeffs
-        want, q_prev, q = [], 1, 0
-        with localcontext() as ctx:
-            ctx.prec = 200
-            y = m * (a + b * Decimal(d).sqrt()) / c
-            for _ in range(12):
-                t = int(y.to_integral_value(ROUND_FLOOR))
-                q_prev, q = q, t * q + q_prev
-                want.append(q)
-                y = 1 / (y - t)
-        got = quadratic_angle(*coeffs).convergent_denominators(m)
-        assert list(itertools.islice(got, 12)) == want
+    def test_range_is_decided_exactly(self):
+        # 5741*sqrt(2) - 8118 = 1 + 0.0000616...; 5741*sqrt(2) exceeds 8119 by
+        # about 1/16238, and 5741*2**-24 is wider than that
+        with pytest.raises(ValueError, match=r"\(-8118\+5741\*sqrt\(2\)\)/1 lies outside"):
+            quadratic_angle(-8118, 5741, 1, 2)
+        assert quadratic_angle(-8119, 5741, 1, 2).floor_mul(16238) == 0
 
     def test_sides(self):
         g = quadratic_angle(*GOLDEN)
@@ -266,9 +222,47 @@ class TestValueSemantics:
             x.value = Fraction(1, 2)
         assert x.value == Fraction(1, 3)
 
+    def test_quadratic_angle_is_a_frozen_value(self):
+        x = quadratic_angle(*GOLDEN)
+        assert (x.a, x.b, x.c, x.d) == GOLDEN
+        with pytest.raises(AttributeError):
+            x.a = 0
+        assert isinstance(x, ExactAngle) and not isinstance(x, IrrationalAngle)
+        assert QuadraticAngle(*GOLDEN) == x
+        for coeffs in ((1, -1, -2, 5), (-2, 2, 4, 5)):  # only quadratic_angle reduces
+            with pytest.raises(ValueError, match=r"needs c > 0 and gcd\(a, b, c\) = 1"):
+                QuadraticAngle(*coeffs)
+
+    def test_quadratic_disguises_are_one_value(self):
+        for y, z in ((quadratic_angle(0, 1, 4, 8), quadratic_angle(0, 1, 2, 2)),  # sqrt(8)/4
+                     (quadratic_angle(-2, 2, 2, 2), quadratic_angle(-1, 1, 1, 2)),
+                     (quadratic_angle(3, -1, 2, 5), quadratic_angle(-6, 2, -4, 5))):
+            assert y == z and hash(y) == hash(z)
+            assert len({y, z}) == 1
+        assert quadratic_angle(0, 1, 2, 2) != quadratic_angle(0, 1, 3, 3)
+        assert quadratic_angle(-1, 1, 2, 5) != quadratic_angle(3, -1, 2, 5)
+
+    @pytest.mark.parametrize("coeffs, value", [
+        ((-1, 1, 2, 5), 0.6180339902639389), ((-1, 1, 1, 2), 0.4142135679721832),
+        ((0, 1, 4, 8), 0.707106776535511), ((-19600, 13860, 1, 2), 0.9998195171356201),
+        ((-8119, 5741, 1, 2), 0.00013241171836853027)])
+    def test_quadratic_float_is_the_first_enclosure_midpoint(self, coeffs, value):
+        # sqrt(d) between multiples of 2**-24, clipped to [0, 1]: the last two
+        # enclosures reach past 1 and below 0
+        assert float(quadratic_angle(*coeffs)) == value
+
+    def test_reprs(self):
+        assert repr(quadratic_angle(*GOLDEN)) == "QuadraticAngle((-1+1*sqrt(5))/2)"
+        assert repr(quadratic_angle(6, -2, 4, 5)) == "QuadraticAngle((3-1*sqrt(5))/2)"
+        assert repr(rational_angle(1, 3)) == "RationalAngle(1/3)"
+
+    def test_rational_enclosure_is_the_value(self):
+        assert rational_angle(2, 6).enclosure(Fraction(1, 10)) == (Fraction(1, 3),) * 2
+
     def test_is_rational_is_a_class_constant(self):
         assert RationalAngle.is_rational is True
         assert IrrationalAngle.is_rational is False
+        assert QuadraticAngle.is_rational is False
         assert rational_angle(1, 3).is_rational is True
         assert quadratic_angle(*GOLDEN).is_rational is False
         assert decimal_angle("0.6180339887", "1e-10").is_rational is False
@@ -285,8 +279,6 @@ class TestRefusalNamesTheQuery:
                 (lambda: d.ceil_mul(10**8), f"floor(100000000 * {name}) undecided"),
                 (lambda: d.frac_side(10**6, Fraction(1, 7)),
                  f"side of frac(1000000 * {name}) vs delta=1/7 undecided"),
-                (lambda: d.frac_mul(10**4, Fraction(1, 10**6)),
-                 f"frac(10000 * {name}) at width 1/1000000 undecided"),
                 (lambda: same_angle(d, decimal_angle("0.6180339", "1e-6")),
                  f"equality of {name} and IrrationalAngle(~0.6180339000) undecided")):
             with pytest.raises(UndecidableComparison) as exc:
@@ -332,7 +324,6 @@ class TestHistoryIndependence:
         assert quadratic_angle(*GOLDEN).floor_mul(10**12) == 618033988749
         g = quadratic_angle(*GOLDEN)
         g.floor_mul(10**30)
-        g.frac_mul(10**30, tol=Fraction(1, 10**40))
         g.enclosure(Fraction(1, 10**100))
         assert g.floor_mul(10**12) == 618033988749
 
@@ -351,10 +342,8 @@ class TestHistoryIndependence:
 
         fresh = answers(angle())
         warm = angle()
-        for deep in (lambda: warm.floor_mul(10**40),
-                     lambda: warm.frac_mul(10**30, tol=Fraction(1, 10**6))):
-            with pytest.raises(UndecidableComparison):
-                deep()
+        with pytest.raises(UndecidableComparison):
+            warm.floor_mul(10**40)
         assert answers(warm) == fresh
         assert "undecidable" in fresh  # the stated enclosure really bounds this angle
 

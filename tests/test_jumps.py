@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -400,10 +401,27 @@ class TestScanControls:
         assert r.stdout == b"no tuple\n"
 
 
+def _count_frac_side(monkeypatch, limit):
+    """The multipliers of every quadratic frac_side call from here on; the
+    call past ``limit`` fails the test."""
+    calls = []
+    frac_side = QuadraticAngle.frac_side
+
+    def counted(self, m, delta):
+        calls.append(m)
+        if len(calls) > limit:
+            raise AssertionError(f"near_returns makes more than {limit} queries")
+        return frac_side(self, m, delta)
+
+    monkeypatch.setattr(QuadraticAngle, "frac_side", counted)
+    return calls
+
+
 class TestNearReturns:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(coeffs=quadratics(), M=st.integers(1, 12),
-           delta=st.tuples(st.integers(1, 60), st.integers(3, 400)).filter(
+           delta=st.tuples(st.integers(1, 60),
+                           st.one_of(st.integers(3, 400), st.integers(401, 10**7))).filter(
                lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)),
            last=st.integers(-2, 1500))
     def test_matches_brute_force(self, coeffs, M, delta, last):
@@ -415,20 +433,31 @@ class TestNearReturns:
         with pytest.raises(ValueError, match="delta"):
             next(near_returns(GOLDEN, 2, Fraction(1, 2), 10))
 
-    def test_tiny_delta_searches_from_the_convergents(self, monkeypatch):
-        # no gap below 10**6 comes within 2*delta of an integer; only the
-        # convergent denominators of 2x below it are tested to show that
-        calls = []
-        frac_side = QuadraticAngle.frac_side
-
-        def counted(self, m, delta):
-            calls.append(m)
-            if len(calls) >= 200:
-                raise AssertionError("near_returns tests gap after gap")
-            return frac_side(self, m, delta)
-
-        monkeypatch.setattr(QuadraticAngle, "frac_side", counted)
+    def test_no_step_within_liouville_bound_makes_no_query(self, monkeypatch):
+        # ||2g*(sqrt(2) - 1)|| > 1/(1 + 2*10**6*2*2) for every g <= 10**6
+        calls = _count_frac_side(monkeypatch, 0)
         assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6)) == []
+        assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6)) == []
+        assert calls == []
+
+    def test_many_returns_take_few_queries(self, monkeypatch):
+        # the gaps come from the same search at 2*delta, 4*delta, ...; a scan
+        # of every gap from the first convergent on made 901,653 queries here
+        calls = _count_frac_side(monkeypatch, 5000)
+        steps = list(itertools.islice(near_returns(SQRT2M1, 2, Fraction(1, 10**6), 10**9), 200))
+        assert len(steps) == 200 and steps[:3] == [235416, 1136689, 1372105]
+        assert all(SQRT2M1.frac_side(2 * s, Fraction(1, 10**6)) != "mid" for s in steps)
+
+    def test_nesting_depth_is_bounded(self):
+        # 1/delta of 800 bits nests about 800 searches and still answers; one
+        # more bit is refused unless no step can exist
+        x, delta, last = SQRT2M1, Fraction(1, 2**800 - 1), 10**300
+        steps = list(itertools.islice(near_returns(x, 2, delta, last), 3))
+        assert len(steps) == 3 and all(x.frac_side(2 * s, delta) != "mid" for s in steps)
+        with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
+            next(near_returns(x, 2, Fraction(1, 2**800), last))
+        with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
+            next(near_returns(x, 2, Fraction(1, 10**999), 10**1005))
 
 
 @pytest.fixture(scope="module")

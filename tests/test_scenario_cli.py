@@ -500,6 +500,15 @@ class TestCli:
             "error: no jump tuple with N <= 1000000 at delta = 1/10000000; "
             "raise n_max or loosen delta"]
 
+    def test_delta_too_fine_for_the_sieve_is_one_line(self):
+        # past 800 bits of 1/delta, with steps possible up to the bound, the
+        # near-return search would nest deeper than the interpreter allows
+        r = run_cli("jump", "--seeds", SHIPPED, "--delta", "1e-999",
+                    "--n-max", str(10**1005), timeout=60)
+        assert r.returncode == 1 and r.stdout == b""
+        lines = r.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: delta at most 2**-800")
+
     def test_machine_output_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)
         a = run_cli("--format", "machine", "analyze", "--system", path)

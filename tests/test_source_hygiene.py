@@ -124,3 +124,14 @@ def test_no_module_imports_numpy():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "numpy"]
     assert found == []
+
+
+def test_every_angle_kind_subclasses_exact_angle_directly():
+    # one model per kind: no angle kind inherits another kind's queries
+    kinds = {node.name: [ast.unparse(b) for b in node.bases]
+             for node in ast.walk(_tree(SRC / "angles.py"))
+             if isinstance(node, ast.ClassDef) and node.name.endswith("Angle")}
+    assert sorted(kinds) == ["ExactAngle", "IrrationalAngle", "QuadraticAngle", "RationalAngle"]
+    assert {name: bases for name, bases in kinds.items() if name != "ExactAngle"} == {
+        "IrrationalAngle": ["ExactAngle"], "QuadraticAngle": ["ExactAngle"],
+        "RationalAngle": ["ExactAngle"]}
