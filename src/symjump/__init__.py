@@ -5,9 +5,9 @@ common index jump tuples, and the two-elliptic-geodesics analysis
 pipeline for systems of closed geodesics on pinched spheres.
 """
 
-from .angles import (Enclosure, ExactAngle, IrrationalAngle, QuadraticAngle,
-                     RationalAngle, complement_angle, decimal_angle,
-                     quadratic_angle, rational_angle, same_angle)
+from .angles import (ExactAngle, IrrationalAngle, QuadraticAngle, RationalAngle,
+                     complement_angle, decimal_angle, quadratic_angle,
+                     rational_angle, same_angle)
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, SecondGeodesicResult,
                        ZeroEntry, betti_constant, derive_peak_constraints,
@@ -27,7 +27,7 @@ from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, Matrix,
                            diamond_sum, elliptic_height, realize,
                            splitting_numbers, splitting_plus_at_one,
                            symplectic_form)
-from .scenario import (ScenarioOptions, emit_report, parse_report,
+from .scenario import (Enclosure, ScenarioOptions, emit_report, parse_report,
                        parse_scenario)
 
 __version__ = "0.1.0"

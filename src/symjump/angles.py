@@ -9,10 +9,10 @@ each query either returns a certified answer or raises
 Rational ratios are exact integer arithmetic, and so are quadratic
 irrationals (a + b*sqrt(d))/c: floor(m*x) takes one integer square root.
 Any other irrational ratio carries one stated rational enclosure
-``[approximant - error, approximant + error]``, and a query on it decides
-from that enclosure or refuses.  Every query reads its angle once, so
-every answer is a function of the angle and the operands alone.  Angles
-are immutable and hold no cache.
+[lo, hi], and a query on it decides from that enclosure or refuses.
+Every query reads its angle once, so every answer is a function of the
+angle and the operands alone.  Every angle kind is a frozen dataclass
+and holds no cache.
 """
 
 from __future__ import annotations
@@ -29,17 +29,15 @@ from .errors import UndecidableComparison
 DECIMAL_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A certified rational interval [lo, hi] containing the true value."""
-
-    lo: Fraction
-    hi: Fraction
-
-
 class ExactAngle:
     """Base class for angle ratios; see :class:`RationalAngle`,
-    :class:`QuadraticAngle` and :class:`IrrationalAngle`."""
+    :class:`QuadraticAngle` and :class:`IrrationalAngle`.
+
+    ``ceil_mul`` and ``varphi_mul`` are written here for an irrational
+    x, whose multiples m*x are never integers, and only
+    :class:`RationalAngle` overrides them.  ``float`` of every kind is the
+    midpoint of ``enclosure()``.
+    """
 
     __slots__ = ()
     is_rational: bool  # a class constant of each kind
@@ -50,11 +48,12 @@ class ExactAngle:
 
     def ceil_mul(self, m: int) -> int:
         """Certified min{k in Z : k >= m*x}."""
-        raise NotImplementedError
+        return self.floor_mul(m) + 1
 
     def varphi_mul(self, m: int) -> int:
         """0 if m*x is an integer, 1 otherwise."""
-        raise NotImplementedError
+        _check_multiplier(m)
+        return 1
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         """Certified rational bounds lo <= x <= hi: the value itself when
@@ -69,6 +68,9 @@ class ExactAngle:
         (0 < {m*x} < delta), ``"high"`` ({m*x} > 1 - delta) or ``"mid"``.
         """
         raise NotImplementedError
+
+    def __float__(self):
+        return float(sum(self.enclosure()) / 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,49 +119,37 @@ class RationalAngle(ExactAngle):
     def __repr__(self):
         return f"RationalAngle({self.value})"
 
-    def __float__(self):
-        return float(self.value)
 
-
+@dataclass(frozen=True, slots=True)
 class IrrationalAngle(ExactAngle):
-    """An irrational x in (0, 1) given by one stated enclosure.
+    """An irrational x in (0, 1) given by one stated enclosure
+    lo <= x <= hi with 0 <= lo < hi <= 1, built by :func:`decimal_angle`.
 
     The irrational flavor is trusted, not inferred: callers declaring a
     value irrational get irrational semantics (m*x is never an integer).
-    ``source`` tags the construction for equality, e.g.
+    ``source`` tags the construction and fixes the enclosure, so two
+    angles are equal exactly when their sources are, e.g.
     ``("decimal", (s, e))`` or ``("complement", source)``.
     """
 
-    __slots__ = ("_lo", "_hi", "source")
+    lo: Fraction
+    hi: Fraction
+    source: tuple
     is_rational = False
 
-    def __init__(self, approximant: Fraction, error_bound: Fraction,
-                 source: Optional[tuple] = None):
-        approximant = Fraction(approximant)
-        error_bound = Fraction(error_bound)
-        if error_bound <= 0:
-            raise ValueError("error bound must be positive")
-        lo = approximant - error_bound
-        hi = approximant + error_bound
-        if hi <= 0 or lo >= 1:
-            raise ValueError("enclosure lies outside (0,1)")
-        object.__setattr__(self, "_lo", max(lo, Fraction(0)))
-        object.__setattr__(self, "_hi", min(hi, Fraction(1)))
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IrrationalAngle exposes no mutable attributes")
+    def __post_init__(self):
+        if not 0 <= self.lo < self.hi <= 1:
+            raise ValueError(f"stated enclosure [{self.lo}, {self.hi}] needs 0 <= lo < hi <= 1")
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
-        """The stated enclosure, approximant +/- error clipped to [0, 1],
-        whatever the ``width`` asked for."""
-        return self._lo, self._hi
+        """The stated enclosure, whatever the ``width`` asked for."""
+        return self.lo, self.hi
 
     # -- certified queries ------------------------------------------------
 
     def _fixed_floor(self, m: int) -> Optional[int]:
         """floor(m*x) when the stated enclosure fixes it, else None."""
-        lo, hi = self._lo, self._hi
+        lo, hi = self.lo, self.hi
         f = (m * lo.numerator) // lo.denominator
         return f if f == (m * hi.numerator) // hi.denominator else None
 
@@ -170,40 +160,19 @@ class IrrationalAngle(ExactAngle):
             raise _undecided(f"floor({m} * {self!r})")
         return f
 
-    def ceil_mul(self, m: int) -> int:
-        # m*x is never an integer for irrational x.
-        return self.floor_mul(m) + 1
-
-    def varphi_mul(self, m: int) -> int:
-        _check_multiplier(m)
-        return 1
-
     def frac_side(self, m: int, delta: Fraction) -> str:
         _check_multiplier(m)
         delta = _check_delta(delta)
         f = self._fixed_floor(m)
         if f is not None:
-            frac_lo, frac_hi = m * self._lo - f, m * self._hi - f
-            if frac_hi < delta:
+            lo, hi = m * self.lo - f, m * self.hi - f  # bounds on {m*x}
+            if hi < delta:
                 return "low"
-            if frac_lo > 1 - delta:
+            if lo > 1 - delta:
                 return "high"
-            if delta < frac_lo and frac_hi < 1 - delta:
+            if delta < lo and hi < 1 - delta:
                 return "mid"
         raise _undecided(f"side of frac({m} * {self!r}) vs delta={delta}")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, IrrationalAngle):
-            return False
-        return self.source is not None and self.source == other.source
-
-    def __hash__(self):
-        return hash(("irrational", self.source)) if self.source else id(self)
-
-    def __float__(self):
-        return float((self._lo + self._hi) / 2)
 
     def __repr__(self):
         return f"IrrationalAngle(~{float(self):.10f})"
@@ -256,20 +225,13 @@ class QuadraticAngle(ExactAngle):
         f = isqrt(m * m * self.b * self.b * self.d)
         return (m * self.a + (f if self.b > 0 else -f - 1)) // self.c
 
-    def ceil_mul(self, m: int) -> int:
-        return self.floor_mul(m) + 1
-
-    def varphi_mul(self, m: int) -> int:
-        _check_multiplier(m)
-        return 1
-
     def frac_side(self, m: int, delta: Fraction) -> str:
-        _check_multiplier(m)
+        f = self.floor_mul(m)
         delta = _check_delta(delta)
         p, q = delta.numerator, delta.denominator
         # r = floor(q*{m*x}); q*{m*x} is irrational, so it is below p exactly
         # when r < p and above q - p exactly when r >= q - p
-        r = self.floor_mul(q * m) - q * self.floor_mul(m)
+        r = self.floor_mul(q * m) - q * f
         return "low" if r < p else "high" if r >= q - p else "mid"
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
@@ -284,9 +246,6 @@ class QuadraticAngle(ExactAngle):
             if width is None or hi - lo <= width:
                 return lo, hi
             k += 24
-
-    def __float__(self):
-        return float(sum(self.enclosure()) / 2)
 
     def __repr__(self):
         return f"QuadraticAngle(({self.a}{self.b:+}*sqrt({self.d}))/{self.c})"
@@ -316,16 +275,21 @@ def quadratic_angle(a: int, b: int, c: int, d: int) -> QuadraticAngle:
 
 
 def decimal_angle(approximant, error) -> IrrationalAngle:
-    """An irrational declared by a decimal approximant and error bound.
+    """An irrational declared by a decimal approximant and error bound:
+    the stated enclosure approximant +/- error, clipped to [0, 1].
 
     Queries needing more precision than the stated error raise
     UndecidableComparison.  Either string is refused with ValueError
     beyond DECIMAL_LIMIT characters or exponent magnitude.
     """
-    approx_str = str(approximant)
-    err_str = str(error)
-    return IrrationalAngle(_bounded_decimal(approx_str), _bounded_decimal(err_str),
-                           source=("decimal", (approx_str, err_str)))
+    s, e = str(approximant), str(error)
+    approx, err = _bounded_decimal(s), _bounded_decimal(e)
+    if err <= 0:
+        raise ValueError("error bound must be positive")
+    if approx + err <= 0 or approx - err >= 1:
+        raise ValueError("enclosure lies outside (0,1)")
+    return IrrationalAngle(max(approx - err, Fraction(0)), min(approx + err, Fraction(1)),
+                           ("decimal", (s, e)))
 
 
 def complement_angle(x: ExactAngle) -> ExactAngle:
@@ -335,9 +299,7 @@ def complement_angle(x: ExactAngle) -> ExactAngle:
     if isinstance(x, QuadraticAngle):
         return quadratic_angle(x.c - x.a, -x.b, x.c, x.d)
     if isinstance(x, IrrationalAngle):
-        lo, hi = x.enclosure()
-        return IrrationalAngle(1 - (lo + hi) / 2, (hi - lo) / 2,
-                               ("complement", x.source) if x.source else None)
+        return IrrationalAngle(1 - x.hi, 1 - x.lo, ("complement", x.source))
     raise TypeError(f"not an ExactAngle: {x!r}")
 
 
@@ -367,8 +329,8 @@ def same_angle(x: ExactAngle, y: ExactAngle) -> bool:
         outside = (other.floor_mul(lo.denominator) < lo.numerator
                    or other.floor_mul(hi.denominator) >= hi.numerator)
     else:
-        z_lo, z_hi = other.enclosure()
-        outside = hi < z_lo or z_hi < lo
+        low, high = other.enclosure()
+        outside = hi < low or high < lo
     if outside:
         return False
     raise _undecided(f"equality of {x!r} and {y!r}")
@@ -426,12 +388,3 @@ def _check_delta(delta) -> Fraction:
     if not (0 < f.numerator and 2 * f.numerator < f.denominator):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return f
-
-
-def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:
-    """Widen [lo, hi] outward to the coarsest decimal grid 10**-k <= grid."""
-    scale = 1
-    while Fraction(1, scale) > grid:
-        scale *= 10
-    return (Fraction(lo.numerator * scale // lo.denominator, scale),
-            Fraction(-(-hi.numerator * scale // hi.denominator), scale))

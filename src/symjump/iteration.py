@@ -171,9 +171,8 @@ class MeanIndex:
         if not self.angles:
             t = _floor_scaled(a0, terms, 24 * level)
             return t, t + len(terms), scale << 24 * level
-        ends = [a.enclosure() for a in self.angles]
-        lo = 2 * sum(a_lo for a_lo, _ in ends)
-        hi = 2 * sum(a_hi for _, a_hi in ends)
+        lo = 2 * sum(a.lo for a in self.angles)
+        hi = 2 * sum(a.hi for a in self.angles)
         p = 24 * self._level_for(min(hi - lo, Fraction(1, 1 << 24)) / 2**32)
         t = _floor_scaled(a0, terms, p)
         lo += Fraction(t, scale << p)

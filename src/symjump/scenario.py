@@ -44,8 +44,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import (Enclosure, _snap_outward, decimal_angle, quadratic_angle,
-                     rational_angle)
+from .angles import decimal_angle, quadratic_angle, rational_angle
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -319,6 +318,23 @@ def _decimal_str(f: Fraction) -> str:
     whole, frac_part = divmod(abs(scaled.numerator), 10**digits)
     sign = "-" if scaled < 0 else ""
     return f"{sign}{whole}.{str(frac_part).zfill(digits)}".rstrip("0").rstrip(".")
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """A certified rational interval [lo, hi] containing the true value."""
+
+    lo: Fraction
+    hi: Fraction
+
+
+def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:
+    """Widen [lo, hi] outward to the coarsest decimal grid 10**-k <= grid."""
+    scale = 1
+    while Fraction(1, scale) > grid:
+        scale *= 10
+    return (Fraction(lo.numerator * scale // lo.denominator, scale),
+            Fraction(-(-hi.numerator * scale // hi.denominator), scale))
 
 
 def enclosure_json(e: Enclosure) -> dict:

@@ -149,6 +149,16 @@ class TestDecimal:
         with pytest.raises(ValueError):
             decimal_angle("0.5", "0")
 
+    @pytest.mark.parametrize("approx,error,message", [
+        ("1.5", "0.1", "enclosure lies outside (0,1)"),
+        ("-0.5", "0.1", "enclosure lies outside (0,1)"),
+        ("0.5", "0", "error bound must be positive"),
+        ("0.5", "-1e-3", "error bound must be positive")])
+    def test_refusal_messages(self, approx, error, message):
+        with pytest.raises(ValueError) as exc:
+            decimal_angle(approx, error)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("approx,error", [
         ("0.6", "1e-999999999"), ("1e999999999", "1e-6"), ("0.6", "1E-1_000_001"),
         ("0." + "6" * DECIMAL_LIMIT, "1e-6")],
@@ -198,6 +208,14 @@ class TestIdentity:
         assert c == complement_angle(decimal_angle("0.6180339887", "1e-7"))
         assert c != complement_angle(decimal_angle("0.6180339887", "2e-7"))
         assert c != decimal_angle("0.3819660113", "1e-7")
+
+    def test_decimal_complement_reflects_the_enclosure(self):
+        for x in (decimal_angle("0.6180339887", "1e-7"), decimal_angle("0.99", "0.05")):
+            c = complement_angle(x)
+            assert c.enclosure() == (1 - x.hi, 1 - x.lo)
+            assert c.source == ("complement", x.source)
+        assert complement_angle(decimal_angle("0.99", "0.05")).enclosure() == (
+            0, Fraction(3, 50))  # the clipped end 1 becomes 0
 
     def test_same_angle_undecidable_for_refinerless_overlap(self):
         a = decimal_angle("0.33333333", "1e-4")
@@ -258,6 +276,46 @@ class TestValueSemantics:
 
     def test_rational_enclosure_is_the_value(self):
         assert rational_angle(2, 6).enclosure(Fraction(1, 10)) == (Fraction(1, 3),) * 2
+
+    def test_irrational_angle_is_a_frozen_value(self):
+        x = decimal_angle("0.618", "1e-3")
+        assert (x.lo, x.hi, x.source) == (
+            Fraction(617, 1000), Fraction(619, 1000), ("decimal", ("0.618", "1e-3")))
+        with pytest.raises(AttributeError):
+            x.lo = Fraction(0)
+        assert x.lo == Fraction(617, 1000)
+        assert IrrationalAngle(x.lo, x.hi, x.source) == x
+
+    def test_decimal_angles_with_the_same_strings_are_one_value(self):
+        x, y = decimal_angle("0.618", "1e-3"), decimal_angle("0.618", "1e-3")
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1 and same_angle(x, y)
+
+    def test_decimal_angles_differ_by_their_strings(self):
+        x, y = decimal_angle("0.6180", "1e-3"), decimal_angle("0.618", "1e-3")
+        assert x.enclosure() == y.enclosure()
+        assert x != y
+        with pytest.raises(UndecidableComparison):
+            same_angle(x, y)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 5), Fraction(1, 2)),
+        (Fraction(-1, 10), Fraction(1, 2)), (Fraction(1, 2), Fraction(11, 10))],
+        ids=["empty", "reversed", "below_zero", "above_one"])
+    def test_irrational_angle_rejects_bad_enclosures(self, lo, hi):
+        with pytest.raises(ValueError, match=r"needs 0 <= lo < hi <= 1"):
+            IrrationalAngle(lo, hi, ("decimal", ("?", "?")))
+
+    @pytest.mark.parametrize("x, value, text", [
+        (rational_angle(1, 3), 0.3333333333333333, "RationalAngle(1/3)"),
+        (quadratic_angle(*GOLDEN), 0.6180339902639389, "QuadraticAngle((-1+1*sqrt(5))/2)"),
+        (decimal_angle("0.6180339887", "1e-6"), 0.6180339887, "IrrationalAngle(~0.6180339887)"),
+        (decimal_angle("0.99", "0.05"), 0.97, "IrrationalAngle(~0.9700000000)")],
+        ids=["rational", "quadratic", "decimal", "clipped_decimal"])
+    def test_float_and_repr_per_kind(self, x, value, text):
+        # the midpoint of the first enclosure; the clipped decimal's is [0.94, 1]
+        assert float(x) == value
+        assert repr(x) == text
 
     def test_is_rational_is_a_class_constant(self):
         assert RationalAngle.is_rational is True
