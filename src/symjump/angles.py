@@ -7,7 +7,8 @@ each query either returns a certified answer or raises
 ``UndecidableComparison`` -- never a guess.
 
 Rational ratios are exact integer arithmetic, and so are quadratic
-irrationals (a + b*sqrt(d))/c: floor(m*x) takes one integer square root.
+irrationals (a + b*sqrt(d))/c: floor(m*x), and the side of {m*x}
+against delta, each take one integer square root.
 Any other irrational ratio carries one stated rational enclosure
 [lo, hi], and a query on it decides from that enclosure or refuses.
 Every query reads its angle once, so every answer is a function of the
@@ -105,14 +106,15 @@ class RationalAngle(ExactAngle):
         return self.value, self.value
 
     def frac_side(self, m: int, delta: Fraction) -> str:
-        delta = _check_delta(delta)
+        p, q = _check_delta(delta).as_integer_ratio()
         _check_multiplier(m)
-        f = Fraction((m * self.value.numerator) % self.value.denominator, self.value.denominator)
-        if f == 0:
+        num, den = self.value.as_integer_ratio()
+        r = (m * num) % den  # {m*x} = r/den, compared in integers
+        if r == 0:
             return "zero"
-        if f < delta:
+        if r * q < p * den:
             return "low"
-        if f > 1 - delta:
+        if (den - r) * q < p * den:
             return "high"
         return "mid"
 
@@ -226,12 +228,12 @@ class QuadraticAngle(ExactAngle):
         return (m * self.a + (f if self.b > 0 else -f - 1)) // self.c
 
     def frac_side(self, m: int, delta: Fraction) -> str:
-        f = self.floor_mul(m)
-        delta = _check_delta(delta)
-        p, q = delta.numerator, delta.denominator
-        # r = floor(q*{m*x}); q*{m*x} is irrational, so it is below p exactly
-        # when r < p and above q - p exactly when r >= q - p
-        r = self.floor_mul(q * m) - q * f
+        _check_multiplier(m)
+        p, q = _check_delta(delta).as_integer_ratio()
+        # floor(m*x) = floor(q*m*x) // q, so r = floor(q*{m*x}) is the remainder;
+        # q*{m*x} is irrational, so it is below p exactly when r < p and above
+        # q - p exactly when r >= q - p
+        r = self.floor_mul(q * m) % q
         return "low" if r < p else "high" if r >= q - p else "mid"
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
@@ -384,7 +386,9 @@ def _check_delta(delta) -> Fraction:
     except (ValueError, OverflowError):  # nan, +/-inf
         f = Fraction(0)
     # in integers (the denominator is positive): Fraction's comparisons
-    # dispatch through the numbers ABCs, at several times the cost
-    if not (0 < f.numerator and 2 * f.numerator < f.denominator):
+    # dispatch through the numbers ABCs, at several times the cost, and
+    # one as_integer_ratio call reads both terms faster than two properties
+    p, q = f.as_integer_ratio()
+    if not (0 < p and 2 * p < q):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return f

@@ -10,10 +10,11 @@ The scan walks the lattice m_1 in M*Z (M is the common angle period, so
 every rational angle multiple is exact there) and reads the unique
 candidate N off seed 1's odd-iterate index.  For every seed the floor
 construction gives candidate iterates m_k; each first passes the cheap
-checks (the index after the jump, then every angle multiple within delta
-of an integer and the required sides), and only when every seed keeps
-one is each survivor's record built, once, by the builder
-:func:`verify_tuple` uses.  Acceptance also requires the closed form for the even-iterate
+checks on the names of its angle sides (the index after the jump, then
+every angle multiple within delta of an integer and the required sides),
+and only when every seed keeps one is each survivor's record, with its
+AngleSide tuple, built once by the code :func:`verify_tuple` also uses.
+Acceptance also requires the closed form for the even-iterate
 index in terms of splitting numbers to agree with direct evaluation;
 this rejects candidates whose delta is too coarse for that algebra.
 
@@ -21,7 +22,11 @@ When seed 1 carries a quadratic spectrum angle x, the scan visits only
 the lattice steps s where {2*M*s*x} lies within delta of an integer --
 about 2*delta of them -- listed directly by :func:`near_returns`, which
 takes the gaps between them from its own search at 2*delta; every other
-step would fail seed 1's angle-side check.  One bound ends the
+step would fail seed 1's angle-side check.  When x is a rotation angle
+whose side the required sides fix (a complementary scan), only the
+returns on that side are visited, about delta of all steps, with the
+gaps taken from the two-sided search at delta; the others would fail
+the required-side check.  One bound ends the
 scan: past lattice step last_step(n), seed 1's candidate N exceeds n.
 The scan visits no step past the bound, which starts at
 last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
@@ -97,11 +102,7 @@ class PathVerification:
         return self.closeness_ok and all(c.passed for c in self.conditions)
 
     def irrational_rotation_sides(self) -> tuple[str, ...]:
-        return _rotation_sides(self.angle_sides)
-
-
-def _rotation_sides(sides: Iterable[AngleSide]) -> tuple[str, ...]:
-    return tuple(s.side for s in sides if s.kind == "theta" and not s.rational)
+        return tuple(s.side for s in self.angle_sides if s.kind == "theta" and not s.rational)
 
 
 @dataclass(frozen=True)
@@ -156,12 +157,25 @@ def angle_period(seeds: Sequence[PathSeed]) -> int:
 # -- verification ------------------------------------------------------------
 
 
+def _side_names(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[str, ...]:
+    """Where {2 * m_k * x} falls for every spectrum angle x, in order."""
+    return tuple([a.frac_side(2 * m_k, delta) for _, _, a in seed.decomp.spectrum_angles()])
+
+
+def _angle_sides(seed: PathSeed, names: Sequence[str]) -> tuple[AngleSide, ...]:
+    return tuple(AngleSide(kind, idx, a.is_rational, side)
+                 for (kind, idx, a), side in zip(seed.decomp.spectrum_angles(), names))
+
+
 def _sides_for(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[AngleSide, ...]:
-    out = []
-    for kind, idx, a in seed.decomp.spectrum_angles():
-        side = a.frac_side(2 * m_k, delta)
-        out.append(AngleSide(kind, idx, a.is_rational, side))
-    return tuple(out)
+    return _angle_sides(seed, _side_names(seed, m_k, delta))
+
+
+def _rotation_positions(seed: PathSeed) -> tuple[int, ...]:
+    """The positions in ``spectrum_angles()`` of the irrational rotation
+    angles, in the order of ``PathVerification.irrational_rotation_sides``."""
+    return tuple(j for j, (kind, _, a) in enumerate(seed.decomp.spectrum_angles())
+                 if kind == "theta" and not a.is_rational)
 
 
 def delta_from_sides(sides: Iterable[AngleSide]) -> int:
@@ -235,14 +249,17 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
 
 
 def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
-                 last: int) -> Iterator[int]:
+                 last: int, side: Optional[str] = None) -> Iterator[int]:
     """The steps s = 1 .. last with ``x.frac_side(mult * s, delta) != "mid"``,
-    in ascending order.
+    or ``== side`` when ``side`` is "low" or "high", in ascending order.
 
     Write ||t|| for the distance from t to the nearest integer.  Two
     consecutive steps s < s' (0 counts as a step) have
     ||(s' - s)*mult*x|| < 2*delta, so the gap s' - s is a step of this same
-    search at 2*delta, or any g from delta = 1/4 on.  From each step these
+    search at 2*delta, or any g from delta = 1/4 on.  Two consecutive
+    one-sided steps, both in (0, delta) or both in (1 - delta, 1) (0 again
+    counts), have ||(s' - s)*mult*x|| < delta, so a one-sided search takes
+    its gaps from the two-sided search at delta itself.  From each step these
     candidates are tried in ascending order, and the first that lands on a
     step is the gap to the next one; by the three-gap theorem only a few
     are tried per step.  Each search pulls its candidates once, as needed,
@@ -258,13 +275,19 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     closed-form quadratic query, which never refuses.
     """
     delta = _check_delta(delta)
+    if side not in (None, "low", "high"):
+        raise ValueError(f"side must be 'low' or 'high', got {side!r}")
     p, q = delta.numerator, delta.denominator
     if p * x.c * (x.c + 2 * last * mult * abs(x.b) * (isqrt(x.d) + 1)) <= q:
         return
     if (q // p).bit_length() > _DELTA_BITS:
         raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
                          f"{(q // p).bit_length()} levels deep; loosen delta or lower n_max")
-    fresh = iter(range(1, last + 1)) if 4 * p >= q else near_returns(x, mult, 2 * delta, last)
+    if side is not None:
+        fresh, wanted = near_returns(x, mult, delta, last), (side,)
+    else:
+        fresh = iter(range(1, last + 1)) if 4 * p >= q else near_returns(x, mult, 2 * delta, last)
+        wanted = ("low", "high")
     gaps, s = [], 0
     while True:
         for i in itertools.count():
@@ -275,7 +298,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
                 gaps.append(g)
             if s + gaps[i] > last:
                 return
-            if x.frac_side(mult * (s + gaps[i]), delta) != "mid":
+            if x.frac_side(mult * (s + gaps[i]), delta) in wanted:
                 break
         s += gaps[i]
         yield s
@@ -288,13 +311,16 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
     m_1 = first[0], whose i(2*m_1 + 1) is first[1].
 
     Each seed's iterates m_k = (t_k + chi_k)*M, chi_k in {0, 1}, first pass
-    the cheap checks: i(2*m_k + 1) = 2N + i1, no angle side "mid" and the
-    required sides.  Only when every seed keeps one is each survivor's
-    record built, once, seed by seed."""
+    the cheap checks, on the side names: i(2*m_k + 1) = 2N + i1, no angle
+    side "mid" and the required sides.  Only when every seed keeps one is
+    each survivor's record built, with its AngleSide tuple, once, seed by
+    seed."""
     survivors = []
     for k, seed in enumerate(seeds):
         t_k = seed.mean.floor_quotient(N, M)
         required = None if required_sides is None else required_sides[k]
+        if required is not None:
+            required, rotation = tuple(required), _rotation_positions(seed)
         pinned = k == 0 and first is not None
         found = []
         for chi in (0, 1):
@@ -304,17 +330,18 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
             i_next = first[1] if pinned else index_iterate(seed, 2 * m_k + 1)
             if i_next != 2 * N + seed.i1:
                 continue
-            sides = _sides_for(seed, m_k, delta)
-            if all(s.side != "mid" for s in sides) and (
-                    required is None or _rotation_sides(sides) == tuple(required)):
-                found.append((m_k, chi, sides, i_next))
+            names = _side_names(seed, m_k, delta)
+            if "mid" not in names and (
+                    required is None or tuple(names[j] for j in rotation) == required):
+                found.append((m_k, chi, names, i_next))
         if not found:
             return []
         survivors.append(found)
     passing = []
-    for k, found in enumerate(survivors):
-        records = [(m_k, chi, _path_record(seeds[k], k, N, m_k, m_k, sides, i_next))
-                   for m_k, chi, sides, i_next in found]
+    for k, (seed, found) in enumerate(zip(seeds, survivors)):
+        records = [(m_k, chi,
+                    _path_record(seed, k, N, m_k, m_k, _angle_sides(seed, names), i_next))
+                   for m_k, chi, names, i_next in found]
         passing.append([r for r in records if r[2].passed])
         if not passing[-1]:
             return []
@@ -347,6 +374,20 @@ def _last_step(seed: PathSeed, M: int, n: int) -> int:
     return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 
+def _pilot_side(seed1: PathSeed, at: int,
+                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]]) -> Optional[str]:
+    """The side, "low" or "high", that seed 1's required rotation sides fix
+    for its spectrum angle ``at``, or None: when ``at`` is no rotation angle,
+    or the pattern has another length or another string there, no side is
+    fixed and the walk stays two-sided."""
+    rotation = _rotation_positions(seed1)
+    if not required_sides or required_sides[0] is None or at not in rotation:
+        return None
+    required = tuple(required_sides[0])
+    side = required[rotation.index(at)] if len(required) == len(rotation) else None
+    return side if side in ("low", "high") else None
+
+
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
                      n_max: int = 10**6, limit: int = 3, *,
                      budget: Optional[int] = None,
@@ -376,10 +417,12 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     seed1 = seeds[0]
     d1 = seed1.decomp
     last = _last_step(seed1, M, n_max)
-    # Steps off seed 1's near returns fail its angle-side check: skip them.
-    pilot = next((a for _, _, a in d1.spectrum_angles() if isinstance(a, QuadraticAngle)),
-                 None)
-    walk = (near_returns(pilot, 2 * M, delta, last) if pilot is not None
+    # Steps off seed 1's near returns fail its angle-side check: skip them,
+    # and those on the wrong side when seed 1's required sides fix the pilot's.
+    at = next((j for j, (_, _, a) in enumerate(d1.spectrum_angles())
+               if isinstance(a, QuadraticAngle)), None)
+    walk = (near_returns(d1.spectrum_angles()[at][2], 2 * M, delta, last,
+                         _pilot_side(seed1, at, required_sides)) if at is not None
             else iter(range(1, last + 1)))
 
     hits: list[JumpTuple] = []

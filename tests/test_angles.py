@@ -65,6 +65,24 @@ class TestRational:
         q = x.value.denominator
         assert (x.varphi_mul(m) == 0) == (m % q == 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pq=rationals, m=st.integers(1, 10**6),
+           delta=st.tuples(st.integers(1, 200), st.integers(3, 10**4)).filter(
+               lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)))
+    def test_frac_side_matches_the_fraction_definition(self, pq, m, delta):
+        x = rational_angle(pq[1], pq[0])
+        f = m * x.value - x.floor_mul(m)
+        want = "zero" if f == 0 else "low" if f < delta else "high" if f > 1 - delta else "mid"
+        assert x.frac_side(m, delta) == want
+
+    def test_frac_side_at_the_thresholds(self):
+        # {x} = 1/10 and 9/10 at delta = 1/10 are neither low nor high
+        assert rational_angle(1, 10).frac_side(1, Fraction(1, 10)) == "mid"
+        assert rational_angle(1, 10).frac_side(9, Fraction(1, 10)) == "mid"
+        assert rational_angle(1, 10).frac_side(10, Fraction(1, 10)) == "zero"
+        assert rational_angle(1, 20).frac_side(1, Fraction(1, 10)) == "low"
+        assert rational_angle(1, 20).frac_side(19, Fraction(1, 10)) == "high"
+
 
 
 GOLDEN = (-1, 1, 2, 5)
@@ -128,6 +146,34 @@ class TestQuadratic:
         assert g.frac_side(2, Fraction(1, 4)) == "low"
         # {13*g} = {8.034}: low side at 1/25
         assert g.frac_side(13, Fraction(1, 25)) == "low"
+
+    def test_frac_side_takes_one_floor(self, monkeypatch):
+        g, calls = quadratic_angle(*GOLDEN), []
+        floor_mul = QuadraticAngle.floor_mul
+
+        def counted(self, m):
+            calls.append(m)
+            return floor_mul(self, m)
+
+        monkeypatch.setattr(QuadraticAngle, "floor_mul", counted)
+        for m, delta, side in ((2, Fraction(1, 10), "mid"), (13, Fraction(1, 25), "low"),
+                               (10**40, Fraction(1, 10**6), "mid")):
+            calls.clear()
+            assert g.frac_side(m, delta) == side
+            assert calls == [delta.denominator * m]
+
+
+@pytest.mark.parametrize("x", [rational_angle(1, 3), quadratic_angle(*GOLDEN),
+                               decimal_angle("0.6180339887", "1e-10")], ids=repr)
+def test_frac_side_names_a_bad_operand_first(x):
+    # both operands bad: a rational names delta, the irrational kinds m
+    first = "delta" if x.is_rational else "multiplier"
+    with pytest.raises(ValueError, match=first):
+        x.frac_side(0, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"multiplier must be a positive integer, got 1\.5"):
+        x.frac_side(1.5, Fraction(1, 10))
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\), got 1/2"):
+        x.frac_side(1, Fraction(1, 2))
 
 
 class TestDecimal:

@@ -423,11 +423,16 @@ class TestNearReturns:
            delta=st.tuples(st.integers(1, 60),
                            st.one_of(st.integers(3, 400), st.integers(401, 10**7))).filter(
                lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)),
-           last=st.integers(-2, 1500))
-    def test_matches_brute_force(self, coeffs, M, delta, last):
+           last=st.integers(-2, 1500), side=st.sampled_from((None, "low", "high")))
+    def test_matches_brute_force(self, coeffs, M, delta, last, side):
         x = quadratic_angle(*coeffs)
-        want = [s for s in range(1, last + 1) if x.frac_side(2 * M * s, delta) != "mid"]
-        assert list(near_returns(x, 2 * M, delta, last)) == want
+        want = [s for s in range(1, last + 1)
+                if x.frac_side(2 * M * s, delta) in ((side,) if side else ("low", "high"))]
+        assert list(near_returns(x, 2 * M, delta, last, side)) == want
+
+    def test_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 'low' or 'high', got 'mid'"):
+            next(near_returns(GOLDEN, 2, Fraction(1, 10), 10, "mid"))
 
     def test_rejects_delta_outside_domain(self):
         with pytest.raises(ValueError, match="delta"):
@@ -436,8 +441,9 @@ class TestNearReturns:
     def test_no_step_within_liouville_bound_makes_no_query(self, monkeypatch):
         # ||2g*(sqrt(2) - 1)|| > 1/(1 + 2*10**6*2*2) for every g <= 10**6
         calls = _count_frac_side(monkeypatch, 0)
-        assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6)) == []
-        assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6)) == []
+        for side in (None, "low", "high"):
+            assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6, side)) == []
+            assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6, side)) == []
         assert calls == []
 
     def test_many_returns_take_few_queries(self, monkeypatch):
@@ -449,15 +455,20 @@ class TestNearReturns:
         assert all(SQRT2M1.frac_side(2 * s, Fraction(1, 10**6)) != "mid" for s in steps)
 
     def test_nesting_depth_is_bounded(self):
-        # 1/delta of 800 bits nests about 800 searches and still answers; one
-        # more bit is refused unless no step can exist
+        # 1/delta of 800 bits nests about 800 searches (a one-sided one, one
+        # more) and still answers; one more bit is refused unless no step can exist
         x, delta, last = SQRT2M1, Fraction(1, 2**800 - 1), 10**300
         steps = list(itertools.islice(near_returns(x, 2, delta, last), 3))
         assert len(steps) == 3 and all(x.frac_side(2 * s, delta) != "mid" for s in steps)
-        with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
-            next(near_returns(x, 2, Fraction(1, 2**800), last))
-        with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
-            next(near_returns(x, 2, Fraction(1, 10**999), 10**1005))
+        for side in ("low", "high"):
+            one_sided = list(itertools.islice(near_returns(x, 2, delta, last, side), 2))
+            assert len(one_sided) == 2 and all(x.frac_side(2 * s, delta) == side
+                                               for s in one_sided)
+        for side in (None, "low", "high"):
+            with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
+                next(near_returns(x, 2, Fraction(1, 2**800), last, side))
+            with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
+                next(near_returns(x, 2, Fraction(1, 10**999), 10**1005, side))
 
 
 @pytest.fixture(scope="module")
@@ -555,3 +566,106 @@ def test_randomized_pinched_systems_reverify(rng_seed):
         for k, s in enumerate(seeds):
             d = compute_delta(s, t.m[k], t.delta)
             assert index_at_even_jump(s, t.N, d.delta_k) == index_iterate(s, 2 * t.m[k])
+
+
+def _required_patterns(seeds):
+    """The required_sides a complementary scan is checked with: every
+    low/high pattern, each with None for one seed, a pattern one entry
+    too long for seed 1, and "mid" at each of seed 1's positions."""
+    counts = [len(jumps._rotation_positions(s)) for s in seeds]
+    full = list(itertools.product(*(itertools.product(("low", "high"), repeat=c)
+                                    for c in counts)))
+    out = full + [p[:k] + (None,) + p[k + 1:] for p in full for k in range(len(seeds))]
+    out.append((full[0][0] + ("low",),) + full[0][1:])
+    out += [(full[0][0][:j] + ("mid",) + full[0][0][j + 1:],) + full[0][1:]
+            for j in range(counts[0])]
+    return list(dict.fromkeys(out))
+
+
+def _two_sided_near_returns(x, mult, delta, last, side=None):
+    return near_returns(x, mult, delta, last)
+
+
+class TestOneSidedPilotWalk:
+    """A scan whose required sides fix the side of seed 1's pilot angle walks
+    only the pilot's returns on that side; the tuples, the NoTupleFound and
+    the progress calls are those of the two-sided walk."""
+
+    @staticmethod
+    def _equivalent(monkeypatch, seeds, delta, n_max, limit):
+        """Compare every pattern against the two-sided walk; the sides the
+        one-sided walk was asked for."""
+        sides = []
+        walk = jumps.near_returns
+
+        def recorded(x, mult, delta, last, side=None):
+            sides.append(side)
+            return walk(x, mult, delta, last, side)
+
+        for required in _required_patterns(seeds):
+            monkeypatch.setattr(jumps, "near_returns", recorded)
+            got = _scan(seeds, delta, n_max, limit, required_sides=required)
+            monkeypatch.setattr(jumps, "near_returns", _two_sided_near_returns)
+            want = _scan(seeds, delta, n_max, limit, required_sides=required)
+            assert got == want, required
+        return sides
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 100)])
+    def test_shipped_seeds(self, monkeypatch, shipped_seeds, delta):
+        sides = self._equivalent(monkeypatch, shipped_seeds, delta, 10**5, 2)
+        # the four full patterns and the two with None for seed 2 are one-sided
+        assert sorted(s for s in sides if s) == ["high"] * 3 + ["low"] * 3
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_random_quadratic_systems(self, monkeypatch, rng_seed):
+        # seed 1 holds a quadratic angle, so the scan walks a pilot's returns
+        rng = random.Random(f"one-sided/{rng_seed}")
+        one_sided = 0
+        for _ in range(4):
+            n = rng.randint(2, 4)
+            seed1 = pinched_seed(rng, n, allow_irrational=True, denom_max=6)
+            while not any(isinstance(a, QuadraticAngle)
+                          for _, _, a in seed1.decomp.spectrum_angles()):
+                seed1 = pinched_seed(rng, n, allow_irrational=True, denom_max=6)
+            seeds = [seed1] + [pinched_seed(rng, n, allow_irrational=True, denom_max=6)
+                               for _ in range(rng.randint(0, 1))]
+            delta = rng.choice((Fraction(1, 10), Fraction(1, 100)))
+            sides = self._equivalent(monkeypatch, seeds, delta, 10**4, 2)
+            one_sided += any(sides)
+        assert one_sided
+
+    def test_complement_scan_visits_the_pilot_side_only(self, monkeypatch, shipped_seeds):
+        # the two-sided walk visits 495 steps of an even N in range
+        base = jump_tuples_at(shipped_seeds, 12776, Fraction(1, 100))[0]
+        visited = []
+        tuples_at = jumps._tuples_at
+
+        def counted(seeds, N, M, delta, required_sides, first=None):
+            visited.append(first[0])
+            return tuples_at(seeds, N, M, delta, required_sides, first)
+
+        monkeypatch.setattr(jumps, "_tuples_at", counted)
+        comp, calls = _scan(shipped_seeds, base, n_max=10**6, scan=find_complementary_tuples)
+        assert [t.N for t in comp] == [70145] and calls[-1] == 26624
+        pilot, = (a for _, _, a in shipped_seeds[0].decomp.spectrum_angles())
+        assert len(visited) == 249
+        assert {pilot.frac_side(2 * m, base.delta) for m in visited} == {
+            jumps.flipped_sides(base)[0][0]}
+
+    def test_free_scan_builds_angle_sides_for_records_only(self, monkeypatch, shipped_seeds):
+        built, recorded = [], []
+        angle_side, path_record = jumps.AngleSide, jumps._path_record
+
+        def counted_side(*args):
+            built.append(args)
+            return angle_side(*args)
+
+        def counted_record(seed, k, N, m_k, lattice_m, sides, i_next):
+            recorded.extend(sides)
+            return path_record(seed, k, N, m_k, lattice_m, sides, i_next)
+
+        monkeypatch.setattr(jumps, "AngleSide", counted_side)
+        monkeypatch.setattr(jumps, "_path_record", counted_record)
+        ts, _ = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)
+        assert len(ts) == 5
+        assert len(built) == len(recorded) == 10
