@@ -172,11 +172,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "mean-index":
-        mi = _pick_seed(system, args.seed_index).mean
-        # the codec emits the enclosure of the default width: refuse here,
-        # before any output, if the angles' stated enclosures cannot give it
-        mi.enclosure()
-        _emit(mi, args.format)
+        _emit(_pick_seed(system, args.seed_index).mean, args.format)
         return EXIT_OK
 
     if args.command == "jump":
@@ -209,14 +205,13 @@ def _dispatch(args) -> int:
             raw = Path(args.tuple_file).read_bytes()
         except OSError as exc:
             raise ScenarioError(f"cannot read {args.tuple_file}: {exc}") from exc
-        tuples = sc.parse_tuples(raw)
-        failed = 0
-        for t in tuples:
-            result = verify_tuple(t, system.seeds)
-            failed += not result.passed
+        # verify every tuple, or refuse the file, before printing any verification
+        results = [verify_tuple(t, system.seeds) for t in sc.parse_tuples(raw)]
+        for result in results:
             _emit(result, args.format)
+        failed = sum(not result.passed for result in results)
         if failed:
-            sys.stderr.write(f"error: {failed} of {len(tuples)} tuples fail verification\n")
+            sys.stderr.write(f"error: {failed} of {len(results)} tuples fail verification\n")
             return EXIT_ERROR
         return EXIT_OK
 

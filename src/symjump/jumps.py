@@ -171,13 +171,6 @@ def _sides_for(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[AngleSide, ..
     return _angle_sides(seed, _side_names(seed, m_k, delta))
 
 
-def _rotation_positions(seed: PathSeed) -> tuple[int, ...]:
-    """The positions in ``spectrum_angles()`` of the irrational rotation
-    angles, in the order of ``PathVerification.irrational_rotation_sides``."""
-    return tuple(j for j, (kind, _, a) in enumerate(seed.decomp.spectrum_angles())
-                 if kind == "theta" and not a.is_rational)
-
-
 def delta_from_sides(sides: Iterable[AngleSide]) -> int:
     """Sum of S^- over spectrum angles whose fractional part fell in (0, delta).
 
@@ -227,7 +220,8 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
 
 def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
                  budget: Optional[int] = None) -> TupleVerification:
-    """Re-evaluate every condition of a tuple from scratch.  ``budget`` is
+    """Re-evaluate every condition of a tuple from scratch; a path count, M
+    or chi that does not fit the seeds raises ValueError.  ``budget`` is
     accepted and ignored: every angle query decides on one read."""
     seeds = tuple(seeds)
     if not seeds:
@@ -236,6 +230,9 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
         raise ValueError(
             f"tuple holds {len(t.m)} paths but {len(seeds)} seeds were given")
     M = angle_period(seeds)
+    if t.M_period != M or any(chi_k not in (0, 1) for chi_k in t.chi):
+        raise ValueError(f"tuple at N = {t.N} stores M = {t.M_period} and chi = {t.chi}, "
+                         f"but the seeds give M = {M} and each chi entry is 0 or 1")
     records = []
     for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
         i_next = index_iterate(seed, 2 * m_k + 1)
@@ -304,23 +301,46 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
         yield s
 
 
+_SideRules = tuple[Optional[tuple[tuple[int, str], ...]], ...]
+
+
+def _side_rules(seeds: tuple[PathSeed, ...],
+                required_sides: Optional[Sequence[Optional[Sequence[str]]]]) -> _SideRules:
+    """Per seed, the (position in ``spectrum_angles()``, side) pairs that
+    ``required_sides`` fixes, None where the seed's sides are free; a pattern
+    that :func:`find_jump_tuples` does not accept raises ValueError naming
+    the entry.  Called once per scan, before any angle query."""
+    required_sides = (None,) * len(seeds) if required_sides is None else required_sides
+    if not isinstance(required_sides, (tuple, list)) or len(required_sides) != len(seeds):
+        raise ValueError(f"required_sides must hold one entry per seed ({len(seeds)}), "
+                         f"got {required_sides!r}")
+    rules = []
+    for k, (seed, required) in enumerate(zip(seeds, required_sides)):
+        rotation = [j for j, (kind, _, a) in enumerate(seed.decomp.spectrum_angles())
+                    if kind == "theta" and not a.is_rational]
+        if required is not None and (
+                not isinstance(required, (tuple, list)) or len(required) != len(rotation)
+                or any(side not in ("low", "high") for side in required)):
+            raise ValueError(
+                f"required_sides[{k}] = {required!r}: seed {k} needs 'low' or 'high' "
+                f"for each of its {len(rotation)} irrational rotation angles, or None")
+        rules.append(None if required is None else tuple(zip(rotation, required)))
+    return tuple(rules)
+
+
 def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
-               required_sides: Optional[Sequence[Optional[tuple[str, ...]]]],
-               first: Optional[tuple[int, int]] = None) -> list[JumpTuple]:
+               rules: _SideRules, first: Optional[tuple[int, int]] = None) -> list[JumpTuple]:
     """The tuples at N; when ``first`` is given, only those with
     m_1 = first[0], whose i(2*m_1 + 1) is first[1].
 
     Each seed's iterates m_k = (t_k + chi_k)*M, chi_k in {0, 1}, first pass
     the cheap checks, on the side names: i(2*m_k + 1) = 2N + i1, no angle
-    side "mid" and the required sides.  Only when every seed keeps one is
-    each survivor's record built, with its AngleSide tuple, once, seed by
-    seed."""
+    side "mid" and the sides its ``rules`` fix (see :func:`_side_rules`).
+    Only when every seed keeps one is each survivor's record built, with
+    its AngleSide tuple, once, seed by seed."""
     survivors = []
-    for k, seed in enumerate(seeds):
+    for k, (seed, rule) in enumerate(zip(seeds, rules)):
         t_k = seed.mean.floor_quotient(N, M)
-        required = None if required_sides is None else required_sides[k]
-        if required is not None:
-            required, rotation = tuple(required), _rotation_positions(seed)
         pinned = k == 0 and first is not None
         found = []
         for chi in (0, 1):
@@ -332,7 +352,7 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
                 continue
             names = _side_names(seed, m_k, delta)
             if "mid" not in names and (
-                    required is None or tuple(names[j] for j in rotation) == required):
+                    rule is None or all(names[j] == side for j, side in rule)):
                 found.append((m_k, chi, names, i_next))
         if not found:
             return []
@@ -358,7 +378,7 @@ def jump_tuples_at(seeds: Sequence[PathSeed], N: int,
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     seeds = tuple(seeds)
-    return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), None)
+    return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), (None,) * len(seeds))
 
 
 def _last_step(seed: PathSeed, M: int, n: int) -> int:
@@ -374,33 +394,22 @@ def _last_step(seed: PathSeed, M: int, n: int) -> int:
     return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 
-def _pilot_side(seed1: PathSeed, at: int,
-                required_sides: Optional[Sequence[Optional[tuple[str, ...]]]]) -> Optional[str]:
-    """The side, "low" or "high", that seed 1's required rotation sides fix
-    for its spectrum angle ``at``, or None: when ``at`` is no rotation angle,
-    or the pattern has another length or another string there, no side is
-    fixed and the walk stays two-sided."""
-    rotation = _rotation_positions(seed1)
-    if not required_sides or required_sides[0] is None or at not in rotation:
-        return None
-    required = tuple(required_sides[0])
-    side = required[rotation.index(at)] if len(required) == len(rotation) else None
-    return side if side in ("low", "high") else None
-
-
 def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 1000),
                      n_max: int = 10**6, limit: int = 3, *,
                      budget: Optional[int] = None,
-                     required_sides: Optional[Sequence[Optional[tuple[str, ...]]]] = None,
+                     required_sides: Optional[Sequence[Optional[Sequence[str]]]] = None,
                      exclude: Iterable[int] = (),
                      progress: Optional[Callable[[int, int], None]] = None) -> list[JumpTuple]:
     """Scan for up to ``limit`` verified jump tuples with N <= n_max.
 
     ``required_sides``, when given, restricts which side of an integer
     each irrational rotation angle multiple must fall on, per seed (used
-    to build complementary tuples).  ``exclude`` skips listed N values.
-    ``budget`` is accepted and ignored.  Raises NoTupleFound if the scan
-    exhausts its bound with no hit.
+    to build complementary tuples): one entry per seed, each None or a
+    "low" or "high" for every irrational rotation angle of that seed, in
+    the order of ``PathVerification.irrational_rotation_sides``.  Any other
+    pattern raises ValueError before any angle or mean-index query.
+    ``exclude`` skips listed N values.  ``budget`` is accepted and ignored.
+    Raises NoTupleFound if the scan exhausts its bound with no hit.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -408,6 +417,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     delta = _check_delta(delta)
     if n_max < 1 or limit < 1:
         raise ValueError("n_max and limit must be positive")
+    rules = _side_rules(seeds, required_sides)
     for k, seed in enumerate(seeds):
         if seed.mean.cmp(0) <= 0:
             raise ValueError(f"seed {k}: mean index must be positive")
@@ -422,7 +432,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     at = next((j for j, (_, _, a) in enumerate(d1.spectrum_angles())
                if isinstance(a, QuadraticAngle)), None)
     walk = (near_returns(d1.spectrum_angles()[at][2], 2 * M, delta, last,
-                         _pilot_side(seed1, at, required_sides)) if at is not None
+                         dict(rules[0] or ()).get(at)) if at is not None
             else iter(range(1, last + 1)))
 
     hits: list[JumpTuple] = []
@@ -433,7 +443,7 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
             i_odd1 = index_iterate(seed1, 2 * m1 + 1)
             N, odd = divmod(i_odd1 - seed1.i1, 2)
             if not odd and 1 <= N <= n_max and N not in exclude_set:
-                found = _tuples_at(seeds, N, M, delta, required_sides, (m1, i_odd1))
+                found = _tuples_at(seeds, N, M, delta, rules, (m1, i_odd1))
                 hits += found
                 # No tuple with N at most the limit-th smallest found lies past its
                 # last step; ties at that N are at or before it.
@@ -454,21 +464,22 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
 
 
 def flipped_sides(t: JumpTuple) -> tuple[tuple[str, ...], ...]:
-    """Opposite side pattern for every irrational rotation angle."""
+    """Opposite side pattern; a side other than "low" or "high" stays, for the scan to refuse."""
     flip = {"low": "high", "high": "low"}
-    return tuple(tuple(flip[s] for s in pv.irrational_rotation_sides())
+    return tuple(tuple(flip.get(s, s) for s in pv.irrational_rotation_sides())
                  for pv in t.per_path)
 
 
 def find_complementary_tuples(seeds: Sequence[PathSeed], first: JumpTuple,
-                              n_max: int = 10**6, limit: int = 1,
-                              **kwargs) -> list[JumpTuple]:
+                              n_max: int = 10**6, limit: int = 1, *,
+                              progress: Optional[Callable[[int, int], None]] = None
+                              ) -> list[JumpTuple]:
     """Tuples at ``first``'s delta whose irrational rotation angles all land
     on the opposite side from ``first``, so the two near-integer counts add
-    up to the full irrational rotation census."""
-    return find_jump_tuples(seeds, first.delta, n_max, limit,
-                            required_sides=flipped_sides(first),
-                            exclude={first.N}, **kwargs)
+    up to the full irrational rotation census.  A ``first`` with a "mid"
+    side, or that does not match ``seeds``, raises ValueError."""
+    return find_jump_tuples(seeds, first.delta, n_max, limit, required_sides=flipped_sides(first),
+                            exclude={first.N}, progress=progress)
 
 
 # -- jump-side quantities ------------------------------------------------------

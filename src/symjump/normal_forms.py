@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .angles import ExactAngle, RationalAngle, _undecided, complement_angle, same_angle
 
@@ -84,12 +84,11 @@ def _check_rotation_angle(angle: ExactAngle) -> None:
 class Decomposition:
     """An ordered diamond sum of basic blocks with derived census counts.
 
-    The census must fill the dimension 2(n-1) exactly: N1, hyperbolic
-    and rotation blocks count one unit each, N2 blocks two, and the
-    units must sum to n - 1.
+    The census gives the dimension 2(n-1): N1, hyperbolic and rotation
+    blocks count one unit each, N2 blocks two, and n - 1 is their sum.
     """
 
-    def __init__(self, blocks: Iterable[BasicForm], n: Optional[int] = None):
+    def __init__(self, blocks: Iterable[BasicForm]):
         blocks = tuple(blocks)
         census = Counter()  # (lam, b) per N1 block, "h", (kind, is_rational) per angle
         angles = {"theta": [], "alpha": [], "beta": []}
@@ -105,14 +104,8 @@ class Decomposition:
                 census[kind, blk.angle.is_rational] += 1
             else:
                 raise ValueError(f"not a basic normal form: {blk!r}")
-        units = len(blocks) + len(angles["alpha"]) + len(angles["beta"])  # N2 fills two
-        if n is None:
-            n = units + 1
-        elif units != n - 1:
-            raise ValueError(
-                f"census violation: blocks fill {units} units but n - 1 = {n - 1}")
         self.blocks = blocks
-        self.n = n
+        self.n = len(blocks) + len(angles["alpha"]) + len(angles["beta"]) + 1  # N2 fills two
 
         self.p_minus, self.p_zero, self.p_plus = census[1, 1], census[1, 0], census[1, -1]
         self.q_minus, self.q_zero, self.q_plus = census[-1, 1], census[-1, 0], census[-1, -1]
@@ -146,13 +139,13 @@ class Decomposition:
         return self._spectrum
 
     def __eq__(self, other):
-        return isinstance(other, Decomposition) and self.blocks == other.blocks and self.n == other.n
+        return isinstance(other, Decomposition) and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((self.blocks, self.n))
+        return hash(self.blocks)
 
     def __repr__(self):
-        return f"Decomposition(n={self.n}, blocks={list(self.blocks)!r})"
+        return f"Decomposition({list(self.blocks)!r})"
 
 
 # -- matrix realizations -----------------------------------------------------

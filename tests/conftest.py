@@ -87,7 +87,7 @@ def random_decomposition(rng: random.Random, n: int, *,
             blocks.append(HyperbolicBlock())
             units -= 1
     rng.shuffle(blocks)
-    return Decomposition(blocks, n)
+    return Decomposition(blocks)  # the loop fills exactly n - 1 units
 
 
 def nu_of(decomp: Decomposition) -> int:

@@ -141,7 +141,7 @@ def test_criterion_4_mean_index_convergence():
 
 
 def _seed(n, i1, blocks):
-    d = Decomposition(blocks, n)
+    d = Decomposition(blocks)
     return PathSeed(n, i1, nu_of(d), d)
 
 

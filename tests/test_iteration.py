@@ -160,7 +160,7 @@ class TestSeedValidation:
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
-            PathSeed(1, 0, 0, Decomposition([], n=1))
+            PathSeed(1, 0, 0, Decomposition([]))
 
     def test_nullity_range_check_is_a_raise(self):
         # an explicit raise, not an assert, so `python -O` keeps the check

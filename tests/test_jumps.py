@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -22,7 +23,8 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      jump_tuples_at, mean_index, nullity_iterate, quadratic_angle,
                      rational_angle, verify_tuple)
 from symjump import jumps
-from symjump.angles import QuadraticAngle, decimal_angle
+from symjump.angles import IrrationalAngle, QuadraticAngle, RationalAngle, decimal_angle
+from symjump.iteration import MeanIndex
 from symjump.jumps import near_returns
 from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
@@ -569,16 +571,12 @@ def test_randomized_pinched_systems_reverify(rng_seed):
 
 
 def _required_patterns(seeds):
-    """The required_sides a complementary scan is checked with: every
-    low/high pattern, each with None for one seed, a pattern one entry
-    too long for seed 1, and "mid" at each of seed 1's positions."""
-    counts = [len(jumps._rotation_positions(s)) for s in seeds]
+    """Every well-formed required_sides: each low/high pattern, and each
+    with None for one seed."""
+    counts = [s.decomp.r - s.decomp.r_prime for s in seeds]  # irrational rotations
     full = list(itertools.product(*(itertools.product(("low", "high"), repeat=c)
                                     for c in counts)))
     out = full + [p[:k] + (None,) + p[k + 1:] for p in full for k in range(len(seeds))]
-    out.append((full[0][0] + ("low",),) + full[0][1:])
-    out += [(full[0][0][:j] + ("mid",) + full[0][0][j + 1:],) + full[0][1:]
-            for j in range(counts[0])]
     return list(dict.fromkeys(out))
 
 
@@ -640,9 +638,9 @@ class TestOneSidedPilotWalk:
         visited = []
         tuples_at = jumps._tuples_at
 
-        def counted(seeds, N, M, delta, required_sides, first=None):
+        def counted(seeds, N, M, delta, rules, first=None):
             visited.append(first[0])
-            return tuples_at(seeds, N, M, delta, required_sides, first)
+            return tuples_at(seeds, N, M, delta, rules, first)
 
         monkeypatch.setattr(jumps, "_tuples_at", counted)
         comp, calls = _scan(shipped_seeds, base, n_max=10**6, scan=find_complementary_tuples)
@@ -669,3 +667,70 @@ class TestOneSidedPilotWalk:
         ts, _ = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)
         assert len(ts) == 5
         assert len(built) == len(recorded) == 10
+
+
+def _count_queries(monkeypatch):
+    """The name of every frac_side call on any angle kind and every mean-index
+    cmp or floor_quotient from here on."""
+    calls = []
+    for cls, name in ((QuadraticAngle, "frac_side"), (RationalAngle, "frac_side"),
+                      (IrrationalAngle, "frac_side"), (MeanIndex, "cmp"),
+                      (MeanIndex, "floor_quotient")):
+        def counted(self, *args, _query=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+            calls.append(_name)
+            return _query(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestRequiredSides:
+    """A required_sides pattern holds one entry per seed, each None or "low"
+    or "high" for every irrational rotation angle of that seed; anything
+    else raises one ValueError naming the entry, before any angle or
+    mean-index query.  The shipped seeds have one irrational rotation each."""
+
+    @pytest.mark.parametrize("required, message", [
+        ([("low",)], r"one entry per seed \(2\), got \[\('low',\)\]$"),
+        ([("low",), ("high",), ("low",)], r"one entry per seed \(2\)"),
+        ([("low", "low"), ("high",)], r"^required_sides\[0\] = \('low', 'low'\): seed 0"),
+        ([("low",), ()], r"^required_sides\[1\] = \(\): seed 1"),
+        ([("mid",), ("high",)], r"^required_sides\[0\] = \('mid',\): seed 0"),
+        ([("low",), ("zero",)], r"^required_sides\[1\] = \('zero',\): seed 1"),
+        ([("low",), "high"], r"^required_sides\[1\] = 'high': seed 1"),
+    ], ids=["too_short", "too_long", "entry_too_long", "entry_too_short", "mid", "zero",
+            "bare_string"])
+    def test_malformed_pattern_is_refused_before_any_query(self, monkeypatch, shipped_seeds,
+                                                            required, message):
+        calls = _count_queries(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            find_jump_tuples(shipped_seeds, Fraction(1, 100), 10**5, 1, required_sides=required)
+        assert calls == []
+
+    def test_complement_of_a_tuple_that_does_not_fit(self, monkeypatch, shipped_seeds):
+        base = jump_tuples_at(shipped_seeds, 12776, Fraction(1, 100))[0]
+        pv = base.per_path[0]
+        mid_sides = tuple(dataclasses.replace(s, side="mid") for s in pv.angle_sides)
+        mid = dataclasses.replace(
+            base, per_path=(dataclasses.replace(pv, angle_sides=mid_sides),) + base.per_path[1:])
+        assert not mid.passed
+        calls = _count_queries(monkeypatch)
+        with pytest.raises(ValueError, match=r"^required_sides\[0\] = \('mid',\)"):
+            find_complementary_tuples(shipped_seeds, mid, n_max=10**5)
+        with pytest.raises(ValueError, match=r"one entry per seed \(1\)"):
+            find_complementary_tuples(shipped_seeds[:1], base, n_max=10**5)
+        assert calls == []
+
+    def test_rules_are_resolved_once_per_scan(self, monkeypatch, shipped_seeds):
+        resolved = []
+        side_rules = jumps._side_rules
+
+        def counted(seeds, required_sides):
+            resolved.append(required_sides)
+            return side_rules(seeds, required_sides)
+
+        monkeypatch.setattr(jumps, "_side_rules", counted)
+        ts, _ = _scan(shipped_seeds, Fraction(1, 100), 10**6, 1)
+        comp, _ = _scan(shipped_seeds, ts[0], n_max=10**6, scan=find_complementary_tuples)
+        assert [t.N for t in ts] == [12776] and [t.N for t in comp] == [70145]
+        assert resolved == [None, jumps.flipped_sides(ts[0])] == [None, (("high",), ("low",))]

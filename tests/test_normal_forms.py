@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symjump import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block,
+from symjump import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block, PathSeed,
                      RotationBlock, UndecidableComparison, c_total, classify,
                      complement_angle, decimal_angle, diamond_sum, elliptic_height,
                      emit_report, quadratic_angle, rational_angle, realize,
@@ -60,7 +60,7 @@ class TestRealize:
         assert np.allclose(realize(Decomposition([HyperbolicBlock()])), np.diag([2, 0.5]))
 
     def test_empty(self):
-        assert realize(Decomposition([], n=1)) == ()
+        assert realize(Decomposition([])) == ()
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_realization_is_symplectic(self, rng_seed):
@@ -233,7 +233,7 @@ class TestCensus:
     def test_splitting_plus_examples(self):
         assert splitting_plus_at_one(Decomposition([N1Block(1, 1), N1Block(1, 0)])) == 2
         assert splitting_plus_at_one(Decomposition([N1Block(1, -1)])) == 0
-        assert splitting_plus_at_one(Decomposition([], n=1)) == 0
+        assert splitting_plus_at_one(Decomposition([])) == 0
 
     def test_c_total_examples(self):
         d = Decomposition([N1Block(-1, 0), N1Block(-1, -1),
@@ -244,8 +244,9 @@ class TestCensus:
         assert c_total(Decomposition([N1Block(1, 0)])) == 0
 
     def test_census_constraint_enforced(self):
-        with pytest.raises(ValueError, match="census"):
-            Decomposition([N1Block(1, 0)], n=3)
+        # the blocks fill one unit, n - 1 = 2
+        with pytest.raises(ValueError, match="fills 1 units but n - 1 = 2"):
+            PathSeed(3, 2, 2, Decomposition([N1Block(1, 0)]))
 
     def test_rational_first_angle_ordering(self):
         d = Decomposition([RotationBlock(GOLDEN), RotationBlock(rational_angle(1, 3))])
@@ -311,7 +312,7 @@ class TestSplittingNumbers:
             (N2Block(GOLDEN, True), GOLDEN, np.exp(2j * np.pi * float(GOLDEN))),
         ]
         for block, omega, omega_c in cases:
-            M = np.asarray(realize(Decomposition([block], n=1 + block.dim // 2)))
+            M = np.asarray(realize(Decomposition([block])))
             sv = np.linalg.svd(M.astype(complex) - omega_c * np.eye(M.shape[0]),
                                compute_uv=False)
             nu_omega = int(np.sum(sv < 1e-6))

@@ -884,6 +884,22 @@ class TestCliFuzz:
         assert code == 2 and b"fcg_contradiction" in out
         assert err == "contradiction: no_second_geodesic\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("M", 7, "M = 7 and chi = (0, 1)"),
+        ("chi", [2, 0], "M = 1 and chi = (2, 0)"),
+    ], ids=["period", "chi"])
+    def test_verify_refuses_a_tuple_that_does_not_fit_the_seeds(self, tmp_path, key,
+                                                                value, message):
+        # the last tuple is tampered: no verification is printed before the refusal
+        doc = copy.deepcopy(JUMP_DOC)
+        doc["tuples"][-1][key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
+        assert (code, out) == (1, b"")
+        assert err == (f"error: tuple at N = 82921 stores {message}, but the seeds give M = 1 "
+                       f"and each chi entry is 0 or 1\n")
+
 
 @st.composite
 def scenario_docs(draw):

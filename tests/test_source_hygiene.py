@@ -1,7 +1,7 @@
 """Leftovers in the library source, found with the standard ``ast`` module:
 an imported name a module never uses, a private function or method that
-nothing in the package refers to, and a parameter its function never
-reads."""
+nothing in the package refers to, a parameter its function never reads,
+and a public signature that takes ``*args`` or ``**kwargs``."""
 
 from __future__ import annotations
 
@@ -113,6 +113,19 @@ def test_every_parameter_is_read():
             unread += [f"{name}: {node.name}({p})" for p in params
                        if p not in read and (name, node.name, p) not in IGNORED_PARAMETERS]
     assert unread == []
+
+
+def test_no_public_function_takes_star_args():
+    # a public signature names every parameter it accepts: no open
+    # pass-through for keywords the callee may not take
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (not node.name.startswith("_") or node.name.endswith("__"))
+                    and (node.args.vararg or node.args.kwarg)):
+                found.append(f"{path.name}: {node.name}")
+    assert found == []
 
 
 def test_no_module_imports_numpy():
