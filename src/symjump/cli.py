@@ -131,8 +131,9 @@ def _emit(report, fmt: str) -> None:
 def _progress_printer(enabled: bool):
     if not enabled:
         return None
-    def report(m_done: int, n_max: int) -> None:
-        sys.stderr.write(f"  scanned lattice up to m = {m_done} (N <= {n_max})\n")
+    # done is a lattice iterate m_1, or an N when the scan walks N (see find_jump_tuples)
+    def report(done: int, n_max: int) -> None:
+        sys.stderr.write(f"  scanned up to {done} (N <= {n_max})\n")
     return report
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from symjump.jumps import near_returns
 from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
-from conftest import pinched_seed, quadratics
+from conftest import pinched_seed, quadratics, random_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -51,6 +53,11 @@ COARSE = decimal_angle("0.6180339887", "1e-7")
 SEED_PILOT_COARSE = PathSeed(4, 2, 2, Decomposition([RotationBlock(SQRT2M1),
                                                      RotationBlock(COARSE),
                                                      N1Block(1, 0)]))
+# no quadratic angle to pilot on and not rational-only: the scan walks
+# every lattice step (M = 3)
+SEED_DECIMAL_R3 = PathSeed(4, 3, 2, Decomposition([
+    RotationBlock(decimal_angle("0.41421356237", "1e-11")),
+    RotationBlock(rational_angle(1, 3)), N1Block(1, 0)]))
 
 
 def brute_force_tuples(seeds, n_max, delta):
@@ -489,27 +496,47 @@ def _scan(*args, scan=find_jump_tuples, **kwargs):
 
 
 class TestScanStops:
-    """The scan visits no lattice step past the last one whose N can be at
+    """The lattice walk visits no step past the last one whose N can be at
     most n_max, or at most the limit-th smallest N found, and stops there;
     progress is still reported at every chunk end (2048 lattice steps) up to
-    the first one past that step."""
+    the first one past that step.  A rational-only system asks only the
+    multiples of P, with the same progress calls."""
 
     def test_stops_at_the_step_of_the_limit_th_tuple(self, monkeypatch):
-        # every lattice step s of SEED_R3 is a tuple, N = 2s at m = 3s
+        # every multiple of P = 2 is a tuple of the rational-only SEED_R3,
+        # N = 2j at m = 3j: the progression asks those N and no other
         M = angle_period([SEED_R3])
+        asked = []
+        tuples_at = jumps._tuples_at
+
+        def counted_n(seeds, N, M, delta, rules, first=None):
+            asked.append(N)
+            return tuples_at(seeds, N, M, delta, rules, first)
+
+        monkeypatch.setattr(jumps, "_tuples_at", counted_n)
+        ts, calls = _scan([SEED_R3], Fraction(1, 100), 10**5, 3)
+        assert [t.N for t in ts] == [2, 4, 6]
+        assert asked == [2, 4, 6]
+        assert calls == [2048 * M]
+
+        # seed 1 with a decimal angle and no quadratic one walks every lattice
+        # step, up to the last whose N can be at most the third N, 346
+        M = angle_period([SEED_DECIMAL_R3])
         odd_steps = []
 
         def counted(seed, m):
-            if seed is SEED_R3 and m % (2 * M) == 1:
+            if seed is SEED_DECIMAL_R3 and m % (2 * M) == 1:
                 odd_steps.append(m // (2 * M))
             return index_iterate(seed, m)
 
         monkeypatch.setattr(jumps, "index_iterate", counted)
-        ts, calls = _scan([SEED_R3], Fraction(1, 100), 10**5, 3)
-        assert [t.N for t in ts] == [2, 4, 6]
-        # the largest s with ((2sM + 1)*mean - slack - i1)/2 <= 6, slack = 3
-        last = ((2 * 6 + 3 + SEED_R3.i1) / mean_index(SEED_R3).exact() - 1) // (2 * M)
-        assert odd_steps == list(range(1, last + 1)) == [1, 2, 3]
+        ts, calls = _scan([SEED_DECIMAL_R3], Fraction(1, 20), 10**5, 3)
+        assert [t.N for t in ts] == [21, 325, 346]
+        # the largest s with ((2sM + 1)*mean - slack - i1)/2 <= 346, slack = 7,
+        # where 702/mean lies in (200, 201) for the mean's enclosure
+        lo, hi = mean_index(SEED_DECIMAL_R3).enclosure(Fraction(1, 10**6))
+        assert 200 < (2 * 346 + 7 + SEED_DECIMAL_R3.i1) / hi < 702 / lo < 201
+        assert odd_steps == list(range(1, (200 - 1) // (2 * M) + 1)) == list(range(1, 34))
         assert calls == [2048 * M]
 
     def test_finds_the_tuple_at_the_last_step(self):
@@ -553,6 +580,214 @@ class TestScanStops:
             assert ts == full[:limit]
             # all of them when the longer scan reports one chunk
             assert some_calls == calls[:len(some_calls)]
+
+
+def _rational_system(rng):
+    """1-3 rational-only seeds of N1, N2, rotation and hyperbolic blocks,
+    pinched or not, each with a positive mean index."""
+    n = rng.randint(2, 5)
+    seeds = []
+    while len(seeds) < rng.randint(1, 3):
+        seed = (pinched_seed(rng, n, allow_irrational=False, denom_max=6) if rng.random() < 0.5
+                else random_seed(rng, n, allow_irrational=False, denom_max=6))
+        if seed.mean.exact() > 0:
+            seeds.append(seed)
+    return seeds
+
+
+def _period_of_tuples(seeds):
+    """P = lcm_k(M*mu_k), from the exact mean indices; each M*mu_k is an
+    integer."""
+    M = angle_period(seeds)
+    periods = [M * mean_index(s).exact() for s in seeds]
+    assert all(p.denominator == 1 for p in periods)
+    return lcm(*(p.numerator for p in periods))
+
+
+def _chunk_ends(seeds, n):
+    """The progress calls of a lattice walk whose bound is last_step(n)."""
+    M = angle_period(seeds)
+    last = jumps._last_step(seeds[0], M, n)
+    return [2048 * M * k for k in range(1, max(last, 0) // 2048 + 2)]
+
+
+class TestRationalProgression:
+    """When every spectrum angle is rational, the jump tuples are exactly one
+    at each multiple of P = lcm_k(M*mu_k); the scan asks those N only, with
+    the tuples and progress calls of the lattice walk."""
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_matches_tuples_at_every_n(self, rng_seed):
+        rng = random.Random(f"progression/{rng_seed}")
+        n_max, with_tuples = 700, 0
+        for _ in range(12):
+            seeds = _rational_system(rng)
+            delta = rng.choice((Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)))
+            every = [t for N in range(1, n_max + 1) for t in jump_tuples_at(seeds, N, delta)]
+            P = _period_of_tuples(seeds)
+            assert [t.N for t in every] == list(range(P, n_max + 1, P))
+            with_tuples += bool(every)
+            for limit in range(1, 5):
+                exclude = set(rng.sample(range(1, 3 * P + 1), rng.randint(0, 3)))
+                required = rng.choice((None, [()] * len(seeds), [None] * len(seeds)))
+                want = [t for t in every if t.N not in exclude][:limit]
+                got, calls = _scan(seeds, delta, n_max, limit, exclude=exclude,
+                                   required_sides=required)
+                assert (got or []) == want
+                assert calls == _chunk_ends(seeds, want[-1].N if len(want) == limit else n_max)
+        assert with_tuples >= 2
+
+    def test_work_does_not_grow_with_n_max(self, monkeypatch):
+        # P = 14,238,840: the walk would visit about 5*10**8 lattice steps
+        seeds = parse_scenario(json.dumps(
+            {"version": 1, "system": {"n": 4}, "seeds": [
+                {"i1": 4, "nu1": 1, "blocks": [
+                    {"n1": [1, -1]}, {"n2": {"angle": {"rational": [5, 6]}, "trivial": True}}]},
+                {"i1": 5, "nu1": 1, "blocks": [
+                    {"r": {"rational": [4, 7]}}, {"r": {"rational": [2, 3]}}, {"n1": [1, -1]}]},
+                {"i1": 5, "nu1": 0, "blocks": [
+                    {"r": {"rational": [5, 11]}}, {"n1": [-1, 1]}, {"r": {"rational": [7, 12]}}]},
+            ]}).encode())[0].seeds
+        P = _period_of_tuples(seeds)
+        assert P == 14238840
+        asked = []
+        tuples_at = jumps._tuples_at
+
+        def counted(seeds, N, M, delta, rules, first=None):
+            asked.append(N)
+            return tuples_at(seeds, N, M, delta, rules, first)
+
+        monkeypatch.setattr(jumps, "_tuples_at", counted)
+        for limit in range(1, 5):
+            asked.clear()
+            ts = find_jump_tuples(seeds, Fraction(1, 100), 10**12, limit, exclude={P})
+            assert [t.N for t in ts] == [j * P for j in range(2, limit + 2)]
+            assert asked == [t.N for t in ts] and len(asked) <= limit + 1
+            assert all(verify_tuple(t, seeds).passed for t in ts)
+        asked.clear()
+        with pytest.raises(NoTupleFound, match=r"N <= 1000000 .*multiple of P = 14238840"):
+            find_jump_tuples(seeds, Fraction(1, 100), 10**6, 3)
+        assert asked == []
+
+    @pytest.mark.parametrize("rng_seed", range(3))
+    def test_every_multiple_of_p_holds_one_tuple(self, rng_seed):
+        # the proof in _progression_tuples: none off P*Z, one at each multiple,
+        # so a NoTupleFound is only ever about n_max (or exclude)
+        rng = random.Random(f"multiples/{rng_seed}")
+        for _ in range(20):
+            seeds = _rational_system(rng)
+            P = _period_of_tuples(seeds)
+            delta = Fraction(1, rng.choice((10, 1000)))
+            for N in (P, 2 * P, 7 * P):
+                assert [(t.N, t.chi) for t in jump_tuples_at(seeds, N, delta)] == [
+                    (N, (0,) * len(seeds))]
+            for N in {P - 1, P + 1, 2 * P - 1, 2 * P + 1}:
+                if N % P:
+                    assert jump_tuples_at(seeds, N, delta) == []
+            with pytest.raises(NoTupleFound, match=f"multiple of P = {P}; raise n_max$"):
+                find_jump_tuples(seeds, delta, P, 1, exclude={P})
+
+
+def _both_walks(seeds, delta, n_max, limit, required_sides=None, exclude=()):
+    """The first ``limit`` tuples of the N-walk and of the lattice walk on
+    one scan, and the lattice walk's step bound."""
+    seeds = tuple(seeds)
+    M = angle_period(seeds)
+    last = jumps._last_step(seeds[0], M, n_max)
+    scan = (seeds, M, delta, jumps._side_rules(seeds, required_sides), n_max, limit,
+            frozenset(exclude), None)
+    by_n = sorted(jumps._walk_n(*scan), key=JumpTuple.sort_key)[:limit]
+    by_step = sorted(jumps._walk_steps(*scan, last), key=JumpTuple.sort_key)[:limit]
+    return by_n, by_step, last
+
+
+class TestNWalk:
+    """When seed 1's lattice walk has more steps to visit than n_max the scan
+    walks N = 1 .. n_max instead, with the tuples the lattice walk gives."""
+
+    # x = sqrt(10**16 + 2)/(2*10**8) ~ 1/2 + 5e-17 in the one rotation block
+    # of a seed with i1 = 0: mean index ~1e-16, about 10**19 lattice steps
+    TINY = PathSeed(2, 0, 0, Decomposition([RotationBlock(
+        quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2))]))
+
+    def test_tiny_mean_index_walks_n(self):
+        ts, calls = _scan([self.TINY], Fraction(1, 10), 1000, 5)
+        assert [(t.N, t.chi) for t in ts] == [(1, (0,)), (1, (1,)), (2, (0,)), (2, (1,)),
+                                             (3, (0,))]
+        assert all(verify_tuple(t, [self.TINY]).passed for t in ts)
+        assert calls == [2048]
+        _, calls = _scan([self.TINY], Fraction(1, 10), 5000, 10**6)
+        assert calls == [2048, 4096, 6144]
+
+    def test_the_route_with_fewer_candidates_is_taken(self, monkeypatch):
+        # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
+        # n_max = 10**4, but only 431 near returns at delta = 1/100
+        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
+        asked = []
+        tuples_at = jumps._tuples_at
+
+        def counted(seeds, N, M, delta, rules, first=None):
+            asked.append(first)
+            return tuples_at(seeds, N, M, delta, rules, first)
+
+        monkeypatch.setattr(jumps, "_tuples_at", counted)
+        assert jumps._last_step(seed, 1, 10**4) == 21549
+        ts = find_jump_tuples([seed], Fraction(1, 100), 10**4, 10**6)
+        assert len(ts) == len(asked) == 431 and None not in asked
+        asked.clear()
+        ts = find_jump_tuples([self.TINY], Fraction(1, 10), 300, 10**6)
+        assert len(asked) == 300 and set(asked) == {None}
+        assert [t.N for t in ts] == sorted(2 * list(range(1, 301)))
+        # N = 1 and N = 2 hold two tuples each: a limit of 4 stops at N = 2
+        asked.clear()
+        assert len(find_jump_tuples([self.TINY], Fraction(1, 10), 300, 4)) == len(asked) * 2 == 4
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_matches_the_lattice_walk(self, rng_seed):
+        rng = random.Random(f"n-walk/{rng_seed}")
+        cases = {"n_walk": 0, "tuples": 0, "ties": 0, "one_sided": 0}
+        while cases["n_walk"] < 8:
+            n = rng.randint(2, 3)
+            seeds = []
+            while len(seeds) < rng.randint(1, 2):
+                seed = random_seed(rng, n, i1_low=-2, i1_high=3, denom_max=6)
+                if seed.mean.cmp(Fraction(1, 50)) > 0:
+                    seeds.append(seed)
+            if all(a.is_rational for s in seeds for _, _, a in s.decomp.spectrum_angles()):
+                continue
+            delta = rng.choice((Fraction(1, 10), Fraction(1, 100)))
+            n_max, limit = rng.choice((60, 300)), rng.randint(1, 4)
+            if jumps._last_step(seeds[0], angle_period(seeds), n_max) > 20000:
+                continue
+            by_n, by_step, last = _both_walks(seeds, delta, n_max, limit)
+            assert by_n == by_step
+            try:
+                assert find_jump_tuples(seeds, delta, n_max, limit) == by_n
+            except NoTupleFound:
+                assert by_n == []
+            cases["n_walk"] += last > n_max
+            cases["tuples"] += bool(by_n)
+            cases["ties"] += len({t.N for t in by_n}) < len(by_n)
+            if by_n:
+                # the complement scan of the first tuple, and one that skips it
+                comp = _both_walks(seeds, delta, n_max, limit,
+                                   required_sides=jumps.flipped_sides(by_n[0]),
+                                   exclude={by_n[0].N})
+                assert comp[0] == comp[1]
+                cases["one_sided"] += bool(comp[0])
+        assert cases["tuples"] >= 20, cases
+
+    def test_tiny_mean_index_ties_at_the_limit(self):
+        # N = 1 holds two tuples (chi = 0 and 1): a limit of 1 keeps the first
+        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(0, 1, 20, 102))]))
+        assert jumps._last_step(seed, 1, 40) > 40
+        for limit in range(1, 5):
+            by_n, by_step, _ = _both_walks([seed], Fraction(1, 10), 40, limit)
+            assert by_n == by_step == find_jump_tuples([seed], Fraction(1, 10), 40, limit)
+            for exclude in ({1}, {1, 2}):
+                by_n, by_step, _ = _both_walks([seed], Fraction(1, 10), 40, limit,
+                                               exclude=exclude)
+                assert by_n == by_step
 
 
 @pytest.mark.parametrize("rng_seed", range(4))

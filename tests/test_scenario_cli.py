@@ -500,6 +500,18 @@ class TestCli:
             "error: no jump tuple with N <= 1000000 at delta = 1/10000000; "
             "raise n_max or loosen delta"]
 
+    def test_tiny_mean_index_jump_ends(self, tmp_path):
+        # mean index ~1e-16 (x ~ 1/2 + 5e-17, i1 = 0, not pinched): about
+        # 10**19 lattice steps against n_max = 1000, so the scan walks N
+        path = write_scenario(tmp_path, {
+            "version": 1, "system": {"n": 2, "lambda": [1, 1], "pinching_asserted": False},
+            "seeds": [{"i1": 0, "nu1": 0, "blocks": [
+                {"r": {"quadratic": [0, 1, 200000000, 10000000000000002]}}]}],
+            "options": {"delta": [1, 10], "n_max": 1000, "limit": 1, "m_max": 3}})
+        r = run_cli("--format", "machine", "jump", "--seeds", path, timeout=60)
+        assert (r.returncode, r.stderr) == (0, b"")
+        assert [(t.N, t.m, t.chi) for t in parse_report(r.stdout)] == [(1, (10**16,), (0,))]
+
     def test_delta_too_fine_for_the_sieve_is_one_line(self):
         # past 800 bits of 1/delta, with steps possible up to the bound, the
         # near-return search would nest deeper than the interpreter allows
@@ -651,7 +663,7 @@ def _emitted_reports() -> list:
     """One document of every report type: the shipped scenario's wire
     fixtures plus the exact mean index, jump tuples and analysis report
     of a small rational system."""
-    docs = [json.loads(line) for f in sorted(WIRE.iterdir())
+    docs = [json.loads(line) for f in sorted(WIRE.glob("*.out"))
             for line in f.read_bytes().splitlines()]
     s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
     rotation = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
@@ -899,6 +911,19 @@ class TestCliFuzz:
         assert (code, out) == (1, b"")
         assert err == (f"error: tuple at N = 82921 stores {message}, but the seeds give M = 1 "
                        f"and each chi entry is 0 or 1\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("m", [0, 25624], "tuple at N = 82921: m[0] must be a positive integer, got 0"),
+        ("m", [-5, 25624], "tuple at N = 82921: m[0] must be a positive integer, got -5"),
+        ("N", -3, "tuple at N = -3: N must be a positive integer, got -3"),
+    ], ids=["m0_zero", "m0_negative", "n_negative"])
+    def test_verify_refuses_a_nonpositive_field_by_name(self, tmp_path, key, value, message):
+        doc = copy.deepcopy(JUMP_DOC)
+        doc["tuples"][-1][key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
+        assert (code, out, err) == (1, b"", f"error: {message}\n")
 
 
 @st.composite
