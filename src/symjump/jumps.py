@@ -18,17 +18,20 @@ for the even-iterate index in terms of splitting numbers to agree with
 direct evaluation; this rejects candidates whose delta is too coarse for
 that algebra.
 
-The candidate N come from one of three sources.  When every spectrum
-angle of every seed is rational, the tuples lie at exactly the multiples
-of P = lcm_k(M*mu_k), and each multiple holds one exactly when P does
-(:func:`_progression_tuples` proves it): the scan asks N = P, 2P, ...
-only, so its work is O(limit) whatever n_max is.  Otherwise the scan
-walks seed 1's lattice m_1 = s*M and reads the unique candidate N off
-seed 1's odd-iterate index, visiting the near returns of a quadratic
-angle of seed 1 when it has one and every step when it has none.  When
-that walk has more than n_max steps to visit, which needs a step bound
-past n_max, there are fewer N than steps, and the scan walks
-N = 1 .. n_max instead.
+The candidate N come from one lattice walk.  It visits seed 1's lattice
+steps m_1 = s*M (:func:`_pilot_steps`) and reads the unique candidate N
+off seed 1's odd-iterate index.  Three step sources feed it: when every
+spectrum angle of every seed is rational, the tuples lie at exactly the
+multiples of P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps` proves
+it), at seed 1's steps j*S, S = P/(M*mu_1), so the walk visits those only
+and its work is O(limit) whatever n_max is; otherwise it visits the near
+returns of a quadratic angle of seed 1 when it has one and every step
+when it has none.  Each source comes with its size: the length of a
+range, or the estimate w*last for a near-return walk, w = 2*delta (or
+delta on a side fixed by the required sides), checked by counting at
+most n_max + 1 steps when it is at most n_max < last.  When a system that
+is not rational-only has more steps than n_max, the scan walks
+N = 1 .. n_max instead, so no scan tries more than n_max + 1 candidates.
 
 When seed 1 carries a quadratic spectrum angle x, the lattice walk visits only
 the lattice steps s where {2*M*s*x} lies within delta of an integer --
@@ -38,18 +41,17 @@ step would fail seed 1's angle-side check.  When x is a rotation angle
 whose side the required sides fix (a complementary scan), only the
 returns on that side are visited, about delta of all steps, with the
 gaps taken from the two-sided search at delta; the others would fail
-the required-side check.  One bound ends the
-walk: past lattice step last_step(n), seed 1's candidate N exceeds n.
-The walk visits no step past the bound, which starts at
+the required-side check.  One bound ends the walk: past lattice step
+last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
+past the bound, which starts at
 last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
 more, shrinks to last_step of the limit-th smallest N.  Progress is
 still reported at the end of every chunk of 2048 steps, up to the first
 chunk end past the bound, so the progress calls do not depend on where
-within its chunk the walk stopped; the progression reports the same
-chunk ends without walking, and the N-walk counts its chunks in N.  A
-query that a skipped step or an earlier cheap check spares never
-refuses, so such a scan can succeed where a walk over every step raised
-UndecidableComparison.
+within its chunk the walk stopped or how sparse its steps are; the
+N-walk counts its chunks in N.  A query that a skipped step or an
+earlier cheap check spares never refuses, so such a scan can succeed
+where a walk over every step raised UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -235,9 +237,9 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
 def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
                  budget: Optional[int] = None) -> TupleVerification:
     """Re-evaluate every condition of a tuple from scratch; a path count, M
-    or chi that does not fit the seeds, or an N or m entry below 1, raises
-    ValueError.  ``budget`` is accepted and ignored: every angle query
-    decides on one read."""
+    or chi that does not fit the seeds, an N or m entry below 1, or a delta
+    outside (0, 1/2) raises ValueError, before any query.  ``budget`` is
+    accepted and ignored: every angle query decides on one read."""
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("empty seed list")
@@ -247,6 +249,10 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     for name, value in (("N", t.N), *((f"m[{k}]", m_k) for k, m_k in enumerate(t.m))):
         if value < 1:
             raise ValueError(f"tuple at N = {t.N}: {name} must be a positive integer, got {value}")
+    try:
+        delta = _check_delta(t.delta)
+    except ValueError as e:
+        raise ValueError(f"tuple at N = {t.N}: {e}") from None
     M = angle_period(seeds)
     if t.M_period != M or any(chi_k not in (0, 1) for chi_k in t.chi):
         raise ValueError(f"tuple at N = {t.N} stores M = {t.M_period} and chi = {t.chi}, "
@@ -254,7 +260,7 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     records = []
     for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
         i_next = index_iterate(seed, 2 * m_k + 1)
-        sides = _sides_for(seed, m_k, t.delta)
+        sides = _sides_for(seed, m_k, delta)
         lattice_m = (seed.mean.floor_quotient(t.N, M) + chi_k) * M
         records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next))
     return TupleVerification(tuple(records))
@@ -412,14 +418,22 @@ def _last_step(seed: PathSeed, M: int, n: int) -> int:
     return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 
-def _progression_tuples(seeds: tuple[PathSeed, ...], M: int, delta: Fraction,
-                        rules: _SideRules, n_max: int, limit: int, exclude: frozenset,
-                        progress: Optional[Callable[[int, int], None]]) -> list[JumpTuple]:
-    """The scan of a system whose spectrum angles are all rational: the
-    tuples at N = P, 2P, ... for P = lcm_k(M*mu_k), up to ``limit`` of
-    them with N <= n_max, skipping ``exclude``, with no lattice walk.
+def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
+                 rule1: Optional[tuple[tuple[int, str], ...]], last: int,
+                 stride: Optional[int]) -> tuple[Iterable[int], int | Fraction]:
+    """The lattice steps 1 .. ``last`` the lattice walk visits, and their
+    size: the multiples of ``stride`` = S = P/(M*mu_1) when every spectrum
+    angle is rational (``stride`` is None otherwise), else every step, or
+    the near returns of seed 1's first quadratic angle, on the side
+    ``rule1`` fixes for it if any.  A range's size is its length; a
+    near-return walk's is w*last, w = 2*delta for both sides and delta for
+    one, an estimate only: an angle with a large partial quotient has every
+    step of a long run as a near return.  The steps left out fail seed 1's
+    angle-side check (or its required side) or, off the multiples of S,
+    some seed's index check.
 
-    Proof that the jump tuples are exactly one at each multiple of P.
+    Proof that a rational-only system holds exactly one tuple at each
+    multiple of P = lcm_k(M*mu_k), at seed 1's steps j*S, and none elsewhere.
     Every angle x of every seed lies in (0, 1) and has 2*M*x in Z
     (:func:`angle_period`).  For m = 2*u*M + e, e in {-1, 0, 1}, that gives
     ceil(m*x) = 2*u*M*x + ceil(e*x) and varphi(m*x) = varphi(e*x), and m
@@ -435,90 +449,71 @@ def _progression_tuples(seeds: tuple[PathSeed, ...], M: int, delta: Fraction,
         positive since mu is (checked first), so P is a positive integer.
     (2) Seed k's iterate m_k = (t_k + chi_k)*M = u*M, u >= 1, passes the
         index check i(2*m_k + 1) = 2N + i1 exactly when N = u*M*mu_k.  So
-        every tuple's N lies in M*mu_k*Z for every k, hence in P*Z.
+        every tuple's N lies in M*mu_k*Z for every k, hence in P*Z, and
+        seed 1's step s reads N = s*M*mu_1, a multiple of P exactly when s
+        is a multiple of S = P/(M*mu_1).
     (3) At N = j*P, u_k = j*P/(M*mu_k) is an integer, so t_k = u_k,
         chi_k = 0 passes the index check and chi_k = 1 fails it (it needs
-        N + M*mu_k): one candidate per seed.  Every 2*m_k*x is an integer,
-        side "zero", so no side is "mid", the required sides fix none (a
-        rational angle has none to fix) and delta_from_sides is 0.  Of the
-        eight conditions of :func:`_path_record`, the nullities are d_-1
-        = d_1 = nu1; i(2*m_k - 1) + nu1 = 2N - i1 - p- + p+ =
-        2N - (i1 + 2*S+ - nu1); i(2*m_k) = 2N - S+ - C, the splitting
-        identity at delta_k = 0, and with e/2 = p- + p0 + p+ + q- + q0 +
-        q+ + r + 2*(r* + r0) it is at least 2N - e/2, while
-        i(2*m_k) + d_0 = 2N + p0 + p+ + q- + q0 + r + 2*r0 <= 2N + e/2;
-        the floor construction's shape compares m_k with itself.
-    So each multiple of P holds exactly one tuple and no other N holds
-    any.  The lattice walk finds the same tuples, one per N, so the
-    limit-th N gives it the same step bound, and its progress calls are
-    made here without walking: every chunk end up to the first past it.
+        N + M*mu_k): one candidate per seed, seed 1's at step j*S.  Every
+        2*m_k*x is an integer, side "zero", so no side is "mid", the
+        required sides fix none (a rational angle has none to fix) and
+        delta_from_sides is 0.  Of the eight conditions of
+        :func:`_path_record`, the nullities are d_-1 = d_1 = nu1;
+        i(2*m_k - 1) + nu1 = 2N - i1 - p- + p+ = 2N - (i1 + 2*S+ - nu1);
+        i(2*m_k) = 2N - S+ - C, the splitting identity at delta_k = 0, and
+        with e/2 = p- + p0 + p+ + q- + q0 + q+ + r + 2*(r* + r0) it is at
+        least 2N - e/2, while i(2*m_k) + d_0 = 2N + p0 + p+ + q- + q0 + r +
+        2*r0 <= 2N + e/2; the floor construction's shape compares m_k with
+        itself.
+    So the walk over the multiples of S asks N = P, 2P, ... only, and its
+    work is O(limit) whatever n_max is.
     """
-    P = lcm(*((M * seed.mean.exact()).numerator for seed in seeds))
-    hits, bound = [], n_max
-    for N in range(P, n_max + 1, P):
-        if N not in exclude:
-            hits += _tuples_at(seeds, N, M, delta, rules)
-            if len(hits) >= limit:
-                bound = N
-                break
-    if progress is not None:
-        last = _last_step(seeds[0], M, bound)
-        for end in range(_CHUNK, max(last, 0) + _CHUNK + 1, _CHUNK):
-            progress(end * M, n_max)
-    if not hits:
-        raise NoTupleFound(
-            f"no jump tuple with N <= {n_max} at delta = {delta}: every angle is rational, "
-            f"so the jump tuples are one at each multiple of P = {P}; raise n_max")
-    return hits
-
-
-def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
-                 rule1: Optional[tuple[tuple[int, str], ...]], last: int) -> Iterable[int]:
-    """The lattice steps 1 .. ``last`` the lattice walk visits: every one,
-    or the near returns of seed 1's first quadratic angle, on the side
-    ``rule1`` fixes for it if any.  Steps off those returns fail seed 1's
-    angle-side check (or its required side)."""
+    if stride is not None:
+        steps = range(stride, last + 1, stride)
+        return steps, len(steps)
     angles = seed1.decomp.spectrum_angles()
     at = next((j for j, (_, _, a) in enumerate(angles) if isinstance(a, QuadraticAngle)), None)
     if at is None:
-        return range(1, last + 1)
-    return near_returns(angles[at][2], 2 * M, delta, last, dict(rule1 or ()).get(at))
-
-
-def _more_than(steps: Iterable[int], n: int) -> bool:
-    """Whether ``steps`` holds more than n steps, counting at most n + 1."""
-    if isinstance(steps, range):
-        return len(steps) > n
-    return next(itertools.islice(steps, n, None), None) is not None
+        steps = range(1, last + 1)
+        return steps, len(steps)
+    side = dict(rule1 or ()).get(at)
+    return (near_returns(angles[at][2], 2 * M, delta, last, side),
+            (delta if side else 2 * delta) * last)
 
 
 def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
                 n_max: int, limit: int, exclude: frozenset,
-                progress: Optional[Callable[[int, int], None]], last: int) -> list[JumpTuple]:
-    """The tuples found on seed 1's lattice steps (:func:`_pilot_steps`) up
-    to ``last`` = last_step(n_max), with the bound shrinking as tuples are
-    found."""
+                progress: Optional[Callable[[int, int], None]],
+                steps: Iterable[int], last: int) -> list[JumpTuple]:
+    """The tuples found on seed 1's lattice ``steps`` (:func:`_pilot_steps`)
+    up to ``last`` = last_step(n_max); once ``limit`` are found the bound
+    shrinks to last_step of the limit-th smallest N, and no larger N is
+    tried.  Progress is reported at every chunk end a visited step passes,
+    then at each end up to the first past the final bound; without a callback, no work per chunk."""
     seed1 = seeds[0]
-    walk = iter(_pilot_steps(seed1, M, delta, rules[0], last))
     hits: list[JumpTuple] = []
-    step = next(walk, None)
-    for end in itertools.count(_CHUNK, _CHUNK):
-        while step is not None and step <= min(end, last):
-            m1 = step * M
-            i_odd1 = index_iterate(seed1, 2 * m1 + 1)
-            N, odd = divmod(i_odd1 - seed1.i1, 2)
-            if not odd and 1 <= N <= n_max and N not in exclude:
-                found = _tuples_at(seeds, N, M, delta, rules, (m1, i_odd1))
-                hits += found
-                # No tuple with N at most the limit-th smallest found lies past its
-                # last step; ties at that N are at or before it.
-                if found and len(hits) >= limit:
-                    last = _last_step(seed1, M, sorted(t.N for t in hits)[limit - 1])
-            step = next(walk, None)
-        if progress is not None:
+    done, top = 0, n_max  # the last chunk end reported, the largest N kept
+    for step in steps:
+        if step > last:
+            break
+        while progress is not None and done + _CHUNK < step:
+            done += _CHUNK
+            progress(done * M, n_max)
+        m1 = step * M
+        i_odd1 = index_iterate(seed1, 2 * m1 + 1)
+        N, odd = divmod(i_odd1 - seed1.i1, 2)
+        if not odd and 1 <= N <= top and N not in exclude:
+            found = _tuples_at(seeds, N, M, delta, rules, (m1, i_odd1))
+            hits += found
+            # No tuple with N at most the limit-th smallest found lies past its
+            # last step; ties at that N are at or before it.
+            if found and len(hits) >= limit:
+                top = sorted(t.N for t in hits)[limit - 1]
+                last = _last_step(seed1, M, top)
+    if progress is not None:
+        for end in range(done + _CHUNK, max(done, last) + _CHUNK + 1, _CHUNK):
             progress(end * M, n_max)
-        if end > last:
-            return hits
+    return hits
 
 
 def _walk_n(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
@@ -559,15 +554,14 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     pattern raises ValueError before any angle or mean-index query.
     ``exclude`` skips listed N values.  ``budget`` is accepted and ignored.
 
-    The candidate N come from the progression when every spectrum angle
-    is rational (:func:`_progression_tuples`), from seed 1's lattice walk
-    when it has at most n_max steps to visit, and from the walk over
-    N = 1 .. n_max otherwise (:func:`_walk_n`).  ``progress``
-    is called as progress(done, n_max) at the end of every chunk of 2048
-    lattice steps, done = end*M, up to the first chunk end past the walk's
-    final bound; the progression makes the calls of the lattice walk
-    without walking, and the N-walk makes them per 2048 N, done = end.
-    Raises NoTupleFound if the scan exhausts its bound with no hit.
+    The candidate N come from seed 1's lattice walk over the steps of
+    :func:`_pilot_steps`, or from the walk over N = 1 .. n_max
+    (:func:`_walk_n`) when the system is not rational-only and those steps
+    number more than n_max.  ``progress`` is called as progress(done,
+    n_max) at the end of every chunk of 2048 lattice steps, done = end*M,
+    up to the first chunk end past the walk's final bound; the N-walk makes
+    them per 2048 N, done = end.  Raises NoTupleFound if the scan exhausts
+    its bound with no hit.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -580,23 +574,27 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
         if seed.mean.cmp(0) <= 0:
             raise ValueError(f"seed {k}: mean index must be positive")
     M = angle_period(seeds)
-    scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), progress)
+    P = stride = None
     if all(a.is_rational for seed in seeds for _, _, a in seed.decomp.spectrum_angles()):
-        hits = _progression_tuples(*scan)
-    else:
-        last = _last_step(seeds[0], M, n_max)
-        # More lattice steps to visit than N to try: walk N instead.  Only a
-        # bound past n_max can allow that, so only then are the steps counted.
-        if last > n_max and _more_than(_pilot_steps(seeds[0], M, delta, rules[0], last), n_max):
-            hits = _walk_n(*scan)
-        else:
-            hits = _walk_steps(*scan, last)
+        # each M*mu_k is an integer (see _pilot_steps)
+        periods = [M * p // q for p, q in (seed.mean.exact().as_integer_ratio() for seed in seeds)]
+        P = lcm(*periods)
+        stride = P // periods[0]
+    last = _last_step(seeds[0], M, n_max)
+    steps, size = _pilot_steps(seeds[0], M, delta, rules[0], last, stride)
+    if P is None and size <= n_max < last:  # w*last is an estimate: count to n_max + 1
+        steps = list(itertools.islice(steps, n_max + 1))
+        size = len(steps)
+    scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), progress)
+    # More lattice steps to visit than N to try: walk N instead.
+    hits = _walk_n(*scan) if P is None and size > n_max else _walk_steps(*scan, steps, last)
 
     hits.sort(key=JumpTuple.sort_key)
     if not hits:
-        raise NoTupleFound(
-            f"no jump tuple with N <= {n_max} at delta = {delta}; "
-            f"raise n_max or loosen delta")
+        why = ("; raise n_max or loosen delta" if P is None else
+               f": every angle is rational, so the jump tuples are one at each multiple of "
+               f"P = {P}; raise n_max")
+        raise NoTupleFound(f"no jump tuple with N <= {n_max} at delta = {delta}{why}")
     return hits[:limit]
 
 

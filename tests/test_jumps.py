@@ -499,12 +499,12 @@ class TestScanStops:
     """The lattice walk visits no step past the last one whose N can be at
     most n_max, or at most the limit-th smallest N found, and stops there;
     progress is still reported at every chunk end (2048 lattice steps) up to
-    the first one past that step.  A rational-only system asks only the
-    multiples of P, with the same progress calls."""
+    the first one past that step.  A rational-only system's walk visits
+    only seed 1's steps j*S that hold the multiples of P = lcm_k(M*mu_k)."""
 
     def test_stops_at_the_step_of_the_limit_th_tuple(self, monkeypatch):
         # every multiple of P = 2 is a tuple of the rational-only SEED_R3,
-        # N = 2j at m = 3j: the progression asks those N and no other
+        # N = 2j at m = 3j, step S = 1: the walk asks those N and no other
         M = angle_period([SEED_R3])
         asked = []
         tuples_at = jumps._tuples_at
@@ -518,6 +518,13 @@ class TestScanStops:
         assert [t.N for t in ts] == [2, 4, 6]
         assert asked == [2, 4, 6]
         assert calls == [2048 * M]
+        # a rotation by 2/3 with i1 = 0 has N = j at step j, and the slack of
+        # last_step(2) takes in step 3, which is visited but no longer asked
+        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(rational_angle(2, 3))]))
+        asked.clear()
+        assert jumps._last_step(seed, 3, 2) == 3
+        assert [t.N for t in find_jump_tuples([seed], Fraction(1, 100), 2000, 2)] == [1, 2]
+        assert asked == [1, 2]
 
         # seed 1 with a decimal angle and no quadratic one walks every lattice
         # step, up to the last whose N can be at most the third N, 346
@@ -611,10 +618,24 @@ def _chunk_ends(seeds, n):
     return [2048 * M * k for k in range(1, max(last, 0) // 2048 + 2)]
 
 
+def _large_period_seeds():
+    """Three rational-only seeds with M = 462 and P = 14,238,840."""
+    return parse_scenario(json.dumps(
+        {"version": 1, "system": {"n": 4}, "seeds": [
+            {"i1": 4, "nu1": 1, "blocks": [
+                {"n1": [1, -1]}, {"n2": {"angle": {"rational": [5, 6]}, "trivial": True}}]},
+            {"i1": 5, "nu1": 1, "blocks": [
+                {"r": {"rational": [4, 7]}}, {"r": {"rational": [2, 3]}}, {"n1": [1, -1]}]},
+            {"i1": 5, "nu1": 0, "blocks": [
+                {"r": {"rational": [5, 11]}}, {"n1": [-1, 1]}, {"r": {"rational": [7, 12]}}]},
+        ]}).encode())[0].seeds
+
+
 class TestRationalProgression:
     """When every spectrum angle is rational, the jump tuples are exactly one
-    at each multiple of P = lcm_k(M*mu_k); the scan asks those N only, with
-    the tuples and progress calls of the lattice walk."""
+    at each multiple of P = lcm_k(M*mu_k), at seed 1's lattice steps j*S,
+    S = P/(M*mu_1); the lattice walk visits those steps only, so it asks
+    those N only, with the progress calls of a walk over every step."""
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_matches_tuples_at_every_n(self, rng_seed):
@@ -638,16 +659,8 @@ class TestRationalProgression:
         assert with_tuples >= 2
 
     def test_work_does_not_grow_with_n_max(self, monkeypatch):
-        # P = 14,238,840: the walk would visit about 5*10**8 lattice steps
-        seeds = parse_scenario(json.dumps(
-            {"version": 1, "system": {"n": 4}, "seeds": [
-                {"i1": 4, "nu1": 1, "blocks": [
-                    {"n1": [1, -1]}, {"n2": {"angle": {"rational": [5, 6]}, "trivial": True}}]},
-                {"i1": 5, "nu1": 1, "blocks": [
-                    {"r": {"rational": [4, 7]}}, {"r": {"rational": [2, 3]}}, {"n1": [1, -1]}]},
-                {"i1": 5, "nu1": 0, "blocks": [
-                    {"r": {"rational": [5, 11]}}, {"n1": [-1, 1]}, {"r": {"rational": [7, 12]}}]},
-            ]}).encode())[0].seeds
+        # P = 14,238,840: a walk over every step would visit about 5*10**8
+        seeds = _large_period_seeds()
         P = _period_of_tuples(seeds)
         assert P == 14238840
         asked = []
@@ -669,9 +682,55 @@ class TestRationalProgression:
             find_jump_tuples(seeds, Fraction(1, 100), 10**6, 3)
         assert asked == []
 
+    def test_seed_1_is_asked_at_its_steps_only(self, monkeypatch):
+        # seed 1's odd index is read once per visited step j*S, the excluded
+        # N = P included, and its iterate at chi = 1 is never asked
+        seeds = _large_period_seeds()
+        M = angle_period(seeds)
+        P = _period_of_tuples(seeds)
+        S = P // (M * mean_index(seeds[0]).exact())
+        assert (M, S) == (462, 7705)
+        steps = []
+
+        def counted(seed, m):
+            if seed is seeds[0] and m % (2 * M) == 1:
+                steps.append(m // (2 * M))
+            return index_iterate(seed, m)
+
+        monkeypatch.setattr(jumps, "index_iterate", counted)
+        for limit in range(1, 5):
+            steps.clear()
+            ts = find_jump_tuples(seeds, Fraction(1, 100), 10**12, limit, exclude={P})
+            assert [t.m[0] for t in ts] == [j * S * M for j in range(2, limit + 2)]
+            assert steps == [j * S for j in range(1, limit + 2)]
+
+    def test_a_period_past_n_max_ends_at_once(self):
+        # P = 10**15 + 1 lies past n_max = 10**15, and so does seed 1's first
+        # step: the walk asks no index and no N.  A walk that counted its
+        # chunks would loop about 5*10**11 times, so the scan runs in a
+        # subprocess where a hang fails on the timeout.
+        code = ("from fractions import Fraction\n"
+                "from symjump import Decomposition, N1Block, NoTupleFound, PathSeed, jumps\n"
+                "def refused(*args):\n"
+                "    raise AssertionError('asked')\n"
+                "jumps.index_iterate = jumps._tuples_at = refused\n"
+                "seeds = [PathSeed(2, i1, 1, Decomposition([N1Block(1, -1)]))\n"
+                "         for i1 in (1, 10**15 + 1)]\n"
+                "try:\n"
+                "    jumps.find_jump_tuples(seeds, Fraction(1, 100), 10**15, 1)\n"
+                "except NoTupleFound as e:\n"
+                "    print(e)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.decode() == (
+            "no jump tuple with N <= 1000000000000000 at delta = 1/100: every angle is "
+            "rational, so the jump tuples are one at each multiple of P = 1000000000000001; "
+            "raise n_max\n")
+
     @pytest.mark.parametrize("rng_seed", range(3))
     def test_every_multiple_of_p_holds_one_tuple(self, rng_seed):
-        # the proof in _progression_tuples: none off P*Z, one at each multiple,
+        # the proof in _pilot_steps: none off P*Z, one at each multiple,
         # so a NoTupleFound is only ever about n_max (or exclude)
         rng = random.Random(f"multiples/{rng_seed}")
         for _ in range(20):
@@ -694,10 +753,11 @@ def _both_walks(seeds, delta, n_max, limit, required_sides=None, exclude=()):
     seeds = tuple(seeds)
     M = angle_period(seeds)
     last = jumps._last_step(seeds[0], M, n_max)
-    scan = (seeds, M, delta, jumps._side_rules(seeds, required_sides), n_max, limit,
-            frozenset(exclude), None)
+    rules = jumps._side_rules(seeds, required_sides)
+    steps, _ = jumps._pilot_steps(seeds[0], M, delta, rules[0], last, None)
+    scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), None)
     by_n = sorted(jumps._walk_n(*scan), key=JumpTuple.sort_key)[:limit]
-    by_step = sorted(jumps._walk_steps(*scan, last), key=JumpTuple.sort_key)[:limit]
+    by_step = sorted(jumps._walk_steps(*scan, steps, last), key=JumpTuple.sort_key)[:limit]
     return by_n, by_step, last
 
 
@@ -721,19 +781,26 @@ class TestNWalk:
 
     def test_the_route_with_fewer_candidates_is_taken(self, monkeypatch):
         # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
-        # n_max = 10**4, but only 431 near returns at delta = 1/100
+        # n_max = 10**4, but only 431 near returns at delta = 1/100, enumerated
+        # once: counted against n_max and then walked
         seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
-        asked = []
-        tuples_at = jumps._tuples_at
+        asked, deltas = [], []
+        tuples_at, walk = jumps._tuples_at, jumps.near_returns
 
         def counted(seeds, N, M, delta, rules, first=None):
             asked.append(first)
             return tuples_at(seeds, N, M, delta, rules, first)
 
+        def recorded(x, mult, delta, last, side=None):
+            deltas.append(delta)
+            return walk(x, mult, delta, last, side)
+
         monkeypatch.setattr(jumps, "_tuples_at", counted)
+        monkeypatch.setattr(jumps, "near_returns", recorded)
         assert jumps._last_step(seed, 1, 10**4) == 21549
         ts = find_jump_tuples([seed], Fraction(1, 100), 10**4, 10**6)
         assert len(ts) == len(asked) == 431 and None not in asked
+        assert deltas.count(Fraction(1, 100)) == 1
         asked.clear()
         ts = find_jump_tuples([self.TINY], Fraction(1, 10), 300, 10**6)
         assert len(asked) == 300 and set(asked) == {None}
@@ -741,6 +808,33 @@ class TestNWalk:
         # N = 1 and N = 2 hold two tuples each: a limit of 4 stops at N = 2
         asked.clear()
         assert len(find_jump_tuples([self.TINY], Fraction(1, 10), 300, 4)) == len(asked) * 2 == 4
+
+    def test_a_near_return_walk_longer_than_its_estimate_is_not_taken(self, monkeypatch):
+        # TINY's angle ~1/2 + 5e-17 beside 1/2 - sqrt(2)/200 (i1 = 0, mean index
+        # ~0.0041): 242,145 lattice steps for n_max = 1000, estimated at
+        # 2*delta*last ~ 484 near returns, but every one is a near return of
+        # TINY's angle, so the estimate is checked and the N-walk taken
+        seed = PathSeed(3, 0, 0, Decomposition([
+            RotationBlock(quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2)),
+            RotationBlock(quadratic_angle(99, 1, 200, 2))]))
+        asked, iterates = [], []
+        tuples_at, index = jumps._tuples_at, jumps.index_iterate
+
+        def counted(seeds, N, M, delta, rules, first=None):
+            asked.append(first)
+            return tuples_at(seeds, N, M, delta, rules, first)
+
+        def indexed(seed, m):
+            iterates.append(m)
+            return index(seed, m)
+
+        monkeypatch.setattr(jumps, "_tuples_at", counted)
+        monkeypatch.setattr(jumps, "index_iterate", indexed)
+        assert jumps._last_step(seed, 1, 1000) == 242145
+        ts = find_jump_tuples([seed], Fraction(1, 1000), 1000, 10**6)
+        assert [t.N for t in ts[:3]] == [2, 5, 7] and len(ts) == 483
+        assert len(asked) == 1000 and set(asked) == {None}
+        assert len(iterates) <= 3 * 1000
 
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_matches_the_lattice_walk(self, rng_seed):

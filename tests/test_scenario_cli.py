@@ -916,7 +916,12 @@ class TestCliFuzz:
         ("m", [0, 25624], "tuple at N = 82921: m[0] must be a positive integer, got 0"),
         ("m", [-5, 25624], "tuple at N = 82921: m[0] must be a positive integer, got -5"),
         ("N", -3, "tuple at N = -3: N must be a positive integer, got -3"),
-    ], ids=["m0_zero", "m0_negative", "n_negative"])
+        ("delta", [1, 1], "tuple at N = 82921: delta must lie in (0, 1/2), got 1"),
+        ("delta", [0, 5], "tuple at N = 82921: delta must lie in (0, 1/2), got 0"),
+        ("delta", [-1, 100], "tuple at N = 82921: delta must lie in (0, 1/2), got -1/100"),
+        ("delta", [1, 2], "tuple at N = 82921: delta must lie in (0, 1/2), got 1/2"),
+    ], ids=["m0_zero", "m0_negative", "n_negative", "delta_one", "delta_zero", "delta_negative",
+            "delta_half"])
     def test_verify_refuses_a_nonpositive_field_by_name(self, tmp_path, key, value, message):
         doc = copy.deepcopy(JUMP_DOC)
         doc["tuples"][-1][key] = value
