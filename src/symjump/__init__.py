@@ -27,15 +27,14 @@ from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, Matrix,
                            diamond_sum, elliptic_height, realize,
                            splitting_numbers, splitting_plus_at_one,
                            symplectic_form)
-from .scenario import (Enclosure, ScenarioOptions, emit_report, parse_report,
-                       parse_scenario)
+from .scenario import ScenarioOptions, emit_report, parse_report, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AngleSide", "AnalysisReport", "BasicForm", "CandidateRecord",
     "ConditionCheck", "ConstraintViolation", "Decomposition",
-    "DeltaReport", "Enclosure", "ExactAngle", "GeodesicSystem",
+    "DeltaReport", "ExactAngle", "GeodesicSystem",
     "HyperbolicBlock", "IrrationalAngle", "IterationRow", "JumpTuple",
     "Matrix", "MeanIndex", "N1Block", "N2Block", "NoTupleFound", "PathSeed",
     "PathVerification", "PeakConstraintRecord", "PinchRecord", "QuadraticAngle",

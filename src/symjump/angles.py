@@ -37,7 +37,8 @@ class ExactAngle:
     ``ceil_mul`` and ``varphi_mul`` are written here for an irrational
     x, whose multiples m*x are never integers, and only
     :class:`RationalAngle` overrides them.  ``float`` of every kind is the
-    midpoint of ``enclosure()``.
+    midpoint of an ``enclosure`` narrowed to 2**-64 of that midpoint, or
+    of a stated enclosure, which does not narrow.
     """
 
     __slots__ = ()
@@ -71,7 +72,17 @@ class ExactAngle:
         raise NotImplementedError
 
     def __float__(self):
-        return float(sum(self.enclosure()) / 2)
+        # mid within mid/2**64 of the value: the double nearest mid is within
+        # one ulp of the value, and its nearest unless the value is that near a tie
+        lo, hi = self.enclosure()
+        while True:
+            mid = (lo + hi) / 2
+            if hi - lo <= mid / 2**64:
+                return float(mid)
+            narrower = self.enclosure(mid / 2**64)
+            if narrower == (lo, hi):  # a stated enclosure
+                return float(mid)
+            lo, hi = narrower
 
 
 @dataclass(frozen=True, slots=True)

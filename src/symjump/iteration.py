@@ -1,13 +1,13 @@
 """Index and nullity iteration for symplectic paths.
 
 A path is summarized by a :class:`PathSeed`: its initial index i1 and
-nullity nu1 together with the normal-form decomposition of its endpoint
-matrix.  The m-th iterate's index grows linearly in m with a ceiling
-correction per rotation angle, a parity term from the -1-eigenvalue
-blocks and an integrality correction per nontrivial 4x4 rotation block;
-the nullity picks up the kernel of each block's m-th power.  All angle
-arithmetic is certified, so every returned integer is exact or the call
-raises ``UndecidableComparison``.
+the normal-form decomposition of its endpoint matrix, which fixes the
+dimension n and the initial nullity nu1.  The m-th iterate's index
+grows linearly in m with a ceiling correction per rotation angle, a
+parity term from the -1-eigenvalue blocks and an integrality correction
+per nontrivial 4x4 rotation block; the nullity picks up the kernel of
+each block's m-th power.  All angle arithmetic is certified, so every
+returned integer is exact or the call raises ``UndecidableComparison``.
 """
 
 from __future__ import annotations
@@ -24,18 +24,20 @@ from .normal_forms import Decomposition
 
 @dataclass(frozen=True)
 class PathSeed:
-    """Initial data of a symplectic path: dimension, index, nullity, endpoint.
+    """Initial data of a symplectic path: its index i1 and endpoint normal form.
 
-    Once validated, the seed derives its mean index ``mean`` and the census
-    constants of :func:`index_iterate` and :func:`nullity_iterate`: pure
-    functions of the frozen fields, outside equality, hashing and repr, and
-    derived afresh by ``dataclasses.replace``.
+    The seed derives the dimension ``n`` and the initial nullity ``nu1``
+    (the 1-eigenvalue kernel p- + 2*p0 + p+) from ``decomp``, its mean
+    index ``mean`` and the census constants of :func:`index_iterate` and
+    :func:`nullity_iterate`: pure functions of ``(i1, decomp)``, outside
+    equality, hashing and repr, and derived afresh by
+    ``dataclasses.replace``.
     """
 
-    n: int
     i1: int
-    nu1: int
     decomp: Decomposition
+    n: int = field(init=False, compare=False, repr=False)
+    nu1: int = field(init=False, compare=False, repr=False)
     mean: MeanIndex = field(init=False, compare=False, repr=False)
     # (m coefficient less i1, constant, [m even] coefficient) of the index
     # and (constant less nu1, [m even] coefficient, angles) of the nullity
@@ -43,17 +45,11 @@ class PathSeed:
     _nullity_form: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"manifold dimension must be >= 2, got {self.n}")
-        if self.decomp.n != self.n:
-            raise ValueError(
-                f"decomposition fills {self.decomp.n - 1} units but n - 1 = {self.n - 1}")
-        expected = self.decomp.p_minus + 2 * self.decomp.p_zero + self.decomp.p_plus
-        if self.nu1 != expected:
-            raise ValueError(
-                f"initial nullity must equal the 1-eigenvalue kernel of the endpoint: "
-                f"expected {expected}, got {self.nu1}")
         d = self.decomp
+        if d.n < 2:
+            raise ValueError(f"manifold dimension must be >= 2, got {d.n}")
+        object.__setattr__(self, "n", d.n)
+        object.__setattr__(self, "nu1", d.p_minus + 2 * d.p_zero + d.p_plus)
         object.__setattr__(self, "mean", _mean_of(self.i1, d))
         object.__setattr__(self, "_index_form", (d.p_minus + d.p_zero - d.r,
                                                  d.r + d.p_minus + d.p_zero + 2 * d.r_star,
@@ -120,7 +116,7 @@ def bott_gap(seed: PathSeed, m: int) -> int:
     return index_iterate(seed, m + 1) - index_iterate(seed, m) - nullity_iterate(seed, m)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MeanIndex:
     """The linear growth rate lim i(m)/m: one exact part plus twice each
     theta angle that is neither rational nor quadratic.
@@ -130,6 +126,8 @@ class MeanIndex:
     angle, with L > 0, every B_i nonzero and the D_i in distinct square
     classes (see :func:`_mean_of`); a rational exact part has no terms.
     ``angles`` holds the ``decimal`` angles, each with one stated enclosure.
+    A ``surd`` that breaks these terms is refused: its value could be
+    rational, and then the reads below would never decide it.
 
     Every query loops over :meth:`_reads`, integer bounds on the value,
     until they decide it.  With such angles there is one read.  With none
@@ -142,6 +140,20 @@ class MeanIndex:
 
     surd: tuple[int, int, tuple]
     angles: tuple[IrrationalAngle, ...] = ()
+
+    def __post_init__(self):
+        scale, _, terms = self.surd
+        if scale < 1:
+            raise ValueError(f"mean index scale L must be >= 1, got {scale}")
+        for k, (b, d) in enumerate(terms):
+            if b == 0:
+                raise ValueError(f"mean index term {b}*sqrt({d}) has a zero coefficient")
+            if d < 2 or isqrt(d) ** 2 == d:
+                raise ValueError(f"mean index term {b}*sqrt({d}): sqrt({d}) is not irrational")
+            for c, e in terms[:k]:
+                if isqrt(d * e) ** 2 == d * e:
+                    raise ValueError(f"mean index terms {c}*sqrt({e}) and {b}*sqrt({d}) "
+                                     f"share a square class")
 
     @property
     def is_exact(self) -> bool:

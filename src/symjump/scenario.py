@@ -40,6 +40,7 @@ import dataclasses
 import json
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
@@ -277,8 +278,11 @@ _BLOCK = _variant("block", {
 
 
 def _seed(i1: int, nu1: int, blocks: tuple) -> PathSeed:
-    decomp = Decomposition(blocks)  # n from the census; GeodesicSystem checks it
-    return PathSeed(decomp.n, i1, nu1, decomp)
+    seed = PathSeed(i1, Decomposition(blocks))  # n from the census; GeodesicSystem checks it
+    if nu1 != seed.nu1:
+        raise ValueError(f"initial nullity must equal the 1-eigenvalue kernel of the endpoint: "
+                         f"expected {seed.nu1}, got {nu1}")
+    return seed
 
 
 def _scenario(version: int, system: tuple, seeds: tuple, options: ScenarioOptions):
@@ -320,38 +324,18 @@ def _decimal_str(f: Fraction) -> str:
     return f"{sign}{whole}.{str(frac_part).zfill(digits)}".rstrip("0").rstrip(".")
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A certified rational interval [lo, hi] containing the true value."""
-
-    lo: Fraction
-    hi: Fraction
-
-
-def _snap_outward(lo: Fraction, hi: Fraction, grid: Fraction) -> tuple[Fraction, Fraction]:
-    """Widen [lo, hi] outward to the coarsest decimal grid 10**-k <= grid."""
-    scale = 1
-    while Fraction(1, scale) > grid:
-        scale *= 10
-    return (Fraction(lo.numerator * scale // lo.denominator, scale),
-            Fraction(-(-hi.numerator * scale // hi.denominator), scale))
-
-
-def enclosure_json(e: Enclosure) -> dict:
-    return {"approx": _decimal_str((e.lo + e.hi) / 2), "error": _decimal_str((e.hi - e.lo) / 2)}
-
-
 def _mean_index_enclosure(mi: MeanIndex) -> dict:
     """The mean index within 1e-12, snapped outward to exact 14-place decimals."""
     lo, hi = mi.enclosure(Fraction(1, 10**12))
-    return enclosure_json(Enclosure(*_snap_outward(lo, hi, Fraction(1, 10**14))))
+    lo, hi = Fraction(floor(lo * 10**14), 10**14), Fraction(ceil(hi * 10**14), 10**14)
+    return {"approx": _decimal_str((lo + hi) / 2), "error": _decimal_str((hi - lo) / 2)}
 
 
-def _enclosure_from(approx: str, error: str) -> Enclosure:
+def _enclosure_from(approx: str, error: str) -> tuple[Fraction, Fraction]:
     mid, err = Fraction(approx), Fraction(error)
     if err < 0:
         raise ValueError(f"negative error {error!r}")
-    return Enclosure(mid - err, mid + err)
+    return mid - err, mid + err
 
 
 _EXACT = _object((("exact", _frac_from),))
@@ -370,6 +354,18 @@ def _matrix_from(v) -> Matrix:
             exc.path = f"[{i}]"
             raise exc
     return m
+
+
+_TUPLES = _decoder(tuple[JumpTuple, ...])
+
+
+def _some_tuples(v) -> tuple:
+    """The tuples of a ``jump_tuples`` report: at least one, as every scan
+    that returns finds one."""
+    tuples = _TUPLES(v)
+    if not tuples:
+        raise _Bad("expected at least one tuple, got none")
+    return tuples
 
 
 def _wire_type(report) -> str:
@@ -484,7 +480,7 @@ _REPORTS = {
         _render_mean_index),
     "jump_tuples": (
         lambda ts: {"tuples": [_ENCODE[JumpTuple](t) for t in ts]},
-        _object((("tuples", _decoder(tuple[JumpTuple, ...])),), list),
+        _object((("tuples", _some_tuples),), list),
         lambda ts: "".join(_render_tuple(t) for t in ts)),
     "tuple_verification": (_ENCODE[TupleVerification], _DECODE[TupleVerification],
                            _render_verification),

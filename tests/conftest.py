@@ -99,7 +99,7 @@ def random_seed(rng: random.Random, n: int | None = None, *,
     if n is None:
         n = rng.randint(2, 6)
     d = random_decomposition(rng, n, **kwargs)
-    return PathSeed(n, rng.randint(i1_low, i1_high), nu_of(d), d)
+    return PathSeed(rng.randint(i1_low, i1_high), d)
 
 
 def pinched_seed(rng: random.Random, n: int, **kwargs) -> PathSeed:
@@ -107,7 +107,7 @@ def pinched_seed(rng: random.Random, n: int, **kwargs) -> PathSeed:
     while True:
         d = random_decomposition(rng, n, **kwargs)
         i1 = rng.randint(n - 1, n + 2)
-        seed = PathSeed(n, i1, nu_of(d), d)
+        seed = PathSeed(i1, d)
         if mean_index(seed).cmp(Fraction(n - 1)) > 0:
             return seed
 

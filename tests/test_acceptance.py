@@ -27,7 +27,7 @@ from symjump import (ConstraintViolation, Decomposition, GeodesicSystem,
                      mean_index, nullity_at_even_jump, nullity_iterate,
                      quadratic_angle, rational_angle, realize, verify_tuple)
 
-from conftest import angle_lcm, nu_of, random_seed
+from conftest import angle_lcm, random_seed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -142,7 +142,7 @@ def test_criterion_4_mean_index_convergence():
 
 def _seed(n, i1, blocks):
     d = Decomposition(blocks)
-    return PathSeed(n, i1, nu_of(d), d)
+    return PathSeed(i1, d)
 
 
 def _r(p, q):

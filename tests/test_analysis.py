@@ -20,8 +20,8 @@ from symjump import analysis
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
 
-SEED_A = PathSeed(3, 2, 2, Decomposition([RotationBlock(SQRT2M1), N1Block(1, 0)]))
-SEED_B = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+SEED_A = PathSeed(2, Decomposition([RotationBlock(SQRT2M1), N1Block(1, 0)]))
+SEED_B = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
 DELTA = Fraction(1, 100)
 
 
@@ -31,36 +31,36 @@ def two_seed_system():
 
 class TestPinching:
     def test_golden_seed_passes(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         rec = validate_pinching_bounds(GeodesicSystem(2, Fraction(1), (s,)))[0]
         assert rec.passed
 
     def test_low_initial_index_fails(self):
-        s = PathSeed(3, 1, 0, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
         rec = validate_pinching_bounds(GeodesicSystem(3, Fraction(1), (s,), False))[0]
         assert not rec.initial_index_ok
 
     def test_small_mean_index_fails_strictly(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         rec = validate_pinching_bounds(GeodesicSystem(2, Fraction(1), (s,), False))[0]
         assert rec.initial_index_ok and not rec.mean_index_ok
 
     def test_run_analysis_rejects_failing_system(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         with pytest.raises(ConstraintViolation, match="pinching"):
             run_analysis(GeodesicSystem(2, Fraction(1), (s,)), delta=DELTA)
 
 
 class TestEvenJumpNullity:
     def test_identity_block(self):
-        assert nullity_at_even_jump(PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))) == 2
+        assert nullity_at_even_jump(PathSeed(1, Decomposition([N1Block(1, 0)]))) == 2
 
     def test_rational_rotation(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         assert nullity_at_even_jump(s) == 2
 
     def test_irrational_rotation(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         assert nullity_at_even_jump(s) == 0
 
     def test_matches_direct_evaluation_on_tuples(self):
@@ -72,14 +72,14 @@ class TestEvenJumpNullity:
 
 class TestPeaks:
     def test_single_elliptic_seed_peaks(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         system = GeodesicSystem(2, Fraction(1), (s,))
         t = find_jump_tuples([s], DELTA, 10**5, 1,
                              required_sides=[("low",)])[0]
         assert find_peak_geodesic(system, t) == [0]
 
     def test_hyperbolic_part_blocks_peak(self):
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
         system = GeodesicSystem(3, Fraction(1), (s,), False)
         for t in find_jump_tuples([s], DELTA, 10**5, 3):
             assert find_peak_geodesic(system, t) == []
@@ -99,7 +99,7 @@ class TestPeakConstraints:
         return t, d
 
     def test_irrational_rotation_peak(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         t, d = self._peak_fixture(s)
         rec = derive_peak_constraints(s, d)
         assert all(z.value == 0 for z in rec.zero_set)
@@ -108,8 +108,8 @@ class TestPeakConstraints:
         assert not rec.rational_geodesic_flag
 
     def test_two_irrational_rotations_need_two_near_integers(self):
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN),
-                                             RotationBlock(SQRT2M1)]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN),
+                                       RotationBlock(SQRT2M1)]))
         t, d = self._peak_fixture(s)
         assert d.delta_k == 2
         rec = derive_peak_constraints(s, d)
@@ -117,27 +117,27 @@ class TestPeakConstraints:
         assert rec.elliptic
 
     def test_rational_peak_raises_flag_not_error(self):
-        s = PathSeed(2, 2, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(2, Decomposition([N1Block(1, 0)]))
         t = find_jump_tuples([s], DELTA, 100, 1)[0]
         rec = derive_peak_constraints(s, compute_delta(s, t.m[0], t.delta))
         assert rec.rational_geodesic_flag and rec.irrational_rotation_count == 0
 
     def test_hyperbolic_injection_violates(self):
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
         t = find_jump_tuples([s], DELTA, 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="hyperbolic"):
             derive_peak_constraints(s, d)
 
     def test_negative_shear_injection_violates(self):
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), N1Block(-1, -1)]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(-1, -1)]))
         t = find_jump_tuples([s], DELTA, 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="q_plus"):
             derive_peak_constraints(s, d)
 
     def test_nontrivial_double_rotation_violates(self):
-        s = PathSeed(3, 2, 0, Decomposition([N2Block(GOLDEN, False)]))
+        s = PathSeed(2, Decomposition([N2Block(GOLDEN, False)]))
         t = find_jump_tuples([s], Fraction(1, 50), 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         with pytest.raises(ConstraintViolation, match="nontrivial"):
@@ -158,7 +158,7 @@ class TestSecondGeodesic:
         assert result.peak_values[1] == 2 * t2.N + (system.n - 1)
 
     def test_single_seed_has_no_second(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         system = GeodesicSystem(2, Fraction(1), (s,))
         t = find_jump_tuples([s], DELTA, 10**5, 1, required_sides=[("low",)])[0]
         t2 = find_complementary_tuples([s], t, n_max=10**5)[0]
@@ -200,7 +200,7 @@ class TestRunAnalysis:
         assert d.delta_k + d.delta_k_prime == dc.r - dc.r_prime
 
     def test_single_seed_contradiction(self):
-        s = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
         report = run_analysis(GeodesicSystem(3, Fraction(1), (s,)),
                               delta=DELTA, n_max=10**6)
         assert report.status == "fcg_contradiction"
@@ -212,7 +212,7 @@ class TestRunAnalysis:
         assert report.first_bound_at_second is not None
 
     def test_hyperbolic_system_flags_no_peak(self):
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), HyperbolicBlock()]))
         report = run_analysis(GeodesicSystem(3, Fraction(1), (s,), False),
                               delta=DELTA, n_max=10**5, tuple_limit=3)
         assert report.status == "fcg_contradiction"
@@ -220,7 +220,7 @@ class TestRunAnalysis:
         assert report.tuple_used is None and report.candidates == () and report.first is None
 
     def test_rational_system_flags_rational_branch(self):
-        s = PathSeed(2, 2, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(2, Decomposition([N1Block(1, 0)]))
         report = run_analysis(GeodesicSystem(2, Fraction(1), (s,)),
                               delta=DELTA, n_max=10**4, tuple_limit=2)
         assert report.status == "fcg_contradiction"
@@ -238,8 +238,8 @@ class TestRunAnalysis:
     def test_a_fired_flag_wins_over_a_missing_complement(self):
         # at N = 6050 both seeds peak: seed 0's complement (N = 6347) lies past
         # n_max, and the rational seed 1 raises the rational-geodesic flag
-        rational = PathSeed(3, 3, 2, Decomposition([RotationBlock(rational_angle(1, 3)),
-                                                    N1Block(1, 0)]))
+        rational = PathSeed(3, Decomposition([RotationBlock(rational_angle(1, 3)),
+                                              N1Block(1, 0)]))
         report = run_analysis(GeodesicSystem(3, Fraction(1), (SEED_A, rational)),
                               delta=DELTA, n_max=6300)
         assert report.flag == "rational_peak_geodesic"

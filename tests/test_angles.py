@@ -307,12 +307,17 @@ class TestValueSemantics:
         assert quadratic_angle(-1, 1, 2, 5) != quadratic_angle(3, -1, 2, 5)
 
     @pytest.mark.parametrize("coeffs, value", [
-        ((-1, 1, 2, 5), 0.6180339902639389), ((-1, 1, 1, 2), 0.4142135679721832),
-        ((0, 1, 4, 8), 0.707106776535511), ((-19600, 13860, 1, 2), 0.9998195171356201),
-        ((-8119, 5741, 1, 2), 0.00013241171836853027)])
+        ((-1, 1, 2, 5), 0.6180339887498949), ((-1, 1, 1, 2), 0.41421356237309503),
+        ((0, 1, 4, 8), 0.7071067811865476), ((-19600, 13860, 1, 2), 0.9999744910973764),
+        ((-8119, 5741, 1, 2), 6.158393867517049e-05)])
     def test_quadratic_float_is_the_first_enclosure_midpoint(self, coeffs, value):
-        # sqrt(d) between multiples of 2**-24, clipped to [0, 1]: the last two
-        # enclosures reach past 1 and below 0
+        # the double nearest the value, not the midpoint of the first enclosure
+        # (sqrt(d) between multiples of 2**-24, clipped to [0, 1]), which the
+        # last two reach past 1 and below 0
+        a, b, c, d = coeffs
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert float((a + b * Decimal(d).sqrt()) / c) == value
         assert float(quadratic_angle(*coeffs)) == value
 
     def test_reprs(self):
@@ -354,12 +359,13 @@ class TestValueSemantics:
 
     @pytest.mark.parametrize("x, value, text", [
         (rational_angle(1, 3), 0.3333333333333333, "RationalAngle(1/3)"),
-        (quadratic_angle(*GOLDEN), 0.6180339902639389, "QuadraticAngle((-1+1*sqrt(5))/2)"),
+        (quadratic_angle(*GOLDEN), 0.6180339887498949, "QuadraticAngle((-1+1*sqrt(5))/2)"),
         (decimal_angle("0.6180339887", "1e-6"), 0.6180339887, "IrrationalAngle(~0.6180339887)"),
         (decimal_angle("0.99", "0.05"), 0.97, "IrrationalAngle(~0.9700000000)")],
         ids=["rational", "quadratic", "decimal", "clipped_decimal"])
     def test_float_and_repr_per_kind(self, x, value, text):
-        # the midpoint of the first enclosure; the clipped decimal's is [0.94, 1]
+        # the nearest double, or a decimal's stated-enclosure midpoint; the
+        # clipped decimal's enclosure is [0.94, 1]
         assert float(x) == value
         assert repr(x) == text
 
@@ -399,7 +405,7 @@ class TestRefusalNamesTheQuery:
     def test_mean_index(self):
         # a quadratic mean index is exact: closed form at any width
         golden = quadratic_angle(*GOLDEN)
-        mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(golden)])))
+        mi = mean_index(PathSeed(1, Decomposition([RotationBlock(golden)])))
         lo, hi = mi.enclosure(Fraction(1, 10**100))
         assert hi - lo <= Fraction(1, 10**100)
         with localcontext() as ctx:
@@ -408,7 +414,7 @@ class TestRefusalNamesTheQuery:
         assert lo < value < hi
         # a decimal angle's mean index reads its one stated enclosure
         x = decimal_angle("0.41421356237", "1e-11")
-        mi = mean_index(PathSeed(2, 1, 0, Decomposition([RotationBlock(x)])))
+        mi = mean_index(PathSeed(1, Decomposition([RotationBlock(x)])))
         with pytest.raises(UndecidableComparison) as exc:
             mi.enclosure(Fraction(1, 10**100))
         assert str(exc.value) == f"mean index enclosure of width 1/{10**100} undecided"
@@ -461,7 +467,7 @@ class TestHistoryIndependence:
     @staticmethod
     def check_mean_index_shared(angle):
         def seed():
-            return PathSeed(2, 1, 0, Decomposition([RotationBlock(angle())]))
+            return PathSeed(1, Decomposition([RotationBlock(angle())]))
 
         def answers(queries):
             out = []

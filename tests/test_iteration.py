@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
-                     IrrationalAngle, IterationRow, N1Block, N2Block, NoTupleFound, PathSeed,
-                     RotationBlock, UndecidableComparison, bott_gap,
+                     IrrationalAngle, IterationRow, MeanIndex, N1Block, N2Block, NoTupleFound,
+                     PathSeed, RotationBlock, ScenarioError, UndecidableComparison, bott_gap,
                      complement_angle, decimal_angle, elliptic_height,
                      find_jump_tuples, index_iterate, iteration_rows,
-                     mean_index, nullity_iterate, quadratic_angle,
+                     mean_index, nullity_iterate, parse_scenario, quadratic_angle,
                      rational_angle, realize, splitting_numbers)
 from symjump.angles import QuadraticAngle
 from symjump.jumps import _last_step
@@ -60,34 +60,34 @@ def analytic_kernel_dim(decomp: Decomposition, m: int) -> int:
 
 class TestExamples:
     def test_m1_reproduces_initial_data(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         assert index_iterate(s, 1) == 1
         assert nullity_iterate(s, 1) == 0
 
     def test_golden_rotation_m2(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         assert index_iterate(s, 2) == 3
 
     def test_identity_block_m5(self):
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         assert index_iterate(s, 5) == 9
         assert nullity_iterate(s, 11) == 2
 
     def test_third_rotation_nullity(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         assert nullity_iterate(s, 3) == 2
 
     def test_minus_identity_nullity(self):
-        s = PathSeed(2, 0, 0, Decomposition([N1Block(-1, 0)]))
+        s = PathSeed(0, Decomposition([N1Block(-1, 0)]))
         assert nullity_iterate(s, 2) == 2
         assert nullity_iterate(s, 3) == 0
 
     def test_mean_index_examples(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         assert mean_index(s).exact() == Fraction(2, 3)
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         assert mean_index(s).exact() == 2
-        s = PathSeed(2, 5, 0, Decomposition([HyperbolicBlock()]))
+        s = PathSeed(5, Decomposition([HyperbolicBlock()]))
         assert mean_index(s).exact() == 5
 
     @pytest.mark.parametrize("i1,others,mean", [
@@ -102,7 +102,7 @@ class TestExamples:
     def test_mean_index_of_conjugate_quadratic_rotations(self, i1, others, mean):
         x = quadratic_angle(-1, 1, 1, 2)
         blocks = [RotationBlock(x)] + [RotationBlock(quadratic_angle(*o)) for o in others]
-        s = PathSeed(len(blocks) + 1, i1, 0, Decomposition(blocks))
+        s = PathSeed(i1, Decomposition(blocks))
         mi = mean_index(s)
         assert mi.is_exact == (mean is not None)
         if mean is not None:
@@ -113,58 +113,67 @@ class TestExamples:
                 assert abs(index_iterate(s, m) - mean * m) <= bound
 
     def test_mean_index_equality_ignores_the_memo(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         used = mean_index(s)
         used.floor_quotient(10**300, 1)
         assert used == mean_index(s)
-        assert used != mean_index(PathSeed(2, 2, 0, Decomposition([RotationBlock(GOLDEN)])))
+        assert used != mean_index(PathSeed(2, Decomposition([RotationBlock(GOLDEN)])))
 
     def test_negative_irrational_mean_index_is_refused_at_once(self):
         # 0 - 1 + 2(sqrt(2) - 1) < 0
-        s = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2))]))
+        s = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2))]))
         mi = mean_index(s)
         # the exact form certifies the sign: no angle is read
         with no_angle_read(), pytest.raises(ValueError, match="mean index must be positive"):
             mi.floor_quotient(5, 1)
 
     def test_bott_gap_examples(self):
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         assert bott_gap(s, 1) == 0
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))
+        s = PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))
         for m in range(1, 1001):
             assert bott_gap(s, m) >= 0
-        s = PathSeed(3, 2, 0, Decomposition([RotationBlock(rational_angle(1, 4)),
-                                             HyperbolicBlock()]))
+        s = PathSeed(2, Decomposition([RotationBlock(rational_angle(1, 4)),
+                                       HyperbolicBlock()]))
         assert bott_gap(s, 4) >= 2 - elliptic_height(s.decomp) // 2
 
     def test_rows_are_lazy_and_consistent(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         rows = iteration_rows(s, 10**9)  # must not evaluate eagerly
         first = next(rows)
         assert first == IterationRow(1, 1, 0)
 
     def test_rejects_nonpositive_iterate(self):
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         with pytest.raises(ValueError):
             index_iterate(s, 0)
 
 
 class TestSeedValidation:
     def test_nullity_census_mismatch(self):
-        with pytest.raises(ValueError, match="kernel"):
-            PathSeed(2, 1, 1, Decomposition([N1Block(1, 0)]))
+        # nu1 is derived; a scenario that states another one is refused
+        doc = ('{"version": 1, "system": {"n": 2}, '
+               '"seeds": [{"i1": 1, "nu1": 1, "blocks": [{"n1": [1, 0]}]}]}')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == ("seeds[0]: initial nullity must equal the 1-eigenvalue "
+                                  "kernel of the endpoint: expected 2, got 1")
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            PathSeed(3, 1, 2, Decomposition([N1Block(1, 0)]))
+        # n and nu1 are derived from the endpoint, so no call can state others
+        d = Decomposition([N1Block(1, 0), N1Block(1, -1), N2Block(GOLDEN, True)])
+        s = PathSeed(1, d)
+        assert (s.n, s.nu1) == (d.n, d.p_minus + 2 * d.p_zero + d.p_plus) == (5, 3)
+        with pytest.raises(TypeError):
+            PathSeed(5, 1, 3, d)
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
-            PathSeed(1, 0, 0, Decomposition([]))
+            PathSeed(0, Decomposition([]))
 
     def test_nullity_range_check_is_a_raise(self):
         # an explicit raise, not an assert, so `python -O` keeps the check
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         object.__setattr__(s, "nu1", 7)  # a seed that bypassed validation
         with pytest.raises(ConstraintViolation, match=r"nullity of iterate m=1 is 7"):
             nullity_iterate(s, 1)
@@ -293,7 +302,7 @@ def quadratic_seeds(draw, fields: int):
         a, b, c, d = angles[0]
         angles.append((2 * (c - a), -b, 2 * c, 4 * d))
     i1 = len(angles) + draw(st.integers(0, 3))
-    seed = PathSeed(len(angles) + 1, i1, 0, Decomposition(
+    seed = PathSeed(i1, Decomposition(
         [RotationBlock(quadratic_angle(*x)) for x in angles]))
     with localcontext() as ctx:
         ctx.prec = 400
@@ -366,7 +375,7 @@ class TestSurdKernel:
             (a1, *x1), (a2, *x2) = (
                 (1 + (-isqrt(b * b * d) - 1 if b > 0 else isqrt(b * b * d)), b, 2, d)
                 for b, d in ((b1, 2), (b2, 3)))
-            seed = PathSeed(3, 2, 0, Decomposition([
+            seed = PathSeed(2, Decomposition([
                 RotationBlock(quadratic_angle(a1, *x1)),
                 RotationBlock(quadratic_angle(a2, *x2))]))
             assert mean_index(seed).cmp(a1 + a2 - a0) == (1 if sign * value > 0 else -1)
@@ -383,7 +392,7 @@ class TestSurdKernel:
 
         monkeypatch.setattr(iteration, "isqrt", bounded_isqrt)
         radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31, 33)
-        seed = PathSeed(21, 20, 0, Decomposition(
+        seed = PathSeed(20, Decomposition(
             [RotationBlock(quadratic_angle(-isqrt(d), 1, 1, d)) for d in radicands]))
         mi = mean_index(seed)
         assert len(mi.surd[2]) == 20
@@ -399,6 +408,37 @@ class TestSurdKernel:
             assert mi.floor_quotient(10**40, 7) == _decimal_floor(Decimal(10**40) / (7 * value))
             with pytest.raises(NoTupleFound):
                 find_jump_tuples([seed], Fraction(1, 3), 200)
+
+
+class TestMeanIndexIsAValue:
+    """A MeanIndex is frozen, and refuses a surd that breaks the terms of
+    its exact part: a rational value there made cmp and floor_quotient
+    read ever more bits without end."""
+
+    @pytest.mark.parametrize("surd, message", [
+        ((1, 3, ((0, 2),)), "mean index term 0*sqrt(2) has a zero coefficient"),
+        ((1, 1, ((1, 2), (-1, 2))),
+         "mean index terms 1*sqrt(2) and -1*sqrt(2) share a square class"),
+        ((1, 1, ((1, 2), (3, 8))),
+         "mean index terms 1*sqrt(2) and 3*sqrt(8) share a square class"),
+        ((1, 1, ((1, 4),)), "mean index term 1*sqrt(4): sqrt(4) is not irrational"),
+        ((1, 1, ((1, 1),)), "mean index term 1*sqrt(1): sqrt(1) is not irrational"),
+        ((0, 1, ()), "mean index scale L must be >= 1, got 0"),
+    ], ids=["zero_coefficient", "cancelling_terms", "one_square_class", "square",
+            "one", "zero_scale"])
+    def test_a_malformed_surd_is_refused(self, surd, message):
+        # the first two hung in cmp(3) and floor_quotient(5, 1) when accepted
+        with pytest.raises(ValueError) as exc:
+            MeanIndex(surd, ())
+        assert str(exc.value) == message
+
+    def test_a_shared_mean_index_cannot_be_changed(self):
+        s = PathSeed(2, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2)),
+                                       N1Block(1, 0)]))
+        assert s.mean.floor_quotient(100, 1) == 35
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.mean.surd = (1, 5, ())
+        assert s.mean.floor_quotient(100, 1) == 35
 
 
 def _pell(digits: int) -> tuple[int, int]:
@@ -444,7 +484,7 @@ class TestMeanNearARational:
 
         p, b = _pell(digits)
         w = (2 * p).bit_length()
-        mi = mean_index(PathSeed(2, 1, 0, Decomposition(
+        mi = mean_index(PathSeed(1, Decomposition(
             [RotationBlock(quadratic_angle(-p, b, 2, 2))])))
         assert mi.surd == (1, -p, ((b, 2),))
         below, above = Fraction(1, 2 * p + 1), Fraction(1, 2 * p)
@@ -490,8 +530,7 @@ def mixed_seeds(draw):
             angles.append(decimal_angle(str(value), f"1e-{e}"))
         values.append(Fraction(value))
     i1 = draw(st.integers(-1, 6))
-    seed = PathSeed(len(angles) + 1, i1, 0,
-                    Decomposition([RotationBlock(x) for x in angles]))
+    seed = PathSeed(i1, Decomposition([RotationBlock(x) for x in angles]))
     return seed, i1 - len(angles) + 2 * sum(values)
 
 
@@ -574,14 +613,14 @@ class TestOneExactPart:
 
 def test_undecidable_names_offending_iterate():
     coarse = decimal_angle("0.4142135623", "1e-8")
-    s = PathSeed(2, 1, 0, Decomposition([RotationBlock(coarse)]))
+    s = PathSeed(1, Decomposition([RotationBlock(coarse)]))
     with pytest.raises(UndecidableComparison, match="m=10000000000"):
         index_iterate(s, 10**10)
 
 
 def test_parallel_rows_independent_of_partition():
     import concurrent.futures
-    s = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+    s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
     sequential = [(r.m, r.index, r.nullity) for r in iteration_rows(s, 400)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         rows = list(pool.map(
@@ -619,7 +658,7 @@ def every_kind_seeds(draw, decimal: bool = True):
                       st.builds(RotationBlock, angle),
                       st.builds(N2Block, angle, st.booleans()))
     d = Decomposition(draw(st.lists(block, min_size=1, max_size=6)))
-    return PathSeed(d.n, draw(st.integers(-5, 10)), nu_of(d), d)
+    return PathSeed(draw(st.integers(-5, 10)), d)
 
 
 def restated_index(seed: PathSeed, m: int) -> int:
@@ -679,7 +718,7 @@ class TestDerivedConstants:
 
     def test_decimal_angle_refusal_text_is_unchanged(self):
         x = decimal_angle("0.6180339887", "1e-7")
-        s = PathSeed(3, 2, 2, Decomposition([RotationBlock(x), N1Block(1, 0)]))
+        s = PathSeed(2, Decomposition([RotationBlock(x), N1Block(1, 0)]))
         refusal = ("index of iterate m={}: floor({} * IrrationalAngle(~0.6180339887)) "
                    "undecided")
         with pytest.raises(UndecidableComparison) as exc:
@@ -692,20 +731,20 @@ class TestDerivedConstants:
 
     def test_equality_hash_and_repr_ignore_the_derived_fields(self):
         def build():
-            return PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+            return PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
 
         a, b = build(), build()
         assert a.mean is not b.mean
         a.mean.floor_quotient(10**300, 1)
-        assert a == b and hash(a) == hash(b) == hash((a.n, a.i1, a.nu1, a.decomp))
-        assert repr(a) == f"PathSeed(n=3, i1=2, nu1=2, decomp={a.decomp!r})"
-        assert [f.name for f in dataclasses.fields(a) if f.compare] == ["n", "i1", "nu1", "decomp"]
+        assert a == b and hash(a) == hash(b) == hash((a.i1, a.decomp))
+        assert repr(a) == f"PathSeed(i1=2, decomp={a.decomp!r})"
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == ["i1", "decomp"]
         assert mean_index(a) is a.mean
 
     def test_replace_derives_the_fields_afresh(self):
-        s = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+        s = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
         t = dataclasses.replace(s, i1=4)
-        fresh = PathSeed(3, 4, 2, s.decomp)
+        fresh = PathSeed(4, s.decomp)
         assert t == fresh and t.mean == fresh.mean != s.mean
         for m in (1, 2, 7, 10**40):
             assert index_iterate(t, m) == index_iterate(fresh, m) == index_iterate(s, m) + 2 * m

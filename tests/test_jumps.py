@@ -39,23 +39,23 @@ SRC = str(ROOT / "src")
 GOLDEN = quadratic_angle(-1, 1, 2, 5)
 SQRT2M1 = quadratic_angle(-1, 1, 1, 2)
 
-SEED_R3 = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
-SEED_R4 = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 4))]))
-SEED_I2 = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
-SEED_IRR_A = PathSeed(3, 2, 2, Decomposition([RotationBlock(SQRT2M1), N1Block(1, 0)]))
-SEED_IRR_B = PathSeed(3, 2, 2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
+SEED_R3 = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
+SEED_R4 = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 4))]))
+SEED_I2 = PathSeed(1, Decomposition([N1Block(1, 0)]))
+SEED_IRR_A = PathSeed(2, Decomposition([RotationBlock(SQRT2M1), N1Block(1, 0)]))
+SEED_IRR_B = PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)]))
 # a quadratic N2 angle beside a rational rotation: the lattice period M is 3
-SEED_N2_R3 = PathSeed(4, 2, 0, Decomposition([N2Block(GOLDEN, False),
-                                              RotationBlock(rational_angle(1, 3))]))
+SEED_N2_R3 = PathSeed(2, Decomposition([N2Block(GOLDEN, False),
+                                        RotationBlock(rational_angle(1, 3))]))
 # a quadratic pilot beside a decimal angle that some lattice steps
 # cannot decide
 COARSE = decimal_angle("0.6180339887", "1e-7")
-SEED_PILOT_COARSE = PathSeed(4, 2, 2, Decomposition([RotationBlock(SQRT2M1),
-                                                     RotationBlock(COARSE),
-                                                     N1Block(1, 0)]))
+SEED_PILOT_COARSE = PathSeed(2, Decomposition([RotationBlock(SQRT2M1),
+                                               RotationBlock(COARSE),
+                                               N1Block(1, 0)]))
 # no quadratic angle to pilot on and not rational-only: the scan walks
 # every lattice step (M = 3)
-SEED_DECIMAL_R3 = PathSeed(4, 3, 2, Decomposition([
+SEED_DECIMAL_R3 = PathSeed(3, Decomposition([
     RotationBlock(decimal_angle("0.41421356237", "1e-11")),
     RotationBlock(rational_angle(1, 3)), N1Block(1, 0)]))
 
@@ -128,14 +128,14 @@ class TestAnglePeriod:
         assert angle_period([SEED_R3, SEED_R4]) == 6
 
     def test_no_rational_angles(self):
-        assert angle_period([PathSeed(2, 1, 0, Decomposition([RotationBlock(GOLDEN)]))]) == 1
+        assert angle_period([PathSeed(1, Decomposition([RotationBlock(GOLDEN)]))]) == 1
 
     def test_single_sixth(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 6))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 6))]))
         assert angle_period([s]) == 3
 
     def test_counts_n2_angles(self):
-        s = PathSeed(3, 1, 0, Decomposition([N2Block(rational_angle(1, 5), True)]))
+        s = PathSeed(1, Decomposition([N2Block(rational_angle(1, 5), True)]))
         assert angle_period([s]) == 5
 
     def test_empty_rejected(self):
@@ -209,6 +209,31 @@ class TestVerification:
         t = find_jump_tuples([SEED_I2], Fraction(1, 100), 100, 1)[0]
         with pytest.raises(ValueError, match="empty"):
             verify_tuple(t, [])
+
+    def test_a_candidate_can_fail_at_its_record(self, monkeypatch):
+        # on S^2 with i1 = 2 and a rotation by sqrt(3) - 1, at delta = 1/3, the
+        # iterate m = 5 of N = 13 passes the index-after-jump and side checks
+        # ("low"), and its record then fails two conditions
+        seeds = [PathSeed(2, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))]
+        delta = Fraction(1, 3)
+        records, path_record = [], jumps._path_record
+
+        def recorded(*args):
+            records.append(path_record(*args))
+            return records[-1]
+
+        monkeypatch.setattr(jumps, "_path_record", recorded)
+        assert jump_tuples_at(seeds, 13, delta) == []
+        [record] = records
+        assert [side.side for side in record.angle_sides] == ["low"]
+        assert [(c.name, c.lhs, c.rhs) for c in record.conditions if not c.passed] == [
+            ("index_nullity_before_jump", 22, 24), ("even_index_splitting_identity", 25, 27)]
+        by_hand = JumpTuple(13, (5,), (0,), 1, delta, ())
+        [path] = verify_tuple(by_hand, seeds).per_path
+        assert [c.name for c in path.conditions if not c.passed] == [
+            "index_nullity_before_jump", "even_index_splitting_identity"]
+        found = [t.N for t in find_jump_tuples(seeds, delta, 200, 50)]
+        assert found[:4] == [5, 10, 15, 17] and 13 not in found
 
     def test_condition_records_reevaluate_as_stored(self):
         t = find_jump_tuples([SEED_IRR_A, SEED_IRR_B], Fraction(1, 100), 10**6, 1)[0]
@@ -295,7 +320,7 @@ class TestComputeDelta:
         assert d.delta_k + d.delta_k_prime == 1
 
     def test_nontrivial_double_rotation_counts(self):
-        s = PathSeed(3, 2, 0, Decomposition([N2Block(GOLDEN, False)]))
+        s = PathSeed(2, Decomposition([N2Block(GOLDEN, False)]))
         t = find_jump_tuples([s], Fraction(1, 50), 10**5, 1)[0]
         d = compute_delta(s, t.m[0], t.delta)
         assert d.delta_k == 1  # exactly one of the conjugate pair is near-integer
@@ -324,7 +349,7 @@ class TestScanControls:
             find_jump_tuples([SEED_R3], Fraction(1, 100), 1, 1)
 
     def test_mean_index_precondition(self):
-        s = PathSeed(2, 0, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(0, Decomposition([RotationBlock(rational_angle(1, 3))]))
         assert mean_index(s).exact() < 0
         with pytest.raises(ValueError, match="positive"):
             find_jump_tuples([s], Fraction(1, 100), 100, 1)
@@ -380,7 +405,7 @@ class TestScanControls:
         # mean index ~1e-16: its enclosure of width 1e-6 reaches below 0, and
         # the step bound needs a positive lower bound
         x = quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2)
-        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(x)]))
+        seed = PathSeed(0, Decomposition([RotationBlock(x)]))
 
         class Stop(Exception):
             pass
@@ -399,7 +424,7 @@ class TestScanControls:
                 "from symjump import (Decomposition, N1Block, NoTupleFound, PathSeed,\n"
                 "                     RotationBlock, find_jump_tuples, quadratic_angle)\n"
                 "x = quadratic_angle(-1, 1, 1, 2)\n"
-                "seed = PathSeed(3, 2, 2, Decomposition([RotationBlock(x), N1Block(1, 0)]))\n"
+                "seed = PathSeed(2, Decomposition([RotationBlock(x), N1Block(1, 0)]))\n"
                 "try:\n"
                 "    find_jump_tuples([seed], Fraction(1, 10**900), 2000, 1)\n"
                 "except NoTupleFound:\n"
@@ -520,7 +545,7 @@ class TestScanStops:
         assert calls == [2048 * M]
         # a rotation by 2/3 with i1 = 0 has N = j at step j, and the slack of
         # last_step(2) takes in step 3, which is visited but no longer asked
-        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(rational_angle(2, 3))]))
+        seed = PathSeed(0, Decomposition([RotationBlock(rational_angle(2, 3))]))
         asked.clear()
         assert jumps._last_step(seed, 3, 2) == 3
         assert [t.N for t in find_jump_tuples([seed], Fraction(1, 100), 2000, 2)] == [1, 2]
@@ -714,7 +739,7 @@ class TestRationalProgression:
                 "def refused(*args):\n"
                 "    raise AssertionError('asked')\n"
                 "jumps.index_iterate = jumps._tuples_at = refused\n"
-                "seeds = [PathSeed(2, i1, 1, Decomposition([N1Block(1, -1)]))\n"
+                "seeds = [PathSeed(i1, Decomposition([N1Block(1, -1)]))\n"
                 "         for i1 in (1, 10**15 + 1)]\n"
                 "try:\n"
                 "    jumps.find_jump_tuples(seeds, Fraction(1, 100), 10**15, 1)\n"
@@ -767,7 +792,7 @@ class TestNWalk:
 
     # x = sqrt(10**16 + 2)/(2*10**8) ~ 1/2 + 5e-17 in the one rotation block
     # of a seed with i1 = 0: mean index ~1e-16, about 10**19 lattice steps
-    TINY = PathSeed(2, 0, 0, Decomposition([RotationBlock(
+    TINY = PathSeed(0, Decomposition([RotationBlock(
         quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2))]))
 
     def test_tiny_mean_index_walks_n(self):
@@ -783,7 +808,7 @@ class TestNWalk:
         # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
         # n_max = 10**4, but only 431 near returns at delta = 1/100, enumerated
         # once: counted against n_max and then walked
-        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
+        seed = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
         asked, deltas = [], []
         tuples_at, walk = jumps._tuples_at, jumps.near_returns
 
@@ -814,7 +839,7 @@ class TestNWalk:
         # ~0.0041): 242,145 lattice steps for n_max = 1000, estimated at
         # 2*delta*last ~ 484 near returns, but every one is a near return of
         # TINY's angle, so the estimate is checked and the N-walk taken
-        seed = PathSeed(3, 0, 0, Decomposition([
+        seed = PathSeed(0, Decomposition([
             RotationBlock(quadratic_angle(0, 1, 2 * 10**8, 10**16 + 2)),
             RotationBlock(quadratic_angle(99, 1, 200, 2))]))
         asked, iterates = [], []
@@ -873,7 +898,7 @@ class TestNWalk:
 
     def test_tiny_mean_index_ties_at_the_limit(self):
         # N = 1 holds two tuples (chi = 0 and 1): a limit of 1 keeps the first
-        seed = PathSeed(2, 0, 0, Decomposition([RotationBlock(quadratic_angle(0, 1, 20, 102))]))
+        seed = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(0, 1, 20, 102))]))
         assert jumps._last_step(seed, 1, 40) > 40
         for limit in range(1, 5):
             by_n, by_step, _ = _both_walks([seed], Fraction(1, 10), 40, limit)

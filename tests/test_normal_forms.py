@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symjump import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block, PathSeed,
-                     RotationBlock, UndecidableComparison, c_total, classify,
+from symjump import (Decomposition, GeodesicSystem, HyperbolicBlock, Matrix, N1Block,
+                     N2Block, PathSeed, RotationBlock, UndecidableComparison, c_total, classify,
                      complement_angle, decimal_angle, diamond_sum, elliptic_height,
                      emit_report, quadratic_angle, rational_angle, realize,
                      splitting_numbers, splitting_plus_at_one, symplectic_form)
@@ -245,8 +245,9 @@ class TestCensus:
 
     def test_census_constraint_enforced(self):
         # the blocks fill one unit, n - 1 = 2
-        with pytest.raises(ValueError, match="fills 1 units but n - 1 = 2"):
-            PathSeed(3, 2, 2, Decomposition([N1Block(1, 0)]))
+        with pytest.raises(ValueError) as exc:
+            GeodesicSystem(3, 1, (PathSeed(2, Decomposition([N1Block(1, 0)])),))
+        assert str(exc.value) == "census violation: seed 0 fills 1 units but n - 1 = 2"
 
     def test_rational_first_angle_ordering(self):
         d = Decomposition([RotationBlock(GOLDEN), RotationBlock(rational_angle(1, 3))])

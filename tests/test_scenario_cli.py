@@ -174,32 +174,32 @@ class TestParsing:
 
 class TestMachineRoundTrips:
     def test_iteration_table(self):
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         rows = list(iteration_rows(s, 12))
         assert parse_report(emit_report(rows, "machine")) == rows
 
     def test_mean_index_exact(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         out = parse_report(emit_report(mean_index(s), "machine"))
         assert out == Fraction(2, 3)
 
     def test_mean_index_enclosure(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 2, 5))]))
+        s = PathSeed(1, Decomposition([RotationBlock(quadratic_angle(-1, 1, 2, 5))]))
         emitted = emit_report(mean_index(s), "machine")
-        enc = parse_report(emitted)
+        lo, hi = parse_report(emitted)
         # mean index = 2 * golden ratio conjugate = sqrt(5) - 1 = 1.2360679...
-        assert enc.lo <= Fraction("1.2360679774997896") <= enc.hi
+        assert lo <= Fraction("1.2360679774997896") <= hi
         assert emit_report_roundtrip_stable(emitted)
 
     def test_jump_tuples(self):
-        s = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+        s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
         tuples = find_jump_tuples([s], Fraction(1, 100), 100, 2)
         again = parse_report(emit_report(tuples, "machine"))
         assert again == tuples
         assert verify_tuple(again[0], [s]).passed
 
     def test_verification(self):
-        s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         t = find_jump_tuples([s], Fraction(1, 100), 100, 1)[0]
         v = verify_tuple(t, [s])
         assert parse_report(emit_report(v, "machine")) == v
@@ -225,10 +225,11 @@ class TestMachineRoundTrips:
 
 def emit_report_roundtrip_stable(emitted: bytes) -> bool:
     """emit(parse(emit(x))) == emit(x) for enclosure-bearing output."""
-    obj = parse_report(emitted)
-    from symjump.scenario import enclosure_json
+    lo, hi = parse_report(emitted)
+    from symjump.scenario import _decimal_str
     doc = json.loads(emitted)
-    return doc["enclosure"] == enclosure_json(obj)
+    return doc["enclosure"] == {"approx": _decimal_str((lo + hi) / 2),
+                                "error": _decimal_str((hi - lo) / 2)}
 
 
 class TestCli:
@@ -665,8 +666,8 @@ def _emitted_reports() -> list:
     of a small rational system."""
     docs = [json.loads(line) for f in sorted(WIRE.glob("*.out"))
             for line in f.read_bytes().splitlines()]
-    s = PathSeed(2, 1, 2, Decomposition([N1Block(1, 0)]))
-    rotation = PathSeed(2, 1, 0, Decomposition([RotationBlock(rational_angle(1, 3))]))
+    s = PathSeed(1, Decomposition([N1Block(1, 0)]))
+    rotation = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
     tuples = find_jump_tuples([s], Fraction(1, 100), 100, 2)
     report = run_analysis(GeodesicSystem(2, Fraction(1), (s,)), delta=Fraction(1, 100),
                           n_max=1000)
@@ -928,6 +929,30 @@ class TestCliFuzz:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
+        assert (code, out, err) == (1, b"", f"error: {message}\n")
+
+    def test_verify_refuses_an_empty_tuple_report(self, tmp_path):
+        # an empty report would check nothing and print nothing, and exit 0
+        path = tmp_path / "empty.json"
+        path.write_text('{"tuples":[],"type":"jump_tuples"}')
+        code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
+        assert (code, out, err) == (1, b"", "error: tuples: expected at least one tuple, "
+                                            "got none\n")
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["seeds"][1].update(nu1=1),
+         "seeds[1]: initial nullity must equal the 1-eigenvalue kernel of the endpoint: "
+         "expected 2, got 1"),
+        (lambda d: d["seeds"][0].update(blocks=[]),
+         "seeds[0]: manifold dimension must be >= 2, got 1"),
+        (lambda d: d["system"].update(n=4),
+         "scenario: census violation: seed 0 fills 2 units but n - 1 = 3"),
+    ], ids=["nullity", "dimension", "census"])
+    def test_a_seed_that_does_not_fit_prints_one_line(self, tmp_path, mutate, message):
+        doc = copy.deepcopy(SHIPPED_DOC)
+        mutate(doc)
+        path = write_scenario(tmp_path, doc)
+        code, out, err = _in_process(["mean-index", "--seed", path])
         assert (code, out, err) == (1, b"", f"error: {message}\n")
 
 

@@ -1,14 +1,18 @@
 """Leftovers in the library source, found with the standard ``ast`` module:
 an imported name a module never uses, a private function or method that
 nothing in the package refers to, a parameter its function never reads,
-and a public signature that takes ``*args`` or ``**kwargs``."""
+and a public signature that takes ``*args`` or ``**kwargs``; and an
+exported class that is not a frozen value."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+import symjump
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symjump"
 MODULES = sorted(SRC.glob("*.py"))
@@ -166,3 +170,22 @@ def test_every_angle_kind_is_a_dataclass_sharing_the_irrational_queries():
         assert not methods & {"__init__", "__setattr__"}, kind.name
         if kind.name != "RationalAngle":
             assert not methods & {"ceil_mul", "varphi_mul", "__float__"}, kind.name
+
+
+# Decomposition stays a plain class.  Frozen, it would set each of its 19
+# attributes through object.__setattr__: about 3 us against 1 us per
+# construction (CPython 3.11, 2-vCPU VM), paid once per seed of every parsed
+# scenario.  Filling its instance dict through vars(self).update instead
+# made index_iterate about 5% slower: that dict loses CPython's attribute
+# specialisation.
+NOT_FROZEN = {symjump.ExactAngle,     # the angle kinds' base, with no fields
+              symjump.Matrix,         # a tuple of rows
+              symjump.Decomposition}
+
+
+def test_every_exported_class_is_a_frozen_dataclass():
+    # a value shared between seeds, reports and queries cannot be changed under them
+    classes = [obj for obj in map(symjump.__dict__.get, symjump.__all__)
+               if isinstance(obj, type) and not issubclass(obj, Exception)]
+    assert [cls.__name__ for cls in classes if cls not in NOT_FROZEN and not (
+        dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)] == []
