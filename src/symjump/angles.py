@@ -34,11 +34,12 @@ class ExactAngle:
     """Base class for angle ratios; see :class:`RationalAngle`,
     :class:`QuadraticAngle` and :class:`IrrationalAngle`.
 
-    ``ceil_mul`` and ``varphi_mul`` are written here for an irrational
-    x, whose multiples m*x are never integers, and only
-    :class:`RationalAngle` overrides them.  ``float`` of every kind is the
-    midpoint of an ``enclosure`` narrowed to 2**-64 of that midpoint, or
-    of a stated enclosure, which does not narrow.
+    The public queries check their operands, then call unchecked kernels;
+    ``_ceil`` and ``_varphi`` are written here for an irrational x, whose
+    multiples m*x are never integers, and only :class:`RationalAngle`
+    overrides them.  ``float`` of every kind is the midpoint of an
+    ``enclosure`` narrowed to 2**-64 of that midpoint, or of a stated
+    enclosure, which does not narrow.
     """
 
     __slots__ = ()
@@ -50,12 +51,13 @@ class ExactAngle:
 
     def ceil_mul(self, m: int) -> int:
         """Certified min{k in Z : k >= m*x}."""
-        return self.floor_mul(m) + 1
+        _check_multiplier(m)
+        return self._ceil(m)
 
     def varphi_mul(self, m: int) -> int:
         """0 if m*x is an integer, 1 otherwise."""
         _check_multiplier(m)
-        return 1
+        return self._varphi(m)
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         """Certified rational bounds lo <= x <= hi: the value itself when
@@ -69,7 +71,16 @@ class ExactAngle:
         Returns ``"zero"`` ({m*x} = 0, rational only), ``"low"``
         (0 < {m*x} < delta), ``"high"`` ({m*x} > 1 - delta) or ``"mid"``.
         """
-        raise NotImplementedError
+        _check_multiplier(m)
+        return self._side(m, *_check_delta(delta).as_integer_ratio())
+
+    # kernels, unchecked: m is a positive integer, delta = p/q in lowest terms
+
+    def _ceil(self, m: int) -> int:
+        return self._floor(m) + 1
+
+    def _varphi(self, m: int) -> int:
+        return 1
 
     def __float__(self):
         # mid within mid/2**64 of the value: the double nearest mid is within
@@ -105,20 +116,21 @@ class RationalAngle(ExactAngle):
         _check_multiplier(m)
         return (m * self.value.numerator) // self.value.denominator
 
-    def ceil_mul(self, m: int) -> int:
-        _check_multiplier(m)
+    def _ceil(self, m: int) -> int:
         return -((-m * self.value.numerator) // self.value.denominator)
 
-    def varphi_mul(self, m: int) -> int:
-        _check_multiplier(m)
+    def _varphi(self, m: int) -> int:
         return 0 if (m * self.value.numerator) % self.value.denominator == 0 else 1
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         return self.value, self.value
 
     def frac_side(self, m: int, delta: Fraction) -> str:
-        p, q = _check_delta(delta).as_integer_ratio()
+        p, q = _check_delta(delta).as_integer_ratio()  # a rational names a bad delta first
         _check_multiplier(m)
+        return self._side(m, p, q)
+
+    def _side(self, m: int, p: int, q: int) -> str:
         num, den = self.value.as_integer_ratio()
         r = (m * num) % den  # {m*x} = r/den, compared in integers
         if r == 0:
@@ -168,14 +180,16 @@ class IrrationalAngle(ExactAngle):
 
     def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
+        return self._floor(m)
+
+    def _floor(self, m: int) -> int:
         f = self._fixed_floor(m)
         if f is None:
             raise _undecided(f"floor({m} * {self!r})")
         return f
 
-    def frac_side(self, m: int, delta: Fraction) -> str:
-        _check_multiplier(m)
-        delta = _check_delta(delta)
+    def _side(self, m: int, p: int, q: int) -> str:
+        delta = Fraction(p, q)
         f = self._fixed_floor(m)
         if f is not None:
             lo, hi = m * self.lo - f, m * self.hi - f  # bounds on {m*x}
@@ -218,7 +232,7 @@ class QuadraticAngle(ExactAngle):
             raise ValueError(f"sqrt({d}) is not irrational")
         if c < 1 or gcd(a, b, c) != 1:
             raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} needs c > 0 and gcd(a, b, c) = 1")
-        if self.floor_mul(1) != 0:  # x is irrational: 0 < x < 1 exactly when floor(x) = 0
+        if self._floor(1) != 0:  # x is irrational: 0 < x < 1 exactly when floor(x) = 0
             raise ValueError(f"({a}{b:+}*sqrt({d}))/{c} lies outside (0,1)")
 
     def _key(self) -> tuple:
@@ -235,16 +249,17 @@ class QuadraticAngle(ExactAngle):
 
     def floor_mul(self, m: int) -> int:
         _check_multiplier(m)
+        return self._floor(m)
+
+    def _floor(self, m: int) -> int:
         f = isqrt(m * m * self.b * self.b * self.d)
         return (m * self.a + (f if self.b > 0 else -f - 1)) // self.c
 
-    def frac_side(self, m: int, delta: Fraction) -> str:
-        _check_multiplier(m)
-        p, q = _check_delta(delta).as_integer_ratio()
+    def _side(self, m: int, p: int, q: int) -> str:
         # floor(m*x) = floor(q*m*x) // q, so r = floor(q*{m*x}) is the remainder;
         # q*{m*x} is irrational, so it is below p exactly when r < p and above
         # q - p exactly when r >= q - p
-        r = self.floor_mul(q * m) % q
+        r = self._floor(q * m) % q
         return "low" if r < p else "high" if r >= q - p else "mid"
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:

@@ -43,6 +43,8 @@ class PathSeed:
     # and (constant less nu1, [m even] coefficient, angles) of the nullity
     _index_form: tuple = field(init=False, compare=False, repr=False)
     _nullity_form: tuple = field(init=False, compare=False, repr=False)
+    # no stated-enclosure angle: no query on the seed refuses
+    _exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.decomp
@@ -57,6 +59,8 @@ class PathSeed:
         object.__setattr__(self, "_nullity_form", (
             2 * (d.r + d.r_star + d.r_zero), d.q_minus + 2 * d.q_zero + d.q_plus,
             d.theta_angles + d.alpha_angles + d.beta_angles))
+        object.__setattr__(self, "_exact", not any(
+            isinstance(x, IrrationalAngle) for x in self._nullity_form[2]))
 
 
 @dataclass(frozen=True)
@@ -66,20 +70,27 @@ class IterationRow:
     nullity: int
 
 
+def _check_iterate(m) -> None:
+    """Refuse, before any query, an m that the angle kernels cannot take."""
+    if not isinstance(m, int):
+        raise ValueError(f"iterate must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError("iterate must be positive")
+
+
 def index_iterate(seed: PathSeed, m: int) -> int:
     """Index of the m-th iterate, m*(i1 + p- + p0 - r) - (r + p- + p0 + 2r*)
     - (q0 + q+)*[m even] + 2*sum ceil(m*theta_j) + 2*sum varphi(m*alpha_j):
-    the seed's constants, and each angle's own certified query."""
-    if m < 1:
-        raise ValueError("iterate must be positive")
+    the seed's constants, and each angle's own certified kernel."""
+    _check_iterate(m)
     lin, const, even = seed._index_form
     d = seed.decomp
     try:
         total = m * (seed.i1 + lin) - const - (0 if m % 2 else even)
         for x in d.theta_angles:
-            total += 2 * x.ceil_mul(m)
+            total += 2 * x._ceil(m)
         for x in d.alpha_angles:
-            total += 2 * x.varphi_mul(m)
+            total += 2 * x._varphi(m)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"index of iterate m={m}: {exc}") from exc
     return total
@@ -88,13 +99,12 @@ def index_iterate(seed: PathSeed, m: int) -> int:
 def nullity_iterate(seed: PathSeed, m: int) -> int:
     """Nullity of the m-th iterate, nu1 + (q- + 2q0 + q+)*[m even]
     + 2*sum (1 - varphi(m*x)) over every rotation-type angle x."""
-    if m < 1:
-        raise ValueError("iterate must be positive")
+    _check_iterate(m)
     const, even, angles = seed._nullity_form
     nullity = seed.nu1 + const + (0 if m % 2 else even)
     try:
         for x in angles:
-            nullity -= 2 * x.varphi_mul(m)
+            nullity -= 2 * x._varphi(m)
     except UndecidableComparison as exc:
         raise UndecidableComparison(f"nullity of iterate m={m}: {exc}") from exc
     if not 0 <= nullity <= 2 * (seed.n - 1):
@@ -113,6 +123,7 @@ def iteration_rows(seed: PathSeed, m_max: int) -> Iterator[IterationRow]:
 
 def bott_gap(seed: PathSeed, m: int) -> int:
     """i(m+1) - i(m) - nu(m); bounded below by i1 - e/2 for every m."""
+    _check_iterate(m)
     return index_iterate(seed, m + 1) - index_iterate(seed, m) - nullity_iterate(seed, m)
 
 
@@ -129,13 +140,13 @@ class MeanIndex:
     A ``surd`` that breaks these terms is refused: its value could be
     rational, and then the reads below would never decide it.
 
-    Every query loops over :meth:`_reads`, integer bounds on the value,
-    until they decide it.  With such angles there is one read.  With none
-    the levels double without end: a value with surds is irrational
-    (square roots of distinct square classes are linearly independent
-    over Q, Besicovitch 1940), so it is no rational and no quotient of it
-    is an integer, and the loop ends.  Nothing is memoized, so no answer
-    depends on earlier queries.
+    Every query but a closed form loops over :meth:`_reads`, integer
+    bounds on the value, until they decide it.  With such angles there is
+    one read.  With none the levels double without end: a value with
+    surds is irrational (square roots of distinct square classes are
+    linearly independent over Q, Besicovitch 1940), so it is no rational
+    and no quotient of it is an integer, and the loop ends.  Nothing is
+    memoized, so no answer depends on earlier queries.
     """
 
     surd: tuple[int, int, tuple]
@@ -225,12 +236,25 @@ class MeanIndex:
         raise _undecided(f"mean index vs {other}")
 
     def floor_quotient(self, num: int, den: int) -> int:
-        """Certified floor(num / (den * value)); value must be positive."""
+        """Certified floor(num / (den * value)); value must be positive.
+        In closed form when rational, or of one surd and no angle: then
+        num*L/(den*(A0 + B*sqrt(D))) = num*L*(A0 - B*sqrt(D))/(den*E) with
+        E = A0^2 - B^2*D != 0, one isqrt as in QuadraticAngle.floor_mul."""
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise ValueError(f"floor_quotient expects integers, got {num!r} and {den!r}")
         if num < 0 or den < 1:
             raise ValueError("floor_quotient expects num >= 0, den >= 1")
         scale, a0, terms = self.surd
         if not (terms or self.angles) and a0 > 0:
             return num * scale // (den * a0)
+        if len(terms) == 1 and not self.angles and num:
+            (b, d), = terms
+            e = a0 * a0 - b * b * d
+            # A0 + B*sqrt(D) has the sign of A0 when E > 0, else of B
+            if (a0 if e > 0 else b) > 0:
+                k = num * scale if e > 0 else -num * scale  # over den*|E| > 0
+                f = isqrt(k * k * b * b * d)  # floor(|k*B|*sqrt(D))
+                return (k * a0 + (-f - 1 if k * b > 0 else f)) // (den * abs(e))
         # A level of 24 more bits decides quotients about 2**24 times
         # larger: start 8 to 31 bits past the operands' size.
         first = max(0, (num.bit_length() - den.bit_length() + 31) // 24)

@@ -173,9 +173,10 @@ def angle_period(seeds: Sequence[PathSeed]) -> int:
 # -- verification ------------------------------------------------------------
 
 
-def _side_names(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[str, ...]:
-    """Where {2 * m_k * x} falls for every spectrum angle x, in order."""
-    return tuple([a.frac_side(2 * m_k, delta) for _, _, a in seed.decomp.spectrum_angles()])
+def _side_names(seed: PathSeed, m_k: int, p: int, q: int) -> tuple[str, ...]:
+    """Where {2 * m_k * x} falls for every spectrum angle x, in order, by
+    the unchecked kernels: the scan checked m_k >= 1 and delta = p/q."""
+    return tuple([a._side(2 * m_k, p, q) for _, _, a in seed.decomp.spectrum_angles()])
 
 
 def _angle_sides(seed: PathSeed, names: Sequence[str]) -> tuple[AngleSide, ...]:
@@ -184,7 +185,8 @@ def _angle_sides(seed: PathSeed, names: Sequence[str]) -> tuple[AngleSide, ...]:
 
 
 def _sides_for(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[AngleSide, ...]:
-    return _angle_sides(seed, _side_names(seed, m_k, delta))
+    return _angle_sides(seed, [a.frac_side(2 * m_k, delta)
+                               for _, _, a in seed.decomp.spectrum_angles()])
 
 
 def delta_from_sides(sides: Iterable[AngleSide]) -> int:
@@ -293,7 +295,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     When that is at least delta there is no step and the search ends at
     once; otherwise a delta of at most 2**-800 raises ValueError, as the
     nesting would pass the interpreter's recursion limit.  Every test is a
-    closed-form quadratic query, which never refuses.
+    closed-form quadratic side kernel, unchecked, which never refuses.
     """
     delta = _check_delta(delta)
     if side not in (None, "low", "high"):
@@ -319,7 +321,7 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
                 gaps.append(g)
             if s + gaps[i] > last:
                 return
-            if x.frac_side(mult * (s + gaps[i]), delta) in wanted:
+            if x._side(mult * (s + gaps[i]), p, q) in wanted:
                 break
         s += gaps[i]
         yield s
@@ -360,10 +362,15 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
     Each seed's iterates m_k = (t_k + chi_k)*M, chi_k in {0, 1}, first pass
     the cheap checks, on the side names: i(2*m_k + 1) = 2N + i1, no angle
     side "mid" and the sides its ``rules`` fix (see :func:`_side_rules`).
-    Only when every seed keeps one is each survivor's record built, with
-    its AngleSide tuple, once, seed by seed."""
-    survivors = []
-    for k, (seed, rule) in enumerate(zip(seeds, rules)):
+    A pinned seed 1 is checked last, when no other seed has a ``decimal``
+    angle to refuse a query: its floor_quotient only gives chi_1 and the
+    walk has mostly read its sides.  Only when every seed keeps one is each
+    survivor's record built, with its AngleSide tuple, once, in seed order."""
+    p, q = delta.as_integer_ratio()
+    survivors = [None] * len(seeds)
+    late = first is not None and all([seed._exact for seed in seeds[1:]])
+    for k in [*range(1, len(seeds)), 0] if late else range(len(seeds)):
+        seed, rule = seeds[k], rules[k]
         t_k = seed.mean.floor_quotient(N, M)
         pinned = k == 0 and first is not None
         found = []
@@ -374,13 +381,13 @@ def _tuples_at(seeds: tuple[PathSeed, ...], N: int, M: int, delta: Fraction,
             i_next = first[1] if pinned else index_iterate(seed, 2 * m_k + 1)
             if i_next != 2 * N + seed.i1:
                 continue
-            names = _side_names(seed, m_k, delta)
+            names = _side_names(seed, m_k, p, q)
             if "mid" not in names and (
                     rule is None or all(names[j] == side for j, side in rule)):
                 found.append((m_k, chi, names, i_next))
         if not found:
             return []
-        survivors.append(found)
+        survivors[k] = found
     passing = []
     for k, (seed, found) in enumerate(zip(seeds, survivors)):
         records = [(m_k, chi,

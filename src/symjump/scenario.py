@@ -359,18 +359,20 @@ def _matrix_from(v) -> Matrix:
 _TUPLES = _decoder(tuple[JumpTuple, ...])
 
 
-def _some_tuples(v) -> tuple:
-    """The tuples of a ``jump_tuples`` report: at least one, as every scan
-    that returns finds one."""
-    tuples = _TUPLES(v)
-    if not tuples:
-        raise _Bad("expected at least one tuple, got none")
-    return tuples
+def _some(decode, what: str):
+    """``decode`` of a report's list, refused when empty: a scan that
+    returns finds a tuple, and an iteration table has m_max >= 1 rows."""
+    def some(v):
+        items = decode(v)
+        if not items:
+            raise _Bad(f"expected at least one {what}, got none")
+        return items
+    return some
 
 
 def _wire_type(report) -> str:
     """The ``"type"`` tag of a report object."""
-    if isinstance(report, list):
+    if isinstance(report, list) and report:  # an empty list is no report
         for cls, kind in ((IterationRow, "iteration_table"), (JumpTuple, "jump_tuples")):
             if all(isinstance(x, cls) for x in report):
                 return kind
@@ -470,7 +472,7 @@ def _render_analysis(r: AnalysisReport) -> str:
 _REPORTS = {
     "iteration_table": (
         lambda rows: {"rows": [[r.m, r.index, r.nullity] for r in rows]},
-        _object((("rows", _array(_ints("m", "index", "nullity"))),),
+        _object((("rows", _some(_array(_ints("m", "index", "nullity")), "row")),),
                 lambda rows: [IterationRow(*r) for r in rows]),
         _render_rows),
     "mean_index": (
@@ -480,7 +482,7 @@ _REPORTS = {
         _render_mean_index),
     "jump_tuples": (
         lambda ts: {"tuples": [_ENCODE[JumpTuple](t) for t in ts]},
-        _object((("tuples", _some_tuples),), list),
+        _object((("tuples", _some(_TUPLES, "tuple")),), list),
         lambda ts: "".join(_render_tuple(t) for t in ts)),
     "tuple_verification": (_ENCODE[TupleVerification], _DECODE[TupleVerification],
                            _render_verification),

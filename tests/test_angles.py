@@ -149,13 +149,13 @@ class TestQuadratic:
 
     def test_frac_side_takes_one_floor(self, monkeypatch):
         g, calls = quadratic_angle(*GOLDEN), []
-        floor_mul = QuadraticAngle.floor_mul
+        floor = QuadraticAngle._floor
 
         def counted(self, m):
             calls.append(m)
-            return floor_mul(self, m)
+            return floor(self, m)
 
-        monkeypatch.setattr(QuadraticAngle, "floor_mul", counted)
+        monkeypatch.setattr(QuadraticAngle, "_floor", counted)
         for m, delta, side in ((2, Fraction(1, 10), "mid"), (13, Fraction(1, 25), "low"),
                                (10**40, Fraction(1, 10**6), "mid")):
             calls.clear()

@@ -21,7 +21,7 @@ from symjump import (ConstraintViolation, Decomposition, HyperbolicBlock,
                      find_jump_tuples, index_iterate, iteration_rows,
                      mean_index, nullity_iterate, parse_scenario, quadratic_angle,
                      rational_angle, realize, splitting_numbers)
-from symjump.angles import QuadraticAngle
+from symjump.angles import QuadraticAngle, RationalAngle
 from symjump.jumps import _last_step
 
 from conftest import angle_lcm, nu_of, quadratics, random_seed
@@ -800,3 +800,129 @@ def bott_oracle_index(seed: PathSeed, m: int) -> int:
 @given(seed=every_kind_seeds(decimal=False), m=st.integers(1, 30))
 def test_index_matches_the_bott_formula(seed, m):
     assert index_iterate(seed, m) == bott_oracle_index(seed, m)
+
+
+class TestNonIntegerIterates:
+    """An iterate that is not an integer is refused with one ValueError
+    before any angle or mean-index query: the angle kernels take m as it
+    is, and a seed with no angle used to return a float."""
+
+    SEEDS = [PathSeed(2, Decomposition([N1Block(1, 0), N1Block(-1, 0)])),
+             PathSeed(2, Decomposition([RotationBlock(GOLDEN), N1Block(1, 0)])),
+             PathSeed(2, Decomposition([RotationBlock(rational_angle(1, 3)),
+                                        N2Block(GOLDEN, False)]))]
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=["no_angle", "quadratic", "rational_and_n2"])
+    @pytest.mark.parametrize("query", [index_iterate, nullity_iterate, bott_gap],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [2.5, Fraction(5, 2), 3.0, "3"])
+    def test_is_refused_before_any_query(self, monkeypatch, seed, query, m):
+        def no_query(self, *args):
+            raise AssertionError(f"{self!r} was queried")
+
+        for kind in (QuadraticAngle, RationalAngle):
+            for kernel in ("_floor", "_ceil", "_varphi", "_side"):
+                monkeypatch.setattr(kind, kernel, no_query, raising=False)
+        with pytest.raises(ValueError) as exc:
+            query(seed, m)
+        assert str(exc.value) == f"iterate must be an integer, got {m!r}"
+
+    @pytest.mark.parametrize("query", [index_iterate, nullity_iterate, bott_gap],
+                             ids=lambda f: f.__name__)
+    def test_a_nonpositive_iterate_keeps_its_message(self, query):
+        for m in (0, -3):
+            with pytest.raises(ValueError) as exc:
+                query(self.SEEDS[1], m)
+            assert str(exc.value) == "iterate must be positive"
+
+    @pytest.mark.parametrize("num, den", [(10.5, 1), (10, 1.0), (Fraction(21, 2), 1)])
+    def test_floor_quotient_refuses_a_non_integer(self, num, den):
+        for seed in self.SEEDS:
+            with pytest.raises(ValueError) as exc:
+                seed.mean.floor_quotient(num, den)
+            assert str(exc.value) == (f"floor_quotient expects integers, "
+                                      f"got {num!r} and {den!r}")
+
+
+def _quotient_oracle(scale: int, a0: int, b: int, d: int, num: int, den: int) -> int:
+    """floor(num*scale / (den*(a0 + b*sqrt(d)))) for a positive value, from
+    Fraction bounds on sqrt(d) at doubling precision until they agree."""
+    bits = 64
+    while True:
+        r = isqrt(d << 2 * bits)
+        ends = [a0 + b * Fraction(s, 1 << bits) for s in (r, r + 1)]
+        lo, hi = min(ends), max(ends)
+        assert hi > 0
+        if lo > 0:
+            below = num * scale // (den * hi)
+            if below == num * scale // (den * lo):
+                return below
+        bits *= 2
+
+
+class TestClosedFormFloorQuotient:
+    """A mean index of one surd and no other angle answers floor_quotient
+    in closed form; checked against an independent oracle on quotients a
+    hair below and above an integer, num up to 10**300."""
+
+    @staticmethod
+    def _means(rng, sign: int, count: int):
+        """(scale, a0, b, d) for ``count`` positive means whose surd has sign
+        ``sign``, some barely above 0; with b > 0, E = a0^2 - b^2*d takes
+        both signs (a positive mean with b < 0 has E > 0)."""
+        out = []
+        while len(out) < count:
+            d = rng.randint(2, 10**rng.randint(1, 12))
+            if isqrt(d) ** 2 == d:
+                continue
+            b = sign * rng.randint(1, 10**rng.randint(0, 40))
+            fb = isqrt(b * b * d) if b > 0 else -isqrt(b * b * d) - 1  # floor(b*sqrt(d))
+            a0 = -fb + rng.choice([0, 1, rng.randint(2, 10**rng.randint(1, 45))])
+            out.append((rng.randint(1, 10**rng.randint(0, 20)), a0, b, d))
+        return out
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["b_positive", "b_negative"])
+    def test_matches_the_oracle_near_integers(self, sign):
+        rng = random.Random(f"closed-form floor_quotient/{sign}")
+        conjugates = set()
+        for scale, a0, b, d in self._means(rng, sign, 60):
+            mi = MeanIndex((scale, a0, ((b, d),)))
+            conjugates.add(a0 * a0 > b * b * d)
+            for _ in range(5):
+                den = rng.randint(1, 10**rng.randint(0, 12))
+                j = rng.randint(1, 10**rng.randint(0, 250))
+                # floor(j*den*value) and the next integer: num/(den*value)
+                # lies just below and just above j
+                fb = isqrt((j * den * b) ** 2 * d)
+                below = (j * den * a0 + (fb if b > 0 else -fb - 1)) // scale
+                for num in (below, below + 1, 10**300 - rng.randint(0, 10**6)):
+                    with no_angle_read():
+                        got = mi.floor_quotient(num, den)
+                    assert got == _quotient_oracle(scale, a0, b, d, num, den), (mi, num, den)
+        assert conjugates == ({True, False} if sign > 0 else {True})
+
+    def test_takes_one_square_root(self, monkeypatch):
+        from symjump import iteration
+
+        roots = []
+
+        def counted_isqrt(n: int) -> int:
+            roots.append(n)
+            return isqrt(n)
+
+        mi = mean_index(PathSeed(1, Decomposition([RotationBlock(GOLDEN)])))
+        monkeypatch.setattr(iteration, "isqrt", counted_isqrt)
+        assert mi.floor_quotient(10**300, 7) == _quotient_oracle(*mi.surd[:2], *mi.surd[2][0],
+                                                                 10**300, 7)
+        assert len(roots) == 1
+
+    @pytest.mark.parametrize("a0, b", [(-2, 1), (1, -1), (-1, -1), (0, -1)])
+    def test_a_mean_at_most_zero_is_refused(self, a0, b):
+        # -2 + sqrt(2), 1 - sqrt(2), -1 - sqrt(2) and -sqrt(2) are negative
+        mi = MeanIndex((3, a0, ((b, 2),)))
+        for num in (0, 1, 10**300):
+            with pytest.raises(ValueError, match="^mean index must be positive$"):
+                mi.floor_quotient(num, 1)
+
+    def test_zero_over_a_positive_mean_is_zero(self):
+        assert MeanIndex((1, -1, ((1, 2),))).floor_quotient(0, 5) == 0

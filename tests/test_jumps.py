@@ -23,7 +23,7 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
                      angle_period, compute_delta, find_complementary_tuples,
                      find_jump_tuples, index_at_even_jump, index_iterate,
                      jump_tuples_at, mean_index, nullity_iterate, quadratic_angle,
-                     rational_angle, verify_tuple)
+                     rational_angle, run_analysis, verify_tuple)
 from symjump import jumps
 from symjump.angles import IrrationalAngle, QuadraticAngle, RationalAngle, decimal_angle
 from symjump.iteration import MeanIndex
@@ -463,6 +463,33 @@ class TestNearReturns:
         want = [s for s in range(1, last + 1)
                 if x.frac_side(2 * M * s, delta) in ((side,) if side else ("low", "high"))]
         assert list(near_returns(x, 2 * M, delta, last, side)) == want
+
+    @staticmethod
+    def _count_side_reads(monkeypatch):
+        """The multipliers of every quadratic side-kernel read from here on;
+        a checked frac_side call fails the test: the walk checks delta once
+        and tests each candidate gap with the unchecked kernel."""
+        _count_frac_side(monkeypatch, 0)
+        reads, side = [], QuadraticAngle._side
+
+        def counted(self, m, p, q):
+            reads.append(m)
+            return side(self, m, p, q)
+
+        monkeypatch.setattr(QuadraticAngle, "_side", counted)
+        return reads
+
+    def test_many_returns_take_few_kernel_reads(self, monkeypatch):
+        reads = self._count_side_reads(monkeypatch)
+        steps = list(itertools.islice(near_returns(SQRT2M1, 2, Fraction(1, 10**6), 10**9), 200))
+        assert len(steps) == 200 and steps[:3] == [235416, 1136689, 1372105]
+        assert 200 <= len(reads) <= 5000
+
+    def test_no_step_within_liouville_bound_reads_no_kernel(self, monkeypatch):
+        reads = self._count_side_reads(monkeypatch)
+        for side in (None, "low", "high"):
+            assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6, side)) == []
+        assert reads == []
 
     def test_rejects_an_unknown_side(self):
         with pytest.raises(ValueError, match="side must be 'low' or 'high', got 'mid'"):
@@ -1088,3 +1115,93 @@ class TestRequiredSides:
         comp, _ = _scan(shipped_seeds, ts[0], n_max=10**6, scan=find_complementary_tuples)
         assert [t.N for t in ts] == [12776] and [t.N for t in comp] == [70145]
         assert resolved == [None, jumps.flipped_sides(ts[0])] == [None, (("high",), ("low",))]
+
+
+def _count_work(monkeypatch, seed1_mean):
+    """Counts, from here on, of _tuples_at calls, of seed 1's floor_quotient
+    inside a _tuples_at call that pins seed 1, and of the argument checks
+    behind the public angle queries and the scan."""
+    from symjump import angles
+
+    counts, pinned = dict.fromkeys(
+        ("tuples_at", "pinned_floor_quotient", "check_multiplier", "check_delta"), 0), []
+    tuples_at, floor_quotient = jumps._tuples_at, MeanIndex.floor_quotient
+
+    def counted_tuples_at(seeds, N, M, delta, rules, first=None):
+        counts["tuples_at"] += 1
+        pinned.append(first is not None)
+        try:
+            return tuples_at(seeds, N, M, delta, rules, first)
+        finally:
+            pinned.pop()
+
+    def counted_floor_quotient(self, num, den):
+        counts["pinned_floor_quotient"] += bool(pinned and pinned[-1] and self is seed1_mean)
+        return floor_quotient(self, num, den)
+
+    def counter(name, check):
+        def counted(*args):
+            counts[name] += 1
+            return check(*args)
+        return counted
+
+    monkeypatch.setattr(jumps, "_tuples_at", counted_tuples_at)
+    monkeypatch.setattr(MeanIndex, "floor_quotient", counted_floor_quotient)
+    monkeypatch.setattr(angles, "_check_multiplier", counter("check_multiplier",
+                                                             angles._check_multiplier))
+    check_delta = counter("check_delta", angles._check_delta)
+    for module in (angles, jumps):
+        monkeypatch.setattr(module, "_check_delta", check_delta)
+    return counts
+
+
+class TestShippedAnalysisWork:
+    """The exact work of one analysis of the shipped scenario (the
+    benchmark's s3_analyze op), in counts, never in time.  A pinned seed 1
+    is checked after seed 2, so its floor_quotient runs only where seed 2
+    keeps a candidate (it ran at each of the 1,016 steps when seed 1 came
+    first), and the scan checks its arguments once per scan, not per step
+    (9,492 multiplier and 3,203 delta checks when every query checked)."""
+
+    def test_counts(self, monkeypatch):
+        system, options = parse_scenario((ROOT / "scenarios" / "two_seed_s3.json").read_bytes())
+        counts = _count_work(monkeypatch, system.seeds[0].mean)
+        report = run_analysis(system, delta=options.delta, n_max=options.n_max,
+                              tuple_limit=max(options.limit, 5))
+        assert report.status == "two_elliptic_irrational"
+        assert counts == {"tuples_at": 767 + 249, "pinned_floor_quotient": 6,
+                          "check_multiplier": 7, "check_delta": 22}
+
+    def test_argument_checks_do_not_grow_with_the_steps(self, monkeypatch, shipped_seeds):
+        seen = []
+        for limit in (1, 3, 6):
+            with monkeypatch.context() as mp:
+                counts = _count_work(mp, shipped_seeds[0].mean)
+                assert len(find_jump_tuples(shipped_seeds, Fraction(1, 100), 10**6, limit)) == limit
+                seen.append(counts)
+        assert seen[0]["tuples_at"] < seen[1]["tuples_at"] < seen[2]["tuples_at"]
+        assert [(c["check_multiplier"], c["check_delta"]) for c in seen] == [(0, 7)] * 3
+
+    def test_a_pinned_seed_1_goes_last_unless_another_seed_can_refuse(self, monkeypatch,
+                                                                      shipped_seeds):
+        asked = []
+        floor_quotient = MeanIndex.floor_quotient
+
+        def counted(self, num, den):
+            asked.append(self)
+            return floor_quotient(self, num, den)
+
+        monkeypatch.setattr(MeanIndex, "floor_quotient", counted)
+        seed1 = shipped_seeds[0]
+        delta = Fraction(1, 100)
+        for seeds in (shipped_seeds, (seed1, SEED_PILOT_COARSE)):
+            M = angle_period(seeds)
+            for s in range(1, 30):
+                i_odd = index_iterate(seed1, 2 * s * M + 1)
+                N, odd = divmod(i_odd - seed1.i1, 2)
+                if odd or N < 1:
+                    continue
+                asked.clear()
+                got = jumps._tuples_at(seeds, N, M, delta, (None, None), (s * M, i_odd))
+                assert asked[0] is (seeds[1].mean if seeds[1]._exact else seed1.mean)
+                assert got == [t for t in jump_tuples_at(seeds, N, delta) if t.m[0] == s * M]

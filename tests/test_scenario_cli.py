@@ -177,6 +177,17 @@ class TestMachineRoundTrips:
         s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         rows = list(iteration_rows(s, 12))
         assert parse_report(emit_report(rows, "machine")) == rows
+        assert parse_report(emit_report(rows[:1], "machine")) == rows[:1]
+
+    def test_no_empty_table(self):
+        # iteration_rows yields at least one row, so an empty list is no
+        # report, and a document with no rows is refused like one with no tuples
+        for fmt in ("machine", "text"):
+            with pytest.raises(TypeError, match="^not a report: list$"):
+                emit_report([], fmt)
+        with pytest.raises(ScenarioError) as err:
+            parse_report(b'{"rows":[],"type":"iteration_table"}')
+        assert str(err.value) == "rows: expected at least one row, got none"
 
     def test_mean_index_exact(self):
         s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
@@ -930,6 +941,17 @@ class TestCliFuzz:
         path.write_text(json.dumps(doc))
         code, out, err = _in_process(["verify", "--seeds", SHIPPED, "--tuple", str(path)])
         assert (code, out, err) == (1, b"", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["iterate", "--seed", SHIPPED, "--m-max", "0"],
+        ["--format", "machine", "iterate", "--seed", SHIPPED, "--m-max", "0"],
+        ["verify", "--seeds", SHIPPED, "--tuple", "{empty_table}"]],
+        ids=["iterate_text", "iterate_machine", "verify_empty_table"])
+    def test_no_empty_iteration_table_is_read_or_written(self, tmp_path, args):
+        path = tmp_path / "empty_table.json"
+        path.write_text('{"rows":[],"type":"iteration_table"}')
+        code, out, err = _in_process([a.format(empty_table=path) for a in args])
+        assert code == 1 and out == b"" and err.count("\n") == 1 and err.startswith("error: ")
 
     def test_verify_refuses_an_empty_tuple_report(self, tmp_path):
         # an empty report would check nothing and print nothing, and exit 0
