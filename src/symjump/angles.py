@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import UndecidableComparison
 
@@ -261,6 +261,22 @@ class QuadraticAngle(ExactAngle):
         # q - p exactly when r >= q - p
         r = self._floor(q * m) % q
         return "low" if r < p else "high" if r >= q - p else "mid"
+
+    def _side_test(self, mult: int, p: int, q: int,
+                   side: Optional[str] = None) -> Callable[[int], bool]:
+        """The test g -> ``self._side(mult * g, p, q)`` is ``side`` ("low" or
+        "high"), or is not "mid" when ``side`` is None, for integers g >= 1,
+        with a, b, c, d, mult, p and q folded once.  For n = q*mult*g*a +
+        floor(q*mult*g*b*sqrt(d)), floor(q*mult*g*x) = floor(n/c) and its
+        remainder mod q is (n mod c*q) // c, so that remainder is below p
+        exactly when n mod c*q < p*c, and at least q - p exactly when
+        n mod c*q >= (q - p)*c; f ^ -1 is -f - 1, the floor for b < 0."""
+        qa, bbd, cq = q * mult * self.a, (q * mult * self.b) ** 2 * self.d, self.c * q
+        sign = 0 if self.b > 0 else -1
+        low, high = p * self.c, (q - p) * self.c
+        # keep g unless its residue lies in [start, stop)
+        start, stop = {None: (low, high), "low": (low, cq), "high": (0, high)}[side]
+        return lambda g: not start <= (g * qa + (isqrt(g * g * bbd) ^ sign)) % cq < stop
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         """The closed-form enclosure, clipped to [0, 1], at the first step

@@ -41,17 +41,33 @@ step would fail seed 1's angle-side check.  When x is a rotation angle
 whose side the required sides fix (a complementary scan), only the
 returns on that side are visited, about delta of all steps, with the
 gaps taken from the two-sided search at delta; the others would fail
-the required-side check.  One bound ends the walk: past lattice step
+the required-side check.
+
+Before seed 1's index is read at a visited step s, a sieve (:func:`_sieve`)
+drops the step when some seed cannot pass its angle check there: seed 1's
+other quadratic angles are tested at m_1 = s*M, and each later seed k
+with a quadratic angle x_k needs a near return u of x_k (at multiplier
+2M, on its required side) in the window of its candidate u_k = m_k/M.
+The window comes from the closed form of the odd index,
+i(m) - m*mu in [-c, -c + 2*(#theta + #alpha)], c = ``_index_form[1]``:
+2N lies in [(2sM + 1)*mu_1 - c_1 - i1_1, (2sM + 1)*mu_1 - c_1 - i1_1 +
+2*(#theta_1 + #alpha_1)], so u_k lies in [floor(N_lo/(M*mu_k)),
+floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read off integer bounds on
+the means that never refuse.  The window rises with s, so seed k's near
+returns are merged forward once per scan.
+
+One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
 past the bound, which starts at
 last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
 more, shrinks to last_step of the limit-th smallest N.  Progress is
 still reported at the end of every chunk of 2048 steps, up to the first
 chunk end past the bound, so the progress calls do not depend on where
-within its chunk the walk stopped or how sparse its steps are; the
-N-walk counts its chunks in N.  A query that a skipped step or an
-earlier cheap check spares never refuses, so such a scan can succeed
-where a walk over every step raised UndecidableComparison.
+within its chunk the walk stopped, how sparse its steps are or which of
+them the sieve dropped; the N-walk counts its chunks in N.  A query that
+a skipped or sieved step or an earlier cheap check spares never refuses,
+so such a scan can succeed where a walk over every step raised
+UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -60,7 +76,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .angles import QuadraticAngle, _check_delta
@@ -287,6 +303,10 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     step is the gap to the next one; by the three-gap theorem only a few
     are tried per step.  Each search pulls its candidates once, as needed,
     so a tiny delta nests about log2(1/delta) searches of a few tests each.
+    The lattice walk draws seed 1's pilot steps from here, and the sieve
+    draws each later seed's returns u, which it merges against the window
+    of that seed's candidate u_k (:func:`_window`); a step the sieve drops
+    changes no progress call.
 
     For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
     u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
@@ -294,23 +314,24 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     ||g*mult*x|| = |u + v|/c >= 1/(c*|u - v|) > 1/(c*(c + 2*last*mult*|b|*(isqrt(d)+1))).
     When that is at least delta there is no step and the search ends at
     once; otherwise a delta of at most 2**-800 raises ValueError, as the
-    nesting would pass the interpreter's recursion limit.  Every test is a
-    closed-form quadratic side kernel, unchecked, which never refuses.
+    nesting would pass the interpreter's recursion limit.  Every test is one
+    call of the side kernel that :meth:`QuadraticAngle._side_test` folds
+    once per search, one integer square root, which never refuses.
     """
     delta = _check_delta(delta)
     if side not in (None, "low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
-    p, q = delta.numerator, delta.denominator
-    if p * x.c * (x.c + 2 * last * mult * abs(x.b) * (isqrt(x.d) + 1)) <= q:
+    p, q = delta.as_integer_ratio()
+    if _no_return(x, mult, p, q, last):
         return
     if (q // p).bit_length() > _DELTA_BITS:
         raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
                          f"{(q // p).bit_length()} levels deep; loosen delta or lower n_max")
     if side is not None:
-        fresh, wanted = near_returns(x, mult, delta, last), (side,)
+        fresh = near_returns(x, mult, delta, last)
     else:
         fresh = iter(range(1, last + 1)) if 4 * p >= q else near_returns(x, mult, 2 * delta, last)
-        wanted = ("low", "high")
+    wanted = x._side_test(mult, p, q, side)
     gaps, s = [], 0
     while True:
         for i in itertools.count():
@@ -321,10 +342,16 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
                 gaps.append(g)
             if s + gaps[i] > last:
                 return
-            if x._side(mult * (s + gaps[i]), p, q) in wanted:
+            if wanted(s + gaps[i]):
                 break
         s += gaps[i]
         yield s
+
+
+def _no_return(x: QuadraticAngle, mult: int, p: int, q: int, last: int) -> bool:
+    """Whether the Liouville bound of :func:`near_returns` leaves no step
+    s = 1 .. last with {mult*s*x} within p/q of an integer."""
+    return p * x.c * (x.c + 2 * last * mult * abs(x.b) * (isqrt(x.d) + 1)) <= q
 
 
 _SideRules = tuple[Optional[tuple[tuple[int, str], ...]], ...]
@@ -437,7 +464,13 @@ def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
     one, an estimate only: an angle with a large partial quotient has every
     step of a long run as a near return.  The steps left out fail seed 1's
     angle-side check (or its required side) or, off the multiples of S,
-    some seed's index check.
+    some seed's index check.  The walk then drops, before the index read,
+    the steps that :func:`_sieve` rejects: where another quadratic angle of
+    seed 1 is "mid", or where a later seed has no near return in the
+    window of its candidate u_k = m_k/M, [floor(N_lo/(M*mu_k)),
+    floor(N_hi/(M*mu_k)) + 1] for the bounds N_lo, N_hi of the odd index's
+    closed form (:func:`_window`).  The sizes above count the steps before
+    the sieve, and no dropped step changes a progress call.
 
     Proof that a rational-only system holds exactly one tuple at each
     multiple of P = lcm_k(M*mu_k), at seed 1's steps j*S, and none elsewhere.
@@ -478,14 +511,101 @@ def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
     if stride is not None:
         steps = range(stride, last + 1, stride)
         return steps, len(steps)
-    angles = seed1.decomp.spectrum_angles()
-    at = next((j for j, (_, _, a) in enumerate(angles) if isinstance(a, QuadraticAngle)), None)
-    if at is None:
+    quadratic = _quadratic_angles(seed1)
+    if not quadratic:
         steps = range(1, last + 1)
         return steps, len(steps)
+    at, x = quadratic[0]
     side = dict(rule1 or ()).get(at)
-    return (near_returns(angles[at][2], 2 * M, delta, last, side),
-            (delta if side else 2 * delta) * last)
+    return near_returns(x, 2 * M, delta, last, side), (delta if side else 2 * delta) * last
+
+
+def _quadratic_angles(seed: PathSeed) -> list[tuple[int, QuadraticAngle]]:
+    """The (position in ``spectrum_angles()``, angle) of each quadratic angle."""
+    return [(j, a) for j, (_, _, a) in enumerate(seed.decomp.spectrum_angles())
+            if isinstance(a, QuadraticAngle)]
+
+
+def _window(seed1: PathSeed, seed: PathSeed, M: int,
+            last: int) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """(lo, hi), each (a, b, c): at seed 1's lattice step s = 1 .. ``last``,
+    every candidate u = m/M = t + chi of ``seed`` lies in
+    [floor((a*s + b)/c) for lo, the same for hi], a > 0 in lo; None when a
+    read of a mean index is not positive.
+
+    For odd m, i(m) - m*mu lies in [-c, -c + 2*(#theta + #alpha)],
+    c = ``_index_form[1]``: each ceil(m*theta) - m*theta is in [0, 1) and
+    each varphi(m*alpha) in {0, 1}.  So the step reads an N with
+        2N in [(2sM + 1)*mu_1 - c_1 - i1_1, (2sM + 1)*mu_1 - c_1 - i1_1 +
+               2*(#theta_1 + #alpha_1)],
+    and t = floor(N/(M*mu)), chi in {0, 1}, puts u in [floor(N_lo/(M*mu)),
+    floor(N_hi/(M*mu)) + 1].  Each mean is read once, in integers
+    lo/den <= mu <= hi/den, by a read that never refuses: no wider than
+    1/((2*last*M + 1)*2**32) unless a stated enclosure adds to it, which
+    only widens the window, and exact for a rational mean."""
+    width = Fraction(1, (2 * last * M + 1) << 32)
+    (l1, h1, d1), (lk, hk, dk) = (
+        s.mean._read(s.mean._level_for(width) if s.mean.surd[2] else 0) for s in (seed1, seed))
+    if l1 <= 0 or lk <= 0:
+        return None
+    c1 = seed1._index_form[1] + seed1.i1
+    t1 = 2 * (seed1.decomp.r + seed1.decomp.r_star)
+    return ((2 * M * l1 * dk, (l1 - c1 * d1) * dk, 2 * M * d1 * hk),
+            (2 * M * h1 * dk, (h1 - (c1 - t1) * d1) * dk + 2 * M * d1 * lk, 2 * M * d1 * lk))
+
+
+def _sieve(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
+           last: int) -> list[Callable[[int], bool]]:
+    """The tests that a lattice step s = 1 .. ``last`` of seed 1 passes
+    before its index is read; a step that fails one holds no tuple.
+
+    Each later seed with a quadratic angle x keeps the step only when a
+    near return u of its first one (``near_returns(x, 2*M, delta, ...)``,
+    on the side its rule fixes) lies in the step's :func:`_window`.  Seed
+    1's quadratic angles after the first, the pilot of :func:`_pilot_steps`,
+    are the case u = s: each is tested at m_1 = s*M, on the side its rule
+    fixes, if any, by one folded kernel read.  The window's lower end does not
+    fall as s grows, so one forward merge-join over the ascending returns
+    serves the walk.  A seed's stream is left out when :func:`_window` has
+    none, or when its search would end at once by the Liouville bound or
+    refuse its delta.  No test reads an angle or a mean that can refuse, so
+    the sieve only spares queries."""
+    if last < 1:
+        return []
+    p, q = delta.as_integer_ratio()
+    seed1 = seeds[0]
+    pinned = dict(rules[0] or ())
+    tests = [x._side_test(2 * M, p, q, pinned.get(j)) for j, x in _quadratic_angles(seed1)[1:]]
+    for seed, rule in zip(seeds[1:], rules[1:]):
+        quadratic = _quadratic_angles(seed)
+        window = _window(seed1, seed, M, last) if quadratic else None
+        if window is None:
+            continue
+        (j, x), (lo, hi) = quadratic[0], window
+        top = (hi[0] * last + hi[1]) // hi[2]
+        if _no_return(x, 2 * M, p, q, top) or (q // p).bit_length() > _DELTA_BITS:
+            continue
+        tests.append(_in_window(near_returns(x, 2 * M, delta, top, dict(rule or ()).get(j)),
+                                lo, hi))
+    return tests
+
+
+def _in_window(returns: Iterator[int], lo: tuple[int, int, int],
+               hi: tuple[int, int, int]) -> Callable[[int], bool]:
+    """The test s -> some u of the ascending ``returns`` lies in
+    [floor((a*s + b)/c) for (a, b, c) = ``lo``, the same for ``hi``]; s
+    rises and the lower end with it, so the returns below it are dropped."""
+    (a0, b0, c0), (a1, b1, c1) = lo, hi
+    u = next(returns, inf)
+
+    def test(s: int) -> bool:
+        nonlocal u
+        start = (a0 * s + b0) // c0
+        while u < start:
+            u = next(returns, inf)
+        return u <= (a1 * s + b1) // c1
+
+    return test
 
 
 def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
@@ -493,11 +613,13 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
                 progress: Optional[Callable[[int, int], None]],
                 steps: Iterable[int], last: int) -> list[JumpTuple]:
     """The tuples found on seed 1's lattice ``steps`` (:func:`_pilot_steps`)
-    up to ``last`` = last_step(n_max); once ``limit`` are found the bound
-    shrinks to last_step of the limit-th smallest N, and no larger N is
-    tried.  Progress is reported at every chunk end a visited step passes,
-    then at each end up to the first past the final bound; without a callback, no work per chunk."""
+    up to ``last`` = last_step(n_max) that pass the :func:`_sieve`; once
+    ``limit`` are found the bound shrinks to last_step of the limit-th
+    smallest N, and no larger N is tried.  Progress is reported at every
+    chunk end a visited step passes, sieved or not, then at each end up to
+    the first past the final bound; without a callback, no work per chunk."""
     seed1 = seeds[0]
+    sieve = _sieve(seeds, M, delta, rules, last)
     hits: list[JumpTuple] = []
     done, top = 0, n_max  # the last chunk end reported, the largest N kept
     for step in steps:
@@ -506,6 +628,8 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
         while progress is not None and done + _CHUNK < step:
             done += _CHUNK
             progress(done * M, n_max)
+        if not all(test(step) for test in sieve):
+            continue
         m1 = step * M
         i_odd1 = index_iterate(seed1, 2 * m1 + 1)
         N, odd = divmod(i_odd1 - seed1.i1, 2)

@@ -451,6 +451,29 @@ def _count_frac_side(monkeypatch, limit):
     return calls
 
 
+def _count_kernel_reads(monkeypatch):
+    """The multipliers of every quadratic side-kernel read from here on: each
+    _side call and each test of a folded kernel (QuadraticAngle._side_test)."""
+    reads, side, side_test = [], QuadraticAngle._side, QuadraticAngle._side_test
+
+    def counted(self, m, p, q):
+        reads.append(m)
+        return side(self, m, p, q)
+
+    def counted_test(self, mult, p, q, wanted=None):
+        test = side_test(self, mult, p, q, wanted)
+
+        def read(g):
+            reads.append(mult * g)
+            return test(g)
+
+        return read
+
+    monkeypatch.setattr(QuadraticAngle, "_side", counted)
+    monkeypatch.setattr(QuadraticAngle, "_side_test", counted_test)
+    return reads
+
+
 class TestNearReturns:
     @settings(max_examples=400, deadline=None)
     @given(coeffs=quadratics(), M=st.integers(1, 12),
@@ -470,14 +493,7 @@ class TestNearReturns:
         a checked frac_side call fails the test: the walk checks delta once
         and tests each candidate gap with the unchecked kernel."""
         _count_frac_side(monkeypatch, 0)
-        reads, side = [], QuadraticAngle._side
-
-        def counted(self, m, p, q):
-            reads.append(m)
-            return side(self, m, p, q)
-
-        monkeypatch.setattr(QuadraticAngle, "_side", counted)
-        return reads
+        return _count_kernel_reads(monkeypatch)
 
     def test_many_returns_take_few_kernel_reads(self, monkeypatch):
         reads = self._count_side_reads(monkeypatch)
@@ -967,18 +983,20 @@ def _two_sided_near_returns(x, mult, delta, last, side=None):
 
 class TestOneSidedPilotWalk:
     """A scan whose required sides fix the side of seed 1's pilot angle walks
-    only the pilot's returns on that side; the tuples, the NoTupleFound and
-    the progress calls are those of the two-sided walk."""
+    only the pilot's returns on that side, and one that fixes the side of a
+    later seed's sieve angle merges only that angle's returns on that side;
+    the tuples, the NoTupleFound and the progress calls are those of the
+    two-sided walk and sieve."""
 
     @staticmethod
     def _equivalent(monkeypatch, seeds, delta, n_max, limit):
-        """Compare every pattern against the two-sided walk; the sides the
-        one-sided walk was asked for."""
+        """Compare every pattern against the two-sided walk; the (angle, side)
+        of every near-return search the one-sided walk asked for."""
         sides = []
         walk = jumps.near_returns
 
         def recorded(x, mult, delta, last, side=None):
-            sides.append(side)
+            sides.append((x, side))
             return walk(x, mult, delta, last, side)
 
         for required in _required_patterns(seeds):
@@ -992,8 +1010,11 @@ class TestOneSidedPilotWalk:
     @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 100)])
     def test_shipped_seeds(self, monkeypatch, shipped_seeds, delta):
         sides = self._equivalent(monkeypatch, shipped_seeds, delta, 10**5, 2)
-        # the four full patterns and the two with None for seed 2 are one-sided
-        assert sorted(s for s in sides if s) == ["high"] * 3 + ["low"] * 3
+        # the four full patterns and the two with None for the other seed fix
+        # the side of seed 1's pilot, and of seed 2's sieve angle
+        for seed in shipped_seeds:
+            (_, _, x), = seed.decomp.spectrum_angles()
+            assert sorted(s for y, s in sides if y == x and s) == ["high"] * 3 + ["low"] * 3
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_random_quadratic_systems(self, monkeypatch, rng_seed):
@@ -1010,11 +1031,12 @@ class TestOneSidedPilotWalk:
                                for _ in range(rng.randint(0, 1))]
             delta = rng.choice((Fraction(1, 10), Fraction(1, 100)))
             sides = self._equivalent(monkeypatch, seeds, delta, 10**4, 2)
-            one_sided += any(sides)
+            one_sided += any(side for _, side in sides)
         assert one_sided
 
     def test_complement_scan_visits_the_pilot_side_only(self, monkeypatch, shipped_seeds):
-        # the two-sided walk visits 495 steps of an even N in range
+        # the two-sided walk visits 495 steps of an even N in range, the
+        # one-sided pilot 249, and seed 2's one-sided sieve keeps 9 of those
         base = jump_tuples_at(shipped_seeds, 12776, Fraction(1, 100))[0]
         visited = []
         tuples_at = jumps._tuples_at
@@ -1027,7 +1049,7 @@ class TestOneSidedPilotWalk:
         comp, calls = _scan(shipped_seeds, base, n_max=10**6, scan=find_complementary_tuples)
         assert [t.N for t in comp] == [70145] and calls[-1] == 26624
         pilot, = (a for _, _, a in shipped_seeds[0].decomp.spectrum_angles())
-        assert len(visited) == 249
+        assert len(visited) == 9
         assert {pilot.frac_side(2 * m, base.delta) for m in visited} == {
             jumps.flipped_sides(base)[0][0]}
 
@@ -1048,6 +1070,154 @@ class TestOneSidedPilotWalk:
         ts, _ = _scan(shipped_seeds, Fraction(1, 100), 10**6, 5)
         assert len(ts) == 5
         assert len(built) == len(recorded) == 10
+
+
+def _sieve_system(rng, decimal=False):
+    """1-3 seeds of dimension 2-4 with rational and quadratic angles (and, when
+    ``decimal``, some seeds with a decimal angle too), each of positive mean."""
+    n = rng.randint(2, 4)
+    seeds = []
+    while len(seeds) < rng.randint(1, 3):
+        seed = (pinched_seed(rng, n, allow_irrational=True, denom_max=6) if rng.random() < 0.6
+                else random_seed(rng, n, allow_irrational=True, denom_max=6))
+        if decimal and rng.random() < 0.5:
+            seed = PathSeed(seed.i1, Decomposition([*seed.decomp.blocks, RotationBlock(COARSE)]))
+        if seed.mean.cmp(0) > 0:
+            seeds.append(seed)
+    return seeds
+
+
+def _unsieved(monkeypatch):
+    monkeypatch.setattr(jumps, "_sieve", lambda *args: [])
+
+
+class TestSieve:
+    """Before seed 1's index read, a lattice step s is dropped unless seed 1's
+    quadratic angles after the pilot are off "mid" at m_1 = s*M and every
+    later seed with a quadratic angle has a near return of its first one in
+    the step's window of candidates u = m_k/M; the tuples, NoTupleFound texts
+    and progress calls are those of the walk without the sieve."""
+
+    def test_window_holds_every_candidate(self):
+        # u = floor_quotient(N, M) + chi for N read off seed 1's odd index at
+        # step s; some u lies on each end, so neither end can move in by one
+        touched = set()
+        for i in range(40):
+            rng = random.Random(f"window/{i}")
+            seeds = _sieve_system(rng, decimal=i % 4 == 3)
+            M, last = angle_period(seeds), 150
+            seed1 = seeds[0]
+            for seed in seeds[1:]:
+                (a0, b0, c0), (a1, b1, c1) = jumps._window(seed1, seed, M, last)
+                assert a0 > 0
+                for s in range(1, last + 1):
+                    try:
+                        N, odd = divmod(index_iterate(seed1, 2 * s * M + 1) - seed1.i1, 2)
+                        if odd or N < 1:
+                            continue
+                        t = seed.mean.floor_quotient(N, M)
+                    except UndecidableComparison:
+                        continue
+                    start, stop = (a0 * s + b0) // c0, (a1 * s + b1) // c1
+                    assert start <= t and t + 1 <= stop, (i, s)
+                    touched |= {"low"} if t == start else set()
+                    touched |= {"high"} if t + 1 == stop else set()
+        assert touched == {"low", "high"}
+
+    def test_shipped_window_touches_both_ends(self, shipped_seeds):
+        seed1, seed2 = shipped_seeds
+        (a0, b0, c0), (a1, b1, c1) = jumps._window(seed1, seed2, 1, 2000)
+        ends = set()
+        for s in range(1, 2001):
+            N, odd = divmod(index_iterate(seed1, 2 * s + 1) - seed1.i1, 2)
+            if not odd:
+                t = seed2.mean.floor_quotient(N, 1)
+                ends.add(((a0 * s + b0) // c0 - t, (a1 * s + b1) // c1 - (t + 1)))
+        # the window is [t, t + 1] or one wider, on either side
+        assert ends == {(0, 0), (-1, 0), (0, 1)}
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_scan_is_complete(self, monkeypatch, rng_seed):
+        # an oracle independent of the walk: every tuple at N = 1 .. n_max
+        # whose sides fit the required ones and whose N is not excluded
+        rng = random.Random(f"complete/{rng_seed}")
+        sieved = []
+        sieve = jumps._sieve
+
+        def counted(*args):
+            sieved.append(sieve(*args))
+            return sieved[-1]
+
+        monkeypatch.setattr(jumps, "_sieve", counted)
+        found = 0
+        for _ in range(25):
+            seeds = _sieve_system(rng)
+            delta = rng.choice((Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)))
+            n_max = rng.randint(60, 200)
+            required = rng.choice([None, *_required_patterns(seeds)])
+            exclude = set(rng.sample(range(1, n_max + 1), rng.randint(0, 3)))
+            want = [t for N in range(1, n_max + 1) if N not in exclude
+                    for t in jump_tuples_at(seeds, N, delta)
+                    if required is None or all(
+                        r is None or pv.irrational_rotation_sides() == tuple(r)
+                        for r, pv in zip(required, t.per_path))]
+            got, _ = _scan(seeds, delta, n_max, 10**6, required_sides=required, exclude=exclude)
+            assert (got or []) == sorted(want, key=JumpTuple.sort_key)
+            found += bool(want)
+        assert found >= 15 and sum(map(bool, sieved)) >= 3
+
+    def test_a_decimal_angle_beside_the_sieve_angle(self, monkeypatch):
+        # seed 2's mean holds a decimal angle: its window comes from the stated
+        # enclosure, which the read never refuses, and only widens the window
+        seeds = (SEED_IRR_B, SEED_PILOT_COARSE)
+        M, delta = angle_period(seeds), Fraction(1, 10)
+        last = jumps._last_step(seeds[0], M, 5000)
+        assert len(jumps._sieve(seeds, M, delta, (None, None), last)) == 1
+        got = _scan(seeds, delta, 5000, 3)
+        assert [t.N for t in got[0]] == [233, 2660, 2948]
+        _unsieved(monkeypatch)
+        assert got == _scan(seeds, delta, 5000, 3)
+
+    def test_a_stream_that_cannot_search_is_left_out(self, monkeypatch):
+        # seed 1 has no quadratic angle and walks every step; seed 2's stream
+        # at delta <= 2**-800 either has no return by the Liouville bound or
+        # would refuse its delta: it is left out, and the scan is the walk's
+        seeds = (SEED_R3, SEED_IRR_A)
+        M = angle_period(seeds)
+        assert len(jumps._sieve(seeds, M, Fraction(1, 100), (None, None), 10**3)) == 1
+        for delta in (Fraction(1, 2**800), Fraction(1, 2**801)):
+            assert jumps._sieve(seeds, M, delta, (None, None), 10**3) == []
+        delta, last = Fraction(1, 2**801), 10**300
+        with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
+            next(near_returns(SQRT2M1, 2 * M, delta, last))
+        assert jumps._sieve(seeds, M, delta, (None, None), last) == []
+        got = _scan(seeds, Fraction(1, 2**800), 2000, 1)
+        assert got[0] is None
+        _unsieved(monkeypatch)
+        assert got == _scan(seeds, Fraction(1, 2**800), 2000, 1)
+
+    def test_seed_1_reads_its_index_where_its_quadratic_angles_pass(self, monkeypatch):
+        # the pilot is seed 1's first quadratic angle; the second is tested at
+        # m_1 = s*M before the walk reads i(2*s*M + 1), so it is never "mid"
+        # there (M = 3: the records' reads at 2*m_1 - 1 fall elsewhere mod 2M)
+        seed1 = PathSeed(3, Decomposition([RotationBlock(SQRT2M1), RotationBlock(GOLDEN),
+                                           RotationBlock(rational_angle(1, 3)), N1Block(1, 0)]))
+        M, delta, steps = 3, Fraction(1, 10), []
+
+        def counted(seed, m):
+            if m % (2 * M) == 1:
+                steps.append(m // (2 * M))
+            return index_iterate(seed, m)
+
+        monkeypatch.setattr(jumps, "index_iterate", counted)
+        got = _scan([seed1], delta, 10**5, 3)
+        assert angle_period([seed1]) == M and len(got[0]) == 3
+        assert steps and all(x.frac_side(2 * s * M, delta) != "mid" for s in steps
+                             for x in (SQRT2M1, GOLDEN))
+        read = len(steps)
+        _unsieved(monkeypatch)
+        assert got == _scan([seed1], delta, 10**5, 3)
+        assert len(steps) > 2 * read
 
 
 def _count_queries(monkeypatch):
@@ -1119,12 +1289,14 @@ class TestRequiredSides:
 
 def _count_work(monkeypatch, seed1_mean):
     """Counts, from here on, of _tuples_at calls, of seed 1's floor_quotient
-    inside a _tuples_at call that pins seed 1, and of the argument checks
-    behind the public angle queries and the scan."""
-    from symjump import angles
+    inside a _tuples_at call that pins seed 1, of the argument checks
+    behind the public angle queries and the scan, of the quadratic
+    side-kernel reads and of the index_iterate calls."""
+    from symjump import analysis, angles, iteration
 
     counts, pinned = dict.fromkeys(
         ("tuples_at", "pinned_floor_quotient", "check_multiplier", "check_delta"), 0), []
+    reads, index = _count_kernel_reads(monkeypatch), []
     tuples_at, floor_quotient = jumps._tuples_at, MeanIndex.floor_quotient
 
     def counted_tuples_at(seeds, N, M, delta, rules, first=None):
@@ -1152,35 +1324,47 @@ def _count_work(monkeypatch, seed1_mean):
     check_delta = counter("check_delta", angles._check_delta)
     for module in (angles, jumps):
         monkeypatch.setattr(module, "_check_delta", check_delta)
-    return counts
+    index_iterate = iteration.index_iterate
+
+    def counted_index(seed, m):
+        index.append(m)
+        return index_iterate(seed, m)
+
+    for module in (iteration, jumps, analysis):
+        monkeypatch.setattr(module, "index_iterate", counted_index)
+    return counts, reads, index
 
 
 class TestShippedAnalysisWork:
     """The exact work of one analysis of the shipped scenario (the
-    benchmark's s3_analyze op), in counts, never in time.  A pinned seed 1
-    is checked after seed 2, so its floor_quotient runs only where seed 2
-    keeps a candidate (it ran at each of the 1,016 steps when seed 1 came
-    first), and the scan checks its arguments once per scan, not per step
-    (9,492 multiplier and 3,203 delta checks when every query checked)."""
+    benchmark's s3_analyze op), in counts, never in time.  Seed 2's sieve
+    drops a lattice step before seed 1's index read unless a near return of
+    seed 2 lies in its window, so 40 steps reach _tuples_at (767 + 249, and
+    3,076 index_iterate calls, without the sieve).  A pinned
+    seed 1 is checked after seed 2, so its floor_quotient runs only where
+    seed 2 keeps a candidate, and the scan checks its arguments once per
+    scan and near-return search, not per step (9,492 multiplier and 3,203
+    delta checks when every query checked)."""
 
     def test_counts(self, monkeypatch):
         system, options = parse_scenario((ROOT / "scenarios" / "two_seed_s3.json").read_bytes())
-        counts = _count_work(monkeypatch, system.seeds[0].mean)
+        counts, reads, index = _count_work(monkeypatch, system.seeds[0].mean)
         report = run_analysis(system, delta=options.delta, n_max=options.n_max,
                               tuple_limit=max(options.limit, 5))
         assert report.status == "two_elliptic_irrational"
-        assert counts == {"tuples_at": 767 + 249, "pinned_floor_quotient": 6,
-                          "check_multiplier": 7, "check_delta": 22}
+        assert counts == {"tuples_at": 40, "pinned_floor_quotient": 6,
+                          "check_multiplier": 7, "check_delta": 35}
+        assert (len(reads), len(index)) == (3726, 148)
 
     def test_argument_checks_do_not_grow_with_the_steps(self, monkeypatch, shipped_seeds):
         seen = []
         for limit in (1, 3, 6):
             with monkeypatch.context() as mp:
-                counts = _count_work(mp, shipped_seeds[0].mean)
+                counts, _, _ = _count_work(mp, shipped_seeds[0].mean)
                 assert len(find_jump_tuples(shipped_seeds, Fraction(1, 100), 10**6, limit)) == limit
                 seen.append(counts)
         assert seen[0]["tuples_at"] < seen[1]["tuples_at"] < seen[2]["tuples_at"]
-        assert [(c["check_multiplier"], c["check_delta"]) for c in seen] == [(0, 7)] * 3
+        assert [(c["check_multiplier"], c["check_delta"]) for c in seen] == [(0, 13)] * 3
 
     def test_a_pinned_seed_1_goes_last_unless_another_seed_can_refuse(self, monkeypatch,
                                                                       shipped_seeds):
