@@ -70,6 +70,7 @@ class ExactAngle:
 
         Returns ``"zero"`` ({m*x} = 0, rational only), ``"low"``
         (0 < {m*x} < delta), ``"high"`` ({m*x} > 1 - delta) or ``"mid"``.
+        Every kind checks the multiplier, then delta, then reads ``_side``.
         """
         _check_multiplier(m)
         return self._side(m, *_check_delta(delta).as_integer_ratio())
@@ -124,11 +125,6 @@ class RationalAngle(ExactAngle):
 
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         return self.value, self.value
-
-    def frac_side(self, m: int, delta: Fraction) -> str:
-        p, q = _check_delta(delta).as_integer_ratio()  # a rational names a bad delta first
-        _check_multiplier(m)
-        return self._side(m, p, q)
 
     def _side(self, m: int, p: int, q: int) -> str:
         num, den = self.value.as_integer_ratio()

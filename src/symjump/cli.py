@@ -103,13 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, args):
-    """The scenario at path, its options overridden by the flags."""
+def _read(path: str) -> bytes:
+    """The bytes at path; a file that cannot be read is a ScenarioError."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    system, options = sc.parse_scenario(data)
+
+
+def _load(path: str, args):
+    """The scenario at path, its options overridden by the flags."""
+    system, options = sc.parse_scenario(_read(path))
     if args.command == "analyze":  # try at least 5 tuples for the first peak
         options = dataclasses.replace(options, limit=max(options.limit, 5))
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(options)
@@ -202,12 +206,8 @@ def _dispatch(args) -> int:
         return EXIT_CONTRADICTION
 
     if args.command == "verify":
-        try:
-            raw = Path(args.tuple_file).read_bytes()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read {args.tuple_file}: {exc}") from exc
         # verify every tuple, or refuse the file, before printing any verification
-        results = [verify_tuple(t, system.seeds) for t in sc.parse_tuples(raw)]
+        results = [verify_tuple(t, system.seeds) for t in sc.parse_tuples(_read(args.tuple_file))]
         for result in results:
             _emit(result, args.format)
         failed = sum(not result.passed for result in results)

@@ -78,6 +78,12 @@ def _check_iterate(m) -> None:
         raise ValueError("iterate must be positive")
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse, before any query, a count that is not a positive integer."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def index_iterate(seed: PathSeed, m: int) -> int:
     """Index of the m-th iterate, m*(i1 + p- + p0 - r) - (r + p- + p0 + 2r*)
     - (q0 + q+)*[m even] + 2*sum ceil(m*theta_j) + 2*sum varphi(m*alpha_j):
@@ -115,8 +121,7 @@ def nullity_iterate(seed: PathSeed, m: int) -> int:
 
 def iteration_rows(seed: PathSeed, m_max: int) -> Iterator[IterationRow]:
     """Lazy table of (m, index, nullity) for m = 1 .. m_max."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be a positive integer, got {m_max}")
+    _check_count("m_max", m_max)
     return (IterationRow(m, index_iterate(seed, m), nullity_iterate(seed, m))
             for m in range(1, m_max + 1))
 

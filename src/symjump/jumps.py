@@ -79,9 +79,9 @@ from fractions import Fraction
 from math import inf, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .angles import QuadraticAngle, _check_delta
+from .angles import QuadraticAngle, _check_delta, _check_multiplier
 from .errors import ConstraintViolation, NoTupleFound
-from .iteration import PathSeed, index_iterate, nullity_iterate
+from .iteration import PathSeed, _check_count, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
@@ -191,18 +191,13 @@ def angle_period(seeds: Sequence[PathSeed]) -> int:
 
 def _side_names(seed: PathSeed, m_k: int, p: int, q: int) -> tuple[str, ...]:
     """Where {2 * m_k * x} falls for every spectrum angle x, in order, by
-    the unchecked kernels: the scan checked m_k >= 1 and delta = p/q."""
+    the unchecked kernels: the caller checked m_k >= 1 and delta = p/q."""
     return tuple([a._side(2 * m_k, p, q) for _, _, a in seed.decomp.spectrum_angles()])
 
 
 def _angle_sides(seed: PathSeed, names: Sequence[str]) -> tuple[AngleSide, ...]:
     return tuple(AngleSide(kind, idx, a.is_rational, side)
                  for (kind, idx, a), side in zip(seed.decomp.spectrum_angles(), names))
-
-
-def _sides_for(seed: PathSeed, m_k: int, delta: Fraction) -> tuple[AngleSide, ...]:
-    return _angle_sides(seed, [a.frac_side(2 * m_k, delta)
-                               for _, _, a in seed.decomp.spectrum_angles()])
 
 
 def delta_from_sides(sides: Iterable[AngleSide]) -> int:
@@ -268,7 +263,7 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
         if value < 1:
             raise ValueError(f"tuple at N = {t.N}: {name} must be a positive integer, got {value}")
     try:
-        delta = _check_delta(t.delta)
+        p, q = _check_delta(t.delta).as_integer_ratio()
     except ValueError as e:
         raise ValueError(f"tuple at N = {t.N}: {e}") from None
     M = angle_period(seeds)
@@ -278,7 +273,7 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     records = []
     for k, (seed, m_k, chi_k) in enumerate(zip(seeds, t.m, t.chi)):
         i_next = index_iterate(seed, 2 * m_k + 1)
-        sides = _sides_for(seed, m_k, delta)
+        sides = _angle_sides(seed, _side_names(seed, m_k, p, q))
         lattice_m = (seed.mean.floor_quotient(t.N, M) + chi_k) * M
         records.append(_path_record(seed, k, t.N, m_k, lattice_m, sides, i_next))
     return TupleVerification(tuple(records))
@@ -433,8 +428,7 @@ def jump_tuples_at(seeds: Sequence[PathSeed], N: int,
     them, without the scan: seed 1's iterate m_1 = (t + chi)*M,
     t = floor(N/(M*mean)) and chi in {0, 1}, is found like every other
     seed's."""
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    _check_count("N", N)
     seeds = tuple(seeds)
     return _tuples_at(seeds, N, angle_period(seeds), _check_delta(delta), (None,) * len(seeds))
 
@@ -698,8 +692,8 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
     if not seeds:
         raise ValueError("at least one seed is required")
     delta = _check_delta(delta)
-    if n_max < 1 or limit < 1:
-        raise ValueError("n_max and limit must be positive")
+    _check_count("n_max", n_max)
+    _check_count("limit", limit)
     rules = _side_rules(seeds, required_sides)
     for k, seed in enumerate(seeds):
         if seed.mean.cmp(0) <= 0:
@@ -757,18 +751,22 @@ def compute_delta(seed: PathSeed, m_k: int, delta: Fraction,
 
     The complement count is evaluated directly when the paired iterate
     is supplied, otherwise derived from the identity that the two counts
-    exhaust the irrational rotation census.
+    exhaust the irrational rotation census.  Each iterate must be a
+    positive integer and delta lie in (0, 1/2), checked in that order
+    before any query, whatever angles the seed has.
     """
-    delta = Fraction(delta)
+    for m in (m_k,) if complement_m is None else (m_k, complement_m):
+        _check_multiplier(2 * m)
+    p, q = _check_delta(delta).as_integer_ratio()
     d = seed.decomp
-    dk = delta_from_sides(_sides_for(seed, m_k, delta))
+    dk = delta_from_sides(_angle_sides(seed, _side_names(seed, m_k, p, q)))
     irr_census = (d.r - d.r_prime) + 2 * (d.r_star - d.r_star_prime)
     if dk > (d.r - d.r_prime) + (d.r_star - d.r_star_prime):
         raise ConstraintViolation(
             f"near-integer count {dk} exceeds the irrational rotation census; "
             f"m_k = {m_k} does not come from a verified tuple")
     if complement_m is not None:
-        dkp = delta_from_sides(_sides_for(seed, complement_m, delta))
+        dkp = delta_from_sides(_angle_sides(seed, _side_names(seed, complement_m, p, q)))
         if dk + dkp != irr_census:
             raise ConstraintViolation(
                 f"counts {dk} + {dkp} != {irr_census}: iterates {m_k}, {complement_m} "

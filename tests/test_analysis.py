@@ -164,6 +164,16 @@ class TestSecondGeodesic:
         t2 = find_complementary_tuples([s], t, n_max=10**5)[0]
         assert second_geodesic(system, 0, t2).second is None
 
+    def test_first_tuple_as_its_own_complement_is_refused(self):
+        # seed 0 peaks at its own tuple: 25554 = 2N + n - 1, above 2N + n - 2
+        system = two_seed_system()
+        t = find_jump_tuples(system.seeds, DELTA, 10**6, 1)[0]
+        assert (t.N, t.m) == (12776, (4517, 3948))
+        with pytest.raises(ConstraintViolation, match=re.escape(
+                "first seed still reaches 25554 > 2N' + n - 2 at the complementary "
+                "tuple; the pair is not complementary")):
+            second_geodesic(system, 0, t)
+
 
 class TestBettiConstant:
     @pytest.mark.parametrize("n,value", [(2, Fraction(-1)), (3, Fraction(1)),
@@ -227,6 +237,14 @@ class TestRunAnalysis:
         assert report.flag == "rational_peak_geodesic"
         assert report.first.tuple_N == report.tuple_used.N and report.candidates
         assert report.second_tuple is None and report.first_bound_at_second is None
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"n_max": 2.5}, "n_max must be a positive integer, got 2.5"),
+        ({"tuple_limit": 1.0}, "limit must be a positive integer, got 1.0")],
+        ids=["n_max", "tuple_limit"])
+    def test_a_count_that_is_not_a_positive_integer_is_named(self, counts, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_analysis(two_seed_system(), delta=DELTA, **counts)
 
     def test_complement_past_n_max_is_no_tuple_found(self):
         # seed 0 peaks at N = 12776; its complement lies at N = 70145

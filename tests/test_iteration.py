@@ -143,6 +143,12 @@ class TestExamples:
         first = next(rows)
         assert first == IterationRow(1, 1, 0)
 
+    @pytest.mark.parametrize("m_max", [2.5, 0, 3.0])
+    def test_rows_refuse_a_count_that_is_not_a_positive_integer(self, m_max):
+        s = PathSeed(1, Decomposition([N1Block(1, 0)]))
+        with pytest.raises(ValueError, match=rf"^m_max must be a positive integer, got {m_max}$"):
+            iteration_rows(s, m_max)
+
     def test_rejects_nonpositive_iterate(self):
         s = PathSeed(1, Decomposition([N1Block(1, 0)]))
         with pytest.raises(ValueError):

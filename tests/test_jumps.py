@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -327,14 +328,41 @@ class TestComputeDelta:
         assert d.delta_k + d.delta_k_prime == 2
 
     def test_non_complementary_pair_rejected(self):
-        seeds = [SEED_IRR_A]
-        first = find_jump_tuples(seeds, Fraction(1, 50), 10**5, 2)
-        same_side = [t for t in first if t.per_path[0].irrational_rotation_sides()
-                     == first[0].per_path[0].irrational_rotation_sides()]
-        if len(same_side) >= 2:
-            with pytest.raises(ConstraintViolation, match="complementary"):
-                compute_delta(SEED_IRR_A, same_side[0].m[0], Fraction(1, 50),
-                              complement_m=same_side[1].m[0])
+        # an iterate paired with itself lands on its own side twice
+        first = find_jump_tuples([SEED_IRR_A], Fraction(1, 50), 10**5, 2)
+        m = first[0].m[0]
+        assert m == 35 and first[0].per_path[0].irrational_rotation_sides() == ("high",)
+        with pytest.raises(ConstraintViolation, match=re.escape(
+                "counts 0 + 0 != 1: iterates 35, 35 are not a complementary pair")):
+            compute_delta(SEED_IRR_A, m, Fraction(1, 50), complement_m=m)
+
+    def test_count_beyond_the_census_is_refused(self):
+        # {2*2/3} = 1/3 < 2/5 is "low", but a rational rotation is no census entry
+        s = PathSeed(2, Decomposition([RotationBlock(rational_angle(1, 3)), N1Block(1, 0)]))
+        with pytest.raises(ConstraintViolation, match=re.escape(
+                "near-integer count 1 exceeds the irrational rotation census; "
+                "m_k = 2 does not come from a verified tuple")):
+            compute_delta(s, 2, Fraction(2, 5))
+
+    @pytest.mark.parametrize("seed", [PathSeed(2, Decomposition([N1Block(1, 0), N1Block(1, 1)])),
+                                      SEED_IRR_A, SEED_R3], ids=["no_angle", "quadratic",
+                                                                 "rational"])
+    @pytest.mark.parametrize("m_k, delta, complement_m, message", [
+        (0, Fraction(1, 5), None, "multiplier must be a positive integer, got 0"),
+        (1.5, Fraction(1, 5), None, "multiplier must be a positive integer, got 3.0"),
+        (1, Fraction(1, 5), 0, "multiplier must be a positive integer, got 0"),
+        (1, 5, None, "delta must lie in (0, 1/2), got 5"),
+        (0, 5, None, "multiplier must be a positive integer, got 0"),
+        (1, 5, -2, "multiplier must be a positive integer, got -4"),
+    ], ids=["m_zero", "m_half", "complement_zero", "delta", "m_before_delta",
+            "complement_before_delta"])
+    def test_operands_are_checked_before_any_query(self, monkeypatch, seed, m_k, delta,
+                                                   complement_m, message):
+        # every seed, with or without rotation angles: each iterate, then delta
+        calls = _count_queries(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_delta(seed, m_k, delta, complement_m=complement_m)
+        assert calls == []
 
     def test_even_jump_closed_form_examples(self):
         # rational-only: 2N - S+ - C
@@ -344,6 +372,30 @@ class TestComputeDelta:
 
 
 class TestScanControls:
+    @pytest.mark.parametrize("scan, message", [
+        (lambda seeds, base: find_jump_tuples(seeds, Fraction(1, 10), 2.5),
+         "n_max must be a positive integer, got 2.5"),
+        (lambda seeds, base: find_jump_tuples(seeds, Fraction(1, 10), 10**3, 1.0),
+         "limit must be a positive integer, got 1.0"),
+        (lambda seeds, base: find_jump_tuples(seeds, Fraction(1, 10), 0),
+         "n_max must be a positive integer, got 0"),
+        (lambda seeds, base: find_jump_tuples(seeds, Fraction(1, 10), 10**3, -1),
+         "limit must be a positive integer, got -1"),
+        (lambda seeds, base: find_complementary_tuples(seeds, base, n_max=10.0**5),
+         "n_max must be a positive integer, got 100000.0"),
+        (lambda seeds, base: find_complementary_tuples(seeds, base, limit=Fraction(1)),
+         "limit must be a positive integer, got Fraction(1, 1)"),
+        (lambda seeds, base: jump_tuples_at(seeds, 1.5), "N must be a positive integer, got 1.5"),
+    ], ids=["n_max", "limit", "n_max_zero", "limit_negative", "complement_n_max",
+            "complement_limit", "tuples_at_N"])
+    def test_a_count_that_is_not_a_positive_integer_is_named(self, monkeypatch, shipped_seeds,
+                                                             scan, message):
+        base = jump_tuples_at(shipped_seeds, 12776, Fraction(1, 100))[0]
+        calls = _count_queries(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan(shipped_seeds, base)
+        assert calls == []
+
     def test_no_tuple_found_is_bounds_diagnostic(self):
         with pytest.raises(NoTupleFound, match="n_max"):
             find_jump_tuples([SEED_R3], Fraction(1, 100), 1, 1)
@@ -1319,10 +1371,10 @@ def _count_work(monkeypatch, seed1_mean):
 
     monkeypatch.setattr(jumps, "_tuples_at", counted_tuples_at)
     monkeypatch.setattr(MeanIndex, "floor_quotient", counted_floor_quotient)
-    monkeypatch.setattr(angles, "_check_multiplier", counter("check_multiplier",
-                                                             angles._check_multiplier))
+    check_multiplier = counter("check_multiplier", angles._check_multiplier)
     check_delta = counter("check_delta", angles._check_delta)
     for module in (angles, jumps):
+        monkeypatch.setattr(module, "_check_multiplier", check_multiplier)
         monkeypatch.setattr(module, "_check_delta", check_delta)
     index_iterate = iteration.index_iterate
 
@@ -1344,7 +1396,8 @@ class TestShippedAnalysisWork:
     seed 1 is checked after seed 2, so its floor_quotient runs only where
     seed 2 keeps a candidate, and the scan checks its arguments once per
     scan and near-return search, not per step (9,492 multiplier and 3,203
-    delta checks when every query checked)."""
+    delta checks when every query checked).  Each of the 5 compute_delta
+    calls checks delta once and each of its iterates once, 7 in all."""
 
     def test_counts(self, monkeypatch):
         system, options = parse_scenario((ROOT / "scenarios" / "two_seed_s3.json").read_bytes())
@@ -1353,7 +1406,7 @@ class TestShippedAnalysisWork:
                               tuple_limit=max(options.limit, 5))
         assert report.status == "two_elliptic_irrational"
         assert counts == {"tuples_at": 40, "pinned_floor_quotient": 6,
-                          "check_multiplier": 7, "check_delta": 35}
+                          "check_multiplier": 7, "check_delta": 33}
         assert (len(reads), len(index)) == (3726, 148)
 
     def test_argument_checks_do_not_grow_with_the_steps(self, monkeypatch, shipped_seeds):

@@ -157,17 +157,18 @@ def test_every_angle_kind_subclasses_exact_angle_directly():
 def test_every_angle_kind_is_a_dataclass_sharing_the_irrational_queries():
     # each kind is a generated value type; ceil_mul = floor_mul + 1,
     # varphi_mul = 1 and the enclosure midpoint as float are written once,
-    # on ExactAngle, and only the rational kind overrides them
+    # on ExactAngle, and only the rational kind overrides them; frac_side
+    # is written once, on ExactAngle, for every kind
     kinds = [node for node in ast.walk(_tree(SRC / "angles.py"))
              if isinstance(node, ast.ClassDef) and node.name.endswith("Angle")
              and node.name != "ExactAngle"]
-    assert len(kinds) == 3
+    assert len(kinds) == 3 and "frac_side" in vars(symjump.ExactAngle)
     for kind in kinds:
         decorators = [ast.unparse(d.func if isinstance(d, ast.Call) else d)
                       for d in kind.decorator_list]
         methods = {f.name for f in kind.body if isinstance(f, ast.FunctionDef)}
         assert decorators == ["dataclass"], kind.name
-        assert not methods & {"__init__", "__setattr__"}, kind.name
+        assert not methods & {"__init__", "__setattr__", "frac_side"}, kind.name
         if kind.name != "RationalAngle":
             assert not methods & {"ceil_mul", "varphi_mul", "__float__"}, kind.name
 
