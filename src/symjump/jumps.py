@@ -56,6 +56,19 @@ floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read off integer bounds on
 the means that never refuse.  The window rises with s, so seed k's near
 returns are merged forward once per scan.
 
+When the walk's steps are the pilot's near returns and a later seed has
+such a stream, the first of those seeds is paired with seed 1 instead
+(:func:`_pair_returns`): the walk visits only the steps s where every
+quadratic angle of seed 1 passes at m_1 = s*M and some u in the window
+has every quadratic angle of that seed pass at u*M, listed directly.
+Two consecutive such steps, with their u, differ by a ds that passes
+every angle of seed 1 at its doubled width and a du that is 0 or passes
+every angle of the paired seed at its doubled width, inside a strip
+around the window's slopes: :func:`near_returns`' gap lemma one
+dimension up, with the doubled-width steps listed by the same search for
+several angles at once (:func:`_joint_returns`).  The sieve then keeps
+the streams of the later seeds only.
+
 One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
 past the bound, which starts at
@@ -74,6 +87,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, lcm
@@ -250,7 +264,8 @@ def _path_record(seed: PathSeed, k: int, N: int, m_k: int, lattice_m: int,
 def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
                  budget: Optional[int] = None) -> TupleVerification:
     """Re-evaluate every condition of a tuple from scratch; a path count, M
-    or chi that does not fit the seeds, an N or m entry below 1, or a delta
+    or chi that does not fit the seeds, an N or m entry that is not a
+    positive integer (named by :func:`_check_count`), or a delta
     outside (0, 1/2) raises ValueError, before any query.  ``budget`` is
     accepted and ignored: every angle query decides on one read."""
     seeds = tuple(seeds)
@@ -259,10 +274,9 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
     if len(t.m) != len(seeds) or len(t.chi) != len(seeds):
         raise ValueError(
             f"tuple holds {len(t.m)} paths but {len(seeds)} seeds were given")
-    for name, value in (("N", t.N), *((f"m[{k}]", m_k) for k, m_k in enumerate(t.m))):
-        if value < 1:
-            raise ValueError(f"tuple at N = {t.N}: {name} must be a positive integer, got {value}")
     try:
+        for name, value in (("N", t.N), *((f"m[{k}]", m_k) for k, m_k in enumerate(t.m))):
+            _check_count(name, value)
         p, q = _check_delta(t.delta).as_integer_ratio()
     except ValueError as e:
         raise ValueError(f"tuple at N = {t.N}: {e}") from None
@@ -297,11 +311,12 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     candidates are tried in ascending order, and the first that lands on a
     step is the gap to the next one; by the three-gap theorem only a few
     are tried per step.  Each search pulls its candidates once, as needed,
-    so a tiny delta nests about log2(1/delta) searches of a few tests each.
-    The lattice walk draws seed 1's pilot steps from here, and the sieve
-    draws each later seed's returns u, which it merges against the window
-    of that seed's candidate u_k (:func:`_window`); a step the sieve drops
-    changes no progress call.
+    so a tiny delta nests about log2(1/delta) searches of a few tests each
+    (:func:`_joint_returns`, which runs the same search for several angles
+    at once).  The lattice walk draws seed 1's pilot steps from here unless
+    :func:`_pair_returns` serves it, and the sieve draws each later seed's
+    returns u, which it merges against the window of that seed's candidate
+    u_k (:func:`_window`); a step the sieve drops changes no progress call.
 
     For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
     u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
@@ -322,11 +337,24 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     if (q // p).bit_length() > _DELTA_BITS:
         raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
                          f"{(q // p).bit_length()} levels deep; loosen delta or lower n_max")
-    if side is not None:
-        fresh = near_returns(x, mult, delta, last)
-    else:
-        fresh = iter(range(1, last + 1)) if 4 * p >= q else near_returns(x, mult, 2 * delta, last)
-    wanted = x._side_test(mult, p, q, side)
+    yield from _joint_returns([(x, side, delta)], mult, last)
+
+
+_Widths = list[tuple[QuadraticAngle, Optional[str], Fraction]]
+
+
+def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
+    """The steps s = 1 .. ``last``, ascending, where {mult*s*x} lies within
+    w of an integer for every (x, side, w) of ``angles``, on ``side`` when
+    it is set: :func:`near_returns`' search for several angles at once.
+    Its lemma holds for each angle, so two consecutive steps (0 counts)
+    differ by a gap that passes every angle at its doubled width
+    (:func:`_gaps`), and the same search lists those gaps.  It ends at once
+    when the Liouville bound leaves one angle no step."""
+    if any(_no_return(x, mult, *w.as_integer_ratio(), last) for x, _, w in angles):
+        return
+    fresh = _gaps(angles, mult, last)
+    wanted = _all_of([x._side_test(mult, *w.as_integer_ratio(), side) for x, side, w in angles])
     gaps, s = [], 0
     while True:
         for i in itertools.count():
@@ -341,6 +369,23 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
                 break
         s += gaps[i]
         yield s
+
+
+def _all_of(tests: list[Callable[[int], bool]]) -> Callable[[int], bool]:
+    """The test g -> every one of ``tests`` passes at g (the only one, itself)."""
+    return tests[0] if len(tests) == 1 else lambda g: all(test(g) for test in tests)
+
+
+def _gaps(angles: _Widths, mult: int, last: int) -> Iterator[int]:
+    """The candidate gaps g = 1 .. ``last`` between consecutive steps of
+    :func:`_joint_returns` (``angles``), ascending: the steps at which every
+    angle passes two-sided at its doubled width, w when its side is set
+    (two steps on one side differ by less than w) and 2*w otherwise; an
+    angle whose doubled width reaches 1/2 constrains no gap, and with none
+    left every g is a candidate."""
+    doubled = [(x, None, w if side else 2 * w) for x, side, w in angles]
+    kept = [a for a in doubled if 2 * a[2] < 1]
+    return _joint_returns(kept, mult, last) if kept else iter(range(1, last + 1))
 
 
 def _no_return(x: QuadraticAngle, mult: int, p: int, q: int, last: int) -> bool:
@@ -463,8 +508,11 @@ def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
     seed 1 is "mid", or where a later seed has no near return in the
     window of its candidate u_k = m_k/M, [floor(N_lo/(M*mu_k)),
     floor(N_hi/(M*mu_k)) + 1] for the bounds N_lo, N_hi of the odd index's
-    closed form (:func:`_window`).  The sizes above count the steps before
-    the sieve, and no dropped step changes a progress call.
+    closed form (:func:`_window`).  A near-return walk that is not counted
+    into a list instead visits only the steps :func:`_pair_walk` lists,
+    when a later seed has such a window.  The sizes above count the steps
+    before the sieve or the pairing, and no dropped step changes a progress
+    call.
 
     Proof that a rational-only system holds exactly one tuple at each
     multiple of P = lcm_k(M*mu_k), at seed 1's steps j*S, and none elsewhere.
@@ -505,23 +553,29 @@ def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
     if stride is not None:
         steps = range(stride, last + 1, stride)
         return steps, len(steps)
-    quadratic = _quadratic_angles(seed1)
+    quadratic = _quadratic_angles(seed1, rule1)
     if not quadratic:
         steps = range(1, last + 1)
         return steps, len(steps)
-    at, x = quadratic[0]
-    side = dict(rule1 or ()).get(at)
+    x, side = quadratic[0]
     return near_returns(x, 2 * M, delta, last, side), (delta if side else 2 * delta) * last
 
 
-def _quadratic_angles(seed: PathSeed) -> list[tuple[int, QuadraticAngle]]:
-    """The (position in ``spectrum_angles()``, angle) of each quadratic angle."""
-    return [(j, a) for j, (_, _, a) in enumerate(seed.decomp.spectrum_angles())
+_Sided = list[tuple[QuadraticAngle, Optional[str]]]
+
+
+def _quadratic_angles(seed: PathSeed, rule: Optional[tuple[tuple[int, str], ...]]) -> _Sided:
+    """Each quadratic angle of ``seed``, in order, with the side ``rule``
+    fixes for it (None when free)."""
+    sides = dict(rule or ())
+    return [(a, sides.get(j)) for j, (_, _, a) in enumerate(seed.decomp.spectrum_angles())
             if isinstance(a, QuadraticAngle)]
 
 
-def _window(seed1: PathSeed, seed: PathSeed, M: int,
-            last: int) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+_Window = tuple[tuple[int, int, int], tuple[int, int, int]]
+
+
+def _window(seed1: PathSeed, seed: PathSeed, M: int, last: int) -> Optional[_Window]:
     """(lo, hi), each (a, b, c): at seed 1's lattice step s = 1 .. ``last``,
     every candidate u = m/M = t + chi of ``seed`` lies in
     [floor((a*s + b)/c) for lo, the same for hi], a > 0 in lo; None when a
@@ -548,40 +602,160 @@ def _window(seed1: PathSeed, seed: PathSeed, M: int,
             (2 * M * h1 * dk, (h1 - (c1 - t1) * d1) * dk + 2 * M * d1 * lk, 2 * M * d1 * lk))
 
 
+_Stream = tuple[_Sided, _Window, int]
+
+
+def _streams(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
+             last: int) -> Iterator[_Stream]:
+    """Per later seed whose near returns can sieve seed 1's steps 1 ..
+    ``last``, in seed order: its quadratic angles with their sides, its
+    :func:`_window` and ``top``, the window's upper end at ``last``.  A seed
+    is left out when it has no quadratic angle or :func:`_window` none, or
+    when the search of its first quadratic angle up to ``top`` would end at
+    once by the Liouville bound or refuse its delta."""
+    p, q = delta.as_integer_ratio()
+    for seed, rule in zip(seeds[1:], rules[1:]):
+        angles = _quadratic_angles(seed, rule)
+        window = _window(seeds[0], seed, M, last) if angles else None
+        if window is None:
+            continue
+        top = (window[1][0] * last + window[1][1]) // window[1][2]
+        if not _no_return(angles[0][0], 2 * M, p, q, top) and (q // p).bit_length() <= _DELTA_BITS:
+            yield angles, window, top
+
+
+def _window_test(M: int, delta: Fraction, stream: _Stream) -> Callable[[int], bool]:
+    """The test that a near return of the ``stream``'s first quadratic
+    angle, on the side its rule fixes, lies in the step's window."""
+    ((x, side), *_), (lo, hi), top = stream
+    return _in_window(near_returns(x, 2 * M, delta, top, side), lo, hi)
+
+
 def _sieve(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
            last: int) -> list[Callable[[int], bool]]:
     """The tests that a lattice step s = 1 .. ``last`` of seed 1 passes
     before its index is read; a step that fails one holds no tuple.
 
-    Each later seed with a quadratic angle x keeps the step only when a
-    near return u of its first one (``near_returns(x, 2*M, delta, ...)``,
-    on the side its rule fixes) lies in the step's :func:`_window`.  Seed
-    1's quadratic angles after the first, the pilot of :func:`_pilot_steps`,
-    are the case u = s: each is tested at m_1 = s*M, on the side its rule
-    fixes, if any, by one folded kernel read.  The window's lower end does not
-    fall as s grows, so one forward merge-join over the ascending returns
-    serves the walk.  A seed's stream is left out when :func:`_window` has
-    none, or when its search would end at once by the Liouville bound or
-    refuse its delta.  No test reads an angle or a mean that can refuse, so
-    the sieve only spares queries."""
+    Each later seed of :func:`_streams` keeps the step only when a near
+    return u of its first quadratic angle x (``near_returns(x, 2*M, delta,
+    ...)``, on the side its rule fixes) lies in the step's
+    :func:`_window`.  Seed 1's quadratic angles after the first, the pilot
+    of :func:`_pilot_steps`, are the case u = s: each is tested at
+    m_1 = s*M, on the side its rule fixes, if any, by one folded kernel
+    read.  The window's lower end does not fall as s grows, so one forward
+    merge-join over the ascending returns serves the walk.  No test reads
+    an angle or a mean that can refuse, so the sieve only spares queries.
+    When the walk's steps are the pilot's lazy near returns and a later
+    seed has a stream, :func:`_pair_walk` lists the steps instead, with
+    seed 1's angles and the first such seed's inside its landing tests,
+    and keeps the streams of the seeds after that one."""
     if last < 1:
         return []
     p, q = delta.as_integer_ratio()
-    seed1 = seeds[0]
-    pinned = dict(rules[0] or ())
-    tests = [x._side_test(2 * M, p, q, pinned.get(j)) for j, x in _quadratic_angles(seed1)[1:]]
-    for seed, rule in zip(seeds[1:], rules[1:]):
-        quadratic = _quadratic_angles(seed)
-        window = _window(seed1, seed, M, last) if quadratic else None
-        if window is None:
-            continue
-        (j, x), (lo, hi) = quadratic[0], window
-        top = (hi[0] * last + hi[1]) // hi[2]
-        if _no_return(x, 2 * M, p, q, top) or (q // p).bit_length() > _DELTA_BITS:
-            continue
-        tests.append(_in_window(near_returns(x, 2 * M, delta, top, dict(rule or ()).get(j)),
-                                lo, hi))
-    return tests
+    own = _quadratic_angles(seeds[0], rules[0])[1:]
+    return ([x._side_test(2 * M, p, q, side) for x, side in own]
+            + [_window_test(M, delta, stream) for stream in _streams(seeds, M, delta, rules, last)])
+
+
+def _pair_walk(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
+               last: int) -> Optional[tuple[Iterator[int], list[Callable[[int], bool]]]]:
+    """Seed 1's lattice steps 1 .. ``last`` from :func:`_pair_returns`, which
+    pairs seed 1's quadratic angles with those of the first later seed of
+    :func:`_streams`, and the :func:`_sieve` tests of the seeds after it;
+    None when seed 1 has no quadratic angle or no later seed a stream."""
+    own = _quadratic_angles(seeds[0], rules[0])
+    streams = _streams(seeds, M, delta, rules, last)
+    first = next(streams, None) if own and last >= 1 else None
+    if first is None:
+        return None
+    paired, window, top = first
+    return (_pair_returns(own, paired, 2 * M, delta, window, last, top),
+            [_window_test(M, delta, stream) for stream in streams])
+
+
+def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, window: _Window,
+                  last: int, top: int) -> Iterator[int]:
+    """The steps s = 1 .. ``last``, ascending and each once, where every
+    angle of ``own`` passes its side test at mult*s (not "mid", or on the
+    side given with it) and some u = 1 .. ``top`` with
+    floor((a0*s + b0)/c0) <= u <= floor((a1*s + b1)/c1), for
+    (a0, b0, c0), (a1, b1, c1) = ``window``, has every angle of ``paired``
+    pass its side test at mult*u.
+
+    This is :func:`near_returns`' gap lemma one dimension up.  Write
+    ||t|| for the distance from t to the nearest integer and take two
+    consecutive members s < s' of the set plus a virtual origin
+    (s, u) = (0, 0), with any valid u for s and u' for s'.
+    (1) For each angle x of ``own``, ||mult*s*x|| and ||mult*s'*x|| are
+        below delta, both on one side when x's side is fixed, so ds = s' - s
+        passes x at 2*delta, or at delta when x's side is fixed (any ds
+        once that width reaches 1/2): ds is one of :func:`_gaps` for
+        ``own`` up to ``last``.
+    (2) u' can be taken at least u: the window's ends do not fall as s
+        grows, so a valid u' < u puts u itself in the window of s'.  Then
+        du = u' - u is 0 or, likewise, one of :func:`_gaps` for ``paired``
+        up to ``top`` (R2), as u and u' lie in [0, top].
+    (3) floor((a*s + b)/c) lies in [(a*s + b - c + 1)/c, (a*s + b)/c] and
+        the slope a1/c1 - a0/c0 is not negative (the upper window reads
+        the larger mean ratio), so with 0 <= s <= last
+            a0*ds/c0 - K <= du <= a1*ds/c1 + K,
+        K = ceil(max(last*(a1/c1 - a0/c0) + b1/c1 - (b0 - c0 + 1)/c0,
+                     (c0 - 1 - b0)/c0, b1/c1)),
+        the last two terms for the origin, computed once in integers.
+    So from a member (s, u), the candidates ds are the gaps of (1) in
+    ascending order, each with its group of du from (2) inside the strip
+    of (3), found once per gap; the first candidate at which some u + du
+    passes gives the next member s + ds, and a gap with an empty group is
+    never tried.  Each candidate is checked on the integer window first,
+    then by one read of each of ``own``'s folded kernels at s + ds, then by
+    ``paired``'s at each u + du left.  Every read is one integer square
+    root and never refuses; when the Liouville bound leaves some angle of
+    ``own`` no return up to ``last``, or of ``paired`` up to ``top``, the
+    walk ends before any read."""
+    p, q = delta.as_integer_ratio()
+    if any(_no_return(a, mult, p, q, last) for a, _ in own) or any(
+            _no_return(a, mult, p, q, top) for a, _ in paired):
+        return
+    (a0, b0, c0), (a1, b1, c1) = window
+    # K of (3), each term n/d over a common denominator, ceil(n/d) = -(-n // d)
+    K = max(-(-((a1 * last + b1) * c0 - (a0 * last + b0 - c0 + 1) * c1) // (c0 * c1)),
+            -(-(c0 - 1 - b0) // c0), -(-b1 // c1))
+    own_ok = _all_of([a._side_test(mult, p, q, side) for a, side in own])
+    paired_ok = _all_of([a._side_test(mult, p, q, side) for a, side in paired])
+    fresh = _gaps([(a, side, delta) for a, side in own], mult, last)
+    more = itertools.chain(_gaps([(a, side, delta) for a, side in paired], mult, top), [inf])
+    returns = [0]  # 0 and R2 pulled so far, ascending, then inf once R2 ends
+    groups = []  # (ds, a0*ds, a1*ds, its du ascending) for each gap with a nonempty group
+    s = u = 0
+
+    def pull() -> Iterator[tuple[int, int, int, list[int]]]:
+        for ds in fresh:
+            if s + ds > last:
+                return
+            hi = a1 * ds // c1 + K
+            while returns[-1] < hi:
+                returns.append(next(more))
+            group = returns[bisect_left(returns, -(-a0 * ds // c0) - K):bisect_right(returns, hi)]
+            if group:
+                groups.append((ds, a0 * ds, a1 * ds, group))
+                yield groups[-1]
+
+    while True:
+        base0, base1 = a0 * s + b0, a1 * s + b1
+        for ds, a0ds, a1ds, group in itertools.chain(groups, pull()):
+            if s + ds > last:
+                return
+            lo = max((base0 + a0ds) // c0, 1) - u
+            hi = min((base1 + a1ds) // c1, top) - u
+            landing = [u + du for du in group if lo <= du <= hi]
+            if landing and own_ok(s + ds):
+                v = next((v for v in landing if paired_ok(v)), None)
+                if v is not None:
+                    break
+        else:
+            return
+        s, u = s + ds, v
+        yield s
 
 
 def _in_window(returns: Iterator[int], lo: tuple[int, int, int],
@@ -609,11 +783,15 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
     """The tuples found on seed 1's lattice ``steps`` (:func:`_pilot_steps`)
     up to ``last`` = last_step(n_max) that pass the :func:`_sieve`; once
     ``limit`` are found the bound shrinks to last_step of the limit-th
-    smallest N, and no larger N is tried.  Progress is reported at every
-    chunk end a visited step passes, sieved or not, then at each end up to
-    the first past the final bound; without a callback, no work per chunk."""
+    smallest N, and no larger N is tried.  When ``steps`` is the pilot's
+    lazy near-return walk (an iterator; a range or a counted list is not),
+    the steps and the tests come from :func:`_pair_walk` when it has them.
+    Progress is reported at every chunk end a visited step passes, sieved
+    or not, then at each end up to the first past the final bound; without
+    a callback, no work per chunk."""
     seed1 = seeds[0]
-    sieve = _sieve(seeds, M, delta, rules, last)
+    pair = _pair_walk(seeds, M, delta, rules, last) if isinstance(steps, Iterator) else None
+    steps, sieve = pair or (steps, _sieve(seeds, M, delta, rules, last))
     hits: list[JumpTuple] = []
     done, top = 0, n_max  # the last chunk end reported, the largest N kept
     for step in steps:

@@ -32,7 +32,7 @@ from symjump.jumps import near_returns
 from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
-from conftest import pinched_seed, quadratics, random_seed
+from conftest import QUADRATIC_POOL, pinched_seed, quadratics, random_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -235,6 +235,20 @@ class TestVerification:
             "index_nullity_before_jump", "even_index_splitting_identity"]
         found = [t.N for t in find_jump_tuples(seeds, delta, 200, 50)]
         assert found[:4] == [5, 10, 15, 17] and 13 not in found
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(N=12776.5), "tuple at N = 12776.5: N must be a positive integer, got 12776.5"),
+        (dict(m=(4517.0, 3948)), "tuple at N = 12776: m[0] must be a positive integer, got 4517.0"),
+    ], ids=["float_N", "float_m"])
+    def test_a_non_integer_entry_is_named_before_any_query(self, monkeypatch, shipped_seeds,
+                                                           change, message):
+        t = jump_tuples_at(shipped_seeds, 12776, Fraction(1, 100))[0]
+        assert t.m == (4517, 3948)
+        calls = _count_queries(monkeypatch)
+        monkeypatch.setattr(jumps, "index_iterate", lambda *args: calls.append("index_iterate"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_tuple(dataclasses.replace(t, **change), shipped_seeds)
+        assert calls == []
 
     def test_condition_records_reevaluate_as_stored(self):
         t = find_jump_tuples([SEED_IRR_A, SEED_IRR_B], Fraction(1, 100), 10**6, 1)[0]
@@ -1036,26 +1050,31 @@ def _two_sided_near_returns(x, mult, delta, last, side=None):
 class TestOneSidedPilotWalk:
     """A scan whose required sides fix the side of seed 1's pilot angle walks
     only the pilot's returns on that side, and one that fixes the side of a
-    later seed's sieve angle merges only that angle's returns on that side;
-    the tuples, the NoTupleFound and the progress calls are those of the
-    two-sided walk and sieve."""
+    later seed's sieve angle merges only that angle's returns on that side
+    (in the pair walk, each tests its angle on that side); the tuples, the
+    NoTupleFound and the progress calls are those of the two-sided walk and
+    sieve."""
 
     @staticmethod
     def _equivalent(monkeypatch, seeds, delta, n_max, limit):
-        """Compare every pattern against the two-sided walk; the (angle, side)
-        of every near-return search the one-sided walk asked for."""
+        """Compare every pattern against the two-sided walk and sieve, with
+        no pair walk; the (angle, side) of every folded side test the
+        one-sided scan built (each near-return search builds one too)."""
         sides = []
-        walk = jumps.near_returns
+        side_test = QuadraticAngle._side_test
 
-        def recorded(x, mult, delta, last, side=None):
+        def recorded(x, mult, p, q, side=None):
             sides.append((x, side))
-            return walk(x, mult, delta, last, side)
+            return side_test(x, mult, p, q, side)
 
         for required in _required_patterns(seeds):
-            monkeypatch.setattr(jumps, "near_returns", recorded)
-            got = _scan(seeds, delta, n_max, limit, required_sides=required)
-            monkeypatch.setattr(jumps, "near_returns", _two_sided_near_returns)
-            want = _scan(seeds, delta, n_max, limit, required_sides=required)
+            with monkeypatch.context() as mp:
+                mp.setattr(QuadraticAngle, "_side_test", recorded)
+                got = _scan(seeds, delta, n_max, limit, required_sides=required)
+            with monkeypatch.context() as mp:
+                mp.setattr(jumps, "near_returns", _two_sided_near_returns)
+                mp.setattr(jumps, "_pair_walk", lambda *args: None)
+                want = _scan(seeds, delta, n_max, limit, required_sides=required)
             assert got == want, required
         return sides
 
@@ -1140,7 +1159,9 @@ def _sieve_system(rng, decimal=False):
 
 
 def _unsieved(monkeypatch):
+    # the pair walk is a sieve too: without it the walk visits the pilot's returns
     monkeypatch.setattr(jumps, "_sieve", lambda *args: [])
+    monkeypatch.setattr(jumps, "_pair_walk", lambda *args: None)
 
 
 class TestSieve:
@@ -1272,6 +1293,122 @@ class TestSieve:
         assert len(steps) > 2 * read
 
 
+_SIDES = (None, "low", "high")
+
+
+def _passes(angles, mult, g, delta):
+    return all(x.frac_side(mult * g, delta) in ((side,) if side else ("low", "high"))
+               for x, side in angles)
+
+
+def _pair_filter(own, paired, mult, delta, window, last, top):
+    """_pair_returns' steps by testing every step and every u of its window
+    with the public frac_side."""
+    (a0, b0, c0), (a1, b1, c1) = window
+    return [s for s in range(1, last + 1) if _passes(own, mult, s, delta) and any(
+        _passes(paired, mult, u, delta)
+        for u in range(max((a0 * s + b0) // c0, 1), min((a1 * s + b1) // c1, top) + 1))]
+
+
+def _pair_case(rng, x_side, y_side):
+    """A random pilot x and paired y (each with 0-1 more quadratic angles on a
+    random side), multiplier, delta in [1/300, 1/5], and the window of a
+    random pinched seed pair up to a random last, with top its upper end."""
+    while True:
+        n = rng.randint(2, 4)
+        seed1, seed2 = (pinched_seed(rng, n, allow_irrational=True, denom_max=6) for _ in "12")
+        M, last = angle_period([seed1, seed2]), rng.randint(1, 300)
+        window = jumps._window(seed1, seed2, M, last)
+        if window is not None:
+            break
+    angles = [quadratic_angle(*rng.choice(QUADRATIC_POOL)) for _ in range(4)]
+    own = [(angles[0], x_side)] + [(angles[2], rng.choice(_SIDES))] * rng.randint(0, 1)
+    paired = [(angles[1], y_side)] + [(angles[3], rng.choice(_SIDES))] * rng.randint(0, 1)
+    den = rng.randint(5, 300)
+    delta = Fraction(rng.randint(1, den // 5), den)
+    top = (window[1][0] * last + window[1][1]) // window[1][2]
+    return own, paired, 2 * rng.randint(1, 6), delta, window, last, top
+
+
+def _pair_system(rng):
+    """2-3 seeds of dimension 2-4, seeds 1 and 2 each with a quadratic angle."""
+    while True:
+        seeds = _sieve_system(rng)
+        if len(seeds) > 1 and all(any(isinstance(a, QuadraticAngle)
+                                      for _, _, a in seed.decomp.spectrum_angles())
+                                  for seed in seeds[:2]):
+            return seeds
+
+
+class TestPairReturns:
+    """The pair walk lists the steps where seed 1's quadratic angles pass at
+    mult*s and the paired seed's at some u of the window, exactly; a scan
+    that takes its steps from it finds what the sieved pilot walk finds."""
+
+    @pytest.mark.parametrize("x_side, y_side", list(itertools.product(_SIDES, _SIDES)))
+    def test_matches_a_filter_of_every_step(self, x_side, y_side):
+        rng = random.Random(f"pair/{x_side}/{y_side}")
+        members = 0
+        for _ in range(25):
+            case = _pair_case(rng, x_side, y_side)
+            want = _pair_filter(*case)
+            assert list(jumps._pair_returns(*case)) == want, case
+            members += len(want)
+        assert members >= 25
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_joint_returns_match_a_filter_of_every_step(self, rng_seed):
+        # 1-3 angles, each with its own side and width, as the gap searches
+        # of a pair walk mix them
+        rng = random.Random(f"joint/{rng_seed}")
+        for _ in range(30):
+            angles = []
+            for _ in range(rng.randint(1, 3)):
+                den = rng.randint(3, 80)
+                angles.append((quadratic_angle(*rng.choice(QUADRATIC_POOL)), rng.choice(_SIDES),
+                               Fraction(rng.randint(1, (den - 1) // 2), den)))
+            mult, last = 2 * rng.randint(1, 6), rng.randint(1, 600)
+            want = [s for s in range(1, last + 1) if all(
+                _passes([(x, side)], mult, s, w) for x, side, w in angles)]
+            assert list(jumps._joint_returns(angles, mult, last)) == want, angles
+
+    def test_an_angle_with_no_return_reads_no_kernel(self, monkeypatch, shipped_seeds):
+        # ||2g*(sqrt(2) - 1)|| > 1/(1 + 2*10**6*2*2) for every g <= 10**6, as
+        # the pilot or as the paired angle; the golden angle's bound is looser
+        reads = _count_kernel_reads(monkeypatch)
+        calls = _count_frac_side(monkeypatch, 0)
+        window = jumps._window(*shipped_seeds, 1, 10**6)
+        delta = Fraction(1, 8 * 10**6 + 1)
+        assert not jumps._no_return(GOLDEN, 2, 1, 8 * 10**6 + 1, 10**6)
+        for x_side, y_side in itertools.product(_SIDES, _SIDES):
+            for x, y in ((SQRT2M1, GOLDEN), (GOLDEN, SQRT2M1)):
+                assert list(jumps._pair_returns([(x, x_side)], [(y, y_side)], 2, delta,
+                                                window, 10**6, 10**6)) == []
+        assert reads == calls == []
+
+    @pytest.mark.parametrize("rng_seed", range(3))
+    def test_scan_matches_the_sieved_pilot_walk(self, monkeypatch, rng_seed):
+        rng = random.Random(f"pair-scan/{rng_seed}")
+        paired = []
+        pair_walk = jumps._pair_walk
+
+        def counted(*args):
+            paired.append(pair_walk(*args))
+            return paired[-1]
+
+        for _ in range(8):
+            seeds = _pair_system(rng)
+            delta = rng.choice((Fraction(1, 7), Fraction(1, 20), Fraction(1, 60)))
+            required = rng.choice([None, *_required_patterns(seeds)])
+            with monkeypatch.context() as mp:
+                mp.setattr(jumps, "_pair_walk", counted)
+                got = _scan(seeds, delta, 20000, 4, required_sides=required)
+            with monkeypatch.context() as mp:
+                mp.setattr(jumps, "_pair_walk", lambda *args: None)
+                assert got == _scan(seeds, delta, 20000, 4, required_sides=required)
+        assert sum(p is not None for p in paired) >= 3
+
+
 def _count_queries(monkeypatch):
     """The name of every frac_side call on any angle kind and every mean-index
     cmp or floor_quotient from here on."""
@@ -1389,15 +1526,16 @@ def _count_work(monkeypatch, seed1_mean):
 
 class TestShippedAnalysisWork:
     """The exact work of one analysis of the shipped scenario (the
-    benchmark's s3_analyze op), in counts, never in time.  Seed 2's sieve
-    drops a lattice step before seed 1's index read unless a near return of
-    seed 2 lies in its window, so 40 steps reach _tuples_at (767 + 249, and
-    3,076 index_iterate calls, without the sieve).  A pinned
-    seed 1 is checked after seed 2, so its floor_quotient runs only where
-    seed 2 keeps a candidate, and the scan checks its arguments once per
-    scan and near-return search, not per step (9,492 multiplier and 3,203
-    delta checks when every query checked).  Each of the 5 compute_delta
-    calls checks delta once and each of its iterates once, 7 in all."""
+    benchmark's s3_analyze op), in counts, never in time.  The pair walk
+    visits only the steps where seed 1's angle passes and some u of seed
+    2's window passes seed 2's, so 40 steps reach _tuples_at (767 + 249,
+    and 3,076 index_iterate calls, without seed 2's window; the pilot walk
+    with seed 2's stream made 3,726 side-kernel reads).  A pinned seed 1
+    is checked after seed 2, so its floor_quotient runs only where seed 2
+    keeps a candidate, and the scan checks its arguments once per scan,
+    not per step or search (9,492 multiplier and 3,203 delta checks when
+    every query checked).  Each of the 5 compute_delta calls checks delta
+    once and each of its iterates once, 7 in all."""
 
     def test_counts(self, monkeypatch):
         system, options = parse_scenario((ROOT / "scenarios" / "two_seed_s3.json").read_bytes())
@@ -1406,8 +1544,8 @@ class TestShippedAnalysisWork:
                               tuple_limit=max(options.limit, 5))
         assert report.status == "two_elliptic_irrational"
         assert counts == {"tuples_at": 40, "pinned_floor_quotient": 6,
-                          "check_multiplier": 7, "check_delta": 33}
-        assert (len(reads), len(index)) == (3726, 148)
+                          "check_multiplier": 7, "check_delta": 7}
+        assert (len(reads), len(index)) == (1490, 148)
 
     def test_argument_checks_do_not_grow_with_the_steps(self, monkeypatch, shipped_seeds):
         seen = []
@@ -1417,7 +1555,7 @@ class TestShippedAnalysisWork:
                 assert len(find_jump_tuples(shipped_seeds, Fraction(1, 100), 10**6, limit)) == limit
                 seen.append(counts)
         assert seen[0]["tuples_at"] < seen[1]["tuples_at"] < seen[2]["tuples_at"]
-        assert [(c["check_multiplier"], c["check_delta"]) for c in seen] == [(0, 13)] * 3
+        assert [(c["check_multiplier"], c["check_delta"]) for c in seen] == [(0, 1)] * 3
 
     def test_a_pinned_seed_1_goes_last_unless_another_seed_can_refuse(self, monkeypatch,
                                                                       shipped_seeds):
