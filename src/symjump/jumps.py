@@ -19,55 +19,40 @@ direct evaluation; this rejects candidates whose delta is too coarse for
 that algebra.
 
 The candidate N come from one lattice walk.  It visits seed 1's lattice
-steps m_1 = s*M (:func:`_pilot_steps`) and reads the unique candidate N
-off seed 1's odd-iterate index.  Three step sources feed it: when every
-spectrum angle of every seed is rational, the tuples lie at exactly the
-multiples of P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps` proves
-it), at seed 1's steps j*S, S = P/(M*mu_1), so the walk visits those only
-and its work is O(limit) whatever n_max is; otherwise it visits the near
-returns of a quadratic angle of seed 1 when it has one and every step
-when it has none.  Each source comes with its size: the length of a
-range, or the estimate w*last for a near-return walk, w = 2*delta (or
-delta on a side fixed by the required sides), checked by counting at
-most n_max + 1 steps when it is at most n_max < last.  When a system that
-is not rational-only has more steps than n_max, the scan walks
-N = 1 .. n_max instead, so no scan tries more than n_max + 1 candidates.
+steps m_1 = s*M and reads the unique candidate N off seed 1's odd-iterate
+index.  When seed 1's steps number more than n_max in a system that is
+not rational-only, the scan walks N = 1 .. n_max instead, so no scan
+tries more than n_max + 1 candidates.  The step count is the length of a
+range, or for a quadratic angle x of seed 1 the estimate w*last,
+w = 2*delta (or delta on a side fixed by the required sides), checked by
+counting at most n_max + 1 of x's near returns (:func:`near_returns`)
+when it is at most n_max < last; the count only picks the route.
 
-When seed 1 carries a quadratic spectrum angle x, the lattice walk visits only
-the lattice steps s where {2*M*s*x} lies within delta of an integer --
-about 2*delta of them -- listed directly by :func:`near_returns`, which
-takes the gaps between them from its own search at 2*delta; every other
-step would fail seed 1's angle-side check.  When x is a rotation angle
-whose side the required sides fix (a complementary scan), only the
-returns on that side are visited, about delta of all steps, with the
-gaps taken from the two-sided search at delta; the others would fail
-the required-side check.
-
-Before seed 1's index is read at a visited step s, a sieve (:func:`_sieve`)
-drops the step when some seed cannot pass its angle check there: seed 1's
-other quadratic angles are tested at m_1 = s*M, and each later seed k
-with a quadratic angle x_k needs a near return u of x_k (at multiplier
-2M, on its required side) in the window of its candidate u_k = m_k/M.
-The window comes from the closed form of the odd index,
+:func:`_pilot_steps` gives the walk its steps and the tests a step must
+still pass before seed 1's index is read, in one of four cases.  When
+every spectrum angle of every seed is rational, the tuples lie at exactly
+the multiples of P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps`
+proves it), at seed 1's steps j*S, S = P/(M*mu_1): the walk visits those
+only and its work is O(limit) whatever n_max is.  Otherwise a later seed
+k with a quadratic angle has a stream: the steps u where all its
+quadratic angles come within delta of an integer at multiplier 2M (on
+their required sides), which must meet the window of its candidate
+u_k = m_k/M.  The window comes from the closed form of the odd index,
 i(m) - m*mu in [-c, -c + 2*(#theta + #alpha)], c = ``_index_form[1]``:
 2N lies in [(2sM + 1)*mu_1 - c_1 - i1_1, (2sM + 1)*mu_1 - c_1 - i1_1 +
 2*(#theta_1 + #alpha_1)], so u_k lies in [floor(N_lo/(M*mu_k)),
 floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read off integer bounds on
-the means that never refuse.  The window rises with s, so seed k's near
-returns are merged forward once per scan.
-
-When the walk's steps are the pilot's near returns and a later seed has
-such a stream, the first of those seeds is paired with seed 1 instead
-(:func:`_pair_returns`): the walk visits only the steps s where every
-quadratic angle of seed 1 passes at m_1 = s*M and some u in the window
-has every quadratic angle of that seed pass at u*M, listed directly.
-Two consecutive such steps, with their u, differ by a ds that passes
-every angle of seed 1 at its doubled width and a du that is 0 or passes
-every angle of the paired seed at its doubled width, inside a strip
-around the window's slopes: :func:`near_returns`' gap lemma one
-dimension up, with the doubled-width steps listed by the same search for
-several angles at once (:func:`_joint_returns`).  The sieve then keeps
-the streams of the later seeds only.
+the means that never refuse; the window rises with s, so each stream is
+merged forward once per scan (:func:`_in_window`).  A seed 1 without a
+quadratic angle visits every step and tests every stream.  Otherwise the
+walk visits only the steps where all of seed 1's quadratic angles pass,
+about 2*delta of them for one free angle: when no later seed has a stream
+they are listed by :func:`_joint_returns`, which takes the gaps between
+them from the same search at doubled widths, and otherwise
+:func:`_pair_returns` pairs seed 1 with the first stream's seed, listing
+the steps where some u in the window also passes all of that seed's
+angles (the same gap lemma one dimension up), and the later streams stay
+tests.
 
 One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
@@ -77,8 +62,8 @@ more, shrinks to last_step of the limit-th smallest N.  Progress is
 still reported at the end of every chunk of 2048 steps, up to the first
 chunk end past the bound, so the progress calls do not depend on where
 within its chunk the walk stopped, how sparse its steps are or which of
-them the sieve dropped; the N-walk counts its chunks in N.  A query that
-a skipped or sieved step or an earlier cheap check spares never refuses,
+them a test dropped; the N-walk counts its chunks in N.  A query that a
+skipped or dropped step or an earlier cheap check spares never refuses,
 so such a scan can succeed where a walk over every step raised
 UndecidableComparison.
 """
@@ -311,12 +296,10 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     candidates are tried in ascending order, and the first that lands on a
     step is the gap to the next one; by the three-gap theorem only a few
     are tried per step.  Each search pulls its candidates once, as needed,
-    so a tiny delta nests about log2(1/delta) searches of a few tests each
-    (:func:`_joint_returns`, which runs the same search for several angles
-    at once).  The lattice walk draws seed 1's pilot steps from here unless
-    :func:`_pair_returns` serves it, and the sieve draws each later seed's
-    returns u, which it merges against the window of that seed's candidate
-    u_k (:func:`_window`); a step the sieve drops changes no progress call.
+    so a tiny delta nests about log2(1/delta) searches of a few tests each.
+    The search is :func:`_joint_returns` for one angle; the scan counts
+    seed 1's steps here to pick its route, and the lattice walk takes them
+    from :func:`_pilot_steps`.
 
     For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
     u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
@@ -331,12 +314,6 @@ def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
     delta = _check_delta(delta)
     if side not in (None, "low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
-    p, q = delta.as_integer_ratio()
-    if _no_return(x, mult, p, q, last):
-        return
-    if (q // p).bit_length() > _DELTA_BITS:
-        raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
-                         f"{(q // p).bit_length()} levels deep; loosen delta or lower n_max")
     yield from _joint_returns([(x, side, delta)], mult, last)
 
 
@@ -350,9 +327,14 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
     Its lemma holds for each angle, so two consecutive steps (0 counts)
     differ by a gap that passes every angle at its doubled width
     (:func:`_gaps`), and the same search lists those gaps.  It ends at once
-    when the Liouville bound leaves one angle no step."""
+    when the Liouville bound leaves one angle no step, and otherwise refuses
+    a width of at most 2**-800 as :func:`near_returns` does."""
     if any(_no_return(x, mult, *w.as_integer_ratio(), last) for x, _, w in angles):
         return
+    bits = max((w.denominator // w.numerator).bit_length() for _, _, w in angles)
+    if bits > _DELTA_BITS:
+        raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
+                         f"{bits} levels deep; loosen delta or lower n_max")
     fresh = _gaps(angles, mult, last)
     wanted = _all_of([x._side_test(mult, *w.as_integer_ratio(), side) for x, side, w in angles])
     gaps, s = [], 0
@@ -491,28 +473,27 @@ def _last_step(seed: PathSeed, M: int, n: int) -> int:
     return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 
-def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
-                 rule1: Optional[tuple[tuple[int, str], ...]], last: int,
-                 stride: Optional[int]) -> tuple[Iterable[int], int | Fraction]:
-    """The lattice steps 1 .. ``last`` the lattice walk visits, and their
-    size: the multiples of ``stride`` = S = P/(M*mu_1) when every spectrum
-    angle is rational (``stride`` is None otherwise), else every step, or
-    the near returns of seed 1's first quadratic angle, on the side
-    ``rule1`` fixes for it if any.  A range's size is its length; a
-    near-return walk's is w*last, w = 2*delta for both sides and delta for
-    one, an estimate only: an angle with a large partial quotient has every
-    step of a long run as a near return.  The steps left out fail seed 1's
-    angle-side check (or its required side) or, off the multiples of S,
-    some seed's index check.  The walk then drops, before the index read,
-    the steps that :func:`_sieve` rejects: where another quadratic angle of
-    seed 1 is "mid", or where a later seed has no near return in the
-    window of its candidate u_k = m_k/M, [floor(N_lo/(M*mu_k)),
-    floor(N_hi/(M*mu_k)) + 1] for the bounds N_lo, N_hi of the odd index's
-    closed form (:func:`_window`).  A near-return walk that is not counted
-    into a list instead visits only the steps :func:`_pair_walk` lists,
-    when a later seed has such a window.  The sizes above count the steps
-    before the sieve or the pairing, and no dropped step changes a progress
-    call.
+def _pilot_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
+                 last: int, stride: Optional[int]
+                 ) -> tuple[Iterable[int], list[Callable[[int], bool]]]:
+    """Seed 1's lattice steps 1 .. ``last`` that the lattice walk visits,
+    ascending, and the tests a step must still pass before seed 1's index is
+    read; a step left out or failing a test holds no tuple.  The cases:
+    - the multiples of ``stride`` = S = P/(M*mu_1) when every spectrum angle
+      is rational (``stride`` is None otherwise), with no test: off them
+      some seed fails its index check (proof below);
+    - every step when seed 1 has no quadratic angle, with each stream of
+      :func:`_streams` as a test: some u of the later seed's joint returns
+      lies in the step's :func:`_window` (:func:`_in_window`);
+    - when no later seed has a stream, the steps where every quadratic angle
+      of seed 1 passes at m_1 = s*M, on the side ``rules`` fix for it, if
+      any, from :func:`_joint_returns`, with no test;
+    - otherwise those of them where some u in the window of the first
+      stream's seed also passes all of that seed's quadratic angles, from
+      :func:`_pair_returns`, with the streams after it as tests.
+    Every step left out fails an angle-side check, a required side or an
+    index check, and no test reads an angle or a mean that can refuse, so
+    the choice only spares queries; no dropped step changes a progress call.
 
     Proof that a rational-only system holds exactly one tuple at each
     multiple of P = lcm_k(M*mu_k), at seed 1's steps j*S, and none elsewhere.
@@ -551,14 +532,18 @@ def _pilot_steps(seed1: PathSeed, M: int, delta: Fraction,
     work is O(limit) whatever n_max is.
     """
     if stride is not None:
-        steps = range(stride, last + 1, stride)
-        return steps, len(steps)
-    quadratic = _quadratic_angles(seed1, rule1)
-    if not quadratic:
-        steps = range(1, last + 1)
-        return steps, len(steps)
-    x, side = quadratic[0]
-    return near_returns(x, 2 * M, delta, last, side), (delta if side else 2 * delta) * last
+        return range(stride, last + 1, stride), []
+    own = _quadratic_angles(seeds[0], rules[0])
+    streams = _streams(seeds, M, delta, rules, last)
+    first = next(streams, None) if own else None
+    if own and first is None:
+        return _joint_returns([(x, side, delta) for x, side in own], 2 * M, last), []
+    tests = [_in_window(_joint_returns([(x, side, delta) for x, side in angles], 2 * M, top),
+                        *window) for angles, window, top in streams]
+    if not own:
+        return range(1, last + 1), tests
+    paired, window, top = first
+    return _pair_returns(own, paired, 2 * M, delta, window, last, top), tests
 
 
 _Sided = list[tuple[QuadraticAngle, Optional[str]]]
@@ -607,12 +592,14 @@ _Stream = tuple[_Sided, _Window, int]
 
 def _streams(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
              last: int) -> Iterator[_Stream]:
-    """Per later seed whose near returns can sieve seed 1's steps 1 ..
+    """Per later seed whose joint near returns can test seed 1's steps 1 ..
     ``last``, in seed order: its quadratic angles with their sides, its
     :func:`_window` and ``top``, the window's upper end at ``last``.  A seed
     is left out when it has no quadratic angle or :func:`_window` none, or
     when the search of its first quadratic angle up to ``top`` would end at
     once by the Liouville bound or refuse its delta."""
+    if last < 1:
+        return
     p, q = delta.as_integer_ratio()
     for seed, rule in zip(seeds[1:], rules[1:]):
         angles = _quadratic_angles(seed, rule)
@@ -622,55 +609,6 @@ def _streams(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideR
         top = (window[1][0] * last + window[1][1]) // window[1][2]
         if not _no_return(angles[0][0], 2 * M, p, q, top) and (q // p).bit_length() <= _DELTA_BITS:
             yield angles, window, top
-
-
-def _window_test(M: int, delta: Fraction, stream: _Stream) -> Callable[[int], bool]:
-    """The test that a near return of the ``stream``'s first quadratic
-    angle, on the side its rule fixes, lies in the step's window."""
-    ((x, side), *_), (lo, hi), top = stream
-    return _in_window(near_returns(x, 2 * M, delta, top, side), lo, hi)
-
-
-def _sieve(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
-           last: int) -> list[Callable[[int], bool]]:
-    """The tests that a lattice step s = 1 .. ``last`` of seed 1 passes
-    before its index is read; a step that fails one holds no tuple.
-
-    Each later seed of :func:`_streams` keeps the step only when a near
-    return u of its first quadratic angle x (``near_returns(x, 2*M, delta,
-    ...)``, on the side its rule fixes) lies in the step's
-    :func:`_window`.  Seed 1's quadratic angles after the first, the pilot
-    of :func:`_pilot_steps`, are the case u = s: each is tested at
-    m_1 = s*M, on the side its rule fixes, if any, by one folded kernel
-    read.  The window's lower end does not fall as s grows, so one forward
-    merge-join over the ascending returns serves the walk.  No test reads
-    an angle or a mean that can refuse, so the sieve only spares queries.
-    When the walk's steps are the pilot's lazy near returns and a later
-    seed has a stream, :func:`_pair_walk` lists the steps instead, with
-    seed 1's angles and the first such seed's inside its landing tests,
-    and keeps the streams of the seeds after that one."""
-    if last < 1:
-        return []
-    p, q = delta.as_integer_ratio()
-    own = _quadratic_angles(seeds[0], rules[0])[1:]
-    return ([x._side_test(2 * M, p, q, side) for x, side in own]
-            + [_window_test(M, delta, stream) for stream in _streams(seeds, M, delta, rules, last)])
-
-
-def _pair_walk(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
-               last: int) -> Optional[tuple[Iterator[int], list[Callable[[int], bool]]]]:
-    """Seed 1's lattice steps 1 .. ``last`` from :func:`_pair_returns`, which
-    pairs seed 1's quadratic angles with those of the first later seed of
-    :func:`_streams`, and the :func:`_sieve` tests of the seeds after it;
-    None when seed 1 has no quadratic angle or no later seed a stream."""
-    own = _quadratic_angles(seeds[0], rules[0])
-    streams = _streams(seeds, M, delta, rules, last)
-    first = next(streams, None) if own and last >= 1 else None
-    if first is None:
-        return None
-    paired, window, top = first
-    return (_pair_returns(own, paired, 2 * M, delta, window, last, top),
-            [_window_test(M, delta, stream) for stream in streams])
 
 
 def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, window: _Window,
@@ -779,19 +717,15 @@ def _in_window(returns: Iterator[int], lo: tuple[int, int, int],
 def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
                 n_max: int, limit: int, exclude: frozenset,
                 progress: Optional[Callable[[int, int], None]],
-                steps: Iterable[int], last: int) -> list[JumpTuple]:
-    """The tuples found on seed 1's lattice ``steps`` (:func:`_pilot_steps`)
-    up to ``last`` = last_step(n_max) that pass the :func:`_sieve`; once
-    ``limit`` are found the bound shrinks to last_step of the limit-th
-    smallest N, and no larger N is tried.  When ``steps`` is the pilot's
-    lazy near-return walk (an iterator; a range or a counted list is not),
-    the steps and the tests come from :func:`_pair_walk` when it has them.
-    Progress is reported at every chunk end a visited step passes, sieved
-    or not, then at each end up to the first past the final bound; without
-    a callback, no work per chunk."""
+                stride: Optional[int], last: int) -> list[JumpTuple]:
+    """The tuples found on seed 1's lattice steps from :func:`_pilot_steps`
+    up to ``last`` = last_step(n_max) that pass its tests; once ``limit``
+    are found the bound shrinks to last_step of the limit-th smallest N, and
+    no larger N is tried.  Progress is reported at every chunk end a visited
+    step passes, tested or not, then at each end up to the first past the
+    final bound; without a callback, no work per chunk."""
     seed1 = seeds[0]
-    pair = _pair_walk(seeds, M, delta, rules, last) if isinstance(steps, Iterator) else None
-    steps, sieve = pair or (steps, _sieve(seeds, M, delta, rules, last))
+    steps, tests = _pilot_steps(seeds, M, delta, rules, last, stride)
     hits: list[JumpTuple] = []
     done, top = 0, n_max  # the last chunk end reported, the largest N kept
     for step in steps:
@@ -800,7 +734,7 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
         while progress is not None and done + _CHUNK < step:
             done += _CHUNK
             progress(done * M, n_max)
-        if not all(test(step) for test in sieve):
+        if not all(test(step) for test in tests):
             continue
         m1 = step * M
         i_odd1 = index_iterate(seed1, 2 * m1 + 1)
@@ -883,14 +817,17 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
         periods = [M * p // q for p, q in (seed.mean.exact().as_integer_ratio() for seed in seeds)]
         P = lcm(*periods)
         stride = P // periods[0]
-    last = _last_step(seeds[0], M, n_max)
-    steps, size = _pilot_steps(seeds[0], M, delta, rules[0], last, stride)
-    if P is None and size <= n_max < last:  # w*last is an estimate: count to n_max + 1
-        steps = list(itertools.islice(steps, n_max + 1))
-        size = len(steps)
+    last = size = _last_step(seeds[0], M, n_max)
+    own = _quadratic_angles(seeds[0], rules[0])
+    if P is None and own:
+        x, side = own[0]
+        size = (delta if side else 2 * delta) * last
+        if size <= n_max < last:  # w*last is an estimate: count to n_max + 1
+            size = sum(1 for _ in itertools.islice(near_returns(x, 2 * M, delta, last, side),
+                                                  n_max + 1))
     scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), progress)
     # More lattice steps to visit than N to try: walk N instead.
-    hits = _walk_n(*scan) if P is None and size > n_max else _walk_steps(*scan, steps, last)
+    hits = _walk_n(*scan) if P is None and size > n_max else _walk_steps(*scan, stride, last)
 
     hits.sort(key=JumpTuple.sort_key)
     if not hits:

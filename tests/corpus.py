@@ -2,6 +2,10 @@
 
 ``systems()`` draws 120 systems of 2-3 seeds from one seeded
 ``random.Random``; most of their spectrum angles are quadratic rotations.
+``low_systems()`` draws 40 more from a second one, numbered on from 120:
+20 single seeds of 2-3 quadratic rotations, and 20 seeds with i1 = 0 and
+one quadratic rotation, of mean index below 1, alone or beside a later
+seed, whose scans take the counted near-return route or the N-walk.
 Each system is scanned at four deltas, and each scan that finds tuples is
 followed by the complementary scans of its first two.  A scan's record is
 its outcome (the tuples' N, or the exception's type), its count of
@@ -32,6 +36,8 @@ from symjump import (Decomposition, N1Block, N2Block, PathSeed, RotationBlock, S
 from symjump.scenario import emit_report
 
 SYSTEMS = 120
+SINGLES = 20
+LOW_MEANS = 20
 DELTAS = (Fraction(1, 7), Fraction(1, 20), Fraction(1, 60), Fraction(1, 200))
 N_MAX = 20000
 LIMIT = 3
@@ -80,6 +86,23 @@ def systems() -> list[tuple[PathSeed, ...]]:
     return out
 
 
+def low_systems() -> list[tuple[PathSeed, ...]]:
+    rng = random.Random("symjump corpus v2: single seeds and low means")
+    out = []
+    for _ in range(SINGLES):
+        n = rng.randint(3, 4)
+        blocks = [RotationBlock(quadratic_angle(*rng.choice(QUADRATIC))) for _ in range(n - 1)]
+        out.append((PathSeed(rng.randint(n - 1, n + 2), Decomposition(blocks)),))
+    for _ in range(LOW_MEANS):
+        while True:  # mean 2*x - 1, positive for x > 1/2
+            x = quadratic_angle(*rng.choice(QUADRATIC))
+            seed = PathSeed(0, Decomposition([RotationBlock(x)]))
+            if seed.mean.cmp(0) > 0:
+                break
+        out.append((seed, _seed(rng, 2)) if rng.random() < 0.5 else (seed,))
+    return out
+
+
 def _record(scan) -> tuple[dict, list]:
     """The record of one scan, ``scan(progress)``, and the tuples it found."""
     calls, tuples = [], []
@@ -96,7 +119,7 @@ def _record(scan) -> tuple[dict, list]:
 def records(every: int = 1) -> dict[str, dict]:
     """The record of every scan of every ``every``-th system, by key."""
     out = {}
-    for i, seeds in enumerate(systems()):
+    for i, seeds in enumerate(systems() + low_systems()):
         if i % every:
             continue
         for delta in DELTAS:

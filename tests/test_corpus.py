@@ -2,18 +2,23 @@
 
 Every scan of the corpus must give the tuples, the refusal and the progress
 calls recorded in ``fixtures/corpus_digest.json``, under ``python`` and, for
-every 8th system, under ``python -O``.
+every 8th system, under ``python -O``; together the scans take every route
+of the scan.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import corpus
+from symjump import jumps
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tests" / "fixtures" / "corpus_digest.json"
@@ -23,18 +28,56 @@ def _digest() -> dict[str, dict]:
     return json.loads(DIGEST.read_bytes())
 
 
+@pytest.fixture(scope="module")
+def replay() -> tuple[dict[str, dict], collections.Counter]:
+    """Every record of the corpus, and how many of its scans took each route:
+    the lattice walk's steps from _pilot_steps ("stride", "every step",
+    "joint" or "pair"), "counted" when its step bound passed n_max, and the
+    N-walk."""
+    routes = collections.Counter()
+    pilot_steps, walk_steps, walk_n = jumps._pilot_steps, jumps._walk_steps, jumps._walk_n
+    names = {"_joint_returns": "joint", "_pair_returns": "pair"}
+
+    def spied_pilot_steps(seeds, M, delta, rules, last, stride):
+        steps, tests = pilot_steps(seeds, M, delta, rules, last, stride)
+        routes["stride" if stride is not None else
+               "every step" if isinstance(steps, range) else names[steps.__name__]] += 1
+        return steps, tests
+
+    def spied_walk_steps(*args):
+        n_max, stride, last = args[4], args[8], args[9]
+        routes["counted"] += stride is None and last > n_max
+        return walk_steps(*args)
+
+    def spied_walk_n(*args):
+        routes["N-walk"] += 1
+        return walk_n(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumps, "_pilot_steps", spied_pilot_steps)
+        mp.setattr(jumps, "_walk_steps", spied_walk_steps)
+        mp.setattr(jumps, "_walk_n", spied_walk_n)
+        return corpus.records(), routes
+
+
 def test_the_digest_covers_tuples_refusals_and_complements():
     want = _digest()
     free = [v for k, v in want.items() if "complement" not in k]
-    assert len(free) == corpus.SYSTEMS * len(corpus.DELTAS)
+    assert len(free) == (corpus.SYSTEMS + corpus.SINGLES + corpus.LOW_MEANS) * len(corpus.DELTAS)
     assert sum(bool(v.get("N")) for v in free) >= 150
     assert sum(v.get("error") == "NoTupleFound" for v in free) >= 150
     assert sum("complement" in k for k in want) >= 300
 
 
-def test_every_scan_matches_the_digest():
-    want, got = _digest(), corpus.records()
+def test_every_scan_matches_the_digest(replay):
+    want, got = _digest(), replay[0]
     assert [k for k in want.keys() | got.keys() if got.get(k) != want.get(k)] == []
+
+
+def test_every_route_runs(replay):
+    routes = replay[1]
+    assert set(routes) == {"stride", "every step", "joint", "pair", "counted", "N-walk"}
+    assert all(routes.values()), routes
 
 
 def test_a_subset_matches_under_optimize():

@@ -888,10 +888,9 @@ def _both_walks(seeds, delta, n_max, limit, required_sides=None, exclude=()):
     M = angle_period(seeds)
     last = jumps._last_step(seeds[0], M, n_max)
     rules = jumps._side_rules(seeds, required_sides)
-    steps, _ = jumps._pilot_steps(seeds[0], M, delta, rules[0], last, None)
     scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), None)
     by_n = sorted(jumps._walk_n(*scan), key=JumpTuple.sort_key)[:limit]
-    by_step = sorted(jumps._walk_steps(*scan, steps, last), key=JumpTuple.sort_key)[:limit]
+    by_step = sorted(jumps._walk_steps(*scan, None, last), key=JumpTuple.sort_key)[:limit]
     return by_n, by_step, last
 
 
@@ -915,8 +914,8 @@ class TestNWalk:
 
     def test_the_route_with_fewer_candidates_is_taken(self, monkeypatch):
         # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
-        # n_max = 10**4, but only 431 near returns at delta = 1/100, enumerated
-        # once: counted against n_max and then walked
+        # n_max = 10**4, but only 431 near returns at delta = 1/100: counted
+        # once against n_max by near_returns, then listed again for the walk
         seed = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
         asked, deltas = [], []
         tuples_at, walk = jumps._tuples_at, jumps.near_returns
@@ -942,6 +941,38 @@ class TestNWalk:
         # N = 1 and N = 2 hold two tuples each: a limit of 4 stops at N = 2
         asked.clear()
         assert len(find_jump_tuples([self.TINY], Fraction(1, 10), 300, 4)) == len(asked) * 2 == 4
+
+    def test_a_counted_walk_takes_the_pair_walk(self, monkeypatch):
+        # the seed above beside a seed with two quadratic angles: its 2,155 near
+        # returns at delta = 1/20 are counted only to pick the route; the walk
+        # then lists the pair walk's steps, where seed 2's angles pass too
+        # (seed 2's first angle alone keeps 532 of the 2,155)
+        seeds = [PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))])),
+                 PathSeed(2, Decomposition([RotationBlock(GOLDEN), RotationBlock(SQRT2M1)]))]
+        delta, n_max = Fraction(1, 20), 10**4
+        last = jumps._last_step(seeds[0], 1, n_max)
+        (_, _, x), = seeds[0].decomp.spectrum_angles()
+        counted = len(list(near_returns(x, 2, delta, last)))
+        assert 2 * delta * last <= n_max < last and counted == 2155
+        asked, paired = [], []
+        tuples_at, pair_returns = jumps._tuples_at, jumps._pair_returns
+
+        def counted_tuples_at(seeds, N, M, delta, rules, first=None):
+            asked.append(first)
+            return tuples_at(seeds, N, M, delta, rules, first)
+
+        def recorded(*args):
+            paired.append(args)
+            return pair_returns(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(jumps, "_tuples_at", counted_tuples_at)
+            mp.setattr(jumps, "_pair_returns", recorded)
+            got = _scan(seeds, delta, n_max, 10**6)
+        assert [t.N for t in got[0]] == [3297, 6594, 7556, 8002]
+        assert len(paired) == 1 and 0 < 10 * len(asked) < counted
+        _unsieved(monkeypatch)
+        assert got == _scan(seeds, delta, n_max, 10**6)
 
     def test_a_near_return_walk_longer_than_its_estimate_is_not_taken(self, monkeypatch):
         # TINY's angle ~1/2 + 5e-17 beside 1/2 - sqrt(2)/200 (i1 = 0, mean index
@@ -1043,23 +1074,18 @@ def _required_patterns(seeds):
     return list(dict.fromkeys(out))
 
 
-def _two_sided_near_returns(x, mult, delta, last, side=None):
-    return near_returns(x, mult, delta, last)
-
-
 class TestOneSidedPilotWalk:
-    """A scan whose required sides fix the side of seed 1's pilot angle walks
-    only the pilot's returns on that side, and one that fixes the side of a
-    later seed's sieve angle merges only that angle's returns on that side
-    (in the pair walk, each tests its angle on that side); the tuples, the
-    NoTupleFound and the progress calls are those of the two-sided walk and
-    sieve."""
+    """A scan whose required sides fix the side of an angle of seed 1, or of
+    a later seed with a stream, lists only the steps where that angle lands
+    on that side (each search and each pair walk tests its angles on their
+    sides); the tuples, the NoTupleFound and the progress calls are those of
+    the walk over every step with no tests."""
 
     @staticmethod
     def _equivalent(monkeypatch, seeds, delta, n_max, limit):
-        """Compare every pattern against the two-sided walk and sieve, with
-        no pair walk; the (angle, side) of every folded side test the
-        one-sided scan built (each near-return search builds one too)."""
+        """Compare every pattern against the walk over every step; the
+        (angle, side) of every folded side test the one-sided scan built
+        (each near-return search builds one too)."""
         sides = []
         side_test = QuadraticAngle._side_test
 
@@ -1072,8 +1098,7 @@ class TestOneSidedPilotWalk:
                 mp.setattr(QuadraticAngle, "_side_test", recorded)
                 got = _scan(seeds, delta, n_max, limit, required_sides=required)
             with monkeypatch.context() as mp:
-                mp.setattr(jumps, "near_returns", _two_sided_near_returns)
-                mp.setattr(jumps, "_pair_walk", lambda *args: None)
+                _unsieved(mp)
                 want = _scan(seeds, delta, n_max, limit, required_sides=required)
             assert got == want, required
         return sides
@@ -1158,18 +1183,21 @@ def _sieve_system(rng, decimal=False):
     return seeds
 
 
+def _every_step(seeds, M, delta, rules, last, stride):
+    """_pilot_steps for a reference walk: every step (or j*S), no tests."""
+    return range(stride or 1, last + 1, stride or 1), []
+
+
 def _unsieved(monkeypatch):
-    # the pair walk is a sieve too: without it the walk visits the pilot's returns
-    monkeypatch.setattr(jumps, "_sieve", lambda *args: [])
-    monkeypatch.setattr(jumps, "_pair_walk", lambda *args: None)
+    monkeypatch.setattr(jumps, "_pilot_steps", _every_step)
 
 
 class TestSieve:
     """Before seed 1's index read, a lattice step s is dropped unless seed 1's
-    quadratic angles after the pilot are off "mid" at m_1 = s*M and every
-    later seed with a quadratic angle has a near return of its first one in
-    the step's window of candidates u = m_k/M; the tuples, NoTupleFound texts
-    and progress calls are those of the walk without the sieve."""
+    quadratic angles are off "mid" at m_1 = s*M and every later seed with a
+    quadratic angle has a joint near return of its quadratic angles in the
+    step's window of candidates u = m_k/M; the tuples, NoTupleFound texts
+    and progress calls are those of the walk over every step."""
 
     def test_window_holds_every_candidate(self):
         # u = floor_quotient(N, M) + chi for N read off seed 1's odd index at
@@ -1215,13 +1243,14 @@ class TestSieve:
         # whose sides fit the required ones and whose N is not excluded
         rng = random.Random(f"complete/{rng_seed}")
         sieved = []
-        sieve = jumps._sieve
+        pilot_steps = jumps._pilot_steps
 
         def counted(*args):
-            sieved.append(sieve(*args))
-            return sieved[-1]
+            steps, tests = pilot_steps(*args)
+            sieved.append(bool(tests) or not isinstance(steps, range))
+            return steps, tests
 
-        monkeypatch.setattr(jumps, "_sieve", counted)
+        monkeypatch.setattr(jumps, "_pilot_steps", counted)
         found = 0
         for _ in range(25):
             seeds = _sieve_system(rng)
@@ -1237,15 +1266,17 @@ class TestSieve:
             got, _ = _scan(seeds, delta, n_max, 10**6, required_sides=required, exclude=exclude)
             assert (got or []) == sorted(want, key=JumpTuple.sort_key)
             found += bool(want)
-        assert found >= 15 and sum(map(bool, sieved)) >= 3
+        assert found >= 15 and sum(sieved) >= 3
 
     def test_a_decimal_angle_beside_the_sieve_angle(self, monkeypatch):
         # seed 2's mean holds a decimal angle: its window comes from the stated
-        # enclosure, which the read never refuses, and only widens the window
+        # enclosure, which the read never refuses, and only widens the window;
+        # seed 2 is the pair walk's paired seed
         seeds = (SEED_IRR_B, SEED_PILOT_COARSE)
         M, delta = angle_period(seeds), Fraction(1, 10)
         last = jumps._last_step(seeds[0], M, 5000)
-        assert len(jumps._sieve(seeds, M, delta, (None, None), last)) == 1
+        steps, tests = jumps._pilot_steps(seeds, M, delta, (None, None), last, None)
+        assert steps.__name__ == "_pair_returns" and tests == []
         got = _scan(seeds, delta, 5000, 3)
         assert [t.N for t in got[0]] == [233, 2660, 2948]
         _unsieved(monkeypatch)
@@ -1257,21 +1288,25 @@ class TestSieve:
         # would refuse its delta: it is left out, and the scan is the walk's
         seeds = (SEED_R3, SEED_IRR_A)
         M = angle_period(seeds)
-        assert len(jumps._sieve(seeds, M, Fraction(1, 100), (None, None), 10**3)) == 1
+
+        def tests(delta, last):
+            return jumps._pilot_steps(seeds, M, delta, (None, None), last, None)[1]
+
+        assert len(tests(Fraction(1, 100), 10**3)) == 1
         for delta in (Fraction(1, 2**800), Fraction(1, 2**801)):
-            assert jumps._sieve(seeds, M, delta, (None, None), 10**3) == []
+            assert tests(delta, 10**3) == []
         delta, last = Fraction(1, 2**801), 10**300
         with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
             next(near_returns(SQRT2M1, 2 * M, delta, last))
-        assert jumps._sieve(seeds, M, delta, (None, None), last) == []
+        assert tests(delta, last) == []
         got = _scan(seeds, Fraction(1, 2**800), 2000, 1)
         assert got[0] is None
         _unsieved(monkeypatch)
         assert got == _scan(seeds, Fraction(1, 2**800), 2000, 1)
 
     def test_seed_1_reads_its_index_where_its_quadratic_angles_pass(self, monkeypatch):
-        # the pilot is seed 1's first quadratic angle; the second is tested at
-        # m_1 = s*M before the walk reads i(2*s*M + 1), so it is never "mid"
+        # the walk lists the steps where both quadratic angles of seed 1 pass
+        # at m_1 = s*M before it reads i(2*s*M + 1), so neither is "mid"
         # there (M = 3: the records' reads at 2*m_1 - 1 fall elsewhere mod 2M)
         seed1 = PathSeed(3, Decomposition([RotationBlock(SQRT2M1), RotationBlock(GOLDEN),
                                            RotationBlock(rational_angle(1, 3)), N1Block(1, 0)]))
@@ -1343,7 +1378,7 @@ def _pair_system(rng):
 class TestPairReturns:
     """The pair walk lists the steps where seed 1's quadratic angles pass at
     mult*s and the paired seed's at some u of the window, exactly; a scan
-    that takes its steps from it finds what the sieved pilot walk finds."""
+    that takes its steps from it finds what the walk over every step finds."""
 
     @pytest.mark.parametrize("x_side, y_side", list(itertools.product(_SIDES, _SIDES)))
     def test_matches_a_filter_of_every_step(self, x_side, y_side):
@@ -1388,25 +1423,27 @@ class TestPairReturns:
 
     @pytest.mark.parametrize("rng_seed", range(3))
     def test_scan_matches_the_sieved_pilot_walk(self, monkeypatch, rng_seed):
+        # against the walk over every step, with no tests
         rng = random.Random(f"pair-scan/{rng_seed}")
         paired = []
-        pair_walk = jumps._pair_walk
+        pilot_steps = jumps._pilot_steps
 
         def counted(*args):
-            paired.append(pair_walk(*args))
-            return paired[-1]
+            steps, tests = pilot_steps(*args)
+            paired.append(getattr(steps, "__name__", None) == "_pair_returns")
+            return steps, tests
 
         for _ in range(8):
             seeds = _pair_system(rng)
             delta = rng.choice((Fraction(1, 7), Fraction(1, 20), Fraction(1, 60)))
             required = rng.choice([None, *_required_patterns(seeds)])
             with monkeypatch.context() as mp:
-                mp.setattr(jumps, "_pair_walk", counted)
+                mp.setattr(jumps, "_pilot_steps", counted)
                 got = _scan(seeds, delta, 20000, 4, required_sides=required)
             with monkeypatch.context() as mp:
-                mp.setattr(jumps, "_pair_walk", lambda *args: None)
+                _unsieved(mp)
                 assert got == _scan(seeds, delta, 20000, 4, required_sides=required)
-        assert sum(p is not None for p in paired) >= 3
+        assert sum(paired) >= 3
 
 
 def _count_queries(monkeypatch):
