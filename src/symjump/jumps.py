@@ -58,7 +58,8 @@ One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
 past the bound, which starts at
 last_step(n_max) and, as soon as a step brings the hits to ``limit`` or
-more, shrinks to last_step of the limit-th smallest N.  Progress is
+more, shrinks to last_step of the limit-th smallest N (a rational-only
+walk stops at that step).  Progress is
 still reported at the end of every chunk of 2048 steps, up to the first
 chunk end past the bound, so the progress calls do not depend on where
 within its chunk the walk stopped, how sparse its steps are or which of
@@ -339,17 +340,20 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
     wanted = _all_of([x._side_test(mult, *w.as_integer_ratio(), side) for x, side, w in angles])
     gaps, s = [], 0
     while True:
-        for i in itertools.count():
+        i = 0
+        while True:
             if i == len(gaps):
                 g = next(fresh, None)
                 if g is None:
                     return
                 gaps.append(g)
-            if s + gaps[i] > last:
+            g = gaps[i]
+            if s + g > last:
                 return
-            if wanted(s + gaps[i]):
+            if wanted(s + g):
                 break
-        s += gaps[i]
+            i += 1
+        s += g
         yield s
 
 
@@ -640,16 +644,25 @@ def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, windo
         K = ceil(max(last*(a1/c1 - a0/c0) + b1/c1 - (b0 - c0 + 1)/c0,
                      (c0 - 1 - b0)/c0, b1/c1)),
         the last two terms for the origin, computed once in integers.
-    So from a member (s, u), the candidates ds are the gaps of (1) in
-    ascending order, each with its group of du from (2) inside the strip
-    of (3), found once per gap; the first candidate at which some u + du
-    passes gives the next member s + ds, and a gap with an empty group is
-    never tried.  Each candidate is checked on the integer window first,
-    then by one read of each of ``own``'s folded kernels at s + ds, then by
-    ``paired``'s at each u + du left.  Every read is one integer square
-    root and never refuses; when the Liouville bound leaves some angle of
-    ``own`` no return up to ``last``, or of ``paired`` up to ``top``, the
-    walk ends before any read."""
+    So from a member (s, u), the candidates are the pairs (ds, du), ds a
+    gap of (1) and du in its group from (2) inside the strip of (3), found
+    once per gap and tried in ascending ds, then du; the first candidate
+    that passes gives the next member (s + ds, u + du), and a gap with an
+    empty group is never tried.  Each candidate keeps its phases
+    E0 = a0*ds - c0*du and E1 = a1*ds - c1*du, and each member its limits
+    L0 = c0*(u + 1) - a0*s - b0 and L1 = c1*u - a1*s - b1.  As c0, c1 > 0,
+    floor((a0*(s + ds) + b0)/c0) <= u + du exactly when
+    a0*(s + ds) + b0 < c0*(u + du + 1), that is E0 < L0, and
+    u + du <= floor((a1*(s + ds) + b1)/c1) exactly when
+    c1*(u + du) <= a1*(s + ds) + b1, that is E1 >= L1; u + du <= ``top``
+    follows once s + ds <= ``last``.  So a candidate costs two integer
+    comparisons, and one in the window is checked against u + du >= 1 and
+    s + ds <= ``last``, then by one read of each of ``own``'s folded
+    kernels at s + ds, once per ds from a member, then by ``paired``'s at
+    u + du.  Every read is one integer square root and never refuses; when
+    the Liouville bound leaves some angle of ``own`` no return up to
+    ``last``, or of ``paired`` up to ``top``, the walk ends before any
+    read."""
     p, q = delta.as_integer_ratio()
     if any(_no_return(a, mult, p, q, last) for a, _ in own) or any(
             _no_return(a, mult, p, q, top) for a, _ in paired):
@@ -663,36 +676,42 @@ def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, windo
     fresh = _gaps([(a, side, delta) for a, side in own], mult, last)
     more = itertools.chain(_gaps([(a, side, delta) for a, side in paired], mult, top), [inf])
     returns = [0]  # 0 and R2 pulled so far, ascending, then inf once R2 ends
-    groups = []  # (ds, a0*ds, a1*ds, its du ascending) for each gap with a nonempty group
-    s = u = 0
+    tries = []  # (ds, du, E0, E1) of each candidate pulled so far, in the order tried
 
-    def pull() -> Iterator[tuple[int, int, int, list[int]]]:
+    def pull(room: int) -> bool:
+        """Append the next gap's group to ``tries``; False once no gap up to
+        ``room`` with a nonempty group is left."""
         for ds in fresh:
-            if s + ds > last:
-                return
+            if ds > room:
+                return False
             hi = a1 * ds // c1 + K
             while returns[-1] < hi:
                 returns.append(next(more))
             group = returns[bisect_left(returns, -(-a0 * ds // c0) - K):bisect_right(returns, hi)]
             if group:
-                groups.append((ds, a0 * ds, a1 * ds, group))
-                yield groups[-1]
+                e0, e1 = a0 * ds, a1 * ds
+                tries.extend([(ds, du, e0 - c0 * du, e1 - c1 * du) for du in group])
+                return True
+        return False
 
+    s = u = 0
     while True:
-        base0, base1 = a0 * s + b0, a1 * s + b1
-        for ds, a0ds, a1ds, group in itertools.chain(groups, pull()):
-            if s + ds > last:
+        L0, L1, room, lo = c0 * (u + 1) - a0 * s - b0, c1 * u - a1 * s - b1, last - s, 1 - u
+        i = read = 0  # the next candidate, the last ds whose own kernels were read
+        while True:
+            # a listed ds past room ends the walk before any gap is pulled
+            if i == len(tries) and (tries and tries[-1][0] > room or not pull(room)):
                 return
-            lo = max((base0 + a0ds) // c0, 1) - u
-            hi = min((base1 + a1ds) // c1, top) - u
-            landing = [u + du for du in group if lo <= du <= hi]
-            if landing and own_ok(s + ds):
-                v = next((v for v in landing if paired_ok(v)), None)
-                if v is not None:
+            ds, du, e0, e1 = tries[i]
+            i += 1
+            if e0 < L0 and e1 >= L1 and du >= lo:
+                if ds > room:
+                    return
+                if ds != read:
+                    read, ok = ds, own_ok(s + ds)
+                if ok and paired_ok(u + du):
                     break
-        else:
-            return
-        s, u = s + ds, v
+        s, u = s + ds, u + du
         yield s
 
 
@@ -721,9 +740,11 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
     """The tuples found on seed 1's lattice steps from :func:`_pilot_steps`
     up to ``last`` = last_step(n_max) that pass its tests; once ``limit``
     are found the bound shrinks to last_step of the limit-th smallest N, and
-    no larger N is tried.  Progress is reported at every chunk end a visited
-    step passes, tested or not, then at each end up to the first past the
-    final bound; without a callback, no work per chunk."""
+    no larger N is tried; on the multiples of ``stride`` the walk stops
+    there, as each later one holds a larger N.  Progress is reported at
+    every chunk end a visited step passes, tested or not, then at each end
+    up to the first past the final bound; without a callback, no work per
+    chunk."""
     seed1 = seeds[0]
     steps, tests = _pilot_steps(seeds, M, delta, rules, last, stride)
     hits: list[JumpTuple] = []
@@ -747,6 +768,8 @@ def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _Si
             if found and len(hits) >= limit:
                 top = sorted(t.N for t in hits)[limit - 1]
                 last = _last_step(seed1, M, top)
+                if stride is not None:  # every later multiple of S holds a larger N
+                    break
     if progress is not None:
         for end in range(done + _CHUNK, max(done, last) + _CHUNK + 1, _CHUNK):
             progress(end * M, n_max)

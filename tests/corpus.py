@@ -7,7 +7,11 @@
 one quadratic rotation, of mean index below 1, alone or beside a later
 seed, whose scans take the counted near-return route or the N-walk.
 Each system is scanned at four deltas, and each scan that finds tuples is
-followed by the complementary scans of its first two.  A scan's record is
+followed by the complementary scans of its first two.  The first 40
+systems at delta = 1/20 that find a tuple are then scanned twice more,
+with the sides of the first tuple flipped for seed 1 only ("flip-seed-1")
+and for every later seed only ("flip-later-seeds"), the other seeds'
+sides free; their records follow all the others.  A scan's record is
 its outcome (the tuples' N, or the exception's type), its count of
 progress calls and the first 16 hex digits of the sha256 of its
 ``--format machine`` bytes, or of the exception's text, followed by its
@@ -33,6 +37,7 @@ from fractions import Fraction
 from symjump import (Decomposition, N1Block, N2Block, PathSeed, RotationBlock, SymjumpError,
                      find_complementary_tuples, find_jump_tuples, quadratic_angle,
                      rational_angle)
+from symjump.jumps import flipped_sides
 from symjump.scenario import emit_report
 
 SYSTEMS = 120
@@ -41,6 +46,7 @@ LOW_MEANS = 20
 DELTAS = (Fraction(1, 7), Fraction(1, 20), Fraction(1, 60), Fraction(1, 200))
 N_MAX = 20000
 LIMIT = 3
+MIXED_SYSTEMS, MIXED_DELTA = 40, Fraction(1, 20)  # the systems and delta of the mixed scans
 # (a, b, c, d) meaning (a + b*sqrt(d))/c in (0, 1)
 QUADRATIC = [(-1, 1, 1, 2), (-1, 1, 2, 5), (-1, 1, 1, 3), (-2, 1, 1, 7), (0, 1, 3, 3),
              (0, 1, 4, 2), (5, -1, 4, 5), (-1, 1, 2, 6), (-2, 1, 1, 6), (3, -1, 2, 3)]
@@ -118,7 +124,7 @@ def _record(scan) -> tuple[dict, list]:
 
 def records(every: int = 1) -> dict[str, dict]:
     """The record of every scan of every ``every``-th system, by key."""
-    out = {}
+    out, mixed = {}, []
     for i, seeds in enumerate(systems() + low_systems()):
         if i % every:
             continue
@@ -126,10 +132,18 @@ def records(every: int = 1) -> dict[str, dict]:
             key = f"{i}/{delta}"
             out[key], found = _record(lambda progress: find_jump_tuples(
                 seeds, delta, N_MAX, LIMIT, progress=progress))
+            if i < MIXED_SYSTEMS and delta == MIXED_DELTA and found:
+                mixed.append((key, seeds, found[0]))
             for t in found[:2]:
                 out[f"{key}/complement-of-{t.N}"], _ = _record(
                     lambda progress: find_complementary_tuples(
                         seeds, t, N_MAX, LIMIT, progress=progress))
+    for key, seeds, t in mixed:
+        flipped = flipped_sides(t)
+        for name, sides in (("flip-seed-1", (flipped[0], *[None] * (len(seeds) - 1))),
+                            ("flip-later-seeds", (None, *flipped[1:]))):
+            out[f"{key}/{name}-of-{t.N}"], _ = _record(lambda progress: find_jump_tuples(
+                seeds, MIXED_DELTA, N_MAX, LIMIT, required_sides=sides, progress=progress))
     return out
 
 

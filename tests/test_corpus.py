@@ -3,7 +3,7 @@
 Every scan of the corpus must give the tuples, the refusal and the progress
 calls recorded in ``fixtures/corpus_digest.json``, under ``python`` and, for
 every 8th system, under ``python -O``; together the scans take every route
-of the scan.
+of the scan, with free, fully sided and mixed required sides.
 """
 
 from __future__ import annotations
@@ -62,11 +62,15 @@ def replay() -> tuple[dict[str, dict], collections.Counter]:
 
 def test_the_digest_covers_tuples_refusals_and_complements():
     want = _digest()
-    free = [v for k, v in want.items() if "complement" not in k]
+    free = [v for k, v in want.items() if k.count("/") == 2]
     assert len(free) == (corpus.SYSTEMS + corpus.SINGLES + corpus.LOW_MEANS) * len(corpus.DELTAS)
     assert sum(bool(v.get("N")) for v in free) >= 150
     assert sum(v.get("error") == "NoTupleFound" for v in free) >= 150
     assert sum("complement" in k for k in want) >= 300
+    # the mixed scans: one per pattern for each of the first systems with a tuple
+    mixed = [k.split("/")[3].rsplit("-of-", 1)[0] for k in want if "flip-" in k]
+    assert collections.Counter(mixed) == {"flip-seed-1": 23, "flip-later-seeds": 23}
+    assert len(want) == len(free) + sum("complement" in k for k in want) + len(mixed)
 
 
 def test_every_scan_matches_the_digest(replay):

@@ -653,7 +653,7 @@ class TestScanStops:
         assert asked == [2, 4, 6]
         assert calls == [2048 * M]
         # a rotation by 2/3 with i1 = 0 has N = j at step j, and the slack of
-        # last_step(2) takes in step 3, which is visited but no longer asked
+        # last_step(2) takes in step 3, which is not asked
         seed = PathSeed(0, Decomposition([RotationBlock(rational_angle(2, 3))]))
         asked.clear()
         assert jumps._last_step(seed, 3, 2) == 3
@@ -770,6 +770,36 @@ class TestRationalProgression:
     at each multiple of P = lcm_k(M*mu_k), at seed 1's lattice steps j*S,
     S = P/(M*mu_1); the lattice walk visits those steps only, so it asks
     those N only, with the progress calls of a walk over every step."""
+
+    def test_the_walk_stops_at_the_limit_th_tuple(self, monkeypatch):
+        # where P lies below seed 1's slack, last_step of the limit-th N takes
+        # in later steps j*S; the walk reads no index there.  A rotation by
+        # 2/3 with i1 = 0 has P = 1 and N = j at step j, and 3 of 400 random
+        # systems have P below the slack too
+        systems = [[PathSeed(0, Decomposition([RotationBlock(rational_angle(2, 3))]))]]
+        systems += [_rational_system(random.Random(f"stride/{i}")) for i in range(400)]
+        steps, below = [], 0
+        for system in systems:
+            M, P = angle_period(system), _period_of_tuples(system)
+            S = P // (M * mean_index(system[0]).exact())
+            for limit in range(1, 5):
+                if jumps._last_step(system[0], M, limit * P) < (limit + 1) * S:
+                    continue
+                below += limit == 1
+
+                def counted(seed, m):
+                    if seed is system[0] and m % (2 * M) == 1:
+                        steps.append(m // (2 * M))
+                    return index_iterate(seed, m)
+
+                steps.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(jumps, "index_iterate", counted)
+                    ts, calls = _scan(system, Fraction(1, 100), 10**6, limit)
+                assert [t.N for t in ts] == [j * P for j in range(1, limit + 1)]
+                assert steps == [j * S for j in range(1, limit + 1)]
+                assert calls == _chunk_ends(system, limit * P)
+        assert below == 4
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_matches_tuples_at_every_n(self, rng_seed):
@@ -1391,6 +1421,18 @@ class TestPairReturns:
             members += len(want)
         assert members >= 25
 
+    def test_kernel_reads_over_the_filter_cases(self, monkeypatch):
+        # 35,599 reads over the 225 cases of test_matches_a_filter_of_every_step,
+        # gap searches included, counted on the walk that tested each gap's
+        # group on the integer window: own's kernels are read once per
+        # (member, ds) whatever the group holds, paired's once per u + du
+        reads, members = _count_kernel_reads(monkeypatch), 0
+        for x_side, y_side in itertools.product(_SIDES, _SIDES):
+            rng = random.Random(f"pair/{x_side}/{y_side}")
+            for _ in range(25):
+                members += len(list(jumps._pair_returns(*_pair_case(rng, x_side, y_side))))
+        assert (len(reads), members) == (35599, 744)
+
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_joint_returns_match_a_filter_of_every_step(self, rng_seed):
         # 1-3 angles, each with its own side and width, as the gap searches
@@ -1559,6 +1601,31 @@ def _count_work(monkeypatch, seed1_mean):
     for module in (iteration, jumps, analysis):
         monkeypatch.setattr(module, "index_iterate", counted_index)
     return counts, reads, index
+
+
+def _s5x3_seeds():
+    """Two seeds on S^5, each with i1 = 4, three quadratic rotations and an
+    N1Block(1, 0): sqrt(2) - 1, (sqrt(5) - 1)/2, sqrt(3)/3 for seed 1 and
+    sqrt(3) - 1, sqrt(7) - 2, sqrt(6) - 2 for seed 2."""
+    return [PathSeed(4, Decomposition([*(RotationBlock(quadratic_angle(*x)) for x in angles),
+                                       N1Block(1, 0)]))
+            for angles in (((-1, 1, 1, 2), (-1, 1, 2, 5), (0, 1, 3, 3)),
+                           ((-1, 1, 1, 3), (-2, 1, 1, 7), (-2, 1, 1, 6)))]
+
+
+class TestPairWalkWork:
+    """The exact work of a pair walk with three quadratic angles on each side,
+    in counts, never in time."""
+
+    def test_s5x3_scan(self, monkeypatch):
+        # measured on the walk that tested each gap's group on the integer
+        # window: 327 steps reach _tuples_at, with 124,667 side-kernel reads
+        # and 936 progress calls, for all 22 tuples
+        seeds = _s5x3_seeds()
+        counts, reads, _ = _count_work(monkeypatch, seeds[0].mean)
+        ts, calls = _scan(seeds, Fraction(1, 10), 10**7, 100)
+        assert [t.N for t in ts[:3]] == [939758, 1139246, 1553744] and len(ts) == 22
+        assert (counts["tuples_at"], len(reads), len(calls)) == (327, 124667, 936)
 
 
 class TestShippedAnalysisWork:
