@@ -25,15 +25,15 @@ not rational-only, the scan walks N = 1 .. n_max instead, so no scan
 tries more than n_max + 1 candidates.  The step count is the length of a
 range, or for a quadratic angle x of seed 1 the estimate w*last,
 w = 2*delta (or delta on a side fixed by the required sides), checked by
-counting at most n_max + 1 of x's near returns (:func:`near_returns`)
+counting at most n_max + 1 of x's near returns (:func:`_joint_returns`)
 when it is at most n_max < last; the count only picks the route.
 
 :func:`_pilot_steps` gives the walk its steps and the tests a step must
-still pass before seed 1's index is read, in one of four cases.  When
-every spectrum angle of every seed is rational, the tuples lie at exactly
-the multiples of P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps`
-proves it), at seed 1's steps j*S, S = P/(M*mu_1): the walk visits those
-only and its work is O(limit) whatever n_max is.  Otherwise a later seed
+still pass before seed 1's index is read.  When every spectrum angle of
+every seed is rational, the tuples lie at exactly the multiples of
+P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps` proves it), at seed
+1's steps j*S, S = P/(M*mu_1): the walk visits those only and its work
+is O(limit) whatever n_max is.  Otherwise a later seed
 k with a quadratic angle has a stream: the steps u where all its
 quadratic angles come within delta of an integer at multiplier 2M (on
 their required sides), which must meet the window of its candidate
@@ -43,12 +43,11 @@ i(m) - m*mu in [-c, -c + 2*(#theta + #alpha)], c = ``_index_form[1]``:
 2*(#theta_1 + #alpha_1)], so u_k lies in [floor(N_lo/(M*mu_k)),
 floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read off integer bounds on
 the means that never refuse; the window rises with s, so each stream is
-merged forward once per scan (:func:`_in_window`).  A seed 1 without a
-quadratic angle visits every step and tests every stream.  Otherwise the
-walk visits only the steps where all of seed 1's quadratic angles pass,
-about 2*delta of them for one free angle: when no later seed has a stream
-they are listed by :func:`_joint_returns`, which takes the gaps between
-them from the same search at doubled widths, and otherwise
+merged forward once per scan (:func:`_in_window`).  The walk visits only
+the steps where all of seed 1's quadratic angles pass (every step when it
+has none), about 2*delta of them for one free angle.  When no later seed
+has a stream, :func:`_joint_returns` lists them, taking the gaps between
+them from the same search at doubled widths; otherwise
 :func:`_pair_returns` pairs seed 1 with the first stream's seed, listing
 the steps where some u in the window also passes all of that seed's
 angles (the same gap lemma one dimension up), and the later streams stay
@@ -85,7 +84,7 @@ from .iteration import PathSeed, _check_count, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
-_DELTA_BITS = 800  # most bits of 1/delta: near_returns nests one frame per bit
+_DELTA_BITS = 800  # most bits of 1/delta: _joint_returns nests one frame per bit
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -282,54 +281,39 @@ def verify_tuple(t: JumpTuple, seeds: Sequence[PathSeed],
 # -- search ------------------------------------------------------------------
 
 
-def near_returns(x: QuadraticAngle, mult: int, delta: Fraction,
-                 last: int, side: Optional[str] = None) -> Iterator[int]:
-    """The steps s = 1 .. last with ``x.frac_side(mult * s, delta) != "mid"``,
-    or ``== side`` when ``side`` is "low" or "high", in ascending order.
-
-    Write ||t|| for the distance from t to the nearest integer.  Two
-    consecutive steps s < s' (0 counts as a step) have
-    ||(s' - s)*mult*x|| < 2*delta, so the gap s' - s is a step of this same
-    search at 2*delta, or any g from delta = 1/4 on.  Two consecutive
-    one-sided steps, both in (0, delta) or both in (1 - delta, 1) (0 again
-    counts), have ||(s' - s)*mult*x|| < delta, so a one-sided search takes
-    its gaps from the two-sided search at delta itself.  From each step these
-    candidates are tried in ascending order, and the first that lands on a
-    step is the gap to the next one; by the three-gap theorem only a few
-    are tried per step.  Each search pulls its candidates once, as needed,
-    so a tiny delta nests about log2(1/delta) searches of a few tests each.
-    The search is :func:`_joint_returns` for one angle; the scan counts
-    seed 1's steps here to pick its route, and the lattice walk takes them
-    from :func:`_pilot_steps`.
-
-    For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
-    u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
-    integer, so for g <= last
-    ||g*mult*x|| = |u + v|/c >= 1/(c*|u - v|) > 1/(c*(c + 2*last*mult*|b|*(isqrt(d)+1))).
-    When that is at least delta there is no step and the search ends at
-    once; otherwise a delta of at most 2**-800 raises ValueError, as the
-    nesting would pass the interpreter's recursion limit.  Every test is one
-    call of the side kernel that :meth:`QuadraticAngle._side_test` folds
-    once per search, one integer square root, which never refuses.
-    """
-    delta = _check_delta(delta)
-    if side not in (None, "low", "high"):
-        raise ValueError(f"side must be 'low' or 'high', got {side!r}")
-    yield from _joint_returns([(x, side, delta)], mult, last)
-
-
 _Widths = list[tuple[QuadraticAngle, Optional[str], Fraction]]
 
 
 def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
     """The steps s = 1 .. ``last``, ascending, where {mult*s*x} lies within
-    w of an integer for every (x, side, w) of ``angles``, on ``side`` when
-    it is set: :func:`near_returns`' search for several angles at once.
-    Its lemma holds for each angle, so two consecutive steps (0 counts)
-    differ by a gap that passes every angle at its doubled width
-    (:func:`_gaps`), and the same search lists those gaps.  It ends at once
-    when the Liouville bound leaves one angle no step, and otherwise refuses
-    a width of at most 2**-800 as :func:`near_returns` does."""
+    w of an integer for every (x, side, w) of ``angles``, on ``side``
+    ("low" or "high") when it is set: the joint near returns of the angles.
+
+    Write ||t|| for the distance from t to the nearest integer.  For one
+    angle, two consecutive steps s < s' (0 counts as a step) have
+    ||(s' - s)*mult*x|| < 2*w, so the gap s' - s is a step of this same
+    search at 2*w, or any g from w = 1/4 on.  Two consecutive one-sided
+    steps, both in (0, w) or both in (1 - w, 1) (0 again counts), have
+    ||(s' - s)*mult*x|| < w, so a one-sided search takes its gaps from the
+    two-sided search at w itself.  The lemma holds for each angle, so a gap
+    passes every angle at its doubled width (:func:`_gaps`).  From each
+    step these candidates are tried in ascending order, and the first that
+    lands on a step is the gap to the next one; by the three-gap theorem
+    only a few are tried per step.  Each search pulls its candidates once,
+    as needed, so a tiny w nests about log2(1/w) searches of a few tests
+    each.  The scan counts seed 1's near returns here to pick its route,
+    and the lattice walk takes its steps from :func:`_pilot_steps`.
+
+    For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
+    u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
+    integer, so for g <= last
+    ||g*mult*x|| = |u + v|/c >= 1/(c*|u - v|) > 1/(c*(c + 2*last*mult*|b|*(isqrt(d)+1))).
+    When that is at least w for some angle there is no step and the search
+    ends at once (:func:`_no_return`); otherwise a width of at most 2**-800
+    raises ValueError, as the nesting would pass the interpreter's
+    recursion limit.  Every test is one call of the side kernel that
+    :meth:`QuadraticAngle._side_test` folds once per search, one integer
+    square root, which never refuses."""
     if any(_no_return(x, mult, *w.as_integer_ratio(), last) for x, _, w in angles):
         return
     bits = max((w.denominator // w.numerator).bit_length() for _, _, w in angles)
@@ -375,7 +359,7 @@ def _gaps(angles: _Widths, mult: int, last: int) -> Iterator[int]:
 
 
 def _no_return(x: QuadraticAngle, mult: int, p: int, q: int, last: int) -> bool:
-    """Whether the Liouville bound of :func:`near_returns` leaves no step
+    """Whether the Liouville bound of :func:`_joint_returns` leaves no step
     s = 1 .. last with {mult*s*x} within p/q of an integer."""
     return p * x.c * (x.c + 2 * last * mult * abs(x.b) * (isqrt(x.d) + 1)) <= q
 
@@ -482,19 +466,19 @@ def _pilot_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _S
                  ) -> tuple[Iterable[int], list[Callable[[int], bool]]]:
     """Seed 1's lattice steps 1 .. ``last`` that the lattice walk visits,
     ascending, and the tests a step must still pass before seed 1's index is
-    read; a step left out or failing a test holds no tuple.  The cases:
-    - the multiples of ``stride`` = S = P/(M*mu_1) when every spectrum angle
-      is rational (``stride`` is None otherwise), with no test: off them
-      some seed fails its index check (proof below);
-    - every step when seed 1 has no quadratic angle, with each stream of
-      :func:`_streams` as a test: some u of the later seed's joint returns
-      lies in the step's :func:`_window` (:func:`_in_window`);
-    - when no later seed has a stream, the steps where every quadratic angle
-      of seed 1 passes at m_1 = s*M, on the side ``rules`` fix for it, if
-      any, from :func:`_joint_returns`, with no test;
-    - otherwise those of them where some u in the window of the first
+    read; a step left out or failing a test holds no tuple.
+    - When every spectrum angle is rational (``stride`` is None otherwise),
+      the multiples of ``stride`` = S = P/(M*mu_1), with no test: off them
+      some seed fails its index check (proof below).
+    - When no later seed has a stream of :func:`_streams`, the steps where
+      every quadratic angle of seed 1 passes at m_1 = s*M, on the side
+      ``rules`` fix for it, if any, from :func:`_joint_returns` (every
+      step when seed 1 has none), with no test.
+    - Otherwise those of them where some u in the window of the first
       stream's seed also passes all of that seed's quadratic angles, from
-      :func:`_pair_returns`, with the streams after it as tests.
+      :func:`_pair_returns` (``own`` may be empty), with each later stream
+      as a test: some u of its seed's joint returns lies in the step's
+      :func:`_window` (:func:`_in_window`).
     Every step left out fails an angle-side check, a required side or an
     index check, and no test reads an angle or a mean that can refuse, so
     the choice only spares queries; no dropped step changes a progress call.
@@ -539,13 +523,12 @@ def _pilot_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _S
         return range(stride, last + 1, stride), []
     own = _quadratic_angles(seeds[0], rules[0])
     streams = _streams(seeds, M, delta, rules, last)
-    first = next(streams, None) if own else None
-    if own and first is None:
-        return _joint_returns([(x, side, delta) for x, side in own], 2 * M, last), []
+    first = next(streams, None)
+    if first is None:
+        return (_joint_returns([(x, side, delta) for x, side in own], 2 * M, last) if own
+                else range(1, last + 1)), []
     tests = [_in_window(_joint_returns([(x, side, delta) for x, side in angles], 2 * M, top),
                         *window) for angles, window, top in streams]
-    if not own:
-        return range(1, last + 1), tests
     paired, window, top = first
     return _pair_returns(own, paired, 2 * M, delta, window, last, top), tests
 
@@ -622,9 +605,10 @@ def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, windo
     side given with it) and some u = 1 .. ``top`` with
     floor((a0*s + b0)/c0) <= u <= floor((a1*s + b1)/c1), for
     (a0, b0, c0), (a1, b1, c1) = ``window``, has every angle of ``paired``
-    pass its side test at mult*u.
+    pass its side test at mult*u.  ``own`` may be empty: then every step
+    passes it, and its gaps (:func:`_gaps`) are every g.
 
-    This is :func:`near_returns`' gap lemma one dimension up.  Write
+    This is :func:`_joint_returns`' gap lemma one dimension up.  Write
     ||t|| for the distance from t to the nearest integer and take two
     consecutive members s < s' of the set plus a virtual origin
     (s, u) = (0, 0), with any valid u for s and u' for s'.
@@ -846,8 +830,8 @@ def find_jump_tuples(seeds: Sequence[PathSeed], delta: Fraction = Fraction(1, 10
         x, side = own[0]
         size = (delta if side else 2 * delta) * last
         if size <= n_max < last:  # w*last is an estimate: count to n_max + 1
-            size = sum(1 for _ in itertools.islice(near_returns(x, 2 * M, delta, last, side),
-                                                  n_max + 1))
+            returns = _joint_returns([(x, side, delta)], 2 * M, last)
+            size = sum(1 for _ in itertools.islice(returns, n_max + 1))
     scan = (seeds, M, delta, rules, n_max, limit, frozenset(exclude), progress)
     # More lattice steps to visit than N to try: walk N instead.
     hits = _walk_n(*scan) if P is None and size > n_max else _walk_steps(*scan, stride, last)

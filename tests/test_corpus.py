@@ -3,7 +3,9 @@
 Every scan of the corpus must give the tuples, the refusal and the progress
 calls recorded in ``fixtures/corpus_digest.json``, under ``python`` and, for
 every 8th system, under ``python -O``; together the scans take every route
-of the scan, with free, fully sided and mixed required sides.
+of the scan but the walk over every step (a seed 1 with no quadratic angle
+beside no stream, which ``test_jumps.TestSieve`` scans), with free, fully
+sided and mixed required sides.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ def test_every_scan_matches_the_digest(replay):
 
 
 def test_every_route_runs(replay):
-    routes = replay[1]
-    assert set(routes) == {"stride", "every step", "joint", "pair", "counted", "N-walk"}
-    assert all(routes.values()), routes
+    # a seed 1 with no quadratic angle pairs with the first stream: no scan
+    # here walks every step
+    assert replay[1] == {"stride": 92, "joint": 477, "pair": 791, "counted": 232, "N-walk": 7}
 
 
 def test_a_subset_matches_under_optimize():

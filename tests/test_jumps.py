@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -28,7 +29,6 @@ from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
 from symjump import jumps
 from symjump.angles import IrrationalAngle, QuadraticAngle, RationalAngle, decimal_angle
 from symjump.iteration import MeanIndex
-from symjump.jumps import near_returns
 from symjump.scenario import parse_scenario
 from symjump.normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
@@ -176,7 +176,7 @@ class TestFinderAgainstBruteForce:
         assert c == 2 * 4704
         with pytest.raises(UndecidableComparison):
             mean_index(SEED_PILOT_COARSE).floor_quotient(4704, 1)
-        assert not {707, 1535} & set(near_returns(SQRT2M1, 2, delta, 1535))
+        assert not {707, 1535} & set(jumps._joint_returns([(SQRT2M1, None, delta)], 2, 1535))
         got = find_jump_tuples([SEED_PILOT_COARSE], delta, 5000, 3)
         assert ([(t.N, t.m, t.chi) for t in got]
                 == floor_construction_tuples([SEED_PILOT_COARSE], 233, delta))
@@ -510,7 +510,7 @@ def _count_frac_side(monkeypatch, limit):
     def counted(self, m, delta):
         calls.append(m)
         if len(calls) > limit:
-            raise AssertionError(f"near_returns makes more than {limit} queries")
+            raise AssertionError(f"the search makes more than {limit} queries")
         return frac_side(self, m, delta)
 
     monkeypatch.setattr(QuadraticAngle, "frac_side", counted)
@@ -551,7 +551,7 @@ class TestNearReturns:
         x = quadratic_angle(*coeffs)
         want = [s for s in range(1, last + 1)
                 if x.frac_side(2 * M * s, delta) in ((side,) if side else ("low", "high"))]
-        assert list(near_returns(x, 2 * M, delta, last, side)) == want
+        assert list(jumps._joint_returns([(x, side, delta)], 2 * M, last)) == want
 
     @staticmethod
     def _count_side_reads(monkeypatch):
@@ -563,37 +563,32 @@ class TestNearReturns:
 
     def test_many_returns_take_few_kernel_reads(self, monkeypatch):
         reads = self._count_side_reads(monkeypatch)
-        steps = list(itertools.islice(near_returns(SQRT2M1, 2, Fraction(1, 10**6), 10**9), 200))
+        returns = jumps._joint_returns([(SQRT2M1, None, Fraction(1, 10**6))], 2, 10**9)
+        steps = list(itertools.islice(returns, 200))
         assert len(steps) == 200 and steps[:3] == [235416, 1136689, 1372105]
         assert 200 <= len(reads) <= 5000
 
     def test_no_step_within_liouville_bound_reads_no_kernel(self, monkeypatch):
         reads = self._count_side_reads(monkeypatch)
+        delta = Fraction(1, 8 * 10**6 + 1)
         for side in (None, "low", "high"):
-            assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6, side)) == []
+            assert list(jumps._joint_returns([(SQRT2M1, side, delta)], 2, 10**6)) == []
         assert reads == []
-
-    def test_rejects_an_unknown_side(self):
-        with pytest.raises(ValueError, match="side must be 'low' or 'high', got 'mid'"):
-            next(near_returns(GOLDEN, 2, Fraction(1, 10), 10, "mid"))
-
-    def test_rejects_delta_outside_domain(self):
-        with pytest.raises(ValueError, match="delta"):
-            next(near_returns(GOLDEN, 2, Fraction(1, 2), 10))
 
     def test_no_step_within_liouville_bound_makes_no_query(self, monkeypatch):
         # ||2g*(sqrt(2) - 1)|| > 1/(1 + 2*10**6*2*2) for every g <= 10**6
         calls = _count_frac_side(monkeypatch, 0)
         for side in (None, "low", "high"):
-            assert list(near_returns(SQRT2M1, 2, Fraction(1, 10**999), 10**6, side)) == []
-            assert list(near_returns(SQRT2M1, 2, Fraction(1, 8 * 10**6 + 1), 10**6, side)) == []
+            for delta in (Fraction(1, 10**999), Fraction(1, 8 * 10**6 + 1)):
+                assert list(jumps._joint_returns([(SQRT2M1, side, delta)], 2, 10**6)) == []
         assert calls == []
 
     def test_many_returns_take_few_queries(self, monkeypatch):
         # the gaps come from the same search at 2*delta, 4*delta, ...; a scan
         # of every gap from the first convergent on made 901,653 queries here
         calls = _count_frac_side(monkeypatch, 5000)
-        steps = list(itertools.islice(near_returns(SQRT2M1, 2, Fraction(1, 10**6), 10**9), 200))
+        returns = jumps._joint_returns([(SQRT2M1, None, Fraction(1, 10**6))], 2, 10**9)
+        steps = list(itertools.islice(returns, 200))
         assert len(steps) == 200 and steps[:3] == [235416, 1136689, 1372105]
         assert all(SQRT2M1.frac_side(2 * s, Fraction(1, 10**6)) != "mid" for s in steps)
 
@@ -601,17 +596,18 @@ class TestNearReturns:
         # 1/delta of 800 bits nests about 800 searches (a one-sided one, one
         # more) and still answers; one more bit is refused unless no step can exist
         x, delta, last = SQRT2M1, Fraction(1, 2**800 - 1), 10**300
-        steps = list(itertools.islice(near_returns(x, 2, delta, last), 3))
+        steps = list(itertools.islice(jumps._joint_returns([(x, None, delta)], 2, last), 3))
         assert len(steps) == 3 and all(x.frac_side(2 * s, delta) != "mid" for s in steps)
         for side in ("low", "high"):
-            one_sided = list(itertools.islice(near_returns(x, 2, delta, last, side), 2))
+            returns = jumps._joint_returns([(x, side, delta)], 2, last)
+            one_sided = list(itertools.islice(returns, 2))
             assert len(one_sided) == 2 and all(x.frac_side(2 * s, delta) == side
                                                for s in one_sided)
         for side in (None, "low", "high"):
             with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
-                next(near_returns(x, 2, Fraction(1, 2**800), last, side))
+                next(jumps._joint_returns([(x, side, Fraction(1, 2**800))], 2, last))
             with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
-                next(near_returns(x, 2, Fraction(1, 10**999), 10**1005, side))
+                next(jumps._joint_returns([(x, side, Fraction(1, 10**999))], 2, 10**1005))
 
 
 @pytest.fixture(scope="module")
@@ -945,25 +941,26 @@ class TestNWalk:
     def test_the_route_with_fewer_candidates_is_taken(self, monkeypatch):
         # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
         # n_max = 10**4, but only 431 near returns at delta = 1/100: counted
-        # once against n_max by near_returns, then listed again for the walk
+        # once against n_max by _joint_returns, then listed again for the walk
+        # (its nested gap searches are at doubled widths)
         seed = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
         asked, deltas = [], []
-        tuples_at, walk = jumps._tuples_at, jumps.near_returns
+        tuples_at, walk = jumps._tuples_at, jumps._joint_returns
 
         def counted(seeds, N, M, delta, rules, first=None):
             asked.append(first)
             return tuples_at(seeds, N, M, delta, rules, first)
 
-        def recorded(x, mult, delta, last, side=None):
-            deltas.append(delta)
-            return walk(x, mult, delta, last, side)
+        def recorded(angles, mult, last):
+            deltas.extend(w for _, _, w in angles)
+            return walk(angles, mult, last)
 
         monkeypatch.setattr(jumps, "_tuples_at", counted)
-        monkeypatch.setattr(jumps, "near_returns", recorded)
+        monkeypatch.setattr(jumps, "_joint_returns", recorded)
         assert jumps._last_step(seed, 1, 10**4) == 21549
         ts = find_jump_tuples([seed], Fraction(1, 100), 10**4, 10**6)
         assert len(ts) == len(asked) == 431 and None not in asked
-        assert deltas.count(Fraction(1, 100)) == 1
+        assert deltas.count(Fraction(1, 100)) == 2
         asked.clear()
         ts = find_jump_tuples([self.TINY], Fraction(1, 10), 300, 10**6)
         assert len(asked) == 300 and set(asked) == {None}
@@ -982,7 +979,7 @@ class TestNWalk:
         delta, n_max = Fraction(1, 20), 10**4
         last = jumps._last_step(seeds[0], 1, n_max)
         (_, _, x), = seeds[0].decomp.spectrum_angles()
-        counted = len(list(near_returns(x, 2, delta, last)))
+        counted = len(list(jumps._joint_returns([(x, None, delta)], 2, last)))
         assert 2 * delta * last <= n_max < last and counted == 2155
         asked, paired = [], []
         tuples_at, pair_returns = jumps._tuples_at, jumps._pair_returns
@@ -1213,6 +1210,16 @@ def _sieve_system(rng, decimal=False):
     return seeds
 
 
+def _no_quadratic_seed_1(rng, seeds, decimal=False):
+    """``seeds`` with seed 1 replaced by a pinched seed of dimension 2-4 with
+    rational angles only (when ``decimal``, half the time beside a decimal
+    angle too)."""
+    seed = pinched_seed(rng, rng.randint(2, 4), allow_irrational=False, denom_max=6)
+    if decimal and rng.random() < 0.5:
+        seed = PathSeed(seed.i1, Decomposition([*seed.decomp.blocks, RotationBlock(COARSE)]))
+    return [seed, *seeds[1:]]
+
+
 def _every_step(seeds, M, delta, rules, last, stride):
     """_pilot_steps for a reference walk: every step (or j*S), no tests."""
     return range(stride or 1, last + 1, stride or 1), []
@@ -1270,20 +1277,25 @@ class TestSieve:
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_scan_is_complete(self, monkeypatch, rng_seed):
         # an oracle independent of the walk: every tuple at N = 1 .. n_max
-        # whose sides fit the required ones and whose N is not excluded
+        # whose sides fit the required ones and whose N is not excluded; the
+        # last systems have a seed 1 with no quadratic angle, which pairs with
+        # the first stream or, beside none, walks every step
         rng = random.Random(f"complete/{rng_seed}")
-        sieved = []
+        routes = collections.Counter()
         pilot_steps = jumps._pilot_steps
 
         def counted(*args):
             steps, tests = pilot_steps(*args)
-            sieved.append(bool(tests) or not isinstance(steps, range))
+            routes["stride" if args[5] else "every step" if isinstance(steps, range)
+                   else "sieved"] += 1
             return steps, tests
 
         monkeypatch.setattr(jumps, "_pilot_steps", counted)
         found = 0
-        for _ in range(25):
-            seeds = _sieve_system(rng)
+        systems = itertools.chain((_sieve_system(rng) for _ in range(25)), (
+            _no_quadratic_seed_1(rng, _sieve_system(rng, decimal=True), decimal=True)
+            for _ in range(15)))
+        for seeds in systems:
             delta = rng.choice((Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)))
             n_max = rng.randint(60, 200)
             required = rng.choice([None, *_required_patterns(seeds)])
@@ -1296,7 +1308,7 @@ class TestSieve:
             got, _ = _scan(seeds, delta, n_max, 10**6, required_sides=required, exclude=exclude)
             assert (got or []) == sorted(want, key=JumpTuple.sort_key)
             found += bool(want)
-        assert found >= 15 and sum(sieved) >= 3
+        assert found >= 20 and routes["sieved"] >= 3 and routes["every step"] >= 5, routes
 
     def test_a_decimal_angle_beside_the_sieve_angle(self, monkeypatch):
         # seed 2's mean holds a decimal angle: its window comes from the stated
@@ -1313,22 +1325,24 @@ class TestSieve:
         assert got == _scan(seeds, delta, 5000, 3)
 
     def test_a_stream_that_cannot_search_is_left_out(self, monkeypatch):
-        # seed 1 has no quadratic angle and walks every step; seed 2's stream
-        # at delta <= 2**-800 either has no return by the Liouville bound or
-        # would refuse its delta: it is left out, and the scan is the walk's
+        # seed 1 has no quadratic angle: it pairs with seed 2's stream at
+        # delta = 1/100, but at delta <= 2**-800 that stream either has no
+        # return by the Liouville bound or would refuse its delta: it is left
+        # out, the walk takes every step, and the scan is the walk's
         seeds = (SEED_R3, SEED_IRR_A)
         M = angle_period(seeds)
 
-        def tests(delta, last):
-            return jumps._pilot_steps(seeds, M, delta, (None, None), last, None)[1]
+        def pilot(delta, last):
+            steps, tests = jumps._pilot_steps(seeds, M, delta, (None, None), last, None)
+            return getattr(steps, "__name__", steps), tests
 
-        assert len(tests(Fraction(1, 100), 10**3)) == 1
+        assert pilot(Fraction(1, 100), 10**3) == ("_pair_returns", [])
         for delta in (Fraction(1, 2**800), Fraction(1, 2**801)):
-            assert tests(delta, 10**3) == []
+            assert pilot(delta, 10**3) == (range(1, 10**3 + 1), [])
         delta, last = Fraction(1, 2**801), 10**300
         with pytest.raises(ValueError, match=r"delta at most 2\*\*-800"):
-            next(near_returns(SQRT2M1, 2 * M, delta, last))
-        assert tests(delta, last) == []
+            next(jumps._joint_returns([(SQRT2M1, None, delta)], 2 * M, last))
+        assert pilot(delta, last) == (range(1, last + 1), [])
         got = _scan(seeds, Fraction(1, 2**800), 2000, 1)
         assert got[0] is None
         _unsieved(monkeypatch)
@@ -1465,18 +1479,21 @@ class TestPairReturns:
 
     @pytest.mark.parametrize("rng_seed", range(3))
     def test_scan_matches_the_sieved_pilot_walk(self, monkeypatch, rng_seed):
-        # against the walk over every step, with no tests
+        # against the walk over every step, with no tests; in the last
+        # systems seed 1 has no quadratic angle, and pairs with no angle of its own
         rng = random.Random(f"pair-scan/{rng_seed}")
         paired = []
         pilot_steps = jumps._pilot_steps
 
         def counted(*args):
             steps, tests = pilot_steps(*args)
-            paired.append(getattr(steps, "__name__", None) == "_pair_returns")
+            if getattr(steps, "__name__", None) == "_pair_returns":
+                paired.append(bool(jumps._quadratic_angles(args[0][0], None)))
             return steps, tests
 
-        for _ in range(8):
-            seeds = _pair_system(rng)
+        systems = itertools.chain((_pair_system(rng) for _ in range(8)), (
+            _no_quadratic_seed_1(rng, _pair_system(rng)) for _ in range(4)))
+        for seeds in systems:
             delta = rng.choice((Fraction(1, 7), Fraction(1, 20), Fraction(1, 60)))
             required = rng.choice([None, *_required_patterns(seeds)])
             with monkeypatch.context() as mp:
@@ -1485,7 +1502,7 @@ class TestPairReturns:
             with monkeypatch.context() as mp:
                 _unsieved(mp)
                 assert got == _scan(seeds, delta, 20000, 4, required_sides=required)
-        assert sum(paired) >= 3
+        assert paired.count(True) >= 3 and paired.count(False) >= 1, paired
 
 
 def _count_queries(monkeypatch):
