@@ -274,6 +274,13 @@ class QuadraticAngle(ExactAngle):
         start, stop = {None: (low, high), "low": (low, cq), "high": (0, high)}[side]
         return lambda g: not start <= (g * qa + (isqrt(g * g * bbd) ^ sign)) % cq < stop
 
+    def _floor_kernel(self, mult: int) -> Callable[[int], int]:
+        """The map g -> ``self._floor(mult * g)`` for integers g >= 1, with
+        a, b, c, d and mult folded once, as in :meth:`_side_test`."""
+        ma, bbd, c = mult * self.a, (mult * self.b) ** 2 * self.d, self.c
+        sign = 0 if self.b > 0 else -1
+        return lambda g: (g * ma + (isqrt(g * g * bbd) ^ sign)) // c
+
     def enclosure(self, width: Optional[Fraction] = None) -> tuple[Fraction, Fraction]:
         """The closed-form enclosure, clipped to [0, 1], at the first step
         of sqrt(d) to a multiple of 2**-24, 2**-48, ... no wider than

@@ -172,8 +172,13 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     system, options = _load(args.scenario, args)
     if args.command == "iterate":
+        # each row is written as it is computed: a refusal mid-table exits 3
+        # after the rows before it
         seed = _pick_seed(system, args.seed_index)
-        _emit(list(iteration_rows(seed, options.m_max)), args.format)
+        out = sys.stdout.buffer
+        for piece in sc.emit_rows(iteration_rows(seed, options.m_max), args.format):
+            out.write(piece)
+        out.flush()
         return EXIT_OK
 
     if args.command == "mean-index":

@@ -46,12 +46,13 @@ the means that never refuse; the window rises with s, so each stream is
 merged forward once per scan (:func:`_in_window`).  The walk visits only
 the steps where all of seed 1's quadratic angles pass (every step when it
 has none), about 2*delta of them for one free angle.  When no later seed
-has a stream, :func:`_joint_returns` lists them, taking the gaps between
-them from the same search at doubled widths; otherwise
-:func:`_pair_returns` pairs seed 1 with the first stream's seed, listing
-the steps where some u in the window also passes all of that seed's
-angles (the same gap lemma one dimension up), and the later streams stay
-tests.
+has a stream, :func:`_joint_returns` lists them: for one angle by a flat
+walk whose gaps take three values found up front (the three-gap
+theorem), for more by taking the gaps between them from the same search
+at doubled widths; otherwise :func:`_pair_returns` pairs seed 1 with the
+first stream's seed, listing the steps where some u in the window also
+passes all of that seed's angles (the same gap lemma one dimension up),
+and the later streams stay tests.
 
 One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
@@ -75,6 +76,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import inf, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -84,7 +86,10 @@ from .iteration import PathSeed, _check_count, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
-_DELTA_BITS = 800  # most bits of 1/delta: _joint_returns nests one frame per bit
+# Most bits of 1/delta.  A search over two or more angles nests one frame per
+# bit.  One angle's flat walk does not nest; its refusal is kept only so that
+# no outcome changes, as lifting it would turn refusals into answers.
+_DELTA_BITS = 800
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -288,21 +293,65 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
     """The steps s = 1 .. ``last``, ascending, where {mult*s*x} lies within
     w of an integer for every (x, side, w) of ``angles``, on ``side``
     ("low" or "high") when it is set: the joint near returns of the angles.
+    The scan counts seed 1's near returns here to pick its route, and the
+    lattice walk takes its steps from :func:`_pilot_steps`.
 
-    Write ||t|| for the distance from t to the nearest integer.  For one
-    angle, two consecutive steps s < s' (0 counts as a step) have
-    ||(s' - s)*mult*x|| < 2*w, so the gap s' - s is a step of this same
-    search at 2*w, or any g from w = 1/4 on.  Two consecutive one-sided
-    steps, both in (0, w) or both in (1 - w, 1) (0 again counts), have
-    ||(s' - s)*mult*x|| < w, so a one-sided search takes its gaps from the
-    two-sided search at w itself.  The lemma holds for each angle, so a gap
-    passes every angle at its doubled width (:func:`_gaps`).  From each
-    step these candidates are tried in ascending order, and the first that
-    lands on a step is the gap to the next one; by the three-gap theorem
-    only a few are tried per step.  Each search pulls its candidates once,
-    as needed, so a tiny w nests about log2(1/w) searches of a few tests
-    each.  The scan counts seed 1's near returns here to pick its route,
-    and the lattice walk takes its steps from :func:`_pilot_steps`.
+    One angle is a flat walk.  Write y = mult*x and J for its target on the
+    circle R/Z: the arc (-w, w), of length L = 2*w, or on a fixed side
+    (0, w) or (1 - w, 1), of length L = w.  Let a be the least g >= 1 with
+    {g*y} in (0, L), b the least with {g*y} in (1 - L, 1), A = {a*y} and
+    B = 1 - {b*y}, both in (0, L).  Place a step s (0 counts as a step) at
+    t in [0, L), its distance from the start of J; no s*y with s >= 1 is
+    rational, so only the origin can sit on an end of J, and a "high"
+    origin at the far end is the mirror image of a "low" one under
+    y -> -y, which swaps a and b.
+    (1) No g < min(a, b) moves a step into J: {g*y} lies in [L, 1 - L], so
+        t + {g*y} lies in [L, 1).
+    (2) A g < b that moves s into J moves it right by d = {g*y} < L, as d
+        is not in (1 - L, 1); so g >= a and d >= A, or else
+        {(g - a)*y} = 1 + d - A lies in (1 - L, 1) with g - a < b.  So when
+        s + a misses J (t + A >= L) no g < b lands in it; likewise, when
+        s + b misses (t < B) no g < a lands.
+    (3) When both miss, t lies in [L - A, B) and s + a + b lands, at
+        t + A - B in [L - B, A).  No g between max(a, b) and a + b lands
+        first, or a + b - g < min(a, b) would move that landing into J,
+        against (1).
+    So from each step the walk tries s + min(a, b), then s + max(a, b), and
+    when both miss takes s + a + b with no read (the three-gap theorem:
+    Slater 1967).
+
+    a and b come from an exact Stern-Brocot walk.  It keeps Farey
+    neighbours h0/g0 < y < h1/g1 (h1*g0 - h0*g1 = 1), from floor(y)/1 and
+    (floor(y) + 1)/1, with e0 = g0*y - h0 and e1 = h1 - g1*y in (0, 1).
+    Every integer pair (g, h) is i*(g0, h0) + j*(g1, h1) for integers i, j,
+    and 1 <= g < g0 + g1 leaves one of i, j at most 0 and the other at
+    least 1, so g*y - h = i*e0 - j*e1 is at least e0 or at most -e1: for
+    those g, {g*y} >= e0 and 1 - {g*y} >= e1.  Each mediant
+    (h0 + h1)/(g0 + g1) replaces the neighbour on its side of y, so a is
+    the first lower neighbour with e0 < L and b the first upper one with
+    e1 < L.  A run of k moves on one side takes h0 + k*h1 over g0 + k*g1
+    (or the mirror), which nears y by e1 (or e0) per move, so
+    floor(q*distance) falls as k grows and turns negative once the
+    neighbour crosses y.  The walk gallops through each run: it doubles k
+    while the neighbour stays on its side, and before a (or b) is found at
+    least L from y, then bisects.  With L = p/q, one read of
+    floor(q*g*y) gives floor(g*y) as its quotient by q and
+    floor(q*{g*y}) as its remainder, and each g is read once.  The walk
+    ends once a and b are found, or when the next neighbour passes
+    ``last``, and reports any not found as last + 1: no step up to
+    ``last`` needs it.
+
+    Two or more angles keep a search at doubled widths, as the three-gap
+    theorem is one-dimensional.  Write ||t|| for the distance from t to the
+    nearest integer.  Two consecutive steps s < s' (0 counts as a step)
+    have ||(s' - s)*y|| < 2*w for each angle, or < w when both lie on its
+    fixed side, so the gap s' - s passes every angle at its doubled width
+    (:func:`_gaps`).  From each step these candidates are tried in
+    ascending order, and the first that lands on a step is the gap to the
+    next one.  Each search pulls its candidates once, as needed; an angle
+    whose doubled width reaches 1/2 drops out, and a search left with one
+    angle is a flat walk, so a tiny w nests at most about log2(1/w)
+    searches of a few tests each.
 
     For x = (a + b*sqrt(d))/c and the integer p nearest g*mult*x,
     u = g*mult*a - p*c and v = g*mult*b*sqrt(d) make u^2 - v^2 a nonzero
@@ -310,16 +359,34 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
     ||g*mult*x|| = |u + v|/c >= 1/(c*|u - v|) > 1/(c*(c + 2*last*mult*|b|*(isqrt(d)+1))).
     When that is at least w for some angle there is no step and the search
     ends at once (:func:`_no_return`); otherwise a width of at most 2**-800
-    raises ValueError, as the nesting would pass the interpreter's
-    recursion limit.  Every test is one call of the side kernel that
-    :meth:`QuadraticAngle._side_test` folds once per search, one integer
-    square root, which never refuses."""
+    raises ValueError (see ``_DELTA_BITS``).  Every read is one call of a
+    kernel that :class:`QuadraticAngle` folds once per search
+    (:meth:`~QuadraticAngle._side_test`, or
+    :meth:`~QuadraticAngle._floor_kernel` for a and b), one integer square
+    root, which never refuses."""
     if any(_no_return(x, mult, *w.as_integer_ratio(), last) for x, _, w in angles):
         return
     bits = max((w.denominator // w.numerator).bit_length() for _, _, w in angles)
     if bits > _DELTA_BITS:
         raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
                          f"{bits} levels deep; loosen delta or lower n_max")
+    if len(angles) == 1:
+        (x, side, w), = angles
+        p, q = w.as_integer_ratio()
+        wanted = x._side_test(mult, p, q, side)
+        near, far = sorted(_three_gaps(x, mult, p if side else 2 * p, q, last))
+        both, s = near + far, 0
+        while s + near <= last:
+            if wanted(s + near):
+                s += near
+            elif s + far <= last and wanted(s + far):
+                s += far
+            elif s + both <= last:
+                s += both
+            else:
+                return
+            yield s
+        return
     fresh = _gaps(angles, mult, last)
     wanted = _all_of([x._side_test(mult, *w.as_integer_ratio(), side) for x, side, w in angles])
     gaps, s = [], 0
@@ -341,9 +408,69 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
         yield s
 
 
+def _three_gaps(x: QuadraticAngle, mult: int, p: int, q: int, last: int) -> tuple[int, int]:
+    """(a, b) of :func:`_joint_returns` for L = p/q < 1: the least g >= 1
+    with {g*mult*x} in (0, L) and the least with it in (1 - L, 1), either
+    last + 1 when it passes ``last``, by the galloping Stern-Brocot walk
+    proved there."""
+    if last < 1:
+        return last + 1, last + 1
+    floor = cache(x._floor_kernel(q * mult))  # g -> floor(q*g*mult*x)
+
+    def rest(j: int, g: int, h: int) -> int:
+        """floor(q*(g*mult*x - h)) for j = 0 (h/g below mult*x) and
+        floor(q*(h - g*mult*x)) for j = 1 (above): the scaled distance,
+        negative once h/g has crossed to the other side."""
+        return (floor(g) - q * h) ^ -j
+
+    h = floor(1) // q
+    ends = [(1, h), (1, h + 1)]  # (g, h) of the lower and the upper neighbour
+    found = [1 if rest(j, *ends[j]) < p else None for j in (0, 1)]
+    j = 0
+    while None in found:
+        (g0, h0), (g1, h1) = ends[j], ends[1 - j]
+
+        def keeps(k: int, least: int) -> bool:
+            return g0 + k * g1 <= last and rest(j, g0 + k * g1, h0 + k * h1) >= least
+
+        least = 0 if found[j] else p  # until found, a run stops short of L from y
+        k = _gallop(lambda k: keeps(k, least), 0)
+        if least and keeps(k + 1, 0):
+            found[j] = g0 + (k + 1) * g1
+            k = _gallop(lambda k: keeps(k, 0), k + 1)
+        if g0 + (k + 1) * g1 > last:
+            break
+        ends[j], j = (g0 + k * g1, h0 + k * h1), 1 - j
+    return tuple(last + 1 if g is None else g for g in found)
+
+
+def _gallop(holds: Callable[[int], bool], k: int) -> int:
+    """The largest k' >= k with holds(k'), for a ``holds`` that is true at k
+    and stays false once false: doubling steps, then bisection."""
+    step = 1
+    while holds(k + step):
+        k, step = k + step, 2 * step
+    while step > 1:
+        step //= 2
+        if holds(k + step):
+            k += step
+    return k
+
+
 def _all_of(tests: list[Callable[[int], bool]]) -> Callable[[int], bool]:
-    """The test g -> every one of ``tests`` passes at g (the only one, itself)."""
-    return tests[0] if len(tests) == 1 else lambda g: all(test(g) for test in tests)
+    """The test g -> every one of ``tests`` passes at g, read in order up to
+    the first that fails: the only one itself, two or three joined by
+    ``and`` (a generator per call costs more than the kernels it joins), and
+    any other number, none included, by ``all``."""
+    if len(tests) == 1:
+        return tests[0]
+    if len(tests) == 2:
+        t0, t1 = tests
+        return lambda g: t0(g) and t1(g)
+    if len(tests) == 3:
+        t0, t1, t2 = tests
+        return lambda g: t0(g) and t1(g) and t2(g)
+    return lambda g: all(test(g) for test in tests)
 
 
 def _gaps(angles: _Widths, mult: int, last: int) -> Iterator[int]:

@@ -41,7 +41,7 @@ import json
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
@@ -393,9 +393,7 @@ def _render_check(c: ConditionCheck, pad: int = 0) -> str:
 
 
 def _render_rows(rows: list) -> str:
-    lines = [f"{'m':>8} {'index':>10} {'nullity':>8}"]
-    lines += [f"{r.m:>8} {r.index:>10} {r.nullity:>8}" for r in rows]
-    return "\n".join(lines) + "\n"
+    return b"".join(emit_rows(rows, "text")).decode()
 
 
 def _render_mean_index(mi: MeanIndex) -> str:
@@ -524,6 +522,21 @@ def parse_tuples(data) -> list[JumpTuple]:
     if type(doc) is dict and "N" in doc:
         return [_decoded(_DECODE[JumpTuple], doc, "tuple")]
     raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
+
+
+def emit_rows(rows: Iterable[IterationRow], fmt: str = "text") -> Iterator[bytes]:
+    """``emit_report`` of an iteration table in pieces: a head, one piece per
+    row as ``rows`` yields it, then a tail, so a long table is written while
+    it is computed.  The pieces join to ``emit_report(list(rows), fmt)``."""
+    if fmt not in ("text", "machine"):
+        raise ValueError(f"unknown format {fmt!r}")
+    machine = fmt == "machine"
+    yield b'{"rows":[' if machine else f"{'m':>8} {'index':>10} {'nullity':>8}\n".encode()
+    for k, r in enumerate(rows):
+        yield (f"{',' if k else ''}[{r.m},{r.index},{r.nullity}]" if machine
+               else f"{r.m:>8} {r.index:>10} {r.nullity:>8}\n").encode()
+    if machine:
+        yield b'],"type":"iteration_table"}\n'
 
 
 def emit_report(report, fmt: str = "text") -> bytes:

@@ -100,10 +100,12 @@ class TestQuadratic:
     @given(coeffs=st.sampled_from([
         (-1, 1, 1, 2), (-1, 1, 2, 5), (-1, 1, 1, 3), (-2, 1, 1, 7),
         (0, 1, 3, 3), (5, -1, 4, 5), (3, -1, 2, 3)]),
-        m=st.integers(1, 10**9))
-    def test_floor_matches_oracle(self, coeffs, m):
+        m=st.integers(1, 10**9), mult=st.integers(1, 10**4))
+    def test_floor_matches_oracle(self, coeffs, m, mult):
+        # and the folded kernel of a near-return walk, at g = m
         x = quadratic_angle(*coeffs)
         assert x.floor_mul(m) == quad_floor_oracle(*coeffs, m)
+        assert x._floor_kernel(mult)(m) == quad_floor_oracle(*coeffs, mult * m)
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=st.sampled_from([(-1, 1, 1, 2), (-1, 1, 2, 5), (0, 1, 3, 3)]),

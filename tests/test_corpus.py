@@ -5,22 +5,26 @@ calls recorded in ``fixtures/corpus_digest.json``, under ``python`` and, for
 every 8th system, under ``python -O``; together the scans take every route
 of the scan but the walk over every step (a seed 1 with no quadratic angle
 beside no stream, which ``test_jumps.TestSieve`` scans), with free, fully
-sided and mixed required sides.
+sided and mixed required sides.  The corpus's first systems also serve an
+oracle that checks no scan against itself: their scans under every other
+seed order find the same tuples, permuted.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import corpus
-from symjump import jumps
+from symjump import NoTupleFound, find_jump_tuples, jumps
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tests" / "fixtures" / "corpus_digest.json"
@@ -94,3 +98,28 @@ def test_a_subset_matches_under_optimize():
     assert r.returncode == 0, r.stderr
     want = {k: v for k, v in _digest().items() if int(k.split("/")[0]) % 8 == 0}
     assert want and json.loads(r.stdout) == want
+
+
+def _tuple_set(seeds, delta) -> set:
+    """(N, m, chi) of every tuple a scan to n_max = 4000 finds, with no limit."""
+    try:
+        return {(t.N, t.m, t.chi) for t in find_jump_tuples(seeds, delta, 4000, 10**6)}
+    except NoTupleFound:
+        return set()
+
+
+def test_permuted_seeds_permute_each_tuple():
+    # The tuple conditions are symmetric in the seeds, so the seeds in another
+    # order hold the same N with m and chi permuted.  Only seed 1 pilots the
+    # walk, so each order runs another pilot, pair and stream set.
+    found = scans = 0
+    for seeds in corpus.systems()[:60]:
+        for delta in (Fraction(1, 7), Fraction(1, 20)):
+            want = _tuple_set(seeds, delta)
+            found += bool(want)
+            for order in list(itertools.permutations(range(len(seeds))))[1:]:
+                assert _tuple_set([seeds[k] for k in order], delta) == {
+                    (N, tuple(m[k] for k in order), tuple(chi[k] for k in order))
+                    for N, m, chi in want}
+                scans += 1
+    assert (scans, found) == (352, 60)

@@ -16,7 +16,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symjump import (ConstraintViolation, Decomposition, N1Block, N2Block,
@@ -519,24 +519,29 @@ def _count_frac_side(monkeypatch, limit):
 
 def _count_kernel_reads(monkeypatch):
     """The multipliers of every quadratic side-kernel read from here on: each
-    _side call and each test of a folded kernel (QuadraticAngle._side_test)."""
-    reads, side, side_test = [], QuadraticAngle._side, QuadraticAngle._side_test
+    _side call and each call of a folded kernel (QuadraticAngle._side_test,
+    and QuadraticAngle._floor_kernel, which finds the gaps of a flat walk)."""
+    reads, side = [], QuadraticAngle._side
 
     def counted(self, m, p, q):
         reads.append(m)
         return side(self, m, p, q)
 
-    def counted_test(self, mult, p, q, wanted=None):
-        test = side_test(self, mult, p, q, wanted)
+    def counted_fold(fold):
+        def folded(self, mult, *args):
+            kernel = fold(self, mult, *args)
 
-        def read(g):
-            reads.append(mult * g)
-            return test(g)
+            def read(g):
+                reads.append(mult * g)
+                return kernel(g)
 
-        return read
+            return read
+
+        return folded
 
     monkeypatch.setattr(QuadraticAngle, "_side", counted)
-    monkeypatch.setattr(QuadraticAngle, "_side_test", counted_test)
+    for name in ("_side_test", "_floor_kernel"):
+        monkeypatch.setattr(QuadraticAngle, name, counted_fold(getattr(QuadraticAngle, name)))
     return reads
 
 
@@ -547,6 +552,17 @@ class TestNearReturns:
                            st.one_of(st.integers(3, 400), st.integers(401, 10**7))).filter(
                lambda t: 2 * t[0] < t[1]).map(lambda t: Fraction(*t)),
            last=st.integers(-2, 1500), side=st.sampled_from((None, "low", "high")))
+    # sqrt(10**12 + 1) - 10**6 = [0; 2*10**6, 2*10**6, ...] and sqrt(1000001) -
+    # 1000 = [0; 2000, 2000, ...]: the walk for a and b gallops through a
+    # partial quotient far past last, or ends at last
+    @example(coeffs=(-10**6, 1, 1, 10**12 + 1), M=1, delta=Fraction(1, 60), last=1500, side=None)
+    @example(coeffs=(-10**6, 1, 1, 10**12 + 1), M=7, delta=Fraction(1, 200), last=1500,
+             side="low")
+    @example(coeffs=(-10**6, 1, 1, 10**12 + 1), M=1000, delta=Fraction(1, 1000), last=1500,
+             side="high")
+    @example(coeffs=(-1000, 1, 1, 1000001), M=1, delta=Fraction(1, 1000), last=1500, side=None)
+    @example(coeffs=(-1000, 1, 1, 1000001), M=1, delta=Fraction(1, 1000), last=1500, side="high")
+    @example(coeffs=(-1000, 1, 1, 1000001), M=12, delta=Fraction(1, 100), last=1500, side="low")
     def test_matches_brute_force(self, coeffs, M, delta, last, side):
         x = quadratic_angle(*coeffs)
         want = [s for s in range(1, last + 1)
@@ -567,6 +583,15 @@ class TestNearReturns:
         steps = list(itertools.islice(returns, 200))
         assert len(steps) == 200 and steps[:3] == [235416, 1136689, 1372105]
         assert 200 <= len(reads) <= 5000
+
+    def test_a_large_partial_quotient_takes_few_kernel_reads(self, monkeypatch):
+        # 2*x ~ 10**-6 for x = sqrt(10**12 + 1) - 10**6, so b ~ 10**6: a walk of
+        # single Stern-Brocot steps would read about 10**6 times to find it
+        x = quadratic_angle(-10**6, 1, 1, 10**12 + 1)
+        reads = self._count_side_reads(monkeypatch)
+        returns = jumps._joint_returns([(x, None, Fraction(1, 100))], 2, 10**9)
+        assert list(itertools.islice(returns, 5)) == [1, 2, 3, 4, 5]
+        assert len(reads) <= 200
 
     def test_no_step_within_liouville_bound_reads_no_kernel(self, monkeypatch):
         reads = self._count_side_reads(monkeypatch)
@@ -593,8 +618,9 @@ class TestNearReturns:
         assert all(SQRT2M1.frac_side(2 * s, Fraction(1, 10**6)) != "mid" for s in steps)
 
     def test_nesting_depth_is_bounded(self):
-        # 1/delta of 800 bits nests about 800 searches (a one-sided one, one
-        # more) and still answers; one more bit is refused unless no step can exist
+        # 1/delta of 800 bits still answers, and one more bit is refused unless
+        # no step can exist: a search over one angle no longer nests, but the
+        # refusal stands, so that no outcome depends on the search's method
         x, delta, last = SQRT2M1, Fraction(1, 2**800 - 1), 10**300
         steps = list(itertools.islice(jumps._joint_returns([(x, None, delta)], 2, last), 3))
         assert len(steps) == 3 and all(x.frac_side(2 * s, delta) != "mid" for s in steps)
@@ -942,7 +968,7 @@ class TestNWalk:
         # sqrt(3) - 1 with i1 = 0: mean index ~0.46, so 21,549 lattice steps for
         # n_max = 10**4, but only 431 near returns at delta = 1/100: counted
         # once against n_max by _joint_returns, then listed again for the walk
-        # (its nested gap searches are at doubled widths)
+        # (a search over one angle nests no gap search)
         seed = PathSeed(0, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 3))]))
         asked, deltas = [], []
         tuples_at, walk = jumps._tuples_at, jumps._joint_returns
@@ -1436,16 +1462,18 @@ class TestPairReturns:
         assert members >= 25
 
     def test_kernel_reads_over_the_filter_cases(self, monkeypatch):
-        # 35,599 reads over the 225 cases of test_matches_a_filter_of_every_step,
-        # gap searches included, counted on the walk that tested each gap's
-        # group on the integer window: own's kernels are read once per
-        # (member, ds) whatever the group holds, paired's once per u + du
+        # 33,109 reads over the 225 cases of test_matches_a_filter_of_every_step,
+        # gap searches included: 30,766 side-kernel reads and 2,343 floor reads
+        # that find the one-angle gap walks' a and b (35,599 when each gap
+        # search over one angle nested searches at doubled widths).  Own's
+        # kernels are read once per (member, ds) whatever the group holds,
+        # paired's once per u + du
         reads, members = _count_kernel_reads(monkeypatch), 0
         for x_side, y_side in itertools.product(_SIDES, _SIDES):
             rng = random.Random(f"pair/{x_side}/{y_side}")
             for _ in range(25):
                 members += len(list(jumps._pair_returns(*_pair_case(rng, x_side, y_side))))
-        assert (len(reads), members) == (35599, 744)
+        assert (len(reads), members) == (33109, 744)
 
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_joint_returns_match_a_filter_of_every_step(self, rng_seed):
@@ -1651,7 +1679,10 @@ class TestShippedAnalysisWork:
     visits only the steps where seed 1's angle passes and some u of seed
     2's window passes seed 2's, so 40 steps reach _tuples_at (767 + 249,
     and 3,076 index_iterate calls, without seed 2's window; the pilot walk
-    with seed 2's stream made 3,726 side-kernel reads).  A pinned seed 1
+    with seed 2's stream made 3,726 side-kernel reads).  Its four near-return
+    searches each have one angle, so each is a flat walk: 1,184 kernel
+    reads, 58 of them finding the walks' a and b (1,490 when 22 searches
+    nested at doubled widths).  A pinned seed 1
     is checked after seed 2, so its floor_quotient runs only where seed 2
     keeps a candidate, and the scan checks its arguments once per scan,
     not per step or search (9,492 multiplier and 3,203 delta checks when
@@ -1666,7 +1697,7 @@ class TestShippedAnalysisWork:
         assert report.status == "two_elliptic_irrational"
         assert counts == {"tuples_at": 40, "pinned_floor_quotient": 6,
                           "check_multiplier": 7, "check_delta": 7}
-        assert (len(reads), len(index)) == (1490, 148)
+        assert (len(reads), len(index)) == (1184, 148)
 
     def test_argument_checks_do_not_grow_with_the_steps(self, monkeypatch, shipped_seeds):
         seen = []

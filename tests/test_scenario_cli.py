@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,6 +253,42 @@ class TestCli:
         r = run_cli("--format", "machine", "iterate", "--seed", path, "--m-max", "4")
         rows = parse_report(r.stdout)
         assert [row.m for row in rows] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("m_max", [1, 12, 5000])
+    def test_iterate_streams_the_bytes_of_the_whole_table(self, fmt, m_max):
+        seed = parse_scenario(Path(SHIPPED).read_bytes())[0].seeds[0]
+        code, out, _ = _in_process(["--format", fmt, "iterate", "--seed", SHIPPED,
+                                    "--m-max", str(m_max)])
+        assert code == 0 and out == emit_report(list(iteration_rows(seed, m_max)), fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_iterate_writes_each_row_before_the_next_is_computed(self, monkeypatch, fmt):
+        # a long table shows its first rows at once, not after its last one
+        events = []
+        rows = cli.iteration_rows
+
+        class Out:
+            def write(self, piece):
+                events.append(piece)
+
+            def flush(self):
+                pass
+
+        def spied(seed, m_max):
+            for row in rows(seed, m_max):
+                events.append(row.m)
+                yield row
+
+        monkeypatch.setattr(cli, "iteration_rows", spied)
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=Out()))
+        assert cli.main(["--format", fmt, "iterate", "--seed", SHIPPED, "--m-max", "3"]) == 0
+        tail = [bytes] if fmt == "machine" else []
+        assert [e if type(e) is int else bytes for e in events] == [
+            bytes, 1, bytes, 2, bytes, 3, bytes, *tail]
+        seed = parse_scenario(Path(SHIPPED).read_bytes())[0].seeds[0]
+        assert b"".join(e for e in events if type(e) is bytes) == emit_report(
+            list(rows(seed, 3)), fmt)
 
     def test_mean_index_exact_output(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
