@@ -20,14 +20,18 @@ Blocks are ``{"n1": [lam, b]}``, ``{"r": <angle>}``,
 Reports are compact sorted-key JSON objects tagged with a ``"type"``,
 byte-identical for identical inputs.
 
-Scenarios and reports share one codec of small decoder combinators.
-Report records are compiled once per dataclass from its fields and type
-hints: int, str and bool as themselves, Fraction as [numerator,
-denominator], Optional as null, tuples as arrays, records as objects
-keyed by field name (``_RENAME`` maps ``M_period`` to ``"M"``;
-``_DERIVED`` adds ``passed``, which decoding ignores like any key it
-does not read).  Scenario objects are closed, rejecting unknown keys,
-and angles and blocks are variants tagged by their key.  Decoding
+Scenarios and reports are read by one set of small decoder combinators.
+Each report record has a decoder and a writer, both built once per
+dataclass from its fields and type hints: int, str and bool as
+themselves, Fraction as [numerator, denominator], Optional as null,
+tuples as arrays, records as objects keyed by field name (``_RENAME``
+maps ``M_period`` to ``"M"``; ``_DERIVED`` adds ``passed``, which
+decoding ignores like any key it does not read).  A writer is compiled
+from generated source and formats every field inline, keys in sorted
+order, straight to the text ``json.dumps(..., sort_keys=True,
+separators=(",", ":"))`` would give; no dict tree is built on the way
+out.  Scenario objects are closed, rejecting unknown keys, and angles
+and blocks are variants tagged by their key.  Decoding
 type-checks every value and names the path to the first bad one in a
 one-line ScenarioError, e.g.
 ``seeds[1].blocks[1].n1: expected [lam, b], got list`` or
@@ -40,6 +44,7 @@ import dataclasses
 import json
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import ceil, floor
 from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
@@ -202,21 +207,12 @@ _RENAME = {"M_period": "M"}
 _DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
             TupleVerification: ("passed",)}
 
-# By type hint: an encoder to the JSON value (None: the value is its own
-# JSON) and a type-checking decoder.  Records join in dependency order.
-_ENCODE: dict = {int: None, str: None, bool: None,
-                 Fraction: lambda f: [f.numerator, f.denominator]}
+# By type hint: a type-checking decoder.  Records join in dependency order.
 _DECODE: dict = {int: _scalar(int), str: _scalar(str), bool: _scalar(bool),
                  Fraction: _frac_from}
-
-
-def _encoder(hint):
-    if hint in _ENCODE:
-        return _ENCODE[hint]
-    inner = _encoder(get_args(hint)[0])
-    if get_origin(hint) is Union:        # Optional[X]
-        return None if inner is None else (lambda v: None if v is None else inner(v))
-    return list if inner is None else (lambda v: [inner(x) for x in v])
+# The globals of the compiled record writers: write_<class name> for each
+# record, and _string, the encoder json.dumps itself uses for str.
+_WRITE: dict = {"_string": encode_basestring_ascii}
 
 
 def _decoder(hint):
@@ -228,27 +224,57 @@ def _decoder(hint):
     return _array(inner)                 # tuple[X, ...]
 
 
-def _record_codec(cls):
+def _record_decoder(cls):
     hints = get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    keys = [_RENAME.get(name, name) for name in names]
-    fields = [(name, key, _encoder(hints[name])) for name, key in zip(names, keys)]
-    fields += [(name, name, None) for name in _DERIVED.get(cls, ())]
+    return _object([(_RENAME.get(f.name, f.name), _decoder(hints[f.name]))
+                    for f in dataclasses.fields(cls)], cls)
 
-    def encode(obj):
-        out = {}
-        for name, key, enc in fields:
-            v = getattr(obj, name)
-            out[key] = v if enc is None else enc(v)
-        return out
-    return encode, _object([(key, _decoder(hints[name])) for name, key in zip(names, keys)],
-                           cls)
+
+def _json_of(hint, v: str) -> str:
+    """Source of an expression for the compact JSON text of the value v of
+    type hint, as json.dumps writes it; free of single quotes, backslashes
+    and braces, so that it can sit in a single-quoted f-string."""
+    if hint is int:
+        return f"str({v})"
+    if hint is bool:
+        return f'("true" if {v} else "false")'
+    if hint is str:
+        return f"_string({v})"
+    if hint is Fraction:
+        return f'"[" + str({v}.numerator) + "," + str({v}.denominator) + "]"'
+    if dataclasses.is_dataclass(hint):
+        return f"write_{hint.__name__}({v})"
+    inner = get_args(hint)[0]
+    if get_origin(hint) is Union:        # Optional[X]
+        return f'("null" if {v} is None else {_json_of(inner, v)})'
+    return f'"[" + ",".join([{_json_of(inner, "x")} for x in {v}]) + "]"'  # tuple[X, ...]
+
+
+def _record_writer(cls, tag: str | None = None):
+    """The writer of cls: a record's JSON object, keys sorted, each field
+    formatted inline by its type hint (``_RENAME`` maps ``M_period`` to
+    ``"M"``; ``_DERIVED`` adds ``passed``), with a ``"type"`` key when
+    tagged.  It is compiled once from generated source, as dataclasses
+    builds ``__init__``, so that it makes one call per record, not one
+    per value."""
+    hints = get_type_hints(cls)
+    fields = [(_RENAME.get(f.name, f.name), hints[f.name], f.name)
+              for f in dataclasses.fields(cls)]
+    fields += [(name, bool, name) for name in _DERIVED.get(cls, ())]
+    members = {key: "{%s}" % _json_of(hint, f"o.{name}") for key, hint, name in fields}
+    if tag:
+        members["type"] = f'"{tag}"'
+    body = ",".join(f'"{key}":{members[key]}' for key in sorted(members))
+    made: dict = {}
+    exec(f"def write(o): return f'{{{{{body}}}}}'", _WRITE, made)
+    return made["write"]
 
 
 for _cls in (ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification,
              DeltaReport, ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord,
              AnalysisReport):
-    _ENCODE[_cls], _DECODE[_cls] = _record_codec(_cls)
+    _DECODE[_cls] = _record_decoder(_cls)
+    _WRITE[f"write_{_cls.__name__}"] = _record_writer(_cls)
 
 _INT, _STR, _BOOL = _DECODE[int], _DECODE[str], _DECODE[bool]
 
@@ -392,10 +418,6 @@ def _render_check(c: ConditionCheck, pad: int = 0) -> str:
     return f"{name} {c.lhs} {c.relation} {c.rhs}  [{'ok' if c.passed else 'FAIL'}]"
 
 
-def _render_rows(rows: list) -> str:
-    return b"".join(emit_rows(rows, "text")).decode()
-
-
 def _render_mean_index(mi: MeanIndex) -> str:
     if mi.is_exact:
         v = mi.exact()
@@ -466,36 +488,45 @@ def _render_analysis(r: AnalysisReport) -> str:
     return text
 
 
-# wire type: (encoder of the fields beside "type", decoder, text renderer)
+def _write_mean_index(mi: MeanIndex) -> str:
+    if mi.is_exact:
+        v = mi.exact()
+        value = f'"exact":[{v.numerator},{v.denominator}]'
+    else:
+        j = _mean_index_enclosure(mi)
+        value = (f'"enclosure":{{"approx":{encode_basestring_ascii(j["approx"])},'
+                 f'"error":{encode_basestring_ascii(j["error"])}}}')
+    return f'{{{value},"type":"mean_index"}}'
+
+
+# wire type: (writer of the JSON text, decoder, text renderer); emit_rows
+# writes an iteration table in both formats
 _REPORTS = {
     "iteration_table": (
-        lambda rows: {"rows": [[r.m, r.index, r.nullity] for r in rows]},
+        None,
         _object((("rows", _some(_array(_ints("m", "index", "nullity")), "row")),),
                 lambda rows: [IterationRow(*r) for r in rows]),
-        _render_rows),
+        None),
     "mean_index": (
-        lambda mi: ({"exact": _ENCODE[Fraction](mi.exact())} if mi.is_exact
-                    else {"enclosure": _mean_index_enclosure(mi)}),
+        _write_mean_index,
         lambda doc: (_EXACT if "exact" in doc else _ENCLOSED)(doc),
         _render_mean_index),
     "jump_tuples": (
-        lambda ts: {"tuples": [_ENCODE[JumpTuple](t) for t in ts]},
+        lambda ts: f'{{"tuples":[{",".join(map(_WRITE["write_JumpTuple"], ts))}],'
+                   f'"type":"jump_tuples"}}',
         _object((("tuples", _some(_TUPLES, "tuple")),), list),
         lambda ts: "".join(_render_tuple(t) for t in ts)),
-    "tuple_verification": (_ENCODE[TupleVerification], _DECODE[TupleVerification],
-                           _render_verification),
-    "analysis_report": (_ENCODE[AnalysisReport], _DECODE[AnalysisReport], _render_analysis),
+    "tuple_verification": (_record_writer(TupleVerification, "tuple_verification"),
+                           _DECODE[TupleVerification], _render_verification),
+    "analysis_report": (_record_writer(AnalysisReport, "analysis_report"),
+                        _DECODE[AnalysisReport], _render_analysis),
     "realized_matrix": (
-        lambda M: {"dim": len(M), "rows": [[format(v, ".17g") for v in row] for row in M]},
+        lambda M: (f'{{"dim":{len(M)},"rows":['
+                   + ",".join("[" + ",".join(f'"{v:.17g}"' for v in row) + "]" for row in M)
+                   + '],"type":"realized_matrix"}'),
         _object((("rows", _matrix_from),)),
         lambda M: "\n".join("  ".join(f"{v: .12f}" for v in row) for row in M) + "\n"),
 }
-
-
-def report_json(report) -> dict:
-    """Machine encoding of any report object."""
-    kind = _wire_type(report)
-    return {"type": kind, **_REPORTS[kind][0](report)}
 
 
 def _report(doc):
@@ -542,9 +573,10 @@ def emit_rows(rows: Iterable[IterationRow], fmt: str = "text") -> Iterator[bytes
 def emit_report(report, fmt: str = "text") -> bytes:
     """Render a report. ``machine`` is lossless JSON; ``text`` shows every
     evaluated relation with both sides."""
-    if fmt == "machine":
-        return (json.dumps(report_json(report), sort_keys=True, separators=(",", ":"))
-                + "\n").encode()
-    if fmt != "text":
+    if fmt not in ("text", "machine"):
         raise ValueError(f"unknown format {fmt!r}")
-    return _REPORTS[_wire_type(report)][2](report).encode()
+    kind = _wire_type(report)
+    if kind == "iteration_table":
+        return b"".join(emit_rows(report, fmt))
+    write, _, render = _REPORTS[kind]
+    return (write(report) + "\n" if fmt == "machine" else render(report)).encode()
