@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterator, Optional
 
 from .angles import IrrationalAngle, QuadraticAngle, _check_tolerance, _undecided
@@ -314,22 +314,35 @@ def _mean_of(i1: int, d: Decomposition) -> MeanIndex:
     independent over Q, so a class whose coefficient cancels (x beside
     1 - x, say) keeps no term.  The other irrational angles are kept as
     they are.
+
+    Each coefficient is summed as an integer numerator over a positive
+    integer denominator and reduced once at the end; L is the lcm of the
+    reduced denominators, so ``surd`` is the one that exact rational
+    arithmetic would give.
     """
-    rational = Fraction(i1 + d.p_minus + d.p_zero - d.r)
-    coefficients = {}  # one radicand per square class -> coefficient of its sqrt
+    p, q = i1 + d.p_minus + d.p_zero - d.r, 1  # the rational term p/q
+    coefficients = {}  # one radicand per square class -> (num, den) of its sqrt's coefficient
     angles = []        # irrational angles that are not quadratic
     for x in d.theta_angles:
         if x.is_rational:
-            rational += 2 * x.value
+            num, den = x.value.as_integer_ratio()
+            p, q = p * den + 2 * num * q, q * den
         elif isinstance(x, QuadraticAngle):
             a, b, c, r = x.a, x.b, x.c, x.d
-            rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
-            coefficients[rep] = (coefficients.get(rep, 0)
-                                 + Fraction(2 * b * isqrt(rep * r), c * rep))
-            rational += Fraction(2 * a, c)
+            rep = next((s for s in coefficients if isqrt(s * r) ** 2 == s * r), r)
+            num, den = coefficients.get(rep, (0, 1))
+            # 2b*sqrt(r)/c = (2b*isqrt(rep*r)/(c*rep))*sqrt(rep)
+            coefficients[rep] = (num * c * rep + 2 * b * isqrt(rep * r) * den, den * c * rep)
+            p, q = p * c + 2 * a * q, q * c
         else:
             angles.append(x)
-    terms = {r: b for r, b in coefficients.items() if b}
-    scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
-    return MeanIndex((scale, int(rational * scale),
-                      tuple((int(b * scale), r) for r, b in terms.items())), tuple(angles))
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    terms = []
+    for r, (num, den) in coefficients.items():
+        if num:
+            g = gcd(num, den)
+            terms.append((num // g, den // g, r))
+    scale = lcm(q, *(den for _, den, _ in terms))
+    return MeanIndex((scale, p * (scale // q),
+                      tuple((num * (scale // den), r) for num, den, r in terms)), tuple(angles))

@@ -23,7 +23,6 @@ all exposed by :class:`Decomposition`.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -77,8 +76,12 @@ BasicForm = Union[N1Block, HyperbolicBlock, RotationBlock, N2Block]
 def _check_rotation_angle(angle: ExactAngle) -> None:
     if not isinstance(angle, ExactAngle):
         raise ValueError(f"angle must be an ExactAngle, got {angle!r}")
-    if isinstance(angle, RationalAngle) and angle.value == Fraction(1, 2):
+    if isinstance(angle, RationalAngle) and angle.value.denominator == 2:  # 1/2 in (0, 1)
         raise ValueError("angle ratio 1/2 is the -I2 normal form, not a rotation block")
+
+
+# (lam, b) of the N1 blocks counted by p-, p0, p+, q-, q0 and q+
+_N1_KINDS = ((1, 1), (1, 0), (1, -1), (-1, 1), (-1, 0), (-1, -1))
 
 
 class Decomposition:
@@ -90,36 +93,37 @@ class Decomposition:
 
     def __init__(self, blocks: Iterable[BasicForm]):
         blocks = tuple(blocks)
-        census = Counter()  # (lam, b) per N1 block, "h", (kind, is_rational) per angle
-        angles = {"theta": [], "alpha": [], "beta": []}
+        n1 = dict.fromkeys(_N1_KINDS, 0)  # N1 blocks per (lam, b)
+        h = 0
+        theta, alpha, beta = [], [], []
         for blk in blocks:
             if isinstance(blk, N1Block):
-                census[blk.lam, blk.b] += 1
+                n1[blk.lam, blk.b] += 1
             elif isinstance(blk, HyperbolicBlock):
-                census["h"] += 1
-            elif isinstance(blk, (RotationBlock, N2Block)):
-                kind = ("theta" if isinstance(blk, RotationBlock)
-                        else "beta" if blk.trivial else "alpha")
-                angles[kind].append(blk.angle)
-                census[kind, blk.angle.is_rational] += 1
+                h += 1
+            elif isinstance(blk, RotationBlock):
+                theta.append(blk.angle)
+            elif isinstance(blk, N2Block):
+                (beta if blk.trivial else alpha).append(blk.angle)
             else:
                 raise ValueError(f"not a basic normal form: {blk!r}")
         self.blocks = blocks
-        self.n = len(blocks) + len(angles["alpha"]) + len(angles["beta"]) + 1  # N2 fills two
+        self.n = len(blocks) + len(alpha) + len(beta) + 1  # N2 fills two
 
-        self.p_minus, self.p_zero, self.p_plus = census[1, 1], census[1, 0], census[1, -1]
-        self.q_minus, self.q_zero, self.q_plus = census[-1, 1], census[-1, 0], census[-1, -1]
-        self.h = census["h"]
-        # rational-first ordering within each angle list
-        self.theta_angles = tuple(sorted(angles["theta"], key=lambda a: 0 if a.is_rational else 1))
-        self.alpha_angles = tuple(angles["alpha"])
-        self.beta_angles = tuple(angles["beta"])
+        (self.p_minus, self.p_zero, self.p_plus,
+         self.q_minus, self.q_zero, self.q_plus) = n1.values()
+        self.h = h
+        # rational-first ordering within theta
+        rational = [a for a in theta if a.is_rational]
+        self.theta_angles = tuple(rational + [a for a in theta if not a.is_rational])
+        self.alpha_angles = tuple(alpha)
+        self.beta_angles = tuple(beta)
         self.r = len(self.theta_angles)
         self.r_star = len(self.alpha_angles)
         self.r_zero = len(self.beta_angles)
-        self.r_prime = census["theta", True]
-        self.r_star_prime = census["alpha", True]
-        self.r_zero_prime = census["beta", True]
+        self.r_prime = len(rational)
+        self.r_star_prime = sum(a.is_rational for a in alpha)
+        self.r_zero_prime = sum(a.is_rational for a in beta)
         self._spectrum = tuple(
             [("theta", j, a) for j, a in enumerate(self.theta_angles)]
             + [("alpha", j, a) for j, a in enumerate(self.alpha_angles)]
@@ -272,7 +276,7 @@ def splitting_numbers(block: BasicForm, omega) -> tuple[int, int]:
         if omega not in (1, -1):
             raise ValueError(f"omega must lie on the unit circle; integer {omega} does not")
     elif isinstance(omega, ExactAngle):
-        if isinstance(omega, RationalAngle) and omega.value == Fraction(1, 2):
+        if isinstance(omega, RationalAngle) and omega.value.denominator == 2:  # 1/2
             omega = -1
     else:
         raise ValueError(f"omega must be 1, -1 or an ExactAngle, got {omega!r}")

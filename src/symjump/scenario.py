@@ -20,22 +20,25 @@ Blocks are ``{"n1": [lam, b]}``, ``{"r": <angle>}``,
 Reports are compact sorted-key JSON objects tagged with a ``"type"``,
 byte-identical for identical inputs.
 
-Scenarios and reports are read by one set of small decoder combinators.
-Each report record has a decoder and a writer, both built once per
+Each report record has a reader and a writer, both built once per
 dataclass from its fields and type hints: int, str and bool as
 themselves, Fraction as [numerator, denominator], Optional as null,
 tuples as arrays, records as objects keyed by field name (``_RENAME``
 maps ``M_period`` to ``"M"``; ``_DERIVED`` adds ``passed``, which
-decoding ignores like any key it does not read).  A writer is compiled
-from generated source and formats every field inline, keys in sorted
+reading ignores like any key it does not read).  Both are compiled from
+generated source, as dataclasses builds ``__init__``, so that each makes
+one call per record.  A reader type-checks every value, int, str and
+bool inline; a writer formats every field inline, keys in sorted
 order, straight to the text ``json.dumps(..., sort_keys=True,
-separators=(",", ":"))`` would give; no dict tree is built on the way
-out.  Scenario objects are closed, rejecting unknown keys, and angles
-and blocks are variants tagged by their key.  Decoding
-type-checks every value and names the path to the first bad one in a
-one-line ScenarioError, e.g.
+separators=(",", ":"))`` would give, and no dict tree is built on the
+way out.  Scenarios, and the few report objects that are not records,
+are read by small decoder combinators.  Scenario objects are closed,
+rejecting unknown keys, and angles and blocks are variants tagged by
+their key.  Decoding type-checks every value and names the path to
+the first bad one in a one-line ScenarioError, e.g.
 ``seeds[1].blocks[1].n1: expected [lam, b], got list`` or
 ``tuples[0].per_path[1].conditions[2]: missing required key 'lhs'``.
+An array's index is found only when one of its items fails.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hin
 
 from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
                        PeakConstraintRecord, PinchRecord, ZeroEntry)
-from .angles import decimal_angle, quadratic_angle, rational_angle
+from .angles import _bounded_decimal, decimal_angle, quadratic_angle, rational_angle
 from .errors import ScenarioError
 from .iteration import IterationRow, MeanIndex, PathSeed
 from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
@@ -74,14 +77,18 @@ class ScenarioOptions:
 
 
 def _document(data) -> object:
-    """The JSON document in data (str or UTF-8 bytes); a syntax error
-    names its line and column."""
+    """The JSON document in data (str or UTF-8 bytes).  Every failure is a
+    one-line ScenarioError; a syntax error names its line and column."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ScenarioError("JSON nested too deeply") from None
+    except ValueError as exc:  # an int longer than sys.get_int_max_str_digits()
+        raise ScenarioError(str(exc).partition(";")[0]) from None
 
 
 # -- codec -------------------------------------------------------------------
@@ -95,6 +102,10 @@ class _Bad(Exception):
 
 def _expected(what: str, value) -> _Bad:
     return _Bad(f"expected {what}, got {type(value).__name__}")
+
+
+def _refuse(what: str, value):
+    raise _expected(what, value)
 
 
 def _decoded(decode, doc, where: str = "", root: str = "report"):
@@ -135,19 +146,25 @@ def _frac_from(v) -> Fraction:
     return Fraction(p, q)
 
 
+def _items(read, v) -> tuple:
+    """The JSON array v, each item read by read.  The index of a bad item
+    is found only on failure, by reading the items again in order."""
+    if type(v) is not list:
+        raise _expected("list", v)
+    try:
+        return tuple(map(read, v))
+    except _Bad:
+        for k, x in enumerate(v):
+            try:
+                read(x)
+            except _Bad as exc:
+                exc.path = f"[{k}]{exc.path}"
+                raise
+        raise
+
+
 def _array(inner):
-    def decode(v):
-        if type(v) is not list:
-            raise _expected("list", v)
-        out = []
-        try:
-            for x in v:
-                out.append(inner(x))
-        except _Bad as exc:
-            exc.path = f"[{len(out)}]{exc.path}"
-            raise
-        return tuple(out)
-    return decode
+    return lambda v: _items(inner, v)
 
 
 def _object(spec, build=lambda v: v, closed: bool = False):
@@ -207,27 +224,58 @@ _RENAME = {"M_period": "M"}
 _DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
             TupleVerification: ("passed",)}
 
-# By type hint: a type-checking decoder.  Records join in dependency order.
-_DECODE: dict = {int: _scalar(int), str: _scalar(str), bool: _scalar(bool),
-                 Fraction: _frac_from}
+_INT, _STR, _BOOL = _scalar(int), _scalar(str), _scalar(bool)
+# The globals of the compiled record readers: each record class and its
+# read_<class name>, the readers of the other hints named read_<type
+# name>, and the helpers they call.
+_READ: dict = {"read_int": _INT, "read_str": _STR, "read_bool": _BOOL,
+               "read_Fraction": _frac_from, "_Bad": _Bad, "_expected": _expected,
+               "_refuse": _refuse, "_items": _items}
 # The globals of the compiled record writers: write_<class name> for each
 # record, and _string, the encoder json.dumps itself uses for str.
 _WRITE: dict = {"_string": encode_basestring_ascii}
 
 
-def _decoder(hint):
-    if hint in _DECODE:
-        return _DECODE[hint]
-    inner = _decoder(get_args(hint)[0])
+def _read_of(hint, v: str) -> str:
+    """Source of an expression for the value of type hint read from the
+    JSON value in the name v.  int, str and bool are type-checked inline;
+    a failure raises _Bad with the path below v."""
+    if hint in (int, str, bool):
+        return f"({v} if type({v}) is {hint.__name__} else _refuse({hint.__name__!r}, {v}))"
     if get_origin(hint) is Union:        # Optional[X]
-        return lambda v: None if v is None else inner(v)
-    return _array(inner)                 # tuple[X, ...]
+        return f"(None if {v} is None else {_read_of(get_args(hint)[0], v)})"
+    if get_origin(hint) is tuple:        # tuple[X, ...]
+        return f"_items(read_{get_args(hint)[0].__name__}, {v})"
+    return f"read_{hint.__name__}({v})"  # Fraction or a record
 
 
-def _record_decoder(cls):
+def _record_reader(cls):
+    """The reader of cls: the record from its JSON object, each field read
+    inline by its type hint (``_RENAME`` maps ``M_period`` to ``"M"``; keys
+    it does not read, such as ``passed``, are ignored).  It is compiled once
+    from generated source, like the writer, so that it makes one call per
+    record.  A failure names the path below the object: a missing key or
+    a ValueError of the constructor at the object itself, a bad value at
+    its key, which ``k`` holds while it is read."""
     hints = get_type_hints(cls)
-    return _object([(_RENAME.get(f.name, f.name), _decoder(hints[f.name]))
-                    for f in dataclasses.fields(cls)], cls)
+    fields = [(_RENAME.get(f.name, f.name), hints[f.name]) for f in dataclasses.fields(cls)]
+    body = "".join(f'\n        k = "{key}"; v = o[k]; a{j} = {_read_of(hint, "v")}'
+                   for j, (key, hint) in enumerate(fields))
+    made: dict = {}
+    exec(f"""def read(o):
+    if type(o) is not dict:
+        raise _expected("an object", o)
+    try:{body}
+    except KeyError:
+        raise _Bad(f"missing required key '{{k}}'") from None
+    except _Bad as exc:
+        exc.path = f".{{k}}{{exc.path}}"
+        raise
+    try:
+        return {cls.__name__}({", ".join(f"a{j}" for j in range(len(fields)))})
+    except ValueError as exc:
+        raise _Bad(str(exc)) from None""", _READ, made)
+    return made["read"]
 
 
 def _json_of(hint, v: str) -> str:
@@ -273,10 +321,9 @@ def _record_writer(cls, tag: str | None = None):
 for _cls in (ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification,
              DeltaReport, ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord,
              AnalysisReport):
-    _DECODE[_cls] = _record_decoder(_cls)
+    _READ[_cls.__name__] = _cls
+    _READ[f"read_{_cls.__name__}"] = _record_reader(_cls)
     _WRITE[f"write_{_cls.__name__}"] = _record_writer(_cls)
-
-_INT, _STR, _BOOL = _DECODE[int], _DECODE[str], _DECODE[bool]
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -358,7 +405,7 @@ def _mean_index_enclosure(mi: MeanIndex) -> dict:
 
 
 def _enclosure_from(approx: str, error: str) -> tuple[Fraction, Fraction]:
-    mid, err = Fraction(approx), Fraction(error)
+    mid, err = _bounded_decimal(approx), _bounded_decimal(error)
     if err < 0:
         raise ValueError(f"negative error {error!r}")
     return mid - err, mid + err
@@ -382,7 +429,7 @@ def _matrix_from(v) -> Matrix:
     return m
 
 
-_TUPLES = _decoder(tuple[JumpTuple, ...])
+_TUPLES = _array(_READ["read_JumpTuple"])
 
 
 def _some(decode, what: str):
@@ -517,9 +564,9 @@ _REPORTS = {
         _object((("tuples", _some(_TUPLES, "tuple")),), list),
         lambda ts: "".join(_render_tuple(t) for t in ts)),
     "tuple_verification": (_record_writer(TupleVerification, "tuple_verification"),
-                           _DECODE[TupleVerification], _render_verification),
+                           _READ["read_TupleVerification"], _render_verification),
     "analysis_report": (_record_writer(AnalysisReport, "analysis_report"),
-                        _DECODE[AnalysisReport], _render_analysis),
+                        _READ["read_AnalysisReport"], _render_analysis),
     "realized_matrix": (
         lambda M: (f'{{"dim":{len(M)},"rows":['
                    + ",".join("[" + ",".join(f'"{v:.17g}"' for v in row) + "]" for row in M)
@@ -551,7 +598,7 @@ def parse_tuples(data) -> list[JumpTuple]:
     if type(doc) is dict and doc.get("type") == "jump_tuples":
         return _decoded(_report, doc)
     if type(doc) is dict and "N" in doc:
-        return [_decoded(_DECODE[JumpTuple], doc, "tuple")]
+        return [_decoded(_READ["read_JumpTuple"], doc, "tuple")]
     raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from contextlib import contextmanager
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -932,3 +933,102 @@ class TestClosedFormFloorQuotient:
 
     def test_zero_over_a_positive_mean_is_zero(self):
         assert MeanIndex((1, -1, ((1, 2),))).floor_quotient(0, 5) == 0
+
+
+# -- the seed's census and mean index against the Counter and Fraction
+# arithmetic they replaced -----------------------------------------------------
+
+
+def counter_census(blocks) -> dict:
+    """The census of a decomposition, tallied in a Counter, with its
+    rational-first theta order."""
+    census, angles = Counter(), {"theta": [], "alpha": [], "beta": []}
+    for blk in blocks:
+        if isinstance(blk, N1Block):
+            census[blk.lam, blk.b] += 1
+        elif isinstance(blk, HyperbolicBlock):
+            census["h"] += 1
+        else:
+            kind = ("theta" if isinstance(blk, RotationBlock)
+                    else "beta" if blk.trivial else "alpha")
+            angles[kind].append(blk.angle)
+            census[kind, blk.angle.is_rational] += 1
+    return {"n": len(blocks) + len(angles["alpha"]) + len(angles["beta"]) + 1,
+            "p_minus": census[1, 1], "p_zero": census[1, 0], "p_plus": census[1, -1],
+            "q_minus": census[-1, 1], "q_zero": census[-1, 0], "q_plus": census[-1, -1],
+            "h": census["h"], "r": len(angles["theta"]), "r_star": len(angles["alpha"]),
+            "r_zero": len(angles["beta"]), "r_prime": census["theta", True],
+            "r_star_prime": census["alpha", True], "r_zero_prime": census["beta", True],
+            "theta_angles": tuple(sorted(angles["theta"], key=lambda a: 0 if a.is_rational else 1)),
+            "alpha_angles": tuple(angles["alpha"]), "beta_angles": tuple(angles["beta"])}
+
+
+def fraction_mean_of(i1: int, d: Decomposition) -> MeanIndex:
+    """The mean index in Fraction arithmetic, one square class per surd
+    (see ``iteration._mean_of``)."""
+    rational = Fraction(i1 + d.p_minus + d.p_zero - d.r)
+    coefficients = {}
+    angles = []
+    for x in d.theta_angles:
+        if x.is_rational:
+            rational += 2 * x.value
+        elif isinstance(x, QuadraticAngle):
+            a, b, c, r = x.a, x.b, x.c, x.d
+            rep = next((q for q in coefficients if isqrt(q * r) ** 2 == q * r), r)
+            coefficients[rep] = (coefficients.get(rep, 0)
+                                 + Fraction(2 * b * isqrt(rep * r), c * rep))
+            rational += Fraction(2 * a, c)
+        else:
+            angles.append(x)
+    terms = {r: b for r, b in coefficients.items() if b}
+    scale = lcm(rational.denominator, *(b.denominator for b in terms.values()))
+    return MeanIndex((scale, int(rational * scale),
+                      tuple((int(b * scale), r) for r, b in terms.items())), tuple(angles))
+
+
+@st.composite
+def quadratic_in_class(draw, d: int):
+    """A quadratic angle over sqrt(d), sqrt(4d) or sqrt(9d)."""
+    return quadratic_angle(*_quadratic_in(draw, d * draw(st.sampled_from([1, 4, 9]))))
+
+
+@st.composite
+def census_blocks(draw):
+    """Blocks of every kind whose angles are rational, ``decimal``, quadratic
+    of any class or quadratic in one square class (sqrt(d) beside sqrt(4d)
+    and sqrt(9d)), and sometimes the complement 1 - x of the first
+    quadratic rotation, over sqrt(d) or sqrt(4d), whose class then cancels."""
+    one_class = quadratic_in_class(draw(st.sampled_from([2, 3, 5, 6, 7])))
+    angle = st.one_of(any_angle(), one_class)
+    block = st.one_of(st.sampled_from(N1_KINDS), st.just(HyperbolicBlock()),
+                      st.builds(RotationBlock, angle), st.builds(RotationBlock, one_class),
+                      st.builds(N2Block, angle, st.booleans()))
+    blocks = draw(st.lists(block, min_size=1, max_size=8))
+    x = next((b.angle for b in blocks if isinstance(b, RotationBlock)
+              and isinstance(b.angle, QuadraticAngle)), None)
+    if x is not None and draw(st.booleans()):
+        a, b, c, r = x.a, x.b, x.c, x.d
+        complement = (quadratic_angle(2 * (c - a), -b, 2 * c, 4 * r) if draw(st.booleans())
+                      else complement_angle(x))
+        blocks.insert(draw(st.integers(0, len(blocks))), RotationBlock(complement))
+    return blocks
+
+
+class TestIntegerSeeds:
+    """A seed's census and mean index, built in plain integers, equal the
+    Counter tally and the Fraction arithmetic they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=census_blocks(), i1=st.integers(-5, 10))
+    def test_census_and_mean_match_the_reference(self, blocks, i1):
+        seed = PathSeed(i1, Decomposition(blocks))
+        d, want = seed.decomp, counter_census(blocks)
+        assert {name: getattr(d, name) for name in want} == want
+        assert [id(x) for x in d.theta_angles] == [id(x) for x in want["theta_angles"]]
+        assert seed.mean == fraction_mean_of(i1, d)
+
+    def test_a_class_that_cancels_keeps_no_term(self):
+        # sqrt(2) - 1 beside 1 - (sqrt(2) - 1) = (4 - sqrt(8))/2
+        x, y = quadratic_angle(-1, 1, 1, 2), quadratic_angle(4, -1, 2, 8)
+        seed = PathSeed(3, Decomposition([RotationBlock(x), RotationBlock(y)]))
+        assert seed.mean.surd == (1, 3, ()) == fraction_mean_of(3, seed.decomp).surd

@@ -25,7 +25,7 @@ from symjump import (Decomposition, GeodesicSystem, Matrix, N1Block, PathSeed,
                      quadratic_angle, rational_angle, run_analysis,
                      verify_tuple)
 from symjump import cli
-from symjump.scenario import emit_report
+from symjump.scenario import emit_report, parse_tuples
 
 from conftest import QUADRATIC_POOL
 
@@ -93,6 +93,15 @@ def run_cli(*args, env_extra=None, timeout=None):
                           capture_output=True, env=env, timeout=timeout)
 
 
+DIGITS = sys.get_int_max_str_digits()
+UNREADABLE_JSON = [
+    (b"[" * 100_000, "JSON nested too deeply"),
+    (b'{"version": ' + b"7" * (DIGITS + 700) + b"}",
+     f"Exceeds the limit ({DIGITS} digits) for integer string conversion: "
+     f"value has {DIGITS + 700} digits"),
+]
+
+
 class TestParsing:
     def test_minimal_valid(self):
         system, options = parse_scenario(json.dumps(MINIMAL).encode())
@@ -127,6 +136,14 @@ class TestParsing:
     def test_syntax_error_carries_position(self):
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario(b'{"version": 1,,}')
+
+    @pytest.mark.parametrize("parse", [parse_scenario, parse_report, parse_tuples])
+    @pytest.mark.parametrize("data,message", UNREADABLE_JSON, ids=["deep", "long_int"])
+    def test_every_json_failure_is_one_scenario_error(self, parse, data, message):
+        # json.loads raises RecursionError and a bare ValueError for these
+        with pytest.raises(ScenarioError) as err:
+            parse(data)
+        assert str(err.value) == message
 
     def test_angle_forms(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -289,6 +306,17 @@ class TestCli:
         seed = parse_scenario(Path(SHIPPED).read_bytes())[0].seeds[0]
         assert b"".join(e for e in events if type(e) is bytes) == emit_report(
             list(rows(seed, 3)), fmt)
+
+    @pytest.mark.parametrize("flag", ["--system", "--tuple"])
+    @pytest.mark.parametrize("data,message", UNREADABLE_JSON, ids=["deep", "long_int"])
+    def test_unreadable_json_is_one_error_line(self, tmp_path, flag, data, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        argv = (["analyze", "--system", str(path)] if flag == "--system"
+                else ["verify", "--seeds", SHIPPED, "--tuple", str(path)])
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout) == (1, b"")
+        assert r.stderr.decode().splitlines() == [f"error: {message}"]
 
     def test_mean_index_exact_output(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
@@ -769,8 +797,13 @@ class TestMalformedReports:
         (_analyze_with_relation("<>"), "first_bound_at_second: unknown relation '<>'"),
         (b'{"type":"realized_matrix","rows":[["1","2"],["3"]]}',
          "rows[1]: expected 2 entries, got 1"),
+        # read as a Fraction, 1e30000000 did not return in 30 s
+        (b'{"type":"mean_index","enclosure":{"approx":"1e30000000","error":"1"}}',
+         "enclosure: decimal exponent 30000000 exceeds +/-1000"),
+        (b'{"type":"mean_index","enclosure":{"approx":"1","error":"1e1000000"}}',
+         "enclosure: decimal exponent 1000000 exceeds +/-1000"),
     ], ids=["tuple_verification", "not_an_object", "analysis_report", "relation",
-            "ragged_matrix"])
+            "ragged_matrix", "enclosure_exponent", "error_exponent"])
     def test_reproducers(self, data, message):
         with pytest.raises(ScenarioError) as err:
             parse_report(data)
