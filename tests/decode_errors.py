@@ -1,8 +1,9 @@
 """Decode-error oracle: the outcome of one-value mutations of stored documents.
 
 The documents are the reports of the wire fixtures (``fixtures/wire/*.out``)
-and the two scenarios beside them (``scenarios/two_seed_s3.json`` and
-``fixtures/wire/rational.json``).  Every JSON object in them is labelled by
+and three scenarios: the two beside them (``scenarios/two_seed_s3.json`` and
+``fixtures/wire/rational.json``) and ``fixtures/every_kind.json``, which holds
+every angle and block kind and every option.  Every JSON object in them is labelled by
 the record class that reads it, found by a walk over the records' dataclass
 fields and type hints, or, outside records, by its path with the array
 indices dropped.  For each (label, key, kind) the first object, in document
@@ -14,12 +15,15 @@ order, gets one mutation:
   object ``[]``);
 * ``[1, 0]``: its value becomes ``[1, 0]``, a fraction with a zero
   denominator;
-* ``relation``: a ``relation`` value becomes ``"<>"``.
+* ``relation``: a ``relation`` value becomes ``"<>"``;
+* ``extra``: an unknown key ``"unknown"`` is added, once per label; a
+  scenario object refuses it and a record ignores it.
 
 A mutation's outcome is ``error: `` and the ScenarioError's text, or ``ok``
 and the first 16 hex digits of the sha256 of the report's machine bytes
-(of the parsed scenario's repr), or the type and text of any other
-exception.  ``decode_errors.json`` holds the outcomes of the version that
+(of the repr of a parsed scenario, or of a mean index, which reads back as
+its value: a Fraction or an enclosure (lo, hi)), or the type and text of
+any other exception.  ``decode_errors.json`` holds the outcomes of the version that
 made it:
 
     PYTHONPATH=src python tests/decode_errors.py > tests/fixtures/decode_errors.json
@@ -36,6 +40,7 @@ import hashlib
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -44,11 +49,13 @@ from symjump.scenario import emit_report, parse_report, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 WIRE = ROOT / "tests" / "fixtures" / "wire"
-SCENARIOS = [ROOT / "scenarios" / "two_seed_s3.json", WIRE / "rational.json"]
+SCENARIOS = [ROOT / "scenarios" / "two_seed_s3.json", WIRE / "rational.json",
+             ROOT / "tests" / "fixtures" / "every_kind.json"]
 # the hint of each report's top object; the other kinds hold no record
 TOP = {"tuple_verification": TupleVerification, "analysis_report": AnalysisReport}
 TUPLES = {"tuples": tuple[JumpTuple, ...]}
-KINDS = ("delete", "retype", "[1, 0]", "relation")
+KINDS = ("delete", "retype", "[1, 0]", "relation", "extra")
+UNKNOWN = "unknown"
 
 
 def documents() -> list[tuple[str, str, object]]:
@@ -102,15 +109,18 @@ def mutations() -> list[tuple[str, str, bytes]]:
     for source, doc_kind, doc in documents():
         top = doc_kind if doc_kind == "scenario" else doc["type"]
         for k, (label, obj) in enumerate(_objects(doc, TOP.get(top), top, [])):
-            for key in obj:
+            for key in [*obj, UNKNOWN]:
                 for kind in KINDS:
-                    if (label, key, kind) in seen or (kind == "relation") != (key == "relation"):
+                    if ((label, key, kind) in seen or (kind == "relation") != (key == "relation")
+                            or (kind == "extra") != (key == UNKNOWN)):
                         continue
                     seen.add((label, key, kind))
                     mutated = copy.deepcopy(doc)
                     target = _objects(mutated, TOP.get(top), top, [])[k][1]
                     if kind == "delete":
                         del target[key]
+                    elif kind == "extra":
+                        target[key] = 1
                     else:
                         target[key] = {"retype": _wrong(obj[key]), "[1, 0]": [1, 0],
                                        "relation": "<>"}[kind]
@@ -125,9 +135,12 @@ def _sha(data: bytes) -> str:
 
 def outcome(doc_kind: str, text: bytes) -> str:
     try:
-        if doc_kind == "report":
-            return "ok " + _sha(emit_report(parse_report(text), "machine"))
-        return "ok " + _sha(repr(parse_scenario(text)).encode())
+        if doc_kind == "scenario":
+            return "ok " + _sha(repr(parse_scenario(text)).encode())
+        report = parse_report(text)
+        if type(report) in (Fraction, tuple):  # a mean index; a Matrix is a tuple subclass
+            return "ok " + _sha(repr(report).encode())
+        return "ok " + _sha(emit_report(report, "machine"))
     except ScenarioError as exc:
         return f"error: {exc}"
     except Exception as exc:  # recorded, so that a change of it shows

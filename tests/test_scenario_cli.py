@@ -60,15 +60,7 @@ DECIMAL_S3["seeds"][1]["blocks"][0] = {"r": {"decimal": "0.6180339887", "error":
 SHIPPED_DOC = json.loads(Path(SHIPPED).read_bytes())
 
 # Every block kind, every angle kind and all five options.
-EVERY_KIND = {
-    "version": 1,
-    "system": {"n": 9, "lambda": [9, 8], "pinching_asserted": False},
-    "seeds": [{"i1": 1, "nu1": 2, "blocks": [
-        {"n1": [1, 0]}, {"r": {"rational": [1, 3]}}, {"r": {"quadratic": [-1, 1, 2, 5]}},
-        {"n2": {"angle": {"decimal": "0.6180339887", "error": "1e-10"}, "trivial": True}},
-        {"n2": {"angle": {"rational": [2, 5]}, "trivial": False}}, {"hyp": {}}]}],
-    "options": {"delta": [1, 100], "n_max": 1000, "limit": 2, "m_max": 6, "budget": 8},
-}
+EVERY_KIND = json.loads((ROOT / "tests" / "fixtures" / "every_kind.json").read_bytes())
 
 
 def write_scenario(tmp_path, doc, name="scenario.json") -> str:
