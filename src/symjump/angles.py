@@ -391,10 +391,11 @@ def _undecided(what: str) -> UndecidableComparison:
     return UndecidableComparison(f"{what} undecided")
 
 
-def _bounded_decimal(s: str) -> Fraction:
-    """Fraction(s) for a decimal string within DECIMAL_LIMIT."""
-    if len(s) > DECIMAL_LIMIT:
-        raise ValueError(f"decimal string of {len(s)} characters exceeds {DECIMAL_LIMIT}")
+def _bounded_decimal(s: str, length: int = DECIMAL_LIMIT) -> Fraction:
+    """Fraction(s) for a decimal string of at most length characters and
+    an exponent within DECIMAL_LIMIT."""
+    if len(s) > length:
+        raise ValueError(f"decimal string of {len(s)} characters exceeds {length}")
     _, _, exponent = s.lower().partition("e")
     try:
         scale = abs(int(exponent)) if exponent else 0

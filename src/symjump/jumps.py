@@ -368,8 +368,8 @@ def _joint_returns(angles: _Widths, mult: int, last: int) -> Iterator[int]:
         return
     bits = max((w.denominator // w.numerator).bit_length() for _, _, w in angles)
     if bits > _DELTA_BITS:
-        raise ValueError(f"delta at most 2**-{_DELTA_BITS} would nest the near-return search "
-                         f"{bits} levels deep; loosen delta or lower n_max")
+        raise ValueError(f"delta at most 2**-{_DELTA_BITS} is finer than the near-return search "
+                         f"takes (1/delta has {bits} bits); loosen delta or lower n_max")
     if len(angles) == 1:
         (x, side, w), = angles
         p, q = w.as_integer_ratio()

@@ -20,32 +20,32 @@ Blocks are ``{"n1": [lam, b]}``, ``{"r": <angle>}``,
 Reports are compact sorted-key JSON objects tagged with a ``"type"``,
 byte-identical for identical inputs.
 
-Each report record has a reader and a writer, both built once per
-dataclass from its fields and type hints: int, str and bool as
+Every JSON object is read by ``_object`` and every report record is
+written by ``_record_writer``, each compiled once per kind of object from
+generated source, as dataclasses builds ``__init__``, so that it makes
+one call per object.  A reader checks int, str and bool values inline
+and hands any other value to its own reader.  Records are read and
+written by their dataclass fields and type hints: int, str and bool as
 themselves, Fraction as [numerator, denominator], Optional as null,
 tuples as arrays, records as objects keyed by field name (``_RENAME``
-maps ``M_period`` to ``"M"``; ``_DERIVED`` adds ``passed``, which
-reading ignores like any key it does not read).  Both are compiled from
-generated source, as dataclasses builds ``__init__``, so that each makes
-one call per record.  A reader type-checks every value, int, str and
-bool inline; a writer formats every field inline, keys in sorted
-order, straight to the text ``json.dumps(..., sort_keys=True,
-separators=(",", ":"))`` would give, and no dict tree is built on the
-way out.  Scenarios, and the few report objects that are not records,
-are read by small decoder combinators.  Scenario objects are closed,
-rejecting unknown keys, and angles and blocks are variants tagged by
-their key.  Decoding type-checks every value and names the path to
-the first bad one in a one-line ScenarioError, e.g.
+maps ``M_period`` to ``"M"``; ``_DERIVED`` adds ``passed``, which reading
+ignores like any key it does not read).  A writer formats every field
+inline, keys sorted, straight to the text ``json.dumps(...,
+sort_keys=True, separators=(",", ":"))`` would give, with no dict tree.
+Scenario objects are closed, rejecting unknown keys, and angles and
+blocks are variants tagged by their key.  Reading names the path to the
+first bad value in a one-line ScenarioError, e.g.
 ``seeds[1].blocks[1].n1: expected [lam, b], got list`` or
-``tuples[0].per_path[1].conditions[2]: missing required key 'lhs'``.
-An array's index is found only when one of its items fails.
+``tuples[0].per_path[1].conditions[2]: missing required key 'lhs'``; an
+array's index is found only when one of its items fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import MISSING, dataclass
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import ceil, floor
@@ -126,7 +126,7 @@ def _scalar(kind: type):
 
 
 def _ints(*names: str):
-    """Decoder of an array of len(names) ints, e.g. [lam, b]."""
+    """Reader of an array of len(names) ints, e.g. [lam, b]."""
     what, ints = f"[{', '.join(names)}]", [int] * len(names)
 
     def decode(v):
@@ -167,44 +167,9 @@ def _array(inner):
     return lambda v: _items(inner, v)
 
 
-def _object(spec, build=lambda v: v, closed: bool = False):
-    """Decoder of a JSON object: build(*values read at spec's entries).
-    An entry (key, decoder) is required; (key, decoder, default) may be
-    absent.  Keys outside spec are ignored, or rejected when closed.  A
-    ValueError from build is a failure of the object itself."""
-    entries = [(key, dec, default[0] if default else MISSING)
-               for key, dec, *default in spec]
-    known = frozenset(key for key, _, _ in entries)
-
-    def decode(obj):
-        if type(obj) is not dict:
-            raise _expected("an object", obj)
-        if closed and not known.issuperset(obj):
-            raise _Bad(f"unknown key '{next(key for key in obj if key not in known)}'")
-        args = []
-        for key, dec, default in entries:
-            try:
-                v = obj[key]
-            except KeyError:
-                if default is MISSING:
-                    raise _Bad(f"missing required key '{key}'") from None
-                args.append(default)
-                continue
-            try:
-                args.append(dec(v))
-            except _Bad as exc:
-                exc.path = f".{key}{exc.path}"
-                raise
-        try:
-            return build(*args)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _Bad(str(exc)) from None
-    return decode
-
-
 def _variant(what: str, cases: dict):
-    """Decoder of an object tagged by the one key of cases it holds;
-    cases[tag] decodes the whole object."""
+    """Reader of an object tagged by the one key of cases it holds;
+    cases[tag] reads the whole object."""
     def decode(obj):
         if type(obj) is not dict:
             raise _expected("an object", obj)
@@ -215,20 +180,19 @@ def _variant(what: str, cases: dict):
     return decode
 
 
-def _tagged(tag: str, decoder, build=lambda v: v):
-    """Decoder of the one-key object {tag: value}: build(decoder(value))."""
-    return _object(((tag, decoder),), build, closed=True)
+def _tagged(tag: str, reader, build=lambda v: v):
+    """Reader of the one-key object {tag: value}: build(reader(value))."""
+    return _object(((tag, reader),), build, closed=True)
 
 
 _RENAME = {"M_period": "M"}
 _DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
             TupleVerification: ("passed",)}
 
-_INT, _STR, _BOOL = _scalar(int), _scalar(str), _scalar(bool)
-# The globals of the compiled record readers: each record class and its
-# read_<class name>, the readers of the other hints named read_<type
-# name>, and the helpers they call.
-_READ: dict = {"read_int": _INT, "read_str": _STR, "read_bool": _BOOL,
+# The globals of the compiled object readers: read_<type name> for each
+# hint they do not check inline (a record, Fraction, or an int, str or
+# bool inside a tuple), and the helpers they call.
+_READ: dict = {"read_int": _scalar(int), "read_str": _scalar(str), "read_bool": _scalar(bool),
                "read_Fraction": _frac_from, "_Bad": _Bad, "_expected": _expected,
                "_refuse": _refuse, "_items": _items}
 # The globals of the compiled record writers: write_<class name> for each
@@ -249,33 +213,58 @@ def _read_of(hint, v: str) -> str:
     return f"read_{hint.__name__}({v})"  # Fraction or a record
 
 
-def _record_reader(cls):
-    """The reader of cls: the record from its JSON object, each field read
-    inline by its type hint (``_RENAME`` maps ``M_period`` to ``"M"``; keys
-    it does not read, such as ``passed``, are ignored).  It is compiled once
-    from generated source, like the writer, so that it makes one call per
-    record.  A failure names the path below the object: a missing key or
-    a ValueError of the constructor at the object itself, a bad value at
-    its key, which ``k`` holds while it is read."""
-    hints = get_type_hints(cls)
-    fields = [(_RENAME.get(f.name, f.name), hints[f.name]) for f in dataclasses.fields(cls)]
-    body = "".join(f'\n        k = "{key}"; v = o[k]; a{j} = {_read_of(hint, "v")}'
-                   for j, (key, hint) in enumerate(fields))
+def _object(spec, build=lambda v: v, closed: bool = False):
+    """Reader of a JSON object: build(*values read at spec's entries).
+    An entry (key, reader) is required; (key, reader, default) may be
+    absent.  A reader is a type hint (see ``_read_of``) or a function of
+    the JSON value.  Keys outside spec are ignored, or, when closed,
+    rejected before any value is read.  A failure names the path below
+    the object: a missing or unknown key, or a ValueError or
+    ZeroDivisionError of build, at the object itself; a bad value at its
+    key, which ``k`` holds while it is read.  A KeyError raised while a
+    present key is read propagates."""
+    env, lines = {"build": build, "known": frozenset(key for key, *_ in spec)}, []
+    for j, (key, reader, *default) in enumerate(spec):
+        if isinstance(reader, type) or get_origin(reader):
+            value = _read_of(reader, "v")
+        else:
+            env[f"r{j}"], value = reader, f"r{j}(v)"
+        if default:
+            env[f"d{j}"] = default[0]
+            lines += [f"k = {key!r}", f"if k in o: v = o[k]; a{j} = {value}", f"else: a{j} = d{j}"]
+        else:
+            lines.append(f"k = {key!r}; v = o[k]; a{j} = {value}")
+    unknown = """
+        if not known.issuperset(o):
+            raise _Bad(f"unknown key '{next(x for x in o if x not in known)}'")""" if closed else ""
+    indent = "\n            "
     made: dict = {}
-    exec(f"""def read(o):
-    if type(o) is not dict:
-        raise _expected("an object", o)
-    try:{body}
-    except KeyError:
-        raise _Bad(f"missing required key '{{k}}'") from None
-    except _Bad as exc:
-        exc.path = f".{{k}}{{exc.path}}"
-        raise
-    try:
-        return {cls.__name__}({", ".join(f"a{j}" for j in range(len(fields)))})
-    except ValueError as exc:
-        raise _Bad(str(exc)) from None""", _READ, made)
-    return made["read"]
+    exec(f"""def make({", ".join(env)}):
+    def read(o):
+        if type(o) is not dict:
+            raise _expected("an object", o){unknown}
+        try:
+            {indent.join(lines) or "pass"}
+        except KeyError:
+            if k in o:
+                raise
+            raise _Bad(f"missing required key '{{k}}'") from None
+        except _Bad as exc:
+            exc.path = f".{{k}}{{exc.path}}"
+            raise
+        try:
+            return build({", ".join(f"a{j}" for j in range(len(spec)))})
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _Bad(str(exc)) from None
+    return read""", _READ, made)
+    return made["make"](**env)
+
+
+def _fields(cls) -> list[tuple[str, object, str]]:
+    """(key, type hint, field name) of each field of the record cls; the
+    key is the name, but ``_RENAME`` maps ``M_period`` to ``"M"``."""
+    hints = get_type_hints(cls)
+    return [(_RENAME.get(f.name, f.name), hints[f.name], f.name) for f in dataclasses.fields(cls)]
 
 
 def _json_of(hint, v: str) -> str:
@@ -300,15 +289,9 @@ def _json_of(hint, v: str) -> str:
 
 def _record_writer(cls, tag: str | None = None):
     """The writer of cls: a record's JSON object, keys sorted, each field
-    formatted inline by its type hint (``_RENAME`` maps ``M_period`` to
-    ``"M"``; ``_DERIVED`` adds ``passed``), with a ``"type"`` key when
-    tagged.  It is compiled once from generated source, as dataclasses
-    builds ``__init__``, so that it makes one call per record, not one
-    per value."""
-    hints = get_type_hints(cls)
-    fields = [(_RENAME.get(f.name, f.name), hints[f.name], f.name)
-              for f in dataclasses.fields(cls)]
-    fields += [(name, bool, name) for name in _DERIVED.get(cls, ())]
+    formatted inline by its type hint (``_DERIVED`` adds ``passed``), with
+    a ``"type"`` key when tagged."""
+    fields = _FIELDS[cls] + [(name, bool, name) for name in _DERIVED.get(cls, ())]
     members = {key: "{%s}" % _json_of(hint, f"o.{name}") for key, hint, name in fields}
     if tag:
         members["type"] = f'"{tag}"'
@@ -318,11 +301,13 @@ def _record_writer(cls, tag: str | None = None):
     return made["write"]
 
 
-for _cls in (ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification,
-             DeltaReport, ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord,
-             AnalysisReport):
-    _READ[_cls.__name__] = _cls
-    _READ[f"read_{_cls.__name__}"] = _record_reader(_cls)
+# Each record is read by the object reader of its fields, which ignores
+# the keys it does not read, such as ``passed``.
+_FIELDS = {cls: _fields(cls) for cls in (
+    ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification, DeltaReport,
+    ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord, AnalysisReport)}
+for _cls, _spec in _FIELDS.items():
+    _READ[f"read_{_cls.__name__}"] = _object([(key, hint) for key, hint, _ in _spec], _cls)
     _WRITE[f"write_{_cls.__name__}"] = _record_writer(_cls)
 
 
@@ -338,13 +323,13 @@ _ANGLE = _variant("angle", {
     "rational": _tagged("rational", _frac_from, rational_angle),
     "quadratic": _tagged("quadratic", _ints("a", "b", "c", "d"),
                          lambda v: quadratic_angle(*v)),
-    "decimal": _object((("decimal", _STR), ("error", _STR)), decimal_angle, closed=True),
+    "decimal": _object((("decimal", str), ("error", str)), decimal_angle, closed=True),
 })
 
 _BLOCK = _variant("block", {
     "n1": _tagged("n1", _ints("lam", "b"), lambda v: N1Block(*v)),
     "r": _tagged("r", _ANGLE, RotationBlock),
-    "n2": _tagged("n2", _object((("angle", _ANGLE), ("trivial", _BOOL)), N2Block,
+    "n2": _tagged("n2", _object((("angle", _ANGLE), ("trivial", bool)), N2Block,
                                 closed=True)),
     "hyp": _tagged("hyp", _object((), HyperbolicBlock, closed=True)),
 })
@@ -366,12 +351,12 @@ def _scenario(version: int, system: tuple, seeds: tuple, options: ScenarioOption
 
 
 _SCENARIO = _object((
-    ("version", _INT),
-    ("system", _object((("n", _INT), ("lambda", _ratio, Fraction(1)),
-                        ("pinching_asserted", _BOOL, True)), lambda *v: v, closed=True)),
-    ("seeds", _array(_object((("i1", _INT), ("nu1", _INT), ("blocks", _array(_BLOCK))),
+    ("version", int),
+    ("system", _object((("n", int), ("lambda", _ratio, Fraction(1)),
+                        ("pinching_asserted", bool, True)), lambda *v: v, closed=True)),
+    ("seeds", _array(_object((("i1", int), ("nu1", int), ("blocks", _array(_BLOCK))),
                              _seed, closed=True))),
-    ("options", _object([(f.name, _ratio if isinstance(f.default, Fraction) else _INT,
+    ("options", _object([(f.name, _ratio if isinstance(f.default, Fraction) else int,
                           f.default) for f in dataclasses.fields(ScenarioOptions)],
                         ScenarioOptions, closed=True), ScenarioOptions()),
 ), _scenario, closed=True)
@@ -404,21 +389,27 @@ def _mean_index_enclosure(mi: MeanIndex) -> dict:
     return {"approx": _decimal_str((lo + hi) / 2), "error": _decimal_str((hi - lo) / 2)}
 
 
+# Most characters of a stored enclosure string: a sign, the integer digits
+# str() writes by default (a scenario's i1 is read with as many), a point
+# and the 15 places of the midpoint of two 14-place ends.
+_ENCLOSURE_CHARS = sys.int_info.default_max_str_digits + 17
+
+
 def _enclosure_from(approx: str, error: str) -> tuple[Fraction, Fraction]:
-    mid, err = _bounded_decimal(approx), _bounded_decimal(error)
+    mid, err = (_bounded_decimal(s, _ENCLOSURE_CHARS) for s in (approx, error))
     if err < 0:
         raise ValueError(f"negative error {error!r}")
     return mid - err, mid + err
 
 
 _EXACT = _object((("exact", _frac_from),))
-_ENCLOSED = _object((("enclosure", _object((("approx", _STR), ("error", _STR)),
+_ENCLOSED = _object((("enclosure", _object((("approx", str), ("error", str)),
                                            _enclosure_from)),))
 
 
 def _matrix_from(v) -> Matrix:
     try:
-        m = Matrix(tuple(map(float, row)) for row in _array(_array(_STR))(v))
+        m = Matrix(tuple(map(float, row)) for row in _array(_array(_READ["read_str"]))(v))
     except ValueError as exc:
         raise _Bad(str(exc)) from None
     for i, row in enumerate(m):
@@ -546,7 +537,7 @@ def _write_mean_index(mi: MeanIndex) -> str:
     return f'{{{value},"type":"mean_index"}}'
 
 
-# wire type: (writer of the JSON text, decoder, text renderer); emit_rows
+# wire type: (writer of the JSON text, reader, text renderer); emit_rows
 # writes an iteration table in both formats
 _REPORTS = {
     "iteration_table": (

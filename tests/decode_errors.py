@@ -2,12 +2,12 @@
 
 The documents are the reports of the wire fixtures (``fixtures/wire/*.out``)
 and three scenarios: the two beside them (``scenarios/two_seed_s3.json`` and
-``fixtures/wire/rational.json``) and ``fixtures/every_kind.json``, which holds
-every angle and block kind and every option.  Every JSON object in them is labelled by
-the record class that reads it, found by a walk over the records' dataclass
-fields and type hints, or, outside records, by its path with the array
-indices dropped.  For each (label, key, kind) the first object, in document
-order, gets one mutation:
+``fixtures/wire/rational.json``) and ``fixtures/every_kind.json``, which
+holds every angle and block kind and every option.  Every JSON object in
+them is labelled by the record class that reads it, found by a walk over
+the records' dataclass fields and type hints, or, outside records, by its
+path with the array indices dropped.  For each (label, key, kind) the
+first object, in document order, gets one mutation:
 
 * ``delete``: the key is removed;
 * ``retype``: its value becomes one of another JSON type (an int becomes
@@ -23,8 +23,8 @@ A mutation's outcome is ``error: `` and the ScenarioError's text, or ``ok``
 and the first 16 hex digits of the sha256 of the report's machine bytes
 (of the repr of a parsed scenario, or of a mean index, which reads back as
 its value: a Fraction or an enclosure (lo, hi)), or the type and text of
-any other exception.  ``decode_errors.json`` holds the outcomes of the version that
-made it:
+any other exception.  ``decode_errors.json`` holds the outcomes of the
+version that made it:
 
     PYTHONPATH=src python tests/decode_errors.py > tests/fixtures/decode_errors.json
 

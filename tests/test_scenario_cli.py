@@ -125,6 +125,18 @@ class TestParsing:
             with pytest.raises(ScenarioError):
                 parse_scenario(json.dumps(doc))
 
+    def test_a_key_error_inside_a_reader_is_no_missing_key(self):
+        from symjump.scenario import _decoded, _object
+
+        def lookup(v):
+            return {}[v]
+        for spec in ((("a", lookup),), (("a", lookup, 0),)):
+            with pytest.raises(KeyError, match="'b'"):
+                _object(spec)({"a": "b"})
+        with pytest.raises(ScenarioError, match="^report: missing required key 'a'$"):
+            _decoded(_object((("a", lookup),)), {})
+        assert _object((("a", lookup, 0),))({}) == 0
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario(b'{"version": 1,,}')
@@ -172,8 +184,9 @@ class TestParsing:
          "got ['degrees']"),
         (lambda d: d["options"].update(delta="1/100"),
          "options.delta: expected [numerator, denominator], got str"),
+        (lambda d: d.update(seeds=[]), "scenario: a system needs at least one seed"),
     ], ids=["n1_arity", "root_key", "system_n", "square_radicand", "decimal_error",
-            "angle_kind", "delta_type"])
+            "angle_kind", "delta_type", "no_seed"])
     def test_error_names_the_path(self, mutate, message):
         doc = copy.deepcopy(TWO_SEED_S3)
         mutate(doc)
@@ -211,6 +224,16 @@ class TestMachineRoundTrips:
         # mean index = 2 * golden ratio conjugate = sqrt(5) - 1 = 1.2360679...
         assert lo <= Fraction("1.2360679774997896") <= hi
         assert emit_report_roundtrip_stable(emitted)
+
+    @pytest.mark.parametrize("i1", [10**990, 10**4299], ids=["1e990", "1e4299"])
+    def test_mean_index_enclosure_of_a_huge_mean(self, i1):
+        # 10**4299 is about the largest i1 json.loads reads in a scenario;
+        # its enclosure's approx has 4,315 characters
+        mi = mean_index(PathSeed(i1, Decomposition([RotationBlock(quadratic_angle(-1, 1, 1, 2)),
+                                                    N1Block(1, 0)])))
+        lo, hi = parse_report(emit_report(mi, "machine"))
+        a, b = mi.enclosure(Fraction(1, 10**12))
+        assert lo <= a <= b <= hi and hi - lo < Fraction(1, 10**11)
 
     def test_jump_tuples(self):
         s = PathSeed(1, Decomposition([RotationBlock(rational_angle(1, 3))]))
@@ -583,7 +606,7 @@ class TestCli:
 
     def test_delta_too_fine_for_the_sieve_is_one_line(self):
         # past 800 bits of 1/delta, with steps possible up to the bound, the
-        # near-return search would nest deeper than the interpreter allows
+        # near-return search refuses in one line
         r = run_cli("jump", "--seeds", SHIPPED, "--delta", "1e-999",
                     "--n-max", str(10**1005), timeout=60)
         assert r.returncode == 1 and r.stdout == b""
@@ -794,8 +817,10 @@ class TestMalformedReports:
          "enclosure: decimal exponent 30000000 exceeds +/-1000"),
         (b'{"type":"mean_index","enclosure":{"approx":"1","error":"1e1000000"}}',
          "enclosure: decimal exponent 1000000 exceeds +/-1000"),
+        (b'{"type":"mean_index","enclosure":{"approx":"' + b"1" * 4318 + b'","error":"1"}}',
+         "enclosure: decimal string of 4318 characters exceeds 4317"),
     ], ids=["tuple_verification", "not_an_object", "analysis_report", "relation",
-            "ragged_matrix", "enclosure_exponent", "error_exponent"])
+            "ragged_matrix", "enclosure_exponent", "error_exponent", "enclosure_length"])
     def test_reproducers(self, data, message):
         with pytest.raises(ScenarioError) as err:
             parse_report(data)
