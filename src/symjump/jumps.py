@@ -33,26 +33,25 @@ still pass before seed 1's index is read.  When every spectrum angle of
 every seed is rational, the tuples lie at exactly the multiples of
 P = lcm_k(M*mu_k), one at each (:func:`_pilot_steps` proves it), at seed
 1's steps j*S, S = P/(M*mu_1): the walk visits those only and its work
-is O(limit) whatever n_max is.  Otherwise a later seed
-k with a quadratic angle has a stream: the steps u where all its
-quadratic angles come within delta of an integer at multiplier 2M (on
-their required sides), which must meet the window of its candidate
-u_k = m_k/M.  The window comes from the closed form of the odd index,
-i(m) - m*mu in [-c, -c + 2*(#theta + #alpha)], c = ``_index_form[1]``:
-2N lies in [(2sM + 1)*mu_1 - c_1 - i1_1, (2sM + 1)*mu_1 - c_1 - i1_1 +
-2*(#theta_1 + #alpha_1)], so u_k lies in [floor(N_lo/(M*mu_k)),
-floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read off integer bounds on
-the means that never refuse; the window rises with s, so each stream is
-merged forward once per scan (:func:`_in_window`).  The walk visits only
-the steps where all of seed 1's quadratic angles pass (every step when it
-has none), about 2*delta of them for one free angle.  When no later seed
-has a stream, :func:`_joint_returns` lists them: for one angle by a flat
-walk whose gaps take three values found up front (the three-gap
-theorem), for more by taking the gaps between them from the same search
-at doubled widths; otherwise :func:`_pair_returns` pairs seed 1 with the
-first stream's seed, listing the steps where some u in the window also
-passes all of that seed's angles (the same gap lemma one dimension up),
-and the later streams stay tests.
+is O(limit) whatever n_max is.  Otherwise a step needs, for each later
+seed k with a quadratic angle, some u in the window of its candidate
+u_k = m_k/M where all of seed k's quadratic angles come within delta of
+an integer at multiplier 2M (on their required sides).  By the closed
+form of the odd index, i(m) - m*mu in [-c, -c + 2*(#theta + #alpha)],
+c = ``_index_form[1]``, 2N lies in [(2sM + 1)*mu_1 - c_1 - i1_1,
+(2sM + 1)*mu_1 - c_1 - i1_1 + 2*(#theta_1 + #alpha_1)], so u_k lies in
+[floor(N_lo/(M*mu_k)), floor(N_hi/(M*mu_k)) + 1] (:func:`_window`), read
+off integer bounds on the means that never refuse: a few u.  The walk
+visits only the steps where all of seed 1's quadratic angles pass (every
+step when it has none), about 2*delta of them for one free angle.  When
+no later seed has a window (:func:`_windows`), :func:`_joint_returns`
+lists them: for one angle by a flat walk whose gaps take three values
+found up front (the three-gap theorem), for more by taking the gaps
+between them from the same search at doubled widths; otherwise
+:func:`_pair_returns` pairs seed 1 with the first such seed, listing the
+steps where some u in the window also passes all of that seed's angles
+(the same gap lemma one dimension up), and each later one reads the u of
+each step's window (:func:`_in_window`).
 
 One bound ends the walk: past lattice step
 last_step(n), seed 1's candidate N exceeds n.  The walk visits no step
@@ -597,15 +596,15 @@ def _pilot_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _S
     - When every spectrum angle is rational (``stride`` is None otherwise),
       the multiples of ``stride`` = S = P/(M*mu_1), with no test: off them
       some seed fails its index check (proof below).
-    - When no later seed has a stream of :func:`_streams`, the steps where
+    - When no later seed has a window of :func:`_windows`, the steps where
       every quadratic angle of seed 1 passes at m_1 = s*M, on the side
       ``rules`` fix for it, if any, from :func:`_joint_returns` (every
       step when seed 1 has none), with no test.
     - Otherwise those of them where some u in the window of the first
-      stream's seed also passes all of that seed's quadratic angles, from
-      :func:`_pair_returns` (``own`` may be empty), with each later stream
-      as a test: some u of its seed's joint returns lies in the step's
-      :func:`_window` (:func:`_in_window`).
+      such seed also passes all of that seed's quadratic angles, from
+      :func:`_pair_returns` (``own`` may be empty), with each later such
+      seed as a test: some u in the step's :func:`_window` passes all of
+      its quadratic angles (:func:`_in_window`).
     Every step left out fails an angle-side check, a required side or an
     index check, and no test reads an angle or a mean that can refuse, so
     the choice only spares queries; no dropped step changes a progress call.
@@ -649,13 +648,12 @@ def _pilot_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _S
     if stride is not None:
         return range(stride, last + 1, stride), []
     own = _quadratic_angles(seeds[0], rules[0])
-    streams = _streams(seeds, M, delta, rules, last)
-    first = next(streams, None)
+    windows = _windows(seeds, M, delta, rules, last)
+    first = next(windows, None)
     if first is None:
         return (_joint_returns([(x, side, delta) for x, side in own], 2 * M, last) if own
                 else range(1, last + 1)), []
-    tests = [_in_window(_joint_returns([(x, side, delta) for x, side in angles], 2 * M, top),
-                        *window) for angles, window, top in streams]
+    tests = [_in_window(angles, 2 * M, delta, window) for angles, window, _ in windows]
     paired, window, top = first
     return _pair_returns(own, paired, 2 * M, delta, window, last, top), tests
 
@@ -701,17 +699,16 @@ def _window(seed1: PathSeed, seed: PathSeed, M: int, last: int) -> Optional[_Win
             (2 * M * h1 * dk, (h1 - (c1 - t1) * d1) * dk + 2 * M * d1 * lk, 2 * M * d1 * lk))
 
 
-_Stream = tuple[_Sided, _Window, int]
-
-
-def _streams(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
-             last: int) -> Iterator[_Stream]:
-    """Per later seed whose joint near returns can test seed 1's steps 1 ..
-    ``last``, in seed order: its quadratic angles with their sides, its
-    :func:`_window` and ``top``, the window's upper end at ``last``.  A seed
-    is left out when it has no quadratic angle or :func:`_window` none, or
-    when the search of its first quadratic angle up to ``top`` would end at
-    once by the Liouville bound or refuse its delta."""
+def _windows(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,
+             last: int) -> Iterator[tuple[_Sided, _Window, int]]:
+    """Per later seed whose window can test seed 1's steps 1 .. ``last``, in
+    seed order: its quadratic angles with their sides, its :func:`_window`
+    and ``top``, the window's upper end at ``last``.  A seed is left out when
+    it has no quadratic angle or :func:`_window` none, or when the search of
+    its first quadratic angle up to ``top`` would end at once by the
+    Liouville bound or refuse its delta.  Only the first is searched; the
+    others keep the gates, as one test more would drop steps, and with them
+    queries that can refuse, so outcomes could change."""
     if last < 1:
         return
     p, q = delta.as_integer_ratio()
@@ -826,22 +823,15 @@ def _pair_returns(own: _Sided, paired: _Sided, mult: int, delta: Fraction, windo
         yield s
 
 
-def _in_window(returns: Iterator[int], lo: tuple[int, int, int],
-               hi: tuple[int, int, int]) -> Callable[[int], bool]:
-    """The test s -> some u of the ascending ``returns`` lies in
-    [floor((a*s + b)/c) for (a, b, c) = ``lo``, the same for ``hi``]; s
-    rises and the lower end with it, so the returns below it are dropped."""
-    (a0, b0, c0), (a1, b1, c1) = lo, hi
-    u = next(returns, inf)
-
-    def test(s: int) -> bool:
-        nonlocal u
-        start = (a0 * s + b0) // c0
-        while u < start:
-            u = next(returns, inf)
-        return u <= (a1 * s + b1) // c1
-
-    return test
+def _in_window(angles: _Sided, mult: int, delta: Fraction,
+               window: _Window) -> Callable[[int], bool]:
+    """The test s -> some u >= 1 in ``window`` (lo, hi), each end
+    floor((a*s + b)/c), passes every side test of ``angles`` at mult*u (not
+    "mid", or on its side), read in ascending order: a window holds a few."""
+    p, q = delta.as_integer_ratio()
+    passes = _all_of([x._side_test(mult, p, q, side) for x, side in angles])
+    (a0, b0, c0), (a1, b1, c1) = window
+    return lambda s: any(map(passes, range(max(1, (a0 * s + b0) // c0), (a1 * s + b1) // c1 + 1)))
 
 
 def _walk_steps(seeds: tuple[PathSeed, ...], M: int, delta: Fraction, rules: _SideRules,

@@ -340,6 +340,10 @@ def _seed(i1: int, nu1: int, blocks: tuple) -> PathSeed:
     if nu1 != seed.nu1:
         raise ValueError(f"initial nullity must equal the 1-eigenvalue kernel of the endpoint: "
                          f"expected {seed.nu1}, got {nu1}")
+    mean = seed.mean  # written as [lo, den] (lo = hi) if exact, else by its integer part
+    lo, hi, den = mean._read(0 if mean.is_exact else 2)
+    if (max(-lo, hi, den) if mean.is_exact else max(-lo, hi) // den) >= _UNWRITABLE:
+        raise ValueError(f"mean index needs more than {_DIGITS} digits to be written")
     return seed
 
 
@@ -390,9 +394,11 @@ def _mean_index_enclosure(mi: MeanIndex) -> dict:
 
 
 # Most characters of a stored enclosure string: a sign, the integer digits
-# str() writes by default (a scenario's i1 is read with as many), a point
-# and the 15 places of the midpoint of two 14-place ends.
-_ENCLOSURE_CHARS = sys.int_info.default_max_str_digits + 17
+# str() writes by default (_seed refuses a mean index that needs more), a
+# point and the 15 places of the midpoint of two 14-place ends.
+_DIGITS = sys.int_info.default_max_str_digits
+_UNWRITABLE = 10**_DIGITS
+_ENCLOSURE_CHARS = _DIGITS + 17
 
 
 def _enclosure_from(approx: str, error: str) -> tuple[Fraction, Fraction]:
@@ -577,7 +583,9 @@ def _report(doc):
 
 
 def parse_report(data):
-    """Inverse of emit_report for the machine format.  Malformed input
+    """The report of a machine-format document as emit_report takes it, but
+    a ``mean_index`` reads back as its exact Fraction or its enclosure's
+    (lo, hi) Fractions, which emit_report does not take.  Malformed input
     raises ScenarioError naming the path to the first bad value."""
     return _decoded(_report, _document(data))
 

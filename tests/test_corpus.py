@@ -4,10 +4,10 @@ Every scan of the corpus must give the tuples, the refusal and the progress
 calls recorded in ``fixtures/corpus_digest.json``, under ``python`` and, for
 every 8th system, under ``python -O``; together the scans take every route
 of the scan but the walk over every step (a seed 1 with no quadratic angle
-beside no stream, which ``test_jumps.TestSieve`` scans), with free, fully
-sided and mixed required sides.  The corpus's first systems also serve an
-oracle that checks no scan against itself: their scans under every other
-seed order find the same tuples, permuted.
+beside no seed with a window, which ``test_jumps.TestSieve`` scans), with
+free, fully sided and mixed required sides.  The corpus's first systems
+also serve an oracle that checks no scan against itself: their scans under
+every other seed order find the same tuples, permuted.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def test_every_scan_matches_the_digest(replay):
 
 
 def test_every_route_runs(replay):
-    # a seed 1 with no quadratic angle pairs with the first stream: no scan
-    # here walks every step
+    # a seed 1 with no quadratic angle pairs with the first seed with a
+    # window: no scan here walks every step
     assert replay[1] == {"stride": 92, "joint": 477, "pair": 791, "counted": 232, "N-walk": 7}
 
 
@@ -111,7 +111,7 @@ def _tuple_set(seeds, delta) -> set:
 def test_permuted_seeds_permute_each_tuple():
     # The tuple conditions are symmetric in the seeds, so the seeds in another
     # order hold the same N with m and chi permuted.  Only seed 1 pilots the
-    # walk, so each order runs another pilot, pair and stream set.
+    # walk, so each order runs another pilot, pair and set of window tests.
     found = scans = 0
     for seeds in corpus.systems()[:60]:
         for delta in (Fraction(1, 7), Fraction(1, 20)):

@@ -1129,7 +1129,7 @@ def _required_patterns(seeds):
 
 class TestOneSidedPilotWalk:
     """A scan whose required sides fix the side of an angle of seed 1, or of
-    a later seed with a stream, lists only the steps where that angle lands
+    a later seed with a window, lists only the steps where that angle lands
     on that side (each search and each pair walk tests its angles on their
     sides); the tuples, the NoTupleFound and the progress calls are those of
     the walk over every step with no tests."""
@@ -1305,7 +1305,7 @@ class TestSieve:
         # an oracle independent of the walk: every tuple at N = 1 .. n_max
         # whose sides fit the required ones and whose N is not excluded; the
         # last systems have a seed 1 with no quadratic angle, which pairs with
-        # the first stream or, beside none, walks every step
+        # the first seed with a window or, beside none, walks every step
         rng = random.Random(f"complete/{rng_seed}")
         routes = collections.Counter()
         pilot_steps = jumps._pilot_steps
@@ -1671,6 +1671,19 @@ class TestPairWalkWork:
         ts, calls = _scan(seeds, Fraction(1, 10), 10**7, 100)
         assert [t.N for t in ts[:3]] == [939758, 1139246, 1553744] and len(ts) == 22
         assert (counts["tuples_at"], len(reads), len(calls)) == (327, 124667, 936)
+
+    def test_s5x3_with_a_later_seed(self, monkeypatch):
+        # the third seed tests each pair-walk member by reading the u of its
+        # window directly: 502,667 folded side-kernel reads and 306 _side
+        # calls, where listing its joint near returns up to the window's top
+        # and merging them forward made 1,128,680 folded reads
+        seeds = [*_s5x3_seeds(), PathSeed(4, Decomposition([
+            *(RotationBlock(quadratic_angle(*x)) for x in ((-1, 1, 2, 6), (3, -1, 2, 3),
+                                                          (0, 1, 4, 2))), N1Block(1, 0)]))]
+        counts, reads, _ = _count_work(monkeypatch, seeds[0].mean)
+        ts, calls = _scan(seeds, Fraction(1, 6), 10**7, 3)
+        assert [t.N for t in ts] == [1315013, 4704280, 7041608]
+        assert (counts["tuples_at"], len(reads), len(calls)) == (425, 502973, 659)
 
 
 class TestShippedAnalysisWork:

@@ -113,6 +113,25 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="kernel"):
             parse_scenario(json.dumps(doc))
 
+    def test_a_mean_index_too_long_to_write_is_refused_by_seed(self):
+        # three identity blocks make the mean index i1 + 3, exact; a rotation
+        # by sqrt(2) - 1 beside one makes it i1 - 2 + 2*sqrt(2), about
+        # 10**4300 - 0.17 here, and beside two, 10**4300 + 0.83
+        limit = 10**sys.int_info.default_max_str_digits
+        n1, r = {"n1": [1, 0]}, {"r": {"quadratic": [-1, 1, 1, 2]}}
+        for blocks, i1, writable in (([n1] * 3, limit - 4, True), ([n1] * 3, limit - 3, False),
+                                     ([r, n1], limit - 1, True), ([r, n1, n1], limit - 1, False)):
+            doc = {"version": 1, "system": {"n": len(blocks) + 1},
+                   "seeds": [{"i1": i, "nu1": 2 * blocks.count(n1), "blocks": blocks}
+                             for i in (3, i1)]}
+            if writable:
+                mean = parse_scenario(json.dumps(doc))[0].seeds[1].mean
+                assert parse_report(emit_report(mean, "machine"))
+            else:
+                with pytest.raises(ScenarioError, match=r"^seeds\[1\]: mean index needs more "
+                                                        r"than 4300 digits to be written$"):
+                    parse_scenario(json.dumps(doc))
+
     def test_unknown_keys_rejected(self):
         for mutate in (
             lambda d: d.update(extra=1),
@@ -338,6 +357,18 @@ class TestCli:
         r = run_cli("--format", "machine", "mean-index", "--seed", path)
         assert r.returncode == 0
         assert parse_report(r.stdout) == 2
+
+    def test_mean_index_too_long_to_write_exits_one(self, tmp_path):
+        # i1 of 4,300 nines beside three identity blocks: the mean index is
+        # 10**4300 + 2, refused when the file is read
+        doc = {"version": 1, "system": {"n": 4},
+               "seeds": [{"i1": 10**sys.int_info.default_max_str_digits - 1, "nu1": 6,
+                          "blocks": [{"n1": [1, 0]}] * 3}]}
+        for fmt in ("text", "machine"):
+            r = run_cli("--format", fmt, "mean-index", "--seed", write_scenario(tmp_path, doc))
+            assert (r.returncode, r.stdout) == (1, b"")
+            assert r.stderr.decode().splitlines() == [
+                "error: seeds[0]: mean index needs more than 4300 digits to be written"]
 
     def test_jump_and_verify_round_trip(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)

@@ -1,14 +1,20 @@
 """Leftovers in the library source, found with the standard ``ast`` module:
 an imported name a module never uses, a private function or method that
 nothing in the package refers to, a parameter its function never reads,
-and a public signature that takes ``*args`` or ``**kwargs``; and an
-exported class that is not a frozen value."""
+and a public signature that takes ``*args`` or ``**kwargs``; an exported
+class that is not a frozen value; and a docstring's ``:func:``,
+``:meth:`` or ``:class:`` target, or a README's `module.name`, that names
+nothing in the package."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
+import importlib
+import re
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -190,3 +196,58 @@ def test_every_exported_class_is_a_frozen_dataclass():
                if isinstance(obj, type) and not issubclass(obj, Exception)]
     assert [cls.__name__ for cls in classes if cls not in NOT_FROZEN and not (
         dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)] == []
+
+
+_ROLE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+
+
+def _docstrings(tree: ast.Module) -> list[tuple[Optional[str], str]]:
+    """(the enclosing class's name or None, docstring) for the module and
+    every class and function in it; a class's own docstring is inside it."""
+    found = [(None, ast.get_docstring(tree) or "")]
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if isinstance(child, ast.ClassDef) else cls
+                found.append((inner, ast.get_docstring(child) or ""))
+                visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def _resolves(scopes, target: str) -> bool:
+    """Whether the dotted ``target`` names an attribute path from one of ``scopes``."""
+    first, *rest = target.split(".")
+    for scope in scopes:
+        try:
+            functools.reduce(getattr, rest, getattr(scope, first))
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_every_docstring_cross_reference_names_a_definition():
+    # a :func:, :meth: or :class: target resolves from its class, its module
+    # or the package, so a rename or a deletion leaves no stale reference
+    stale = []
+    for path in MODULES:
+        module = importlib.import_module(f"symjump.{path.stem}")
+        for cls, doc in _docstrings(_tree(path)):
+            scopes = [getattr(module, cls)] if cls else []
+            stale += [f"{path.name}: {target}" for target in _ROLE.findall(doc)
+                      if not _resolves([*scopes, module, symjump], target)]
+    assert stale == []
+
+
+def test_every_module_name_in_the_readme_names_a_definition():
+    # `jumps._pilot_steps` and the like: the module is one of the package's,
+    # and the name is bound at its top level
+    modules = {path.stem for path in MODULES} | {"symjump"}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    stale = [f"{module}.{name}" for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in modules and not hasattr(importlib.import_module(
+                 "symjump" if module == "symjump" else f"symjump.{module}"), name)]
+    assert stale == []
