@@ -3,31 +3,12 @@
 Certified angle arithmetic, basic normal forms, index/nullity iteration,
 common index jump tuples, and the two-elliptic-geodesics analysis
 pipeline for systems of closed geodesics on pinched spheres.
+
+Each export is imported from its submodule on first access (PEP 562), so
+``import symjump`` loads no submodule and a run loads only those it uses.
 """
 
-from .angles import (ExactAngle, IrrationalAngle, QuadraticAngle, RationalAngle,
-                     complement_angle, decimal_angle, quadratic_angle,
-                     rational_angle, same_angle)
-from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
-                       PeakConstraintRecord, PinchRecord, SecondGeodesicResult,
-                       ZeroEntry, betti_constant, derive_peak_constraints,
-                       find_peak_geodesic, nullity_at_even_jump, run_analysis,
-                       second_geodesic, validate_pinching_bounds)
-from .errors import (ConstraintViolation, NoTupleFound, ScenarioError,
-                     SymjumpError, UndecidableComparison)
-from .iteration import (IterationRow, MeanIndex, PathSeed, bott_gap,
-                        index_iterate, iteration_rows, mean_index,
-                        nullity_iterate)
-from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
-                    PathVerification, TupleVerification, angle_period,
-                    compute_delta, find_complementary_tuples, find_jump_tuples,
-                    index_at_even_jump, jump_tuples_at, verify_tuple)
-from .normal_forms import (BasicForm, Decomposition, HyperbolicBlock, Matrix,
-                           N1Block, N2Block, RotationBlock, c_total, classify,
-                           diamond_sum, elliptic_height, realize,
-                           splitting_numbers, splitting_plus_at_one,
-                           symplectic_form)
-from .scenario import ScenarioOptions, emit_report, parse_report, parse_scenario
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -53,3 +34,38 @@ __all__ = [
     "splitting_plus_at_one", "symplectic_form", "validate_pinching_bounds",
     "verify_tuple",
 ]
+
+# The submodule that defines each name of __all__.
+_HOME = {name: module for module, names in {
+    "angles": ("ExactAngle", "IrrationalAngle", "QuadraticAngle", "RationalAngle",
+               "complement_angle", "decimal_angle", "quadratic_angle", "rational_angle",
+               "same_angle"),
+    "analysis": ("AnalysisReport", "CandidateRecord", "PeakConstraintRecord", "PinchRecord",
+                 "SecondGeodesicResult", "ZeroEntry", "betti_constant",
+                 "derive_peak_constraints", "find_peak_geodesic", "nullity_at_even_jump",
+                 "run_analysis", "second_geodesic", "validate_pinching_bounds"),
+    "errors": ("ConstraintViolation", "NoTupleFound", "ScenarioError", "SymjumpError",
+               "UndecidableComparison"),
+    "iteration": ("GeodesicSystem", "IterationRow", "MeanIndex", "PathSeed", "bott_gap",
+                  "index_iterate", "iteration_rows", "mean_index", "nullity_iterate"),
+    "jumps": ("AngleSide", "ConditionCheck", "DeltaReport", "JumpTuple", "PathVerification",
+              "TupleVerification", "angle_period", "compute_delta",
+              "find_complementary_tuples", "find_jump_tuples", "index_at_even_jump",
+              "jump_tuples_at", "verify_tuple"),
+    "normal_forms": ("BasicForm", "Decomposition", "HyperbolicBlock", "Matrix", "N1Block",
+                     "N2Block", "RotationBlock", "c_total", "classify", "diamond_sum",
+                     "elliptic_height", "realize", "splitting_numbers",
+                     "splitting_plus_at_one", "symplectic_form"),
+    "scenario": ("ScenarioOptions", "emit_report", "parse_report", "parse_scenario"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -20,38 +20,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConstraintViolation, NoTupleFound
-from .iteration import PathSeed, index_iterate, nullity_iterate
+from .iteration import GeodesicSystem, PathSeed, index_iterate, nullity_iterate
 from .jumps import (ConditionCheck, DeltaReport, JumpTuple, compute_delta,
                     find_complementary_tuples, find_jump_tuples,
                     index_at_even_jump)
 from .normal_forms import elliptic_height
-
-
-@dataclass(frozen=True)
-class GeodesicSystem:
-    """A finite collection of prime closed-geodesic seeds on S^n.
-
-    ``reversibility_lambda`` (at least 1) and ``pinching_asserted`` state
-    the paper's hypothesis (lambda/(1+lambda))^2 < K <= 1 on the flag
-    curvature; nothing computes with them.  The hypothesis enters only
-    through its index consequences i1 >= n-1 and mean index > n-1, which
-    validate_pinching_bounds checks on every seed.
-    """
-
-    n: int
-    reversibility_lambda: Fraction
-    seeds: tuple[PathSeed, ...]
-    pinching_asserted: bool = True
-
-    def __post_init__(self):
-        if Fraction(self.reversibility_lambda) < 1:
-            raise ValueError("reversibility must be >= 1")
-        if not self.seeds:
-            raise ValueError("a system needs at least one seed")
-        for k, s in enumerate(self.seeds):
-            if s.n != self.n:
-                raise ValueError(f"census violation: seed {k} fills {s.n - 1} units "
-                                 f"but n - 1 = {self.n - 1}")
 
 
 @dataclass(frozen=True)

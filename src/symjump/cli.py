@@ -19,12 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import scenario as sc
-from .analysis import run_analysis
 from .angles import _bounded_decimal
 from .errors import NoTupleFound, ScenarioError, SymjumpError, UndecidableComparison
 from .iteration import iteration_rows
-from .jumps import (find_complementary_tuples, find_jump_tuples, jump_tuples_at,
-                    verify_tuple)
 from .normal_forms import realize
 
 EXIT_OK = 0
@@ -175,8 +172,10 @@ def _dispatch(args) -> int:
         # each row is written as it is computed: a refusal mid-table exits 3
         # after the rows before it
         seed = _pick_seed(system, args.seed_index)
+        rows = iteration_rows(seed, options.m_max)
+        sc._writable_table(seed, options.m_max)
         out = sys.stdout.buffer
-        for piece in sc.emit_rows(iteration_rows(seed, options.m_max), args.format):
+        for piece in sc.emit_rows(rows, args.format):
             out.write(piece)
         out.flush()
         return EXIT_OK
@@ -185,7 +184,9 @@ def _dispatch(args) -> int:
         _emit(_pick_seed(system, args.seed_index).mean, args.format)
         return EXIT_OK
 
+    # jumps and analysis are imported by the subcommands that use them only
     if args.command == "jump":
+        from .jumps import find_complementary_tuples, find_jump_tuples, jump_tuples_at
         progress = _progress_printer(sys.stderr.isatty())
         if args.complement_of is not None:
             base = jump_tuples_at(system.seeds, args.complement_of, options.delta)
@@ -201,6 +202,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "analyze":
+        from .analysis import run_analysis
         report = run_analysis(system, delta=options.delta, n_max=options.n_max,
                               tuple_limit=options.limit,
                               progress=_progress_printer(sys.stderr.isatty()))
@@ -211,6 +213,7 @@ def _dispatch(args) -> int:
         return EXIT_CONTRADICTION
 
     if args.command == "verify":
+        from .jumps import verify_tuple
         # verify every tuple, or refuse the file, before printing any verification
         results = [verify_tuple(t, system.seeds) for t in sc.parse_tuples(_read(args.tuple_file))]
         for result in results:

@@ -8,6 +8,8 @@ parity term from the -1-eigenvalue blocks and an integrality correction
 per nontrivial 4x4 rotation block; the nullity picks up the kernel of
 each block's m-th power.  All angle arithmetic is certified, so every
 returned integer is exact or the call raises ``UndecidableComparison``.
+A :class:`GeodesicSystem` is a finite set of seeds on one S^n, the input
+of every scan and analysis.
 """
 
 from __future__ import annotations
@@ -64,6 +66,33 @@ class PathSeed:
 
 
 @dataclass(frozen=True)
+class GeodesicSystem:
+    """A finite collection of prime closed-geodesic seeds on S^n.
+
+    ``reversibility_lambda`` (at least 1) and ``pinching_asserted`` state
+    the paper's hypothesis (lambda/(1+lambda))^2 < K <= 1 on the flag
+    curvature; nothing computes with them.  The hypothesis enters only
+    through its index consequences i1 >= n-1 and mean index > n-1, which
+    validate_pinching_bounds checks on every seed.
+    """
+
+    n: int
+    reversibility_lambda: Fraction
+    seeds: tuple[PathSeed, ...]
+    pinching_asserted: bool = True
+
+    def __post_init__(self):
+        if Fraction(self.reversibility_lambda) < 1:
+            raise ValueError("reversibility must be >= 1")
+        if not self.seeds:
+            raise ValueError("a system needs at least one seed")
+        for k, s in enumerate(self.seeds):
+            if s.n != self.n:
+                raise ValueError(f"census violation: seed {k} fills {s.n - 1} units "
+                                 f"but n - 1 = {self.n - 1}")
+
+
+@dataclass(frozen=True)
 class IterationRow:
     m: int
     index: int
@@ -117,6 +146,14 @@ def nullity_iterate(seed: PathSeed, m: int) -> int:
         raise ConstraintViolation(
             f"nullity of iterate m={m} is {nullity}, outside [0, {2 * (seed.n - 1)}]")
     return nullity
+
+
+def _index_slack(d: Decomposition) -> int:
+    """A bound on |i(m) - m*mean| for every m >= 1: by the closed form of
+    :func:`index_iterate`, i(m) - m*mean lies in [-(r + p- + p0 + 2r* + q0
+    + q+), r - p- - p0], as 2*ceil(m*theta) - 2*m*theta lies in [0, 2) and
+    2*varphi(m*alpha) in {0, 2}."""
+    return 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
 
 
 def iteration_rows(seed: PathSeed, m_max: int) -> Iterator[IterationRow]:

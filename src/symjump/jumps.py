@@ -81,7 +81,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .angles import QuadraticAngle, _check_delta, _check_multiplier
 from .errors import ConstraintViolation, NoTupleFound
-from .iteration import PathSeed, _check_count, index_iterate, nullity_iterate
+from .iteration import PathSeed, _check_count, _index_slack, index_iterate, nullity_iterate
 from .normal_forms import c_total, elliptic_height, splitting_plus_at_one
 
 _CHUNK = 2048  # lattice steps between progress calls
@@ -577,13 +577,13 @@ def jump_tuples_at(seeds: Sequence[PathSeed], N: int,
 def _last_step(seed: PathSeed, M: int, n: int) -> int:
     """The last lattice step s whose candidate N can be at most n.
 
-    i(2m+1) >= (2m+1)*mean - slack, so N = (i(2m+1) - i1)/2 <= n needs
-    2*M*s <= y - 1 for y = (2n + slack + i1)/mean, and for the integer
-    2*M > 0, floor((y - 1)/(2*M)) = floor((floor(y) - 1)/(2*M)).  A
-    positive mean makes 2n + slack + i1 positive.
+    i(2m+1) >= (2m+1)*mean - slack (:func:`_index_slack`), so
+    N = (i(2m+1) - i1)/2 <= n needs 2*M*s <= y - 1 for y = (2n + slack +
+    i1)/mean, and for the integer 2*M > 0, floor((y - 1)/(2*M)) =
+    floor((floor(y) - 1)/(2*M)).  A positive mean makes 2n + slack + i1
+    positive.
     """
-    d = seed.decomp
-    slack = 3 * d.r + 2 * d.r_star + d.p_minus + d.p_zero + d.q_zero + d.q_plus
+    slack = _index_slack(seed.decomp)
     return (seed.mean.floor_quotient(2 * n + slack + seed.i1, 1) - 1) // (2 * M)
 
 

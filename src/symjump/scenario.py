@@ -21,12 +21,17 @@ Reports are compact sorted-key JSON objects tagged with a ``"type"``,
 byte-identical for identical inputs.
 
 Every JSON object is read by ``_object`` and every report record is
-written by ``_record_writer``, each compiled once per kind of object from
-generated source, as dataclasses builds ``__init__``, so that it makes
-one call per object.  A reader checks int, str and bool values inline
-and hands any other value to its own reader.  Records are read and
-written by their dataclass fields and type hints: int, str and bool as
-themselves, Fraction as [numerator, denominator], Optional as null,
+written by ``_record_writer``, each compiled from generated source, as
+dataclasses builds ``__init__``, so that it makes one call per object.
+Each is compiled on its first use (``_on_first_call``): the scenario
+reader when a scenario is first parsed, a report's reader or writer when
+a report of its type is first read or written, and a record's when a
+record of its class is first read or written, its class fetched through
+the package, so that parsing a scenario imports neither ``jumps`` nor
+``analysis``.  After that first call the function is called directly.
+A reader checks int, str and bool values inline and hands any other
+value to its own reader.  Records are read and written by their
+dataclass fields and type hints: int, str and bool as themselves, Fraction as [numerator, denominator], Optional as null,
 tuples as arrays, records as objects keyed by field name (``_RENAME``
 maps ``M_period`` to ``"M"``; ``_DERIVED`` adds ``passed``, which reading
 ignores like any key it does not read).  A writer formats every field
@@ -49,17 +54,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import ceil, floor
-from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
+from typing import (TYPE_CHECKING, Iterable, Iterator, Union, get_args, get_origin,
+                    get_type_hints)
 
-from .analysis import (AnalysisReport, CandidateRecord, GeodesicSystem,
-                       PeakConstraintRecord, PinchRecord, ZeroEntry)
 from .angles import _bounded_decimal, decimal_angle, quadratic_angle, rational_angle
 from .errors import ScenarioError
-from .iteration import IterationRow, MeanIndex, PathSeed
-from .jumps import (AngleSide, ConditionCheck, DeltaReport, JumpTuple,
-                    PathVerification, TupleVerification)
+from .iteration import GeodesicSystem, IterationRow, MeanIndex, PathSeed, _index_slack
 from .normal_forms import (Decomposition, HyperbolicBlock, Matrix, N1Block, N2Block,
                            RotationBlock)
+
+if TYPE_CHECKING:  # the report records, fetched through the package when first read or written
+    from .analysis import AnalysisReport, CandidateRecord
+    from .jumps import ConditionCheck, JumpTuple, PathVerification, TupleVerification
 
 
 @dataclass(frozen=True)
@@ -185,9 +191,29 @@ def _tagged(tag: str, reader, build=lambda v: v):
     return _object(((tag, reader),), build, closed=True)
 
 
+def _on_first_call(namespace: dict, name: str, make):
+    """Bind namespace[name] to, and return, a stand-in that, on its first
+    call, binds namespace[name] to make() and calls that.  Generated code that names it as a
+    global, and code that looks it up there at each call, then call the
+    made function with no layer between; a call of the stand-in held
+    from before, as by ``map`` over an array, calls the made one."""
+    def first(v):
+        made = namespace[name]
+        if made is first:
+            made = namespace[name] = make()
+        return made(v)
+    namespace[name] = first
+    return first
+
+
+def _class(name: str) -> type:
+    """The package's class of that name, its module imported on first use."""
+    return getattr(sys.modules[__package__], name)
+
+
 _RENAME = {"M_period": "M"}
-_DERIVED = {ConditionCheck: ("passed",), PathVerification: ("passed",),
-            TupleVerification: ("passed",)}
+_DERIVED = {"ConditionCheck": ("passed",), "PathVerification": ("passed",),
+            "TupleVerification": ("passed",)}
 
 # The globals of the compiled object readers: read_<type name> for each
 # hint they do not check inline (a record, Fraction, or an int, str or
@@ -287,11 +313,17 @@ def _json_of(hint, v: str) -> str:
     return f'"[" + ",".join([{_json_of(inner, "x")} for x in {v}]) + "]"'  # tuple[X, ...]
 
 
+def _record_reader(cls):
+    """The reader of the record cls: the object reader of its fields, which
+    ignores the keys it does not read, such as ``passed``."""
+    return _object([(key, hint) for key, hint, _ in _fields(cls)], cls)
+
+
 def _record_writer(cls, tag: str | None = None):
     """The writer of cls: a record's JSON object, keys sorted, each field
     formatted inline by its type hint (``_DERIVED`` adds ``passed``), with
     a ``"type"`` key when tagged."""
-    fields = _FIELDS[cls] + [(name, bool, name) for name in _DERIVED.get(cls, ())]
+    fields = _fields(cls) + [(name, bool, name) for name in _DERIVED.get(cls.__name__, ())]
     members = {key: "{%s}" % _json_of(hint, f"o.{name}") for key, hint, name in fields}
     if tag:
         members["type"] = f'"{tag}"'
@@ -301,14 +333,12 @@ def _record_writer(cls, tag: str | None = None):
     return made["write"]
 
 
-# Each record is read by the object reader of its fields, which ignores
-# the keys it does not read, such as ``passed``.
-_FIELDS = {cls: _fields(cls) for cls in (
-    ConditionCheck, AngleSide, PathVerification, JumpTuple, TupleVerification, DeltaReport,
-    ZeroEntry, PeakConstraintRecord, CandidateRecord, PinchRecord, AnalysisReport)}
-for _cls, _spec in _FIELDS.items():
-    _READ[f"read_{_cls.__name__}"] = _object([(key, hint) for key, hint, _ in _spec], _cls)
-    _WRITE[f"write_{_cls.__name__}"] = _record_writer(_cls)
+# Each record's reader and writer, compiled on its first call.
+for _name in ("ConditionCheck", "AngleSide", "PathVerification", "JumpTuple",
+              "TupleVerification", "DeltaReport", "ZeroEntry", "PeakConstraintRecord",
+              "CandidateRecord", "PinchRecord", "AnalysisReport"):
+    _on_first_call(_READ, f"read_{_name}", lambda name=_name: _record_reader(_class(name)))
+    _on_first_call(_WRITE, f"write_{_name}", lambda name=_name: _record_writer(_class(name)))
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -317,22 +347,6 @@ for _cls, _spec in _FIELDS.items():
 def _ratio(v) -> Fraction:
     """A scenario rational: an int or [numerator, denominator]."""
     return Fraction(v) if type(v) is int else _frac_from(v)
-
-
-_ANGLE = _variant("angle", {
-    "rational": _tagged("rational", _frac_from, rational_angle),
-    "quadratic": _tagged("quadratic", _ints("a", "b", "c", "d"),
-                         lambda v: quadratic_angle(*v)),
-    "decimal": _object((("decimal", str), ("error", str)), decimal_angle, closed=True),
-})
-
-_BLOCK = _variant("block", {
-    "n1": _tagged("n1", _ints("lam", "b"), lambda v: N1Block(*v)),
-    "r": _tagged("r", _ANGLE, RotationBlock),
-    "n2": _tagged("n2", _object((("angle", _ANGLE), ("trivial", bool)), N2Block,
-                                closed=True)),
-    "hyp": _tagged("hyp", _object((), HyperbolicBlock, closed=True)),
-})
 
 
 def _seed(i1: int, nu1: int, blocks: tuple) -> PathSeed:
@@ -354,16 +368,33 @@ def _scenario(version: int, system: tuple, seeds: tuple, options: ScenarioOption
     return GeodesicSystem(n, lam, seeds, pinching), options
 
 
-_SCENARIO = _object((
-    ("version", int),
-    ("system", _object((("n", int), ("lambda", _ratio, Fraction(1)),
-                        ("pinching_asserted", bool, True)), lambda *v: v, closed=True)),
-    ("seeds", _array(_object((("i1", int), ("nu1", int), ("blocks", _array(_BLOCK))),
-                             _seed, closed=True))),
-    ("options", _object([(f.name, _ratio if isinstance(f.default, Fraction) else int,
-                          f.default) for f in dataclasses.fields(ScenarioOptions)],
-                        ScenarioOptions, closed=True), ScenarioOptions()),
-), _scenario, closed=True)
+def _scenario_reader():
+    angle = _variant("angle", {
+        "rational": _tagged("rational", _frac_from, rational_angle),
+        "quadratic": _tagged("quadratic", _ints("a", "b", "c", "d"),
+                             lambda v: quadratic_angle(*v)),
+        "decimal": _object((("decimal", str), ("error", str)), decimal_angle, closed=True),
+    })
+    block = _variant("block", {
+        "n1": _tagged("n1", _ints("lam", "b"), lambda v: N1Block(*v)),
+        "r": _tagged("r", angle, RotationBlock),
+        "n2": _tagged("n2", _object((("angle", angle), ("trivial", bool)), N2Block,
+                                    closed=True)),
+        "hyp": _tagged("hyp", _object((), HyperbolicBlock, closed=True)),
+    })
+    return _object((
+        ("version", int),
+        ("system", _object((("n", int), ("lambda", _ratio, Fraction(1)),
+                            ("pinching_asserted", bool, True)), lambda *v: v, closed=True)),
+        ("seeds", _array(_object((("i1", int), ("nu1", int), ("blocks", _array(block))),
+                                 _seed, closed=True))),
+        ("options", _object([(f.name, _ratio if isinstance(f.default, Fraction) else int,
+                              f.default) for f in dataclasses.fields(ScenarioOptions)],
+                            ScenarioOptions, closed=True), ScenarioOptions()),
+    ), _scenario, closed=True)
+
+
+_SCENARIO = _on_first_call(globals(), "_SCENARIO", _scenario_reader)
 
 
 def parse_scenario(data) -> tuple[GeodesicSystem, ScenarioOptions]:
@@ -408,9 +439,11 @@ def _enclosure_from(approx: str, error: str) -> tuple[Fraction, Fraction]:
     return mid - err, mid + err
 
 
-_EXACT = _object((("exact", _frac_from),))
-_ENCLOSED = _object((("enclosure", _object((("approx", str), ("error", str)),
-                                           _enclosure_from)),))
+def _mean_index_reader():
+    exact = _object((("exact", _frac_from),))
+    enclosed = _object((("enclosure", _object((("approx", str), ("error", str)),
+                                              _enclosure_from)),))
+    return lambda doc: (exact if "exact" in doc else enclosed)(doc)
 
 
 def _matrix_from(v) -> Matrix:
@@ -426,9 +459,6 @@ def _matrix_from(v) -> Matrix:
     return m
 
 
-_TUPLES = _array(_READ["read_JumpTuple"])
-
-
 def _some(decode, what: str):
     """``decode`` of a report's list, refused when empty: a scan that
     returns finds a tuple, and an iteration table has m_max >= 1 rows."""
@@ -440,17 +470,33 @@ def _some(decode, what: str):
     return some
 
 
+# The wire type of a report by its class name, and of a list report by the
+# class name of its items.
+_TYPES = {"MeanIndex": "mean_index", "TupleVerification": "tuple_verification",
+          "AnalysisReport": "analysis_report", "Matrix": "realized_matrix"}
+_ITEM_TYPES = {"IterationRow": "iteration_table", "JumpTuple": "jump_tuples"}
+
+
+def _type_of(obj, types: dict):
+    """types[name] for the first class in obj's MRO that is the package's
+    class of a name in types, else None.  The name is matched first, so no
+    module is imported for an obj of none of those classes."""
+    for cls in type(obj).__mro__:
+        if cls.__name__ in types and cls is _class(cls.__name__):
+            return types[cls.__name__]
+    return None
+
+
 def _wire_type(report) -> str:
     """The ``"type"`` tag of a report object."""
     if isinstance(report, list) and report:  # an empty list is no report
-        for cls, kind in ((IterationRow, "iteration_table"), (JumpTuple, "jump_tuples")):
-            if all(isinstance(x, cls) for x in report):
-                return kind
-    for cls, kind in ((MeanIndex, "mean_index"), (TupleVerification, "tuple_verification"),
-                      (AnalysisReport, "analysis_report"), (Matrix, "realized_matrix")):
-        if isinstance(report, cls):
+        kind = _type_of(report[0], _ITEM_TYPES)
+        if kind and all(_type_of(x, _ITEM_TYPES) == kind for x in report):
             return kind
-    raise TypeError(f"not a report: {type(report).__name__}")
+    kind = _type_of(report, _TYPES)
+    if kind is None:
+        raise TypeError(f"not a report: {type(report).__name__}")
+    return kind
 
 
 # -- text rendering ----------------------------------------------------------
@@ -465,9 +511,19 @@ def _render_check(c: ConditionCheck, pad: int = 0) -> str:
 def _render_mean_index(mi: MeanIndex) -> str:
     if mi.is_exact:
         v = mi.exact()
-        return f"mean index = {v} (exact, ~{float(v):.9f})\n"
+        return f"mean index = {v} (exact, ~{_approx(v)})\n"
     j = _mean_index_enclosure(mi)
     return f"mean index in [{j['approx']} +/- {j['error']}]\n"
+
+
+def _approx(v: Fraction) -> str:
+    """v to 9 places as a float; past the float range, to 10 significant
+    digits with an exponent, e.g. ``1.000000000e+400``."""
+    try:
+        return f"{float(v):.9f}"
+    except OverflowError:
+        from decimal import Context, Decimal
+        return f"{Context(prec=10).divide(Decimal(v.numerator), Decimal(v.denominator)):.9e}"
 
 
 def _render_tuple(t: JumpTuple) -> str:
@@ -543,33 +599,42 @@ def _write_mean_index(mi: MeanIndex) -> str:
     return f'{{{value},"type":"mean_index"}}'
 
 
-# wire type: (writer of the JSON text, reader, text renderer); emit_rows
-# writes an iteration table in both formats
-_REPORTS = {
-    "iteration_table": (
-        None,
-        _object((("rows", _some(_array(_ints("m", "index", "nullity")), "row")),),
-                lambda rows: [IterationRow(*r) for r in rows]),
-        None),
-    "mean_index": (
-        _write_mean_index,
-        lambda doc: (_EXACT if "exact" in doc else _ENCLOSED)(doc),
-        _render_mean_index),
-    "jump_tuples": (
-        lambda ts: f'{{"tuples":[{",".join(map(_WRITE["write_JumpTuple"], ts))}],'
-                   f'"type":"jump_tuples"}}',
-        _object((("tuples", _some(_TUPLES, "tuple")),), list),
-        lambda ts: "".join(_render_tuple(t) for t in ts)),
-    "tuple_verification": (_record_writer(TupleVerification, "tuple_verification"),
-                           _READ["read_TupleVerification"], _render_verification),
-    "analysis_report": (_record_writer(AnalysisReport, "analysis_report"),
-                        _READ["read_AnalysisReport"], _render_analysis),
-    "realized_matrix": (
-        lambda M: (f'{{"dim":{len(M)},"rows":['
-                   + ",".join("[" + ",".join(f'"{v:.17g}"' for v in row) + "]" for row in M)
-                   + '],"type":"realized_matrix"}'),
-        _object((("rows", _matrix_from),)),
-        lambda M: "\n".join("  ".join(f"{v: .12f}" for v in row) for row in M) + "\n"),
+# A report's reader, machine writer and text renderer by wire type; each
+# compiled one is made on its first call.  emit_rows writes an iteration
+# table in both formats.
+_READERS: dict = {}
+_on_first_call(_READERS, "iteration_table", lambda: _object(
+    (("rows", _some(_array(_ints("m", "index", "nullity")), "row")),),
+    lambda rows: [IterationRow(*r) for r in rows]))
+_on_first_call(_READERS, "mean_index", _mean_index_reader)
+_on_first_call(_READERS, "jump_tuples", lambda: _object(
+    (("tuples", _some(lambda v: _items(_READ["read_JumpTuple"], v), "tuple")),), list))
+_on_first_call(_READERS, "tuple_verification",
+               lambda: _record_reader(_class("TupleVerification")))
+_on_first_call(_READERS, "analysis_report", lambda: _record_reader(_class("AnalysisReport")))
+_on_first_call(_READERS, "realized_matrix", lambda: _object((("rows", _matrix_from),)))
+
+_WRITERS: dict = {
+    "mean_index": _write_mean_index,
+    "jump_tuples": lambda ts: (f'{{"tuples":[{",".join(map(_WRITE["write_JumpTuple"], ts))}],'
+                               f'"type":"jump_tuples"}}'),
+    "realized_matrix": lambda M: (
+        f'{{"dim":{len(M)},"rows":['
+        + ",".join("[" + ",".join(f'"{v:.17g}"' for v in row) + "]" for row in M)
+        + '],"type":"realized_matrix"}'),
+}
+_on_first_call(_WRITERS, "tuple_verification",
+               lambda: _record_writer(_class("TupleVerification"), "tuple_verification"))
+_on_first_call(_WRITERS, "analysis_report",
+               lambda: _record_writer(_class("AnalysisReport"), "analysis_report"))
+
+_RENDERERS = {
+    "mean_index": _render_mean_index,
+    "jump_tuples": lambda ts: "".join(_render_tuple(t) for t in ts),
+    "tuple_verification": _render_verification,
+    "analysis_report": _render_analysis,
+    "realized_matrix":
+        lambda M: "\n".join("  ".join(f"{v: .12f}" for v in row) for row in M) + "\n",
 }
 
 
@@ -577,9 +642,9 @@ def _report(doc):
     if type(doc) is not dict:
         raise _expected("an object", doc)
     kind = doc.get("type")
-    if type(kind) is not str or kind not in _REPORTS:
+    if type(kind) is not str or kind not in _READERS:
         raise _Bad(f"unknown report type {kind!r}")
-    return _REPORTS[kind][1](doc)
+    return _READERS[kind](doc)
 
 
 def parse_report(data):
@@ -599,6 +664,16 @@ def parse_tuples(data) -> list[JumpTuple]:
     if type(doc) is dict and "N" in doc:
         return [_decoded(_READ["read_JumpTuple"], doc, "tuple")]
     raise ScenarioError("tuple file must be a jump_tuples report or one tuple object")
+
+
+def _writable_table(seed: PathSeed, m_max: int) -> None:
+    """Refuse, before any row, an iteration table to m_max whose indices may
+    need more digits than str() writes: by :func:`_index_slack`, every
+    |i(m)| <= m_max*|mean| + slack."""
+    lo, hi, den = seed.mean._read(0)
+    if m_max * -(-max(-lo, hi) // den) + _index_slack(seed.decomp) >= _UNWRITABLE:
+        raise ScenarioError(f"an index up to m = {m_max} may need more than {_DIGITS} "
+                            f"digits to be written; lower m_max")
 
 
 def emit_rows(rows: Iterable[IterationRow], fmt: str = "text") -> Iterator[bytes]:
@@ -624,5 +699,6 @@ def emit_report(report, fmt: str = "text") -> bytes:
     kind = _wire_type(report)
     if kind == "iteration_table":
         return b"".join(emit_rows(report, fmt))
-    write, _, render = _REPORTS[kind]
-    return (write(report) + "\n" if fmt == "machine" else render(report)).encode()
+    if fmt == "machine":
+        return (_WRITERS[kind](report) + "\n").encode()
+    return _RENDERERS[kind](report).encode()

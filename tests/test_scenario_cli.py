@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symjump import (Decomposition, GeodesicSystem, Matrix, N1Block, PathSeed,
+from symjump import (Decomposition, GeodesicSystem, Matrix, MeanIndex, N1Block, PathSeed,
                      RotationBlock, ScenarioError, ScenarioOptions, find_jump_tuples,
                      iteration_rows, mean_index, parse_report, parse_scenario,
                      quadratic_angle, rational_angle, run_analysis,
@@ -369,6 +369,47 @@ class TestCli:
             assert (r.returncode, r.stdout) == (1, b"")
             assert r.stderr.decode().splitlines() == [
                 "error: seeds[0]: mean index needs more than 4300 digits to be written"]
+
+    def test_mean_index_past_the_float_range_is_written(self, tmp_path):
+        # i1 = 10**400 - 1 beside three identity blocks: the exact mean index
+        # 10**400 + 2 overflows a float, so its approximation takes an exponent
+        doc = {"version": 1, "system": {"n": 4},
+               "seeds": [{"i1": 10**400 - 1, "nu1": 6, "blocks": [{"n1": [1, 0]}] * 3}]}
+        path = write_scenario(tmp_path, doc)
+        r = run_cli("mean-index", "--seed", path)
+        assert (r.returncode, r.stderr) == (0, b"")
+        assert r.stdout == f"mean index = {10**400 + 2} (exact, ~1.000000000e+400)\n".encode()
+        r = run_cli("--format", "machine", "mean-index", "--seed", path)
+        assert r.returncode == 0 and parse_report(r.stdout) == 10**400 + 2
+
+    @pytest.mark.parametrize("value,approx", [
+        (Fraction(int(sys.float_info.max)), f"{sys.float_info.max:.9f}"),
+        (Fraction(-17, 7), "-2.428571429"),
+        (Fraction(2**1024), "1.797693135e+308"),
+        (Fraction(2 * 10**400, 3), "6.666666667e+399"),
+        (Fraction(-10**310 - 1, 7), "-1.428571429e+309")],
+        ids=["largest_float", "negative", "past_the_largest", "rounded", "negative_past"])
+    def test_mean_index_text_keeps_the_float_wherever_it_is_finite(self, value, approx):
+        mean = MeanIndex((value.denominator, value.numerator, ()))
+        assert emit_report(mean, "text") == f"mean index = {value} (exact, ~{approx})\n".encode()
+
+    def test_iterate_past_the_digit_limit_is_refused_before_any_row(self, tmp_path):
+        # i1 = 10**4299 beside three identity blocks: i(m) = m*(i1 + 3) - 3
+        # needs 4,301 digits from m = 10 on, and the bound m_max*mean + slack
+        # (slack 3 here) refuses m_max = 10 but not 9
+        doc = {"version": 1, "system": {"n": 4},
+               "seeds": [{"i1": 10**4299, "nu1": 6, "blocks": [{"n1": [1, 0]}] * 3}]}
+        path = write_scenario(tmp_path, doc)
+        for fmt in ("text", "machine"):
+            for m_max in ("10", "20"):
+                r = run_cli("--format", fmt, "iterate", "--seed", path, "--m-max", m_max)
+                assert (r.returncode, r.stdout) == (1, b"")
+                assert r.stderr.decode().splitlines() == [
+                    f"error: an index up to m = {m_max} may need more than 4300 digits "
+                    f"to be written; lower m_max"]
+            r = run_cli("--format", fmt, "iterate", "--seed", path, "--m-max", "9")
+            assert (r.returncode, r.stderr) == (0, b"")
+        assert parse_report(r.stdout)[-1].index == 9 * (10**4299 + 3) - 3
 
     def test_jump_and_verify_round_trip(self, tmp_path):
         path = write_scenario(tmp_path, TWO_SEED_S3)

@@ -191,9 +191,11 @@ NOT_FROZEN = {symjump.ExactAngle,     # the angle kinds' base, with no fields
 
 
 def test_every_exported_class_is_a_frozen_dataclass():
-    # a value shared between seeds, reports and queries cannot be changed under them
-    classes = [obj for obj in map(symjump.__dict__.get, symjump.__all__)
+    # a value shared between seeds, reports and queries cannot be changed under
+    # them; getattr resolves each export, loaded or not
+    classes = [obj for obj in (getattr(symjump, name) for name in symjump.__all__)
                if isinstance(obj, type) and not issubclass(obj, Exception)]
+    assert len(classes) == 27
     assert [cls.__name__ for cls in classes if cls not in NOT_FROZEN and not (
         dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)] == []
 
